@@ -6,8 +6,6 @@
 //	campaignrunner -list
 //	campaignrunner -instance paper -tier quick -dir artifacts/paper-quick
 //	campaignrunner -instance paper -dir D -resume
-//	campaignrunner -instance paper -dir D -shard 0 -shards 4
-//	campaignrunner -instance paper -dir D -assemble
 //	campaignrunner -worker http://coordinator:8080 -dir scratch
 //	campaignrunner -worker http://coordinator:8080 -dir scratch -chaos seed=7,rate=0.2
 //	campaignrunner -synth examples/synth/arrestor.yaml -instance synth-arrestor -tier quick -dir D
@@ -15,12 +13,12 @@
 //
 // Every run writes an artifact set under -dir: config.json (the
 // digestable config snapshot), journal.jsonl (one line per completed
-// injection run), metrics.json, failures.md and — for unsharded or
-// assembled runs — report.md. A run killed mid-campaign is resumed
-// with -resume; completed jobs replay from the journal and only the
-// remainder executes, converging to the bit-identical permeability
-// matrix. For sharded execution, start one process per shard with
-// the same -dir and -shards, then merge with -assemble.
+// injection run), metrics.json, failures.md and report.md. A run
+// killed mid-campaign is resumed with -resume; completed jobs replay
+// from the journal and only the remainder executes, converging to the
+// bit-identical permeability matrix. To spread one campaign over
+// several processes, run a coordinator (command propaned, or
+// propaned -loopback N on one machine) and join it with -worker.
 //
 // Runs execute supervised: -run-budget bounds each run's
 // deterministic work units (an exceeded budget classifies the run as
@@ -32,8 +30,8 @@
 //
 // With -synth, declarative topology documents (YAML/JSON, see
 // examples/synth/) are compiled and registered as additional named
-// instances before any other mode runs, so they list, run, resume,
-// shard and assemble exactly like the built-in ones. With
+// instances before any other mode runs, so they list, run, resume
+// and distribute exactly like the built-in ones. With
 // -fuzz-topologies N, the process instead generates N random valid
 // topologies and runs each one's quick campaign twice, failing on
 // any engine panic, campaign error or non-determinism.
@@ -84,9 +82,6 @@ func run(args []string, out io.Writer) (retErr error) {
 	tier := fs.String("tier", "quick", "campaign intensity: quick or full")
 	dir := fs.String("dir", "", "artifact directory (journal, metrics, report)")
 	resume := fs.Bool("resume", false, "resume a killed campaign from its journal")
-	shard := fs.Int("shard", 0, "this process's shard index, in [0,shards)")
-	shards := fs.Int("shards", 0, "split the injection space over this many shards (0 = unsharded)")
-	assemble := fs.Bool("assemble", false, "merge the shard journals under -dir into the final report")
 	workers := fs.Int("workers", 0, "concurrent injection runs (<= 0 means GOMAXPROCS)")
 	progress := fs.Duration("progress", 10*time.Second, "progress-line interval (0 disables)")
 	runBudget := fs.Int64("run-budget", 0, "per-run step budget: terminate and classify a run as hung after this many work units (0 = instance default)")
@@ -217,8 +212,6 @@ func run(args []string, out io.Writer) (retErr error) {
 	}
 	opts := runner.Options{
 		Dir:             *dir,
-		Shard:           *shard,
-		Shards:          *shards,
 		Resume:          *resume,
 		Workers:         *workers,
 		LogInterval:     *progress,
@@ -231,22 +224,7 @@ func run(args []string, out io.Writer) (retErr error) {
 		CIEpsilon:       *ciEpsilon,
 	}
 
-	var rr *runner.RunResult
-	if *assemble {
-		def, lerr := runner.Lookup(*instance)
-		if lerr != nil {
-			return lerr
-		}
-		cfg, cerr := def.Config(runner.Tier(*tier))
-		if cerr != nil {
-			return cerr
-		}
-		opts.Name = *instance
-		opts.Tier = runner.Tier(*tier)
-		rr, err = runner.Assemble(cfg, opts)
-	} else {
-		rr, err = runner.RunInstance(*instance, runner.Tier(*tier), opts)
-	}
+	rr, err := runner.RunInstance(*instance, runner.Tier(*tier), opts)
 	if err != nil {
 		return err
 	}
@@ -267,12 +245,7 @@ func run(args []string, out io.Writer) (retErr error) {
 		fmt.Fprintf(out, "%.0f runs/s over %d workers (%.0f%% utilisation)\n",
 			m.RunsPerSecond, m.Workers, 100*m.WorkerUtilization)
 	}
-	if m.Shards > 1 {
-		fmt.Fprintf(out, "shard %d/%d journaled under %s; run -assemble when all shards finish\n",
-			m.Shard+1, m.Shards, rr.Dir)
-	} else {
-		fmt.Fprintf(out, "artifacts in %s\n", rr.Dir)
-	}
+	fmt.Fprintf(out, "artifacts in %s\n", rr.Dir)
 	return nil
 }
 

@@ -6,7 +6,6 @@ import (
 
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -54,27 +53,6 @@ func TestRunReducedQuick(t *testing.T) {
 	}
 }
 
-func TestRunShardsAndAssemble(t *testing.T) {
-	dir := t.TempDir()
-	var out strings.Builder
-	for s := 0; s < 2; s++ {
-		args := []string{"-instance", "reduced", "-dir", dir,
-			"-shard", strconv.Itoa(s), "-shards", "2", "-progress", "0"}
-		if err := run(args, &out); err != nil {
-			t.Fatalf("shard %d: %v", s, err)
-		}
-	}
-	if !strings.Contains(out.String(), "-assemble") {
-		t.Errorf("sharded run did not point at -assemble:\n%s", out.String())
-	}
-	if err := run([]string{"-instance", "reduced", "-dir", dir, "-assemble"}, &out); err != nil {
-		t.Fatalf("assemble: %v", err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "report.md")); err != nil {
-		t.Errorf("assemble did not write report.md: %v", err)
-	}
-}
-
 func TestRunErrors(t *testing.T) {
 	var out strings.Builder
 	tests := [][]string{
@@ -82,7 +60,6 @@ func TestRunErrors(t *testing.T) {
 		{"-instance", "warpdrive", "-dir", t.TempDir()},
 		{"-instance", "reduced"}, // no dir
 		{"-instance", "reduced", "-tier", "nightly", "-dir", t.TempDir()},
-		{"-instance", "reduced", "-dir", t.TempDir(), "-assemble"}, // no journals
 	}
 	for _, args := range tests {
 		if err := run(args, &out); err == nil {

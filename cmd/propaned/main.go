@@ -92,12 +92,26 @@ func main() {
 	}
 }
 
+// syncWriter serialises writes: the coordinator, loopback workers and
+// service goroutines all log to one writer.
+type syncWriter struct {
+	mu sync.Mutex
+	w  io.Writer
+}
+
+func (s *syncWriter) Write(p []byte) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.w.Write(p)
+}
+
 func run(args []string, out io.Writer) error {
+	out = &syncWriter{w: out}
 	fs := flag.NewFlagSet("propaned", flag.ContinueOnError)
 	instance := fs.String("instance", "", "campaign instance to coordinate (see campaignrunner -list)")
 	tier := fs.String("tier", "quick", "campaign intensity: quick or full")
-	dir := fs.String("dir", "", "coordinator artifact directory (shard journals, assignment journal, final report)")
-	units := fs.Int("units", 0, "initial carve granularity: the first work units are sized as if the campaign split this many ways (0 = default 8); later units are cost-sized on demand")
+	dir := fs.String("dir", "", "coordinator artifact directory (record journal, assignment journal, final report; in -serve mode the service root)")
+	units := fs.Int("units", 0, "initial carve granularity: the first work units are sized as if the campaign split this many ways (0 = one unit per 32 runs, at most 8); later units are cost-sized on demand")
 	listen := fs.String("listen", "127.0.0.1:8080", "address to serve the coordinator API on")
 	lease := fs.Duration("lease", 0, "lease TTL: a worker silent this long is presumed dead and its unit reassigned (0 = default 30s)")
 	resume := fs.Bool("resume", false, "restore state from the journals under -dir (the coordinator's, or in -serve mode the whole service's queue and in-flight campaigns)")

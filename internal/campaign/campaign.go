@@ -137,9 +137,9 @@ type Config struct {
 	// Skip, when non-nil, is consulted for every planned (injection,
 	// test case) job before it is dispatched; returning true excludes
 	// the job from execution. The orchestration layer
-	// (internal/runner) uses it for deterministic sharding of the
-	// injection space and for resuming a journaled campaign without
-	// re-executing completed runs. Skipped jobs contribute nothing to
+	// (internal/runner) uses it to run an explicit slice of the job
+	// space and to resume a journaled campaign without re-executing
+	// completed runs. Skipped jobs contribute nothing to
 	// the aggregates — pair them with Replay to keep results whole.
 	Skip func(inj inject.Injection, caseIdx int) bool
 	// Replay seeds the aggregates with previously recorded runs —
@@ -539,7 +539,7 @@ type runOutcome struct {
 // Plan returns the campaign's deterministic injection plan — the
 // exact enumeration Run executes, in the same order. The executed job
 // list is the cross product plan × TestCases, ordered plan-index
-// major, case-index minor; deterministic sharding and journal resume
+// major, case-index minor; work units and journal resume
 // (internal/runner) rely on this enumeration being stable across
 // processes for a given Config.
 func (c Config) Plan() ([]inject.Injection, error) {

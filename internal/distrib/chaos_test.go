@@ -261,12 +261,12 @@ func leaseAndCollect(t *testing.T, url, scratch string) (LeaseResponse, []runner
 	}
 	var recs []runner.Record
 	_, err = runner.Run(cfg, runner.Options{
-		Name:        u.Instance,
-		Tier:        runner.Tier(u.Tier),
-		Dir:         w.scratchDir(u),
-		Workers:     1,
-		SkipReport:  true,
-		ExcludeJobs: func(job int) bool { return job < u.JobLo || job >= u.JobHi },
+		Name:       u.Instance,
+		Tier:       runner.Tier(u.Tier),
+		Dir:        w.scratchDir(u),
+		Workers:    1,
+		SkipReport: true,
+		Jobs:       u.JobList,
 		OnRecord: func(rec runner.Record, replayed bool) error {
 			recs = append(recs, rec)
 			return nil

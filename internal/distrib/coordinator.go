@@ -34,8 +34,8 @@ type Config struct {
 	// config.json, metrics.json, failures.md and report.md.
 	Dir string
 	// Units sets the initial carve granularity: before any unit has
-	// completed (no cost measurements yet), work units are carved as
-	// ranges of ceil(TotalRuns/Units) jobs. Once per-run cost is
+	// completed (no cost measurements yet), work units claim
+	// ceil(TotalRuns/Units) jobs each. Once per-run cost is
 	// measured, later units shrink to fit the lease TTL, so Units is a
 	// floor on the unit count, not a fixed decomposition. <= 0 sizes
 	// the count from the plan itself — one unit per 2*minCarveJobs
@@ -48,8 +48,10 @@ type Config struct {
 	// presumed dead and its unit is reassigned. <= 0 selects 30 s.
 	LeaseTTL time.Duration
 	// Resume restores coordinator state from the journals under Dir
-	// (records already received, carved units) instead of refusing to
-	// touch a non-empty directory.
+	// (records already received, the lease sequence) instead of
+	// refusing to touch a non-empty directory. Units are not restored:
+	// the resumed coordinator claims fresh units from the jobs its
+	// record journal lacks.
 	Resume bool
 	// Pull forces a full record upload for every unit, even when the
 	// coordinator already holds the unit's records and the offered
@@ -63,8 +65,8 @@ type Config struct {
 	RunBudgetSteps int64
 	// Adaptive selects sequential (CI-driven) sampling for the fleet:
 	// the coordinator owns the campaign.AdaptivePlanner and claims work
-	// units from its importance-ordered frontier instead of carving
-	// contiguous ranges. Like RunBudgetSteps it is part of the config
+	// units from its importance-ordered frontier instead of from the
+	// job-index cursor. Like RunBudgetSteps it is part of the config
 	// digest, and every WorkUnit carries the resolved mode so workers
 	// digest identically.
 	Adaptive campaign.AdaptiveMode
@@ -190,14 +192,12 @@ func (s unitState) String() string {
 	return fmt.Sprintf("unitState(%d)", int(s))
 }
 
-// unit is one carved work unit: a contiguous job range for full-matrix
-// campaigns, an explicit job list claimed from the adaptive planner's
-// frontier otherwise (lo/hi then bound the list for logging).
+// unit is one claimed work unit: an ascending list of job indices —
+// the next unjournaled jobs from the cursor for full-matrix campaigns,
+// a claim on the adaptive planner's frontier otherwise.
 type unit struct {
 	id       int
-	lo, hi   int // job range [lo, hi)
-	jobList  []int
-	jobSet   map[int]bool
+	jobs     []int // ascending
 	state    unitState
 	leaseID  string
 	worker   string
@@ -207,33 +207,10 @@ type unit struct {
 	reported int // worker-reported local progress (heartbeats)
 }
 
-func (u *unit) jobs() int {
-	if u.jobList != nil {
-		return len(u.jobList)
-	}
-	return u.hi - u.lo
-}
-
 // has reports whether job belongs to the unit.
 func (u *unit) has(job int) bool {
-	if u.jobList != nil {
-		return u.jobSet[job]
-	}
-	return job >= u.lo && job < u.hi
-}
-
-// eachJob visits the unit's job indices (claim order for lists,
-// ascending for ranges — callers needing a canonical order sort).
-func (u *unit) eachJob(fn func(job int)) {
-	if u.jobList != nil {
-		for _, job := range u.jobList {
-			fn(job)
-		}
-		return
-	}
-	for job := u.lo; job < u.hi; job++ {
-		fn(job)
-	}
+	i := sort.SearchInts(u.jobs, job)
+	return i < len(u.jobs) && u.jobs[i] == job
 }
 
 // workerState is the coordinator's view of one fleet member.
@@ -259,15 +236,17 @@ type Coordinator struct {
 	// instead of full job-space coverage. Guarded by mu.
 	planner *campaign.AdaptivePlanner
 
-	mu      sync.Mutex
-	units   []*unit
-	nextJob int // carve frontier: jobs below it belong to some unit
+	mu    sync.Mutex
+	units []*unit
+	// nextJob is the full-matrix claim cursor: every unjournaled job
+	// below it belongs to some unit.
+	nextJob int
 	byLease map[string]*unit
 	workers map[string]*workerState
 	// seen is the global record set, keyed by job index. The journal
 	// mirrors it durably; on resume it is rebuilt from the journal.
 	seen     map[int]runner.Record
-	journal  *runner.ShardJournal // lazily opened on first record
+	journal  *runner.Journal // lazily opened on first record
 	leaseSeq int
 	resumed  int // records restored from journals at startup
 	received int // live records accepted from workers
@@ -346,8 +325,8 @@ func (s *idemStore) put(key string, e idemEntry) {
 
 // NewCoordinator plans the campaign (running the golden runs to pin
 // the config digest) and — with cfg.Resume — restores received
-// records and carved units from the journals under cfg.Dir. Work
-// units are carved lazily as workers ask for them.
+// records from the journals under cfg.Dir. Work units are claimed
+// lazily as workers ask for them.
 func NewCoordinator(cfg Config) (*Coordinator, error) {
 	if err := cfg.normalise(); err != nil {
 		return nil, err
@@ -419,9 +398,8 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		// The planner is a pure function of the config: a resumed
 		// coordinator rebuilds the identical schedule and replays the
 		// journaled records through it, reproducing every stopping
-		// decision bit-identically. Carve events are not replayed for
-		// adaptive campaigns (see openAssignmentLog) — fresh units are
-		// claimed from wherever the replayed schedule's frontier sits.
+		// decision bit-identically; fresh units are claimed from
+		// wherever the replayed schedule's frontier sits.
 		planner, err := campaign.NewAdaptivePlanner(c.campaign)
 		if err != nil {
 			c.Close()
@@ -444,12 +422,6 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		}
 		c.planner = planner
 	}
-	for _, u := range c.units {
-		u.done = c.coveredLocked(u)
-		if u.done == u.jobs() {
-			u.state = unitDone
-		}
-	}
 	c.maybeCompleteLocked()
 	return c, nil
 }
@@ -467,25 +439,6 @@ func (c *Coordinator) initialCarve() int {
 		size = 1
 	}
 	return size
-}
-
-// coveredLocked counts the unit's jobs present in the record set.
-func (c *Coordinator) coveredLocked(u *unit) int {
-	n := 0
-	u.eachJob(func(job int) {
-		if _, ok := c.seen[job]; ok {
-			n++
-		}
-	})
-	return n
-}
-
-// journalPath is the coordinator's single record journal. Protocol v1
-// bucketed records into per-unit shard journals; v2 appends every
-// accepted batch to one file — the batch is already grouped by unit,
-// and Assemble merges by content, not by file arithmetic.
-func (c *Coordinator) journalPath() string {
-	return runner.ShardJournalPath(c.cfg.Dir, 0, 1)
 }
 
 // restoreJournals rebuilds the record set from the journals — the
@@ -537,17 +490,14 @@ func (c *Coordinator) restoreJournals() error {
 }
 
 // assignEvent is one line of the assignment journal — the
-// coordinator's own write-ahead record of the carve and lease state
-// machines. Carve events pin unit boundaries across coordinator
-// restarts (a resumed coordinator re-grants the same ranges, so a
-// restarted worker's scratch directories keep matching); assign
-// events restore the lease sequence and per-unit attempt counters.
+// coordinator's own log of the lease state machine. On resume only the
+// assign events replay, restoring the lease sequence so lease IDs stay
+// unique across restarts; the record journal alone decides which jobs
+// are done.
 type assignEvent struct {
-	Type   string `json:"type"` // carve | assign | expire | complete | campaign_complete
+	Type   string `json:"type"` // assign | expire | complete | campaign_complete
 	TimeMs int64  `json:"time_ms"`
 	Unit   int    `json:"unit,omitempty"`
-	Lo     int    `json:"lo,omitempty"`
-	Hi     int    `json:"hi,omitempty"`
 	Worker string `json:"worker,omitempty"`
 	Lease  string `json:"lease,omitempty"`
 }
@@ -557,8 +507,7 @@ func (c *Coordinator) assignmentLogPath() string {
 }
 
 // openAssignmentLog opens the assignment journal for appending,
-// replaying any existing events to restore the carved units, the
-// lease sequence and the per-unit attempt counters.
+// replaying any existing assign events to restore the lease sequence.
 func (c *Coordinator) openAssignmentLog() error {
 	path := c.assignmentLogPath()
 	if data, err := os.ReadFile(path); err == nil {
@@ -567,26 +516,8 @@ func (c *Coordinator) openAssignmentLog() error {
 			if json.Unmarshal(line, &ev) != nil {
 				continue // torn tail from a killed coordinator
 			}
-			switch ev.Type {
-			case "carve":
-				// Carves replay in order; a gap or overlap means a lost
-				// append, and the remaining job space re-carves fresh
-				// behind whatever replayed cleanly. Adaptive campaigns
-				// skip the replay entirely: their units are claimed from
-				// the planner's frontier, which a resumed coordinator
-				// re-derives from the record journals instead.
-				if c.info.Adaptive {
-					continue
-				}
-				if ev.Unit == len(c.units) && ev.Lo == c.nextJob && ev.Hi > ev.Lo && ev.Hi <= c.info.TotalRuns {
-					c.units = append(c.units, &unit{id: ev.Unit, lo: ev.Lo, hi: ev.Hi})
-					c.nextJob = ev.Hi
-				}
-			case "assign":
+			if ev.Type == "assign" {
 				c.leaseSeq++
-				if ev.Unit >= 0 && ev.Unit < len(c.units) {
-					c.units[ev.Unit].attempts++
-				}
 			}
 		}
 	} else if !os.IsNotExist(err) {
@@ -622,8 +553,7 @@ func splitLines(data []byte) [][]byte {
 
 // logAssignLocked appends one event to the assignment journal. The
 // record journal is authoritative, so an append failure here is
-// logged, not fatal (a lost carve line only costs re-carving that
-// range on resume).
+// logged, not fatal.
 func (c *Coordinator) logAssignLocked(ev assignEvent) {
 	ev.TimeMs = time.Now().UnixMilli()
 	line, err := json.Marshal(ev)
@@ -725,8 +655,8 @@ func (c *Coordinator) sweepLocked(now time.Time) {
 		if u.state != unitLeased || now.Before(u.expires) {
 			continue
 		}
-		c.cfg.Logf("distrib: lease %s (unit %d [%d,%d), worker %s) expired — reassigning with %d/%d runs already journaled",
-			u.leaseID, u.id, u.lo, u.hi, u.worker, u.done, u.jobs())
+		c.cfg.Logf("distrib: lease %s (unit %d, worker %s) expired — reassigning with %d/%d runs already journaled",
+			u.leaseID, u.id, u.worker, u.done, len(u.jobs))
 		delete(c.byLease, u.leaseID)
 		c.logAssignLocked(assignEvent{Type: "expire", Unit: u.id, Worker: u.worker, Lease: u.leaseID})
 		if ws := c.workers[u.worker]; ws != nil && ws.unit == u.id {
@@ -794,53 +724,46 @@ func (c *Coordinator) carveSizeLocked() int {
 	return size
 }
 
-// carveLocked cuts the next unit from the unassigned frontier,
-// fast-forwarded past records already in the set. Returns nil when
-// the frontier is exhausted — for adaptive campaigns "exhausted" is a
-// statement about the planner's current checkpoints, not the job
-// space: settling in-flight records can double a location's
-// checkpoint and open new claims, so accepting a batch wakes parked
-// lease requests to re-try the carve.
-func (c *Coordinator) carveLocked() *unit {
+// claimLocked registers the next unit: up to carveSizeLocked() jobs
+// the record set lacks, taken from the cursor for full-matrix
+// campaigns and from the planner's frontier for adaptive ones. Claims
+// are never journaled — a resumed coordinator claims afresh from
+// whatever its record journal lacks. Returns nil when nothing is left
+// to claim. For adaptive campaigns that is a statement about the
+// planner's current checkpoints, not the job space: settling
+// in-flight records can double a location's checkpoint and open new
+// claims, so accepting a batch wakes parked lease requests to re-try
+// the claim.
+func (c *Coordinator) claimLocked() *unit {
+	size := c.carveSizeLocked()
+	var jobs []int
 	if c.planner != nil {
-		jobs := c.planner.Claim(c.carveSizeLocked())
-		if len(jobs) == 0 {
-			return nil
-		}
-		u := &unit{id: len(c.units), jobList: jobs, jobSet: make(map[int]bool, len(jobs))}
-		u.lo, u.hi = jobs[0], jobs[0]+1
-		for _, job := range jobs {
-			u.jobSet[job] = true
-			if job < u.lo {
-				u.lo = job
-			}
-			if job >= u.hi {
-				u.hi = job + 1
+		jobs = c.planner.Claim(size)
+		sort.Ints(jobs)
+	} else {
+		for ; c.nextJob < c.info.TotalRuns && len(jobs) < size; c.nextJob++ {
+			if _, ok := c.seen[c.nextJob]; !ok {
+				jobs = append(jobs, c.nextJob)
 			}
 		}
-		c.units = append(c.units, u)
-		// No carve event: the planner re-derives the schedule from the
-		// record journals on resume, and a claimed-but-unsettled job
-		// belongs to the frontier again in the resumed process.
-		return u
 	}
-	if c.nextJob >= c.info.TotalRuns {
+	if len(jobs) == 0 {
 		return nil
 	}
-	lo := c.nextJob
-	hi := lo + c.carveSizeLocked()
-	if hi > c.info.TotalRuns {
-		hi = c.info.TotalRuns
-	}
-	u := &unit{id: len(c.units), lo: lo, hi: hi}
-	c.nextJob = hi
+	u := &unit{id: len(c.units), jobs: jobs}
 	c.units = append(c.units, u)
-	c.logAssignLocked(assignEvent{Type: "carve", Unit: u.id, Lo: lo, Hi: hi})
-	u.done = c.coveredLocked(u)
-	if u.done == u.jobs() {
-		u.state = unitDone // fully restored range: nothing to lease
-	}
 	return u
+}
+
+// pickLocked returns the lowest pending unit, claiming a fresh one when
+// none is pending; nil when nothing is grantable right now.
+func (c *Coordinator) pickLocked() *unit {
+	for _, u := range c.units {
+		if u.state == unitPending {
+			return u
+		}
+	}
+	return c.claimLocked()
 }
 
 // observeCostLocked feeds one completed unit's measured cost into the
@@ -865,7 +788,7 @@ func (c *Coordinator) settleLocked(u *unit) {
 	if ws := c.workers[u.worker]; ws != nil && ws.unit == u.id {
 		ws.unit = -1
 	}
-	c.cfg.Logf("distrib: unit %d [%d,%d) complete (%d runs, worker %s)", u.id, u.lo, u.hi, u.jobs(), u.worker)
+	c.cfg.Logf("distrib: unit %d complete (%d runs, worker %s)", u.id, len(u.jobs), u.worker)
 	c.maybeCompleteLocked()
 }
 
@@ -898,8 +821,8 @@ func outcomeKey(rec runner.Record) string {
 }
 
 // handleLease assigns the lowest pending unit to the requester,
-// carving a fresh one from the frontier when none is pending. With no
-// pending unit and an exhausted frontier it long-polls: the request
+// claiming a fresh one when none is pending (pickLocked). With no
+// pending unit and nothing left to claim it long-polls: the request
 // parks (up to leaseWaitMax, well under the worker client's timeout)
 // until a unit returns to the pool or the campaign completes, instead
 // of bouncing the worker into a sleep/retry loop. A worker therefore
@@ -933,27 +856,10 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 			writeJSON(w, LeaseResponse{Status: StatusDone, Binary: true, Campaign: c.cfg.Campaign})
 			return
 		}
-		for _, u := range c.units {
-			if u.state == unitPending {
-				pick = u
-				break
-			}
-		}
-		for pick == nil {
-			u := c.carveLocked()
-			if u == nil {
-				break
-			}
-			if u.state == unitDone {
-				c.maybeCompleteLocked()
-				continue // fully restored range; carve the next one
-			}
-			pick = u
-		}
-		if pick != nil {
+		if pick = c.pickLocked(); pick != nil {
 			break
 		}
-		// Nothing pending and nothing left to carve: park until a
+		// Nothing pending and nothing left to claim: park until a
 		// wake, the next lease expiry (plus a sweep margin), or the
 		// long-poll deadline.
 		wait := time.Until(deadline)
@@ -1007,16 +913,15 @@ func (c *Coordinator) grantLocked(pick *unit, worker string, now time.Time) Leas
 	ws := c.workers[worker]
 	ws.unit = pick.id
 	c.logAssignLocked(assignEvent{Type: "assign", Unit: pick.id, Worker: worker, Lease: pick.leaseID})
-	c.cfg.Logf("distrib: leased unit %d [%d,%d) to %s (%s, attempt %d, %d/%d runs pre-journaled)",
-		pick.id, pick.lo, pick.hi, worker, pick.leaseID, pick.attempts, pick.done, pick.jobs())
+	c.cfg.Logf("distrib: leased unit %d to %s (%s, attempt %d, %d/%d runs pre-journaled)",
+		pick.id, worker, pick.leaseID, pick.attempts, pick.done, len(pick.jobs))
 
-	doneJobs := make([]int, 0, pick.done)
-	pick.eachJob(func(job int) {
+	var doneJobs []int
+	for _, job := range pick.jobs {
 		if _, ok := c.seen[job]; ok {
 			doneJobs = append(doneJobs, job)
 		}
-	})
-	sort.Ints(doneJobs)
+	}
 	return LeaseResponse{
 		Status:   StatusUnit,
 		LeaseID:  pick.leaseID,
@@ -1028,9 +933,7 @@ func (c *Coordinator) grantLocked(pick *unit, worker string, now time.Time) Leas
 			Tier:           string(c.cfg.Tier),
 			ConfigDigest:   c.info.Digest,
 			Unit:           pick.id,
-			JobLo:          pick.lo,
-			JobHi:          pick.hi,
-			JobList:        pick.jobList,
+			JobList:        pick.jobs,
 			TotalRuns:      c.info.TotalRuns,
 			RunBudgetSteps: c.cfg.RunBudgetSteps,
 			Adaptive:       c.info.Adaptive,
@@ -1045,9 +948,10 @@ func (c *Coordinator) grantLocked(pick *unit, worker string, now time.Time) Leas
 // service multiplexing several coordinators over one worker fleet: it
 // either grants a unit immediately or reports that none is grantable
 // right now — campaign complete (watch Done for that), coordinator
-// crashed at a chaos point, frontier exhausted with every unit leased
-// out. The caller parks fleet-wide across campaigns using NextExpiry
-// and Config.OnWake instead of this coordinator's own long-poll.
+// crashed at a chaos point, nothing left to claim with every unit
+// leased out. The caller parks fleet-wide across campaigns using
+// NextExpiry and Config.OnWake instead of this coordinator's own
+// long-poll.
 func (c *Coordinator) TryLease(worker string) (LeaseResponse, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -1057,24 +961,7 @@ func (c *Coordinator) TryLease(worker string) (LeaseResponse, bool) {
 	now := time.Now()
 	c.sweepLocked(now)
 	c.touchWorkerLocked(worker, now)
-	var pick *unit
-	for _, u := range c.units {
-		if u.state == unitPending {
-			pick = u
-			break
-		}
-	}
-	for pick == nil {
-		u := c.carveLocked()
-		if u == nil {
-			break
-		}
-		if u.state == unitDone {
-			c.maybeCompleteLocked()
-			continue // fully restored range; carve the next one
-		}
-		pick = u
-	}
+	pick := c.pickLocked()
 	if pick == nil {
 		return LeaseResponse{}, false
 	}
@@ -1154,8 +1041,7 @@ func (c *Coordinator) handleRecords(w http.ResponseWriter, r *http.Request) {
 	inBatch := make(map[int]runner.Record, len(batch.Records))
 	for _, rec := range batch.Records {
 		if !u.has(rec.Job) {
-			httpError(w, http.StatusBadRequest, "record rejected: job %d outside unit %d (range [%d,%d))",
-				rec.Job, u.id, u.lo, u.hi)
+			httpError(w, http.StatusBadRequest, "record rejected: job %d outside unit %d", rec.Job, u.id)
 			return
 		}
 		if c.planner != nil {
@@ -1186,12 +1072,10 @@ func (c *Coordinator) handleRecords(w http.ResponseWriter, r *http.Request) {
 	}
 	if len(fresh) > 0 {
 		if c.journal == nil {
-			j, err := runner.OpenShardJournal(c.cfg.Dir, runner.JournalHeader{
+			j, err := runner.OpenJournal(c.cfg.Dir, runner.JournalHeader{
 				Version:      runner.JournalVersionFor(c.planner != nil),
 				Instance:     c.cfg.Instance,
 				Tier:         string(c.cfg.Tier),
-				Shard:        0,
-				Shards:       1,
 				ConfigDigest: c.info.Digest,
 			})
 			if err != nil {
@@ -1226,7 +1110,7 @@ func (c *Coordinator) handleRecords(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	if u.state == unitLeased && u.done == u.jobs() {
+	if u.state == unitLeased && u.done == len(u.jobs) {
 		c.settleLocked(u)
 	}
 	if c.planner != nil && resp.Accepted > 0 && !c.complete {
@@ -1372,7 +1256,7 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 		// cannot help further — revoke so the gap re-executes
 		// elsewhere.
 		c.cfg.Logf("distrib: worker %s reported unit %d complete with %d/%d runs journaled — revoking lease",
-			u.worker, u.id, u.done, u.jobs())
+			u.worker, u.id, u.done, len(u.jobs))
 		delete(c.byLease, u.leaseID)
 		c.logAssignLocked(assignEvent{Type: "expire", Unit: u.id, Worker: u.worker, Lease: u.leaseID})
 		u.state = unitPending
@@ -1380,7 +1264,7 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 		u.worker = ""
 		u.reported = 0
 		c.wakeLocked()
-		httpError(w, http.StatusConflict, "unit %d has %d of %d runs journaled — lease revoked", u.id, u.done, u.jobs())
+		httpError(w, http.StatusConflict, "unit %d has %d of %d runs journaled — lease revoked", u.id, u.done, len(u.jobs))
 		return
 	}
 	c.hitCrashLocked(CrashPreCompleteAck)
@@ -1391,18 +1275,16 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 // journaled record set (only called with the unit fully covered; the
 // no-transfer settle path).
 func (c *Coordinator) recordSetDigestLocked(u *unit) string {
-	recs := make([]runner.Record, 0, u.jobs())
-	u.eachJob(func(job int) {
+	recs := make([]runner.Record, 0, len(u.jobs))
+	for _, job := range u.jobs {
 		recs = append(recs, c.seen[job])
-	})
+	}
 	return runner.RecordSetDigest(recs)
 }
 
 // UnitStatus is the /status view of one work unit.
 type UnitStatus struct {
 	Unit     int    `json:"unit"`
-	JobLo    int    `json:"job_lo"`
-	JobHi    int    `json:"job_hi"`
 	State    string `json:"state"`
 	Worker   string `json:"worker,omitempty"`
 	Lease    string `json:"lease,omitempty"`
@@ -1429,9 +1311,10 @@ type Status struct {
 	Instance     string `json:"instance"`
 	Tier         string `json:"tier"`
 	ConfigDigest string `json:"config_digest"`
-	// Units counts the units carved so far; UncarvedJobs is the
-	// remaining frontier (0 for adaptive campaigns, whose frontier is
-	// discovered checkpoint by checkpoint — see ScheduledRuns).
+	// Units counts the units claimed so far; UncarvedJobs counts the
+	// unjournaled jobs no unit holds yet (0 for adaptive campaigns,
+	// whose frontier is discovered checkpoint by checkpoint — see
+	// ScheduledRuns).
 	Units        int  `json:"units"`
 	UncarvedJobs int  `json:"uncarved_jobs"`
 	Pending      int  `json:"pending"`
@@ -1535,7 +1418,7 @@ func (c *Coordinator) Status() Status {
 		Tier:         string(c.cfg.Tier),
 		ConfigDigest: c.info.Digest,
 		Units:        len(c.units),
-		UncarvedJobs: c.info.TotalRuns - c.nextJob,
+		UncarvedJobs: c.info.TotalRuns - len(c.seen),
 		TotalRuns:    c.info.TotalRuns,
 		DoneRuns:     len(c.seen),
 		Complete:     c.complete,
@@ -1549,6 +1432,9 @@ func (c *Coordinator) Status() Status {
 		s.ScheduledRuns = st.Scheduled
 	}
 	for _, u := range c.units {
+		if c.planner == nil {
+			s.UncarvedJobs -= len(u.jobs) - u.done
+		}
 		switch u.state {
 		case unitPending:
 			s.Pending++
@@ -1559,14 +1445,12 @@ func (c *Coordinator) Status() Status {
 		}
 		s.UnitsDetail = append(s.UnitsDetail, UnitStatus{
 			Unit:     u.id,
-			JobLo:    u.lo,
-			JobHi:    u.hi,
 			State:    u.state.String(),
 			Worker:   u.worker,
 			Lease:    u.leaseID,
 			DoneRuns: u.done,
 			Reported: u.reported,
-			Jobs:     u.jobs(),
+			Jobs:     len(u.jobs),
 			Attempts: u.attempts,
 		})
 	}

@@ -2,6 +2,7 @@ package distrib
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"net"
 	"net/http"
@@ -132,14 +133,6 @@ func runPartialWorker(t *testing.T, url, scratch string, maxStream int) (streame
 	if err != nil {
 		t.Fatal(err)
 	}
-	member := func(job int) bool { return job >= u.JobLo && job < u.JobHi }
-	if u.JobList != nil {
-		set := make(map[int]bool, len(u.JobList))
-		for _, job := range u.JobList {
-			set[job] = true
-		}
-		member = func(job int) bool { return set[job] }
-	}
 	var stop atomic.Bool
 	count := 0
 	ro := w.unitOptions(u)
@@ -149,7 +142,7 @@ func runPartialWorker(t *testing.T, url, scratch string, maxStream int) (streame
 	ro.Resume = true
 	ro.Workers = 1
 	ro.SkipReport = true
-	ro.ExcludeJobs = func(job int) bool { return !member(job) }
+	ro.Jobs = u.JobList
 	ro.Abort = func() bool { return stop.Load() }
 	ro.OnRecord = func(rec runner.Record, replayed bool) error {
 		if count >= maxStream {
@@ -304,8 +297,10 @@ func TestLeaseLongPollPromptness(t *testing.T) {
 // dies after streaming part of its unit, then the coordinator "dies"
 // (server closed, files closed) and restarts with Resume — restoring
 // the streamed records from its journals — and the dead worker
-// restarts under its old identity and scratch, replaying its local
-// journal. The reassembled result is bit-identical.
+// restarts under its old identity and scratch. The resumed coordinator
+// claims fresh units from the jobs its journal lacks, so no lease it
+// grants names a job it already holds, nothing journaled re-executes,
+// and the reassembled result is bit-identical.
 func TestCoordinatorCrashRestart(t *testing.T) {
 	dir := t.TempDir()
 	cc := Config{
@@ -321,11 +316,19 @@ func TestCoordinatorCrashRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	url, srv := serveCoordinator(t, coord)
-	streamed, unitID := runPartialWorker(t, url, filepath.Join(dir, "scratch"), 2)
+	streamed, _ := runPartialWorker(t, url, filepath.Join(dir, "scratch"), 2)
 
 	srv.Close()
 	if err := coord.Close(); err != nil {
 		t.Fatal(err)
+	}
+	_, journaled, err := runner.ReadJournal(runner.JournalPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := make(map[int]bool, len(journaled))
+	for _, rec := range journaled {
+		held[rec.Job] = true
 	}
 
 	cc.Resume = true
@@ -337,16 +340,36 @@ func TestCoordinatorCrashRestart(t *testing.T) {
 	if st.DoneRuns != streamed {
 		t.Fatalf("restarted coordinator restored %d runs, want %d", st.DoneRuns, streamed)
 	}
-	if st.UnitsDetail[unitID].DoneRuns != streamed {
-		t.Fatalf("restarted coordinator restored %d runs on unit %d, want %d", st.UnitsDetail[unitID].DoneRuns, unitID, streamed)
-	}
-	url2, srv2 := serveCoordinator(t, coord2)
-	defer srv2.Close()
 
-	// The worker restarts with its old name and scratch root, so its
-	// local journal replays: records the coordinator never received
-	// re-stream, records it already holds arrive as verified
-	// duplicates.
+	// Tee every lease the resumed coordinator grants.
+	var (
+		leaseMu sync.Mutex
+		leases  []LeaseResponse
+	)
+	h := coord2.Handler()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv2 := NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != PathLease {
+			h.ServeHTTP(w, r)
+			return
+		}
+		tee := &responseRecorder{ResponseWriter: w, status: http.StatusOK}
+		h.ServeHTTP(tee, r)
+		var lr LeaseResponse
+		if json.Unmarshal(tee.buf.Bytes(), &lr) == nil && lr.Status == StatusUnit {
+			leaseMu.Lock()
+			leases = append(leases, lr)
+			leaseMu.Unlock()
+		}
+	}))
+	go srv2.Serve(l)
+	defer srv2.Close()
+	url2 := "http://" + l.Addr().String()
+
+	// The worker restarts with its old name and scratch root.
 	if err := RunWorker(url2, WorkerOptions{
 		Name:         "dying",
 		Dir:          filepath.Join(dir, "scratch"),
@@ -360,6 +383,22 @@ func TestCoordinatorCrashRestart(t *testing.T) {
 	case <-coord2.Done():
 	default:
 		t.Fatal("worker exited but the campaign is not complete")
+	}
+
+	leaseMu.Lock()
+	defer leaseMu.Unlock()
+	if len(leases) == 0 {
+		t.Fatal("resumed coordinator granted no lease")
+	}
+	for _, lr := range leases {
+		if len(lr.Unit.DoneJobs) != 0 {
+			t.Errorf("lease %s re-grants journaled jobs %v", lr.LeaseID, lr.Unit.DoneJobs)
+		}
+		for _, job := range lr.Unit.JobList {
+			if held[job] {
+				t.Errorf("lease %s lists job %d, which the resumed journal already holds", lr.LeaseID, job)
+			}
+		}
 	}
 
 	m := coord2.Metrics()

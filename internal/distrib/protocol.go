@@ -1,13 +1,13 @@
 // Package distrib turns the single-process campaign runner into a
 // horizontally scalable service. An HTTP coordinator carves a registry
-// instance (instance × tier, via internal/runner planning) into
-// contiguous job-range work units — sized by the measured per-run cost
-// once the first units complete — and hands them to worker agents
-// under time-bounded leases. Workers execute their unit through the
-// existing supervised, checkpointed, journaled runner path locally,
-// heartbeat progress while simulating, and finish with a digest-only
-// completion: the unit's record-set digest plus outcome/prune
-// counters. The coordinator pulls the full records lazily — when it
+// instance (instance × tier, via internal/runner planning) into work
+// units — explicit, ascending lists of job indices, sized by the
+// measured per-run cost once the first units complete — and hands them
+// to worker agents under time-bounded leases. Workers execute their
+// unit through the existing supervised, checkpointed, journaled runner
+// path locally, heartbeat progress while simulating, and finish with a
+// digest-only completion: the unit's record-set digest plus
+// outcome/prune counters. The coordinator pulls the full records lazily — when it
 // does not already hold them (the steady state: one bulk upload per
 // unit, binary-framed and journaled with batched writes), on a digest
 // mismatch, or always under Config.Pull — so the coordinator is off
@@ -126,10 +126,11 @@ const (
 	StatusDone = "done"
 )
 
-// WorkUnit is one lease-bounded slice of the campaign: the contiguous
-// job range [JobLo, JobHi) of the registry instance's deterministic
-// job enumeration. Ranges are carved on demand from the unassigned
-// frontier, sized by the measured per-run cost once the first units
+// WorkUnit is one lease-bounded slice of the campaign: an ascending
+// list of job indices into the registry instance's deterministic job
+// enumeration. Lists are claimed on demand — the next unjournaled jobs
+// for a full-matrix campaign, the adaptive planner's frontier
+// otherwise — sized by the measured per-run cost once the first units
 // complete, so a crash/hang-heavy campaign gets small units (no
 // straggler serialises the tail) while a cheap one keeps the overhead
 // of unit bookkeeping low.
@@ -141,20 +142,11 @@ type WorkUnit struct {
 	// refuses the unit on mismatch — a version-skewed worker must not
 	// contribute records.
 	ConfigDigest string `json:"config_digest"`
-	// Unit is the unit's index in carve order (stable across
-	// coordinator restarts: carve events replay from the assignment
-	// journal).
+	// Unit is the unit's index in claim order (a resumed coordinator
+	// numbers its fresh claims from 0 again).
 	Unit int `json:"unit"`
-	// JobLo and JobHi bound the unit's job range, lo inclusive, hi
-	// exclusive.
-	JobLo int `json:"job_lo"`
-	JobHi int `json:"job_hi"`
-	// JobList enumerates the unit's job indices explicitly when the
-	// campaign samples adaptively: units are then claimed from the
-	// sequential scheduler's importance-ordered frontier, not carved as
-	// contiguous ranges, so membership is the list (JobLo/JobHi still
-	// bound it for logging). Nil for full-matrix campaigns.
-	JobList []int `json:"job_list,omitempty"`
+	// JobList is the unit's strictly ascending list of job indices.
+	JobList []int `json:"job_list"`
 	// TotalRuns is the whole campaign's job count.
 	TotalRuns int `json:"total_runs"`
 	// Adaptive and CIEpsilon mirror the coordinator's resolved adaptive
@@ -183,12 +175,7 @@ type WorkUnit struct {
 }
 
 // Jobs is the number of jobs the unit spans.
-func (u *WorkUnit) Jobs() int {
-	if u.JobList != nil {
-		return len(u.JobList)
-	}
-	return u.JobHi - u.JobLo
-}
+func (u *WorkUnit) Jobs() int { return len(u.JobList) }
 
 // LeaseResponse answers a lease request.
 type LeaseResponse struct {

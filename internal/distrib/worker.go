@@ -12,7 +12,6 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync/atomic"
 	"time"
 
@@ -408,39 +407,46 @@ func (w *worker) unitOptions(u *WorkUnit) runner.Options {
 // scratchDir is the unit's local artifact directory. The worker name
 // is part of the path so two fleet members sharing a filesystem (or
 // one process hosting a loopback fleet) never append the same local
-// journal; the job range is part of the path so a restarted worker
-// resumes exactly its own prior work (carve events replay from the
-// coordinator's assignment journal, so ranges are stable across
-// coordinator restarts too). Adaptive units carry an explicit job
-// list instead of a range, and lists are not pinned across
-// coordinator restarts — the path keys on the list's content digest,
-// so a re-leased identical list resumes and a different list gets a
-// fresh directory.
+// journal. The path keys on the job list's content digest: a
+// re-leased identical list (this worker restarting under a live
+// coordinator) resumes its own prior work, and a different list — a
+// resumed coordinator claims afresh — gets a fresh directory.
 func (w *worker) scratchDir(u *WorkUnit) string {
 	digest8 := u.ConfigDigest
 	if len(digest8) > 8 {
 		digest8 = digest8[:8]
 	}
-	unitDir := fmt.Sprintf("unit-%d-%d", u.JobLo, u.JobHi)
-	if u.JobList != nil {
-		unitDir = "unit-" + jobListDigest(u.JobList)
-	}
 	return filepath.Join(w.opts.Dir, w.opts.Name,
 		fmt.Sprintf("%s-%s-%s", u.Instance, u.Tier, digest8),
-		unitDir)
+		"unit-"+jobListDigest(u.JobList))
 }
 
-// jobListDigest content-addresses a unit's job list (order ignored —
-// the list is a set; claim order is a dispatch detail).
+// jobListDigest content-addresses a unit's (ascending) job list.
 func jobListDigest(jobs []int) string {
-	sorted := make([]int, len(jobs))
-	copy(sorted, jobs)
-	sort.Ints(sorted)
 	h := sha256.New()
-	for _, job := range sorted {
+	for _, job := range jobs {
 		fmt.Fprintf(h, "%d\n", job)
 	}
 	return hex.EncodeToString(h.Sum(nil))[:16]
+}
+
+// pendingJobs drops the jobs the coordinator already holds from a
+// unit's list; both lists ascend.
+func pendingJobs(jobs, done []int) []int {
+	if len(done) == 0 {
+		return jobs
+	}
+	out := make([]int, 0, len(jobs))
+	for _, job := range jobs {
+		for len(done) > 0 && done[0] < job {
+			done = done[1:]
+		}
+		if len(done) > 0 && done[0] == job {
+			continue
+		}
+		out = append(out, job)
+	}
+	return out
 }
 
 // liveAttempts is the per-chunk retry budget while the coordinator is
@@ -501,6 +507,10 @@ func (w *worker) encodeChunk(leaseID string, recs []runner.Record, binary bool) 
 // coordinator journaling, just cheap heartbeats.
 func (w *worker) runUnit(lr LeaseResponse) error {
 	u := lr.Unit
+	if len(u.JobList) == 0 {
+		// A nil list would tell the runner to execute the whole campaign.
+		return fmt.Errorf("unit %d carries no job list — coordinator version skew", u.Unit)
+	}
 	info, err := w.describe(u)
 	if err != nil {
 		return err
@@ -520,22 +530,8 @@ func (w *worker) runUnit(lr LeaseResponse) error {
 
 	w.campaign = lr.Campaign
 	defer func() { w.campaign = "" }()
-	w.opts.Logf("distrib: worker %s: running unit %d [%d,%d) (%s, %d of %d jobs pre-done)",
-		w.opts.Name, u.Unit, u.JobLo, u.JobHi, lr.LeaseID, len(u.DoneJobs), u.Jobs())
-	excluded := make(map[int]bool, len(u.DoneJobs))
-	for _, job := range u.DoneJobs {
-		excluded[job] = true
-	}
-	// member decides unit membership: the explicit job list for
-	// adaptive units, the contiguous range otherwise.
-	member := func(job int) bool { return job >= u.JobLo && job < u.JobHi }
-	if u.JobList != nil {
-		set := make(map[int]bool, len(u.JobList))
-		for _, job := range u.JobList {
-			set[job] = true
-		}
-		member = func(job int) bool { return set[job] }
-	}
+	w.opts.Logf("distrib: worker %s: running unit %d (%s, %d of %d jobs pre-done)",
+		w.opts.Name, u.Unit, lr.LeaseID, len(u.DoneJobs), u.Jobs())
 
 	// lost flips once the coordinator disowns the lease; the Abort
 	// hook then drains the local campaign without error, and the
@@ -600,13 +596,11 @@ func (w *worker) runUnit(lr LeaseResponse) error {
 	// renders once, from the coordinator's assembly.
 	runOpts.SkipReport = true
 	// The unit is a fixed job set; jobs the coordinator already holds
-	// are excluded so a reassigned unit fast-forwards. (For adaptive
+	// are dropped so a reassigned unit fast-forwards. (For adaptive
 	// units the coordinator made the scheduling decisions — the worker
 	// executes the assigned set verbatim; runner.Run keeps the adaptive
-	// digest but skips its own scheduler when ExcludeJobs is set.)
-	runOpts.ExcludeJobs = func(job int) bool {
-		return !member(job) || excluded[job]
-	}
+	// digest but skips its own scheduler when given Jobs.)
+	runOpts.Jobs = pendingJobs(u.JobList, u.DoneJobs)
 	runOpts.Abort = func() bool { return lost.Load() || w.ctx.Err() != nil }
 	// OnRecord runs on the serial observer path: replayed delivery
 	// re-collects records a previous incarnation of this worker
@@ -626,8 +620,8 @@ func (w *worker) runUnit(lr LeaseResponse) error {
 		return err
 	}
 	if lost.Load() {
-		w.opts.Logf("distrib: worker %s: lease %s lost — abandoning unit %d [%d,%d); the local journal retains the work",
-			w.opts.Name, lr.LeaseID, u.Unit, u.JobLo, u.JobHi)
+		w.opts.Logf("distrib: worker %s: lease %s lost — abandoning unit %d; the local journal retains the work",
+			w.opts.Name, lr.LeaseID, u.Unit)
 		return nil
 	}
 
@@ -671,8 +665,8 @@ func (w *worker) runUnit(lr LeaseResponse) error {
 			return nil
 		}
 	}
-	w.opts.Logf("distrib: worker %s: unit %d [%d,%d) complete (%d runs, %d ms)",
-		w.opts.Name, u.Unit, u.JobLo, u.JobHi, len(recs), wallMs)
+	w.opts.Logf("distrib: worker %s: unit %d complete (%d runs, %d ms)",
+		w.opts.Name, u.Unit, len(recs), wallMs)
 	return nil
 }
 
@@ -701,7 +695,7 @@ func (w *worker) complete(lr LeaseResponse, creq CompleteRequest) (cr CompleteRe
 // coordinator degrades the upload instead of failing it: the chunk
 // retries under the full MaxErrors ladder, and only two consecutive
 // exhausted ladders abandon the lease (abandon=true) — the local
-// journal retains the records, so a later lease of the same range
+// journal retains the records, so a later lease of the same job list
 // fast-forwards straight back here.
 func (w *worker) uploadRecords(lr LeaseResponse, recs []runner.Record, lost *atomic.Bool) (abandon bool, err error) {
 	binary := lr.Binary && w.opts.Encoding != "json" && !w.jsonOnly

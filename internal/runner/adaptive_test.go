@@ -122,17 +122,6 @@ func TestAdaptiveDigestPinsMode(t *testing.T) {
 	}
 }
 
-// TestAdaptiveShardsRejected: static sharding divides a job space that
-// an adaptive campaign only discovers at run time.
-func TestAdaptiveShardsRejected(t *testing.T) {
-	_, err := RunInstance("reduced", TierQuick, Options{
-		Dir: t.TempDir(), Shards: 2, Shard: 0, Adaptive: campaign.AdaptiveForce,
-	})
-	if err == nil {
-		t.Fatal("adaptive run accepted static shards")
-	}
-}
-
 // TestAdaptiveAssemble: assembling an adaptive campaign proves
 // completeness against the schedule (re-derived deterministically from
 // the config), not against the matrix size — and refuses journals

@@ -18,10 +18,10 @@ import (
 //
 //	<dir>/
 //	    config.json     frozen configuration snapshot + digest
-//	    journal.jsonl   per-run outcomes (journal-KofN.jsonl when sharded)
+//	    journal.jsonl   per-run outcomes
 //	    metrics.json    final throughput/coverage metrics
 //	    failures.md     deduplicated propagation-failure catalog
-//	    report.md       full analysis report (unsharded or assembled)
+//	    report.md       full analysis report
 
 // layout resolves the artifact paths of one campaign directory.
 type layout struct{ dir string }
@@ -31,14 +31,11 @@ func (l layout) metricsPath() string  { return filepath.Join(l.dir, "metrics.jso
 func (l layout) failuresPath() string { return filepath.Join(l.dir, "failures.md") }
 func (l layout) reportPath() string   { return filepath.Join(l.dir, "report.md") }
 
-func (l layout) journalPath(shard, shards int) string {
-	if shards <= 1 {
-		return filepath.Join(l.dir, "journal.jsonl")
-	}
-	return filepath.Join(l.dir, fmt.Sprintf("journal-%dof%d.jsonl", shard+1, shards))
-}
+func (l layout) journalPath() string { return filepath.Join(l.dir, "journal.jsonl") }
 
-// journalPaths globs every journal in the directory (all shards).
+// journalPaths globs every journal in the directory: the campaign's
+// own plus any copies placed beside it, which Assemble merges by
+// content.
 func (l layout) journalPaths() ([]string, error) {
 	paths, err := filepath.Glob(filepath.Join(l.dir, "journal*.jsonl"))
 	if err != nil {

@@ -112,3 +112,78 @@ func TestAssembleIdempotentOverlap(t *testing.T) {
 		t.Fatalf("err = %v, want errors.Is(err, ErrConflictingRecords)", err)
 	}
 }
+
+// TestAssembleRefusesIncomplete: a journal missing some of a
+// full-matrix campaign's jobs (here one truncated by a kill) must not
+// assemble into a report — the missing runs would silently shrink
+// every n_inj.
+func TestAssembleRefusesIncomplete(t *testing.T) {
+	dir, _ := assembleFixture(t)
+	cfg := reducedQuickConfig(t)
+	path := JournalPath(dir)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data[:len(data)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Assemble(cfg, Options{Name: "reduced", Tier: TierQuick, Dir: dir}); err == nil {
+		t.Fatal("Assemble accepted a journal missing half the campaign")
+	}
+}
+
+// TestJobsSliceAssembles: a run given Options.Jobs executes and
+// journals exactly that slice; a second process resuming the same
+// directory with the complementary slice fills in the rest, and the
+// merged journal assembles bit-identically to an unsliced run.
+func TestJobsSliceAssembles(t *testing.T) {
+	_, direct := assembleFixture(t)
+	total := direct.Metrics.TotalRuns
+	var even, odd []int
+	for job := 0; job < total; job++ {
+		if job%2 == 0 {
+			even = append(even, job)
+		} else {
+			odd = append(odd, job)
+		}
+	}
+
+	dir := t.TempDir()
+	opts := Options{Dir: dir, Jobs: even, SkipReport: true}
+	rr, err := RunInstance("reduced", TierQuick, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rr.Metrics.PlannedRuns != len(even) || rr.Metrics.ExecutedRuns != len(even) {
+		t.Errorf("slice planned %d / executed %d runs, want %d", rr.Metrics.PlannedRuns, rr.Metrics.ExecutedRuns, len(even))
+	}
+	_, recs, err := ReadJournal(JournalPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range recs {
+		if rec.Job%2 != 0 {
+			t.Fatalf("slice journaled job %d outside its Jobs list", rec.Job)
+		}
+	}
+
+	// The other slice replays nothing of the first and executes only
+	// its own jobs.
+	opts.Jobs, opts.Resume = odd, true
+	rr, err = RunInstance("reduced", TierQuick, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rr.Metrics.ReplayedRuns != 0 || rr.Metrics.ExecutedRuns != len(odd) {
+		t.Errorf("second slice replayed %d / executed %d runs, want 0/%d", rr.Metrics.ReplayedRuns, rr.Metrics.ExecutedRuns, len(odd))
+	}
+
+	rr, err = Assemble(reducedQuickConfig(t), Options{Name: "reduced", Tier: TierQuick, Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if report.MatrixCSV(rr.Result.Matrix) != report.MatrixCSV(direct.Result.Matrix) {
+		t.Error("assembled slices differ from the unsliced run")
+	}
+}

@@ -20,7 +20,7 @@ import (
 
 // PlanInfo describes a campaign's deterministic execution space: the
 // config digest that journals bind to and the job-index arithmetic
-// that sharding and resume rely on. Two processes whose Describe
+// that work units and resume rely on. Two processes whose Describe
 // results agree agree on everything journal-shaped.
 type PlanInfo struct {
 	// Name and Tier label the campaign as Options would.
@@ -50,8 +50,6 @@ type PlanInfo struct {
 // no files. The golden runs make it as expensive as Run's own startup
 // — cache the result per configuration.
 func Describe(cfg campaign.Config, opts Options) (PlanInfo, error) {
-	opts.Shards = 1
-	opts.Shard = 0
 	if opts.Dir == "" {
 		opts.Dir = "." // normalise demands one; Describe never uses it
 	}
@@ -137,8 +135,8 @@ func RecordSetDigest(recs []Record) string {
 
 // JournalVersionFor returns the journal header version a campaign
 // stamps: version 4 when adaptive sampling decides the job set,
-// version 3 otherwise. External orchestrators opening shard journals
-// for an adaptive campaign pass it as JournalHeader.Version so their
+// version 3 otherwise. External orchestrators opening a journal for an
+// adaptive campaign pass it as JournalHeader.Version so their
 // files match what Run itself would write.
 func JournalVersionFor(adaptive bool) int { return journalVersionFor(adaptive) }
 
@@ -147,18 +145,20 @@ type JournalHeader struct {
 	Version      int
 	Instance     string
 	Tier         string
-	Shard        int
-	Shards       int
 	ConfigDigest string
 }
 
-// ShardJournalPath returns the journal path Run would use for one
-// shard of a campaign under dir — the same file Assemble later globs.
-func ShardJournalPath(dir string, shard, shards int) string {
-	return layout{dir: dir}.journalPath(shard, shards)
-}
+// JournalPath returns the journal path Run uses for a campaign under
+// dir — the file Assemble merges.
+func JournalPath(dir string) string { return layout{dir: dir}.journalPath() }
 
-// ReadJournal loads a shard journal, tolerating the torn trailing
+// ShardJournalPath returns JournalPath(dir); a campaign keeps a single
+// journal, so the shard arguments are ignored.
+//
+// Deprecated: use JournalPath.
+func ShardJournalPath(dir string, shard, shards int) string { return JournalPath(dir) }
+
+// ReadJournal loads a journal, tolerating the torn trailing
 // line a killed process leaves behind. A missing file yields a zero
 // header and no records.
 func ReadJournal(path string) (JournalHeader, []Record, error) {
@@ -170,57 +170,53 @@ func ReadJournal(path string) (JournalHeader, []Record, error) {
 		Version:      hdr.Version,
 		Instance:     hdr.Instance,
 		Tier:         hdr.Tier,
-		Shard:        hdr.Shard,
-		Shards:       hdr.Shards,
 		ConfigDigest: hdr.ConfigDigest,
 	}, recs, nil
 }
 
-// ShardJournal is an append-only shard journal opened by an external
-// orchestrator (the distributed coordinator persisting records its
-// workers stream back) instead of by Run itself. It shares Run's
-// journal format, torn-tail healing and digest binding, so the
-// resulting files assemble exactly like locally written shards.
-type ShardJournal struct {
+// Journal is an append-only campaign journal opened by an
+// external orchestrator (the distributed coordinator persisting
+// records its workers stream back) instead of by Run itself. It shares
+// Run's journal format, torn-tail healing and digest binding, so the
+// resulting file assembles exactly like a locally written one.
+type Journal struct {
 	w    *journalWriter
 	path string
 }
 
-// OpenShardJournal opens (or reopens) the journal for one shard under
-// dir, writing the header when the file is empty and verifying the
+// OpenJournal opens (or reopens) the campaign journal under dir,
+// writing the header when the file is empty and verifying the
 // config digest when it is not (ErrDigestMismatch otherwise).
-func OpenShardJournal(dir string, hdr JournalHeader) (*ShardJournal, error) {
+func OpenJournal(dir string, hdr JournalHeader) (*Journal, error) {
 	if hdr.Version == 0 {
 		hdr.Version = journalVersion
 	}
-	path := ShardJournalPath(dir, hdr.Shard, hdr.Shards)
+	path := JournalPath(dir)
 	w, err := openJournal(path, header{
 		Type:         "header",
 		Version:      hdr.Version,
 		Instance:     hdr.Instance,
 		Tier:         hdr.Tier,
-		Shard:        hdr.Shard,
-		Shards:       hdr.Shards,
 		ConfigDigest: hdr.ConfigDigest,
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &ShardJournal{w: w, path: path}, nil
+	return &Journal{w: w, path: path}, nil
 }
 
 // Path returns the journal's file path.
-func (j *ShardJournal) Path() string { return j.path }
+func (j *Journal) Path() string { return j.path }
 
 // Append journals one record.
-func (j *ShardJournal) Append(rec Record) error { return j.w.Append(rec) }
+func (j *Journal) Append(rec Record) error { return j.w.Append(rec) }
 
 // AppendBatch journals a whole batch of records with one write —
 // the coordinator's bulk-ingest path for worker-uploaded units.
-func (j *ShardJournal) AppendBatch(recs []Record) error { return j.w.AppendBatch(recs) }
+func (j *Journal) AppendBatch(recs []Record) error { return j.w.AppendBatch(recs) }
 
 // Sync flushes appended records to stable storage.
-func (j *ShardJournal) Sync() error {
+func (j *Journal) Sync() error {
 	if err := j.w.f.Sync(); err != nil {
 		return fmt.Errorf("runner: syncing journal: %w", err)
 	}
@@ -229,4 +225,4 @@ func (j *ShardJournal) Sync() error {
 }
 
 // Close syncs and closes the journal.
-func (j *ShardJournal) Close() error { return j.w.Close() }
+func (j *Journal) Close() error { return j.w.Close() }

@@ -69,7 +69,7 @@ var (
 // RecordsEqual reports whether two journaled records describe the
 // identical run outcome. Journal records are content-keyed by their
 // job index; equality of the full content is what makes overlapping
-// appends (a reassigned lease, a duplicated shard journal) idempotent
+// appends (a reassigned lease, a duplicated journal) idempotent
 // rather than corrupting. Pruned is deliberately NOT compared: a
 // pruned and an executed record of the same job carry bit-identical
 // outcomes by construction, and overlapping journals from processes
@@ -104,8 +104,6 @@ type header struct {
 	Version      int    `json:"version"`
 	Instance     string `json:"instance"`
 	Tier         string `json:"tier"`
-	Shard        int    `json:"shard"`
-	Shards       int    `json:"shards"`
 	ConfigDigest string `json:"config_digest"`
 }
 
@@ -295,11 +293,6 @@ func openJournal(path string, hdr header) (*journalWriter, error) {
 		f.Close()
 		return nil, fmt.Errorf("runner: journal %s belongs to config %s, not %s — refusing to mix campaigns: %w",
 			path, existing.ConfigDigest, hdr.ConfigDigest, ErrDigestMismatch)
-	}
-	if existing.Shard != hdr.Shard || existing.Shards != hdr.Shards {
-		f.Close()
-		return nil, fmt.Errorf("runner: journal %s covers shard %d/%d, not %d/%d",
-			path, existing.Shard, existing.Shards, hdr.Shard, hdr.Shards)
 	}
 	return &journalWriter{f: f}, nil
 }

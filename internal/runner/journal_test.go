@@ -61,7 +61,7 @@ func TestRecordRoundTrip(t *testing.T) {
 
 func TestJournalAppendLoad(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal.jsonl")
-	hdr := header{Type: "header", Version: journalVersion, Instance: "x", Tier: "quick", Shards: 1, ConfigDigest: "abc"}
+	hdr := header{Type: "header", Version: journalVersion, Instance: "x", Tier: "quick", ConfigDigest: "abc"}
 	w, err := openJournal(path, hdr)
 	if err != nil {
 		t.Fatal(err)
@@ -99,16 +99,11 @@ func TestJournalAppendLoad(t *testing.T) {
 	if _, err := openJournal(path, bad); err == nil {
 		t.Error("openJournal accepted a digest mismatch")
 	}
-	bad = hdr
-	bad.Shard, bad.Shards = 1, 4
-	if _, err := openJournal(path, bad); err == nil {
-		t.Error("openJournal accepted a shard mismatch")
-	}
 }
 
 func TestJournalToleratesTornTail(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal.jsonl")
-	hdr := header{Type: "header", Version: journalVersion, Shards: 1, ConfigDigest: "abc"}
+	hdr := header{Type: "header", Version: journalVersion, ConfigDigest: "abc"}
 	w, err := openJournal(path, hdr)
 	if err != nil {
 		t.Fatal(err)
@@ -165,7 +160,7 @@ func TestJournalTornHeaderStartsOver(t *testing.T) {
 	if hdr.Type != "" || len(recs) != 0 {
 		t.Fatalf("torn header not treated as empty: %+v, %d records", hdr, len(recs))
 	}
-	w, err := openJournal(path, header{Type: "header", Version: journalVersion, Shards: 1, ConfigDigest: "abc"})
+	w, err := openJournal(path, header{Type: "header", Version: journalVersion, ConfigDigest: "abc"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,11 +25,9 @@ type ModuleCounter struct {
 type Metrics struct {
 	Instance string `json:"instance"`
 	Tier     string `json:"tier"`
-	Shard    int    `json:"shard"`
-	Shards   int    `json:"shards"`
 	Workers  int    `json:"workers"`
 	// TotalRuns is the whole campaign's job count; PlannedRuns is
-	// this shard's share; ReplayedRuns were restored from the journal
+	// this process's share (Options.Jobs); ReplayedRuns were restored from the journal
 	// and ExecutedRuns ran in this process.
 	TotalRuns    int `json:"total_runs"`
 	PlannedRuns  int `json:"planned_runs"`
@@ -203,8 +201,8 @@ func (t *tracker) maybeLog(uniqueFailures int) {
 	if m.PrunedRuns+m.MemoizedRuns+m.ConvergedRuns > 0 {
 		pruned = fmt.Sprintf(", %d pruned/%d memoized/%d converged", m.PrunedRuns, m.MemoizedRuns, m.ConvergedRuns)
 	}
-	t.logf("%s/%s shard %d/%d: %d/%d runs (%.1f%%), %.0f runs/s, ETA %.0fs, util %.0f%%, %d failures (%d unique)%s%s",
-		m.Instance, m.Tier, m.Shard+1, m.Shards, done, m.PlannedRuns, pct,
+	t.logf("%s/%s: %d/%d runs (%.1f%%), %.0f runs/s, ETA %.0fs, util %.0f%%, %d failures (%d unique)%s%s",
+		m.Instance, m.Tier, done, m.PlannedRuns, pct,
 		m.RunsPerSecond, m.ETASeconds, 100*m.WorkerUtilization,
 		m.SystemFailures, uniqueFailures, supervised, pruned)
 }

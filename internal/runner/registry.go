@@ -96,7 +96,7 @@ func ablationModels() []inject.ErrorModel {
 
 // registry holds the named instances. Keep definitions deterministic:
 // the config a (name, tier) pair produces must be stable across
-// processes, because journals and shards key on its digest. regMu
+// processes, because journals and work units key on its digest. regMu
 // guards it because Register can add DSL-compiled instances at
 // runtime while workers call Lookup.
 var regMu sync.RWMutex

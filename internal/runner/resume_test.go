@@ -84,97 +84,3 @@ func TestKillAndResume(t *testing.T) {
 		}
 	}
 }
-
-// TestShardedRunAssembles splits the injection space over three
-// shards, runs each independently, and checks Assemble merges their
-// journals into the bit-identical unsharded result.
-func TestShardedRunAssembles(t *testing.T) {
-	baseDir := t.TempDir()
-	base, err := RunInstance("reduced", TierQuick, Options{Dir: baseDir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantMatrix, wantRuns, wantUnfired := fingerprintResult(t, base)
-
-	def, err := Lookup("reduced")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg, err := def.Config(TierQuick)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	dir := t.TempDir()
-	const shards = 3
-	shardRuns := 0
-	for s := 0; s < shards; s++ {
-		rr, err := RunInstance("reduced", TierQuick, Options{Dir: dir, Shard: s, Shards: shards})
-		if err != nil {
-			t.Fatalf("shard %d: %v", s, err)
-		}
-		shardRuns += rr.Metrics.ExecutedRuns
-		if rr.Metrics.PlannedRuns >= wantRuns {
-			t.Errorf("shard %d planned %d runs, expected a strict share of %d", s, rr.Metrics.PlannedRuns, wantRuns)
-		}
-		// Shards must not claim the final report.
-		if _, err := os.Stat(filepath.Join(dir, "report.md")); err == nil {
-			t.Errorf("shard %d wrote report.md", s)
-		}
-	}
-	if shardRuns != wantRuns {
-		t.Fatalf("shards executed %d runs, want %d", shardRuns, wantRuns)
-	}
-
-	// Assembling with one shard missing must fail loudly.
-	partial := filepath.Join(dir, "journal-3of3.jsonl")
-	hidden := partial + ".hidden"
-	if err := os.Rename(partial, hidden); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Assemble(cfg, Options{Name: "reduced", Tier: TierQuick, Dir: dir}); err == nil {
-		t.Error("Assemble accepted an incomplete shard set")
-	}
-	if err := os.Rename(hidden, partial); err != nil {
-		t.Fatal(err)
-	}
-
-	rr, err := Assemble(cfg, Options{Name: "reduced", Tier: TierQuick, Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	matrix, runs, unfired := fingerprintResult(t, rr)
-	if runs != wantRuns || unfired != wantUnfired {
-		t.Errorf("assembled runs/unfired %d/%d, want %d/%d", runs, unfired, wantRuns, wantUnfired)
-	}
-	if matrix != wantMatrix {
-		t.Error("assembled matrix differs from unsharded run")
-	}
-	if rr.Metrics.ExecutedRuns != 0 || rr.Metrics.ReplayedRuns != wantRuns {
-		t.Errorf("Assemble executed %d / replayed %d, want 0/%d", rr.Metrics.ExecutedRuns, rr.Metrics.ReplayedRuns, wantRuns)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "report.md")); err != nil {
-		t.Error("Assemble did not write report.md")
-	}
-
-	// A killed shard resumes independently: truncate shard 2's
-	// journal, resume it, re-assemble, same matrix.
-	shard2 := filepath.Join(dir, "journal-2of3.jsonl")
-	data, err := os.ReadFile(shard2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(shard2, data[:len(data)/2], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := RunInstance("reduced", TierQuick, Options{Dir: dir, Shard: 1, Shards: shards, Resume: true}); err != nil {
-		t.Fatalf("resuming killed shard: %v", err)
-	}
-	rr, err = Assemble(cfg, Options{Name: "reduced", Tier: TierQuick, Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if matrix, _, _ := fingerprintResult(t, rr); matrix != wantMatrix {
-		t.Error("re-assembled matrix differs after shard resume")
-	}
-}

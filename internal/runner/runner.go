@@ -13,9 +13,10 @@
 //     snapshot, golden-run digests, journal, metrics, final report),
 //     so a killed campaign resumes from its checkpoint and converges
 //     to the bit-identical permeability matrix;
-//   - deterministic sharding: the injection space splits over N
-//     shards by job index, each journaling independently, with
-//     Assemble merging shard journals into the final result;
+//   - explicit job slices: a process can be handed an ascending list
+//     of job indices (Options.Jobs) to execute instead of the whole
+//     campaign — how the distributed coordinator dispatches its work
+//     units — and Assemble merges journals into the final result;
 //   - observability: runs/sec, ETA, per-module n_err/n_inj counters
 //     and worker utilisation as periodic log lines and an exportable
 //     metrics.json;
@@ -48,10 +49,15 @@ type Options struct {
 	// Dir is the artifact directory. It is created if missing; it
 	// must not contain a different campaign's artifacts.
 	Dir string
-	// Shard/Shards select this process's slice of the injection
-	// space: only jobs with index ≡ Shard (mod Shards) execute.
-	// Zero Shards means unsharded.
-	Shard, Shards int
+	// Jobs, when non-nil, is this process's slice of the campaign: a
+	// strictly ascending list of job indices to execute, and nothing
+	// else. Jobs outside the list are neither executed nor replayed
+	// from the journal, and they do not count toward PlannedRuns. The
+	// slice runs as a fixed job set under the campaign's own digest:
+	// for an adaptive campaign whoever chose the jobs (the distributed
+	// coordinator) owns the schedule, so Run's own scheduler stays off.
+	// Nil runs the whole campaign.
+	Jobs []int
 	// Resume loads the journal and skips already-completed jobs
 	// instead of refusing to touch a non-empty journal.
 	Resume bool
@@ -90,16 +96,9 @@ type Options struct {
 	// lets a restarted worker forward records it journaled locally but
 	// never managed to flush. A returned error aborts the run.
 	OnRecord func(rec Record, replayed bool) error
-	// ExcludeJobs, when non-nil, removes jobs from this process's
-	// share of the injection space entirely: excluded jobs are neither
-	// executed nor replayed from the journal, and they do not count
-	// toward PlannedRuns. The distributed worker excludes jobs its
-	// coordinator already holds, so a reassigned work unit
-	// fast-forwards past everything the dead worker streamed back.
-	ExcludeJobs func(job int) bool
 	// Abort, when non-nil, is polled between job dispatches; once it
 	// returns true no further jobs start, in-flight runs finish and
-	// journal, and Run returns the partial shard without error. It is
+	// journal, and Run returns the partial result without error. It is
 	// called concurrently with OnRecord — use an atomic flag. The
 	// distributed worker aborts when its lease is lost.
 	Abort func() bool
@@ -121,11 +120,11 @@ type Options struct {
 	// when positive (campaign.Config.CIEpsilon). Part of the config
 	// digest, like Adaptive, and meaningless without it.
 	CIEpsilon float64
-	// SkipReport suppresses rendering report.md even for an unsharded
-	// run. The distributed worker sets it: a work unit's scratch
-	// directory is an intermediate artifact whose records upload to the
-	// coordinator, and rendering a full analysis report per unit would
-	// charge every unit the cost of the final assembly.
+	// SkipReport suppresses rendering report.md. The distributed
+	// worker sets it: a work unit's scratch directory is an
+	// intermediate artifact whose records upload to the coordinator,
+	// and rendering a full analysis report per unit would charge every
+	// unit the cost of the final assembly.
 	SkipReport bool
 	// Memo, when non-nil, plugs a persistent memo store behind the
 	// campaign's in-process result cache, so identical experiments are
@@ -240,13 +239,6 @@ func (o *Options) normalise() error {
 	if o.Tier == "" {
 		o.Tier = "custom"
 	}
-	if o.Shards <= 0 {
-		o.Shards = 1
-		o.Shard = 0
-	}
-	if o.Shard < 0 || o.Shard >= o.Shards {
-		return fmt.Errorf("runner: shard %d outside [0,%d)", o.Shard, o.Shards)
-	}
 	if o.Dir == "" {
 		return errors.New("runner: no artifact directory")
 	}
@@ -258,9 +250,9 @@ func (o *Options) normalise() error {
 
 // RunResult is the outcome of an orchestrated run.
 type RunResult struct {
-	// Result is the aggregated campaign result. For a sharded run it
-	// covers only this shard's jobs (plus replayed ones); Assemble
-	// merges shards into the complete result.
+	// Result is the aggregated campaign result. For a run given
+	// Options.Jobs it covers only those jobs; Assemble merges journals
+	// into the complete result.
 	Result *campaign.Result
 	// Metrics is the final observability snapshot.
 	Metrics Metrics
@@ -317,7 +309,7 @@ func RunInstance(name string, tier Tier, opts Options) (*RunResult, error) {
 	return Run(cfg, opts)
 }
 
-// Run executes one campaign (or one shard of it) with journaling,
+// Run executes one campaign (or its slice opts.Jobs) with journaling,
 // progress tracking and failure dedupe, writing the artifact set
 // under opts.Dir. A run interrupted by a kill is resumed by calling
 // Run again with opts.Resume: completed jobs replay from the journal
@@ -339,9 +331,6 @@ func Run(cfg campaign.Config, opts Options) (*RunResult, error) {
 		cfg.Workers = opts.Workers
 	}
 	adaptive := cfg.AdaptiveEnabled()
-	if adaptive && opts.Shards > 1 {
-		return nil, fmt.Errorf("runner: adaptive campaigns cannot be statically sharded — the job set is discovered at run time; use one shard or the distributed coordinator")
-	}
 
 	plan, err := cfg.Plan()
 	if err != nil {
@@ -349,6 +338,10 @@ func Run(cfg campaign.Config, opts Options) (*RunResult, error) {
 	}
 	sys := cfg.System()
 	ji := newJobIndexer(plan, len(cfg.TestCases))
+	member, err := jobMembership(opts.Jobs, len(plan)*len(cfg.TestCases))
+	if err != nil {
+		return nil, err
+	}
 
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("runner: creating artifact dir: %w", err)
@@ -369,17 +362,16 @@ func Run(cfg campaign.Config, opts Options) (*RunResult, error) {
 	if opts.Memo != nil {
 		cfg.Memo = scopedMemo{store: opts.Memo, scope: snap.Digest}
 	}
-	// A process handed an explicit job set (a distributed worker
-	// running a coordinator-carved unit, signalled by ExcludeJobs)
-	// executes it as a fixed matrix slice: the coordinator owns the
-	// adaptive schedule and decided these jobs already. The snapshot
-	// above keeps the adaptive fields, so the worker's journal still
-	// binds to the adaptive campaign's digest.
-	if adaptive && opts.ExcludeJobs != nil {
+	// A process handed an explicit job list (a distributed worker
+	// running a coordinator-claimed unit) executes it as a fixed slice:
+	// the coordinator owns the adaptive schedule and decided these jobs
+	// already. The snapshot above keeps the adaptive fields, so the
+	// worker's journal still binds to the adaptive campaign's digest.
+	if member != nil {
 		cfg.Adaptive = campaign.AdaptiveOff
 	}
 
-	journalPath := l.journalPath(opts.Shard, opts.Shards)
+	journalPath := l.journalPath()
 
 	// Restore completed jobs from the journal.
 	done := make(map[int]bool)
@@ -403,8 +395,8 @@ func Run(cfg campaign.Config, opts Options) (*RunResult, error) {
 				return nil, fmt.Errorf("runner: journal %s contains foreign job %v case %d",
 					journalPath, rec.Injection, rec.CaseIndex)
 			}
-			if opts.ExcludeJobs != nil && opts.ExcludeJobs(job) {
-				continue // another process owns this job's record
+			if member != nil && !member[job] {
+				continue // outside this process's slice
 			}
 			if done[job] {
 				continue // duplicate append from a racy predecessor
@@ -424,7 +416,6 @@ func Run(cfg campaign.Config, opts Options) (*RunResult, error) {
 	jw, err := openJournal(journalPath, header{
 		Type: "header", Version: journalVersionFor(adaptive),
 		Instance: opts.Name, Tier: string(opts.Tier),
-		Shard: opts.Shard, Shards: opts.Shards,
 		ConfigDigest: snap.Digest,
 	})
 	if err != nil {
@@ -432,19 +423,13 @@ func Run(cfg campaign.Config, opts Options) (*RunResult, error) {
 	}
 	defer jw.Close()
 
-	// This shard's share of the job space (minus excluded jobs). For
-	// an adaptive campaign this is an upper bound — the scheduler
-	// discovers the executed subset at run time and typically stops
-	// far short of it, so the tracker's ETA is conservative.
-	planned := 0
-	for job := 0; job < snap.TotalRuns; job++ {
-		if job%opts.Shards != opts.Shard {
-			continue
-		}
-		if opts.ExcludeJobs != nil && opts.ExcludeJobs(job) {
-			continue
-		}
-		planned++
+	// This process's share of the job space. For an adaptive campaign
+	// this is an upper bound — the scheduler discovers the executed
+	// subset at run time and typically stops far short of it, so the
+	// tracker's ETA is conservative.
+	planned := snap.TotalRuns
+	if member != nil {
+		planned = len(opts.Jobs)
 	}
 
 	workers := cfg.Workers
@@ -453,7 +438,6 @@ func Run(cfg campaign.Config, opts Options) (*RunResult, error) {
 	}
 	trk := newTracker(Metrics{
 		Instance: opts.Name, Tier: string(opts.Tier),
-		Shard: opts.Shard, Shards: opts.Shards,
 		Workers:     workers,
 		TotalRuns:   snap.TotalRuns,
 		PlannedRuns: planned,
@@ -464,20 +448,14 @@ func Run(cfg campaign.Config, opts Options) (*RunResult, error) {
 		ddp.add(rec)
 	}
 	if len(replay) > 0 {
-		opts.Logf("%s/%s shard %d/%d: resumed %d/%d runs from %s",
-			opts.Name, opts.Tier, opts.Shard+1, opts.Shards, len(replay), planned, journalPath)
+		opts.Logf("%s/%s: resumed %d/%d runs from %s",
+			opts.Name, opts.Tier, len(replay), planned, journalPath)
 	}
 
 	cfg.Replay = replay
 	cfg.Skip = func(inj inject.Injection, caseIdx int) bool {
 		job, ok := ji.index(inj, caseIdx)
-		if !ok {
-			return true
-		}
-		if job%opts.Shards != opts.Shard || done[job] {
-			return true
-		}
-		return opts.ExcludeJobs != nil && opts.ExcludeJobs(job)
+		return !ok || done[job] || (member != nil && !member[job])
 	}
 	cfg.Abort = opts.Abort
 
@@ -561,7 +539,7 @@ func Run(cfg campaign.Config, opts Options) (*RunResult, error) {
 }
 
 // finalise writes the closing artifacts (metrics.json, failures.md
-// and — for unsharded or assembled runs — report.md) and packages the
+// and — unless opts.SkipReport — report.md) and packages the
 // RunResult.
 func finalise(res *campaign.Result, l layout, trk *tracker, ddp *deduper, opts Options) (*RunResult, error) {
 	trk.m.UniqueFailures = ddp.unique()
@@ -578,7 +556,7 @@ func finalise(res *campaign.Result, l layout, trk *tracker, ddp *deduper, opts O
 	}); err != nil {
 		return nil, err
 	}
-	if opts.Shards == 1 && !opts.SkipReport {
+	if !opts.SkipReport {
 		md, err := report.Markdown(res, report.MarkdownOptions{
 			Title:   fmt.Sprintf("Campaign %s/%s", opts.Name, opts.Tier),
 			Latency: true, Uniform: true,
@@ -591,27 +569,21 @@ func finalise(res *campaign.Result, l layout, trk *tracker, ddp *deduper, opts O
 		}); err != nil {
 			return nil, err
 		}
-	} else {
-		opts.Logf("%s/%s: shard %d/%d journaled; run Assemble over %s for the final report",
-			opts.Name, opts.Tier, opts.Shard+1, opts.Shards, opts.Dir)
 	}
 	return &RunResult{Result: res, Metrics: metrics, Failures: failures, Dir: opts.Dir}, nil
 }
 
-// Assemble merges every shard journal under opts.Dir into the
-// complete campaign result: all records replay into the aggregates,
-// nothing re-executes, and the final report renders from the
-// journals alone. It fails if any job of the injection space is
-// missing, so a partial shard set cannot masquerade as a finished
-// campaign.
+// Assemble merges every journal under opts.Dir into the complete
+// campaign result: all records replay into the aggregates, nothing
+// re-executes, and the final report renders from the journals alone.
+// It fails if any job of the injection space is missing, so a partial
+// journal cannot masquerade as a finished campaign.
 func Assemble(cfg campaign.Config, opts Options) (*RunResult, error) {
-	opts.Shards = 1 // the assembled view is unsharded
-	opts.Shard = 0
 	if err := opts.normalise(); err != nil {
 		return nil, err
 	}
 	// Apply the same supervision and adaptive overrides as Run so the
-	// config digest matches the shard journals being assembled.
+	// config digest matches the journals being assembled.
 	opts.applySupervision(&cfg)
 	opts.applyAdaptive(&cfg)
 	if err := cfg.Validate(); err != nil {
@@ -647,7 +619,7 @@ func Assemble(cfg campaign.Config, opts Options) (*RunResult, error) {
 	}
 
 	// seen maps each job to the first record claiming it. Overlapping
-	// records across shard journals are legal — a resumed shard or a
+	// records across journals are legal — a resumed run or a
 	// reassigned distributed lease appends the same content twice —
 	// but only when the content is identical: a conflicting duplicate
 	// means two processes disagreed about the simulation, and merging
@@ -676,8 +648,7 @@ func Assemble(cfg campaign.Config, opts Options) (*RunResult, error) {
 				// Journals disagree about the job index ↔ injection
 				// mapping exactly when the record content differs, so
 				// compare against the first claimant keyed by the
-				// replayed job index, not the raw r.Job field (which a
-				// differently-sharded journal numbers identically).
+				// replayed job index, not the raw r.Job field.
 				r.Job = job
 				prev.Job = job
 				if !RecordsEqual(prev, r) {
@@ -713,13 +684,13 @@ func Assemble(cfg campaign.Config, opts Options) (*RunResult, error) {
 				planner.Settled(), planner.Outstanding(), ErrScheduleIncomplete)
 		}
 	} else if len(seen) != snap.TotalRuns {
-		return nil, fmt.Errorf("runner: journals cover %d of %d runs — %d missing; run the remaining shards (or resume the killed ones) first",
+		return nil, fmt.Errorf("runner: journals cover %d of %d runs — %d missing; resume the campaign first",
 			len(seen), snap.TotalRuns, snap.TotalRuns-len(seen))
 	}
 
 	trk := newTracker(Metrics{
 		Instance: opts.Name, Tier: string(opts.Tier),
-		Shards: 1, TotalRuns: snap.TotalRuns, PlannedRuns: snap.TotalRuns,
+		TotalRuns: snap.TotalRuns, PlannedRuns: snap.TotalRuns,
 	}, 0, nil)
 	ddp := newDeduper(sys)
 	for _, rec := range replay {
@@ -734,6 +705,25 @@ func Assemble(cfg campaign.Config, opts Options) (*RunResult, error) {
 		return nil, err
 	}
 	return finalise(res, l, trk, ddp, opts)
+}
+
+// jobMembership validates a Jobs list against a job space of total
+// jobs and returns its membership table, or nil when jobs is nil (the
+// whole campaign runs).
+func jobMembership(jobs []int, total int) ([]bool, error) {
+	if jobs == nil {
+		return nil, nil
+	}
+	member := make([]bool, total)
+	prev := -1
+	for _, job := range jobs {
+		if job <= prev || job >= total {
+			return nil, fmt.Errorf("runner: Jobs must ascend strictly within [0,%d); got %d after %d", total, job, prev)
+		}
+		member[job] = true
+		prev = job
+	}
+	return member, nil
 }
 
 // timedAttachment threads the run start time through the campaign's

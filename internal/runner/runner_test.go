@@ -144,8 +144,10 @@ func TestOptionsValidation(t *testing.T) {
 	if _, err := RunInstance("reduced", TierQuick, Options{}); err == nil {
 		t.Error("accepted empty artifact dir")
 	}
-	if _, err := RunInstance("reduced", TierQuick, Options{Dir: t.TempDir(), Shards: 2, Shard: 2}); err == nil {
-		t.Error("accepted shard outside range")
+	for _, jobs := range [][]int{{3, 1}, {2, 2}, {-1}, {1 << 30}} {
+		if _, err := RunInstance("reduced", TierQuick, Options{Dir: t.TempDir(), Jobs: jobs}); err == nil {
+			t.Errorf("accepted Jobs %v", jobs)
+		}
 	}
 	if _, err := RunInstance("reduced", "nightly", Options{Dir: t.TempDir()}); err == nil {
 		t.Error("accepted unknown tier")

@@ -3,7 +3,7 @@ package runner
 // Declarative (DSL-compiled) campaign instances: a topology document
 // loaded from disk becomes a registry Definition indistinguishable
 // from the built-in ones — listable, tierable, journalable and
-// shardable, with the campaign tiers taken from the document's own
+// distributable, with the campaign tiers taken from the document's own
 // `campaign` section.
 
 import (

@@ -8,7 +8,7 @@
 // family of workload specs yields a family of campaigns.
 //
 // Every generator is deterministic: the same Spec always produces the
-// same test-case list, byte for byte, so journals, shards and
+// same test-case list, byte for byte, so journals and
 // distributed workers agree on the campaign enumeration (the same
 // property the hand-written physics.Grid workloads have).
 package workload
