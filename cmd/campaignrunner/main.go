@@ -96,7 +96,6 @@ func run(args []string, out io.Writer) (retErr error) {
 	workerName := fs.String("worker-name", "", "fleet identity for -worker mode (default hostname-pid; keep it stable across restarts to resume local work)")
 	chaosSpec := fs.String("chaos", "", "inject seeded faults into this worker's coordinator RPCs, e.g. seed=7,rate=0.2 (see internal/chaos; -worker mode only)")
 	storeDir := fs.String("store-dir", "", "persistent memo store: identical injection runs across campaigns are served from this directory instead of re-executing (-worker mode only)")
-	jsonRecords := fs.Bool("json-records", false, "upload records as JSON even when the coordinator offers the binary batch framing (-worker mode only)")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the campaign to this file")
 	memProfile := fs.String("memprofile", "", "write a heap profile to this file when the campaign finishes")
 	if err := fs.Parse(args); err != nil {
@@ -170,10 +169,6 @@ func run(args []string, out io.Writer) (retErr error) {
 		// instead of letting a mid-retry worker linger.
 		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 		defer stop()
-		encoding := ""
-		if *jsonRecords {
-			encoding = "json"
-		}
 		var memo runner.MemoStore
 		if *storeDir != "" {
 			st, serr := store.Open(*storeDir, store.Options{Logf: logf})
@@ -188,7 +183,6 @@ func run(args []string, out io.Writer) (retErr error) {
 			Dir:         *dir,
 			Workers:     *workers,
 			Chaos:       cs,
-			Encoding:    encoding,
 			Memo:        memo,
 			LogInterval: *progress,
 			Logf:        logf,
@@ -200,9 +194,6 @@ func run(args []string, out io.Writer) (retErr error) {
 	}
 	if *chaosSpec != "" {
 		return fmt.Errorf("-chaos only applies to -worker mode (or propaned -loopback)")
-	}
-	if *jsonRecords {
-		return fmt.Errorf("-json-records only applies to -worker mode")
 	}
 	if *storeDir != "" {
 		return fmt.Errorf("-store-dir only applies to -worker mode")

@@ -246,6 +246,15 @@ const (
 	OutcomeQuarantined Outcome = "quarantined"
 )
 
+// Valid reports whether o is one of the Outcome constants.
+func (o Outcome) Valid() bool {
+	switch o {
+	case OutcomeOK, OutcomeDeviation, OutcomeCrash, OutcomeHang, OutcomeQuarantined:
+		return true
+	}
+	return false
+}
+
 // Instance, RunnableInstance and Target re-export the target
 // abstraction (see internal/target); *arrestor.Instance satisfies
 // RunnableInstance, and internal/autobrake provides a second target.
@@ -273,9 +282,7 @@ type RunRecord struct {
 	FailureAt     sim.Millis
 	// Attachment is whatever Config.Instrument returned for this run.
 	Attachment any
-	// Outcome classifies the run. The zero value ("") appears only on
-	// records replayed from pre-supervision journals and is treated as
-	// ok-or-deviation, derived from Diffs.
+	// Outcome classifies the run. Required on Config.Replay records.
 	Outcome Outcome
 	// Detail carries the crash panic value or the quarantine reason.
 	Detail string
@@ -1212,17 +1219,8 @@ func recordOutcome(sys *model.System, rec RunRecord) (runOutcome, error) {
 		attempts:    rec.Attempts,
 		pruned:      rec.Pruned,
 	}
-	// Pre-supervision journals carry no outcome field: every record
-	// in them is a completed run, so derive ok/deviation from the
-	// recorded diffs.
-	if out.outcome == "" {
-		out.outcome = OutcomeOK
-		for _, d := range rec.Diffs {
-			if d.Differs() {
-				out.outcome = OutcomeDeviation
-				break
-			}
-		}
+	if !out.outcome.Valid() {
+		return runOutcome{}, fmt.Errorf("campaign: replaying %v: unknown outcome %q", rec.Injection, rec.Outcome)
 	}
 	if rec.Fired && out.outcome != OutcomeQuarantined {
 		mod, err := sys.Module(rec.Injection.Module)

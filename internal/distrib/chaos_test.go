@@ -13,6 +13,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"io/fs"
@@ -74,7 +75,7 @@ func TestChaosSoakBitIdentical(t *testing.T) {
 	crash := chaos.NewCrashpoints(func(label string) {
 		crashOnce.Do(func() { close(crashed) })
 	})
-	crash.Arm(CrashMidBatchAppend, 3) // die inside the third journal append
+	crash.Arm(CrashMidBatchAppend, 3) // die inside the third journaled batch
 
 	cc := Config{
 		Instance: "reduced",
@@ -200,13 +201,13 @@ func TestChaosSoakBitIdentical(t *testing.T) {
 
 // postRaw sends one hardened-protocol POST by hand, returning the
 // response and its body.
-func postRaw(t *testing.T, url string, body []byte, digest string) (*http.Response, []byte) {
+func postRaw(t *testing.T, url, contentType string, body []byte, digest string) (*http.Response, []byte) {
 	t.Helper()
 	req, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
-	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set("Content-Type", contentType)
 	if digest != "" {
 		req.Header.Set(HeaderBodyDigest, digest)
 		req.Header.Set(HeaderIdempotencyKey, digest)
@@ -281,6 +282,99 @@ func leaseAndCollect(t *testing.T, url, scratch string) (LeaseResponse, []runner
 	return lr, recs
 }
 
+// TestMidBatchAppendTornState pins the mid-batch-append crash point
+// deterministically: armed at the first ingested batch, it journals a
+// strict prefix of a multi-record upload and kills the coordinator
+// before any reply. A coordinator resumed from the journal then takes
+// the same records back as duplicates for the prefix and fresh records
+// for the rest, and assembles bit-identical to the single-node run.
+func TestMidBatchAppendTornState(t *testing.T) {
+	dir := t.TempDir()
+	crash := chaos.NewCrashpoints(nil)
+	crash.Arm(CrashMidBatchAppend, 1)
+	cc := Config{
+		Instance: "reduced",
+		Tier:     runner.TierQuick,
+		Dir:      dir,
+		Units:    1, // one unit spans the campaign: the upload is the whole job space
+		Crash:    crash,
+		Logf:     t.Logf,
+	}
+	coord1, err := NewCoordinator(cc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	url1, srv1 := serveCoordinator(t, coord1)
+	defer srv1.Close()
+
+	lr, recs := leaseAndCollect(t, url1, filepath.Join(dir, "scratch"))
+	if len(recs) < 2 {
+		t.Fatalf("unit holds %d records; a torn batch needs at least 2", len(recs))
+	}
+	w := &worker{base: url1, opts: WorkerOptions{Name: "torn", Logf: t.Logf}, ctx: t.Context(),
+		client: &http.Client{Timeout: 10 * time.Second}}
+	var br BatchResponse
+	err = w.send(PathRecords, ContentTypeBinary, recordFrame(t, lr.LeaseID, recs), &br)
+	var se *httpStatusError
+	if err == nil || errors.As(err, &se) {
+		t.Fatalf("torn upload answered (%v) — the crash must leave the request without a reply", err)
+	}
+	if fired := crash.Fired(); len(fired) != 1 || fired[0] != CrashMidBatchAppend {
+		t.Fatalf("crash points fired %v, want [%s]", fired, CrashMidBatchAppend)
+	}
+	if err := coord1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	_, journaled, err := runner.ReadJournal(runner.JournalPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(journaled) == 0 || len(journaled) >= len(recs) {
+		t.Fatalf("torn batch journaled %d of %d records, want a non-empty strict prefix", len(journaled), len(recs))
+	}
+	for i, rec := range journaled {
+		if !runner.RecordsEqual(rec, recs[i]) {
+			t.Fatalf("journaled record %d (job %d) is not the upload's record %d (job %d)", i, rec.Job, i, recs[i].Job)
+		}
+	}
+
+	cc.Resume = true
+	cc.Crash = nil
+	coord2, err := NewCoordinator(cc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord2.Close()
+	url2, srv2 := serveCoordinator(t, coord2)
+	defer srv2.Close()
+	w.base = url2
+	var lr2 LeaseResponse
+	if err := w.post(PathLease, LeaseRequest{Worker: w.opts.Name}, &lr2); err != nil {
+		t.Fatal(err)
+	}
+	if lr2.Status != StatusUnit {
+		t.Fatalf("resumed lease status %q, want %q", lr2.Status, StatusUnit)
+	}
+	if err := w.send(PathRecords, ContentTypeBinary, recordFrame(t, lr2.LeaseID, recs), &br); err != nil {
+		t.Fatalf("re-upload to the resumed coordinator: %v", err)
+	}
+	if br.Duplicates != len(journaled) || br.Accepted != len(recs)-len(journaled) {
+		t.Errorf("re-upload accepted %d and found %d duplicates, want %d and %d",
+			br.Accepted, br.Duplicates, len(recs)-len(journaled), len(journaled))
+	}
+	select {
+	case <-coord2.Done():
+	default:
+		t.Fatal("re-upload covered the job space but the resumed coordinator reports the campaign incomplete")
+	}
+	rr, err := coord2.Assemble()
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertMatchesBaseline(t, rr)
+}
+
 // TestDuplicateDeliveryIdempotent proves the /records and /complete
 // idempotency the chaos duplicate/drop-response faults rely on: a
 // byte-identical redelivery replays the stored response verbatim
@@ -305,18 +399,15 @@ func TestDuplicateDeliveryIdempotent(t *testing.T) {
 	lr, recs := leaseAndCollect(t, url, filepath.Join(dir, "scratch"))
 
 	// First record delivered twice, byte-identically.
-	body, err := json.Marshal(RecordBatch{LeaseID: lr.LeaseID, Records: recs[:1]})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp1, data1 := postRaw(t, url+PathRecords, body, bodyDigest(body))
+	body := recordFrame(t, lr.LeaseID, recs[:1])
+	resp1, data1 := postRaw(t, url+PathRecords, ContentTypeBinary, body, bodyDigest(body))
 	if resp1.StatusCode != http.StatusOK {
 		t.Fatalf("first delivery: %d %s", resp1.StatusCode, data1)
 	}
 	if resp1.Header.Get(HeaderIdempotentReplay) != "" {
 		t.Error("first delivery claims to be a replay")
 	}
-	resp2, data2 := postRaw(t, url+PathRecords, body, bodyDigest(body))
+	resp2, data2 := postRaw(t, url+PathRecords, ContentTypeBinary, body, bodyDigest(body))
 	if resp2.StatusCode != http.StatusOK {
 		t.Fatalf("duplicated delivery: %d %s", resp2.StatusCode, data2)
 	}
@@ -338,22 +429,19 @@ func TestDuplicateDeliveryIdempotent(t *testing.T) {
 	}
 
 	// The rest of the unit, then /complete twice.
-	body, err = json.Marshal(RecordBatch{LeaseID: lr.LeaseID, Records: recs[1:]})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp, data := postRaw(t, url+PathRecords, body, bodyDigest(body)); resp.StatusCode != http.StatusOK {
+	body = recordFrame(t, lr.LeaseID, recs[1:])
+	if resp, data := postRaw(t, url+PathRecords, ContentTypeBinary, body, bodyDigest(body)); resp.StatusCode != http.StatusOK {
 		t.Fatalf("remainder delivery: %d %s", resp.StatusCode, data)
 	}
-	cbody, err := json.Marshal(CompleteRequest{LeaseID: lr.LeaseID})
+	cbody, err := json.Marshal(CompleteRequest{LeaseID: lr.LeaseID, Runs: len(recs), Digest: runner.RecordSetDigest(recs)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cresp1, cdata1 := postRaw(t, url+PathComplete, cbody, bodyDigest(cbody))
+	cresp1, cdata1 := postRaw(t, url+PathComplete, ContentTypeJSON, cbody, bodyDigest(cbody))
 	if cresp1.StatusCode != http.StatusOK {
 		t.Fatalf("complete: %d %s", cresp1.StatusCode, cdata1)
 	}
-	cresp2, cdata2 := postRaw(t, url+PathComplete, cbody, bodyDigest(cbody))
+	cresp2, cdata2 := postRaw(t, url+PathComplete, ContentTypeJSON, cbody, bodyDigest(cbody))
 	if cresp2.StatusCode != http.StatusOK {
 		t.Fatalf("duplicated complete: %d %s", cresp2.StatusCode, cdata2)
 	}
@@ -389,13 +477,23 @@ func TestWireDamagedBodyRejected(t *testing.T) {
 	defer srv.Close()
 
 	lr, recs := leaseAndCollect(t, url, filepath.Join(dir, "scratch"))
-	body, err := json.Marshal(RecordBatch{LeaseID: lr.LeaseID, Records: recs[:1]})
+	// A JSON body, intact and digested, is refused unread: /v1/records
+	// takes only binary frames.
+	jbody, err := json.Marshal(RecordBatch{LeaseID: lr.LeaseID, Records: recs[:1]})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if resp, data := postRaw(t, url+PathRecords, ContentTypeJSON, jbody, bodyDigest(jbody)); resp.StatusCode != http.StatusUnsupportedMediaType {
+		t.Fatalf("JSON record batch answered %d %s, want 415", resp.StatusCode, data)
+	}
+	if got := coord.Metrics().ReceivedRuns; got != 0 {
+		t.Errorf("JSON record batch journaled %d records", got)
+	}
+
+	body := recordFrame(t, lr.LeaseID, recs[:1])
 	// The digest of the intact body, sent with a truncated copy: the
 	// exact signature of in-flight damage.
-	resp, data := postRaw(t, url+PathRecords, body[:len(body)-2], bodyDigest(body))
+	resp, data := postRaw(t, url+PathRecords, ContentTypeBinary, body[:len(body)-2], bodyDigest(body))
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("damaged body answered %d %s, want 400", resp.StatusCode, data)
 	}
@@ -420,7 +518,7 @@ func TestWireDamagedBodyRejected(t *testing.T) {
 	}
 	// The intact copy must then succeed — same lease, same key
 	// semantics, nothing poisoned by the failed attempt.
-	resp, data = postRaw(t, url+PathRecords, body, bodyDigest(body))
+	resp, data = postRaw(t, url+PathRecords, ContentTypeBinary, body, bodyDigest(body))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("intact retry answered %d %s", resp.StatusCode, data)
 	}

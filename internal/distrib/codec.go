@@ -1,6 +1,6 @@
 package distrib
 
-// Binary batch framing — protocol v2's wire format for /v1/records.
+// Binary batch framing — the wire format of /v1/records.
 //
 // A frame is a 4-byte magic ("PRB1") followed by a gzip stream whose
 // decompressed payload is a length-prefixed binary encoding of one
@@ -31,18 +31,16 @@ import (
 	"propane/internal/runner"
 )
 
-// Content types negotiated on /v1/records. The worker announces its
-// encoding per request via Content-Type; the coordinator accepts both,
-// so mixed fleets (version skew, explicit -json-records) interoperate
-// batch by batch.
+// Content types. /v1/records takes only ContentTypeBinary; every
+// other RPC body and every reply is ContentTypeJSON.
 const (
 	ContentTypeJSON   = "application/json"
 	ContentTypeBinary = "application/x-propane-record-batch"
 )
 
 // frameMagic distinguishes a binary frame before any decompression
-// happens; a JSON body posted with the binary content type (or vice
-// versa) fails immediately and deterministically.
+// happens; a JSON body posted with the binary content type fails
+// immediately and deterministically.
 var frameMagic = []byte("PRB1")
 
 // maxDecodedPayload caps the decompressed payload, so a gzip bomb

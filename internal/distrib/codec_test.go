@@ -2,13 +2,11 @@ package distrib
 
 import (
 	"bytes"
-	"fmt"
-	"net"
+	"errors"
 	"net/http"
 	"path/filepath"
 	"reflect"
-	"strings"
-	"sync"
+	"slices"
 	"testing"
 	"time"
 
@@ -123,160 +121,9 @@ func TestDecodeHostileFrames(t *testing.T) {
 	}
 }
 
-// countingHandler wraps a coordinator handler and tallies the
-// Content-Type of every /v1/records request, so tests can prove which
-// encodings actually went over the wire.
-type countingHandler struct {
-	inner http.Handler
-	mu    sync.Mutex
-	seen  map[string]int
-}
-
-func (c *countingHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Path == PathRecords {
-		ct := r.Header.Get("Content-Type")
-		if i := strings.IndexByte(ct, ';'); i >= 0 {
-			ct = ct[:i]
-		}
-		c.mu.Lock()
-		if c.seen == nil {
-			c.seen = map[string]int{}
-		}
-		c.seen[ct]++
-		c.mu.Unlock()
-	}
-	c.inner.ServeHTTP(w, r)
-}
-
-func (c *countingHandler) count(ct string) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.seen[ct]
-}
-
-// TestMixedFleetBitIdentical runs a fleet split across the two
-// encodings — one worker on negotiated binary frames, one forced to
-// JSON — and asserts both encodings really hit the wire and the
-// assembled result is bit-identical to the single-node baseline:
-// framing is transport, never semantics.
-func TestMixedFleetBitIdentical(t *testing.T) {
-	dir := t.TempDir()
-	coord, err := NewCoordinator(Config{
-		Instance: "reduced",
-		Tier:     runner.TierQuick,
-		Dir:      dir,
-		Units:    4,
-		Logf:     t.Logf,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ch := &countingHandler{inner: coord.Handler()}
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := NewServer(ch)
-	go srv.Serve(l)
-	defer srv.Close()
-	url := "http://" + l.Addr().String()
-
-	encodings := []string{"", "json"}
-	errs := make(chan error, len(encodings))
-	for i, enc := range encodings {
-		wo := WorkerOptions{
-			Name:         fmt.Sprintf("mixed-w%d-%s", i+1, map[bool]string{true: "bin", false: "json"}[enc == ""]),
-			Dir:          filepath.Join(dir, "scratch"),
-			Encoding:     enc,
-			BatchSize:    8,
-			PollInterval: 50 * time.Millisecond,
-			Logf:         t.Logf,
-		}
-		go func() { errs <- RunWorker(url, wo) }()
-	}
-	select {
-	case <-coord.Done():
-	case <-time.After(2 * time.Minute):
-		t.Fatal("mixed fleet did not complete the campaign")
-	}
-	for range encodings {
-		if err := <-errs; err != nil {
-			t.Fatal(err)
-		}
-	}
-	if n := ch.count(ContentTypeBinary); n == 0 {
-		t.Error("no binary-framed batch hit the wire — the negotiated worker never used the frame")
-	}
-	if n := ch.count(ContentTypeJSON); n == 0 {
-		t.Error("no JSON batch hit the wire — the forced-JSON worker did not stay on JSON")
-	}
-	rr, err := coord.Assemble()
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertMatchesBaseline(t, rr)
-}
-
-// TestBinaryRefusedFallsBackToJSON simulates a coordinator that
-// advertises the binary frame but refuses it (version skew, a
-// content-type-mangling middlebox): the worker must fall back to JSON
-// permanently and still complete the campaign bit-identically.
-func TestBinaryRefusedFallsBackToJSON(t *testing.T) {
-	dir := t.TempDir()
-	logs := &logCapture{t: t}
-	coord, err := NewCoordinator(Config{
-		Instance: "reduced",
-		Tier:     runner.TierQuick,
-		Dir:      dir,
-		Units:    2,
-		Logf:     logs.logf,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	inner := coord.Handler()
-	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == PathRecords && strings.HasPrefix(r.Header.Get("Content-Type"), ContentTypeBinary) {
-			httpError(w, http.StatusUnsupportedMediaType, "binary record frames not supported here")
-			return
-		}
-		inner.ServeHTTP(w, r)
-	})
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := NewServer(h)
-	go srv.Serve(l)
-	defer srv.Close()
-
-	if err := RunWorker("http://"+l.Addr().String(), WorkerOptions{
-		Name:         "skewed",
-		Dir:          filepath.Join(dir, "scratch"),
-		BatchSize:    4,
-		PollInterval: 50 * time.Millisecond,
-		Logf:         logs.logf,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if !logs.contains("falling back to JSON") {
-		t.Error("worker never fell back to JSON — the 415 path was not exercised")
-	}
-	select {
-	case <-coord.Done():
-	default:
-		t.Fatal("worker exited but the campaign is incomplete")
-	}
-	rr, err := coord.Assemble()
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertMatchesBaseline(t, rr)
-}
-
 // TestPullModeReuploads pins Config.Pull's distinct branch: with the
-// coordinator already holding a unit's full record set (streamed), a
-// v2 completion is still answered NeedRecords — the records re-upload
+// coordinator already holding a unit's full record set, a completion
+// is still answered NeedRecords — the records re-upload
 // and re-verify record by record — and only the post-upload
 // completion settles the unit.
 func TestPullModeReuploads(t *testing.T) {
@@ -300,11 +147,12 @@ func TestPullModeReuploads(t *testing.T) {
 	w := &worker{base: url, opts: WorkerOptions{Name: "puller", Logf: t.Logf}, ctx: t.Context(),
 		client: &http.Client{Timeout: 10 * time.Second}}
 	var br BatchResponse
-	if err := w.post(PathRecords, RecordBatch{LeaseID: lr.LeaseID, Records: recs}, &br); err != nil {
+	frame := recordFrame(t, lr.LeaseID, recs)
+	if err := w.send(PathRecords, ContentTypeBinary, frame, &br); err != nil {
 		t.Fatal(err)
 	}
 	if !br.UnitDone {
-		t.Fatalf("streamed the full unit but UnitDone=false (accepted %d)", br.Accepted)
+		t.Fatalf("uploaded the full unit but UnitDone=false (accepted %d)", br.Accepted)
 	}
 	// The coordinator is fully covered, the digest matches — Pull must
 	// still demand the upload.
@@ -316,7 +164,7 @@ func TestPullModeReuploads(t *testing.T) {
 	if !cr.NeedRecords {
 		t.Fatal("Pull coordinator settled a covered unit without demanding the upload")
 	}
-	if err := w.post(PathRecords, RecordBatch{LeaseID: lr.LeaseID, Records: recs}, &br); err != nil {
+	if err := w.send(PathRecords, ContentTypeBinary, frame, &br); err != nil {
 		t.Fatalf("re-upload under Pull rejected: %v", err)
 	}
 	creq.Uploaded = true
@@ -334,7 +182,7 @@ func TestPullModeReuploads(t *testing.T) {
 }
 
 // TestDigestMismatchRejected pins the no-transfer settle's
-// cross-check: a v2 completion whose record-set digest contradicts
+// cross-check: a completion whose record-set digest contradicts
 // the journaled set is refused with 409, because it means the two
 // sides simulated different outcomes.
 func TestDigestMismatchRejected(t *testing.T) {
@@ -357,7 +205,7 @@ func TestDigestMismatchRejected(t *testing.T) {
 	w := &worker{base: url, opts: WorkerOptions{Name: "liar", Logf: t.Logf}, ctx: t.Context(),
 		client: &http.Client{Timeout: 10 * time.Second}}
 	var br BatchResponse
-	if err := w.post(PathRecords, RecordBatch{LeaseID: lr.LeaseID, Records: recs}, &br); err != nil {
+	if err := w.send(PathRecords, ContentTypeBinary, recordFrame(t, lr.LeaseID, recs), &br); err != nil {
 		t.Fatal(err)
 	}
 	var cr CompleteResponse
@@ -373,5 +221,50 @@ func TestDigestMismatchRejected(t *testing.T) {
 		LeaseID: lr.LeaseID, Runs: len(recs), Digest: runner.RecordSetDigest(recs),
 	}, &cr); err != nil {
 		t.Fatalf("truthful completion rejected after the mismatched one: %v", err)
+	}
+}
+
+// TestInvalidRecordsRejected pins record validation on ingest for a
+// fixed-matrix campaign: a record replay could not parse — an unknown
+// model spec, an outcome outside the campaign.Outcome set, or none —
+// rejects its whole batch with 400, and nothing journals.
+func TestInvalidRecordsRejected(t *testing.T) {
+	dir := t.TempDir()
+	coord, err := NewCoordinator(Config{
+		Instance: "reduced",
+		Tier:     runner.TierQuick,
+		Dir:      dir,
+		Units:    2,
+		Logf:     t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	url, srv := serveCoordinator(t, coord)
+	defer srv.Close()
+
+	lr, recs := leaseAndCollect(t, url, filepath.Join(dir, "scratch"))
+	w := &worker{base: url, opts: WorkerOptions{Name: "hostile", Logf: t.Logf}, ctx: t.Context(),
+		client: &http.Client{Timeout: 10 * time.Second}}
+	for name, damage := range map[string]func(*runner.Record){
+		"unknown model":   func(r *runner.Record) { r.Model = "not-a-model" },
+		"unknown outcome": func(r *runner.Record) { r.Outcome = "weird" },
+		"no outcome":      func(r *runner.Record) { r.Outcome = "" },
+	} {
+		bad := slices.Clone(recs)
+		damage(&bad[0])
+		var br BatchResponse
+		err := w.send(PathRecords, ContentTypeBinary, recordFrame(t, lr.LeaseID, bad), &br)
+		var se *httpStatusError
+		if !errors.As(err, &se) || se.status != http.StatusBadRequest {
+			t.Errorf("%s: batch answered %v, want 400", name, err)
+		}
+	}
+	if got := coord.Metrics().ReceivedRuns; got != 0 {
+		t.Errorf("coordinator received %d runs from rejected batches, want 0", got)
+	}
+	if _, journaled, err := runner.ReadJournal(runner.JournalPath(dir)); err != nil || len(journaled) != 0 {
+		t.Errorf("journal holds %d records (err %v) after only rejected batches, want 0", len(journaled), err)
 	}
 }

@@ -637,14 +637,16 @@ func (c *Coordinator) deadLocked(w http.ResponseWriter) bool {
 // instruction. Whatever was already journaled stays journaled; a new
 // coordinator resuming from the directory is the only way forward.
 func (c *Coordinator) hitCrashLocked(label string) {
-	if c.cfg.Crash == nil {
-		return
-	}
 	if c.cfg.Crash.Hit(label) {
-		c.crashed = true
-		c.cfg.Logf("distrib: chaos crash point %q fired — coordinator dead until resumed", label)
-		panic(http.ErrAbortHandler)
+		c.crashLocked(label)
 	}
+}
+
+// crashLocked is the death of a fired crash point.
+func (c *Coordinator) crashLocked(label string) {
+	c.crashed = true
+	c.cfg.Logf("distrib: chaos crash point %q fired — coordinator dead until resumed", label)
+	panic(http.ErrAbortHandler)
 }
 
 // sweepLocked expires overdue leases, returning their units to the
@@ -793,7 +795,7 @@ func (c *Coordinator) settleLocked(u *unit) {
 }
 
 // countPruneLocked aggregates a record's pruned label into the fleet
-// counters (empty for executed runs and journals predating pruning).
+// counters (empty for executed runs).
 func (c *Coordinator) countPruneLocked(rec runner.Record) {
 	switch rec.Pruned {
 	case campaign.PrunedNoOp, campaign.PrunedUnfired:
@@ -806,18 +808,6 @@ func (c *Coordinator) countPruneLocked(rec runner.Record) {
 	case campaign.PrunedConverged:
 		c.convergedRuns++
 	}
-}
-
-// outcomeKey normalises a record's outcome for per-worker counters
-// (version-1 records carry no outcome field).
-func outcomeKey(rec runner.Record) string {
-	if rec.Outcome != "" {
-		return rec.Outcome
-	}
-	if rec.SystemFailure || len(rec.Diffs) > 0 {
-		return string(campaign.OutcomeDeviation)
-	}
-	return string(campaign.OutcomeOK)
 }
 
 // handleLease assigns the lowest pending unit to the requester,
@@ -853,7 +843,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 
 		if c.complete {
 			c.mu.Unlock()
-			writeJSON(w, LeaseResponse{Status: StatusDone, Binary: true, Campaign: c.cfg.Campaign})
+			writeJSON(w, LeaseResponse{Status: StatusDone, Campaign: c.cfg.Campaign})
 			return
 		}
 		if pick = c.pickLocked(); pick != nil {
@@ -870,7 +860,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		}
 		if wait <= 0 {
 			c.mu.Unlock()
-			writeJSON(w, LeaseResponse{Status: StatusWait, RetryMs: leaseRetryMs, Binary: true, Campaign: c.cfg.Campaign})
+			writeJSON(w, LeaseResponse{Status: StatusWait, RetryMs: leaseRetryMs, Campaign: c.cfg.Campaign})
 			return
 		}
 		wake := c.wake
@@ -926,7 +916,6 @@ func (c *Coordinator) grantLocked(pick *unit, worker string, now time.Time) Leas
 		Status:   StatusUnit,
 		LeaseID:  pick.leaseID,
 		TTLMs:    c.cfg.LeaseTTL.Milliseconds(),
-		Binary:   true,
 		Campaign: c.cfg.Campaign,
 		Unit: &WorkUnit{
 			Instance:       c.cfg.Instance,
@@ -987,39 +976,30 @@ func (c *Coordinator) leaseLocked(id string, now time.Time) (*unit, error) {
 	return u, nil
 }
 
-// decodeBatch negotiates the request's record-batch encoding by
-// Content-Type. pooled reports whether the returned records came from
-// the decode pool (the caller releases them after copying what it
-// keeps).
-func decodeBatch(r *http.Request) (batch RecordBatch, pooled bool, err error) {
-	if strings.HasPrefix(r.Header.Get("Content-Type"), ContentTypeBinary) {
-		data, rerr := io.ReadAll(r.Body)
-		if rerr != nil {
-			return RecordBatch{}, false, rerr
-		}
-		batch, err = decodeRecordBatch(data)
-		return batch, err == nil, err
-	}
-	err = json.NewDecoder(r.Body).Decode(&batch)
-	return batch, false, err
-}
-
 // handleRecords ingests one record batch — the bulk upload after a
-// digest-only completion, or a v1-style mid-run stream — renewing the
-// lease. Validation is two-pass: the whole batch is checked before
-// anything is journaled, so a hostile or wire-damaged batch can never
-// partially journal (the all-or-nothing guarantee FuzzProtocol
-// asserts). The happy path appends the whole batch with a single
-// journal write.
+// digest-only completion — renewing the lease. Validation is
+// two-pass: the whole batch is checked before anything is journaled,
+// so a hostile or wire-damaged batch can never partially journal (the
+// all-or-nothing guarantee FuzzProtocol asserts). The fresh records
+// then journal with a single write. The body must be a binary frame:
+// any other Content-Type answers 415 unread.
 func (c *Coordinator) handleRecords(w http.ResponseWriter, r *http.Request) {
-	batch, pooled, err := decodeBatch(r)
+	if ct := r.Header.Get("Content-Type"); !strings.HasPrefix(ct, ContentTypeBinary) {
+		httpError(w, http.StatusUnsupportedMediaType, "record batches must be %s frames, got Content-Type %q", ContentTypeBinary, ct)
+		return
+	}
+	data, err := io.ReadAll(r.Body)
+	var batch RecordBatch
+	if err == nil {
+		batch, err = decodeRecordBatch(data)
+	}
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "decoding record batch: %v", err)
 		return
 	}
-	if pooled {
-		defer releaseRecords(batch.Records)
-	}
+	// The decoded records come from the decode pool; everything kept
+	// below is copied out of them.
+	defer releaseRecords(batch.Records)
 	now := time.Now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -1040,20 +1020,17 @@ func (c *Coordinator) handleRecords(w http.ResponseWriter, r *http.Request) {
 	fresh := make([]runner.Record, 0, len(batch.Records))
 	inBatch := make(map[int]runner.Record, len(batch.Records))
 	for _, rec := range batch.Records {
-		if !u.has(rec.Job) {
-			httpError(w, http.StatusBadRequest, "record rejected: job %d outside unit %d", rec.Job, u.id)
+		// Replay and the adaptive schedule both parse every journaled
+		// record; one they cannot parse must be refused before
+		// anything journals.
+		if err := rec.Validate(); err != nil {
+			httpError(w, http.StatusBadRequest, "record rejected: %v", err)
 			return
 		}
-		if c.planner != nil {
-			// The adaptive schedule folds every accepted record into its
-			// stopping decisions; a record it cannot parse must be
-			// rejected before anything journals, or the owning
-			// location's settled prefix would wedge forever.
-			if _, err := rec.RunRecord(); err != nil {
-				httpError(w, http.StatusBadRequest, "record rejected: %v", err)
-				return
-			}
-		}
+		// A record the coordinator already holds is verified against
+		// it and journals nothing, whichever lease carries it: a batch
+		// re-uploaded after a restart re-carved the units answers with
+		// duplicates. Only fresh records must belong to the unit.
 		prev, dup := c.seen[rec.Job]
 		if !dup {
 			prev, dup = inBatch[rec.Job]
@@ -1067,13 +1044,16 @@ func (c *Coordinator) handleRecords(w http.ResponseWriter, r *http.Request) {
 			resp.Duplicates++
 			continue
 		}
+		if !u.has(rec.Job) {
+			httpError(w, http.StatusBadRequest, "record rejected: job %d outside unit %d", rec.Job, u.id)
+			return
+		}
 		inBatch[rec.Job] = rec
 		fresh = append(fresh, rec)
 	}
 	if len(fresh) > 0 {
 		if c.journal == nil {
 			j, err := runner.OpenJournal(c.cfg.Dir, runner.JournalHeader{
-				Version:      runner.JournalVersionFor(c.planner != nil),
 				Instance:     c.cfg.Instance,
 				Tier:         string(c.cfg.Tier),
 				ConfigDigest: c.info.Digest,
@@ -1084,30 +1064,24 @@ func (c *Coordinator) handleRecords(w http.ResponseWriter, r *http.Request) {
 			}
 			c.journal = j
 		}
-		if c.cfg.Crash == nil {
-			// Steady state: one write for the whole batch.
-			if err := c.journal.AppendBatch(fresh); err != nil {
-				httpError(w, http.StatusInternalServerError, "journaling batch: %v", err)
-				return
-			}
-			for _, rec := range fresh {
-				c.acceptLocked(u, ws, rec)
-				resp.Accepted++
-			}
-		} else {
-			// Chaos-armed: append record by record so the
-			// mid-batch-append crash point can fire with the batch
-			// half-durable — the exact torn state the harness exists to
-			// reproduce.
-			for _, rec := range fresh {
-				if err := c.journal.Append(rec); err != nil {
-					httpError(w, http.StatusInternalServerError, "journaling record: %v", err)
-					return
-				}
-				c.acceptLocked(u, ws, rec)
-				resp.Accepted++
-				c.hitCrashLocked(CrashMidBatchAppend)
-			}
+		// The mid-batch-append crash point: when it fires, only the
+		// first half of the batch reaches the journal before the
+		// coordinator dies — the half-durable batch whose worker never
+		// learns which half landed.
+		torn := c.cfg.Crash.Hit(CrashMidBatchAppend)
+		if torn {
+			fresh = fresh[:(len(fresh)+1)/2]
+		}
+		if err := c.journal.AppendBatch(fresh); err != nil {
+			httpError(w, http.StatusInternalServerError, "journaling batch: %v", err)
+			return
+		}
+		for _, rec := range fresh {
+			c.acceptLocked(u, ws, rec)
+		}
+		resp.Accepted = len(fresh)
+		if torn {
+			c.crashLocked(CrashMidBatchAppend)
 		}
 	}
 	if u.state == unitLeased && u.done == len(u.jobs) {
@@ -1134,7 +1108,7 @@ func (c *Coordinator) acceptLocked(u *unit, ws *workerState, rec runner.Record) 
 	u.done++
 	c.countPruneLocked(rec)
 	ws.records++
-	ws.outcomes[outcomeKey(rec)]++
+	ws.outcomes[rec.Outcome]++
 	if c.planner != nil {
 		// The job passed the unit-membership gate, the unit's list came
 		// from Claim, and duplicates were filtered — Observe can only
@@ -1181,13 +1155,12 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 // handleComplete finishes a unit from the worker's side. Units settle
 // coordinator-side the moment their last record is journaled (ingest
 // or resume), so completion is about what the coordinator does NOT
-// yet hold: a v2 completion against an unsettled unit is answered
+// yet hold: a completion against an unsettled unit is answered
 // NeedRecords — the lazy pull — and against a settled unit it
 // cross-checks the offered record-set digest (and, under Config.Pull,
-// demands the upload anyway for per-record cross-verification). A v1
-// completion (bare lease ID) is only valid for a unit whose records
-// were streamed in full; it otherwise revokes the lease so the gap
-// re-executes elsewhere.
+// demands the upload anyway for per-record cross-verification). A
+// post-upload completion that still finds gaps revokes the lease so
+// the gap re-executes elsewhere.
 func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	var req CompleteRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
@@ -1206,8 +1179,7 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	c.touchWorkerLocked(u.worker, now)
-	v2 := req.Runs > 0 || req.Digest != "" || req.Uploaded
-	if v2 && !req.Uploaded {
+	if !req.Uploaded {
 		// The first (pre-upload) completion carries the unit's
 		// measured cost; the post-upload retry would double-count it.
 		c.observeCostLocked(req.WallMs, req.Runs)
@@ -1218,7 +1190,7 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	}
 	switch {
 	case u.state == unitDone:
-		if v2 && !req.Uploaded {
+		if !req.Uploaded {
 			// Under Config.Pull the records upload even though the
 			// unit is settled: every record arrives as a duplicate and
 			// is verified against the journaled copy — per-record
@@ -1242,7 +1214,7 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 				}
 			}
 		}
-	case v2 && !req.Uploaded:
+	case !req.Uploaded:
 		// The lazy pull: the worker holds records the coordinator
 		// lacks — ask for the upload, keep the lease alive. (The
 		// upload's last batch settles the unit at ingest; the
@@ -1251,10 +1223,9 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, CompleteResponse{NeedRecords: true})
 		return
 	default:
-		// v1 completion with gaps, or a post-upload completion that
-		// still left gaps (the worker's set was partial): the worker
-		// cannot help further — revoke so the gap re-executes
-		// elsewhere.
+		// A post-upload completion that still left gaps (the worker's
+		// set was partial): the worker cannot help further — revoke so
+		// the gap re-executes elsewhere.
 		c.cfg.Logf("distrib: worker %s reported unit %d complete with %d/%d runs journaled — revoking lease",
 			u.worker, u.id, u.done, len(u.jobs))
 		delete(c.byLease, u.leaseID)

@@ -1,6 +1,7 @@
 package distrib
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -83,6 +84,17 @@ func serveCoordinator(t *testing.T, c *Coordinator) (string, *http.Server) {
 	return "http://" + l.Addr().String(), srv
 }
 
+// recordFrame encodes recs as one /v1/records binary frame — the only
+// body encoding the endpoint takes.
+func recordFrame(t testing.TB, leaseID string, recs []runner.Record) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := encodeRecordBatch(&buf, RecordBatch{LeaseID: leaseID, Records: recs}); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 // TestLoopbackMatchesDirect is the subsystem's core guarantee: the
 // paper campaign decomposed into units, executed by a fleet over real
 // HTTP, and reassembled, is bit-identical to a single-node run.
@@ -101,9 +113,9 @@ func TestLoopbackMatchesDirect(t *testing.T) {
 }
 
 // runPartialWorker drives the real wire protocol by hand: lease a
-// unit, stream maxStream records (the v1 JSON mid-run streaming path,
-// which protocol v2 still accepts), then vanish without a heartbeat
-// or complete — a worker killed mid-lease. Returns how many records
+// unit, upload maxStream records one frame each while the unit still
+// runs, then vanish without a heartbeat or complete — a worker killed
+// mid-lease. Returns how many records
 // the coordinator received and the leased unit's id.
 func runPartialWorker(t *testing.T, url, scratch string, maxStream int) (streamed, unitID int) {
 	t.Helper()
@@ -150,7 +162,7 @@ func runPartialWorker(t *testing.T, url, scratch string, maxStream int) (streame
 			return nil
 		}
 		var br BatchResponse
-		if err := w.post(PathRecords, RecordBatch{LeaseID: lr.LeaseID, Records: []runner.Record{rec}}, &br); err != nil {
+		if err := w.send(PathRecords, ContentTypeBinary, recordFrame(t, lr.LeaseID, []runner.Record{rec}), &br); err != nil {
 			return err
 		}
 		count++

@@ -1,11 +1,11 @@
 package distrib
 
 // FuzzProtocol throws arbitrary bytes at the coordinator's four POST
-// endpoints — in both negotiated encodings for /v1/records — and
+// endpoints — typed as binary frames or as JSON for /v1/records — and
 // asserts the hardened-protocol invariants: the coordinator never
-// panics, never answers 5xx to malformed input, and a 4xx reply
-// implies nothing was journaled by that request — the all-or-nothing
-// batch guarantee, for damaged JSON and damaged binary frames alike.
+// panics, never answers 5xx to malformed input, a JSON-typed record
+// body answers 415, and a 4xx reply implies nothing was journaled by
+// that request — the all-or-nothing batch guarantee.
 // Run it natively:
 //
 //	go test ./internal/distrib/ -fuzz FuzzProtocol -fuzztime 30s
@@ -26,17 +26,6 @@ import (
 )
 
 var fuzzPaths = []string{PathLease, PathRecords, PathHeartbeat, PathComplete}
-
-// fuzzFrame encodes one binary record-batch frame for the seed
-// corpus.
-func fuzzFrame(f *testing.F, batch RecordBatch) []byte {
-	f.Helper()
-	var buf bytes.Buffer
-	if err := encodeRecordBatch(&buf, batch); err != nil {
-		f.Fatal(err)
-	}
-	return buf.Bytes()
-}
 
 func FuzzProtocol(f *testing.F) {
 	dir, err := os.MkdirTemp("", "propane-fuzz-*")
@@ -80,28 +69,22 @@ func FuzzProtocol(f *testing.F) {
 	// Binary-frame seeds: a well-formed frame, the same frame with a
 	// record that is out of range, a truncated frame (mid-gzip), a
 	// frame with damaged magic, and raw garbage behind a valid magic.
-	good := fuzzFrame(f, RecordBatch{
-		LeaseID: "L0001-u0",
-		Records: []runner.Record{
-			{Type: "run", Job: 0, Module: "m1", Signal: "s1", Outcome: "ok"},
-			{Type: "run", Job: 1, Module: "m1", Signal: "s2", Outcome: "deviation",
-				Fired: true, FiredAtMs: 12, Diffs: map[string]runner.DiffRecord{
-					"sig": {FirstMs: 1, LastMs: 9, Count: 4},
-				}},
-		},
+	good := recordFrame(f, "L0001-u0", []runner.Record{
+		{Type: "run", Job: 0, Module: "m1", Signal: "s1", Model: "bitflip:0", Outcome: "ok"},
+		{Type: "run", Job: 1, Module: "m1", Signal: "s2", Model: "bitflip:1", Outcome: "deviation",
+			Fired: true, FiredAtMs: 12, Diffs: map[string]runner.DiffRecord{
+				"sig": {FirstMs: 1, LastMs: 9, Count: 4},
+			}},
 	})
 	f.Add(1, true, good)
-	f.Add(1, true, fuzzFrame(f, RecordBatch{
-		LeaseID: "L0001-u0",
-		Records: []runner.Record{{Type: "run", Job: 99999}},
-	}))
+	f.Add(1, true, recordFrame(f, "L0001-u0", []runner.Record{{Type: "run", Job: 99999}}))
 	f.Add(1, true, good[:len(good)/2])
 	bad := bytes.Clone(good)
 	bad[0] ^= 0xff
 	f.Add(1, true, bad)
 	f.Add(1, true, append([]byte("PRB1"), []byte("definitely not gzip")...))
-	// JSON posted with the binary content type (and vice versa) must
-	// fail cleanly, not confuse the decoder.
+	// JSON posted with the binary content type must fail cleanly, not
+	// confuse the decoder; a frame posted as JSON is refused unread.
 	f.Add(1, true, []byte(`{"lease_id":"L0001-u0","records":[{"job":0}]}`))
 	f.Add(1, false, good)
 
@@ -123,6 +106,9 @@ func FuzzProtocol(f *testing.F) {
 
 		if rec.Code >= 500 {
 			t.Fatalf("%s answered %d to fuzzed input %q: %s", path, rec.Code, body, rec.Body.Bytes())
+		}
+		if path == PathRecords && !binary && rec.Code != http.StatusUnsupportedMediaType {
+			t.Fatalf("JSON-typed record body answered %d, want 415: %s", rec.Code, rec.Body.Bytes())
 		}
 		if !json.Valid(rec.Body.Bytes()) {
 			t.Fatalf("%s answered non-JSON %q to input %q", path, rec.Body.Bytes(), body)

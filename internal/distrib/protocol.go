@@ -15,24 +15,19 @@
 // whole job space, the journal reassembles — via runner.Assemble —
 // into a result bit-identical to a single-node run.
 //
-// Protocol v2 endpoints:
+// Endpoints:
 //
 //	POST /v1/lease      LeaseRequest  → LeaseResponse       (JSON)
-//	POST /v1/records    RecordBatch   → BatchResponse       (JSON or binary frame)
+//	POST /v1/records    RecordBatch   → BatchResponse       (binary frame)
 //	POST /v1/heartbeat  HeartbeatRequest → HeartbeatResponse (JSON)
 //	POST /v1/complete   CompleteRequest  → CompleteResponse  (JSON)
 //	GET  /status        → Status
 //	GET  /metrics       → Metrics
 //
-// /v1/records negotiates its body encoding by Content-Type: the
-// length-prefixed, gzip-compressed binary frame (ContentTypeBinary,
-// see codec.go) is the default for v2 workers — the coordinator
-// advertises support in LeaseResponse.Binary — and per-record JSON
-// (ContentTypeJSON) remains fully supported, so version-skewed
-// workers, mixed fleets and hand-rolled tooling interoperate batch by
-// batch. Mid-run streaming of JSON batches (the v1 worker behavior)
-// is still accepted and journaled; v2 workers simply have no reason
-// to use it.
+// /v1/records takes only the length-prefixed, gzip-compressed binary
+// frame (ContentTypeBinary, see codec.go); any other Content-Type
+// answers 415 and journals nothing. The coordinator's journal keeps
+// the records as JSON lines, the readable view of what was uploaded.
 //
 // A request against an unknown or expired lease fails with HTTP 409;
 // the worker abandons the unit (another worker owns it now) and asks
@@ -87,8 +82,9 @@ const (
 	// endpoint multiplexes several (internal/service). The worker
 	// echoes LeaseResponse.Campaign verbatim; routing reads only this
 	// header, so the body — and with it the digest and idempotency
-	// keys — is untouched. Absent against a single-campaign
-	// coordinator (propaned -instance), which ignores it.
+	// keys — is untouched. The service refuses a unit-scoped request
+	// without it (409); a single-campaign coordinator (propaned
+	// -instance) ignores it.
 	HeaderCampaign = "X-Propane-Campaign"
 	// HeaderTenant names the submitting tenant on the service's
 	// campaign API (admission control quotas are per tenant). Absent
@@ -184,26 +180,19 @@ type LeaseResponse struct {
 	TTLMs   int64     `json:"ttl_ms,omitempty"`
 	RetryMs int64     `json:"retry_ms,omitempty"`
 	Unit    *WorkUnit `json:"unit,omitempty"`
-	// Binary advertises that this coordinator decodes the binary
-	// record-batch frame on /v1/records. A worker facing an older
-	// coordinator (field absent → false) sticks to JSON — content
-	// negotiation without an extra round-trip.
-	Binary bool `json:"binary,omitempty"`
 	// Campaign identifies the campaign this lease belongs to when the
 	// coordinator side multiplexes several over one fleet
 	// (internal/service). The worker echoes it in HeaderCampaign on
 	// every unit-scoped request. Empty from a single-campaign
-	// coordinator — v2 workers and coordinators interoperate in both
-	// directions.
+	// coordinator.
 	Campaign string `json:"campaign,omitempty"`
 }
 
 // RecordBatch uploads completed runs to the coordinator — the bulk
-// upload after a digest-only completion answered NeedRecords, or a
-// v1-style mid-run stream. Batches may overlap previous deliveries
-// (worker restart, reassigned lease): records are content-keyed by
-// job index, so duplicates are verified idempotent and conflicting
-// content is rejected.
+// upload after a digest-only completion answered NeedRecords. Batches
+// may overlap previous deliveries (worker restart, reassigned lease):
+// records are content-keyed by job index, so duplicates are verified
+// idempotent and conflicting content is rejected.
 type RecordBatch struct {
 	LeaseID string          `json:"lease_id"`
 	Records []runner.Record `json:"records"`
@@ -234,14 +223,11 @@ type HeartbeatResponse struct {
 	TTLMs int64 `json:"ttl_ms"`
 }
 
-// CompleteRequest reports a unit finished from the worker's side. A
-// v2 worker fills the digest-only completion fields: the coordinator
-// settles the unit without any record transfer when it already holds
-// the records (reassignment races, resume), and answers NeedRecords
-// to pull the full set otherwise. A bare {LeaseID} is the v1 form:
-// valid only once the unit's records are fully journaled
-// coordinator-side (mid-run streaming), rejected with a revoked lease
-// otherwise.
+// CompleteRequest reports a unit finished from the worker's side with
+// the digest-only completion fields: the coordinator settles the unit
+// without any record transfer when it already holds the records
+// (reassignment races, resume), and answers NeedRecords to pull the
+// full set otherwise. A bare {LeaseID} gets the same treatment.
 type CompleteRequest struct {
 	LeaseID string `json:"lease_id"`
 	// Runs is how many records the worker holds locally for the unit.

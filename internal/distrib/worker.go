@@ -54,11 +54,6 @@ type WorkerOptions struct {
 	// abandons the lease (the local journal retains the work). <= 0
 	// selects 10.
 	MaxErrors int
-	// Encoding selects the /v1/records body encoding: "" negotiates
-	// (binary frame when the coordinator advertises it, JSON
-	// otherwise), "json" forces per-record JSON — for version-skew
-	// drills and debugging with readable wire traffic.
-	Encoding string
 	// Chaos, when non-nil and enabled, wraps this worker's HTTP
 	// client in a fault-injecting chaos.Transport. The worker derives
 	// its own seed from Spec.Seed and its name, so one campaign-level
@@ -103,9 +98,6 @@ func (o *WorkerOptions) normalise() error {
 	}
 	if o.MaxErrors <= 0 {
 		o.MaxErrors = 10
-	}
-	if o.Encoding != "" && o.Encoding != "json" {
-		return fmt.Errorf("distrib: unknown record encoding %q (want \"\" or \"json\")", o.Encoding)
 	}
 	if o.Logf == nil {
 		o.Logf = func(string, ...any) {}
@@ -158,10 +150,6 @@ type worker struct {
 	ctx    context.Context
 	client *http.Client
 	policy backoff.Policy
-	// jsonOnly flips permanently when a binary upload is refused —
-	// the coordinator predates the frame despite advertising it (or a
-	// middlebox strips the content type); JSON always works.
-	jsonOnly bool
 	// campaign is the current lease's campaign ID, echoed as
 	// HeaderCampaign on every unit-scoped request so a multiplexing
 	// service can route it. Written only between units (runUnit joins
@@ -460,7 +448,7 @@ const liveAttempts = 3
 func unitOutcome(recs []runner.Record) (outcomes map[string]int, pruned, memoized, storeMemo, converged int) {
 	outcomes = make(map[string]int, 4)
 	for _, rec := range recs {
-		outcomes[outcomeKey(rec)]++
+		outcomes[rec.Outcome]++
 		switch rec.Pruned {
 		case campaign.PrunedNoOp, campaign.PrunedUnfired:
 			pruned++
@@ -476,24 +464,15 @@ func unitOutcome(recs []runner.Record) (outcomes map[string]int, pruned, memoize
 	return outcomes, pruned, memoized, storeMemo, converged
 }
 
-// encodeChunk builds one /v1/records body in the negotiated encoding.
-// The returned release func recycles the pooled buffer backing a
-// binary frame (nil-safe, no-op for JSON).
-func (w *worker) encodeChunk(leaseID string, recs []runner.Record, binary bool) (body []byte, contentType string, release func(), err error) {
-	batch := RecordBatch{LeaseID: leaseID, Records: recs}
-	if binary {
-		buf := acquireBuffer()
-		if err := encodeRecordBatch(buf, batch); err != nil {
-			releaseBuffer(buf)
-			return nil, "", nil, err
-		}
-		return buf.Bytes(), ContentTypeBinary, func() { releaseBuffer(buf) }, nil
+// encodeChunk builds one /v1/records binary frame. The returned
+// release func recycles the pooled buffer backing it.
+func encodeChunk(leaseID string, recs []runner.Record) (body []byte, release func(), err error) {
+	buf := acquireBuffer()
+	if err := encodeRecordBatch(buf, RecordBatch{LeaseID: leaseID, Records: recs}); err != nil {
+		releaseBuffer(buf)
+		return nil, nil, err
 	}
-	data, err := json.Marshal(batch)
-	if err != nil {
-		return nil, "", nil, fmt.Errorf("distrib: encoding record batch: %w", err)
-	}
-	return data, ContentTypeJSON, func() {}, nil
+	return buf.Bytes(), func() { releaseBuffer(buf) }, nil
 }
 
 // runUnit executes one leased work unit through the local supervised
@@ -691,14 +670,13 @@ func (w *worker) complete(lr LeaseResponse, creq CompleteRequest) (cr CompleteRe
 }
 
 // uploadRecords bulk-uploads a completed unit's record set in
-// BatchSize chunks, in the negotiated encoding. An unreachable
+// BatchSize chunks of binary frames. An unreachable
 // coordinator degrades the upload instead of failing it: the chunk
 // retries under the full MaxErrors ladder, and only two consecutive
 // exhausted ladders abandon the lease (abandon=true) — the local
 // journal retains the records, so a later lease of the same job list
 // fast-forwards straight back here.
 func (w *worker) uploadRecords(lr LeaseResponse, recs []runner.Record, lost *atomic.Bool) (abandon bool, err error) {
-	binary := lr.Binary && w.opts.Encoding != "json" && !w.jsonOnly
 	degraded := false
 	exhausted := 0
 	for off := 0; off < len(recs); {
@@ -711,7 +689,7 @@ func (w *worker) uploadRecords(lr LeaseResponse, recs []runner.Record, lost *ato
 		if end > len(recs) {
 			end = len(recs)
 		}
-		body, contentType, release, err := w.encodeChunk(lr.LeaseID, recs[off:end], binary)
+		body, release, err := encodeChunk(lr.LeaseID, recs[off:end])
 		if err != nil {
 			return false, err
 		}
@@ -720,7 +698,7 @@ func (w *worker) uploadRecords(lr LeaseResponse, recs []runner.Record, lost *ato
 			attempts = w.opts.MaxErrors
 		}
 		var br BatchResponse
-		sendErr := w.sendRetry(PathRecords, contentType, body, &br, attempts)
+		sendErr := w.sendRetry(PathRecords, ContentTypeBinary, body, &br, attempts)
 		release()
 		if sendErr == nil {
 			if degraded {
@@ -735,16 +713,6 @@ func (w *worker) uploadRecords(lr LeaseResponse, recs []runner.Record, lost *ato
 			w.opts.Logf("distrib: worker %s: lease %s lost mid-upload — abandoning; the local journal retains the work",
 				w.opts.Name, lr.LeaseID)
 			return true, nil
-		}
-		if binary && fatalStatus(sendErr) {
-			// The coordinator refuses the binary frame (version skew,
-			// or a middlebox mangled the content type): fall back to
-			// JSON permanently and retry this chunk.
-			w.opts.Logf("distrib: worker %s: binary record frame refused (%v) — falling back to JSON",
-				w.opts.Name, sendErr)
-			w.jsonOnly = true
-			binary = false
-			continue
 		}
 		if fatalStatus(sendErr) || w.ctx.Err() != nil {
 			return false, sendErr

@@ -32,8 +32,8 @@ func TestAdaptiveRunKillAndResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hdr.Version != journalVersionAdaptive {
-		t.Errorf("adaptive journal stamped version %d, want %d", hdr.Version, journalVersionAdaptive)
+	if hdr.Version != journalVersion {
+		t.Errorf("adaptive journal stamped version %d, want %d", hdr.Version, journalVersion)
 	}
 	rounds := 0
 	for _, r := range baseRecs {

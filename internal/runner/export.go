@@ -133,13 +133,6 @@ func RecordSetDigest(recs []Record) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// JournalVersionFor returns the journal header version a campaign
-// stamps: version 4 when adaptive sampling decides the job set,
-// version 3 otherwise. External orchestrators opening a journal for an
-// adaptive campaign pass it as JournalHeader.Version so their
-// files match what Run itself would write.
-func JournalVersionFor(adaptive bool) int { return journalVersionFor(adaptive) }
-
 // JournalHeader is the exported view of a journal file's header line.
 type JournalHeader struct {
 	Version      int
@@ -186,15 +179,14 @@ type Journal struct {
 
 // OpenJournal opens (or reopens) the campaign journal under dir,
 // writing the header when the file is empty and verifying the
-// config digest when it is not (ErrDigestMismatch otherwise).
+// config digest when it is not (ErrDigestMismatch otherwise). The
+// header always stamps the current journal version; hdr.Version is
+// ignored.
 func OpenJournal(dir string, hdr JournalHeader) (*Journal, error) {
-	if hdr.Version == 0 {
-		hdr.Version = journalVersion
-	}
 	path := JournalPath(dir)
 	w, err := openJournal(path, header{
 		Type:         "header",
-		Version:      hdr.Version,
+		Version:      journalVersion,
 		Instance:     hdr.Instance,
 		Tier:         hdr.Tier,
 		ConfigDigest: hdr.ConfigDigest,
@@ -207,9 +199,6 @@ func OpenJournal(dir string, hdr JournalHeader) (*Journal, error) {
 
 // Path returns the journal's file path.
 func (j *Journal) Path() string { return j.path }
-
-// Append journals one record.
-func (j *Journal) Append(rec Record) error { return j.w.Append(rec) }
 
 // AppendBatch journals a whole batch of records with one write —
 // the coordinator's bulk-ingest path for worker-uploaded units.

@@ -22,29 +22,15 @@ import (
 // replays losslessly into the campaign aggregates (campaign.Replay),
 // so an interrupted campaign converges to the uninterrupted result.
 
-// journalVersion guards the record schema. Version 2 added the
-// outcome/detail/attempts fields; version 3 added the pruned label.
-// Both are additive and omitted when empty, so older journals load
-// unchanged (records without an outcome are classified from their
-// diffs on replay; records without a pruned label count as executed).
-const journalVersion = 3
+// journalVersion guards the record schema. Every campaign stamps it;
+// loading also accepts version 3, which shares the schema (fixed-matrix
+// campaigns stamped it before the adaptive round label made every
+// journal version 4). Versions 1 and 2 predate the required outcome
+// field and are refused.
+const journalVersion = 4
 
-// journalVersionAdaptive labels journals written by adaptive
-// campaigns (campaign.AdaptiveMode), whose records carry the
-// additive round label. Non-adaptive campaigns keep stamping
-// journalVersion, so an AdaptiveOff run's journal stays byte-
-// identical to earlier builds'. Loading accepts either.
-const journalVersionAdaptive = 4
-
-// journalVersionFor returns the header version a campaign stamps on
-// its journals: version 4 when adaptive sampling decides the job set,
-// version 3 otherwise.
-func journalVersionFor(adaptive bool) int {
-	if adaptive {
-		return journalVersionAdaptive
-	}
-	return journalVersion
-}
+// minJournalVersion is the oldest journal version loading accepts.
+const minJournalVersion = 3
 
 // Sentinel errors for journal and assembly integrity failures, so
 // orchestration layers (and operators' scripts) can distinguish "the
@@ -138,8 +124,7 @@ type Record struct {
 	// Diffs holds the deviating signals only.
 	Diffs map[string]DiffRecord `json:"diffs,omitempty"`
 	// Outcome classifies the run (ok/deviation/crash/hang/
-	// quarantined). Empty in version-1 journals; replay then derives
-	// ok-or-deviation from the diffs.
+	// quarantined). Required: RunRecord rejects any other value.
 	Outcome string `json:"outcome,omitempty"`
 	// Detail carries the crash's panic value or the quarantined job's
 	// last worker error.
@@ -194,12 +179,31 @@ func newRecord(job int, rec campaign.RunRecord) (Record, error) {
 	return r, nil
 }
 
-// RunRecord converts a journaled record back into the campaign form
-// consumed by Config.Replay.
-func (r Record) RunRecord() (campaign.RunRecord, error) {
+// Validate reports whether RunRecord would accept the record: its
+// outcome is one of the campaign.Outcome constants and its model spec
+// parses. It costs no more than the spec parse.
+func (r Record) Validate() error {
+	_, err := r.model()
+	return err
+}
+
+func (r Record) model() (inject.ErrorModel, error) {
+	if !campaign.Outcome(r.Outcome).Valid() {
+		return nil, fmt.Errorf("runner: journal record job %d: unknown outcome %q", r.Job, r.Outcome)
+	}
 	model, err := inject.ParseSpec(r.Model)
 	if err != nil {
-		return campaign.RunRecord{}, fmt.Errorf("runner: journal record job %d: %w", r.Job, err)
+		return nil, fmt.Errorf("runner: journal record job %d: %w", r.Job, err)
+	}
+	return model, nil
+}
+
+// RunRecord converts a journaled record back into the campaign form
+// consumed by Config.Replay, rejecting what Validate rejects.
+func (r Record) RunRecord() (campaign.RunRecord, error) {
+	model, err := r.model()
+	if err != nil {
+		return campaign.RunRecord{}, err
 	}
 	rec := campaign.RunRecord{
 		Injection: inject.Injection{
@@ -238,10 +242,20 @@ func (r Record) RunRecord() (campaign.RunRecord, error) {
 // anyway on most filesystems; the sync is for power loss).
 const syncEvery = 256
 
-// journalWriter appends records to a journal file.
+// journalWriter appends records to a journal file. buf and enc stage
+// one write's worth of lines and are reused across writes; callers
+// serialise (the runner's observer path, the coordinator's lock).
 type journalWriter struct {
 	f       *os.File
 	pending int
+	buf     bytes.Buffer
+	enc     *json.Encoder
+}
+
+func newJournalWriter(f *os.File) *journalWriter {
+	w := &journalWriter{f: f}
+	w.enc = json.NewEncoder(&w.buf)
+	return w
 }
 
 // openJournal opens (or creates) the journal for appending and writes
@@ -287,58 +301,32 @@ func openJournal(path string, hdr header) (*journalWriter, error) {
 			f.Close()
 			return nil, fmt.Errorf("runner: syncing journal header: %w", err)
 		}
-		return &journalWriter{f: f}, nil
+		return newJournalWriter(f), nil
 	}
 	if existing.ConfigDigest != hdr.ConfigDigest {
 		f.Close()
 		return nil, fmt.Errorf("runner: journal %s belongs to config %s, not %s — refusing to mix campaigns: %w",
 			path, existing.ConfigDigest, hdr.ConfigDigest, ErrDigestMismatch)
 	}
-	return &journalWriter{f: f}, nil
+	return newJournalWriter(f), nil
 }
 
-// Append journals one record. Each record is written with a single
-// Write call so concurrent readers never see a torn line except at a
-// genuine crash point.
-func (w *journalWriter) Append(rec Record) error {
-	line, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("runner: encoding journal record: %w", err)
-	}
-	if _, err := w.f.Write(append(line, '\n')); err != nil {
-		return fmt.Errorf("runner: appending journal record: %w", err)
-	}
-	w.pending++
-	if w.pending >= syncEvery {
-		w.pending = 0
-		if err := w.f.Sync(); err != nil {
-			return fmt.Errorf("runner: syncing journal: %w", err)
-		}
-	}
-	return nil
-}
-
-// AppendBatch journals a batch of records with a single Write call —
-// the bulk-ingest path of the distributed coordinator, where one
-// worker uploads a whole completed unit at once. The one-Write
-// contract means a crash tears at most the final line of the batch,
-// exactly like Append's per-record guarantee.
+// AppendBatch journals records with a single Write call — one record
+// per injection run on the runner's observer path, a whole uploaded
+// unit on the coordinator's ingest path. The one-Write contract means
+// a crash tears at most the final line of the batch.
 func (w *journalWriter) AppendBatch(recs []Record) error {
 	if len(recs) == 0 {
 		return nil
 	}
-	var buf bytes.Buffer
-	buf.Grow(len(recs) * 192)
-	for _, rec := range recs {
-		line, err := json.Marshal(rec)
-		if err != nil {
+	w.buf.Reset()
+	for i := range recs {
+		if err := w.enc.Encode(&recs[i]); err != nil {
 			return fmt.Errorf("runner: encoding journal record: %w", err)
 		}
-		buf.Write(line)
-		buf.WriteByte('\n')
 	}
-	if _, err := w.f.Write(buf.Bytes()); err != nil {
-		return fmt.Errorf("runner: appending journal batch: %w", err)
+	if _, err := w.f.Write(w.buf.Bytes()); err != nil {
+		return fmt.Errorf("runner: appending journal records: %w", err)
 	}
 	w.pending += len(recs)
 	if w.pending >= syncEvery {
@@ -399,8 +387,8 @@ func loadJournal(path string) (hdr header, recs []Record, validLen int64, err er
 				}
 				return header{}, nil, 0, fmt.Errorf("runner: journal %s has no valid header", path)
 			}
-			if hdr.Version < 1 || hdr.Version > journalVersionAdaptive {
-				return header{}, nil, 0, fmt.Errorf("runner: journal %s is version %d, want 1..%d", path, hdr.Version, journalVersionAdaptive)
+			if hdr.Version < minJournalVersion || hdr.Version > journalVersion {
+				return header{}, nil, 0, fmt.Errorf("runner: journal %s is version %d, want %d..%d", path, hdr.Version, minJournalVersion, journalVersion)
 			}
 			pos = lineEnd
 			validLen = int64(lineEnd)

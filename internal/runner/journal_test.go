@@ -24,6 +24,7 @@ func sampleRunRecord() campaign.RunRecord {
 		FiredAt:       2501,
 		SystemFailure: true,
 		FailureAt:     2710,
+		Outcome:       campaign.OutcomeDeviation,
 		Diffs: map[string]trace.Diff{
 			"SetValue": {Signal: "SetValue", First: 2502, Last: 2900, Count: 41},
 			"OutValue": {Signal: "OutValue", First: -1, Last: -1, Count: 0},
@@ -71,7 +72,7 @@ func TestJournalAppendLoad(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := w.Append(jr); err != nil {
+		if err := w.AppendBatch([]Record{jr}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -110,7 +111,7 @@ func TestJournalToleratesTornTail(t *testing.T) {
 	}
 	for i := 0; i < 3; i++ {
 		jr, _ := newRecord(i, sampleRunRecord())
-		if err := w.Append(jr); err != nil {
+		if err := w.AppendBatch([]Record{jr}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -330,8 +330,6 @@ func Run(cfg campaign.Config, opts Options) (*RunResult, error) {
 	if opts.Workers > 0 {
 		cfg.Workers = opts.Workers
 	}
-	adaptive := cfg.AdaptiveEnabled()
-
 	plan, err := cfg.Plan()
 	if err != nil {
 		return nil, err
@@ -414,7 +412,7 @@ func Run(cfg campaign.Config, opts Options) (*RunResult, error) {
 	}
 
 	jw, err := openJournal(journalPath, header{
-		Type: "header", Version: journalVersionFor(adaptive),
+		Type: "header", Version: journalVersion,
 		Instance: opts.Name, Tier: string(opts.Tier),
 		ConfigDigest: snap.Digest,
 	})
@@ -507,7 +505,7 @@ func Run(cfg campaign.Config, opts Options) (*RunResult, error) {
 			} else if jrec, err := newRecord(job, rec); err != nil {
 				observeErr = err
 			} else if err := retryIO(opts.maxRetries(), opts.Logf, "journal append", func() error {
-				return jw.Append(jrec)
+				return jw.AppendBatch([]Record{jrec})
 			}); err != nil {
 				observeErr = err
 			} else if opts.OnRecord != nil {

@@ -1,9 +1,8 @@
 package runner
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -80,104 +79,29 @@ func TestRetryIOGivesUpAndCaps(t *testing.T) {
 	}
 }
 
-// rewriteAsV1 rewrites a journal in the pre-supervision (version 1)
-// schema: header version 1, no outcome/detail/attempts fields — the
-// exact bytes a PR-1 binary would have produced for a benign target.
-func rewriteAsV1(t *testing.T, path string) {
-	t.Helper()
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out bytes.Buffer
-	for i, line := range bytes.Split(bytes.TrimRight(data, "\n"), []byte("\n")) {
-		var obj map[string]any
-		if err := json.Unmarshal(line, &obj); err != nil {
-			t.Fatalf("journal line %d: %v", i+1, err)
-		}
-		if obj["type"] == "header" {
-			obj["version"] = 1
-		}
-		delete(obj, "outcome")
-		delete(obj, "detail")
-		delete(obj, "attempts")
-		enc, err := json.Marshal(obj)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out.Write(enc)
-		out.WriteByte('\n')
-	}
-	if err := os.WriteFile(path, out.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestJournalV1Compat is the forward-compatibility guarantee: a
-// journal written by the pre-supervision schema (version 1, no
-// outcome fields) loads, resumes and converges to the bit-identical
-// matrix under the current binary.
-func TestJournalV1Compat(t *testing.T) {
-	baseDir := t.TempDir()
-	base, err := RunInstance("reduced", TierQuick, Options{Dir: baseDir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantMatrix, wantRuns, wantUnfired := fingerprintResult(t, base)
-
-	journal := filepath.Join(baseDir, "journal.jsonl")
-	rewriteAsV1(t, journal)
-	hdr, recs, _, err := loadJournal(journal)
-	if err != nil {
-		t.Fatalf("loading v1 journal: %v", err)
-	}
-	if hdr.Version != 1 || len(recs) != wantRuns {
-		t.Fatalf("v1 journal: version %d with %d records, want 1 with %d", hdr.Version, len(recs), wantRuns)
-	}
-	for _, r := range recs {
-		if r.Outcome != "" || r.Detail != "" || r.Attempts != 0 {
-			t.Fatal("v1 rewrite left supervision fields behind")
-		}
-	}
-
-	// Truncate to a mid-campaign kill and resume under the v2 binary.
-	data, err := os.ReadFile(journal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(journal, data[:len(data)/2], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	// Drop the finished artifacts so the resume provably rebuilds them.
-	for _, name := range []string{"metrics.json", "report.md", "failures.md"} {
-		if err := os.Remove(filepath.Join(baseDir, name)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	rr, err := RunInstance("reduced", TierQuick, Options{Dir: baseDir, Resume: true})
-	if err != nil {
-		t.Fatalf("resuming v1 journal: %v", err)
-	}
-	matrix, runs, unfired := fingerprintResult(t, rr)
-	if matrix != wantMatrix || runs != wantRuns || unfired != wantUnfired {
-		t.Errorf("v1 resume diverged: runs/unfired %d/%d want %d/%d, matrix equal=%v",
-			runs, unfired, wantRuns, wantUnfired, matrix == wantMatrix)
-	}
-	if rr.Metrics.ReplayedRuns == 0 || rr.Metrics.ExecutedRuns == 0 {
-		t.Errorf("v1 resume replayed %d / executed %d, want both non-zero",
-			rr.Metrics.ReplayedRuns, rr.Metrics.ExecutedRuns)
-	}
-}
-
+// TestJournalRejectsFutureVersion pins the versions loading accepts:
+// 3 and 4 share one schema; 1 and 2 predate the required outcome
+// field, and anything above 4 is from a newer build. A refusal names
+// the version.
 func TestJournalRejectsFutureVersion(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "journal.jsonl")
-	hdr := `{"type":"header","version":99,"config_digest":"x"}` + "\n"
-	if err := os.WriteFile(path, []byte(hdr), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, _, err := loadJournal(path); err == nil {
-		t.Error("loadJournal accepted a future journal version")
+	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	for _, tc := range []struct {
+		version int
+		ok      bool
+	}{{1, false}, {2, false}, {3, true}, {4, true}, {5, false}, {99, false}} {
+		hdr := fmt.Sprintf(`{"type":"header","version":%d,"config_digest":"x"}`, tc.version) + "\n"
+		if err := os.WriteFile(path, []byte(hdr), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, _, _, err := loadJournal(path)
+		switch {
+		case tc.ok && err != nil:
+			t.Errorf("version %d refused: %v", tc.version, err)
+		case !tc.ok && err == nil:
+			t.Errorf("loadJournal accepted journal version %d", tc.version)
+		case !tc.ok && !strings.Contains(err.Error(), fmt.Sprintf("version %d", tc.version)):
+			t.Errorf("version %d refusal does not name the version: %v", tc.version, err)
+		}
 	}
 }
 

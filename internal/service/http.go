@@ -361,7 +361,7 @@ func (s *Service) handleLease(w http.ResponseWriter, r *http.Request) {
 		}
 		if s.closed {
 			s.mu.Unlock()
-			writeJSON(w, distrib.LeaseResponse{Status: distrib.StatusDone, Binary: true})
+			writeJSON(w, distrib.LeaseResponse{Status: distrib.StatusDone})
 			return
 		}
 		cands := s.leaseCandidatesLocked()
@@ -391,7 +391,7 @@ func (s *Service) handleLease(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		if wait <= 0 {
-			writeJSON(w, distrib.LeaseResponse{Status: distrib.StatusWait, RetryMs: leaseRetryMs, Binary: true})
+			writeJSON(w, distrib.LeaseResponse{Status: distrib.StatusWait, RetryMs: leaseRetryMs})
 			return
 		}
 		t := time.NewTimer(wait)
@@ -411,32 +411,18 @@ func (s *Service) handleLease(w http.ResponseWriter, r *http.Request) {
 // /v1/heartbeat, /v1/complete) to the owning campaign's coordinator
 // by the X-Propane-Campaign header, body untouched — the coordinator's
 // own digest verification and idempotency replay see exactly what the
-// worker sent. A request without the header (a legacy single-campaign
-// worker) routes to the unique active campaign when there is exactly
-// one; anything unresolvable answers 409, which the worker treats as
-// a revoked lease and abandons cleanly.
+// worker sent. Every service lease names its campaign and the worker
+// echoes it, so a request without the header, or naming no live
+// campaign, answers 409, which the worker treats as a revoked lease
+// and abandons cleanly.
 func (s *Service) forward(w http.ResponseWriter, r *http.Request) {
 	if !s.gate(w) {
 		return
 	}
 	id := r.Header.Get(distrib.HeaderCampaign)
 	s.mu.Lock()
-	var cs *campaignState
-	if id != "" {
-		cs = s.campaigns[id]
-	} else {
-		for _, c := range s.campaigns {
-			if c.State == StateActive {
-				if cs != nil {
-					cs = nil // ambiguous: two active campaigns, no header
-					break
-				}
-				cs = c
-			}
-		}
-	}
 	var h http.Handler
-	if cs != nil && cs.handler != nil {
+	if cs := s.campaigns[id]; cs != nil && cs.handler != nil {
 		h = cs.handler
 	}
 	s.mu.Unlock()

@@ -291,6 +291,61 @@ func TestEventsStream(t *testing.T) {
 	waitState(t, svc, a.ID, StateDone, time.Minute)
 }
 
+// TestUnitRPCsNeedCampaignHeader pins routing of unit-scoped worker
+// RPCs: they route by X-Propane-Campaign alone. Even with a single
+// active campaign holding a live lease, a heartbeat without the header
+// answers 409; the same heartbeat with it renews the lease.
+func TestUnitRPCsNeedCampaignHeader(t *testing.T) {
+	svc, url, stop := startService(t, Options{Dir: t.TempDir(), Units: 2, LeaseTTL: 5 * time.Second})
+	defer stop()
+	resp, a := submitHTTP(t, url, "", SubmitRequest{Instance: "reduced", Tier: "quick"})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: %d", resp.StatusCode)
+	}
+	waitState(t, svc, a.ID, StateActive, time.Minute)
+
+	post := func(path, campaign string, req, reply any) int {
+		t.Helper()
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hreq, err := http.NewRequest(http.MethodPost, url+path, bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		hreq.Header.Set("Content-Type", distrib.ContentTypeJSON)
+		if campaign != "" {
+			hreq.Header.Set(distrib.HeaderCampaign, campaign)
+		}
+		hresp, err := http.DefaultClient.Do(hreq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer hresp.Body.Close()
+		if reply != nil && hresp.StatusCode == http.StatusOK {
+			if err := json.NewDecoder(hresp.Body).Decode(reply); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return hresp.StatusCode
+	}
+	var lr distrib.LeaseResponse
+	if code := post(distrib.PathLease, "", distrib.LeaseRequest{Worker: "probe"}, &lr); code != http.StatusOK || lr.Status != distrib.StatusUnit {
+		t.Fatalf("lease answered %d with status %q, want a unit", code, lr.Status)
+	}
+	if lr.Campaign != a.ID {
+		t.Fatalf("lease names campaign %q, want %q", lr.Campaign, a.ID)
+	}
+	hb := distrib.HeartbeatRequest{LeaseID: lr.LeaseID}
+	if code := post(distrib.PathHeartbeat, "", hb, nil); code != http.StatusConflict {
+		t.Errorf("heartbeat without the campaign header answered %d, want 409", code)
+	}
+	if code := post(distrib.PathHeartbeat, lr.Campaign, hb, nil); code != http.StatusOK {
+		t.Errorf("heartbeat with the campaign header answered %d, want 200", code)
+	}
+}
+
 // TestAdmissionControl drives the write controller through every
 // rejection: per-tenant queue quota, per-tenant jobs quota, the delay
 // threshold's growing backoff, and the stop threshold — each a 429
