@@ -242,7 +242,6 @@ func newAdaptiveScheduler(cfg Config, plan []inject.Injection, preds []casePredi
 		wake:     make(chan struct{}, 1),
 		fullRuns: len(plan) * len(cfg.TestCases),
 	}
-	persistent := cfg.FaultDurationMs > 0
 	locIdx := make(map[[2]string]int)
 	type orderedJob struct {
 		key uint64
@@ -272,13 +271,9 @@ func newAdaptiveScheduler(cfg Config, plan []inject.Injection, preds []casePredi
 		}
 		pk := portKey{module: inj.Module, signal: inj.Signal}
 		for ci := range cfg.TestCases {
-			fires := false
-			if persistent {
-				fires = preds[ci].persistent[pk][inj.At].fires
-			} else {
-				fires = preds[ci].transient[pk][inj.At].fires
-			}
-			if !fires {
+			// Only the campaign's fault mode has predictions; the other
+			// map is nil and reads as "cannot fire".
+			if !preds[ci].transient[pk][inj.At].fires && !preds[ci].persistent[pk][inj.At].fires {
 				continue
 			}
 			tie := fmt.Sprintf("%s#%d", inj.String(), ci)
@@ -546,17 +541,11 @@ func goldenActivity(goldens []*trace.Trace) map[string]float64 {
 			continue
 		}
 		for _, sig := range g.Signals() {
-			samples, err := g.Samples(sig)
-			if err != nil || len(samples) < 2 {
+			changes, samples := g.Changes(sig)
+			if samples < 2 {
 				continue
 			}
-			changes := 0
-			for i := 1; i < len(samples); i++ {
-				if samples[i] != samples[i-1] {
-					changes++
-				}
-			}
-			acc[sig] += float64(changes) / float64(len(samples)-1)
+			acc[sig] += float64(changes) / float64(samples-1)
 		}
 	}
 	for k := range acc {

@@ -816,16 +816,13 @@ func workerCount(configured int) int {
 // the same worker-pool pattern Run uses for injection jobs (each run
 // is fully independent and deterministic, so the resulting traces are
 // identical to a serial recording). When the campaign prunes, each
-// golden run additionally captures the instrumented-read log and
-// distills it into the per-case firing predictions; the returned
-// predictions are nil otherwise.
+// golden run additionally streams its instrumented reads into the
+// per-case firing predictions; the returned predictions are nil
+// otherwise.
 func goldenRuns(cfg Config) ([]*trace.Trace, []casePredictions, error) {
 	capture := cfg.pruningEnabled() || cfg.adaptiveEnabled()
 	goldens := make([]*trace.Trace, len(cfg.TestCases))
-	var preds []casePredictions
-	if capture {
-		preds = make([]casePredictions, len(cfg.TestCases))
-	}
+	preds := make([]casePredictions, len(cfg.TestCases))
 	errs := make([]error, len(cfg.TestCases))
 	idx := make(chan int)
 	var wg sync.WaitGroup
@@ -834,11 +831,7 @@ func goldenRuns(cfg Config) ([]*trace.Trace, []casePredictions, error) {
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				var p casePredictions
-				goldens[i], p, errs[i] = goldenRun(cfg, i, capture)
-				if capture {
-					preds[i] = p
-				}
+				goldens[i], preds[i], errs[i] = goldenRun(cfg, i, capture)
 			}
 		}()
 	}
@@ -852,18 +845,20 @@ func goldenRuns(cfg Config) ([]*trace.Trace, []casePredictions, error) {
 			return nil, nil, err
 		}
 	}
+	if !capture {
+		preds = nil
+	}
 	return goldens, preds, nil
 }
 
 // goldenRun records the Golden Run of one test case, optionally
-// logging every instrumented read for the pruning predictions. The
+// streaming its instrumented reads into the pruning predictions. The
 // read hook only observes, so the recorded trace is bit-identical
 // with and without it.
 func goldenRun(cfg Config, i int, capture bool) (*trace.Trace, casePredictions, error) {
-	var lg *readLog
+	lg := newReadLog(cfg.Times, cfg.FaultDurationMs)
 	var hook sim.ReadHook
 	if capture {
-		lg = newReadLog()
 		hook = lg.hook()
 	}
 	inst, err := cfg.NewInstance(cfg.TestCases[i], hook)
@@ -884,13 +879,7 @@ func goldenRun(cfg Config, i int, capture bool) (*trace.Trace, casePredictions, 
 	if inst.Kernel().Exhausted() {
 		return nil, casePredictions{}, fmt.Errorf("campaign: golden run %d exceeded the run budget (%d steps used) — raise Config.Budget or fix the target", i, inst.Kernel().BudgetUsed())
 	}
-	var preds casePredictions
-	if capture {
-		// Distill immediately so the raw event slices (potentially a
-		// couple of MB per case) are garbage-collected here.
-		preds = lg.distill(cfg.Times, cfg.FaultDurationMs)
-	}
-	return rec.Trace(), preds, nil
+	return rec.Trace(), lg.predictions(), nil
 }
 
 // superviseJob drives one injection job to a settled outcome under

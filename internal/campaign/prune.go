@@ -4,7 +4,7 @@ import (
 	"container/list"
 	"fmt"
 	"reflect"
-	"sort"
+	"slices"
 	"sync"
 
 	"propane/internal/inject"
@@ -17,13 +17,13 @@ import (
 // fully deterministic, so many injection runs are decided before they
 // execute:
 //
-//   - Unfired: the golden run's instrumented reads tell us, per
-//     (module, input signal, instant), whether a trap armed there can
-//     fire at all. Until a trap fires the injected run is bit-identical
-//     to the golden run, so golden reads predict injected reads
-//     exactly; a port the golden run never reads at or after the
-//     instant yields an unfired run with an empty comparison.
-//   - No-op: the same read log carries the value the trap would
+//   - Unfired: the golden run's instrumented reads, streamed into one
+//     prediction per (module, input signal, instant) as the run reads,
+//     tell whether a trap armed there can fire at all. Until a trap
+//     fires the injected run is bit-identical to the golden run, so
+//     golden reads predict injected reads exactly; a port the golden
+//     run never reads at or after the instant yields an unfired run.
+//   - No-op: the same prediction carries the value the trap would
 //     mutate. When Mutate(v) == v the trap writes back the value that
 //     was already there — the run completes as ok with no deviations,
 //     without simulating.
@@ -169,32 +169,106 @@ type portKey struct {
 	module, signal string
 }
 
-// readEvent is one instrumented read observed on the golden run: the
-// simulated tick and the pre-read signal value — exactly what a trap
-// armed on this port would see and mutate.
-type readEvent struct {
-	tick  sim.Millis
-	value uint16
-}
-
-// readLog records every instrumented read of one golden run. It is
-// written from a single goroutine (the case's golden run) and only
-// distilled afterwards, so it needs no locking.
+// readLog streams one golden run's instrumented reads into per-instant
+// firing predictions, storing no read. Only the case's golden run
+// writes it, from one goroutine, so it needs no locking.
 type readLog struct {
-	events map[portKey][]readEvent
+	times    []sim.Millis // injection instants, sorted and deduplicated
+	duration sim.Millis   // persistent window length; <= 0 is transient
+	ports    [][]*portLog // by sim.Signal.Index, then by reading module
 }
 
-func newReadLog() *readLog {
-	return &readLog{events: make(map[portKey][]readEvent)}
+// portLog holds one port's predictions, one per instant. Reads arrive
+// in tick order, so instants [0, hi) have been reached, and of those
+// the persistent windows [lo, hi) are still open.
+type portLog struct {
+	sig        *sim.Signal
+	key        portKey
+	lo, hi     int
+	transient  []transientPred
+	persistent []persistentPred
+}
+
+func newReadLog(times []sim.Millis, duration sim.Millis) *readLog {
+	ts := slices.Clone(times)
+	slices.Sort(ts)
+	return &readLog{times: slices.Compact(ts), duration: duration}
 }
 
 // hook returns the recording sim.ReadHook. It observes only — the
 // golden run with this hook installed is bit-identical to one without.
+// A read finds its port by the signal's bus index, never by hashing a
+// name; after a port's first read, recording allocates nothing.
 func (l *readLog) hook() sim.ReadHook {
 	return func(module, signal string, sig *sim.Signal, now sim.Millis) {
-		k := portKey{module: module, signal: signal}
-		l.events[k] = append(l.events[k], readEvent{tick: now, value: sig.Read()})
+		i := sig.Index()
+		if i >= len(l.ports) {
+			l.ports = append(l.ports, make([][]*portLog, i+1-len(l.ports))...)
+		}
+		for _, p := range l.ports[i] {
+			if p.sig == sig && p.key.module == module {
+				l.record(p, now, sig.Read())
+				return
+			}
+		}
+		p := &portLog{sig: sig, key: portKey{module: module, signal: signal}}
+		if l.duration > 0 {
+			p.persistent = make([]persistentPred, len(l.times))
+		} else {
+			p.transient = make([]transientPred, len(l.times))
+		}
+		l.ports[i] = append(l.ports[i], p)
+		l.record(p, now, sig.Read())
 	}
+}
+
+// record applies one read of value v at tick now. It is the firing
+// read of every transient trap armed at an instant it reaches first,
+// and falls inside every persistent window [at, at+duration] open at
+// now.
+func (l *readLog) record(p *portLog, now sim.Millis, v uint16) {
+	for ; p.hi < len(l.times) && l.times[p.hi] <= now; p.hi++ {
+		if p.transient != nil {
+			p.transient[p.hi] = transientPred{fires: true, fireTick: now, value: v}
+		}
+	}
+	if p.persistent == nil {
+		return
+	}
+	for p.lo < p.hi && l.times[p.lo]+l.duration < now {
+		p.lo++
+	}
+	for w := p.lo; w < p.hi; w++ {
+		p.persistent[w].add(now, v)
+	}
+}
+
+// predictions returns the per-instant predictions of every port read.
+func (l *readLog) predictions() casePredictions {
+	cp := casePredictions{}
+	if l.duration > 0 {
+		cp.persistent = make(map[portKey]map[sim.Millis]persistentPred)
+	} else {
+		cp.transient = make(map[portKey]map[sim.Millis]transientPred)
+	}
+	for _, ps := range l.ports {
+		for _, p := range ps {
+			if l.duration > 0 {
+				cp.persistent[p.key] = byInstant(l.times, p.persistent)
+			} else {
+				cp.transient[p.key] = byInstant(l.times, p.transient)
+			}
+		}
+	}
+	return cp
+}
+
+func byInstant[P any](times []sim.Millis, preds []P) map[sim.Millis]P {
+	m := make(map[sim.Millis]P, len(times))
+	for i, at := range times {
+		m[at] = preds[i]
+	}
+	return m
 }
 
 // transientPred predicts a one-shot trap armed at one (port, instant):
@@ -223,63 +297,30 @@ type persistentPred struct {
 // prediction; windows richer than this are executed unconditionally.
 const maxPersistentValues = 64
 
-// casePredictions is one test case's distilled read log: one
+// add folds one read inside the window into the prediction: the
+// first read is the firing read, and values are kept distinct in
+// first-seen order until there are too many to enumerate.
+func (p *persistentPred) add(now sim.Millis, v uint16) {
+	if p.unprunable {
+		return
+	}
+	if !p.fires {
+		p.fires, p.fireTick = true, now
+	}
+	if slices.Contains(p.values, v) {
+		return
+	}
+	p.values = append(p.values, v)
+	p.unprunable = len(p.values) > maxPersistentValues
+}
+
+// casePredictions is one test case's streamed read log: one
 // prediction per (instrumented port, injection instant). Ports the
 // golden run never reads have no entry; the zero-valued prediction a
 // lookup then returns means "cannot fire", which is exactly right.
 type casePredictions struct {
 	transient  map[portKey]map[sim.Millis]transientPred
 	persistent map[portKey]map[sim.Millis]persistentPred
-}
-
-// distill reduces the raw read log to per-instant predictions so the
-// (potentially large) event slices can be garbage-collected.
-func (l *readLog) distill(times []sim.Millis, faultDuration sim.Millis) casePredictions {
-	cp := casePredictions{}
-	if faultDuration <= 0 {
-		cp.transient = make(map[portKey]map[sim.Millis]transientPred, len(l.events))
-		for k, evs := range l.events {
-			m := make(map[sim.Millis]transientPred, len(times))
-			for _, at := range times {
-				// Events are appended in tick order; the first one at or
-				// after the arm time is the firing read.
-				i := sort.Search(len(evs), func(i int) bool { return evs[i].tick >= at })
-				p := transientPred{}
-				if i < len(evs) {
-					p = transientPred{fires: true, fireTick: evs[i].tick, value: evs[i].value}
-				}
-				m[at] = p
-			}
-			cp.transient[k] = m
-		}
-		return cp
-	}
-	cp.persistent = make(map[portKey]map[sim.Millis]persistentPred, len(l.events))
-	for k, evs := range l.events {
-		m := make(map[sim.Millis]persistentPred, len(times))
-		for _, at := range times {
-			i := sort.Search(len(evs), func(i int) bool { return evs[i].tick >= at })
-			p := persistentPred{}
-			seen := make(map[uint16]bool)
-			for ; i < len(evs) && evs[i].tick <= at+faultDuration; i++ {
-				if !p.fires {
-					p.fires = true
-					p.fireTick = evs[i].tick
-				}
-				if !seen[evs[i].value] {
-					seen[evs[i].value] = true
-					p.values = append(p.values, evs[i].value)
-					if len(p.values) > maxPersistentValues {
-						p.unprunable = true
-						break
-					}
-				}
-			}
-			m[at] = p
-		}
-		cp.persistent[k] = m
-	}
-	return cp
 }
 
 // The MemoKey components: the test case (construction parameters are

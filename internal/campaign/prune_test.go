@@ -7,6 +7,8 @@ package campaign
 // checkpoint suite, stressing the shared memo cache.
 
 import (
+	"reflect"
+	"sort"
 	"testing"
 
 	"propane/internal/inject"
@@ -196,5 +198,189 @@ func TestMemoCacheEviction(t *testing.T) {
 	}
 	if e, _ := mc.get(key(3)); e.Diffs["sig"].First != 4 {
 		t.Errorf("update did not replace the entry: %+v", e.Diffs["sig"])
+	}
+}
+
+// refReadEvent and refReadLog are the reference the streamed predictor
+// is checked against: log every instrumented read of the golden run,
+// then distill per-instant predictions by binary search.
+type refReadEvent struct {
+	tick  sim.Millis
+	value uint16
+}
+
+type refReadLog map[portKey][]refReadEvent
+
+func (l refReadLog) hook() sim.ReadHook {
+	return func(module, signal string, sig *sim.Signal, now sim.Millis) {
+		k := portKey{module: module, signal: signal}
+		l[k] = append(l[k], refReadEvent{tick: now, value: sig.Read()})
+	}
+}
+
+func (l refReadLog) distill(times []sim.Millis, faultDuration sim.Millis) casePredictions {
+	cp := casePredictions{}
+	if faultDuration <= 0 {
+		cp.transient = make(map[portKey]map[sim.Millis]transientPred, len(l))
+		for k, evs := range l {
+			m := make(map[sim.Millis]transientPred, len(times))
+			for _, at := range times {
+				i := sort.Search(len(evs), func(i int) bool { return evs[i].tick >= at })
+				p := transientPred{}
+				if i < len(evs) {
+					p = transientPred{fires: true, fireTick: evs[i].tick, value: evs[i].value}
+				}
+				m[at] = p
+			}
+			cp.transient[k] = m
+		}
+		return cp
+	}
+	cp.persistent = make(map[portKey]map[sim.Millis]persistentPred, len(l))
+	for k, evs := range l {
+		m := make(map[sim.Millis]persistentPred, len(times))
+		for _, at := range times {
+			i := sort.Search(len(evs), func(i int) bool { return evs[i].tick >= at })
+			p := persistentPred{}
+			seen := make(map[uint16]bool)
+			for ; i < len(evs) && evs[i].tick <= at+faultDuration; i++ {
+				if !p.fires {
+					p.fires = true
+					p.fireTick = evs[i].tick
+				}
+				if !seen[evs[i].value] {
+					seen[evs[i].value] = true
+					p.values = append(p.values, evs[i].value)
+					if len(p.values) > maxPersistentValues {
+						p.unprunable = true
+						break
+					}
+				}
+			}
+			m[at] = p
+		}
+		cp.persistent[k] = m
+	}
+	return cp
+}
+
+// TestPruneStreamedPredictionsMatchReference runs each target's golden
+// passes with the streamed predictor and with the reference log, and
+// requires identical predictions field for field: transient, a
+// persistent window inside the instant spacing, and windows long
+// enough to overlap across instants; with the configured instants and
+// with an unsorted, duplicated instant list.
+func TestPruneStreamedPredictionsMatchReference(t *testing.T) {
+	configs := map[string]func(t *testing.T) Config{
+		"arrestor": func(t *testing.T) Config { return tinyConfig() },
+		"dual": func(t *testing.T) Config {
+			cfg := tinyConfig()
+			cfg.Dual = true
+			return cfg
+		},
+		"autobrake": autobrakeConfig,
+		"hostile":   hostileConfig,
+	}
+	var boundaryReads, unprunable int
+	for name, mk := range configs {
+		for _, dur := range []sim.Millis{0, 50, 400, 2500} {
+			base := mk(t)
+			shuffled := []sim.Millis{base.Times[len(base.Times)-1]}
+			shuffled = append(shuffled, base.Times...)
+			shuffled = append(shuffled, base.Times[0]+1)
+			for ti, times := range [][]sim.Millis{base.Times, shuffled} {
+				cfg := mk(t)
+				cfg.Times = times
+				cfg.FaultDurationMs = dur
+				for ci := range cfg.TestCases {
+					_, got, err := goldenRun(cfg, ci, true)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					ref := refReadLog{}
+					inst, err := cfg.NewInstance(cfg.TestCases[ci], ref.hook())
+					if err != nil {
+						t.Fatal(err)
+					}
+					inst.Kernel().SetBudget(cfg.Budget)
+					if crashed, pv := runGuarded(inst, cfg.HorizonMs); crashed {
+						t.Fatalf("%s: reference golden run crashed: %v", name, pv)
+					}
+					want := ref.distill(cfg.Times, cfg.FaultDurationMs)
+					if !reflect.DeepEqual(got, want) {
+						t.Errorf("%s dur=%d times#%d case %d: streamed predictions differ from the reference\n got %+v\nwant %+v",
+							name, dur, ti, ci, got, want)
+					}
+					for _, evs := range ref {
+						for _, ev := range evs {
+							for _, at := range cfg.Times {
+								if dur > 0 && ev.tick == at+dur {
+									boundaryReads++
+								}
+							}
+						}
+					}
+					for _, m := range want.persistent {
+						for _, p := range m {
+							if p.unprunable {
+								unprunable++
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	// The cases above must reach both edges of a persistent window: a
+	// read exactly on At+FaultDurationMs and the distinct-value cap.
+	if boundaryReads == 0 {
+		t.Error("no read landed exactly on a window's closing instant")
+	}
+	if unprunable == 0 {
+		t.Error("no persistent window exceeded the distinct-value cap")
+	}
+}
+
+// goldenPassAllocs counts the allocations of one golden pass of the
+// first test case at the given horizon, with and without prediction
+// capture.
+func goldenPassAllocs(t *testing.T, cfg Config, horizon sim.Millis, capture bool) float64 {
+	cfg.HorizonMs = horizon
+	return testing.AllocsPerRun(3, func() {
+		if _, _, err := goldenRun(cfg, 0, capture); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestGoldenPassCaptureAllocsIndependentOfHorizon pins the streamed
+// predictor's cost: capture allocates per port and per instant, never
+// per read, so its extra allocations are the same for a run ten times
+// longer. Every window closes before the shorter horizon, so both
+// horizons see the same predictions.
+func TestGoldenPassCaptureAllocsIndependentOfHorizon(t *testing.T) {
+	for _, dur := range []sim.Millis{0, 100} {
+		cfg := tinyConfig()
+		cfg.Times = []sim.Millis{200, 400}
+		cfg.FaultDurationMs = dur
+		var extra [2]float64
+		for i, horizon := range []sim.Millis{600, 6000} {
+			extra[i] = goldenPassAllocs(t, cfg, horizon, true) - goldenPassAllocs(t, cfg, horizon, false)
+		}
+		if extra[0] != extra[1] {
+			t.Errorf("dur=%d: capture adds %v allocations at 600 ms but %v at 6000 ms", dur, extra[0], extra[1])
+		}
+	}
+}
+
+// BenchmarkGoldenPass measures one captured golden pass (trace
+// recording plus streamed predictions) of the tiny configuration.
+func BenchmarkGoldenPass(b *testing.B) {
+	cfg := tinyConfig()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := goldenRun(cfg, 0, true); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -26,10 +26,15 @@ type Millis int64
 type Signal struct {
 	name  string
 	value uint16
+	index int
 }
 
 // Name returns the signal's name.
 func (s *Signal) Name() string { return s.name }
+
+// Index returns the signal's registration position on its bus: read
+// hooks keep per-signal state in a slice indexed by it.
+func (s *Signal) Index() int { return s.index }
 
 // Read returns the current value.
 func (s *Signal) Read() uint16 { return s.value }
@@ -80,7 +85,7 @@ func (b *Bus) Register(name string) *Signal {
 	if s, ok := b.signals[name]; ok {
 		return s
 	}
-	s := &Signal{name: name}
+	s := &Signal{name: name, index: len(b.order)}
 	b.signals[name] = s
 	b.order = append(b.order, name)
 	return s

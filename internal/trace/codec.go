@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -30,43 +31,31 @@ const traceVersion = 1
 const maxTraceDim = 1 << 26
 
 // WriteTo serialises the trace. It returns the number of bytes
-// written.
+// written. Each signal is encoded into one buffer and written in one
+// call; golden-digest hashing runs this once per test case.
 func (t *Trace) WriteTo(w io.Writer) (int64, error) {
-	bw := bufio.NewWriter(w)
-	n := int64(0)
-	count := func(written int, err error) error {
-		n += int64(written)
-		return err
-	}
-	if err := count(bw.Write(traceMagic[:])); err != nil {
-		return n, err
-	}
-	if err := count(writeUint16(bw, traceVersion)); err != nil {
-		return n, err
-	}
-	if err := count(writeUint32(bw, uint32(len(t.signals)))); err != nil {
-		return n, err
-	}
-	if err := count(writeUint32(bw, uint32(t.Len()))); err != nil {
-		return n, err
-	}
+	le := binary.LittleEndian
+	buf := append(make([]byte, 0, 64+2*t.Len()), traceMagic[:]...)
+	buf = le.AppendUint16(buf, traceVersion)
+	buf = le.AppendUint32(buf, uint32(len(t.signals)))
+	buf = le.AppendUint32(buf, uint32(t.Len()))
+	written, err := w.Write(buf)
+	n := int64(written)
 	for _, sig := range t.signals {
+		if err != nil {
+			return n, err
+		}
 		if len(sig) > 0xFFFF {
 			return n, fmt.Errorf("trace: signal name %q too long", sig[:32])
 		}
-		if err := count(writeUint16(bw, uint16(len(sig)))); err != nil {
-			return n, err
-		}
-		if err := count(bw.Write([]byte(sig))); err != nil {
-			return n, err
-		}
+		buf = append(le.AppendUint16(buf[:0], uint16(len(sig))), sig...)
 		for _, v := range t.samples[sig] {
-			if err := count(writeUint16(bw, v)); err != nil {
-				return n, err
-			}
+			buf = le.AppendUint16(buf, v)
 		}
+		written, err = w.Write(buf)
+		n += int64(written)
 	}
-	return n, bw.Flush()
+	return n, err
 }
 
 // ReadTrace deserialises a trace written by WriteTo.
@@ -131,30 +120,9 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 	return tr, nil
 }
 
-// The integer helpers take the concrete buffered writer/reader and
-// move bytes one at a time: handing a stack buffer to an io.Writer
-// interface makes it escape, and writeUint16 runs once per trace
-// sample — on the hot path of every golden-digest pass, that was one
-// heap allocation per sample.
-
-func writeUint16(w *bufio.Writer, v uint16) (int, error) {
-	if err := w.WriteByte(byte(v)); err != nil {
-		return 0, err
-	}
-	if err := w.WriteByte(byte(v >> 8)); err != nil {
-		return 1, err
-	}
-	return 2, nil
-}
-
-func writeUint32(w *bufio.Writer, v uint32) (int, error) {
-	for i := 0; i < 4; i++ {
-		if err := w.WriteByte(byte(v >> (8 * i))); err != nil {
-			return i, err
-		}
-	}
-	return 4, nil
-}
+// The integer readers take the concrete buffered reader and move
+// bytes one at a time: handing a stack buffer to an io.Reader
+// interface makes it escape, one heap allocation per sample.
 
 func readUint16(r *bufio.Reader) (uint16, error) {
 	b0, err := r.ReadByte()

@@ -2,6 +2,8 @@ package trace
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -132,5 +134,38 @@ func TestCodecRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// pinnedTraceSHA256 is the SHA-256 of pinnedTrace's encoding. Golden
+// digests hash this encoding and feed every campaign config digest, so
+// a change to a single encoded byte would orphan existing journals.
+const pinnedTraceSHA256 = "2384c018cdac1005ff584252d8394b6cecae28d53b76d5ac40226a7fd62f4007"
+
+// pinnedTrace is a fixed multi-signal trace: one all-zero series (x),
+// small values and full-range, wrapping values.
+func pinnedTrace() *Trace {
+	tr := NewTrace([]string{"pulscnt", "SetValue", "TOC2", "x"})
+	for i := 0; i < 1000; i++ {
+		tr.Append(map[string]uint16{
+			"pulscnt":  uint16(i * 7919),
+			"SetValue": uint16(i / 3),
+			"TOC2":     uint16(65535 - i*i),
+		})
+	}
+	return tr
+}
+
+func TestTraceWriteToPinnedDigest(t *testing.T) {
+	h := sha256.New()
+	n, err := pinnedTrace().WriteTo(h)
+	if err != nil {
+		t.Fatalf("WriteTo: %v", err)
+	}
+	if want := int64(4 + 2 + 4 + 4 + 4*(2+1000*2) + len("pulscntSetValueTOC2x")); n != want {
+		t.Errorf("WriteTo reported %d bytes, want %d", n, want)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != pinnedTraceSHA256 {
+		t.Errorf("encoding digest = %s, want %s", got, pinnedTraceSHA256)
 	}
 }

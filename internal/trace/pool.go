@@ -62,8 +62,8 @@ func (c *StreamComparator) rebind(golden *Trace, bus *sim.Bus) bool {
 		c.samples[i] = golden.samples[n]
 		c.diffs[i] = Diff{Signal: n, First: -1, Last: -1}
 	}
-	c.golden = golden
-	c.tol = nil
+	c.bands = c.bands[:0]
+	c.horizon = golden.Len()
 	c.tick = 0
 	return true
 }
@@ -116,6 +116,5 @@ func (r *Recorder) rebind(bus *sim.Bus, capacity int) bool {
 			r.series[i] = r.series[i][:0]
 		}
 	}
-	r.bus = bus
 	return true
 }

@@ -25,16 +25,16 @@ func TestTolerancesWithin(t *testing.T) {
 		{"p", 0, 0xFFF0, false},
 	}
 	for _, tt := range tests {
-		if got := tol.within(tt.sig, tt.a, tt.b); got != tt.want {
-			t.Errorf("within(%s, %d, %d) = %v, want %v", tt.sig, tt.a, tt.b, got, tt.want)
+		if got := withinBand(tol[tt.sig], tt.a, tt.b); got != tt.want {
+			t.Errorf("withinBand(tol[%s], %d, %d) = %v, want %v", tt.sig, tt.a, tt.b, got, tt.want)
 		}
 	}
 	// nil Tolerances behaves exactly.
 	var none Tolerances
-	if none.within("p", 1, 2) {
+	if withinBand(none["p"], 1, 2) {
 		t.Error("nil tolerances accepted a deviation")
 	}
-	if !none.within("p", 3, 3) {
+	if !withinBand(none["p"], 3, 3) {
 		t.Error("nil tolerances rejected equality")
 	}
 }

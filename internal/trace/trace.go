@@ -66,6 +66,18 @@ func (t *Trace) Samples(signal string) ([]uint16, error) {
 	return out, nil
 }
 
+// Changes counts, without copying the series, the ticks on which a
+// signal differs from the tick before, out of samples recorded.
+func (t *Trace) Changes(signal string) (changes, samples int) {
+	s := t.samples[signal]
+	for i := 1; i < len(s); i++ {
+		if s[i] != s[i-1] {
+			changes++
+		}
+	}
+	return changes, len(s)
+}
+
 // At returns the value of a signal at tick i.
 func (t *Trace) At(signal string, i int) (uint16, error) {
 	s, ok := t.samples[signal]
@@ -81,7 +93,6 @@ func (t *Trace) At(signal string, i int) (uint16, error) {
 // Recorder samples every signal of a bus at the end of each tick.
 // Install its Hook as a kernel post-hook.
 type Recorder struct {
-	bus     *sim.Bus
 	handles []*sim.Signal
 	series  [][]uint16
 	trace   *Trace
@@ -110,7 +121,7 @@ func NewRecorderCap(bus *sim.Bus, capacity int) (*Recorder, error) {
 			series[i] = make([]uint16, 0, capacity)
 		}
 	}
-	return &Recorder{bus: bus, handles: handles, series: series, trace: NewTrace(names)}, nil
+	return &Recorder{handles: handles, series: series, trace: NewTrace(names)}, nil
 }
 
 // Hook returns the kernel post-hook performing the sampling.
@@ -156,16 +167,9 @@ func (d Diff) Differs() bool { return d.Count > 0 }
 // compared exactly.
 type Tolerances map[string]uint16
 
-// within reports whether a and b differ by at most the signal's
-// tolerance.
-func (t Tolerances) within(signal string, a, b uint16) bool {
-	if a == b {
-		return true
-	}
-	tol := t[signal]
-	if tol == 0 {
-		return false
-	}
+// withinBand reports whether a and b differ by at most tol, a
+// signal's Tolerances entry (0, exact, for a signal without one).
+func withinBand(tol, a, b uint16) bool {
 	d := a - b
 	if int16(d) < 0 {
 		d = -d
@@ -195,9 +199,9 @@ func CompareTol(golden, run *Trace, tol Tolerances) (map[string]Diff, error) {
 			return nil, errors.New("trace: traces cover different signal sets")
 		}
 		d := Diff{Signal: sig, First: -1, Last: -1}
-		g, r := golden.samples[sig], run.samples[sig]
+		g, r, band := golden.samples[sig], run.samples[sig], tol[sig]
 		for t := range g {
-			if !tol.within(sig, g[t], r[t]) {
+			if g[t] != r[t] && !withinBand(band, g[t], r[t]) {
 				if d.Count == 0 {
 					d.First = sim.Millis(t)
 				}
@@ -216,17 +220,22 @@ func CompareTol(golden, run *Trace, tol Tolerances) (map[string]Diff, error) {
 // run ends. This is what lets a full campaign of tens of thousands of
 // runs execute in constant memory per worker.
 type StreamComparator struct {
-	golden  *Trace
 	handles []*sim.Signal
 	samples [][]uint16 // golden sample series, one per handle
 	diffs   []Diff
-	tol     Tolerances
+	bands   []uint16 // tolerance per handle; empty compares exactly
+	horizon int      // golden trace length
 	tick    int
 }
 
 // SetTolerances installs per-signal tolerance bands; call before the
 // first tick.
-func (c *StreamComparator) SetTolerances(tol Tolerances) { c.tol = tol }
+func (c *StreamComparator) SetTolerances(tol Tolerances) {
+	c.bands = c.bands[:0]
+	for i := 0; len(tol) > 0 && i < len(c.diffs); i++ {
+		c.bands = append(c.bands, tol[c.diffs[i].Signal])
+	}
+}
 
 // NewStreamComparator creates a comparator of the given bus against a
 // golden trace recorded over the same signal set.
@@ -251,7 +260,7 @@ func NewStreamComparator(golden *Trace, bus *sim.Bus) (*StreamComparator, error)
 		samples[i] = golden.samples[n]
 		diffs[i] = Diff{Signal: n, First: -1, Last: -1}
 	}
-	return &StreamComparator{golden: golden, handles: handles, samples: samples, diffs: diffs}, nil
+	return &StreamComparator{handles: handles, samples: samples, diffs: diffs, horizon: golden.Len()}, nil
 }
 
 // SeekTo positions the comparator at the given tick, as if the first
@@ -260,8 +269,8 @@ func NewStreamComparator(golden *Trace, bus *sim.Bus) (*StreamComparator, error)
 // checkpoint: the pre-injection prefix is bit-identical to the golden
 // run by construction, so comparison starts at the checkpoint tick.
 func (c *StreamComparator) SeekTo(tick int) error {
-	if tick < 0 || tick > c.golden.Len() {
-		return fmt.Errorf("trace: seek to tick %d outside golden trace [0,%d]", tick, c.golden.Len())
+	if tick < 0 || tick > c.horizon {
+		return fmt.Errorf("trace: seek to tick %d outside golden trace [0,%d]", tick, c.horizon)
 	}
 	c.tick = tick
 	return nil
@@ -271,7 +280,7 @@ func (c *StreamComparator) SeekTo(tick int) error {
 // Ticks beyond the golden trace length are ignored.
 func (c *StreamComparator) Hook() sim.Hook {
 	return func(sim.Millis) {
-		if c.tick >= c.golden.Len() {
+		if c.tick >= c.horizon {
 			return
 		}
 		for i, h := range c.handles {
@@ -280,7 +289,7 @@ func (c *StreamComparator) Hook() sim.Hook {
 			if v == g {
 				continue
 			}
-			if !c.tol.within(c.diffs[i].Signal, g, v) {
+			if len(c.bands) == 0 || !withinBand(c.bands[i], g, v) {
 				d := &c.diffs[i]
 				if d.Count == 0 {
 					d.First = sim.Millis(c.tick)
