@@ -195,7 +195,7 @@ func TestHeavierIsSlower(t *testing.T) {
 
 func TestInstanceReadHookSeesAllModules(t *testing.T) {
 	seen := map[string]bool{}
-	hook := func(module, _ string, _ *sim.Signal, _ sim.Millis) { seen[module] = true }
+	hook := func(module, _ string, _ *sim.Signal, _ sim.Millis) bool { seen[module] = true; return false }
 	inst, err := NewInstance(DefaultConfig(), physics.TestCase{MassKg: 10000, VelocityMS: 50}, hook)
 	if err != nil {
 		t.Fatal(err)

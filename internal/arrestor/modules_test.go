@@ -425,8 +425,9 @@ func TestReadHookInvocation(t *testing.T) {
 	bus := sim.NewBus()
 	type readKey struct{ module, signal string }
 	counts := map[readKey]int{}
-	hook := func(module, signal string, _ *sim.Signal, _ sim.Millis) {
+	hook := func(module, signal string, _ *sim.Signal, _ sim.Millis) bool {
 		counts[readKey{module, signal}]++
+		return false
 	}
 	d := &distS{
 		moduleBase:    moduleBase{name: ModDistS, onRead: hook},

@@ -176,7 +176,7 @@ func TestInstanceDeterminism(t *testing.T) {
 
 func TestReadHookCoverage(t *testing.T) {
 	seen := map[string]bool{}
-	hook := func(module, _ string, _ *sim.Signal, _ sim.Millis) { seen[module] = true }
+	hook := func(module, _ string, _ *sim.Signal, _ sim.Millis) bool { seen[module] = true; return false }
 	inst, err := NewInstance(DefaultConfig(), physics.TestCase{MassKg: 1500, VelocityMS: 30}, hook)
 	if err != nil {
 		t.Fatal(err)

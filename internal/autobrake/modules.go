@@ -11,8 +11,8 @@ type moduleBase struct {
 }
 
 func (m *moduleBase) read(s *sim.Signal, now sim.Millis) uint16 {
-	if m.onRead != nil {
-		m.onRead(m.name, s.Name(), s, now)
+	if m.onRead != nil && m.onRead(m.name, s.Name(), s, now) {
+		m.onRead = nil
 	}
 	return s.Read()
 }

@@ -1021,6 +1021,9 @@ func injectionRun(cfg Config, sys *model.System, golden *trace.Trace, caseIdx in
 		}
 	}
 	crashed, panicVal, converged := executeToHorizon(cfg, inst, trap.Fired, caseIdx, inj.At, ckpts, pr)
+	if err := cmp.Err(); err != nil {
+		return runOutcome{}, fmt.Errorf("campaign: comparing %v case %d: %w", inj, caseIdx, err)
+	}
 
 	firedAt, fired := trap.Fired()
 	out := runOutcome{
@@ -1085,6 +1088,12 @@ func executeToHorizon(cfg Config, inst RunnableInstance, fired func() (sim.Milli
 		if err != nil || g == nil {
 			// Probing is opportunistic: without a golden snapshot here,
 			// just keep simulating.
+			continue
+		}
+		// Equal signals are necessary for equal states, and checking
+		// them reads the live bus; only a match pays for capturing
+		// every hidden state.
+		if !inst.Bus().MatchesSnapshot(g) {
 			continue
 		}
 		cur, err := ck.Checkpoint()

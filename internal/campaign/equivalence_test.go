@@ -10,6 +10,7 @@ package campaign
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -149,6 +150,22 @@ func TestCheckpointAutoFallsBackUnderInstrument(t *testing.T) {
 		if rec.Attachment != rec.CaseIndex {
 			t.Errorf("%s: attachment %v, want case index %d", key, rec.Attachment, rec.CaseIndex)
 		}
+	}
+}
+
+// TestInstrumentLateRegistrationFails: an Instrument hook that
+// registers a signal after the run's comparator is bound shifts the
+// bus's columns; the run must fail rather than report diffs against
+// the wrong golden signals.
+func TestInstrumentLateRegistrationFails(t *testing.T) {
+	cfg := tinyConfig()
+	cfg.Instrument = func(inst Instance, caseIdx int) (any, error) {
+		inst.Bus().Register("aaa_late")
+		return nil, nil
+	}
+	_, err := Run(cfg)
+	if err == nil || !strings.Contains(err.Error(), "registered after") {
+		t.Fatalf("Run = %v, want a late-registration error", err)
 	}
 }
 

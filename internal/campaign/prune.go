@@ -198,9 +198,10 @@ func newReadLog(times []sim.Millis, duration sim.Millis) *readLog {
 // hook returns the recording sim.ReadHook. It observes only — the
 // golden run with this hook installed is bit-identical to one without.
 // A read finds its port by the signal's bus index, never by hashing a
-// name; after a port's first read, recording allocates nothing.
+// name; after a port's first read, recording allocates nothing. The
+// log must see every read, so it never detaches.
 func (l *readLog) hook() sim.ReadHook {
-	return func(module, signal string, sig *sim.Signal, now sim.Millis) {
+	return func(module, signal string, sig *sim.Signal, now sim.Millis) bool {
 		i := sig.Index()
 		if i >= len(l.ports) {
 			l.ports = append(l.ports, make([][]*portLog, i+1-len(l.ports))...)
@@ -208,7 +209,7 @@ func (l *readLog) hook() sim.ReadHook {
 		for _, p := range l.ports[i] {
 			if p.sig == sig && p.key.module == module {
 				l.record(p, now, sig.Read())
-				return
+				return false
 			}
 		}
 		p := &portLog{sig: sig, key: portKey{module: module, signal: signal}}
@@ -219,6 +220,7 @@ func (l *readLog) hook() sim.ReadHook {
 		}
 		l.ports[i] = append(l.ports[i], p)
 		l.record(p, now, sig.Read())
+		return false
 	}
 }
 

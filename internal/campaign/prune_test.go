@@ -7,12 +7,15 @@ package campaign
 // checkpoint suite, stressing the shared memo cache.
 
 import (
+	"fmt"
 	"reflect"
 	"sort"
 	"testing"
 
 	"propane/internal/inject"
+	"propane/internal/physics"
 	"propane/internal/sim"
+	"propane/internal/target"
 	"propane/internal/trace"
 )
 
@@ -122,6 +125,57 @@ func TestPruneEquivalence(t *testing.T) {
 	}
 }
 
+// TestPruneTrapDetachEquivalence: a trap that detaches from a reader
+// once it can no longer fire there must leave every record exactly as
+// a trap that stays attached for the whole run. The control wraps the
+// instance constructor so every read hook it installs never asks to
+// detach; both campaigns prune, so executed, converged and memoized
+// runs are all compared.
+func TestPruneTrapDetachEquivalence(t *testing.T) {
+	configs := map[string]func(t *testing.T) Config{
+		"arrestor": func(t *testing.T) Config { return tinyConfig() },
+		"dual": func(t *testing.T) Config {
+			cfg := tinyConfig()
+			cfg.Dual = true
+			return cfg
+		},
+		"autobrake": autobrakeConfig,
+		"hostile":   hostileConfig,
+	}
+	for name, mk := range configs {
+		for _, dur := range []sim.Millis{0, 400} {
+			t.Run(fmt.Sprintf("%s/duration=%d", name, dur), func(t *testing.T) {
+				detach := mk(t)
+				detach.FaultDurationMs = dur
+				detach.Prune = PruneForce
+				det, detRecs := runKeyed(t, detach)
+
+				attached := detach
+				attached.Custom = &target.Target{
+					Name:     "never-detach",
+					Topology: detach.topology,
+					New: func(tc physics.TestCase, hook sim.ReadHook) (target.RunnableInstance, error) {
+						if hook != nil {
+							inner := hook
+							hook = func(module, signal string, sig *sim.Signal, now sim.Millis) bool {
+								inner(module, signal, sig, now)
+								return false
+							}
+						}
+						return detach.NewInstance(tc, hook)
+					},
+				}
+				att, attRecs := runKeyed(t, attached)
+
+				assertEquivalent(t, att, det, attRecs, detRecs)
+				if len(detRecs) == 0 {
+					t.Fatal("campaign produced no records")
+				}
+			})
+		}
+	}
+}
+
 // TestPruneAutoFallsBackUnderInstrument: a pruned run never builds a
 // target instance, so an Instrument hook would be skipped; PruneAuto
 // must execute everything for instrumented campaigns — and still
@@ -212,9 +266,10 @@ type refReadEvent struct {
 type refReadLog map[portKey][]refReadEvent
 
 func (l refReadLog) hook() sim.ReadHook {
-	return func(module, signal string, sig *sim.Signal, now sim.Millis) {
+	return func(module, signal string, sig *sim.Signal, now sim.Millis) bool {
 		k := portKey{module: module, signal: signal}
 		l[k] = append(l[k], refReadEvent{tick: now, value: sig.Read()})
+		return false
 	}
 }
 

@@ -102,8 +102,8 @@ type mod struct {
 func (m *mod) Name() string { return m.name }
 
 func (m *mod) read(s *sim.Signal, now sim.Millis) uint16 {
-	if m.onRead != nil {
-		m.onRead(m.name, s.Name(), s, now)
+	if m.onRead != nil && m.onRead(m.name, s.Name(), s, now) {
+		m.onRead = nil
 	}
 	return s.Read()
 }

@@ -123,15 +123,21 @@ func NewTrap(inj Injection) *Trap {
 	return &Trap{inj: inj}
 }
 
-// Hook returns the sim.ReadHook to install on the target.
+// Hook returns the sim.ReadHook to install on the target. It detaches
+// from a reader once the trap has fired, and at once from a module
+// other than the target: neither can ever be corrupted by it.
 func (t *Trap) Hook() sim.ReadHook {
-	return func(module, signal string, sig *sim.Signal, now sim.Millis) {
-		if t.fired || now < t.inj.At || module != t.inj.Module || signal != t.inj.Signal {
-			return
+	return func(module, signal string, sig *sim.Signal, now sim.Millis) bool {
+		if t.fired || module != t.inj.Module {
+			return true
+		}
+		if now < t.inj.At || signal != t.inj.Signal {
+			return false
 		}
 		sig.Write(t.inj.Model.Mutate(sig.Read()))
 		t.fired = true
 		t.firedAt = now
+		return true
 	}
 }
 
@@ -164,18 +170,23 @@ func NewPersistentTrap(inj Injection, duration sim.Millis) *PersistentTrap {
 	return &PersistentTrap{inj: inj, duration: duration}
 }
 
-// Hook returns the sim.ReadHook to install on the target.
+// Hook returns the sim.ReadHook to install on the target. It detaches
+// from a reader once the window has closed, and at once from a module
+// other than the target.
 func (t *PersistentTrap) Hook() sim.ReadHook {
-	return func(module, signal string, sig *sim.Signal, now sim.Millis) {
-		if now < t.inj.At || now > t.inj.At+t.duration ||
-			module != t.inj.Module || signal != t.inj.Signal {
-			return
+	return func(module, signal string, sig *sim.Signal, now sim.Millis) bool {
+		if module != t.inj.Module || now > t.inj.At+t.duration {
+			return true
+		}
+		if now < t.inj.At || signal != t.inj.Signal {
+			return false
 		}
 		sig.Write(t.inj.Model.Mutate(sig.Read()))
 		if !t.fired {
 			t.fired = true
 			t.firedAt = now
 		}
+		return false
 	}
 }
 

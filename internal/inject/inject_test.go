@@ -215,3 +215,70 @@ func TestPersistentTrapWindow(t *testing.T) {
 		t.Error("Injection() accessor broken")
 	}
 }
+
+// TestTrapDetachesTransient: a transient trap asks a reader to stop calling it
+// as soon as it can no longer fire for that reader — at once for a
+// module other than its target, and on its target after firing — and
+// never before firing on its own target.
+func TestTrapDetachesTransient(t *testing.T) {
+	bus := sim.NewBus()
+	sig := bus.Register("pulscnt")
+	trap := NewTrap(Injection{Module: "CALC", Signal: "pulscnt", At: 100, Model: BitFlip{Bit: 0}})
+	hook := trap.Hook()
+
+	if !hook("V_REG", "pulscnt", sig, 150) {
+		t.Error("foreign module not detached")
+	}
+	if hook("CALC", "SetValue", sig, 150) || hook("CALC", "pulscnt", sig, 99) {
+		t.Error("target module detached before the trap fired")
+	}
+	if !hook("CALC", "pulscnt", sig, 101) {
+		t.Error("firing read did not detach")
+	}
+	if _, fired := trap.Fired(); !fired || sig.Read() != 1 {
+		t.Fatalf("trap did not fire: value %#x", sig.Read())
+	}
+	if !hook("CALC", "SetValue", sig, 102) {
+		t.Error("fired trap not detached")
+	}
+	if sig.Read() != 1 {
+		t.Errorf("fired trap corrupted again: %#x", sig.Read())
+	}
+}
+
+// TestTrapDetachesPersistent: a persistent trap stays attached to its
+// target module, corrupting every matching read, until At+duration
+// has passed; a foreign module detaches at once.
+func TestTrapDetachesPersistent(t *testing.T) {
+	bus := sim.NewBus()
+	sig := bus.Register("ADC")
+	trap := NewPersistentTrap(
+		Injection{Module: "PRES_S", Signal: "ADC", At: 100, Model: StuckAt{Bit: 15, One: true}},
+		50,
+	)
+	hook := trap.Hook()
+
+	if !hook("OTHER", "ADC", sig, 120) {
+		t.Error("foreign module not detached")
+	}
+	for now := sim.Millis(90); now <= 150; now += 10 {
+		sig.Write(0x0010)
+		if hook("PRES_S", "ADC", sig, now) {
+			t.Fatalf("detached at t=%d, inside or before the window", now)
+		}
+		want := uint16(0x0010)
+		if now >= 100 {
+			want = 0x8010
+		}
+		if sig.Read() != want {
+			t.Errorf("t=%d: value %#x, want %#x", now, sig.Read(), want)
+		}
+	}
+	sig.Write(0x0010)
+	if !hook("PRES_S", "ADC", sig, 151) {
+		t.Error("not detached past the window")
+	}
+	if sig.Read() != 0x0010 {
+		t.Errorf("corrupted past the window: %#x", sig.Read())
+	}
+}

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"fmt"
 	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -101,8 +103,8 @@ func TestBusRegisterIdempotent(t *testing.T) {
 	if s1 != s2 {
 		t.Error("Register returned different handles for same name")
 	}
-	if got := b.Names(); !reflect.DeepEqual(got, []string{"sig"}) {
-		t.Errorf("Names() = %v, want [sig]", got)
+	if got := b.Columns(); !reflect.DeepEqual(got, []string{"sig"}) {
+		t.Errorf("Columns() = %v, want [sig]", got)
 	}
 }
 
@@ -308,5 +310,75 @@ func TestBudgetWallClockBackstop(t *testing.T) {
 	k.Run(1_000_000, nil)
 	if !k.Exhausted() {
 		t.Fatal("wall-clock budget did not trip")
+	}
+}
+
+// TestBusHandlesSurviveSlabGrowth registers more signals than one
+// handle slab holds, in an order that inserts columns in front of
+// earlier ones, and checks that every handle still reads and writes
+// its own value, that Values lays the row out in sorted-name order and
+// that snapshots keep registration order.
+func TestBusHandlesSurviveSlabGrowth(t *testing.T) {
+	b := NewBus()
+	n := 3*slabSize + 5
+	sigs := make([]*Signal, n)
+	for i := range sigs {
+		// Descending names: every registration becomes column 0.
+		sigs[i] = b.Register(fmt.Sprintf("s%03d", n-i))
+		sigs[i].Write(uint16(1000 + i))
+	}
+	for i, s := range sigs {
+		if got := s.Read(); got != uint16(1000+i) {
+			t.Fatalf("handle %d (%s) reads %d, want %d", i, s.Name(), got, 1000+i)
+		}
+		if s.Index() != i {
+			t.Errorf("handle %d has index %d", i, s.Index())
+		}
+		if h, _ := b.Lookup(s.Name()); h != s {
+			t.Errorf("Lookup(%s) returned another handle", s.Name())
+		}
+	}
+	sigs[7].Write(7)
+	for i, s := range sigs {
+		want := uint16(1000 + i)
+		if i == 7 {
+			want = 7
+		}
+		if got := s.Read(); got != want {
+			t.Errorf("after one write, handle %d reads %d, want %d", i, got, want)
+		}
+	}
+	cols, row := b.Columns(), b.Values()
+	if !sort.StringsAreSorted(cols) || len(cols) != n || len(row) != n {
+		t.Fatalf("columns not a sorted row of %d: %v", n, cols)
+	}
+	for c, name := range cols {
+		s, _ := b.Lookup(name)
+		if row[c] != s.Read() {
+			t.Errorf("column %d (%s) = %d, handle reads %d", c, name, row[c], s.Read())
+		}
+	}
+	k, err := NewKernel(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := NewSnapshotter(k, b).Capture()
+	for i, s := range sigs {
+		if snap.Signals[i] != s.Read() {
+			t.Fatalf("snapshot signal %d = %d, want %d (registration order)", i, snap.Signals[i], s.Read())
+		}
+	}
+	if !b.MatchesSnapshot(snap) {
+		t.Error("bus does not match its own snapshot")
+	}
+	sigs[0].Write(0)
+	if b.MatchesSnapshot(snap) {
+		t.Error("bus matches a snapshot it has diverged from")
+	}
+	if err := NewSnapshotter(k, b).Restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	if sigs[0].Read() != 1000 {
+		t.Errorf("restore left handle 0 at %d", sigs[0].Read())
 	}
 }

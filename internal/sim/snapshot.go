@@ -56,11 +56,9 @@ func (s *Snapshotter) Capture() *Snapshot {
 	snap := &Snapshot{
 		Now:     s.kernel.now,
 		Used:    s.kernel.used,
-		Signals: make([]uint16, len(s.bus.order)),
+		Signals: make([]uint16, len(s.bus.values)),
 	}
-	for i, name := range s.bus.order {
-		snap.Signals[i] = s.bus.signals[name].value
-	}
+	s.bus.gather(snap.Signals)
 	return snap
 }
 
@@ -70,15 +68,13 @@ func (s *Snapshotter) Capture() *Snapshot {
 // Budget itself is not touched, so arm it (SetBudget) before
 // restoring.
 func (s *Snapshotter) Restore(snap *Snapshot) error {
-	if len(snap.Signals) != len(s.bus.order) {
+	if len(snap.Signals) != len(s.bus.values) {
 		return fmt.Errorf("sim: snapshot covers %d signals, bus has %d — not the same topology",
-			len(snap.Signals), len(s.bus.order))
+			len(snap.Signals), len(s.bus.values))
 	}
 	s.kernel.now = snap.Now
 	s.kernel.used = snap.Used
 	s.kernel.exhausted = false
-	for i, name := range s.bus.order {
-		s.bus.signals[name].value = snap.Signals[i]
-	}
+	s.bus.scatter(snap.Signals)
 	return nil
 }

@@ -89,8 +89,8 @@ func (m *moduleTask) Name() string { return m.name }
 // order, masked to each signal's declared width).
 func (m *moduleTask) Step(now sim.Millis) {
 	for i, s := range m.in {
-		if m.onRead != nil {
-			m.onRead(m.name, s.Name(), s, now)
+		if m.onRead != nil && m.onRead(m.name, s.Name(), s, now) {
+			m.onRead = nil
 		}
 		m.inBuf[i] = s.Read()
 	}

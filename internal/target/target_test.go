@@ -26,7 +26,7 @@ func TestAutobrakeTargetRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	inst.Run(10)
-	if got := len(inst.Bus().Names()); got == 0 {
+	if got := len(inst.Bus().Columns()); got == 0 {
 		t.Error("instance bus has no signals")
 	}
 }

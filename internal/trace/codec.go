@@ -20,28 +20,32 @@ import (
 //	    values  [samples]uint16
 //
 // All integers are little-endian. Signals are stored in the trace's
-// sorted order.
+// sorted order, each as its whole series: WriteTo transposes the
+// trace's tick rows into columns and ReadTrace transposes them back.
 
 var traceMagic = [4]byte{'P', 'T', 'R', 'C'}
 
 const traceVersion = 1
 
-// maxTraceDim bounds decoded dimensions to keep a corrupted header
-// from provoking huge allocations.
+// maxTraceDim bounds the decoded signal count and the total sample
+// count (signals × samples) to keep a corrupted header from provoking
+// huge allocations.
 const maxTraceDim = 1 << 26
 
 // WriteTo serialises the trace. It returns the number of bytes
-// written. Each signal is encoded into one buffer and written in one
-// call; golden-digest hashing runs this once per test case.
+// written. Each signal's column is gathered into one buffer and
+// written in one call; golden-digest hashing runs this once per test
+// case.
 func (t *Trace) WriteTo(w io.Writer) (int64, error) {
 	le := binary.LittleEndian
+	width := len(t.signals)
 	buf := append(make([]byte, 0, 64+2*t.Len()), traceMagic[:]...)
 	buf = le.AppendUint16(buf, traceVersion)
 	buf = le.AppendUint32(buf, uint32(len(t.signals)))
 	buf = le.AppendUint32(buf, uint32(t.Len()))
 	written, err := w.Write(buf)
 	n := int64(written)
-	for _, sig := range t.signals {
+	for c, sig := range t.signals {
 		if err != nil {
 			return n, err
 		}
@@ -49,8 +53,8 @@ func (t *Trace) WriteTo(w io.Writer) (int64, error) {
 			return n, fmt.Errorf("trace: signal name %q too long", sig[:32])
 		}
 		buf = append(le.AppendUint16(buf[:0], uint16(len(sig))), sig...)
-		for _, v := range t.samples[sig] {
-			buf = le.AppendUint16(buf, v)
+		for at := c; at < len(t.rows); at += width {
+			buf = le.AppendUint16(buf, t.rows[at])
 		}
 		written, err = w.Write(buf)
 		n += int64(written)
@@ -83,12 +87,15 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 	if err != nil {
 		return nil, err
 	}
-	if nSignals > maxTraceDim || nSamples > maxTraceDim {
+	if nSignals > maxTraceDim || uint64(nSignals)*uint64(nSamples) > maxTraceDim {
 		return nil, fmt.Errorf("trace: implausible dimensions %d×%d", nSignals, nSamples)
 	}
 
-	tr := &Trace{samples: make(map[string][]uint16, nSignals)}
-	prev := ""
+	// The columns are read into one buffer that grows as samples
+	// arrive, never sized from the header alone, and transposed into
+	// rows once complete.
+	tr := &Trace{}
+	var cols []uint16
 	for i := uint32(0); i < nSignals; i++ {
 		nameLen, err := readUint16(br)
 		if err != nil {
@@ -99,23 +106,23 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 			return nil, fmt.Errorf("trace: reading signal name: %w", err)
 		}
 		name := string(nameBuf)
-		if i > 0 && name <= prev {
-			return nil, fmt.Errorf("trace: signal names out of order (%q after %q)", name, prev)
+		if i > 0 && name <= tr.signals[i-1] {
+			return nil, fmt.Errorf("trace: signal names out of order (%q after %q)", name, tr.signals[i-1])
 		}
-		if _, dup := tr.samples[name]; dup {
-			return nil, fmt.Errorf("trace: duplicate signal %q", name)
-		}
-		prev = name
-		values := make([]uint16, nSamples)
-		for j := range values {
+		for j := uint32(0); j < nSamples; j++ {
 			v, err := readUint16(br)
 			if err != nil {
 				return nil, fmt.Errorf("trace: reading samples of %q: %w", name, err)
 			}
-			values[j] = v
+			cols = append(cols, v)
 		}
 		tr.signals = append(tr.signals, name)
-		tr.samples[name] = values
+	}
+	tr.rows = make([]uint16, len(cols))
+	for c := range tr.signals {
+		for j, v := range cols[c*int(nSamples) : (c+1)*int(nSamples)] {
+			tr.rows[j*len(tr.signals)+c] = v
+		}
 	}
 	return tr, nil
 }

@@ -3,8 +3,10 @@ package trace
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -167,5 +169,28 @@ func TestTraceWriteToPinnedDigest(t *testing.T) {
 	}
 	if got := hex.EncodeToString(h.Sum(nil)); got != pinnedTraceSHA256 {
 		t.Errorf("encoding digest = %s, want %s", got, pinnedTraceSHA256)
+	}
+}
+
+// TestCodecCorruptHeaderAllocatesLittle: a few-byte file whose header
+// claims a huge trace is rejected without allocating for the claim —
+// the total sample count is bounded, and the buffer grows only as
+// samples actually arrive.
+func TestCodecCorruptHeaderAllocatesLittle(t *testing.T) {
+	for _, dims := range [][2]uint32{{1 << 26, 1 << 26}, {1, 1 << 26}, {1 << 13, 1 << 13}} {
+		data := append([]byte("PTRC"), 0x01, 0x00)
+		data = binary.LittleEndian.AppendUint32(data, dims[0])
+		data = binary.LittleEndian.AppendUint32(data, dims[1])
+		data = append(data, 0x01, 0x00, 'a', 0x07, 0x00, 0x08)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ReadTrace(bytes.NewReader(data))
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%d×%d: ReadTrace accepted a truncated trace", dims[0], dims[1])
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+			t.Errorf("%d×%d: ReadTrace allocated %d bytes for a %d-byte file", dims[0], dims[1], grew, len(data))
+		}
 	}
 }

@@ -1,19 +1,19 @@
 package trace
 
 import (
+	"slices"
 	"sync"
 
 	"propane/internal/sim"
 )
 
 // Scratch-buffer pooling for the campaign hot path. Every injection
-// run needs a StreamComparator (handles, golden-sample and diff
-// slices) and every golden-digest pass a Recorder; both allocate
-// per-signal slices that are identical in shape from run to run, so
-// they are recycled through sync.Pools. Acquire falls back to a fresh
-// construction whenever the pooled object's shape does not match the
-// requested bus/trace, so callers never observe a difference from
-// New*.
+// run needs a StreamComparator (diff and band slices) and every
+// golden-digest pass a Recorder (a horizon-sized row buffer); both are
+// identical in shape from run to run, so they are recycled through
+// sync.Pools. Acquire falls back to a fresh construction whenever the
+// pooled object's shape does not match the requested bus/trace, so
+// callers never observe a difference from New*.
 
 var comparatorPool = sync.Pool{New: func() any { return nil }}
 
@@ -22,10 +22,10 @@ var comparatorPool = sync.Pool{New: func() any { return nil }}
 // matches. Release it with ReleaseStreamComparator once its diffs have
 // been copied out and the instance holding its hook is discarded.
 func AcquireStreamComparator(golden *Trace, bus *sim.Bus) (*StreamComparator, error) {
-	if c, _ := comparatorPool.Get().(*StreamComparator); c != nil && c.rebind(golden, bus) {
+	if c, _ := comparatorPool.Get().(*StreamComparator); c != nil && c.bind(golden, bus) {
 		return c, nil
 	}
-	// Shape mismatch (or empty pool): build fresh; a half-rebound
+	// Shape mismatch (or empty pool): build fresh; the mismatched
 	// comparator is simply dropped.
 	return NewStreamComparator(golden, bus)
 }
@@ -40,34 +40,6 @@ func ReleaseStreamComparator(c *StreamComparator) {
 	}
 }
 
-// rebind points a used comparator at a new bus and golden trace,
-// resetting all comparison state. It reports false when the pooled
-// shape does not match — mixed-topology processes (e.g. the test
-// suite) then fall back to a fresh construction.
-func (c *StreamComparator) rebind(golden *Trace, bus *sim.Bus) bool {
-	names := golden.signals
-	busNames := bus.Names()
-	if len(busNames) != len(names) || len(c.handles) != len(names) {
-		return false
-	}
-	for i, n := range names {
-		if busNames[i] != n {
-			return false
-		}
-		s, err := bus.Lookup(n)
-		if err != nil {
-			return false
-		}
-		c.handles[i] = s
-		c.samples[i] = golden.samples[n]
-		c.diffs[i] = Diff{Signal: n, First: -1, Last: -1}
-	}
-	c.bands = c.bands[:0]
-	c.horizon = golden.Len()
-	c.tick = 0
-	return true
-}
-
 var recorderPool = sync.Pool{New: func() any { return nil }}
 
 // AcquireRecorder returns a recorder over the bus's signals with
@@ -75,7 +47,7 @@ var recorderPool = sync.Pool{New: func() any { return nil }}
 // matches.
 //
 // HAZARD: Recorder.Trace returns the recorder's one retained *Trace;
-// ReleaseRecorder truncates its sample series in place. Only release
+// ReleaseRecorder truncates its row buffer in place. Only release
 // a recorder whose trace is fully consumed and discarded (hashing,
 // digesting). A trace that outlives the run — like the campaign's
 // golden traces — must come from a recorder that is never released.
@@ -95,26 +67,17 @@ func ReleaseRecorder(r *Recorder) {
 }
 
 // rebind points a used recorder at a new bus, truncating (and, when
-// the requested capacity grew, reallocating) its sample buffers.
+// the requested capacity grew, reallocating) its row buffer.
 func (r *Recorder) rebind(bus *sim.Bus, capacity int) bool {
-	names := bus.Names()
-	if len(names) != len(r.handles) || len(names) != len(r.trace.signals) {
+	tr := r.trace
+	if !slices.Equal(bus.Columns(), tr.signals) {
 		return false
 	}
-	for i, n := range names {
-		if r.trace.signals[i] != n {
-			return false
-		}
-		s, err := bus.Lookup(n)
-		if err != nil {
-			return false
-		}
-		r.handles[i] = s
-		if cap(r.series[i]) < capacity {
-			r.series[i] = make([]uint16, 0, capacity)
-		} else {
-			r.series[i] = r.series[i][:0]
-		}
+	r.bus = bus
+	if n := capacity * len(tr.signals); cap(tr.rows) < n {
+		tr.rows = make([]uint16, 0, n)
+	} else {
+		tr.rows = tr.rows[:0]
 	}
 	return true
 }

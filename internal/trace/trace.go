@@ -8,35 +8,31 @@ package trace
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"propane/internal/sim"
 )
 
 // Trace is a millisecond-resolution record of a set of signals. Sample
-// t of each signal is the value at the end of simulation tick t.
+// t of each signal is the value at the end of simulation tick t. The
+// samples are stored by tick: row t holds one value per signal, in
+// the sorted signal order that is also a sim.Bus's column order, so a
+// tick is recorded with one copy and compared with one slice compare.
 type Trace struct {
 	signals []string
-	samples map[string][]uint16
+	rows    []uint16 // row t is rows[t*len(signals) : (t+1)*len(signals)]
 }
 
 // NewTrace creates an empty trace for the given signal names.
 func NewTrace(signals []string) *Trace {
-	names := make([]string, len(signals))
-	copy(names, signals)
-	sort.Strings(names)
-	samples := make(map[string][]uint16, len(names))
-	for _, s := range names {
-		samples[s] = nil
-	}
-	return &Trace{signals: names, samples: samples}
+	names := slices.Clone(signals)
+	slices.Sort(names)
+	return &Trace{signals: names}
 }
 
 // Signals returns the traced signal names, sorted.
 func (t *Trace) Signals() []string {
-	out := make([]string, len(t.signals))
-	copy(out, t.signals)
-	return out
+	return slices.Clone(t.signals)
 }
 
 // Len returns the number of samples recorded per signal.
@@ -44,58 +40,73 @@ func (t *Trace) Len() int {
 	if len(t.signals) == 0 {
 		return 0
 	}
-	return len(t.samples[t.signals[0]])
+	return len(t.rows) / len(t.signals)
+}
+
+// column returns a signal's position within a row.
+func (t *Trace) column(signal string) (int, error) {
+	c, ok := slices.BinarySearch(t.signals, signal)
+	if !ok {
+		return 0, fmt.Errorf("trace: no signal %q", signal)
+	}
+	return c, nil
 }
 
 // Append records one sample per signal from the snapshot. Signals
 // missing from the snapshot record zero.
 func (t *Trace) Append(snapshot map[string]uint16) {
 	for _, s := range t.signals {
-		t.samples[s] = append(t.samples[s], snapshot[s])
+		t.rows = append(t.rows, snapshot[s])
 	}
 }
 
 // Samples returns the recorded series for a signal.
 func (t *Trace) Samples(signal string) ([]uint16, error) {
-	s, ok := t.samples[signal]
-	if !ok {
-		return nil, fmt.Errorf("trace: no signal %q", signal)
+	c, err := t.column(signal)
+	if err != nil {
+		return nil, err
 	}
-	out := make([]uint16, len(s))
-	copy(out, s)
+	out := make([]uint16, t.Len())
+	for i := range out {
+		out[i] = t.rows[i*len(t.signals)+c]
+	}
 	return out, nil
 }
 
 // Changes counts, without copying the series, the ticks on which a
 // signal differs from the tick before, out of samples recorded.
 func (t *Trace) Changes(signal string) (changes, samples int) {
-	s := t.samples[signal]
-	for i := 1; i < len(s); i++ {
-		if s[i] != s[i-1] {
+	c, err := t.column(signal)
+	if err != nil {
+		return 0, 0
+	}
+	w := len(t.signals)
+	for at := c + w; at < len(t.rows); at += w {
+		if t.rows[at] != t.rows[at-w] {
 			changes++
 		}
 	}
-	return changes, len(s)
+	return changes, t.Len()
 }
 
 // At returns the value of a signal at tick i.
 func (t *Trace) At(signal string, i int) (uint16, error) {
-	s, ok := t.samples[signal]
-	if !ok {
-		return 0, fmt.Errorf("trace: no signal %q", signal)
+	c, err := t.column(signal)
+	if err != nil {
+		return 0, err
 	}
-	if i < 0 || i >= len(s) {
-		return 0, fmt.Errorf("trace: index %d out of range [0,%d)", i, len(s))
+	if i < 0 || i >= t.Len() {
+		return 0, fmt.Errorf("trace: index %d out of range [0,%d)", i, t.Len())
 	}
-	return s[i], nil
+	return t.rows[i*len(t.signals)+c], nil
 }
 
 // Recorder samples every signal of a bus at the end of each tick.
-// Install its Hook as a kernel post-hook.
+// Install its Hook as a kernel post-hook. The bus's signal set must be
+// complete when the recorder is created.
 type Recorder struct {
-	handles []*sim.Signal
-	series  [][]uint16
-	trace   *Trace
+	bus   *sim.Bus
+	trace *Trace
 }
 
 // NewRecorder creates a recorder over all signals currently registered
@@ -104,44 +115,27 @@ func NewRecorder(bus *sim.Bus) (*Recorder, error) {
 	return NewRecorderCap(bus, 0)
 }
 
-// NewRecorderCap is NewRecorder with the per-signal sample buffers
-// preallocated for the given number of ticks (the run horizon), so a
-// run of known length records without growth reallocations.
+// NewRecorderCap is NewRecorder with the row buffer preallocated for
+// the given number of ticks (the run horizon), so a run of known
+// length records into one allocation.
 func NewRecorderCap(bus *sim.Bus, capacity int) (*Recorder, error) {
-	names := bus.Names()
-	handles := make([]*sim.Signal, len(names))
-	series := make([][]uint16, len(names))
-	for i, n := range names {
-		s, err := bus.Lookup(n)
-		if err != nil {
-			return nil, err
-		}
-		handles[i] = s
-		if capacity > 0 {
-			series[i] = make([]uint16, 0, capacity)
-		}
+	tr := NewTrace(bus.Columns())
+	if capacity > 0 {
+		tr.rows = make([]uint16, 0, capacity*len(tr.signals))
 	}
-	return &Recorder{handles: handles, series: series, trace: NewTrace(names)}, nil
+	return &Recorder{bus: bus, trace: tr}, nil
 }
 
-// Hook returns the kernel post-hook performing the sampling.
+// Hook returns the kernel post-hook performing the sampling: one row
+// append per tick.
 func (r *Recorder) Hook() sim.Hook {
 	return func(sim.Millis) {
-		for i, h := range r.handles {
-			r.series[i] = append(r.series[i], h.Read())
-		}
+		r.trace.rows = append(r.trace.rows, r.bus.Values()...)
 	}
 }
 
 // Trace returns the recorded trace.
-func (r *Recorder) Trace() *Trace {
-	// Sampling appends to indexed series (no per-tick map writes);
-	// sync them into the trace on access.
-	for i, sig := range r.trace.signals {
-		r.trace.samples[sig] = r.series[i]
-	}
-	return r.trace
-}
+func (r *Recorder) Trace() *Trace { return r.trace }
 
 // Diff summarises how one signal of a run trace deviates from the
 // golden run.
@@ -194,14 +188,16 @@ func CompareTol(golden, run *Trace, tol Tolerances) (map[string]Diff, error) {
 		return nil, errors.New("trace: traces cover different signal sets")
 	}
 	out := make(map[string]Diff, len(gs))
-	for i, sig := range gs {
-		if rs[i] != sig {
+	w := len(gs)
+	for c, sig := range gs {
+		if rs[c] != sig {
 			return nil, errors.New("trace: traces cover different signal sets")
 		}
 		d := Diff{Signal: sig, First: -1, Last: -1}
-		g, r, band := golden.samples[sig], run.samples[sig], tol[sig]
-		for t := range g {
-			if g[t] != r[t] && !withinBand(band, g[t], r[t]) {
+		band := tol[sig]
+		for t := 0; t < golden.Len(); t++ {
+			g, r := golden.rows[t*w+c], run.rows[t*w+c]
+			if g != r && !withinBand(band, g, r) {
 				if d.Count == 0 {
 					d.First = sim.Millis(t)
 				}
@@ -219,13 +215,19 @@ func CompareTol(golden, run *Trace, tol Tolerances) (map[string]Diff, error) {
 // install its Hook as a kernel post-hook and read the Diffs when the
 // run ends. This is what lets a full campaign of tens of thousands of
 // runs execute in constant memory per worker.
+//
+// The bus's value row and the golden trace's rows share one column
+// order, so a tick on which the run matches the golden run costs one
+// slice compare; only a mismatching tick walks its signals.
 type StreamComparator struct {
-	handles []*sim.Signal
-	samples [][]uint16 // golden sample series, one per handle
-	diffs   []Diff
-	bands   []uint16 // tolerance per handle; empty compares exactly
+	bus     *sim.Bus
+	golden  []uint16 // the golden trace's rows
+	width   int      // signals per row
+	diffs   []Diff   // one per column
+	bands   []uint16 // tolerance per column; empty compares exactly
 	horizon int      // golden trace length
 	tick    int
+	err     error // set when the bus's columns changed after binding
 }
 
 // SetTolerances installs per-signal tolerance bands; call before the
@@ -240,27 +242,30 @@ func (c *StreamComparator) SetTolerances(tol Tolerances) {
 // NewStreamComparator creates a comparator of the given bus against a
 // golden trace recorded over the same signal set.
 func NewStreamComparator(golden *Trace, bus *sim.Bus) (*StreamComparator, error) {
-	names := golden.Signals()
-	busNames := bus.Names()
-	if len(busNames) != len(names) {
+	c := &StreamComparator{diffs: make([]Diff, len(golden.signals))}
+	if !c.bind(golden, bus) {
 		return nil, errors.New("trace: bus and golden trace cover different signal sets")
 	}
-	handles := make([]*sim.Signal, len(names))
-	samples := make([][]uint16, len(names))
-	diffs := make([]Diff, len(names))
-	for i, n := range names {
-		if busNames[i] != n {
-			return nil, errors.New("trace: bus and golden trace cover different signal sets")
-		}
-		s, err := bus.Lookup(n)
-		if err != nil {
-			return nil, err
-		}
-		handles[i] = s
-		samples[i] = golden.samples[n]
-		diffs[i] = Diff{Signal: n, First: -1, Last: -1}
+	return c, nil
+}
+
+// bind points the comparator at a bus and golden trace, resetting all
+// comparison state. It reports false when the bus's columns are not
+// the golden trace's signals or the comparator was sized for another
+// signal count.
+func (c *StreamComparator) bind(golden *Trace, bus *sim.Bus) bool {
+	if len(c.diffs) != len(golden.signals) || !slices.Equal(bus.Columns(), golden.signals) {
+		return false
 	}
-	return &StreamComparator{handles: handles, samples: samples, diffs: diffs, horizon: golden.Len()}, nil
+	for i, n := range golden.signals {
+		c.diffs[i] = Diff{Signal: n, First: -1, Last: -1}
+	}
+	c.bus, c.golden, c.width = bus, golden.rows, len(golden.signals)
+	c.bands = c.bands[:0]
+	c.horizon = golden.Len()
+	c.tick = 0
+	c.err = nil
+	return true
 }
 
 // SeekTo positions the comparator at the given tick, as if the first
@@ -283,22 +288,35 @@ func (c *StreamComparator) Hook() sim.Hook {
 		if c.tick >= c.horizon {
 			return
 		}
-		for i, h := range c.handles {
-			g := c.samples[i][c.tick]
-			v := h.Read()
-			if v == g {
-				continue
-			}
-			if len(c.bands) == 0 || !withinBand(c.bands[i], g, v) {
-				d := &c.diffs[i]
-				if d.Count == 0 {
-					d.First = sim.Millis(c.tick)
-				}
-				d.Last = sim.Millis(c.tick)
-				d.Count++
-			}
+		at := c.tick * c.width
+		if g, v := c.golden[at:at+c.width], c.bus.Values(); !slices.Equal(g, v) {
+			c.mismatch(g, v)
 		}
 		c.tick++
+	}
+}
+
+// mismatch records the signals of a tick whose row differs from the
+// golden row by more than their tolerance band. A live row of another
+// width means a signal was registered after binding, which shifts the
+// bus's columns: the comparator stops and reports it through Err
+// rather than attribute diffs to the wrong signals.
+func (c *StreamComparator) mismatch(golden, live []uint16) {
+	if len(live) != len(golden) {
+		c.err = fmt.Errorf("trace: bus has %d signals at tick %d, the golden trace %d: signals were registered after the comparator was bound",
+			len(live), c.tick, len(golden))
+		c.horizon = c.tick
+		return
+	}
+	for i, g := range golden {
+		if v := live[i]; v != g && (len(c.bands) == 0 || !withinBand(c.bands[i], g, v)) {
+			d := &c.diffs[i]
+			if d.Count == 0 {
+				d.First = sim.Millis(c.tick)
+			}
+			d.Last = sim.Millis(c.tick)
+			d.Count++
+		}
 	}
 }
 
@@ -340,6 +358,11 @@ func (c *StreamComparator) Diff(signal string) (Diff, error) {
 	}
 	return Diff{}, fmt.Errorf("trace: comparator does not cover signal %q", signal)
 }
+
+// Err reports a comparison that could not be carried out: the bus
+// gained signals after the comparator was bound. The diffs are then
+// incomplete and must not be used.
+func (c *StreamComparator) Err() error { return c.err }
 
 // Ticks returns how many ticks have been compared.
 func (c *StreamComparator) Ticks() int { return c.tick }

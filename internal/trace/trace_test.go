@@ -190,6 +190,46 @@ func TestStreamComparatorIgnoresOverrun(t *testing.T) {
 	}
 }
 
+// TestStreamComparatorLateRegistration: a signal registered after the
+// comparator is bound inserts a bus column and shifts the others, so
+// the comparator must stop with an error instead of attributing diffs
+// to the wrong signals.
+func TestStreamComparatorLateRegistration(t *testing.T) {
+	golden := makeTrace(map[string][]uint16{"p": {5, 5}, "q": {7, 7}})
+	bus := sim.NewBus()
+	bus.Register("p").Write(5)
+	bus.Register("q").Write(7)
+	sc, err := AcquireStreamComparator(golden, bus)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hook := sc.Hook()
+	hook(0)
+	if err := sc.Err(); err != nil {
+		t.Fatalf("Err after a matching tick: %v", err)
+	}
+	bus.Register("a") // sorts first: p and q move one column right
+	hook(1)
+	if sc.Err() == nil {
+		t.Fatal("late registration not reported")
+	}
+	if d := sc.DeviatingDiffs(); d != nil {
+		t.Errorf("late registration produced diffs %v", d)
+	}
+	ReleaseStreamComparator(sc)
+	// A recycled comparator starts clean.
+	bus2 := sim.NewBus()
+	bus2.Register("p")
+	bus2.Register("q")
+	sc2, err := AcquireStreamComparator(golden, bus2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sc2.Err(); err != nil {
+		t.Errorf("rebound comparator kept error %v", err)
+	}
+}
+
 func TestStreamComparatorSignalSetMismatch(t *testing.T) {
 	golden := makeTrace(map[string][]uint16{"p": {1}})
 	bus := sim.NewBus()
