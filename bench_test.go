@@ -351,25 +351,6 @@ func BenchmarkSimulationTick(b *testing.B) {
 	}
 }
 
-// BenchmarkSingleInjectionRun measures one complete injection run:
-// instance construction, 6 s of simulated time and streaming GRC.
-// Pruning is pinned off: a one-run campaign would pay the golden
-// read-log capture with nothing to amortize it over, and the point of
-// this benchmark is the marginal cost of executing a run in full.
-func BenchmarkSingleInjectionRun(b *testing.B) {
-	cfg := benchCampaign()
-	cfg.Bits = []uint{7}
-	cfg.Times = []sim.Millis{2500}
-	cfg.OnlyModule = arrestor.ModVReg
-	cfg.Prune = campaign.PruneOff
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := campaign.Run(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkBacktrackForest measures the pure tree-construction cost on
 // the target topology.
 func BenchmarkBacktrackForest(b *testing.B) {
@@ -606,62 +587,6 @@ func BenchmarkHostileCampaign(b *testing.B) {
 	}
 }
 
-// BenchmarkCampaignFullReplay pins the pre-checkpoint execution model
-// as the baseline: every injection run replays the target from t=0,
-// re-simulating the identical pre-injection prefix for all 16 bit
-// positions of every (case, instant) pair.
-func BenchmarkCampaignFullReplay(b *testing.B) {
-	cfg := benchCampaign()
-	cfg.Checkpoints = campaign.CheckpointOff
-	cfg.Prune = campaign.PruneOff
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := campaign.Run(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkCampaignCheckpointed is the same campaign with checkpoint
-// fast-forward forced on: one extra uninjected pass per test case
-// captures a snapshot at each injection instant, and every run sharing
-// that (case, instant) restores it instead of re-simulating the
-// prefix. Compare against BenchmarkCampaignFullReplay.
-func BenchmarkCampaignCheckpointed(b *testing.B) {
-	cfg := benchCampaign()
-	cfg.Checkpoints = campaign.CheckpointForce
-	cfg.Prune = campaign.PruneOff
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := campaign.Run(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkCampaignPruned stacks equivalence pruning on top of the
-// checkpointed execution model: unfired traps resolve from the golden
-// read log without simulating, no-op corruptions short-circuit at
-// classification time, repeated injection states serve from the memo
-// cache, and executing runs exit early once their state reconverges
-// with the golden trajectory. Compare against the two benchmarks
-// above for the isolated contribution of each layer.
-func BenchmarkCampaignPruned(b *testing.B) {
-	cfg := benchCampaign()
-	cfg.Checkpoints = campaign.CheckpointForce
-	cfg.Prune = campaign.PruneForce
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		res, err := campaign.Run(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Pruning.Total() == 0 {
-			b.Fatal("pruned campaign resolved nothing without execution")
-		}
-	}
-}
-
 // BenchmarkCheckpointCaptureRestore measures the snapshot primitive
 // itself: one Capture plus one Restore of a mid-flight arrestment
 // instance. This bounds the per-run cost the fast-forward path pays
@@ -683,32 +608,6 @@ func BenchmarkCheckpointCaptureRestore(b *testing.B) {
 		}
 		if err := inst.Restore(snap); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSupervisedInjectionRun guards the supervision overhead on
-// the happy path: the exact workload of BenchmarkSingleInjectionRun
-// but with the watchdog armed and the quarantine policy installed.
-// The budget accounting is one int64 increment per task step and the
-// crash guard is a recover on an unexercised path, so the delta
-// against the unsupervised baseline should be noise.
-func BenchmarkSupervisedInjectionRun(b *testing.B) {
-	cfg := benchCampaign()
-	cfg.Bits = []uint{7}
-	cfg.Times = []sim.Millis{2500}
-	cfg.OnlyModule = arrestor.ModVReg
-	cfg.Prune = campaign.PruneOff
-	cfg.Budget = sim.Budget{Steps: int64(cfg.HorizonMs)*64 + 1024}
-	cfg.OnJobError = campaign.QuarantinePolicy(3, nil)
-	for i := 0; i < b.N; i++ {
-		res, err := campaign.Run(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Crashes+res.Hangs+len(res.Quarantined) != 0 {
-			b.Fatalf("benign campaign tripped supervision: %d crashes, %d hangs, %d quarantined",
-				res.Crashes, res.Hangs, len(res.Quarantined))
 		}
 	}
 }

@@ -87,7 +87,6 @@ func run(args []string, out io.Writer) (retErr error) {
 	runBudget := fs.Int64("run-budget", 0, "per-run step budget: terminate and classify a run as hung after this many work units (0 = instance default)")
 	maxRetries := fs.Int("max-retries", 0, "retries for transient journal/artifact I/O failures (0 = default 3, negative disables)")
 	quarantineAfter := fs.Int("quarantine-after", 0, "quarantine a job after this many consecutive worker crashes (0 = default 3, negative disables → abort)")
-	pruneFlag := fs.String("prune", "auto", "equivalence pruning: auto (short-circuit provably equivalent runs) or off")
 	adaptiveFlag := fs.String("adaptive", "off", "sequential CI-driven sampling: off (full matrix), auto, or force")
 	ciEpsilon := fs.Float64("ci-epsilon", 0, "adaptive stopping half-width ε in (0, 0.5); 0 keeps the 0.05 default")
 	synthFiles := fs.String("synth", "", "comma-separated declarative topology documents to compile and register as instances")
@@ -137,21 +136,9 @@ func run(args []string, out io.Writer) (retErr error) {
 		return nil
 	}
 	logf := func(format string, a ...any) { fmt.Fprintf(out, format+"\n", a...) }
-	var prune campaign.PruneMode
-	switch *pruneFlag {
-	case "auto", "":
-		prune = campaign.PruneAuto
-	case "off":
-		prune = campaign.PruneOff
-	default:
-		return fmt.Errorf("unknown -prune mode %q (want auto or off)", *pruneFlag)
-	}
 	adaptive, err := campaign.ParseAdaptiveMode(*adaptiveFlag)
 	if err != nil {
 		return fmt.Errorf("-adaptive: %w", err)
-	}
-	if *ciEpsilon < 0 || *ciEpsilon >= 0.5 {
-		return fmt.Errorf("-ci-epsilon %v outside [0, 0.5)", *ciEpsilon)
 	}
 	if *workerURL != "" {
 		if *dir == "" {
@@ -210,7 +197,6 @@ func run(args []string, out io.Writer) (retErr error) {
 		RunBudgetSteps:  *runBudget,
 		MaxRetries:      *maxRetries,
 		QuarantineAfter: *quarantineAfter,
-		Prune:           prune,
 		Adaptive:        adaptive,
 		CIEpsilon:       *ciEpsilon,
 	}

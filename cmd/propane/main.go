@@ -7,7 +7,8 @@
 //	propane [-scale tiny|reduced|paper] [-workers N] [-table all|1|2|3|4]
 //	        [-uniform] [-advice] [-dot DIR] [-artifacts DIR [-resume]]
 //	        [-run-budget N] [-max-retries N] [-quarantine-after N]
-//	        [-prune auto|off] [-cpuprofile F] [-memprofile F]
+//	        [-adaptive off|auto|force [-ci-epsilon E]]
+//	        [-cpuprofile F] [-memprofile F]
 //	        [-synth FILE [-synth-tier quick|full]]
 //
 // -scale selects the campaign size (tiny runs in well under a second,
@@ -70,7 +71,6 @@ func run(args []string) (retErr error) {
 	runBudget := fs.Int64("run-budget", 0, "per-run step budget: terminate and classify a run as hung after this many work units (0 = unlimited)")
 	maxRetries := fs.Int("max-retries", 0, "retries for transient journal/artifact I/O failures with -artifacts (0 = default 3, negative disables)")
 	quarantineAfter := fs.Int("quarantine-after", 0, "quarantine a job after this many consecutive worker crashes (0 = default 3, negative disables → abort)")
-	pruneFlag := fs.String("prune", "auto", "equivalence pruning: auto (short-circuit provably equivalent runs) or off")
 	adaptiveFlag := fs.String("adaptive", "off", "sequential CI-driven sampling: off (full matrix), auto, or force")
 	ciEpsilon := fs.Float64("ci-epsilon", 0, "adaptive stopping half-width ε in (0, 0.5); 0 keeps the 0.05 default")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the campaign to this file")
@@ -125,23 +125,15 @@ func run(args []string) (retErr error) {
 		cfg.Dual = *dual
 	}
 	cfg.Workers = *workers
-	prune, err := parsePrune(*pruneFlag)
-	if err != nil {
-		return err
-	}
-	cfg.Prune = prune
 	adaptive, err := campaign.ParseAdaptiveMode(*adaptiveFlag)
 	if err != nil {
 		return fmt.Errorf("-adaptive: %w", err)
 	}
-	if *ciEpsilon < 0 || *ciEpsilon >= 0.5 {
-		return fmt.Errorf("-ci-epsilon %v outside [0, 0.5)", *ciEpsilon)
-	}
 	if adaptive != campaign.AdaptiveOff {
 		cfg.Adaptive = adaptive
 	}
-	if *ciEpsilon > 0 {
-		cfg.CIEpsilon = *ciEpsilon
+	if *ciEpsilon != 0 {
+		cfg.CIEpsilon = *ciEpsilon // campaign.Config.Validate bounds it
 	}
 
 	errsPerPoint := len(cfg.Bits) + len(cfg.Models)
@@ -173,7 +165,6 @@ func run(args []string) (retErr error) {
 			RunBudgetSteps:  *runBudget,
 			MaxRetries:      *maxRetries,
 			QuarantineAfter: *quarantineAfter,
-			Prune:           prune,
 		})
 		if err != nil {
 			return err
@@ -296,16 +287,6 @@ func run(args []string) (retErr error) {
 		fmt.Printf("report written to %s\n", *reportPath)
 	}
 	return nil
-}
-
-func parsePrune(s string) (campaign.PruneMode, error) {
-	switch s {
-	case "auto", "":
-		return campaign.PruneAuto, nil
-	case "off":
-		return campaign.PruneOff, nil
-	}
-	return campaign.PruneAuto, fmt.Errorf("unknown -prune mode %q (want auto or off)", s)
 }
 
 func configForScale(scale string) (campaign.Config, error) {

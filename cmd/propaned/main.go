@@ -150,9 +150,6 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return fmt.Errorf("-adaptive: %w", err)
 	}
-	if *ciEpsilon < 0 || *ciEpsilon >= 0.5 {
-		return fmt.Errorf("-ci-epsilon %v outside [0, 0.5)", *ciEpsilon)
-	}
 
 	logf := func(format string, a ...any) { fmt.Fprintf(out, format+"\n", a...) }
 	if *serve {

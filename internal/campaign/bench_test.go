@@ -5,6 +5,8 @@ import (
 
 	"propane/internal/arrestor"
 	"propane/internal/inject"
+	"propane/internal/physics"
+	"propane/internal/sim"
 )
 
 // BenchmarkInjectionRun measures one paper injection run as the
@@ -33,6 +35,124 @@ func BenchmarkInjectionRun(b *testing.B) {
 		}
 		if !out.fired {
 			b.Fatal("trap did not fire")
+		}
+	}
+}
+
+// benchCampaign is the small campaign behind the campaign-level
+// benchmarks: 1 test case, 2 instants, 2 bits over all 13 inputs = 52
+// simulation runs per iteration.
+func benchCampaign() Config {
+	cases, err := physics.Grid(1, 1, 14000, 14000, 60, 60)
+	if err != nil {
+		panic(err)
+	}
+	return Config{
+		Arrestor:       arrestor.DefaultConfig(),
+		TestCases:      cases,
+		Times:          []sim.Millis{1500, 3500},
+		Bits:           []uint{3, 12},
+		HorizonMs:      6000,
+		DirectWindowMs: 500,
+	}
+}
+
+// BenchmarkSingleInjectionRun measures one complete injection run:
+// instance construction, 6 s of simulated time and streaming GRC.
+// Pruning is pinned off: a one-run campaign would pay the golden
+// firing-prediction capture with nothing to amortize it over, and the
+// point of this benchmark is the marginal cost of executing a run in
+// full.
+func BenchmarkSingleInjectionRun(b *testing.B) {
+	cfg := benchCampaign()
+	cfg.Bits = []uint{7}
+	cfg.Times = []sim.Millis{2500}
+	cfg.OnlyModule = arrestor.ModVReg
+	cfg.executeAll = true
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Run(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSupervisedInjectionRun guards the supervision overhead on
+// the happy path: the exact workload of BenchmarkSingleInjectionRun
+// but with the watchdog armed and the quarantine policy installed.
+// The budget accounting is one int64 increment per task step and the
+// crash guard is a recover on an unexercised path, so the delta
+// against the unsupervised baseline should be noise.
+func BenchmarkSupervisedInjectionRun(b *testing.B) {
+	cfg := benchCampaign()
+	cfg.Bits = []uint{7}
+	cfg.Times = []sim.Millis{2500}
+	cfg.OnlyModule = arrestor.ModVReg
+	cfg.executeAll = true
+	cfg.Budget = sim.Budget{Steps: int64(cfg.HorizonMs)*64 + 1024}
+	cfg.OnJobError = QuarantinePolicy(3, nil)
+	for i := 0; i < b.N; i++ {
+		res, err := Run(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Crashes+res.Hangs+len(res.Quarantined) != 0 {
+			b.Fatalf("benign campaign tripped supervision: %d crashes, %d hangs, %d quarantined",
+				res.Crashes, res.Hangs, len(res.Quarantined))
+		}
+	}
+}
+
+// BenchmarkCampaignFullReplay pins the pre-checkpoint execution model
+// as the baseline: every injection run replays the target from t=0,
+// re-simulating the identical pre-injection prefix for all 16 bit
+// positions of every (case, instant) pair.
+func BenchmarkCampaignFullReplay(b *testing.B) {
+	cfg := benchCampaign()
+	cfg.replayAll = true
+	cfg.executeAll = true
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Run(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkCampaignCheckpointed is the same campaign with checkpoint
+// fast-forward on and pruning off: one extra uninjected pass per test
+// case captures a snapshot at each injection instant, and every run
+// sharing that (case, instant) restores it instead of re-simulating
+// the prefix. Compare against BenchmarkCampaignFullReplay.
+func BenchmarkCampaignCheckpointed(b *testing.B) {
+	cfg := benchCampaign()
+	cfg.executeAll = true
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Run(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkCampaignPruned is the campaign as configured: equivalence
+// pruning stacked on the checkpointed execution model. Unfired traps
+// resolve from the golden firing predictions without simulating,
+// no-op corruptions short-circuit at classification time, repeated
+// injection states serve from the memo cache, and executing runs exit
+// early once their state reconverges with the golden trajectory.
+// Compare against the two benchmarks above for the isolated
+// contribution of each layer.
+func BenchmarkCampaignPruned(b *testing.B) {
+	cfg := benchCampaign()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		res, err := Run(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Pruning.Total() == 0 {
+			b.Fatal("pruned campaign resolved nothing without execution")
 		}
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"time"
 
 	"propane/internal/arrestor"
 	"propane/internal/core"
@@ -63,29 +64,15 @@ type Config struct {
 	// Workers bounds the number of concurrent injection runs;
 	// Workers <= 0 selects GOMAXPROCS.
 	Workers int
-	// Checkpoints selects the fast-forward strategy (see
-	// CheckpointMode): the default CheckpointAuto snapshots the
-	// simulation state at each injection instant and starts injection
-	// runs there instead of replaying from t=0, whenever the target
-	// supports it and no Instrument hook is configured. Results are
-	// bit-identical either way.
-	Checkpoints CheckpointMode
-	// Prune selects equivalence pruning and run-result memoization
-	// (see PruneMode): the default PruneAuto short-circuits injections
-	// the golden run's read log proves unfired or no-op, serves
-	// repeated experiments from a bounded result cache, and stops
-	// executing runs whose state has reconverged to the golden run's at
-	// a checkpoint instant. Results are bit-identical either way;
-	// synthesized records carry RunRecord.Pruned.
-	Prune PruneMode
 	// Memo, when non-nil, plugs a second-level memo store behind the
 	// in-process result cache: memoizable experiments missing the local
 	// cache are looked up there before executing, and executed results
 	// are offered back. A persistent backend lets identical experiments
 	// be reused across campaigns and processes — the caller must scope
 	// the backend to one campaign config digest (see
-	// runner.Options.Memo). Only consulted when pruning is enabled;
-	// hits are labeled PrunedMemoStore.
+	// runner.Options.Memo). Only consulted when the campaign prunes
+	// (no Instrument hook, see pruningEnabled); hits are labeled
+	// PrunedMemoStore.
 	Memo MemoBackend
 	// Adaptive selects sequential, confidence-interval-driven sampling
 	// of the injection space instead of the fixed bits × instants ×
@@ -133,6 +120,13 @@ type Config struct {
 	// selected. It runs on worker goroutines; the value it returns is
 	// handed back — unsynchronised state must live there — via
 	// RunRecord.Attachment on the serial Observer path.
+	//
+	// Instrument also decides the campaign's fast paths. Without it,
+	// injection runs fast-forward from per-instant checkpoints when
+	// the target supports them (checkpoint.go) and provably redundant
+	// runs are pruned or memoized (prune.go) — both bit-identical to
+	// full execution. With it, every run is built and executed from
+	// t=0, so the hook sees every run from its first tick.
 	Instrument func(inst Instance, caseIdx int) (any, error)
 	// Skip, when non-nil, is consulted for every planned (injection,
 	// test case) job before it is dispatched; returning true excludes
@@ -185,6 +179,14 @@ type Config struct {
 	// memoBound overrides the result cache's entry bound (tests only;
 	// 0 selects defaultMemoBound).
 	memoBound int
+	// replayAll turns checkpoint fast-forward off, so every injection
+	// run replays from t=0 (tests only: the full-replay oracle of the
+	// checkpoint equivalence suite).
+	replayAll bool
+	// executeAll turns equivalence pruning and memoization off, so
+	// every injection run executes (tests only: the unpruned oracle of
+	// the prune equivalence suite).
+	executeAll bool
 }
 
 // JobErrorAction is OnJobError's verdict on a failed injection job.
@@ -298,6 +300,12 @@ type RunRecord struct {
 	// (1-based; 0 for full-matrix campaigns). Like Pruned it documents
 	// how the run was scheduled and is never part of record identity.
 	Round int
+	// Elapsed is the wall time a worker spent executing this run, from
+	// instance construction to the final comparison. It is zero for
+	// runs settled without executing (unfired, no-op, memoized),
+	// quarantined jobs and replayed records; it is not journaled and
+	// never part of record identity.
+	Elapsed time.Duration
 }
 
 // PaperConfig returns the paper's full campaign: 25 test cases, 16
@@ -382,22 +390,12 @@ func (c Config) Validate() error {
 			return invalidf("campaign: injection time %d outside [0,%d)", at, c.HorizonMs)
 		}
 	}
-	switch c.Checkpoints {
-	case CheckpointAuto, CheckpointOff, CheckpointForce:
-	default:
-		return invalidf("campaign: unknown checkpoint mode %d", c.Checkpoints)
-	}
-	switch c.Prune {
-	case PruneAuto, PruneOff, PruneForce:
-	default:
-		return invalidf("campaign: unknown prune mode %d", c.Prune)
-	}
 	switch c.Adaptive {
 	case AdaptiveOff, AdaptiveAuto, AdaptiveForce:
 	default:
 		return invalidf("campaign: unknown adaptive mode %d", c.Adaptive)
 	}
-	if c.CIEpsilon < 0 || c.CIEpsilon >= 0.5 {
+	if !(c.CIEpsilon >= 0 && c.CIEpsilon < 0.5) { // also rejects NaN
 		return invalidf("campaign: CI epsilon %v outside [0, 0.5)", c.CIEpsilon)
 	}
 	if c.DirectWindowMs < 0 {
@@ -541,6 +539,7 @@ type runOutcome struct {
 	detail      string // panic value (crash) or last error (quarantined)
 	attempts    int    // consecutive failures behind a quarantine
 	pruned      string // Pruned* label, "" for a fully executed run
+	elapsed     time.Duration
 }
 
 // Plan returns the campaign's deterministic injection plan — the
@@ -756,6 +755,7 @@ func Run(cfg Config) (*Result, error) {
 				Attempts:      out.attempts,
 				Pruned:        out.pruned,
 				Round:         round,
+				Elapsed:       out.elapsed,
 			})
 		}
 	}
@@ -985,6 +985,7 @@ func injectionRun(cfg Config, sys *model.System, golden *trace.Trace, caseIdx in
 		}
 		mk = key
 	}
+	start := time.Now()
 	inst, err := cfg.NewInstance(cfg.TestCases[caseIdx], trap.Hook())
 	if err != nil {
 		return runOutcome{}, fmt.Errorf("campaign: injection %v case %d: %w", inj, caseIdx, err)
@@ -1033,6 +1034,7 @@ func injectionRun(cfg Config, sys *model.System, golden *trace.Trace, caseIdx in
 		firedAt:    firedAt,
 		diffs:      cmp.DeviatingDiffs(), // partial up to the crash/hang point — still recorded
 		attachment: attachment,
+		elapsed:    time.Since(start),
 	}
 	out.failureAt = -1
 	// DeviatingDiffs copied the results out and the instance (with the

@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"math"
 	"sync"
 	"testing"
 
@@ -221,7 +222,8 @@ func TestConfigValidateCampaign(t *testing.T) {
 		"zero horizon":    func(c *Config) { c.HorizonMs = 0 },
 		"time >= horizon": func(c *Config) { c.Times = []sim.Millis{6000} },
 		"negative time":   func(c *Config) { c.Times = []sim.Millis{-1} },
-		"bad checkpoints": func(c *Config) { c.Checkpoints = CheckpointMode(99) },
+		"nan epsilon":     func(c *Config) { c.CIEpsilon = math.NaN() },
+		"neg epsilon":     func(c *Config) { c.CIEpsilon = -1 },
 		"neg window":      func(c *Config) { c.DirectWindowMs = -1 },
 		"bad arrestor":    func(c *Config) { c.Arrestor.MaxSlew = 0 },
 	}

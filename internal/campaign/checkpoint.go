@@ -22,29 +22,6 @@ import (
 // is seeked to the checkpoint tick, so results — diffs, outcomes,
 // latencies, hang trip points — are bit-identical to a full replay.
 
-// CheckpointMode selects whether injection runs fast-forward from
-// per-(test case, injection instant) snapshots instead of replaying
-// from t=0.
-type CheckpointMode int
-
-const (
-	// CheckpointAuto (the default) fast-forwards when the target
-	// supports it and no Instrument hook is configured. Instrument
-	// attachments (runtime monitors, recovery mechanisms) observe the
-	// run from tick 0, so fast-forwarding past the prefix could change
-	// what they see; auto mode conservatively falls back to full
-	// replay for them.
-	CheckpointAuto CheckpointMode = iota
-	// CheckpointOff always replays from t=0.
-	CheckpointOff
-	// CheckpointForce fast-forwards even with an Instrument hook
-	// configured — for instrumentation that only wraps per-run
-	// bookkeeping (e.g. internal/runner's timing wrapper) and does not
-	// observe simulation state before the injection instant. Targets
-	// that are not checkpointable still fall back to full replay.
-	CheckpointForce
-)
-
 // defaultCheckpointCases bounds the checkpoint cache: snapshot sets
 // for at most this many test cases are held at once, recycled
 // least-recently-used. Snapshots are small (one uint16 per signal
@@ -166,17 +143,15 @@ func (cc *checkpointCache) build(caseIdx int) (map[sim.Millis]*sim.Snapshot, err
 	return snaps, nil
 }
 
-// checkpointsEnabled decides whether this campaign fast-forwards.
-// Unsupported topologies are detected by probing one instance, so the
-// fallback to full replay is transparent to callers.
+// checkpointsEnabled decides whether this campaign fast-forwards:
+// whenever no Instrument hook is configured and the target supports
+// it. Instrument attachments (runtime monitors, recovery mechanisms)
+// observe the run from tick 0, so skipping the prefix could change
+// what they see. Unsupported topologies are detected by probing one
+// instance, so the fallback to full replay is transparent to callers.
 func (c Config) checkpointsEnabled() bool {
-	switch c.Checkpoints {
-	case CheckpointOff:
+	if c.Instrument != nil || c.replayAll {
 		return false
-	case CheckpointAuto:
-		if c.Instrument != nil {
-			return false
-		}
 	}
 	inst, err := c.NewInstance(c.TestCases[0], nil)
 	if err != nil {

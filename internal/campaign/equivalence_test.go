@@ -2,9 +2,10 @@ package campaign
 
 // Equivalence suite for the checkpoint fast-forward path: for every
 // target topology — including the adversarial one whose injections
-// crash and hang the run — a campaign executed with checkpoints
-// forced on must produce a Result bit-identical to the same campaign
-// with checkpoints off (full replay from t=0). The suite runs under
+// crash and hang the run — a campaign executed as configured (which
+// fast-forwards wherever the target supports it) must produce a Result
+// bit-identical to the same campaign under the test-only replayAll
+// oracle (full replay from t=0). The suite runs under
 // -race in CI, so it also stresses the shared snapshot cache.
 
 import (
@@ -117,12 +118,10 @@ func TestCheckpointEquivalence(t *testing.T) {
 	for name, mk := range configs {
 		t.Run(name, func(t *testing.T) {
 			off := mk(t)
-			off.Checkpoints = CheckpointOff
+			off.replayAll = true
 			base, baseRecs := runKeyed(t, off)
 
-			on := mk(t)
-			on.Checkpoints = CheckpointForce
-			ck, ckRecs := runKeyed(t, on)
+			ck, ckRecs := runKeyed(t, mk(t))
 
 			assertEquivalent(t, base, ck, baseRecs, ckRecs)
 		})
@@ -130,19 +129,22 @@ func TestCheckpointEquivalence(t *testing.T) {
 }
 
 // TestCheckpointAutoFallsBackUnderInstrument: an Instrument hook may
-// observe pre-injection state, so CheckpointAuto must silently take
-// the full-replay path — and still produce the baseline Result.
+// observe pre-injection state, so an instrumented campaign must
+// silently take the full-replay path — and still produce the baseline
+// Result.
 func TestCheckpointAutoFallsBackUnderInstrument(t *testing.T) {
 	attach := func(inst Instance, caseIdx int) (any, error) { return caseIdx, nil }
 
 	off := tinyConfig()
-	off.Checkpoints = CheckpointOff
+	off.replayAll = true
 	off.Instrument = attach
 	base, baseRecs := runKeyed(t, off)
 
 	auto := tinyConfig()
-	auto.Checkpoints = CheckpointAuto
 	auto.Instrument = attach
+	if auto.checkpointsEnabled() {
+		t.Fatal("checkpoints enabled under an Instrument hook")
+	}
 	ck, ckRecs := runKeyed(t, auto)
 
 	assertEquivalent(t, base, ck, baseRecs, ckRecs)
@@ -175,12 +177,11 @@ func TestInstrumentLateRegistrationFails(t *testing.T) {
 func TestCheckpointSingleWorkerDeterminism(t *testing.T) {
 	off := tinyConfig()
 	off.Workers = 1
-	off.Checkpoints = CheckpointOff
+	off.replayAll = true
 	base, baseRecs := runKeyed(t, off)
 
 	on := tinyConfig()
 	on.Workers = 1
-	on.Checkpoints = CheckpointForce
 	ck, ckRecs := runKeyed(t, on)
 
 	assertEquivalent(t, base, ck, baseRecs, ckRecs)

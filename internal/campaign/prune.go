@@ -43,32 +43,12 @@ import (
 // execution; the equivalence suite (prune_test.go) asserts it on
 // every registry target, including crash/hang-heavy ones.
 
-// PruneMode selects whether provably redundant injection runs are
-// short-circuited (equivalence pruning) and repeated experiments are
-// served from the result cache (memoization).
-type PruneMode int
-
-const (
-	// PruneAuto (the default) prunes when no Instrument hook is
-	// configured. A pruned run never builds a target instance, so
-	// Instrument would not be invoked and its attachment would be
-	// missing from the record; auto mode conservatively executes every
-	// run for instrumented campaigns.
-	PruneAuto PruneMode = iota
-	// PruneOff executes every injection run.
-	PruneOff
-	// PruneForce prunes even with an Instrument hook configured — for
-	// instrumentation that only wraps per-run bookkeeping (e.g.
-	// internal/runner's timing wrapper) and tolerates a nil attachment
-	// on synthesized records.
-	PruneForce
-)
-
 // Pruned-kind labels recorded on RunRecord.Pruned (and on journal
 // records) for runs whose outcome was obtained without a full
 // execution. The empty string marks a fully executed run.
 const (
-	// PrunedUnfired: the golden read log proves the trap cannot fire.
+	// PrunedUnfired: the golden run's firing prediction proves the trap
+	// cannot fire.
 	PrunedUnfired = "unfired"
 	// PrunedNoOp: the corrupted value equals the golden value at the
 	// firing read, so the injection changes nothing.
@@ -148,20 +128,15 @@ func (ps PruneStats) Total() int {
 	return ps.NoOp + ps.Unfired + ps.Memoized + ps.Store + ps.Converged
 }
 
-// pruningEnabled decides whether this campaign prunes. Unlike
-// checkpointsEnabled it needs no target capability probe: the read-log
-// classifications are sound for any target, and the checkpoint-based
-// convergence probe simply stays off when no checkpoint cache exists.
+// pruningEnabled decides whether this campaign prunes: whenever no
+// Instrument hook is configured. A pruned run never builds a target
+// instance, so the hook would be skipped and its attachment missing
+// from the record. Unlike checkpointsEnabled it needs no target
+// capability probe: the golden-run firing predictions are sound for
+// any target, and the checkpoint-based convergence probe simply stays
+// off when no checkpoint cache exists.
 func (c Config) pruningEnabled() bool {
-	switch c.Prune {
-	case PruneOff:
-		return false
-	case PruneAuto:
-		if c.Instrument != nil {
-			return false
-		}
-	}
-	return true
+	return c.Instrument == nil && !c.executeAll
 }
 
 // portKey identifies one instrumented input port.

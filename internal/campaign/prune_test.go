@@ -69,20 +69,18 @@ func TestPruneEquivalence(t *testing.T) {
 	for name, mk := range configs {
 		t.Run(name, func(t *testing.T) {
 			off := mk(t)
-			off.Prune = PruneOff
+			off.executeAll = true
 			base, baseRecs := runKeyed(t, off)
 
-			on := mk(t)
-			on.Prune = PruneForce
-			pr, prRecs := runKeyed(t, on)
+			pr, prRecs := runKeyed(t, mk(t))
 
 			assertEquivalent(t, base, pr, baseRecs, prRecs)
 
 			if base.Pruning.Total() != 0 {
-				t.Errorf("PruneOff still pruned: %+v", base.Pruning)
+				t.Errorf("executeAll still pruned: %+v", base.Pruning)
 			}
-			// Every unfired record must have been predicted from the read
-			// log — an unfired trap that slipped through to execution
+			// Every unfired record must have been predicted from the golden
+			// run — an unfired trap that slipped through to execution
 			// means the predictions are incomplete.
 			if pr.Pruning.Unfired != pr.Unfired {
 				t.Errorf("pruned %d unfired runs, result counts %d unfired traps", pr.Pruning.Unfired, pr.Unfired)
@@ -147,7 +145,6 @@ func TestPruneTrapDetachEquivalence(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/duration=%d", name, dur), func(t *testing.T) {
 				detach := mk(t)
 				detach.FaultDurationMs = dur
-				detach.Prune = PruneForce
 				det, detRecs := runKeyed(t, detach)
 
 				attached := detach
@@ -177,25 +174,24 @@ func TestPruneTrapDetachEquivalence(t *testing.T) {
 }
 
 // TestPruneAutoFallsBackUnderInstrument: a pruned run never builds a
-// target instance, so an Instrument hook would be skipped; PruneAuto
-// must execute everything for instrumented campaigns — and still
-// produce the baseline Result with every attachment present.
+// target instance, so an Instrument hook would be skipped; an
+// instrumented campaign must execute everything — and still produce
+// the baseline Result with every attachment present.
 func TestPruneAutoFallsBackUnderInstrument(t *testing.T) {
 	attach := func(inst Instance, caseIdx int) (any, error) { return caseIdx, nil }
 
 	off := tinyConfig()
-	off.Prune = PruneOff
+	off.executeAll = true
 	off.Instrument = attach
 	base, baseRecs := runKeyed(t, off)
 
 	auto := tinyConfig()
-	auto.Prune = PruneAuto
 	auto.Instrument = attach
 	pr, prRecs := runKeyed(t, auto)
 
 	assertEquivalent(t, base, pr, baseRecs, prRecs)
 	if pr.Pruning.Total() != 0 {
-		t.Errorf("PruneAuto pruned under an Instrument hook: %+v", pr.Pruning)
+		t.Errorf("instrumented campaign pruned: %+v", pr.Pruning)
 	}
 	for key, rec := range prRecs {
 		if rec.Attachment != rec.CaseIndex {

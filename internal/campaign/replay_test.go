@@ -48,7 +48,6 @@ func TestValidateWrapsErrInvalidConfig(t *testing.T) {
 		"no errors":       func(c *campaign.Config) { c.Bits = nil },
 		"bad horizon":     func(c *campaign.Config) { c.HorizonMs = 0 },
 		"time past end":   func(c *campaign.Config) { c.Times = []sim.Millis{9999} },
-		"bad checkpoints": func(c *campaign.Config) { c.Checkpoints = campaign.CheckpointMode(99) },
 		"neg window":      func(c *campaign.Config) { c.DirectWindowMs = -1 },
 		"neg duration":    func(c *campaign.Config) { c.FaultDurationMs = -1 },
 		"hollow custom":   func(c *campaign.Config) { c.Custom = &campaign.Target{} },

@@ -2,6 +2,7 @@ package distrib
 
 import (
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -208,4 +209,18 @@ func TestAdaptiveCoordinatorResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertMatchesAdaptiveBaseline(t, rr, dir)
+}
+
+// TestNewCoordinatorRejectsBadCIEpsilon: a NaN or negative ε must fail
+// planning instead of silently selecting the default.
+func TestNewCoordinatorRejectsBadCIEpsilon(t *testing.T) {
+	for _, eps := range []float64{math.NaN(), -1} {
+		_, err := NewCoordinator(Config{
+			Instance: "reduced", Tier: runner.TierQuick, Dir: t.TempDir(),
+			Adaptive: campaign.AdaptiveForce, CIEpsilon: eps,
+		})
+		if !errors.Is(err, campaign.ErrInvalidConfig) {
+			t.Errorf("CIEpsilon %v: error %v, want campaign.ErrInvalidConfig", eps, err)
+		}
+	}
 }

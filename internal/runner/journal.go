@@ -59,7 +59,8 @@ var (
 // rather than corrupting. Pruned is deliberately NOT compared: a
 // pruned and an executed record of the same job carry bit-identical
 // outcomes by construction, and overlapping journals from processes
-// with different prune settings must stay idempotent. Round is
+// that settled a job differently (executed, pruned, served from a
+// memo store) must stay idempotent. Round is
 // excluded for the same reason: it labels when the adaptive scheduler
 // dispatched the run, not what the run observed — a distributed
 // worker executing a coordinator-carved unit journals round 0 for the

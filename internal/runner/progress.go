@@ -60,9 +60,8 @@ type Metrics struct {
 	// MemoizedRuns.
 	StoreMemoRuns int `json:"store_memo_runs,omitempty"`
 	// Throughput and worker economics. WorkerUtilization is
-	// busy-time / (elapsed × workers); per-run busy time is measured
-	// up to the serial observer, so queueing behind the observer can
-	// push it slightly above 1.
+	// busy-time / (elapsed × workers), where busy time sums the
+	// executed runs' campaign.RunRecord.Elapsed.
 	ElapsedSeconds    float64 `json:"elapsed_seconds"`
 	RunsPerSecond     float64 `json:"runs_per_second"`
 	ETASeconds        float64 `json:"eta_seconds"`
@@ -101,14 +100,15 @@ func (t *tracker) counter(module string) *ModuleCounter {
 	return c
 }
 
-// absorb counts one run — replayed from the journal or executed live
-// (dur > 0 only for live runs).
-func (t *tracker) absorb(rec campaign.RunRecord, dur time.Duration, replayed bool) {
+// absorb counts one run — replayed from the journal or executed live.
+// Busy time accrues from the run's Elapsed, which is zero for replayed
+// records and for runs settled without executing.
+func (t *tracker) absorb(rec campaign.RunRecord, replayed bool) {
 	if replayed {
 		t.m.ReplayedRuns++
 	} else {
 		t.m.ExecutedRuns++
-		t.busy += dur
+		t.busy += rec.Elapsed
 	}
 	switch rec.Pruned {
 	case campaign.PrunedNoOp, campaign.PrunedUnfired:

@@ -11,16 +11,28 @@ import (
 // TestPrunedKillAndResume proves pruning composes with the journal
 // lifecycle: a pruned campaign aborted mid-flight resumes (pruned
 // records replay like executed ones) and converges to the
-// bit-identical matrix of an unpruned, uninterrupted run — and the
-// pruned labels survive the journal round trip into the metrics.
+// bit-identical matrix of an unpruned, uninterrupted full-replay run —
+// and the pruned labels survive the journal round trip into the
+// metrics.
 func TestPrunedKillAndResume(t *testing.T) {
-	base, err := RunInstance("reduced", TierQuick, Options{Dir: t.TempDir(), Prune: campaign.PruneOff})
+	def, err := Lookup("reduced")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := def.Config(TierQuick)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// An Instrument hook turns both fast paths off: every run of the
+	// reference executes in full from t=0.
+	ref.Instrument = func(campaign.Instance, int) (any, error) { return nil, nil }
+	base, err := Run(ref, Options{Name: "reduced", Tier: TierQuick, Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	wantMatrix, wantRuns, wantUnfired := fingerprintResult(t, base)
 	if base.Metrics.PrunedRuns+base.Metrics.MemoizedRuns+base.Metrics.ConvergedRuns != 0 {
-		t.Fatalf("PruneOff run still counted pruning: %+v", base.Metrics)
+		t.Fatalf("instrumented run still counted pruning: %+v", base.Metrics)
 	}
 
 	// Abort the pruned run (pruning defaults on through the runner)
@@ -78,5 +90,61 @@ func TestPrunedKillAndResume(t *testing.T) {
 	}
 	if wantUnfired > 0 && m.PrunedRuns < wantUnfired {
 		t.Errorf("%d unfired traps but only %d pruned runs — unfired prediction incomplete", wantUnfired, m.PrunedRuns)
+	}
+}
+
+// TestRunFastPathsAndTiming pins what Run reports without caller
+// instrumentation: the campaign's fast paths engage (some runs settle
+// pruned or converged) and per-run timing still feeds the throughput
+// metrics.
+func TestRunFastPathsAndTiming(t *testing.T) {
+	rr, err := RunInstance("reduced", TierQuick, Options{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := rr.Metrics
+	if m.PrunedRuns+m.ConvergedRuns == 0 {
+		t.Errorf("no run settled pruned or converged: %+v", m)
+	}
+	if m.MeanRunMs <= 0 {
+		t.Errorf("MeanRunMs = %v, want > 0", m.MeanRunMs)
+	}
+	if m.WorkerUtilization <= 0 {
+		t.Errorf("WorkerUtilization = %v, want > 0", m.WorkerUtilization)
+	}
+}
+
+// TestRunCallerInstrument: a caller's Instrument hook turns the fast
+// paths off — no record is pruned — and the caller's Observer sees the
+// caller's own attachment on every record.
+func TestRunCallerInstrument(t *testing.T) {
+	def, err := Lookup("reduced")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := def.Config(TierQuick)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type attachment struct{ caseIdx int }
+	cfg.Instrument = func(_ campaign.Instance, caseIdx int) (any, error) {
+		return &attachment{caseIdx: caseIdx}, nil
+	}
+	observed := 0
+	cfg.Observer = func(rec campaign.RunRecord) {
+		observed++
+		if rec.Pruned != "" {
+			t.Errorf("%v case %d: pruned %q under a caller Instrument", rec.Injection, rec.CaseIndex, rec.Pruned)
+		}
+		if att, ok := rec.Attachment.(*attachment); !ok || att.caseIdx != rec.CaseIndex {
+			t.Errorf("%v case %d: attachment %#v, want the caller's own", rec.Injection, rec.CaseIndex, rec.Attachment)
+		}
+	}
+	rr, err := Run(cfg, Options{Name: "reduced", Tier: TierQuick, Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if observed == 0 || observed != rr.Metrics.ExecutedRuns {
+		t.Errorf("observer saw %d records, runner executed %d", observed, rr.Metrics.ExecutedRuns)
 	}
 }

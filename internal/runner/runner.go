@@ -102,23 +102,18 @@ type Options struct {
 	// called concurrently with OnRecord — use an atomic flag. The
 	// distributed worker aborts when its lease is lost.
 	Abort func() bool
-	// Prune overrides the config's equivalence-pruning mode when not
-	// PruneAuto. It is excluded from the config digest: pruned and
-	// executed records carry bit-identical outcomes, so journals
-	// written with different prune settings interoperate.
-	Prune campaign.PruneMode
 	// Adaptive overrides the config's adaptive sequential-sampling
 	// mode when not AdaptiveOff (the zero value leaves the config's
-	// own mode in force). Unlike Prune it IS part of the config
-	// digest: an adaptive campaign executes a different job set, so
-	// journals written under different adaptive settings must never
-	// mix. AdaptiveAuto is resolved to a definite mode before the
+	// own mode in force). It is part of the config digest: an
+	// adaptive campaign executes a different job set, so journals
+	// written under different adaptive settings must never mix. AdaptiveAuto is resolved to a definite mode before the
 	// config is digested (see applyAdaptive), so the digest pins the
 	// decision.
 	Adaptive campaign.AdaptiveMode
 	// CIEpsilon overrides the config's adaptive stopping half-width
-	// when positive (campaign.Config.CIEpsilon). Part of the config
-	// digest, like Adaptive, and meaningless without it.
+	// when non-zero (campaign.Config.CIEpsilon, which Validate bounds
+	// to [0, 0.5)). Part of the config digest, like Adaptive, and
+	// meaningless without it.
 	CIEpsilon float64
 	// SkipReport suppresses rendering report.md. The distributed
 	// worker sets it: a work unit's scratch directory is an
@@ -212,16 +207,14 @@ func (o *Options) applySupervision(cfg *campaign.Config) {
 
 // applyAdaptive folds the adaptive overrides into the configuration
 // and resolves AdaptiveAuto to a definite mode. Resolution must
-// happen before the config is digested or planned — the adaptive job
-// set depends on it — and before the runner's timing wrapper installs
-// its Instrument hook, which would otherwise flip an Auto decision
-// between digest time and execution time.
+// happen before the config is digested or planned: the adaptive job
+// set depends on it, and the digest pins the decision.
 func (o *Options) applyAdaptive(cfg *campaign.Config) {
 	if o.Adaptive != campaign.AdaptiveOff {
 		cfg.Adaptive = o.Adaptive
 	}
-	if o.CIEpsilon > 0 {
-		cfg.CIEpsilon = o.CIEpsilon
+	if o.CIEpsilon != 0 {
+		cfg.CIEpsilon = o.CIEpsilon // Validate rejects negative and NaN
 	}
 	if cfg.Adaptive == campaign.AdaptiveAuto {
 		if cfg.AdaptiveEnabled() {
@@ -320,9 +313,6 @@ func Run(cfg campaign.Config, opts Options) (*RunResult, error) {
 		return nil, err
 	}
 	opts.applySupervision(&cfg)
-	if opts.Prune != campaign.PruneAuto {
-		cfg.Prune = opts.Prune
-	}
 	opts.applyAdaptive(&cfg)
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -442,7 +432,7 @@ func Run(cfg campaign.Config, opts Options) (*RunResult, error) {
 	}, opts.LogInterval, opts.Logf)
 	ddp := newDeduper(sys)
 	for _, rec := range replay {
-		trk.absorb(rec, 0, true)
+		trk.absorb(rec, true)
 		ddp.add(rec)
 	}
 	if len(replay) > 0 {
@@ -457,47 +447,11 @@ func Run(cfg campaign.Config, opts Options) (*RunResult, error) {
 	}
 	cfg.Abort = opts.Abort
 
-	// Wrap Instrument to stamp each run's start time (for worker
-	// utilisation), preserving any caller instrumentation.
-	userInstrument := cfg.Instrument
-	cfg.Instrument = func(inst campaign.Instance, caseIdx int) (any, error) {
-		att := &timedAttachment{start: time.Now()}
-		if userInstrument != nil {
-			user, err := userInstrument(inst, caseIdx)
-			if err != nil {
-				return nil, err
-			}
-			att.user = user
-		}
-		return att, nil
-	}
-	// The timing wrapper observes nothing before the injection
-	// instant, so it must not disable checkpoint fast-forward the way
-	// genuine caller instrumentation (monitors, recovery hooks) does
-	// under CheckpointAuto. Force checkpoints when the wrapper is the
-	// only instrumentation; unsupported targets still fall back to
-	// full replay inside the campaign engine.
-	if userInstrument == nil && cfg.Checkpoints == campaign.CheckpointAuto {
-		cfg.Checkpoints = campaign.CheckpointForce
-	}
-	// Same reasoning for pruning: PruneAuto backs off under an
-	// Instrument hook because pruned runs never build an instance, so
-	// the hook would be skipped — but the timing wrapper tolerates
-	// that (a pruned run has no meaningful duration to time).
-	if userInstrument == nil && cfg.Prune == campaign.PruneAuto {
-		cfg.Prune = campaign.PruneForce
-	}
-
 	// The serial observer path: journal, dedupe, metrics, then any
-	// caller observer (with its own attachment restored).
+	// caller observer.
 	var observeErr error
 	userObserver := cfg.Observer
 	cfg.Observer = func(rec campaign.RunRecord) {
-		var dur time.Duration
-		if att, ok := rec.Attachment.(*timedAttachment); ok {
-			dur = time.Since(att.start)
-			rec.Attachment = att.user
-		}
 		if observeErr == nil {
 			job, ok := ji.index(rec.Injection, rec.CaseIndex)
 			if !ok {
@@ -514,7 +468,7 @@ func Run(cfg campaign.Config, opts Options) (*RunResult, error) {
 				}
 			}
 		}
-		trk.absorb(rec, dur, false)
+		trk.absorb(rec, false)
 		ddp.add(rec)
 		trk.maybeLog(ddp.unique())
 		if userObserver != nil {
@@ -692,7 +646,7 @@ func Assemble(cfg campaign.Config, opts Options) (*RunResult, error) {
 	}, 0, nil)
 	ddp := newDeduper(sys)
 	for _, rec := range replay {
-		trk.absorb(rec, 0, true)
+		trk.absorb(rec, true)
 		ddp.add(rec)
 	}
 
@@ -722,11 +676,4 @@ func jobMembership(jobs []int, total int) ([]bool, error) {
 		prev = job
 	}
 	return member, nil
-}
-
-// timedAttachment threads the run start time through the campaign's
-// attachment channel alongside any caller attachment.
-type timedAttachment struct {
-	start time.Time
-	user  any
 }

@@ -3,6 +3,7 @@ package runner
 import (
 	"encoding/json"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -137,6 +138,14 @@ func TestRunPropagatesConfigSentinel(t *testing.T) {
 	_, err := Run(cfg, Options{Dir: t.TempDir()})
 	if !errors.Is(err, campaign.ErrInvalidConfig) {
 		t.Errorf("error %v does not wrap campaign.ErrInvalidConfig", err)
+	}
+	// A NaN or negative ε must reach campaign.Config.Validate instead
+	// of silently selecting the default.
+	for _, eps := range []float64{math.NaN(), -1} {
+		_, err := RunInstance("reduced", TierQuick, Options{Dir: t.TempDir(), Adaptive: campaign.AdaptiveForce, CIEpsilon: eps})
+		if !errors.Is(err, campaign.ErrInvalidConfig) {
+			t.Errorf("CIEpsilon %v: error %v does not wrap campaign.ErrInvalidConfig", eps, err)
+		}
 	}
 }
 

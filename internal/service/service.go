@@ -482,7 +482,7 @@ func resolveSubmit(req *SubmitRequest) (jobs int, err error) {
 	if req.Adaptive == "off" {
 		req.Adaptive = "" // canonical: absent means the fixed matrix
 	}
-	if req.CIEpsilon < 0 || req.CIEpsilon >= 0.5 {
+	if !(req.CIEpsilon >= 0 && req.CIEpsilon < 0.5) { // also rejects NaN
 		return 0, fmt.Errorf("ci_epsilon %v outside [0, 0.5)", req.CIEpsilon)
 	}
 	if req.Document != "" {

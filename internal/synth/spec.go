@@ -359,7 +359,7 @@ func (s *Spec) Validate() error {
 		if _, err := campaign.ParseAdaptiveMode(ts.Adaptive); err != nil {
 			fail("synth: campaign tier %q: adaptive must be off, auto or force (got %q)", tier, ts.Adaptive)
 		}
-		if ts.CIEpsilon < 0 || ts.CIEpsilon >= 0.5 {
+		if !(ts.CIEpsilon >= 0 && ts.CIEpsilon < 0.5) { // also rejects NaN
 			fail("synth: campaign tier %q: ci_epsilon %v outside [0, 0.5)", tier, ts.CIEpsilon)
 		}
 	}
