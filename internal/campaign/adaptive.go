@@ -558,38 +558,34 @@ func goldenActivity(goldens []*trace.Trace) map[string]float64 {
 // execution drivers: internal/runner's Assemble proves journal
 // coverage against it, and the distributed coordinator carves work
 // units from its frontier and detects campaign completion with it.
-// The planner is deterministic: two planners over the same Config
-// claim the same schedule, and feeding the journal of a finished
-// campaign back through Observe reproduces every stopping decision
-// bit-identically.
+// Golden.Planner builds one. The planner is deterministic: two
+// planners over the same Config claim the same schedule, and feeding
+// the journal of a finished campaign back through Observe reproduces
+// every stopping decision bit-identically.
 type AdaptivePlanner struct {
 	sched *adaptiveScheduler
 	sys   *model.System
 	cases int
 }
 
-// NewAdaptivePlanner builds the deterministic sampling schedule for an
-// adaptive configuration. It records the golden runs (with read-log
-// capture) to derive the fireable populations and the analytical
-// priors; the cost is one uninjected pass per test case.
-func NewAdaptivePlanner(cfg Config) (*AdaptivePlanner, error) {
-	if err := cfg.Validate(); err != nil {
+// Planner builds the deterministic sampling schedule of the adaptive
+// configuration cfg from the recorded Golden Runs: their firing
+// predictions give the fireable populations, their signal activity
+// the analytical priors.
+func (g *Golden) Planner(cfg Config) (*AdaptivePlanner, error) {
+	if err := g.check(cfg); err != nil {
 		return nil, err
 	}
 	if !cfg.adaptiveEnabled() {
 		return nil, invalidf("campaign: configuration is not adaptive")
-	}
-	goldens, preds, err := goldenRuns(cfg)
-	if err != nil {
-		return nil, err
 	}
 	plan, err := cfg.Plan()
 	if err != nil {
 		return nil, err
 	}
 	sys := cfg.topology()
-	pred := estimate.Predict(sys, estimate.Options{Activity: goldenActivity(goldens)})
-	sched, err := newAdaptiveScheduler(cfg, plan, preds, pred)
+	pred := estimate.Predict(sys, estimate.Options{Activity: goldenActivity(g.traces)})
+	sched, err := newAdaptiveScheduler(cfg, plan, g.preds, pred)
 	if err != nil {
 		return nil, err
 	}

@@ -306,11 +306,17 @@ func TestAdaptivePlanner(t *testing.T) {
 		records = append(records, rec)
 	}
 	cfg.Workers = 1
-	if _, err := Run(cfg); err != nil {
+	g, err := RecordGolden(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := g.Run(cfg); err != nil {
 		t.Fatal(err)
 	}
 
-	p, err := NewAdaptivePlanner(adaptiveReduced())
+	// The planner replays the campaign's schedule from the same golden
+	// recording.
+	p, err := g.Planner(adaptiveReduced())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,8 +357,8 @@ func TestAdaptivePlanner(t *testing.T) {
 		t.Error("out-of-schedule record accepted")
 	}
 
-	// NewAdaptivePlanner refuses non-adaptive configurations.
-	if _, err := NewAdaptivePlanner(ReducedConfig()); err == nil {
+	// Planner refuses non-adaptive configurations.
+	if _, err := g.Planner(ReducedConfig()); err == nil {
 		t.Error("planner built for a non-adaptive config")
 	}
 }

@@ -571,17 +571,27 @@ func (c Config) Plan() ([]inject.Injection, error) {
 	return plan, nil
 }
 
-// Run executes the campaign and aggregates the permeability matrix.
+// Run records the campaign's Golden Runs, executes the campaign and
+// aggregates the permeability matrix.
 func Run(cfg Config) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	sys := cfg.topology()
-
-	goldens, preds, err := goldenRuns(cfg)
+	g, err := RecordGolden(cfg)
 	if err != nil {
 		return nil, err
 	}
+	return g.Run(cfg)
+}
+
+// Run executes the campaign cfg against the recorded Golden Runs and
+// aggregates the permeability matrix. cfg must describe the recording
+// (see RecordGolden); it may differ in everything the golden pass does
+// not depend on — Skip, Replay, Observer, Abort, Memo, Workers, the
+// adaptive mode.
+func (g *Golden) Run(cfg Config) (*Result, error) {
+	if err := g.check(cfg); err != nil {
+		return nil, err
+	}
+	sys := cfg.topology()
+	goldens, preds := g.traces, g.preds
 
 	plan, err := cfg.Plan()
 	if err != nil {
@@ -665,7 +675,7 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	var wg sync.WaitGroup
-	for w := 0; w < workerCount(cfg.Workers); w++ {
+	for w := 0; w < cfg.ResolvedWorkers(); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -804,82 +814,13 @@ func (c Config) NewInstance(tc physics.TestCase, hook sim.ReadHook) (RunnableIns
 	}
 }
 
-// workerCount resolves Config.Workers: values <= 0 select GOMAXPROCS.
-func workerCount(configured int) int {
-	if configured <= 0 {
+// ResolvedWorkers returns the number of concurrent runs in effect:
+// Config.Workers, or GOMAXPROCS when it is <= 0.
+func (c Config) ResolvedWorkers() int {
+	if c.Workers <= 0 {
 		return runtime.GOMAXPROCS(0)
 	}
-	return configured
-}
-
-// goldenRuns records one Golden Run per test case, fanned out over
-// the same worker-pool pattern Run uses for injection jobs (each run
-// is fully independent and deterministic, so the resulting traces are
-// identical to a serial recording). When the campaign prunes, each
-// golden run additionally streams its instrumented reads into the
-// per-case firing predictions; the returned predictions are nil
-// otherwise.
-func goldenRuns(cfg Config) ([]*trace.Trace, []casePredictions, error) {
-	capture := cfg.pruningEnabled() || cfg.adaptiveEnabled()
-	goldens := make([]*trace.Trace, len(cfg.TestCases))
-	preds := make([]casePredictions, len(cfg.TestCases))
-	errs := make([]error, len(cfg.TestCases))
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workerCount(cfg.Workers); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				goldens[i], preds[i], errs[i] = goldenRun(cfg, i, capture)
-			}
-		}()
-	}
-	for i := range cfg.TestCases {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	if !capture {
-		preds = nil
-	}
-	return goldens, preds, nil
-}
-
-// goldenRun records the Golden Run of one test case, optionally
-// streaming its instrumented reads into the pruning predictions. The
-// read hook only observes, so the recorded trace is bit-identical
-// with and without it.
-func goldenRun(cfg Config, i int, capture bool) (*trace.Trace, casePredictions, error) {
-	lg := newReadLog(cfg.Times, cfg.FaultDurationMs)
-	var hook sim.ReadHook
-	if capture {
-		hook = lg.hook()
-	}
-	inst, err := cfg.NewInstance(cfg.TestCases[i], hook)
-	if err != nil {
-		return nil, casePredictions{}, fmt.Errorf("campaign: golden run %d: %w", i, err)
-	}
-	rec, err := trace.NewRecorderCap(inst.Bus(), int(cfg.HorizonMs))
-	if err != nil {
-		return nil, casePredictions{}, fmt.Errorf("campaign: golden run %d: %w", i, err)
-	}
-	inst.Kernel().AddPostHook(rec.Hook())
-	inst.Kernel().SetBudget(cfg.Budget)
-	// A golden run is uninjected: a crash or hang here is a broken
-	// target or an undersized budget, not a result.
-	if crashed, pv := runGuarded(inst, cfg.HorizonMs); crashed {
-		return nil, casePredictions{}, fmt.Errorf("campaign: golden run %d crashed: %v", i, pv)
-	}
-	if inst.Kernel().Exhausted() {
-		return nil, casePredictions{}, fmt.Errorf("campaign: golden run %d exceeded the run budget (%d steps used) — raise Config.Budget or fix the target", i, inst.Kernel().BudgetUsed())
-	}
-	return rec.Trace(), lg.predictions(), nil
+	return c.Workers
 }
 
 // superviseJob drives one injection job to a settled outcome under

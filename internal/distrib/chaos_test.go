@@ -235,11 +235,10 @@ func bodyDigest(body []byte) string {
 func leaseAndCollect(t *testing.T, url, scratch string) (LeaseResponse, []runner.Record) {
 	t.Helper()
 	w := &worker{
-		base:          url,
-		opts:          WorkerOptions{Name: "manual", Dir: scratch, Logf: t.Logf},
-		ctx:           context.Background(),
-		client:        &http.Client{Timeout: 10 * time.Second},
-		describeCache: make(map[string]runner.PlanInfo),
+		base:   url,
+		opts:   WorkerOptions{Name: "manual", Dir: scratch, Logf: t.Logf},
+		ctx:    context.Background(),
+		client: &http.Client{Timeout: 10 * time.Second},
 	}
 	if err := w.opts.normalise(); err != nil {
 		t.Fatal(err)

@@ -138,8 +138,8 @@ const (
 	leaseRetryMs = 1
 	// minCarveJobs floors the cost-sized units, so a crash/hang-heavy
 	// campaign (huge per-run cost) still amortises the per-unit fixed
-	// costs (scratch setup, golden-run replay) over a meaningful
-	// range.
+	// costs (scratch setup, journal, checkpoint cache) over a
+	// meaningful range.
 	minCarveJobs = 16
 	// carveTargetFloorMs floors the unit-duration target derived from
 	// the lease TTL. Sub-second TTLs are test configurations; honoring
@@ -227,8 +227,11 @@ type workerState struct {
 // completions, or streamed), and reassembles the result. All HTTP
 // handlers and accessors are safe for concurrent use.
 type Coordinator struct {
-	cfg      Config
-	campaign campaign.Config
+	cfg Config
+	// prepared is the campaign's one golden pass and plan: the info,
+	// the adaptive planner and the final assembly all come from it.
+	// Guarded by mu; nil once assembled.
+	prepared *runner.Prepared
 	info     runner.PlanInfo
 	// planner owns the sequential sampling schedule for adaptive
 	// campaigns (nil otherwise): units are claimed from its frontier,
@@ -323,16 +326,15 @@ func (s *idemStore) put(key string, e idemEntry) {
 	s.order = append(s.order, key)
 }
 
-// NewCoordinator plans the campaign (running the golden runs to pin
-// the config digest) and — with cfg.Resume — restores received
-// records from the journals under cfg.Dir. Work units are claimed
-// lazily as workers ask for them.
+// NewCoordinator prepares the campaign (its one golden pass pins the
+// config digest and seeds the adaptive planner) and — with
+// cfg.Resume — restores received records from the journals under
+// cfg.Dir. Work units are claimed lazily as workers ask for them.
 func NewCoordinator(cfg Config) (*Coordinator, error) {
 	if err := cfg.normalise(); err != nil {
 		return nil, err
 	}
-	info, err := runner.DescribeInstance(cfg.Instance, cfg.Tier, runner.Options{
-		Dir:            cfg.Dir,
+	prep, err := runner.PrepareInstance(cfg.Instance, cfg.Tier, runner.Options{
 		RunBudgetSteps: cfg.RunBudgetSteps,
 		Adaptive:       cfg.Adaptive,
 		CIEpsilon:      cfg.CIEpsilon,
@@ -340,26 +342,14 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	if err != nil {
 		return nil, err
 	}
-	def, err := runner.Lookup(cfg.Instance)
-	if err != nil {
-		return nil, err
-	}
-	ccfg, err := def.Config(cfg.Tier)
-	if err != nil {
-		return nil, err
-	}
-	if info.Adaptive {
-		// Pin the resolved adaptive state from the described plan, so
-		// the planner below and every worker agree with the digest.
-		ccfg.Adaptive = campaign.AdaptiveForce
-		ccfg.CIEpsilon = info.CIEpsilon
-	}
+	info := prep.Info()
 	if cfg.Units <= 0 {
 		// Auto-size the initial carve from the plan: one unit per
 		// 2*minCarveJobs jobs, capped at the classic default. A quick
 		// campaign of a hundred-odd jobs gets ~3 units instead of 8 —
-		// per-unit fixed costs (scratch setup, golden-run replay) made
-		// a 4-worker fleet slower than one worker on such plans.
+		// per-unit fixed costs (scratch setup, journal, checkpoint
+		// cache) made a 4-worker fleet slower than one worker on such
+		// plans.
 		cfg.Units = info.TotalRuns / (2 * minCarveJobs)
 		if cfg.Units > defaultUnits {
 			cfg.Units = defaultUnits
@@ -377,7 +367,7 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 
 	c := &Coordinator{
 		cfg:      cfg,
-		campaign: ccfg,
+		prepared: prep,
 		info:     info,
 		byLease:  make(map[string]*unit),
 		workers:  make(map[string]*workerState),
@@ -400,7 +390,7 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		// journaled records through it, reproducing every stopping
 		// decision bit-identically; fresh units are claimed from
 		// wherever the replayed schedule's frontier sits.
-		planner, err := campaign.NewAdaptivePlanner(c.campaign)
+		planner, err := prep.Planner()
 		if err != nil {
 			c.Close()
 			return nil, fmt.Errorf("distrib: building adaptive schedule: %w", err)
@@ -1644,9 +1634,13 @@ func (c *Coordinator) Close() error {
 
 // Assemble merges the record journal into the final campaign result —
 // bit-identical to a single-node run — and writes the closing
-// artifacts (config.json, metrics.json, failures.md, report.md).
+// artifacts (config.json, metrics.json, failures.md, report.md). A
+// successful assembly releases the prepared campaign, so a finished
+// coordinator that a service keeps routing to holds no golden traces;
+// assembling again is an error.
 func (c *Coordinator) Assemble() (*runner.RunResult, error) {
 	c.mu.Lock()
+	p := c.prepared
 	if c.journal != nil {
 		if err := c.journal.Close(); err != nil {
 			c.mu.Unlock()
@@ -1655,18 +1649,16 @@ func (c *Coordinator) Assemble() (*runner.RunResult, error) {
 		c.journal = nil
 	}
 	c.mu.Unlock()
-	opts := runner.Options{
-		Name:           c.cfg.Instance,
-		Tier:           c.cfg.Tier,
-		Dir:            c.cfg.Dir,
-		RunBudgetSteps: c.cfg.RunBudgetSteps,
-		Logf:           c.cfg.Logf,
+	if p == nil {
+		return nil, errors.New("distrib: campaign already assembled")
 	}
-	if c.info.Adaptive {
-		opts.Adaptive = campaign.AdaptiveForce
-		opts.CIEpsilon = c.info.CIEpsilon
+	rr, err := p.Assemble(runner.Options{Dir: c.cfg.Dir, Logf: c.cfg.Logf})
+	if err == nil {
+		c.mu.Lock()
+		c.prepared = nil
+		c.mu.Unlock()
 	}
-	return runner.Assemble(c.campaign, opts)
+	return rr, err
 }
 
 // Serve runs the coordinator's HTTP API on l until the campaign

@@ -120,11 +120,10 @@ func TestLoopbackMatchesDirect(t *testing.T) {
 func runPartialWorker(t *testing.T, url, scratch string, maxStream int) (streamed, unitID int) {
 	t.Helper()
 	w := &worker{
-		base:          url,
-		opts:          WorkerOptions{Name: "dying", Dir: scratch, Logf: t.Logf},
-		ctx:           context.Background(),
-		client:        &http.Client{Timeout: 10 * time.Second},
-		describeCache: make(map[string]runner.PlanInfo),
+		base:   url,
+		opts:   WorkerOptions{Name: "dying", Dir: scratch, Workers: 1, Logf: t.Logf},
+		ctx:    context.Background(),
+		client: &http.Client{Timeout: 10 * time.Second},
 	}
 	if err := w.opts.normalise(); err != nil {
 		t.Fatal(err)
@@ -137,25 +136,19 @@ func runPartialWorker(t *testing.T, url, scratch string, maxStream int) (streame
 		t.Fatalf("partial worker got lease status %q, want %q", lr.Status, StatusUnit)
 	}
 	u := lr.Unit
-	def, err := runner.Lookup(u.Instance)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg, err := def.Config(runner.Tier(u.Tier))
+	p, err := w.prepare(u)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var stop atomic.Bool
 	count := 0
-	ro := w.unitOptions(u)
-	ro.Name = u.Instance
-	ro.Tier = runner.Tier(u.Tier)
-	ro.Dir = w.scratchDir(u)
-	ro.Resume = true
-	ro.Workers = 1
-	ro.SkipReport = true
-	ro.Jobs = u.JobList
-	ro.Abort = func() bool { return stop.Load() }
+	ro := runner.Options{
+		Dir:        w.scratchDir(u),
+		Resume:     true,
+		SkipReport: true,
+		Jobs:       u.JobList,
+		Abort:      func() bool { return stop.Load() },
+	}
 	ro.OnRecord = func(rec runner.Record, replayed bool) error {
 		if count >= maxStream {
 			stop.Store(true)
@@ -171,8 +164,7 @@ func runPartialWorker(t *testing.T, url, scratch string, maxStream int) (streame
 		}
 		return nil
 	}
-	_, err = runner.Run(cfg, ro)
-	if err != nil {
+	if _, err := p.Run(ro); err != nil {
 		t.Fatal(err)
 	}
 	if count == 0 {
@@ -243,6 +235,10 @@ func TestLeaseExpiryReassignment(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertMatchesBaseline(t, rr)
+	// Assembly released the prepared campaign and its golden traces.
+	if _, err := coord.Assemble(); err == nil {
+		t.Error("a second Assemble succeeded after the prepared campaign was released")
+	}
 }
 
 // TestLeaseLongPollPromptness pins the idle-wait fix: with the fleet's

@@ -12,7 +12,7 @@
 // unit, binary-framed and journaled with batched writes), on a digest
 // mismatch, or always under Config.Pull — so the coordinator is off
 // the hot path while units execute. When the record set covers the
-// whole job space, the journal reassembles — via runner.Assemble —
+// whole job space, the journal reassembles — via (*runner.Prepared).Assemble —
 // into a result bit-identical to a single-node run.
 //
 // Endpoints:
@@ -147,7 +147,7 @@ type WorkUnit struct {
 	TotalRuns int `json:"total_runs"`
 	// Adaptive and CIEpsilon mirror the coordinator's resolved adaptive
 	// sampling options. The worker folds them into its own
-	// DescribeInstance call so both sides digest the same snapshot —
+	// runner.PrepareInstance call so both sides digest the same snapshot —
 	// the campaign.AdaptiveMode and stopping half-width are part of the
 	// config digest exactly when they decide the job set.
 	Adaptive  bool    `json:"adaptive,omitempty"`

@@ -156,9 +156,12 @@ type worker struct {
 	// its heartbeat goroutine before returning), so the concurrent
 	// reads in that goroutine are safe.
 	campaign string
-	// describeCache memoises runner.DescribeInstance per work-unit
-	// identity — the golden runs behind it are the expensive part.
-	describeCache map[string]runner.PlanInfo
+	// prepared is the campaign of the last unit run, keyed by unit
+	// identity (preparedKey): consecutive units of one campaign share
+	// its golden pass and plan. One slot keeps a long-lived agent's
+	// memory bounded however many campaigns it serves.
+	prepared    *runner.Prepared
+	preparedKey string
 }
 
 func newWorker(ctx context.Context, coordinatorURL string, opts WorkerOptions) *worker {
@@ -182,7 +185,6 @@ func newWorker(ctx context.Context, coordinatorURL string, opts WorkerOptions) *
 			Cap:      2 * time.Second,
 			Attempts: opts.MaxErrors,
 		},
-		describeCache: make(map[string]runner.PlanInfo),
 	}
 }
 
@@ -352,44 +354,39 @@ func RunWorkerContext(ctx context.Context, coordinatorURL string, opts WorkerOpt
 	}
 }
 
-// describe resolves and digests the unit's campaign through this
-// worker's own registry, memoised per identity. A unit naming an
-// instance this worker has never heard of but carrying its topology
-// document compiles and registers the document first — the config
-// digest check downstream still guards against a divergent
-// compilation.
-func (w *worker) describe(u *WorkUnit) (runner.PlanInfo, error) {
+// prepare resolves and prepares the unit's campaign through this
+// worker's own registry, reusing the last unit's preparation when the
+// identity matches. A unit naming an instance this worker has never
+// heard of but carrying its topology document compiles and registers
+// the document first — the config digest check downstream still
+// guards against a divergent compilation.
+func (w *worker) prepare(u *WorkUnit) (*runner.Prepared, error) {
 	key := fmt.Sprintf("%s|%s|%d|%t|%g", u.Instance, u.Tier, u.RunBudgetSteps, u.Adaptive, u.CIEpsilon)
-	if info, ok := w.describeCache[key]; ok {
-		return info, nil
+	if w.prepared != nil && w.preparedKey == key {
+		return w.prepared, nil
 	}
 	if _, err := runner.Lookup(u.Instance); err != nil && u.Document != "" {
 		def, derr := runner.LoadSynthBytes([]byte(u.Document), u.Instance)
 		if derr != nil {
-			return runner.PlanInfo{}, fmt.Errorf("distrib: compiling unit document for %s: %w", u.Instance, derr)
+			return nil, fmt.Errorf("distrib: compiling unit document for %s: %w", u.Instance, derr)
 		}
 		// A registration race with a sibling worker goroutine loses
 		// benignly: the winner registered byte-identical content.
 		_ = runner.Register(def)
 	}
-	info, err := runner.DescribeInstance(u.Instance, runner.Tier(u.Tier), w.unitOptions(u))
-	if err != nil {
-		return runner.PlanInfo{}, err
-	}
-	w.describeCache[key] = info
-	return info, nil
-}
-
-// unitOptions maps the digest-relevant fields a work unit carries onto
-// runner options, so the worker's describe and execution paths agree
-// with the coordinator's digest by construction.
-func (w *worker) unitOptions(u *WorkUnit) runner.Options {
-	opts := runner.Options{RunBudgetSteps: u.RunBudgetSteps}
+	// The unit carries the digest-relevant options, so the worker's
+	// preparation agrees with the coordinator's digest by construction.
+	opts := runner.Options{RunBudgetSteps: u.RunBudgetSteps, Workers: w.opts.Workers}
 	if u.Adaptive {
 		opts.Adaptive = campaign.AdaptiveForce
 		opts.CIEpsilon = u.CIEpsilon
 	}
-	return opts
+	p, err := runner.PrepareInstance(u.Instance, runner.Tier(u.Tier), opts)
+	if err != nil {
+		return nil, err
+	}
+	w.prepared, w.preparedKey = p, key
+	return p, nil
 }
 
 // scratchDir is the unit's local artifact directory. The worker name
@@ -490,21 +487,13 @@ func (w *worker) runUnit(lr LeaseResponse) error {
 		// A nil list would tell the runner to execute the whole campaign.
 		return fmt.Errorf("unit %d carries no job list — coordinator version skew", u.Unit)
 	}
-	info, err := w.describe(u)
+	p, err := w.prepare(u)
 	if err != nil {
 		return err
 	}
-	if info.Digest != u.ConfigDigest {
+	if digest := p.Info().Digest; digest != u.ConfigDigest {
 		return fmt.Errorf("local config digest %s does not match coordinator's %s for %s/%s — version skew: %w",
-			info.Digest, u.ConfigDigest, u.Instance, u.Tier, runner.ErrDigestMismatch)
-	}
-	def, err := runner.Lookup(u.Instance)
-	if err != nil {
-		return err
-	}
-	cfg, err := def.Config(runner.Tier(u.Tier))
-	if err != nil {
-		return err
+			digest, u.ConfigDigest, u.Instance, u.Tier, runner.ErrDigestMismatch)
 	}
 
 	w.campaign = lr.Campaign
@@ -562,35 +551,33 @@ func (w *worker) runUnit(lr LeaseResponse) error {
 	}()
 
 	start := time.Now()
-	runOpts := w.unitOptions(u)
-	runOpts.Name = u.Instance
-	runOpts.Tier = runner.Tier(u.Tier)
-	runOpts.Dir = w.scratchDir(u)
-	runOpts.Resume = true
-	runOpts.Workers = w.opts.Workers
-	runOpts.LogInterval = w.opts.LogInterval
-	runOpts.Memo = w.opts.Memo
-	runOpts.Logf = w.opts.Logf
-	// The unit scratch is an intermediate artifact; the final report
-	// renders once, from the coordinator's assembly.
-	runOpts.SkipReport = true
-	// The unit is a fixed job set; jobs the coordinator already holds
-	// are dropped so a reassigned unit fast-forwards. (For adaptive
-	// units the coordinator made the scheduling decisions — the worker
-	// executes the assigned set verbatim; runner.Run keeps the adaptive
-	// digest but skips its own scheduler when given Jobs.)
-	runOpts.Jobs = pendingJobs(u.JobList, u.DoneJobs)
-	runOpts.Abort = func() bool { return lost.Load() || w.ctx.Err() != nil }
-	// OnRecord runs on the serial observer path: replayed delivery
-	// re-collects records a previous incarnation of this worker
-	// journaled locally, so a restarted worker still uploads its full
-	// set.
-	runOpts.OnRecord = func(rec runner.Record, replayed bool) error {
-		recs = append(recs, rec)
-		progress.Add(1)
-		return nil
-	}
-	_, runErr := runner.Run(cfg, runOpts)
+	_, runErr := p.Run(runner.Options{
+		Dir:         w.scratchDir(u),
+		Resume:      true,
+		LogInterval: w.opts.LogInterval,
+		Logf:        w.opts.Logf,
+		Memo:        w.opts.Memo,
+		// The unit scratch is an intermediate artifact; the final
+		// report renders once, from the coordinator's assembly.
+		SkipReport: true,
+		// The unit is a fixed job set; jobs the coordinator already
+		// holds are dropped so a reassigned unit fast-forwards. (For
+		// adaptive units the coordinator made the scheduling decisions
+		// — the worker executes the assigned set verbatim; Run keeps
+		// the adaptive digest but skips its own scheduler when given
+		// Jobs.)
+		Jobs:  pendingJobs(u.JobList, u.DoneJobs),
+		Abort: func() bool { return lost.Load() || w.ctx.Err() != nil },
+		// OnRecord runs on the serial observer path: replayed delivery
+		// re-collects records a previous incarnation of this worker
+		// journaled locally, so a restarted worker still uploads its
+		// full set.
+		OnRecord: func(rec runner.Record, replayed bool) error {
+			recs = append(recs, rec)
+			progress.Add(1)
+			return nil
+		},
+	})
 	wallMs := time.Since(start).Milliseconds()
 	if runErr != nil {
 		return runErr

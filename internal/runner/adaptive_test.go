@@ -87,36 +87,32 @@ func TestAdaptiveRunKillAndResume(t *testing.T) {
 // a declining AdaptiveAuto digest identically to a pre-adaptive build,
 // while Force and different ε values each get their own digest.
 func TestAdaptiveDigestPinsMode(t *testing.T) {
-	plain, err := DescribeInstance("reduced", TierQuick, Options{Dir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
+	describe := func(opts Options) PlanInfo {
+		t.Helper()
+		p, err := PrepareInstance("reduced", TierQuick, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p.Info()
 	}
+	plain := describe(Options{})
 	if plain.Adaptive {
 		t.Error("default description claims adaptive")
 	}
 	// The quick tier sits below AdaptiveAuto's size threshold, so Auto
 	// resolves to Off and must not perturb the digest.
-	auto, err := DescribeInstance("reduced", TierQuick, Options{Dir: t.TempDir(), Adaptive: campaign.AdaptiveAuto})
-	if err != nil {
-		t.Fatal(err)
-	}
+	auto := describe(Options{Adaptive: campaign.AdaptiveAuto})
 	if auto.Digest != plain.Digest {
 		t.Error("declined AdaptiveAuto changed the config digest")
 	}
-	force, err := DescribeInstance("reduced", TierQuick, Options{Dir: t.TempDir(), Adaptive: campaign.AdaptiveForce})
-	if err != nil {
-		t.Fatal(err)
-	}
+	force := describe(Options{Adaptive: campaign.AdaptiveForce})
 	if !force.Adaptive || force.CIEpsilon <= 0 {
 		t.Errorf("forced description = %+v, want adaptive with a resolved ε", force)
 	}
 	if force.Digest == plain.Digest {
 		t.Error("AdaptiveForce did not change the config digest")
 	}
-	tight, err := DescribeInstance("reduced", TierQuick, Options{Dir: t.TempDir(), Adaptive: campaign.AdaptiveForce, CIEpsilon: 0.02})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tight := describe(Options{Adaptive: campaign.AdaptiveForce, CIEpsilon: 0.02})
 	if tight.Digest == force.Digest {
 		t.Error("changing ε did not change the config digest")
 	}
@@ -144,7 +140,7 @@ func TestAdaptiveAssemble(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rr, err := Assemble(cfg, opts)
+	rr, err := assemble(cfg, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +165,7 @@ func TestAdaptiveAssemble(t *testing.T) {
 	if err := os.WriteFile(journal, data[:len(data)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Assemble(cfg, opts); !errors.Is(err, ErrScheduleIncomplete) {
+	if _, err := assemble(cfg, opts); !errors.Is(err, ErrScheduleIncomplete) {
 		t.Errorf("Assemble over a half journal: %v, want ErrScheduleIncomplete", err)
 	}
 }

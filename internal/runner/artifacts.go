@@ -10,8 +10,6 @@ import (
 
 	"propane/internal/campaign"
 	"propane/internal/inject"
-	"propane/internal/sim"
-	"propane/internal/trace"
 )
 
 // Artifact directory layout, per campaign run:
@@ -83,9 +81,9 @@ type snapshot struct {
 	Digest        string   `json:"digest,omitempty"`
 }
 
-// newSnapshot freezes a campaign configuration. goldens may be nil
-// when golden digests are supplied separately.
-func newSnapshot(name string, tier Tier, cfg campaign.Config, planSize int, goldenDigests []string) (snapshot, error) {
+// newSnapshot freezes a campaign configuration together with its
+// golden-run trace digests (campaign.Golden.Digests).
+func newSnapshot(name string, tier Tier, cfg campaign.Config, planSize int, digests []string) (snapshot, error) {
 	s := snapshot{
 		Instance:        name,
 		Tier:            string(tier),
@@ -100,7 +98,7 @@ func newSnapshot(name string, tier Tier, cfg campaign.Config, planSize int, gold
 		RunBudgetSteps:  cfg.Budget.Steps,
 		PlanSize:        planSize,
 		TotalRuns:       planSize * len(cfg.TestCases),
-		GoldenDigests:   goldenDigests,
+		GoldenDigests:   digests,
 	}
 	if cfg.AdaptiveEnabled() {
 		s.Adaptive = true
@@ -149,62 +147,10 @@ func (s snapshot) digest() (string, error) {
 	return hex.EncodeToString(sum[:]), nil
 }
 
-// goldenDigests records one golden run per test case and hashes each
-// trace. The digests pin the target's deterministic behaviour: a
-// resumed process recomputes them and refuses to extend a journal
-// recorded against a different simulation.
-func goldenDigests(cfg campaign.Config) ([]string, error) {
-	digests := make([]string, len(cfg.TestCases))
-	for i, tc := range cfg.TestCases {
-		inst, err := cfg.NewInstance(tc, nil)
-		if err != nil {
-			return nil, fmt.Errorf("runner: golden run %d: %w", i, err)
-		}
-		// The trace is hashed and discarded, so the recorder's buffers
-		// are safe to recycle (see the aliasing hazard on
-		// AcquireRecorder).
-		rec, err := trace.AcquireRecorder(inst.Bus(), int(cfg.HorizonMs))
-		if err != nil {
-			return nil, fmt.Errorf("runner: golden run %d: %w", i, err)
-		}
-		inst.Kernel().AddPostHook(rec.Hook())
-		// The golden run executes under the same watchdog as the
-		// injection runs: an uninjected target that crashes or hangs is
-		// a broken config, reported before any journal is touched.
-		inst.Kernel().SetBudget(cfg.Budget)
-		if err := goldenGuard(inst, cfg.HorizonMs); err != nil {
-			return nil, fmt.Errorf("runner: golden run %d: %w", i, err)
-		}
-		if inst.Kernel().Exhausted() {
-			return nil, fmt.Errorf("runner: golden run %d exceeded the run budget (%d steps used) — raise the budget or fix the target",
-				i, inst.Kernel().BudgetUsed())
-		}
-		h := sha256.New()
-		if _, err := rec.Trace().WriteTo(h); err != nil {
-			return nil, fmt.Errorf("runner: hashing golden run %d: %w", i, err)
-		}
-		digests[i] = hex.EncodeToString(h.Sum(nil))
-		trace.ReleaseRecorder(rec)
-	}
-	return digests, nil
-}
-
-// goldenGuard drives the golden run, converting a target panic into
-// an error instead of taking the orchestrator down.
-func goldenGuard(inst campaign.RunnableInstance, horizon sim.Millis) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("uninjected target crashed: %v", r)
-		}
-	}()
-	inst.Run(horizon)
-	return nil
-}
-
 // writeSnapshot persists the config snapshot, or — when one already
 // exists — verifies it matches, so an artifact directory can never
 // mix campaigns.
-func writeSnapshot(path string, s snapshot, resume bool) error {
+func writeSnapshot(path string, s snapshot) error {
 	if data, err := os.ReadFile(path); err == nil {
 		var existing snapshot
 		if err := json.Unmarshal(data, &existing); err != nil {
@@ -217,10 +163,6 @@ func writeSnapshot(path string, s snapshot, resume bool) error {
 		return nil
 	} else if !os.IsNotExist(err) {
 		return fmt.Errorf("runner: reading %s: %w", path, err)
-	} else if resume {
-		// Resuming without a snapshot is suspicious but recoverable:
-		// fall through and write it.
-		_ = err
 	}
 	data, err := json.MarshalIndent(s, "", "  ")
 	if err != nil {

@@ -23,6 +23,15 @@ func assembleFixture(t *testing.T) (dir string, rr *RunResult) {
 	return dir, rr
 }
 
+// assemble prepares cfg and assembles the journals under opts.Dir.
+func assemble(cfg campaign.Config, opts Options) (*RunResult, error) {
+	p, err := Prepare(cfg, opts)
+	if err != nil {
+		return nil, err
+	}
+	return p.Assemble(opts)
+}
+
 func reducedQuickConfig(t *testing.T) campaign.Config {
 	t.Helper()
 	def, err := Lookup("reduced")
@@ -43,7 +52,7 @@ func reducedQuickConfig(t *testing.T) campaign.Config {
 func TestAssembleDigestMismatch(t *testing.T) {
 	dir, _ := assembleFixture(t)
 	cfg := reducedQuickConfig(t)
-	_, err := Assemble(cfg, Options{Name: "reduced", Tier: TierQuick, Dir: dir, RunBudgetSteps: 123456789})
+	_, err := assemble(cfg, Options{Name: "reduced", Tier: TierQuick, Dir: dir, RunBudgetSteps: 123456789})
 	if err == nil {
 		t.Fatal("Assemble accepted journals written under a different config digest")
 	}
@@ -71,7 +80,7 @@ func TestAssembleIdempotentOverlap(t *testing.T) {
 	if err := os.WriteFile(dup, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	rr, err := Assemble(cfg, Options{Name: "reduced", Tier: TierQuick, Dir: dir})
+	rr, err := assemble(cfg, Options{Name: "reduced", Tier: TierQuick, Dir: dir})
 	if err != nil {
 		t.Fatalf("Assemble rejected an idempotent duplicate journal: %v", err)
 	}
@@ -104,7 +113,7 @@ func TestAssembleIdempotentOverlap(t *testing.T) {
 	if err := os.WriteFile(dup, bytes.Join(lines, []byte("\n")), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, err = Assemble(cfg, Options{Name: "reduced", Tier: TierQuick, Dir: dir})
+	_, err = assemble(cfg, Options{Name: "reduced", Tier: TierQuick, Dir: dir})
 	if err == nil {
 		t.Fatal("Assemble merged journals that disagree about a record's content")
 	}
@@ -128,7 +137,7 @@ func TestAssembleRefusesIncomplete(t *testing.T) {
 	if err := os.WriteFile(path, data[:len(data)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Assemble(cfg, Options{Name: "reduced", Tier: TierQuick, Dir: dir}); err == nil {
+	if _, err := assemble(cfg, Options{Name: "reduced", Tier: TierQuick, Dir: dir}); err == nil {
 		t.Fatal("Assemble accepted a journal missing half the campaign")
 	}
 }
@@ -136,7 +145,9 @@ func TestAssembleRefusesIncomplete(t *testing.T) {
 // TestJobsSliceAssembles: a run given Options.Jobs executes and
 // journals exactly that slice; a second process resuming the same
 // directory with the complementary slice fills in the rest, and the
-// merged journal assembles bit-identically to an unsliced run.
+// merged journal assembles bit-identically to an unsliced run. Both
+// slices and the assembly run from one Prepared, as a distributed
+// worker and coordinator do.
 func TestJobsSliceAssembles(t *testing.T) {
 	_, direct := assembleFixture(t)
 	total := direct.Metrics.TotalRuns
@@ -149,9 +160,13 @@ func TestJobsSliceAssembles(t *testing.T) {
 		}
 	}
 
+	p, err := PrepareInstance("reduced", TierQuick, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	dir := t.TempDir()
 	opts := Options{Dir: dir, Jobs: even, SkipReport: true}
-	rr, err := RunInstance("reduced", TierQuick, opts)
+	rr, err := p.Run(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +186,7 @@ func TestJobsSliceAssembles(t *testing.T) {
 	// The other slice replays nothing of the first and executes only
 	// its own jobs.
 	opts.Jobs, opts.Resume = odd, true
-	rr, err = RunInstance("reduced", TierQuick, opts)
+	rr, err = p.Run(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +194,7 @@ func TestJobsSliceAssembles(t *testing.T) {
 		t.Errorf("second slice replayed %d / executed %d runs, want 0/%d", rr.Metrics.ReplayedRuns, rr.Metrics.ExecutedRuns, len(odd))
 	}
 
-	rr, err = Assemble(reducedQuickConfig(t), Options{Name: "reduced", Tier: TierQuick, Dir: dir})
+	rr, err = p.Assemble(Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,8 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
-
-	"propane/internal/campaign"
 )
 
 // This file is the runner's contract with external orchestrators —
@@ -20,8 +18,8 @@ import (
 
 // PlanInfo describes a campaign's deterministic execution space: the
 // config digest that journals bind to and the job-index arithmetic
-// that work units and resume rely on. Two processes whose Describe
-// results agree agree on everything journal-shaped.
+// that work units and resume rely on. Two processes whose
+// Prepared.Info results agree agree on everything journal-shaped.
 type PlanInfo struct {
 	// Name and Tier label the campaign as Options would.
 	Name string
@@ -42,63 +40,6 @@ type PlanInfo struct {
 	// scheduler.
 	Adaptive  bool
 	CIEpsilon float64
-}
-
-// Describe computes the digestable identity of a campaign exactly as
-// Run would: supervision options folded in, the config validated, the
-// plan enumerated and the golden runs executed and hashed. It touches
-// no files. The golden runs make it as expensive as Run's own startup
-// — cache the result per configuration.
-func Describe(cfg campaign.Config, opts Options) (PlanInfo, error) {
-	if opts.Dir == "" {
-		opts.Dir = "." // normalise demands one; Describe never uses it
-	}
-	if err := opts.normalise(); err != nil {
-		return PlanInfo{}, err
-	}
-	opts.applySupervision(&cfg)
-	opts.applyAdaptive(&cfg)
-	if err := cfg.Validate(); err != nil {
-		return PlanInfo{}, err
-	}
-	plan, err := cfg.Plan()
-	if err != nil {
-		return PlanInfo{}, err
-	}
-	digests, err := goldenDigests(cfg)
-	if err != nil {
-		return PlanInfo{}, err
-	}
-	snap, err := newSnapshot(opts.Name, opts.Tier, cfg, len(plan), digests)
-	if err != nil {
-		return PlanInfo{}, err
-	}
-	return PlanInfo{
-		Name:      opts.Name,
-		Tier:      opts.Tier,
-		Digest:    snap.Digest,
-		PlanSize:  len(plan),
-		Cases:     len(cfg.TestCases),
-		TotalRuns: snap.TotalRuns,
-		Adaptive:  snap.Adaptive,
-		CIEpsilon: snap.CIEpsilon,
-	}, nil
-}
-
-// DescribeInstance resolves a named registry instance and describes
-// it.
-func DescribeInstance(name string, tier Tier, opts Options) (PlanInfo, error) {
-	def, err := Lookup(name)
-	if err != nil {
-		return PlanInfo{}, err
-	}
-	cfg, err := def.Config(tier)
-	if err != nil {
-		return PlanInfo{}, fmt.Errorf("runner: building %s/%s: %w", name, tier, err)
-	}
-	opts.Name = name
-	opts.Tier = tier
-	return Describe(cfg, opts)
 }
 
 // RecordSetDigest computes a canonical SHA-256 over a set of records:

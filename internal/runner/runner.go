@@ -13,10 +13,14 @@
 //     snapshot, golden-run digests, journal, metrics, final report),
 //     so a killed campaign resumes from its checkpoint and converges
 //     to the bit-identical permeability matrix;
+//   - one preparation per campaign: Prepare validates and plans the
+//     campaign and records its golden runs once; the Prepared then
+//     runs and assembles any number of times without repeating that;
 //   - explicit job slices: a process can be handed an ascending list
 //     of job indices (Options.Jobs) to execute instead of the whole
 //     campaign — how the distributed coordinator dispatches its work
-//     units — and Assemble merges journals into the final result;
+//     units — and Prepared.Assemble merges journals into the final
+//     result;
 //   - observability: runs/sec, ETA, per-module n_err/n_inj counters
 //     and worker utilisation as periodic log lines and an exportable
 //     metrics.json;
@@ -28,24 +32,61 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"runtime"
 	"time"
 
 	"propane/internal/campaign"
 	"propane/internal/inject"
+	"propane/internal/model"
 	"propane/internal/report"
 )
 
-// defaultWorkers mirrors the campaign engine's zero-Workers choice.
-func defaultWorkers() int { return runtime.GOMAXPROCS(0) }
-
-// Options parameterises one orchestrated campaign run.
+// Options parameterises one orchestrated campaign. Its fields fall in
+// two groups:
+//
+//   - campaign fields (Name through CIEpsilon) shape the campaign
+//     itself: its config digest, golden pass and worker pool. Prepare
+//     reads them once.
+//   - execution fields (Dir onwards) say how one run or assembly of
+//     the prepared campaign proceeds. Prepared.Run and
+//     Prepared.Assemble read only these.
+//
+// Run and RunInstance prepare and execute in one call, so they read
+// both.
 type Options struct {
 	// Name labels the campaign in artifacts and logs (an instance
 	// name from the registry, or any label for ad-hoc configs).
 	Name string
 	// Tier records which intensity tier the config came from.
 	Tier Tier
+	// Workers overrides campaign.Config.Workers when positive. Prepare
+	// resolves the result with the campaign engine's rule (<= 0 selects
+	// GOMAXPROCS), so Metrics.Workers reports the pool that ran.
+	Workers int
+	// RunBudgetSteps arms the per-run watchdog: each injection run is
+	// terminated and classified as a hang once it has charged this
+	// many deterministic work units (campaign.Config.Budget.Steps).
+	// 0 leaves the config's own budget in force. The value is part of
+	// the config digest — a hang is a run outcome, so two processes
+	// must agree on the budget to share a journal.
+	RunBudgetSteps int64
+	// RunWallBudget adds a non-deterministic wall-clock backstop per
+	// run. It is excluded from the config digest: it should only trip
+	// for code that hangs without charging the step budget.
+	RunWallBudget time.Duration
+	// Adaptive overrides the config's adaptive sequential-sampling
+	// mode when not AdaptiveOff (the zero value leaves the config's
+	// own mode in force). It is part of the config digest: an
+	// adaptive campaign executes a different job set, so journals
+	// written under different adaptive settings must never mix.
+	// AdaptiveAuto is resolved to a definite mode before the config is
+	// digested (see applyAdaptive), so the digest pins the decision.
+	Adaptive campaign.AdaptiveMode
+	// CIEpsilon overrides the config's adaptive stopping half-width
+	// when non-zero (campaign.Config.CIEpsilon, which Validate bounds
+	// to [0, 0.5)). Part of the config digest, like Adaptive, and
+	// meaningless without it.
+	CIEpsilon float64
+
 	// Dir is the artifact directory. It is created if missing; it
 	// must not contain a different campaign's artifacts.
 	Dir string
@@ -61,23 +102,10 @@ type Options struct {
 	// Resume loads the journal and skips already-completed jobs
 	// instead of refusing to touch a non-empty journal.
 	Resume bool
-	// Workers overrides campaign.Config.Workers when positive.
-	Workers int
 	// LogInterval throttles progress lines (0 disables them).
 	LogInterval time.Duration
 	// Logf receives progress and lifecycle lines (nil discards).
 	Logf func(format string, args ...any)
-	// RunBudgetSteps arms the per-run watchdog: each injection run is
-	// terminated and classified as a hang once it has charged this
-	// many deterministic work units (campaign.Config.Budget.Steps).
-	// 0 leaves the config's own budget in force. The value is part of
-	// the config digest — a hang is a run outcome, so two processes
-	// must agree on the budget to share a journal.
-	RunBudgetSteps int64
-	// RunWallBudget adds a non-deterministic wall-clock backstop per
-	// run. It is excluded from the config digest: it should only trip
-	// for code that hangs without charging the step budget.
-	RunWallBudget time.Duration
 	// MaxRetries bounds the retries of a transient journal or
 	// artifact I/O failure (capped exponential backoff). 0 means the
 	// default (3); negative disables retrying.
@@ -102,19 +130,6 @@ type Options struct {
 	// called concurrently with OnRecord — use an atomic flag. The
 	// distributed worker aborts when its lease is lost.
 	Abort func() bool
-	// Adaptive overrides the config's adaptive sequential-sampling
-	// mode when not AdaptiveOff (the zero value leaves the config's
-	// own mode in force). It is part of the config digest: an
-	// adaptive campaign executes a different job set, so journals
-	// written under different adaptive settings must never mix. AdaptiveAuto is resolved to a definite mode before the
-	// config is digested (see applyAdaptive), so the digest pins the
-	// decision.
-	Adaptive campaign.AdaptiveMode
-	// CIEpsilon overrides the config's adaptive stopping half-width
-	// when non-zero (campaign.Config.CIEpsilon, which Validate bounds
-	// to [0, 0.5)). Part of the config digest, like Adaptive, and
-	// meaningless without it.
-	CIEpsilon float64
 	// SkipReport suppresses rendering report.md. The distributed
 	// worker sets it: a work unit's scratch directory is an
 	// intermediate artifact whose records upload to the coordinator,
@@ -188,23 +203,6 @@ func (o *Options) quarantineAfter() int {
 	return o.QuarantineAfter
 }
 
-// applySupervision folds the supervision knobs into the campaign
-// configuration. It must run before the config is validated, digested
-// or planned, so journals record the effective budget.
-func (o *Options) applySupervision(cfg *campaign.Config) {
-	if o.RunBudgetSteps > 0 {
-		cfg.Budget.Steps = o.RunBudgetSteps
-	}
-	if o.RunWallBudget > 0 {
-		cfg.Budget.Wall = o.RunWallBudget
-	}
-	if cfg.OnJobError == nil {
-		if after := o.quarantineAfter(); after > 0 {
-			cfg.OnJobError = campaign.QuarantinePolicy(after, o.Logf)
-		}
-	}
-}
-
 // applyAdaptive folds the adaptive overrides into the configuration
 // and resolves AdaptiveAuto to a definite mode. Resolution must
 // happen before the config is digested or planned: the adaptive job
@@ -225,13 +223,8 @@ func (o *Options) applyAdaptive(cfg *campaign.Config) {
 	}
 }
 
+// normalise checks and defaults the execution fields.
 func (o *Options) normalise() error {
-	if o.Name == "" {
-		o.Name = "custom"
-	}
-	if o.Tier == "" {
-		o.Tier = "custom"
-	}
 	if o.Dir == "" {
 		return errors.New("runner: no artifact directory")
 	}
@@ -286,9 +279,88 @@ func (ji *jobIndexer) index(inj inject.Injection, caseIdx int) (int, bool) {
 	return i, ok
 }
 
-// RunInstance resolves a named instance from the registry and runs
-// it.
-func RunInstance(name string, tier Tier, opts Options) (*RunResult, error) {
+// Prepared is a campaign whose fixed work is done: options folded in,
+// config validated, injection plan enumerated and indexed, Golden
+// Runs recorded once and digested into the config snapshot. Run and
+// Assemble it as often as needed — a distributed worker runs every
+// unit of one campaign from one Prepared — without repeating that
+// work. Preparing touches no files.
+type Prepared struct {
+	cfg    campaign.Config
+	info   PlanInfo
+	snap   snapshot
+	sys    *model.System
+	golden *campaign.Golden
+	ji     *jobIndexer
+}
+
+// Prepare does a campaign's fixed work (see Prepared), reading only
+// the campaign fields of opts.
+func Prepare(cfg campaign.Config, opts Options) (*Prepared, error) {
+	if opts.Name == "" {
+		opts.Name = "custom"
+	}
+	if opts.Tier == "" {
+		opts.Tier = "custom"
+	}
+	// The overrides fold in before the config is validated, digested
+	// or planned, so journals record the effective budget and the
+	// resolved adaptive decision.
+	if opts.RunBudgetSteps > 0 {
+		cfg.Budget.Steps = opts.RunBudgetSteps
+	}
+	if opts.RunWallBudget > 0 {
+		cfg.Budget.Wall = opts.RunWallBudget
+	}
+	opts.applyAdaptive(&cfg)
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	if opts.Workers > 0 {
+		cfg.Workers = opts.Workers
+	}
+	cfg.Workers = cfg.ResolvedWorkers()
+	plan, err := cfg.Plan()
+	if err != nil {
+		return nil, err
+	}
+	// The golden runs execute under the same watchdog as the injection
+	// runs: an uninjected target that crashes or hangs is a broken
+	// config, reported before any journal is touched.
+	golden, err := campaign.RecordGolden(cfg)
+	if err != nil {
+		return nil, err
+	}
+	digests, err := golden.Digests()
+	if err != nil {
+		return nil, err
+	}
+	snap, err := newSnapshot(opts.Name, opts.Tier, cfg, len(plan), digests)
+	if err != nil {
+		return nil, err
+	}
+	return &Prepared{
+		cfg: cfg,
+		info: PlanInfo{
+			Name:      opts.Name,
+			Tier:      opts.Tier,
+			Digest:    snap.Digest,
+			PlanSize:  len(plan),
+			Cases:     len(cfg.TestCases),
+			TotalRuns: snap.TotalRuns,
+			Adaptive:  snap.Adaptive,
+			CIEpsilon: snap.CIEpsilon,
+		},
+		snap:   snap,
+		sys:    cfg.System(),
+		golden: golden,
+		ji:     newJobIndexer(plan, len(cfg.TestCases)),
+	}, nil
+}
+
+// PrepareInstance resolves a named instance from the registry and
+// prepares it.
+func PrepareInstance(name string, tier Tier, opts Options) (*Prepared, error) {
 	def, err := Lookup(name)
 	if err != nil {
 		return nil, err
@@ -299,34 +371,52 @@ func RunInstance(name string, tier Tier, opts Options) (*RunResult, error) {
 	}
 	opts.Name = name
 	opts.Tier = tier
-	return Run(cfg, opts)
+	return Prepare(cfg, opts)
 }
 
-// Run executes one campaign (or its slice opts.Jobs) with journaling,
-// progress tracking and failure dedupe, writing the artifact set
-// under opts.Dir. A run interrupted by a kill is resumed by calling
-// Run again with opts.Resume: completed jobs replay from the journal
-// and only the remainder executes, converging to the bit-identical
-// result of an uninterrupted run.
-func Run(cfg campaign.Config, opts Options) (*RunResult, error) {
-	if err := opts.normalise(); err != nil {
-		return nil, err
-	}
-	opts.applySupervision(&cfg)
-	opts.applyAdaptive(&cfg)
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if opts.Workers > 0 {
-		cfg.Workers = opts.Workers
-	}
-	plan, err := cfg.Plan()
+// Info describes the prepared campaign's execution space and config
+// digest.
+func (p *Prepared) Info() PlanInfo { return p.info }
+
+// Planner rebuilds the adaptive sampling schedule of the prepared
+// campaign from its recorded golden runs. It fails for a full-matrix
+// campaign.
+func (p *Prepared) Planner() (*campaign.AdaptivePlanner, error) {
+	return p.golden.Planner(p.cfg)
+}
+
+// RunInstance resolves a named instance from the registry and runs
+// it.
+func RunInstance(name string, tier Tier, opts Options) (*RunResult, error) {
+	p, err := PrepareInstance(name, tier, opts)
 	if err != nil {
 		return nil, err
 	}
-	sys := cfg.System()
-	ji := newJobIndexer(plan, len(cfg.TestCases))
-	member, err := jobMembership(opts.Jobs, len(plan)*len(cfg.TestCases))
+	return p.Run(opts)
+}
+
+// Run prepares one campaign and runs it (see Prepared.Run).
+func Run(cfg campaign.Config, opts Options) (*RunResult, error) {
+	p, err := Prepare(cfg, opts)
+	if err != nil {
+		return nil, err
+	}
+	return p.Run(opts)
+}
+
+// Run executes the campaign (or its slice opts.Jobs) with journaling,
+// progress tracking and failure dedupe, writing the artifact set
+// under opts.Dir. A run interrupted by a kill is resumed by running
+// again with opts.Resume: completed jobs replay from the journal and
+// only the remainder executes, converging to the bit-identical result
+// of an uninterrupted run. Only the execution fields of opts are read.
+func (p *Prepared) Run(opts Options) (*RunResult, error) {
+	if err := opts.normalise(); err != nil {
+		return nil, err
+	}
+	cfg := p.cfg
+	snap := p.snap
+	member, err := jobMembership(opts.Jobs, snap.TotalRuns)
 	if err != nil {
 		return nil, err
 	}
@@ -335,17 +425,11 @@ func Run(cfg campaign.Config, opts Options) (*RunResult, error) {
 		return nil, fmt.Errorf("runner: creating artifact dir: %w", err)
 	}
 	l := layout{dir: opts.Dir}
-
-	digests, err := goldenDigests(cfg)
-	if err != nil {
+	if err := writeSnapshot(l.configPath(), snap); err != nil {
 		return nil, err
 	}
-	snap, err := newSnapshot(opts.Name, opts.Tier, cfg, len(plan), digests)
-	if err != nil {
-		return nil, err
-	}
-	if err := writeSnapshot(l.configPath(), snap, opts.Resume); err != nil {
-		return nil, err
+	if after := opts.quarantineAfter(); cfg.OnJobError == nil && after > 0 {
+		cfg.OnJobError = campaign.QuarantinePolicy(after, opts.Logf)
 	}
 	if opts.Memo != nil {
 		cfg.Memo = scopedMemo{store: opts.Memo, scope: snap.Digest}
@@ -378,7 +462,7 @@ func Run(cfg campaign.Config, opts Options) (*RunResult, error) {
 			if err != nil {
 				return nil, err
 			}
-			job, ok := ji.index(rec.Injection, rec.CaseIndex)
+			job, ok := p.ji.index(rec.Injection, rec.CaseIndex)
 			if !ok {
 				return nil, fmt.Errorf("runner: journal %s contains foreign job %v case %d",
 					journalPath, rec.Injection, rec.CaseIndex)
@@ -403,7 +487,7 @@ func Run(cfg campaign.Config, opts Options) (*RunResult, error) {
 
 	jw, err := openJournal(journalPath, header{
 		Type: "header", Version: journalVersion,
-		Instance: opts.Name, Tier: string(opts.Tier),
+		Instance: p.info.Name, Tier: string(p.info.Tier),
 		ConfigDigest: snap.Digest,
 	})
 	if err != nil {
@@ -420,29 +504,25 @@ func Run(cfg campaign.Config, opts Options) (*RunResult, error) {
 		planned = len(opts.Jobs)
 	}
 
-	workers := cfg.Workers
-	if workers == 0 {
-		workers = defaultWorkers()
-	}
 	trk := newTracker(Metrics{
-		Instance: opts.Name, Tier: string(opts.Tier),
-		Workers:     workers,
+		Instance: p.info.Name, Tier: string(p.info.Tier),
+		Workers:     cfg.Workers,
 		TotalRuns:   snap.TotalRuns,
 		PlannedRuns: planned,
 	}, opts.LogInterval, opts.Logf)
-	ddp := newDeduper(sys)
+	ddp := newDeduper(p.sys)
 	for _, rec := range replay {
 		trk.absorb(rec, true)
 		ddp.add(rec)
 	}
 	if len(replay) > 0 {
 		opts.Logf("%s/%s: resumed %d/%d runs from %s",
-			opts.Name, opts.Tier, len(replay), planned, journalPath)
+			p.info.Name, p.info.Tier, len(replay), planned, journalPath)
 	}
 
 	cfg.Replay = replay
 	cfg.Skip = func(inj inject.Injection, caseIdx int) bool {
-		job, ok := ji.index(inj, caseIdx)
+		job, ok := p.ji.index(inj, caseIdx)
 		return !ok || done[job] || (member != nil && !member[job])
 	}
 	cfg.Abort = opts.Abort
@@ -453,7 +533,7 @@ func Run(cfg campaign.Config, opts Options) (*RunResult, error) {
 	userObserver := cfg.Observer
 	cfg.Observer = func(rec campaign.RunRecord) {
 		if observeErr == nil {
-			job, ok := ji.index(rec.Injection, rec.CaseIndex)
+			job, ok := p.ji.index(rec.Injection, rec.CaseIndex)
 			if !ok {
 				observeErr = fmt.Errorf("runner: observed unplanned job %v case %d", rec.Injection, rec.CaseIndex)
 			} else if jrec, err := newRecord(job, rec); err != nil {
@@ -476,7 +556,7 @@ func Run(cfg campaign.Config, opts Options) (*RunResult, error) {
 		}
 	}
 
-	res, err := campaign.Run(cfg)
+	res, err := p.golden.Run(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -487,13 +567,13 @@ func Run(cfg campaign.Config, opts Options) (*RunResult, error) {
 		return nil, err
 	}
 
-	return finalise(res, l, trk, ddp, opts)
+	return p.finalise(res, l, trk, ddp, opts)
 }
 
 // finalise writes the closing artifacts (metrics.json, failures.md
 // and — unless opts.SkipReport — report.md) and packages the
 // RunResult.
-func finalise(res *campaign.Result, l layout, trk *tracker, ddp *deduper, opts Options) (*RunResult, error) {
+func (p *Prepared) finalise(res *campaign.Result, l layout, trk *tracker, ddp *deduper, opts Options) (*RunResult, error) {
 	trk.m.UniqueFailures = ddp.unique()
 	metrics := trk.snapshot(time.Now())
 	retries := opts.maxRetries()
@@ -510,7 +590,7 @@ func finalise(res *campaign.Result, l layout, trk *tracker, ddp *deduper, opts O
 	}
 	if !opts.SkipReport {
 		md, err := report.Markdown(res, report.MarkdownOptions{
-			Title:   fmt.Sprintf("Campaign %s/%s", opts.Name, opts.Tier),
+			Title:   fmt.Sprintf("Campaign %s/%s", p.info.Name, p.info.Tier),
 			Latency: true, Uniform: true,
 		})
 		if err != nil {
@@ -529,25 +609,13 @@ func finalise(res *campaign.Result, l layout, trk *tracker, ddp *deduper, opts O
 // campaign result: all records replay into the aggregates, nothing
 // re-executes, and the final report renders from the journals alone.
 // It fails if any job of the injection space is missing, so a partial
-// journal cannot masquerade as a finished campaign.
-func Assemble(cfg campaign.Config, opts Options) (*RunResult, error) {
+// journal cannot masquerade as a finished campaign. Only the execution
+// fields of opts are read.
+func (p *Prepared) Assemble(opts Options) (*RunResult, error) {
 	if err := opts.normalise(); err != nil {
 		return nil, err
 	}
-	// Apply the same supervision and adaptive overrides as Run so the
-	// config digest matches the journals being assembled.
-	opts.applySupervision(&cfg)
-	opts.applyAdaptive(&cfg)
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-
-	plan, err := cfg.Plan()
-	if err != nil {
-		return nil, err
-	}
-	sys := cfg.System()
-	ji := newJobIndexer(plan, len(cfg.TestCases))
+	snap := p.snap
 	l := layout{dir: opts.Dir}
 
 	paths, err := l.journalPaths()
@@ -557,16 +625,7 @@ func Assemble(cfg campaign.Config, opts Options) (*RunResult, error) {
 	if len(paths) == 0 {
 		return nil, fmt.Errorf("runner: no journals under %s", opts.Dir)
 	}
-
-	digests, err := goldenDigests(cfg)
-	if err != nil {
-		return nil, err
-	}
-	snap, err := newSnapshot(opts.Name, opts.Tier, cfg, len(plan), digests)
-	if err != nil {
-		return nil, err
-	}
-	if err := writeSnapshot(l.configPath(), snap, true); err != nil {
+	if err := writeSnapshot(l.configPath(), snap); err != nil {
 		return nil, err
 	}
 
@@ -592,7 +651,7 @@ func Assemble(cfg campaign.Config, opts Options) (*RunResult, error) {
 			if err != nil {
 				return nil, err
 			}
-			job, ok := ji.index(rec.Injection, rec.CaseIndex)
+			job, ok := p.ji.index(rec.Injection, rec.CaseIndex)
 			if !ok {
 				return nil, fmt.Errorf("runner: journal %s contains foreign job %v case %d", path, rec.Injection, rec.CaseIndex)
 			}
@@ -614,7 +673,7 @@ func Assemble(cfg campaign.Config, opts Options) (*RunResult, error) {
 			replay = append(replay, rec)
 		}
 	}
-	if cfg.AdaptiveEnabled() {
+	if p.info.Adaptive {
 		// An adaptive campaign's job set is decided by its sequential
 		// scheduler, not by the matrix size, so "every job present" is
 		// the wrong completeness test. Instead, rebuild the schedule —
@@ -622,7 +681,7 @@ func Assemble(cfg campaign.Config, opts Options) (*RunResult, error) {
 		// journaled record, and require that it declares itself done:
 		// every confidence interval closed (or its population
 		// exhausted) with no scheduled sample outstanding.
-		planner, err := campaign.NewAdaptivePlanner(cfg)
+		planner, err := p.Planner()
 		if err != nil {
 			return nil, err
 		}
@@ -641,22 +700,23 @@ func Assemble(cfg campaign.Config, opts Options) (*RunResult, error) {
 	}
 
 	trk := newTracker(Metrics{
-		Instance: opts.Name, Tier: string(opts.Tier),
+		Instance: p.info.Name, Tier: string(p.info.Tier),
 		TotalRuns: snap.TotalRuns, PlannedRuns: snap.TotalRuns,
 	}, 0, nil)
-	ddp := newDeduper(sys)
+	ddp := newDeduper(p.sys)
 	for _, rec := range replay {
 		trk.absorb(rec, true)
 		ddp.add(rec)
 	}
 
+	cfg := p.cfg
 	cfg.Replay = replay
 	cfg.Skip = func(inject.Injection, int) bool { return true }
-	res, err := campaign.Run(cfg)
+	res, err := p.golden.Run(cfg)
 	if err != nil {
 		return nil, err
 	}
-	return finalise(res, l, trk, ddp, opts)
+	return p.finalise(res, l, trk, ddp, opts)
 }
 
 // jobMembership validates a Jobs list against a job space of total
