@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sort"
+	"strconv"
 	"sync"
 
 	"propane/internal/estimate"
@@ -163,10 +164,9 @@ type schedJob struct {
 	planIdx, caseIdx int
 }
 
-// schedKey addresses a sample by content, matching journal identity.
-type schedKey struct {
-	inj     string
-	caseIdx int
+// schedRef locates a job in the schedule (loc -1: not fireable).
+type schedRef struct {
+	loc, pos int32
 }
 
 // schedContrib is one settled sample's tally contribution.
@@ -220,7 +220,8 @@ type adaptiveScheduler struct {
 
 	mu    sync.Mutex
 	locs  []*schedLocation
-	byKey map[schedKey][2]int // -> (location, position)
+	jobs  *JobIndex
+	byJob []schedRef // by job index
 	wake  chan struct{}
 
 	population, dispatched, settled, fullRuns int
@@ -235,20 +236,25 @@ func newAdaptiveScheduler(cfg Config, plan []inject.Injection, preds []casePredi
 		return nil, invalidf("campaign: adaptive sampling needs golden-run predictions")
 	}
 	sys := cfg.topology()
+	cases := len(cfg.TestCases)
 	s := &adaptiveScheduler{
 		window:   cfg.DirectWindowMs,
 		eps:      cfg.ResolvedCIEpsilon(),
-		byKey:    make(map[schedKey][2]int),
+		jobs:     NewJobIndex(plan, cases),
+		byJob:    make([]schedRef, len(plan)*cases),
 		wake:     make(chan struct{}, 1),
-		fullRuns: len(plan) * len(cfg.TestCases),
+		fullRuns: len(plan) * cases,
+	}
+	for i := range s.byJob {
+		s.byJob[i].loc = -1
 	}
 	locIdx := make(map[[2]string]int)
 	type orderedJob struct {
 		key uint64
-		tie string
 		job schedJob
 	}
 	perLoc := make(map[int][]orderedJob)
+	var digits []byte
 	for pi, inj := range plan {
 		lk := [2]string{inj.Module, inj.Signal}
 		li, ok := locIdx[lk]
@@ -270,18 +276,26 @@ func newAdaptiveScheduler(cfg Config, plan []inject.Injection, preds []casePredi
 			s.locs = append(s.locs, loc)
 		}
 		pk := portKey{module: inj.Module, signal: inj.Signal}
+		var prefix []byte // "<injection>#"
 		for ci := range cfg.TestCases {
 			// Only the campaign's fault mode has predictions; the other
 			// map is nil and reads as "cannot fire".
 			if !preds[ci].transient[pk][inj.At].fires && !preds[ci].persistent[pk][inj.At].fires {
 				continue
 			}
-			tie := fmt.Sprintf("%s#%d", inj.String(), ci)
+			// The permutation key is the FNV-1a hash of
+			// "<injection>#<case>", ties broken by that string. FNV
+			// streams bytes, so writing the prefix and then the digits
+			// hashes the string without formatting it per job.
+			if prefix == nil {
+				prefix = []byte(inj.String() + "#")
+			}
+			digits = strconv.AppendInt(digits[:0], int64(ci), 10)
 			h := fnv.New64a()
-			h.Write([]byte(tie))
+			h.Write(prefix)
+			h.Write(digits)
 			perLoc[li] = append(perLoc[li], orderedJob{
 				key: h.Sum64(),
-				tie: tie,
 				job: schedJob{planIdx: pi, caseIdx: ci},
 			})
 		}
@@ -296,10 +310,11 @@ func newAdaptiveScheduler(cfg Config, plan []inject.Injection, preds []casePredi
 			if jobs[a].key != jobs[b].key {
 				return jobs[a].key < jobs[b].key
 			}
-			return jobs[a].tie < jobs[b].tie
+			tie := func(j schedJob) string { return plan[j.planIdx].String() + "#" + strconv.Itoa(j.caseIdx) }
+			return tie(jobs[a].job) < tie(jobs[b].job)
 		})
 		for pos, oj := range jobs {
-			s.byKey[schedKey{inj: plan[oj.job.planIdx].String(), caseIdx: oj.job.caseIdx}] = [2]int{li, pos}
+			s.byJob[oj.job.planIdx*cases+oj.job.caseIdx] = schedRef{loc: int32(li), pos: int32(pos)}
 			loc.jobs = append(loc.jobs, oj.job)
 		}
 		loc.contrib = make([]schedContrib, len(loc.jobs))
@@ -333,7 +348,7 @@ func newAdaptiveScheduler(cfg Config, plan []inject.Injection, preds []casePredi
 // prefix reaches. It returns the sample's batch ordinal (1-based),
 // recorded on the journal as RunRecord.Round.
 func (s *adaptiveScheduler) observe(out runOutcome) (int, error) {
-	key := schedKey{inj: out.injection.String(), caseIdx: out.caseIdx}
+	job, ok := s.jobs.Job(out.injection, out.caseIdx)
 	s.mu.Lock()
 	defer func() {
 		s.mu.Unlock()
@@ -342,11 +357,11 @@ func (s *adaptiveScheduler) observe(out runOutcome) (int, error) {
 		default:
 		}
 	}()
-	ref, ok := s.byKey[key]
-	if !ok {
+	if !ok || s.byJob[job].loc < 0 {
 		return 0, fmt.Errorf("campaign: adaptive scheduler got a record outside its schedule: %v case %d", out.injection, out.caseIdx)
 	}
-	loc, pos := s.locs[ref[0]], ref[1]
+	ref := s.byJob[job]
+	loc, pos := s.locs[ref.loc], int(ref.pos)
 	if loc.contrib[pos].settled {
 		return 0, fmt.Errorf("campaign: adaptive scheduler got %v case %d twice", out.injection, out.caseIdx)
 	}
@@ -555,13 +570,14 @@ func goldenActivity(goldens []*trace.Trace) map[string]float64 {
 }
 
 // AdaptivePlanner exposes the sequential sampling schedule to external
-// execution drivers: internal/runner's Assemble proves journal
-// coverage against it, and the distributed coordinator carves work
-// units from its frontier and detects campaign completion with it.
+// execution drivers: the distributed coordinator carves work units
+// from its frontier, feeds it every accepted record and detects
+// completion with it, and assembly proves completeness with that same
+// planner and takes Result.Adaptive from it (Golden.Fold).
 // Golden.Planner builds one. The planner is deterministic: two
 // planners over the same Config claim the same schedule, and feeding
-// the journal of a finished campaign back through Observe reproduces
-// every stopping decision bit-identically.
+// a finished campaign's journal back through Observe reproduces every
+// stopping decision bit-identically.
 type AdaptivePlanner struct {
 	sched *adaptiveScheduler
 	sys   *model.System
@@ -584,8 +600,7 @@ func (g *Golden) Planner(cfg Config) (*AdaptivePlanner, error) {
 		return nil, err
 	}
 	sys := cfg.topology()
-	pred := estimate.Predict(sys, estimate.Options{Activity: goldenActivity(g.traces)})
-	sched, err := newAdaptiveScheduler(cfg, plan, g.preds, pred)
+	sched, err := newAdaptiveScheduler(cfg, plan, g.preds, g.predict(sys))
 	if err != nil {
 		return nil, err
 	}

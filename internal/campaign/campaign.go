@@ -10,6 +10,7 @@ package campaign
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
 	"sort"
 	"sync"
@@ -128,14 +129,14 @@ type Config struct {
 	// full execution. With it, every run is built and executed from
 	// t=0, so the hook sees every run from its first tick.
 	Instrument func(inst Instance, caseIdx int) (any, error)
-	// Skip, when non-nil, is consulted for every planned (injection,
-	// test case) job before it is dispatched; returning true excludes
-	// the job from execution. The orchestration layer
-	// (internal/runner) uses it to run an explicit slice of the job
-	// space and to resume a journaled campaign without re-executing
-	// completed runs. Skipped jobs contribute nothing to
+	// Skip, when non-nil, is consulted for every planned job, by its
+	// index in the campaign's enumeration (see JobIndex), before it is
+	// dispatched; returning true excludes the job from execution. The
+	// orchestration layer (internal/runner) uses it to run an explicit
+	// slice of the job space and to resume a journaled campaign without
+	// re-executing completed runs. Skipped jobs contribute nothing to
 	// the aggregates — pair them with Replay to keep results whole.
-	Skip func(inj inject.Injection, caseIdx int) bool
+	Skip func(job int) bool
 	// Replay seeds the aggregates with previously recorded runs —
 	// typically journal entries from an interrupted campaign — before
 	// any new injection run executes. Replayed records are not passed
@@ -407,6 +408,11 @@ func (c Config) Validate() error {
 	if c.Budget.Steps < 0 || c.Budget.Wall < 0 {
 		return invalidf("campaign: negative run budget")
 	}
+	for _, m := range c.Models {
+		if m != nil && !reflect.TypeOf(m).Comparable() { // JobIndex keys injections by value
+			return invalidf("campaign: error model %T is not comparable", m)
+		}
+	}
 	return nil
 }
 
@@ -571,6 +577,34 @@ func (c Config) Plan() ([]inject.Injection, error) {
 	return plan, nil
 }
 
+// JobIndex numbers a campaign's jobs: job = plan index × #cases + case
+// index, the numbering journals, work units, Config.Skip and the
+// adaptive schedule share. Injections are keyed by value, so a lookup
+// formats nothing.
+type JobIndex struct {
+	plan  map[inject.Injection]int
+	cases int
+}
+
+// NewJobIndex indexes the jobs of plan × cases test cases.
+func NewJobIndex(plan []inject.Injection, cases int) *JobIndex {
+	ji := &JobIndex{plan: make(map[inject.Injection]int, len(plan)), cases: cases}
+	for pi, inj := range plan {
+		ji.plan[inj] = pi
+	}
+	return ji
+}
+
+// Job returns the index of the job injecting inj into test case
+// caseIdx; false when the campaign plans no such job.
+func (ji *JobIndex) Job(inj inject.Injection, caseIdx int) (int, bool) {
+	pi, ok := ji.plan[inj]
+	if !ok || caseIdx < 0 || caseIdx >= ji.cases {
+		return 0, false
+	}
+	return pi*ji.cases + caseIdx, true
+}
+
 // Run records the campaign's Golden Runs, executes the campaign and
 // aggregates the permeability matrix.
 func Run(cfg Config) (*Result, error) {
@@ -602,11 +636,10 @@ func (g *Golden) Run(cfg Config) (*Result, error) {
 		inj     inject.Injection
 		caseIdx int
 	}
-	// The analytical forecast is cheap (pure topology arithmetic plus
-	// one pass over the golden traces) and always attached to the
-	// result; adaptive campaigns additionally use it to importance-order
-	// their sampling.
-	pred := estimate.Predict(sys, estimate.Options{Activity: goldenActivity(goldens)})
+	// The analytical forecast is always attached to the result;
+	// adaptive campaigns additionally use it to importance-order their
+	// sampling.
+	pred := g.predict(sys)
 	adaptive := cfg.adaptiveEnabled()
 	// Materialise the job list up front (applying Skip) so that, when
 	// checkpointing is active, jobs can be grouped by (test case,
@@ -617,9 +650,9 @@ func (g *Golden) Run(cfg Config) (*Result, error) {
 	// Adaptive campaigns skip the list: the scheduler owns dispatch.
 	var jobList []job
 	if !adaptive {
-		for _, inj := range plan {
+		for pi, inj := range plan {
 			for ci := range cfg.TestCases {
-				if cfg.Skip != nil && cfg.Skip(inj, ci) {
+				if cfg.Skip != nil && cfg.Skip(pi*len(cfg.TestCases)+ci) {
 					continue
 				}
 				jobList = append(jobList, job{inj: inj, caseIdx: ci})
@@ -778,6 +811,35 @@ func (g *Golden) Run(cfg Config) (*Result, error) {
 	res.Predictions = pred
 	if sched != nil {
 		st := sched.stats()
+		res.Adaptive = &st
+	}
+	return res.Result, nil
+}
+
+// Fold aggregates settled records (no job repeated) into the Result a
+// Run replaying them would return, dispatching nothing. An adaptive
+// campaign passes the planner that observed exactly recs, for
+// Result.Adaptive; a full-matrix campaign passes nil.
+func (g *Golden) Fold(cfg Config, recs []RunRecord, planner *AdaptivePlanner) (*Result, error) {
+	if err := g.check(cfg); err != nil {
+		return nil, err
+	}
+	if cfg.adaptiveEnabled() != (planner != nil) {
+		return nil, invalidf("campaign: an adaptive campaign folds with its planner, a full-matrix one without")
+	}
+	sys := cfg.topology()
+	res := newResult(sys, cfg.DirectWindowMs, int(cfg.HorizonMs))
+	for _, rec := range recs {
+		if err := res.absorbRecord(sys, rec); err != nil {
+			return nil, err
+		}
+	}
+	if err := res.finalise(sys); err != nil {
+		return nil, err
+	}
+	res.Predictions = g.predict(sys)
+	if planner != nil {
+		st := planner.Stats()
 		res.Adaptive = &st
 	}
 	return res.Result, nil

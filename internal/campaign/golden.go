@@ -7,6 +7,8 @@ import (
 	"slices"
 	"sync"
 
+	"propane/internal/estimate"
+	"propane/internal/model"
 	"propane/internal/physics"
 	"propane/internal/sim"
 	"propane/internal/trace"
@@ -17,8 +19,8 @@ import (
 // the firing predictions its instrumented reads streamed out. The
 // recording depends only on the target, the test cases, the injection
 // instants, the horizon and the fault duration, so one RecordGolden
-// serves every Run, Planner and Digests call of a campaign. A Golden
-// is read-only once recorded.
+// serves every Run, Fold, Planner and Digests call of a campaign. A
+// Golden is read-only once recorded.
 type Golden struct {
 	traces []*trace.Trace
 	preds  []casePredictions // nil unless captured
@@ -123,6 +125,12 @@ func (g *Golden) Digests() ([]string, error) {
 		digests[i] = hex.EncodeToString(h.Sum(nil))
 	}
 	return digests, nil
+}
+
+// predict computes the analytical permeability forecast from the
+// topology and the golden runs' signal activity.
+func (g *Golden) predict(sys *model.System) *estimate.Prediction {
+	return estimate.Predict(sys, estimate.Options{Activity: goldenActivity(g.traces)})
 }
 
 // check validates cfg and rejects one this recording does not

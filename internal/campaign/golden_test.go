@@ -4,7 +4,6 @@ import (
 	"errors"
 	"testing"
 
-	"propane/internal/inject"
 	"propane/internal/sim"
 )
 
@@ -45,7 +44,7 @@ func TestGoldenRejectsMismatchedConfig(t *testing.T) {
 	} {
 		cfg := ReducedConfig()
 		tc.mutate(&cfg)
-		cfg.Skip = func(inject.Injection, int) bool { return true } // nothing needs to execute
+		cfg.Skip = func(int) bool { return true } // nothing needs to execute
 		if _, err := tc.golden.Run(cfg); tc.runOK != (err == nil) || (err != nil && !errors.Is(err, ErrInvalidConfig)) {
 			t.Errorf("%s: Run error = %v, want ok=%t or ErrInvalidConfig", tc.name, err, tc.runOK)
 		}

@@ -9,6 +9,7 @@ package campaign_test
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"propane/internal/arrestor"
@@ -37,6 +38,19 @@ func tinyConfig(t *testing.T) campaign.Config {
 	}
 }
 
+// maskModel flips a set of bits. Its slice field makes it unusable as
+// a map key, so a campaign cannot index jobs by its injections.
+type maskModel struct{ bits []uint }
+
+func (m maskModel) Mutate(v uint16) uint16 {
+	for _, b := range m.bits {
+		v ^= 1 << (b & 15)
+	}
+	return v
+}
+
+func (m maskModel) String() string { return fmt.Sprintf("mask%v", m.bits) }
+
 func TestValidateWrapsErrInvalidConfig(t *testing.T) {
 	valid := tinyConfig(t)
 	if err := valid.Validate(); err != nil {
@@ -52,6 +66,9 @@ func TestValidateWrapsErrInvalidConfig(t *testing.T) {
 		"neg duration":    func(c *campaign.Config) { c.FaultDurationMs = -1 },
 		"hollow custom":   func(c *campaign.Config) { c.Custom = &campaign.Target{} },
 		"broken arrestor": func(c *campaign.Config) { c.Arrestor.TCNTTicksPerMs = 0 },
+		"incomparable model": func(c *campaign.Config) {
+			c.Models = []inject.ErrorModel{inject.BitFlip{Bit: 1}, maskModel{bits: []uint{1, 2}}}
+		},
 	}
 	for name, mutate := range mutations {
 		c := tinyConfig(t)
@@ -127,24 +144,27 @@ func TestSkipReplayConverges(t *testing.T) {
 	}
 	cfg.Observer = nil
 
-	type key struct {
-		inj     string
-		caseIdx int
+	plan, err := cfg.Plan()
+	if err != nil {
+		t.Fatal(err)
 	}
+	ji := campaign.NewJobIndex(plan, len(cfg.TestCases))
 	// Replay an arbitrary half of the recorded runs (every other
 	// record) and skip exactly those jobs on the resumed run.
-	done := make(map[key]bool)
+	done := make(map[int]bool)
 	var replay []campaign.RunRecord
 	for i, rec := range records {
 		if i%2 == 0 {
-			done[key{rec.Injection.String(), rec.CaseIndex}] = true
+			job, ok := ji.Job(rec.Injection, rec.CaseIndex)
+			if !ok {
+				t.Fatalf("observed job %v case %d is not in the plan", rec.Injection, rec.CaseIndex)
+			}
+			done[job] = true
 			replay = append(replay, rec)
 		}
 	}
 	cfg.Replay = replay
-	cfg.Skip = func(inj inject.Injection, caseIdx int) bool {
-		return done[key{inj.String(), caseIdx}]
-	}
+	cfg.Skip = func(job int) bool { return done[job] }
 	resumed, err := campaign.Run(cfg)
 	if err != nil {
 		t.Fatal(err)

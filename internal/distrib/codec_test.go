@@ -225,9 +225,10 @@ func TestDigestMismatchRejected(t *testing.T) {
 }
 
 // TestInvalidRecordsRejected pins record validation on ingest for a
-// fixed-matrix campaign: a record replay could not parse — an unknown
-// model spec, an outcome outside the campaign.Outcome set, or none —
-// rejects its whole batch with 400, and nothing journals.
+// fixed-matrix campaign: a record assembly could not parse — an
+// unknown model spec, an outcome outside the campaign.Outcome set, or
+// none — or one whose job index disagrees with its content rejects
+// its whole batch with 400, and nothing journals.
 func TestInvalidRecordsRejected(t *testing.T) {
 	dir := t.TempDir()
 	coord, err := NewCoordinator(Config{
@@ -247,13 +248,16 @@ func TestInvalidRecordsRejected(t *testing.T) {
 	lr, recs := leaseAndCollect(t, url, filepath.Join(dir, "scratch"))
 	w := &worker{base: url, opts: WorkerOptions{Name: "hostile", Logf: t.Logf}, ctx: t.Context(),
 		client: &http.Client{Timeout: 10 * time.Second}}
-	for name, damage := range map[string]func(*runner.Record){
-		"unknown model":   func(r *runner.Record) { r.Model = "not-a-model" },
-		"unknown outcome": func(r *runner.Record) { r.Outcome = "weird" },
-		"no outcome":      func(r *runner.Record) { r.Outcome = "" },
+	for name, damage := range map[string]func([]runner.Record){
+		"unknown model":   func(r []runner.Record) { r[0].Model = "not-a-model" },
+		"unknown outcome": func(r []runner.Record) { r[0].Outcome = "weird" },
+		"no outcome":      func(r []runner.Record) { r[0].Outcome = "" },
+		// Both jobs belong to the unit, so only the content check can
+		// tell that each record claims the other's job.
+		"mislabelled job": func(r []runner.Record) { r[0].Job, r[1].Job = r[1].Job, r[0].Job },
 	} {
 		bad := slices.Clone(recs)
-		damage(&bad[0])
+		damage(bad)
 		var br BatchResponse
 		err := w.send(PathRecords, ContentTypeBinary, recordFrame(t, lr.LeaseID, bad), &br)
 		var se *httpStatusError

@@ -229,10 +229,12 @@ type workerState struct {
 type Coordinator struct {
 	cfg Config
 	// prepared is the campaign's one golden pass and plan: the info,
-	// the adaptive planner and the final assembly all come from it.
-	// Guarded by mu; nil once assembled.
+	// the job index, the adaptive planner and the final assembly all
+	// come from it. Guarded by mu; nil once assembled.
 	prepared *runner.Prepared
 	info     runner.PlanInfo
+	// jobs checks uploads; unlike prepared it outlives assembly.
+	jobs *campaign.JobIndex
 	// planner owns the sequential sampling schedule for adaptive
 	// campaigns (nil otherwise): units are claimed from its frontier,
 	// accepted records feed Observe, and completion is planner.Done()
@@ -369,6 +371,7 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		cfg:      cfg,
 		prepared: prep,
 		info:     info,
+		jobs:     prep.JobIndex(),
 		byLease:  make(map[string]*unit),
 		workers:  make(map[string]*workerState),
 		seen:     make(map[int]runner.Record),
@@ -390,25 +393,10 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		// journaled records through it, reproducing every stopping
 		// decision bit-identically; fresh units are claimed from
 		// wherever the replayed schedule's frontier sits.
-		planner, err := prep.Planner()
+		planner, err := prep.Planner(c.seen)
 		if err != nil {
 			c.Close()
 			return nil, fmt.Errorf("distrib: building adaptive schedule: %w", err)
-		}
-		jobs := make([]int, 0, len(c.seen))
-		for job := range c.seen {
-			jobs = append(jobs, job)
-		}
-		sort.Ints(jobs)
-		for _, job := range jobs {
-			rr, err := c.seen[job].RunRecord()
-			if err == nil {
-				err = planner.Observe(rr)
-			}
-			if err != nil {
-				c.Close()
-				return nil, fmt.Errorf("distrib: replaying journal into adaptive schedule: %w", err)
-			}
 		}
 		c.planner = planner
 	}
@@ -436,42 +424,17 @@ func (c *Coordinator) initialCarve() int {
 // work is done, so a coordinator crash between the two can never
 // invent or lose records.
 func (c *Coordinator) restoreJournals() error {
-	paths, err := filepath.Glob(filepath.Join(c.cfg.Dir, "journal*.jsonl"))
+	recs, err := c.prepared.LoadJournals(c.cfg.Dir)
 	if err != nil {
-		return fmt.Errorf("distrib: listing journals: %w", err)
+		return err
 	}
-	if !c.cfg.Resume {
-		for _, path := range paths {
-			if st, err := os.Stat(path); err == nil && st.Size() > 0 {
-				return fmt.Errorf("distrib: %s already exists — pass Resume to continue the campaign or use a fresh directory", path)
-			}
-		}
-		return nil
+	if len(recs) > 0 && !c.cfg.Resume {
+		return fmt.Errorf("distrib: %s already journals %d runs — pass Resume to continue the campaign or use a fresh directory", c.cfg.Dir, len(recs))
 	}
-	for _, path := range paths {
-		hdr, recs, err := runner.ReadJournal(path)
-		if err != nil {
-			return err
-		}
-		if hdr.ConfigDigest != "" && hdr.ConfigDigest != c.info.Digest {
-			return fmt.Errorf("distrib: journal %s belongs to config %s, not %s: %w",
-				path, hdr.ConfigDigest, c.info.Digest, runner.ErrDigestMismatch)
-		}
-		for _, rec := range recs {
-			if rec.Job < 0 || rec.Job >= c.info.TotalRuns {
-				return fmt.Errorf("distrib: journal %s: job %d outside [0,%d)", path, rec.Job, c.info.TotalRuns)
-			}
-			if prev, dup := c.seen[rec.Job]; dup {
-				if !runner.RecordsEqual(prev, rec) {
-					return fmt.Errorf("distrib: journal %s: job %d recorded twice with different content: %w",
-						path, rec.Job, runner.ErrConflictingRecords)
-				}
-				continue
-			}
-			c.seen[rec.Job] = rec
-			c.resumed++
-			c.countPruneLocked(rec)
-		}
+	c.seen = recs
+	c.resumed = len(recs)
+	for _, rec := range recs {
+		c.countPruneLocked(rec)
 	}
 	if c.resumed > 0 {
 		c.cfg.Logf("distrib: resumed %d/%d runs from journals under %s", c.resumed, c.info.TotalRuns, c.cfg.Dir)
@@ -1010,11 +973,16 @@ func (c *Coordinator) handleRecords(w http.ResponseWriter, r *http.Request) {
 	fresh := make([]runner.Record, 0, len(batch.Records))
 	inBatch := make(map[int]runner.Record, len(batch.Records))
 	for _, rec := range batch.Records {
-		// Replay and the adaptive schedule both parse every journaled
-		// record; one they cannot parse must be refused before
-		// anything journals.
-		if err := rec.Validate(); err != nil {
+		// Assembly and the adaptive schedule key every record by job: a
+		// record they cannot parse, or whose job disagrees with its
+		// content, must be refused before anything journals.
+		inj, err := rec.Injection()
+		if err != nil {
 			httpError(w, http.StatusBadRequest, "record rejected: %v", err)
+			return
+		}
+		if job, ok := c.jobs.Job(inj, rec.Case); !ok || job != rec.Job {
+			httpError(w, http.StatusBadRequest, "record rejected: job %d does not match its content (%v case %d)", rec.Job, inj, rec.Case)
 			return
 		}
 		// A record the coordinator already holds is verified against
@@ -1632,15 +1600,16 @@ func (c *Coordinator) Close() error {
 	return errors.Join(errs...)
 }
 
-// Assemble merges the record journal into the final campaign result —
+// Assemble folds the records the coordinator holds, and the adaptive
+// planner that observed them, into the final campaign result —
 // bit-identical to a single-node run — and writes the closing
-// artifacts (config.json, metrics.json, failures.md, report.md). A
-// successful assembly releases the prepared campaign, so a finished
-// coordinator that a service keeps routing to holds no golden traces;
-// assembling again is an error.
+// artifacts (config.json, metrics.json, failures.md, report.md). It
+// reads no journal. A successful assembly releases the prepared
+// campaign, so a finished coordinator that a service keeps routing to
+// holds no golden traces; assembling again is an error.
 func (c *Coordinator) Assemble() (*runner.RunResult, error) {
+	opts := runner.Options{Dir: c.cfg.Dir, Logf: c.cfg.Logf}
 	c.mu.Lock()
-	p := c.prepared
 	if c.journal != nil {
 		if err := c.journal.Close(); err != nil {
 			c.mu.Unlock()
@@ -1648,11 +1617,20 @@ func (c *Coordinator) Assemble() (*runner.RunResult, error) {
 		}
 		c.journal = nil
 	}
-	c.mu.Unlock()
-	if p == nil {
-		return nil, errors.New("distrib: campaign already assembled")
+	p := c.prepared
+	if p == nil || !c.complete {
+		// Records may still arrive; the assembly refuses the unfinished
+		// set under the lock.
+		defer c.mu.Unlock()
+		if p == nil {
+			return nil, errors.New("distrib: campaign already assembled")
+		}
+		return p.Assemble(c.seen, c.planner, opts)
 	}
-	rr, err := p.Assemble(runner.Options{Dir: c.cfg.Dir, Logf: c.cfg.Logf})
+	// Complete: every claimed job has settled, so no upload can add a
+	// record and the set and planner are frozen.
+	c.mu.Unlock()
+	rr, err := p.Assemble(c.seen, c.planner, opts)
 	if err == nil {
 		c.mu.Lock()
 		c.prepared = nil

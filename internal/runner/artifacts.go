@@ -31,17 +31,6 @@ func (l layout) reportPath() string   { return filepath.Join(l.dir, "report.md")
 
 func (l layout) journalPath() string { return filepath.Join(l.dir, "journal.jsonl") }
 
-// journalPaths globs every journal in the directory: the campaign's
-// own plus any copies placed beside it, which Assemble merges by
-// content.
-func (l layout) journalPaths() ([]string, error) {
-	paths, err := filepath.Glob(filepath.Join(l.dir, "journal*.jsonl"))
-	if err != nil {
-		return nil, fmt.Errorf("runner: listing journals: %w", err)
-	}
-	return paths, nil
-}
-
 // snapshot is the frozen, digestable form of a campaign
 // configuration. It pins everything the injection plan and the run
 // outcomes depend on — including per-case golden-run digests, so two

@@ -29,7 +29,24 @@ func assemble(cfg campaign.Config, opts Options) (*RunResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	return p.Assemble(opts)
+	return assembleJournals(p, opts)
+}
+
+// assembleJournals is a cold assembly, as a resumed coordinator does
+// it: merge the journals under opts.Dir, replay them through the
+// adaptive schedule when there is one, and assemble.
+func assembleJournals(p *Prepared, opts Options) (*RunResult, error) {
+	recs, err := p.LoadJournals(opts.Dir)
+	if err != nil {
+		return nil, err
+	}
+	var planner *campaign.AdaptivePlanner
+	if p.Info().Adaptive {
+		if planner, err = p.Planner(recs); err != nil {
+			return nil, err
+		}
+	}
+	return p.Assemble(recs, planner, opts)
 }
 
 func reducedQuickConfig(t *testing.T) campaign.Config {
@@ -194,7 +211,7 @@ func TestJobsSliceAssembles(t *testing.T) {
 		t.Errorf("second slice replayed %d / executed %d runs, want 0/%d", rr.Metrics.ReplayedRuns, rr.Metrics.ExecutedRuns, len(odd))
 	}
 
-	rr, err = p.Assemble(Options{Dir: dir})
+	rr, err = assembleJournals(p, Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,8 +11,8 @@ import (
 // This file is the runner's contract with external orchestrators —
 // today the distributed coordinator (internal/distrib), which plans
 // work units from the same deterministic enumeration Run executes and
-// appends worker-streamed records to the same journal files Assemble
-// merges. Everything here is derived from the exact code paths Run
+// appends worker-streamed records to the same journal files a resumed
+// run or coordinator merges. Everything here is derived from the exact code paths Run
 // itself uses, so an orchestrator can never disagree with a local run
 // about job indices, config digests or journal layout.
 
@@ -83,7 +83,7 @@ type JournalHeader struct {
 }
 
 // JournalPath returns the journal path Run uses for a campaign under
-// dir — the file Assemble merges.
+// dir.
 func JournalPath(dir string) string { return layout{dir: dir}.journalPath() }
 
 // ShardJournalPath returns JournalPath(dir); a campaign keeps a single
@@ -114,8 +114,7 @@ func ReadJournal(path string) (JournalHeader, []Record, error) {
 // Run's journal format, torn-tail healing and digest binding, so the
 // resulting file assembles exactly like a locally written one.
 type Journal struct {
-	w    *journalWriter
-	path string
+	w *journalWriter
 }
 
 // OpenJournal opens (or reopens) the campaign journal under dir,
@@ -135,24 +134,12 @@ func OpenJournal(dir string, hdr JournalHeader) (*Journal, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Journal{w: w, path: path}, nil
+	return &Journal{w: w}, nil
 }
-
-// Path returns the journal's file path.
-func (j *Journal) Path() string { return j.path }
 
 // AppendBatch journals a whole batch of records with one write —
 // the coordinator's bulk-ingest path for worker-uploaded units.
 func (j *Journal) AppendBatch(recs []Record) error { return j.w.AppendBatch(recs) }
-
-// Sync flushes appended records to stable storage.
-func (j *Journal) Sync() error {
-	if err := j.w.f.Sync(); err != nil {
-		return fmt.Errorf("runner: syncing journal: %w", err)
-	}
-	j.w.pending = 0
-	return nil
-}
 
 // Close syncs and closes the journal.
 func (j *Journal) Close() error { return j.w.Close() }

@@ -180,39 +180,30 @@ func newRecord(job int, rec campaign.RunRecord) (Record, error) {
 	return r, nil
 }
 
-// Validate reports whether RunRecord would accept the record: its
-// outcome is one of the campaign.Outcome constants and its model spec
-// parses. It costs no more than the spec parse.
-func (r Record) Validate() error {
-	_, err := r.model()
-	return err
-}
-
-func (r Record) model() (inject.ErrorModel, error) {
+// Injection decodes the record's injection, validating what RunRecord
+// needs: the outcome is one of the campaign.Outcome constants and the
+// model spec parses. It costs no more than the spec parse; with the
+// case index it identifies the record's job (campaign.JobIndex).
+func (r Record) Injection() (inject.Injection, error) {
 	if !campaign.Outcome(r.Outcome).Valid() {
-		return nil, fmt.Errorf("runner: journal record job %d: unknown outcome %q", r.Job, r.Outcome)
+		return inject.Injection{}, fmt.Errorf("runner: journal record job %d: unknown outcome %q", r.Job, r.Outcome)
 	}
 	model, err := inject.ParseSpec(r.Model)
 	if err != nil {
-		return nil, fmt.Errorf("runner: journal record job %d: %w", r.Job, err)
+		return inject.Injection{}, fmt.Errorf("runner: journal record job %d: %w", r.Job, err)
 	}
-	return model, nil
+	return inject.Injection{Module: r.Module, Signal: r.Signal, At: sim.Millis(r.AtMs), Model: model}, nil
 }
 
 // RunRecord converts a journaled record back into the campaign form
-// consumed by Config.Replay, rejecting what Validate rejects.
+// consumed by Config.Replay, rejecting what Injection rejects.
 func (r Record) RunRecord() (campaign.RunRecord, error) {
-	model, err := r.model()
+	inj, err := r.Injection()
 	if err != nil {
 		return campaign.RunRecord{}, err
 	}
 	rec := campaign.RunRecord{
-		Injection: inject.Injection{
-			Module: r.Module,
-			Signal: r.Signal,
-			At:     sim.Millis(r.AtMs),
-			Model:  model,
-		},
+		Injection:     inj,
 		CaseIndex:     r.Case,
 		Fired:         r.Fired,
 		FiredAt:       sim.Millis(r.FiredAtMs),

@@ -19,8 +19,8 @@
 //   - explicit job slices: a process can be handed an ascending list
 //     of job indices (Options.Jobs) to execute instead of the whole
 //     campaign — how the distributed coordinator dispatches its work
-//     units — and Prepared.Assemble merges journals into the final
-//     result;
+//     units — and Prepared.Assemble folds the settled records into the
+//     final result;
 //   - observability: runs/sec, ETA, per-module n_err/n_inj counters
 //     and worker utilisation as periodic log lines and an exportable
 //     metrics.json;
@@ -32,10 +32,11 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
+	"sort"
 	"time"
 
 	"propane/internal/campaign"
-	"propane/internal/inject"
 	"propane/internal/model"
 	"propane/internal/report"
 )
@@ -237,8 +238,8 @@ func (o *Options) normalise() error {
 // RunResult is the outcome of an orchestrated run.
 type RunResult struct {
 	// Result is the aggregated campaign result. For a run given
-	// Options.Jobs it covers only those jobs; Assemble merges journals
-	// into the complete result.
+	// Options.Jobs it covers only those jobs; Assemble folds the whole
+	// record set into the complete result.
 	Result *campaign.Result
 	// Metrics is the final observability snapshot.
 	Metrics Metrics
@@ -246,37 +247,6 @@ type RunResult struct {
 	Failures []report.FailureCase
 	// Dir is the artifact directory.
 	Dir string
-}
-
-// jobKey identifies one (injection, test case) job independently of
-// process lifetime; inject.Injection.String() is unique within a
-// plan.
-type jobKey struct {
-	inj     string
-	caseIdx int
-}
-
-// jobIndexer maps jobs to their position in the campaign's
-// deterministic enumeration (plan-index major, case-index minor).
-type jobIndexer struct {
-	idx   map[jobKey]int
-	cases int
-}
-
-func newJobIndexer(plan []inject.Injection, cases int) *jobIndexer {
-	ji := &jobIndexer{idx: make(map[jobKey]int, len(plan)*cases), cases: cases}
-	for pi, inj := range plan {
-		s := inj.String()
-		for ci := 0; ci < cases; ci++ {
-			ji.idx[jobKey{s, ci}] = pi*cases + ci
-		}
-	}
-	return ji
-}
-
-func (ji *jobIndexer) index(inj inject.Injection, caseIdx int) (int, bool) {
-	i, ok := ji.idx[jobKey{inj.String(), caseIdx}]
-	return i, ok
 }
 
 // Prepared is a campaign whose fixed work is done: options folded in,
@@ -291,7 +261,7 @@ type Prepared struct {
 	snap   snapshot
 	sys    *model.System
 	golden *campaign.Golden
-	ji     *jobIndexer
+	ji     *campaign.JobIndex
 }
 
 // Prepare does a campaign's fixed work (see Prepared), reading only
@@ -354,7 +324,7 @@ func Prepare(cfg campaign.Config, opts Options) (*Prepared, error) {
 		snap:   snap,
 		sys:    cfg.System(),
 		golden: golden,
-		ji:     newJobIndexer(plan, len(cfg.TestCases)),
+		ji:     campaign.NewJobIndex(plan, len(cfg.TestCases)),
 	}, nil
 }
 
@@ -378,11 +348,27 @@ func PrepareInstance(name string, tier Tier, opts Options) (*Prepared, error) {
 // digest.
 func (p *Prepared) Info() PlanInfo { return p.info }
 
-// Planner rebuilds the adaptive sampling schedule of the prepared
-// campaign from its recorded golden runs. It fails for a full-matrix
-// campaign.
-func (p *Prepared) Planner() (*campaign.AdaptivePlanner, error) {
-	return p.golden.Planner(p.cfg)
+// JobIndex numbers the prepared campaign's jobs.
+func (p *Prepared) JobIndex() *campaign.JobIndex { return p.ji }
+
+// Planner builds the adaptive sampling schedule of the prepared
+// campaign from its recorded golden runs and replays the settled
+// records recs through it. It fails for a full-matrix campaign.
+func (p *Prepared) Planner(recs map[int]Record) (*campaign.AdaptivePlanner, error) {
+	planner, err := p.golden.Planner(p.cfg)
+	if err != nil {
+		return nil, err
+	}
+	for _, job := range sortedJobs(recs) {
+		rec, err := recs[job].RunRecord()
+		if err == nil {
+			err = planner.Observe(rec)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("runner: replaying records into the adaptive schedule: %w", err)
+		}
+	}
+	return planner, nil
 }
 
 // RunInstance resolves a named instance from the registry and runs
@@ -446,32 +432,21 @@ func (p *Prepared) Run(opts Options) (*RunResult, error) {
 	journalPath := l.journalPath()
 
 	// Restore completed jobs from the journal.
-	done := make(map[int]bool)
+	done := make([]bool, snap.TotalRuns)
 	var replay []campaign.RunRecord
 	if opts.Resume {
-		hdr, recs, _, err := loadJournal(journalPath)
+		recs, err := p.LoadJournals(opts.Dir)
 		if err != nil {
 			return nil, err
 		}
-		if hdr.Type != "" && hdr.ConfigDigest != snap.Digest {
-			return nil, fmt.Errorf("runner: journal %s belongs to config %s, not %s — refusing to mix campaigns: %w",
-				journalPath, hdr.ConfigDigest, snap.Digest, ErrDigestMismatch)
-		}
-		for _, r := range recs {
-			rec, err := r.RunRecord()
-			if err != nil {
-				return nil, err
-			}
-			job, ok := p.ji.index(rec.Injection, rec.CaseIndex)
-			if !ok {
-				return nil, fmt.Errorf("runner: journal %s contains foreign job %v case %d",
-					journalPath, rec.Injection, rec.CaseIndex)
-			}
+		for _, job := range sortedJobs(recs) {
 			if member != nil && !member[job] {
 				continue // outside this process's slice
 			}
-			if done[job] {
-				continue // duplicate append from a racy predecessor
+			r := recs[job]
+			rec, err := r.RunRecord()
+			if err != nil {
+				return nil, err
 			}
 			done[job] = true
 			replay = append(replay, rec)
@@ -521,9 +496,8 @@ func (p *Prepared) Run(opts Options) (*RunResult, error) {
 	}
 
 	cfg.Replay = replay
-	cfg.Skip = func(inj inject.Injection, caseIdx int) bool {
-		job, ok := p.ji.index(inj, caseIdx)
-		return !ok || done[job] || (member != nil && !member[job])
+	cfg.Skip = func(job int) bool {
+		return done[job] || (member != nil && !member[job])
 	}
 	cfg.Abort = opts.Abort
 
@@ -533,7 +507,7 @@ func (p *Prepared) Run(opts Options) (*RunResult, error) {
 	userObserver := cfg.Observer
 	cfg.Observer = func(rec campaign.RunRecord) {
 		if observeErr == nil {
-			job, ok := p.ji.index(rec.Injection, rec.CaseIndex)
+			job, ok := p.ji.Job(rec.Injection, rec.CaseIndex)
 			if !ok {
 				observeErr = fmt.Errorf("runner: observed unplanned job %v case %d", rec.Injection, rec.CaseIndex)
 			} else if jrec, err := newRecord(job, rec); err != nil {
@@ -605,98 +579,33 @@ func (p *Prepared) finalise(res *campaign.Result, l layout, trk *tracker, ddp *d
 	return &RunResult{Result: res, Metrics: metrics, Failures: failures, Dir: opts.Dir}, nil
 }
 
-// Assemble merges every journal under opts.Dir into the complete
-// campaign result: all records replay into the aggregates, nothing
-// re-executes, and the final report renders from the journals alone.
-// It fails if any job of the injection space is missing, so a partial
-// journal cannot masquerade as a finished campaign. Only the execution
-// fields of opts are read.
-func (p *Prepared) Assemble(opts Options) (*RunResult, error) {
+// Assemble folds a finished campaign's settled records, keyed by job
+// index, into the complete result and writes the closing artifacts
+// under opts.Dir; nothing executes and no journal is read. An adaptive
+// campaign passes the planner that observed exactly recs, which must
+// report the schedule closed; a full-matrix one passes nil and must
+// hold every job. An unfinished record set fails before anything is
+// written. Only the execution fields of opts are read.
+func (p *Prepared) Assemble(recs map[int]Record, planner *campaign.AdaptivePlanner, opts Options) (*RunResult, error) {
 	if err := opts.normalise(); err != nil {
 		return nil, err
 	}
 	snap := p.snap
+	switch {
+	case p.info.Adaptive && planner == nil:
+		return nil, errors.New("runner: assembling an adaptive campaign needs its planner")
+	case p.info.Adaptive && planner.Settled() != len(recs):
+		return nil, fmt.Errorf("runner: the planner observed %d settled runs, not the %d records being assembled", planner.Settled(), len(recs))
+	case p.info.Adaptive && !planner.Done():
+		return nil, fmt.Errorf("runner: journals cover %d settled runs but %d scheduled jobs are outstanding; resume the campaign first: %w",
+			planner.Settled(), planner.Outstanding(), ErrScheduleIncomplete)
+	case !p.info.Adaptive && len(recs) != snap.TotalRuns:
+		return nil, fmt.Errorf("runner: journals cover %d of %d runs — %d missing; resume the campaign first",
+			len(recs), snap.TotalRuns, snap.TotalRuns-len(recs))
+	}
 	l := layout{dir: opts.Dir}
-
-	paths, err := l.journalPaths()
-	if err != nil {
-		return nil, err
-	}
-	if len(paths) == 0 {
-		return nil, fmt.Errorf("runner: no journals under %s", opts.Dir)
-	}
 	if err := writeSnapshot(l.configPath(), snap); err != nil {
 		return nil, err
-	}
-
-	// seen maps each job to the first record claiming it. Overlapping
-	// records across journals are legal — a resumed run or a
-	// reassigned distributed lease appends the same content twice —
-	// but only when the content is identical: a conflicting duplicate
-	// means two processes disagreed about the simulation, and merging
-	// would silently produce a bad matrix.
-	seen := make(map[int]Record)
-	var replay []campaign.RunRecord
-	for _, path := range paths {
-		hdr, recs, _, err := loadJournal(path)
-		if err != nil {
-			return nil, err
-		}
-		if hdr.Type != "" && hdr.ConfigDigest != snap.Digest {
-			return nil, fmt.Errorf("runner: journal %s belongs to config %s, not %s: %w",
-				path, hdr.ConfigDigest, snap.Digest, ErrDigestMismatch)
-		}
-		for _, r := range recs {
-			rec, err := r.RunRecord()
-			if err != nil {
-				return nil, err
-			}
-			job, ok := p.ji.index(rec.Injection, rec.CaseIndex)
-			if !ok {
-				return nil, fmt.Errorf("runner: journal %s contains foreign job %v case %d", path, rec.Injection, rec.CaseIndex)
-			}
-			if prev, dup := seen[job]; dup {
-				// Journals disagree about the job index ↔ injection
-				// mapping exactly when the record content differs, so
-				// compare against the first claimant keyed by the
-				// replayed job index, not the raw r.Job field.
-				r.Job = job
-				prev.Job = job
-				if !RecordsEqual(prev, r) {
-					return nil, fmt.Errorf("runner: journal %s: job %d (%v case %d) recorded with different content elsewhere: %w",
-						path, job, rec.Injection, rec.CaseIndex, ErrConflictingRecords)
-				}
-				continue
-			}
-			r.Job = job
-			seen[job] = r
-			replay = append(replay, rec)
-		}
-	}
-	if p.info.Adaptive {
-		// An adaptive campaign's job set is decided by its sequential
-		// scheduler, not by the matrix size, so "every job present" is
-		// the wrong completeness test. Instead, rebuild the schedule —
-		// it is a deterministic function of the config — feed it every
-		// journaled record, and require that it declares itself done:
-		// every confidence interval closed (or its population
-		// exhausted) with no scheduled sample outstanding.
-		planner, err := p.Planner()
-		if err != nil {
-			return nil, err
-		}
-		for _, rec := range replay {
-			if err := planner.Observe(rec); err != nil {
-				return nil, fmt.Errorf("runner: assembling adaptive campaign: %w", err)
-			}
-		}
-		if !planner.Done() {
-			return nil, fmt.Errorf("runner: journals cover %d settled runs but %d scheduled jobs are outstanding; resume the campaign first: %w",
-				planner.Settled(), planner.Outstanding(), ErrScheduleIncomplete)
-		}
-	} else if len(seen) != snap.TotalRuns {
-		return nil, fmt.Errorf("runner: journals cover %d of %d runs — %d missing; resume the campaign first",
-			len(seen), snap.TotalRuns, snap.TotalRuns-len(seen))
 	}
 
 	trk := newTracker(Metrics{
@@ -704,19 +613,76 @@ func (p *Prepared) Assemble(opts Options) (*RunResult, error) {
 		TotalRuns: snap.TotalRuns, PlannedRuns: snap.TotalRuns,
 	}, 0, nil)
 	ddp := newDeduper(p.sys)
-	for _, rec := range replay {
+	settled := make([]campaign.RunRecord, 0, len(recs))
+	for _, job := range sortedJobs(recs) {
+		rec, err := recs[job].RunRecord()
+		if err != nil {
+			return nil, err
+		}
 		trk.absorb(rec, true)
 		ddp.add(rec)
+		settled = append(settled, rec)
 	}
-
-	cfg := p.cfg
-	cfg.Replay = replay
-	cfg.Skip = func(inject.Injection, int) bool { return true }
-	res, err := p.golden.Run(cfg)
+	res, err := p.golden.Fold(p.cfg, settled, planner)
 	if err != nil {
 		return nil, err
 	}
 	return p.finalise(res, l, trk, ddp, opts)
+}
+
+// LoadJournals merges every journal under dir (journal*.jsonl) into
+// one record set keyed by job index, empty when there is none. Headers
+// must carry the campaign's digest (ErrDigestMismatch). A record's job
+// is derived from its content and its Job field rewritten to match.
+// Duplicates — a resumed run or a reassigned lease appends a record
+// twice — must be identical: conflicting content means two processes
+// disagreed about the simulation (ErrConflictingRecords).
+func (p *Prepared) LoadJournals(dir string) (map[int]Record, error) {
+	paths, err := filepath.Glob(filepath.Join(dir, "journal*.jsonl"))
+	if err != nil {
+		return nil, fmt.Errorf("runner: listing journals: %w", err)
+	}
+	recs := make(map[int]Record)
+	for _, path := range paths {
+		hdr, journaled, _, err := loadJournal(path)
+		if err != nil {
+			return nil, err
+		}
+		if hdr.Type != "" && hdr.ConfigDigest != p.snap.Digest {
+			return nil, fmt.Errorf("runner: journal %s belongs to config %s, not %s — refusing to mix campaigns: %w",
+				path, hdr.ConfigDigest, p.snap.Digest, ErrDigestMismatch)
+		}
+		for _, r := range journaled {
+			inj, err := r.Injection()
+			if err != nil {
+				return nil, err
+			}
+			job, ok := p.ji.Job(inj, r.Case)
+			if !ok {
+				return nil, fmt.Errorf("runner: journal %s contains foreign job %v case %d", path, inj, r.Case)
+			}
+			r.Job = job
+			if prev, dup := recs[job]; dup {
+				if !RecordsEqual(prev, r) {
+					return nil, fmt.Errorf("runner: journal %s: job %d (%v case %d) recorded with different content elsewhere: %w",
+						path, job, inj, r.Case, ErrConflictingRecords)
+				}
+				continue
+			}
+			recs[job] = r
+		}
+	}
+	return recs, nil
+}
+
+// sortedJobs returns a record set's job indices in ascending order.
+func sortedJobs(recs map[int]Record) []int {
+	jobs := make([]int, 0, len(recs))
+	for job := range recs {
+		jobs = append(jobs, job)
+	}
+	sort.Ints(jobs)
+	return jobs
 }
 
 // jobMembership validates a Jobs list against a job space of total
