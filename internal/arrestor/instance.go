@@ -40,64 +40,66 @@ func NewInstance(cfg Config, tc physics.TestCase, onRead sim.ReadHook) (*Instanc
 	}
 	bus := sim.NewBus()
 
-	// Register every signal of the topology.
-	sigs := make(map[string]*sim.Signal)
+	// Register every signal of the topology, in the order snapshots
+	// record them. Registering a name again returns its handle, so the
+	// wiring below looks handles up through the bus without a map.
 	for _, name := range []string{
 		SigMscnt, SigMsSlotNbr, SigPACNT, SigTIC1, SigTCNT,
 		SigPulscnt, SigSlowSpeed, SigStopped, SigI, SigSetValue,
 		SigADC, SigInValue, SigOutValue, SigTOC2,
 	} {
-		sigs[name] = bus.Register(name)
+		bus.Register(name)
 	}
+	sigs := bus.Register
 
 	// Hardware glue: refreshes input registers before the software.
 	g := &glue{
 		world:      world,
-		pacnt:      sigs[SigPACNT],
-		tic1:       sigs[SigTIC1],
-		tcnt:       sigs[SigTCNT],
-		adc:        sigs[SigADC],
-		toc2:       sigs[SigTOC2],
+		pacnt:      sigs(SigPACNT),
+		tic1:       sigs(SigTIC1),
+		tcnt:       sigs(SigTCNT),
+		adc:        sigs(SigADC),
+		toc2:       sigs(SigTOC2),
 		ticksPerMs: cfg.TCNTTicksPerMs,
 	}
 	kernel.AddPreHook(g.preTick)
 
 	// The scheduler reads the current slot from ms_slot_nbr, as the
 	// paper states, so clock errors genuinely disturb the schedule.
-	kernel.UseSlotSignal(sigs[SigMsSlotNbr])
+	kernel.UseSlotSignal(sigs(SigMsSlotNbr))
 
 	ck := &clock{
 		moduleBase: moduleBase{name: ModClock, onRead: onRead},
-		slotIn:     sigs[SigMsSlotNbr],
-		mscntOut:   sigs[SigMscnt],
-		slotOut:    sigs[SigMsSlotNbr],
+		slotIn:     sigs(SigMsSlotNbr),
+		mscntOut:   sigs(SigMscnt),
+		slotOut:    sigs(SigMsSlotNbr),
 		slotPeriod: NumSlots,
 	}
 	ds := &distS{
 		moduleBase:    moduleBase{name: ModDistS, onRead: onRead},
-		pacntIn:       sigs[SigPACNT],
-		tic1In:        sigs[SigTIC1],
-		tcntIn:        sigs[SigTCNT],
-		pulscntOut:    sigs[SigPulscnt],
-		slowOut:       sigs[SigSlowSpeed],
-		stoppedOut:    sigs[SigStopped],
+		pacntIn:       sigs(SigPACNT),
+		tic1In:        sigs(SigTIC1),
+		tcntIn:        sigs(SigTCNT),
+		pulscntOut:    sigs(SigPulscnt),
+		slowOut:       sigs(SigSlowSpeed),
+		stoppedOut:    sigs(SigStopped),
 		slowGapTicks:  cfg.SlowGapTicks,
 		stopPersistMs: cfg.StopPersistMs,
 	}
 	ps := &presS{
 		moduleBase: moduleBase{name: ModPresS, onRead: onRead},
-		adcIn:      sigs[SigADC],
-		inValueOut: sigs[SigInValue],
+		adcIn:      sigs(SigADC),
+		inValueOut: sigs(SigInValue),
 	}
 	cl := &calc{
 		moduleBase:  moduleBase{name: ModCalc, onRead: onRead},
-		pulscntIn:   sigs[SigPulscnt],
-		mscntIn:     sigs[SigMscnt],
-		slowIn:      sigs[SigSlowSpeed],
-		stoppedIn:   sigs[SigStopped],
-		iIn:         sigs[SigI],
-		iOut:        sigs[SigI],
-		setValueOut: sigs[SigSetValue],
+		pulscntIn:   sigs(SigPulscnt),
+		mscntIn:     sigs(SigMscnt),
+		slowIn:      sigs(SigSlowSpeed),
+		stoppedIn:   sigs(SigStopped),
+		iIn:         sigs(SigI),
+		iOut:        sigs(SigI),
+		setValueOut: sigs(SigSetValue),
 		checkpoints: cfg.CheckpointPulses,
 		profile:     cfg.Profile,
 		windowMs:    cfg.WindowMs,
@@ -106,14 +108,14 @@ func NewInstance(cfg Config, tc physics.TestCase, onRead sim.ReadHook) (*Instanc
 	}
 	vr := &vReg{
 		moduleBase:  moduleBase{name: ModVReg, onRead: onRead},
-		setValueIn:  sigs[SigSetValue],
-		inValueIn:   sigs[SigInValue],
-		outValueOut: sigs[SigOutValue],
+		setValueIn:  sigs(SigSetValue),
+		inValueIn:   sigs(SigInValue),
+		outValueOut: sigs(SigOutValue),
 	}
 	pa := &presA{
 		moduleBase: moduleBase{name: ModPresA, onRead: onRead},
-		outValueIn: sigs[SigOutValue],
-		toc2Out:    sigs[SigTOC2],
+		outValueIn: sigs(SigOutValue),
+		toc2Out:    sigs(SigTOC2),
 		maxSlew:    cfg.MaxSlew,
 	}
 

@@ -240,3 +240,22 @@ func TestLongRunWrapSafety(t *testing.T) {
 		t.Errorf("aircraft still moving after 70 s: %v m/s", inst.World().VelocityMS())
 	}
 }
+
+// TestNewInstanceAllocs pins the allocations of building one instance:
+// every injection run that executes builds one, so a new allocation
+// here is paid tens of thousands of times per campaign. The kernel and
+// the bus hold their first tasks, hooks and signals inline; what
+// remains is the world, the kernel, the bus, the modules, the glue's
+// pre-tick hook and the instance with its snapshotter.
+func TestNewInstanceAllocs(t *testing.T) {
+	cfg := DefaultConfig()
+	tc := physics.TestCase{MassKg: 11000, VelocityMS: 50}
+	got := testing.AllocsPerRun(20, func() {
+		if _, err := NewInstance(cfg, tc, nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if want := 16.0; got != want {
+		t.Errorf("NewInstance allocates %v times, want %v", got, want)
+	}
+}

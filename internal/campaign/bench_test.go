@@ -16,20 +16,19 @@ import (
 // always reaches the horizon.
 func BenchmarkInjectionRun(b *testing.B) {
 	cfg := tinyConfig()
-	sys := cfg.System()
-	golden, _, err := goldenRun(cfg, 0, false)
+	g, err := RecordGolden(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
-	ckpts := newCheckpointCache(cfg)
+	e := &engine{cfg: cfg, sys: cfg.System(), g: g}
 	inj := inject.Injection{Module: arrestor.ModCalc, Signal: arrestor.SigPulscnt, At: 1500, Model: inject.BitFlip{Bit: 14}}
-	if _, err := injectionRun(cfg, sys, golden, 0, inj, ckpts, nil); err != nil {
+	if _, err := e.injectionRun(0, inj); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out, err := injectionRun(cfg, sys, golden, 0, inj, ckpts, nil)
+		out, err := e.injectionRun(0, inj)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -121,9 +120,9 @@ func BenchmarkCampaignFullReplay(b *testing.B) {
 
 // BenchmarkCampaignCheckpointed is the same campaign with checkpoint
 // fast-forward on and pruning off: one extra uninjected pass per test
-// case captures a snapshot at each injection instant, and every run
-// sharing that (case, instant) restores it instead of re-simulating
-// the prefix. Compare against BenchmarkCampaignFullReplay.
+// case captures a snapshot at each checkpoint tick, and every run
+// sharing a (case, instant) restores it instead of re-simulating the
+// prefix. Compare against BenchmarkCampaignFullReplay.
 func BenchmarkCampaignCheckpointed(b *testing.B) {
 	cfg := benchCampaign()
 	cfg.executeAll = true
@@ -140,7 +139,8 @@ func BenchmarkCampaignCheckpointed(b *testing.B) {
 // resolve from the golden firing predictions without simulating,
 // no-op corruptions short-circuit at classification time, repeated
 // injection states serve from the memo cache, and executing runs exit
-// early once their state reconverges with the golden trajectory.
+// early once their state joins the golden trajectory or a sibling
+// run's.
 // Compare against the two benchmarks above for the isolated
 // contribution of each layer.
 func BenchmarkCampaignPruned(b *testing.B) {
@@ -153,6 +153,28 @@ func BenchmarkCampaignPruned(b *testing.B) {
 		}
 		if res.Pruning.Total() == 0 {
 			b.Fatal("pruned campaign resolved nothing without execution")
+		}
+	}
+}
+
+// BenchmarkPaperCampaignOneCase is the paper's full matrix on one test
+// case — 13 inputs × 16 bits × 10 instants = 2,080 runs — as
+// configured: the per-run hot path of the paper campaign (checkpoint
+// restore, simulation, stream comparison, reconvergence probes and
+// sibling splices) at a size one iteration of which takes a fraction
+// of a second.
+func BenchmarkPaperCampaignOneCase(b *testing.B) {
+	cfg := PaperConfig()
+	mid := len(cfg.TestCases) / 2
+	cfg.TestCases = cfg.TestCases[mid : mid+1]
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		res, err := Run(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Runs != 2080 {
+			b.Fatalf("campaign settled %d runs, want 2080", res.Runs)
 		}
 	}
 }

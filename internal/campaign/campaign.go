@@ -625,7 +625,7 @@ func (g *Golden) Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	sys := cfg.topology()
-	goldens, preds := g.traces, g.preds
+	preds := g.preds
 
 	plan, err := cfg.Plan()
 	if err != nil {
@@ -643,11 +643,12 @@ func (g *Golden) Run(cfg Config) (*Result, error) {
 	adaptive := cfg.adaptiveEnabled()
 	// Materialise the job list up front (applying Skip) so that, when
 	// checkpointing is active, jobs can be grouped by (test case,
-	// injection instant): every group shares one cached snapshot, so
-	// the grouping turns the cache's lazy build passes into long runs
-	// of hits. Aggregation is order-independent and journal records
-	// identify jobs by content, so the ordering is free to choose.
-	// Adaptive campaigns skip the list: the scheduler owns dispatch.
+	// injection instant): every group restores one golden snapshot, and
+	// its runs execute back to back, so sibling runs find each other's
+	// trajectories (prune.go). Aggregation is order-independent and
+	// journal records identify jobs by content, so the ordering is free
+	// to choose. Adaptive campaigns skip the list: the scheduler owns
+	// dispatch.
 	var jobList []job
 	if !adaptive {
 		for pi, inj := range plan {
@@ -659,9 +660,8 @@ func (g *Golden) Run(cfg Config) (*Result, error) {
 			}
 		}
 	}
-	var ckpts *checkpointCache
-	if (adaptive || len(jobList) > 0) && cfg.checkpointsEnabled() {
-		ckpts = newCheckpointCache(cfg)
+	e := &engine{cfg: cfg, sys: sys, g: g}
+	if g.fastForward(cfg) {
 		sort.SliceStable(jobList, func(i, j int) bool {
 			if jobList[i].caseIdx != jobList[j].caseIdx {
 				return jobList[i].caseIdx < jobList[j].caseIdx
@@ -669,9 +669,11 @@ func (g *Golden) Run(cfg Config) (*Result, error) {
 			return jobList[i].inj.At < jobList[j].inj.At
 		})
 	}
-	var pr *pruner
 	if (adaptive || len(jobList) > 0) && preds != nil && cfg.pruningEnabled() {
-		pr = newPruner(cfg, preds)
+		e.pr = newPruner(cfg, preds)
+		if g.fastForward(cfg) && cfg.FaultDurationMs <= 0 {
+			e.siblings = newTrajectories(cfg.Budget.Steps > 0, defaultTrajectoryBound)
+		}
 	}
 	var sched *adaptiveScheduler
 	if adaptive {
@@ -713,7 +715,7 @@ func (g *Golden) Run(cfg Config) (*Result, error) {
 		go func() {
 			defer wg.Done()
 			for j := range jobs {
-				out, err := superviseJob(cfg, sys, goldens[j.caseIdx], j.caseIdx, j.inj, ckpts, pr)
+				out, err := e.superviseJob(j.caseIdx, j.inj)
 				if err != nil {
 					fail(err)
 					continue // keep draining jobs so the feeder never blocks
@@ -885,21 +887,34 @@ func (c Config) ResolvedWorkers() int {
 	return c.Workers
 }
 
+// engine is what the workers of one Golden.Run share.
+type engine struct {
+	cfg Config
+	sys *model.System
+	g   *Golden
+	// pr settles runs without executing them; nil when the campaign
+	// does not prune.
+	pr *pruner
+	// siblings holds the trajectories executing runs reached at their
+	// early probe ticks; nil unless fired transient runs are probed.
+	siblings *trajectories
+}
+
 // superviseJob drives one injection job to a settled outcome under
 // the fault-isolation policy: worker panics become errors, errors
 // consult Config.OnJobError, and a quarantined job yields an
 // OutcomeQuarantined record instead of failing the campaign.
-func superviseJob(cfg Config, sys *model.System, golden *trace.Trace, caseIdx int, inj inject.Injection, ckpts *checkpointCache, pr *pruner) (runOutcome, error) {
+func (e *engine) superviseJob(caseIdx int, inj inject.Injection) (runOutcome, error) {
 	attempt := 0
 	for {
-		out, err := supervisedRun(cfg, sys, golden, caseIdx, inj, ckpts, pr)
+		out, err := e.supervisedRun(caseIdx, inj)
 		if err == nil {
 			return out, nil
 		}
 		attempt++
 		action := AbortOnError
-		if cfg.OnJobError != nil {
-			action = cfg.OnJobError(inj, caseIdx, attempt, err)
+		if e.cfg.OnJobError != nil {
+			action = e.cfg.OnJobError(inj, caseIdx, attempt, err)
 		}
 		switch action {
 		case RetryJob:
@@ -923,13 +938,13 @@ func superviseJob(cfg Config, sys *model.System, golden *trace.Trace, caseIdx in
 // isolation: a panic outside the guarded target execution (instance
 // construction, instrumentation, comparison setup) is converted into
 // an error so the retry/quarantine policy can handle it.
-func supervisedRun(cfg Config, sys *model.System, golden *trace.Trace, caseIdx int, inj inject.Injection, ckpts *checkpointCache, pr *pruner) (out runOutcome, err error) {
+func (e *engine) supervisedRun(caseIdx int, inj inject.Injection) (out runOutcome, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("campaign: worker panic on %v case %d: %v", inj, caseIdx, r)
 		}
 	}()
-	return injectionRun(cfg, sys, golden, caseIdx, inj, ckpts, pr)
+	return e.injectionRun(caseIdx, inj)
 }
 
 // runGuarded drives the instance to the horizon, converting a panic
@@ -947,15 +962,16 @@ func runGuarded(inst RunnableInstance, horizon sim.Millis) (crashed bool, panicV
 }
 
 // injectionRun executes one injection run against one test case and
-// returns its outcome. With a checkpoint cache available it restores
-// the (case, instant) snapshot and simulates only [At, horizon);
+// returns its outcome. When fast-forwarding it restores the golden
+// snapshot at the injection instant and simulates only [At, horizon);
 // otherwise it replays from t=0. The two paths are bit-identical: a
 // trap has no effect before its arm time, so the skipped prefix is
 // exactly the uninjected prefix the snapshot captured. With a pruner
 // available the job may be settled without simulating at all (see
-// prune.go), and an executing transient run is probed at later
-// checkpoint instants for reconvergence to the golden state.
-func injectionRun(cfg Config, sys *model.System, golden *trace.Trace, caseIdx int, inj inject.Injection, ckpts *checkpointCache, pr *pruner) (runOutcome, error) {
+// prune.go), and an executing transient run is probed for
+// reconvergence (see executeToHorizon).
+func (e *engine) injectionRun(caseIdx int, inj inject.Injection) (runOutcome, error) {
+	cfg, sys := e.cfg, e.sys
 	// armedTrap unifies the transient (paper) and persistent traps.
 	type armedTrap interface {
 		Hook() sim.ReadHook
@@ -968,18 +984,19 @@ func injectionRun(cfg Config, sys *model.System, golden *trace.Trace, caseIdx in
 		trap = inject.NewTrap(inj)
 	}
 	var snap *sim.Snapshot
-	if ckpts != nil {
-		var err error
-		snap, err = ckpts.get(caseIdx, inj.At)
+	if e.g.fastForward(cfg) {
+		snaps, err := e.g.checkpoints(caseIdx)
 		if err != nil {
-			// Cache failures flow through the same retry/quarantine
+			// Checkpoint failures flow through the same retry/quarantine
 			// policy as any other job infrastructure error.
 			return runOutcome{}, err
 		}
+		i, _ := e.g.tickIndex(inj.At)
+		snap = snaps[i]
 	}
 	var mk *MemoKey
-	if pr != nil {
-		out, pruned, key, err := pr.classify(sys, caseIdx, inj, snap)
+	if e.pr != nil {
+		out, pruned, key, err := e.pr.classify(sys, caseIdx, inj, snap)
 		if err != nil {
 			return runOutcome{}, err
 		}
@@ -993,10 +1010,14 @@ func injectionRun(cfg Config, sys *model.System, golden *trace.Trace, caseIdx in
 	if err != nil {
 		return runOutcome{}, fmt.Errorf("campaign: injection %v case %d: %w", inj, caseIdx, err)
 	}
-	cmp, err := trace.AcquireStreamComparator(golden, inst.Bus())
+	cmp, err := trace.AcquireStreamComparator(e.g.traces[caseIdx], inst.Bus())
 	if err != nil {
 		return runOutcome{}, fmt.Errorf("campaign: injection %v case %d: %w", inj, caseIdx, err)
 	}
+	// DeviatingDiffs and SuffixSince copy the results out and the
+	// instance (with the comparator's stale post-hook) is discarded
+	// with this run, so the comparator can be recycled.
+	defer trace.ReleaseStreamComparator(cmp)
 	cmp.SetTolerances(cfg.Tolerances)
 	inst.Kernel().AddPostHook(cmp.Hook())
 	var attachment any
@@ -1024,7 +1045,10 @@ func injectionRun(cfg Config, sys *model.System, golden *trace.Trace, caseIdx in
 			return runOutcome{}, fmt.Errorf("campaign: seeking comparator for %v case %d: %w", inj, caseIdx, err)
 		}
 	}
-	crashed, panicVal, converged := executeToHorizon(cfg, inst, trap.Fired, caseIdx, inj.At, ckpts, pr)
+	end, err := e.executeToHorizon(inst, cmp, trap.Fired, caseIdx, inj.At)
+	if err != nil {
+		return runOutcome{}, fmt.Errorf("campaign: splicing %v case %d: %w", inj, caseIdx, err)
+	}
 	if err := cmp.Err(); err != nil {
 		return runOutcome{}, fmt.Errorf("campaign: comparing %v case %d: %w", inj, caseIdx, err)
 	}
@@ -1040,77 +1064,135 @@ func injectionRun(cfg Config, sys *model.System, golden *trace.Trace, caseIdx in
 		elapsed:    time.Since(start),
 	}
 	out.failureAt = -1
-	// DeviatingDiffs copied the results out and the instance (with the
-	// comparator's stale post-hook) is discarded with this run, so the
-	// comparator can be recycled.
-	trace.ReleaseStreamComparator(cmp)
-	if converged {
+	if end.converged {
 		out.pruned = PrunedConverged
 	}
 	switch {
+	case end.spliced != nil && end.spliced.outcome != "":
+		out.outcome, out.detail = end.spliced.outcome, end.spliced.detail
 	case inst.Kernel().Exhausted():
 		out.outcome = OutcomeHang
-	case crashed:
+	case end.crashed:
 		out.outcome = OutcomeCrash
-		out.detail = fmt.Sprintf("%v", panicVal)
+		out.detail = fmt.Sprintf("%v", end.panicVal)
 	default:
 		if err := finishOutcome(sys, &out); err != nil {
 			return runOutcome{}, err
 		}
 	}
-	if pr != nil {
-		pr.store(mk, out)
+	// Publish what followed each state this run registered as a
+	// sibling trajectory; a completed run's outcome is recomputed from
+	// the spliced diffs, so only crashes and hangs travel with them.
+	ending, detail := Outcome(""), ""
+	if out.outcome == OutcomeCrash || out.outcome == OutcomeHang {
+		ending, detail = out.outcome, out.detail
+	}
+	for _, p := range end.pending[:end.npending] {
+		e.siblings.finish(p.tr, cmp.SuffixSince(p.mark), ending, detail)
+	}
+	if e.pr != nil {
+		e.pr.store(mk, out)
 	}
 	return out, nil
 }
 
+// runEnd is how executeToHorizon stopped a run.
+type runEnd struct {
+	crashed  bool
+	panicVal any
+	// converged: the run stopped early, at a probe tick where its state
+	// was the golden run's or a finished sibling's (spliced).
+	converged bool
+	spliced   *trajectory
+	// pending are the sibling entries this run registered, each with
+	// its comparator mark, to finish once the run's outcome is known.
+	pending  [len(probeOffsets)]pendingTrajectory
+	npending int
+}
+
+type pendingTrajectory struct {
+	tr   *trajectory
+	mark int
+}
+
 // executeToHorizon drives an injection run to the horizon. When the
-// campaign prunes, a transient run on a checkpointable target is
-// instead driven in segments to each later checkpoint instant: once
-// the trap has fired and the instance's state equals the golden
-// snapshot there, the remaining suffix is by determinism the golden
-// run's — its diffs are final and it can neither crash (the suffix is
-// golden) nor hang (the golden run finished within budget, and the
-// step accounting matched when a step budget is armed) — so the run
-// stops early, reported as converged.
-func executeToHorizon(cfg Config, inst RunnableInstance, fired func() (sim.Millis, bool), caseIdx int, at sim.Millis, ckpts *checkpointCache, pr *pruner) (crashed bool, panicVal any, converged bool) {
+// campaign probes (a pruning, fast-forwarding, transient campaign), a
+// run is instead driven in segments to its probe ticks: its injection
+// instant plus each probeOffset, then every later instant. At each
+// probe after the trap has fired:
+//
+//   - if the run's full state equals the golden snapshot there, the
+//     remaining suffix is by determinism the golden run's — its diffs
+//     are final and it can neither crash (the suffix is golden) nor
+//     hang (the golden run finished within budget, and the step
+//     accounting matched when a step budget is armed) — so the run
+//     stops, converged;
+//   - else, at an early probe tick, if it equals the state a finished
+//     sibling run reached there, the sibling's suffix — its diffs and
+//     any crash or hang — is spliced into the comparison and the run
+//     stops, converged; otherwise the state is registered for later
+//     siblings, unless an equal one is already pending.
+func (e *engine) executeToHorizon(inst RunnableInstance, cmp *trace.StreamComparator, fired func() (sim.Millis, bool), caseIdx int, at sim.Millis) (end runEnd, err error) {
 	ck, checkpointable := inst.(target.Checkpointable)
-	if pr == nil || ckpts == nil || !checkpointable || cfg.FaultDurationMs > 0 {
-		crashed, panicVal = runGuarded(inst, cfg.HorizonMs)
-		return crashed, panicVal, false
+	if e.siblings == nil || !checkpointable {
+		end.crashed, end.panicVal = runGuarded(inst, e.cfg.HorizonMs)
+		return end, nil
 	}
-	for _, ct := range ckpts.instants() {
-		if ct <= at {
+	snaps, err := e.g.checkpoints(caseIdx)
+	if err != nil {
+		return end, err
+	}
+	from, _ := e.g.tickIndex(at)
+	for i := from + 1; i < len(e.g.ticks); i++ {
+		probe := e.g.ticks[i]
+		early := earlyProbe(probe.at - at)
+		if !early && !probe.instant {
 			continue
 		}
-		if crashed, panicVal = runGuarded(inst, ct); crashed || inst.Kernel().Exhausted() {
-			return crashed, panicVal, false
+		if end.crashed, end.panicVal = runGuarded(inst, probe.at); end.crashed || inst.Kernel().Exhausted() {
+			return end, nil
 		}
 		if _, hasFired := fired(); !hasFired {
 			continue
 		}
-		g, err := ckpts.get(caseIdx, ct)
-		if err != nil || g == nil {
-			// Probing is opportunistic: without a golden snapshot here,
-			// just keep simulating.
-			continue
-		}
 		// Equal signals are necessary for equal states, and checking
-		// them reads the live bus; only a match pays for capturing
-		// every hidden state.
-		if !inst.Bus().MatchesSnapshot(g) {
+		// them reads the live bus; only a match, or an early probe,
+		// pays for capturing every hidden state. Probing is
+		// opportunistic: a failed capture just keeps the run simulating.
+		var state *sim.Snapshot
+		if inst.Bus().MatchesSnapshot(snaps[i]) {
+			if state, err = ck.Checkpoint(); err != nil {
+				continue
+			}
+			if snapshotsEqual(state, snaps[i], e.siblings.compareUsed) {
+				end.converged = true
+				return end, nil
+			}
+		}
+		if !early {
 			continue
 		}
-		cur, err := ck.Checkpoint()
-		if err != nil {
-			continue
+		if state == nil {
+			if state, err = ck.Checkpoint(); err != nil {
+				continue
+			}
 		}
-		if snapshotsEqual(cur, g, cfg.Budget.Steps > 0) {
-			return false, nil, true
+		key := trajectoryKey{caseIdx: caseIdx, tick: probe.at, row: rowHash(inst.Bus().Values())}
+		found, mine := e.siblings.visit(key, state)
+		if found != nil {
+			if err := cmp.Splice(found.suffix); err != nil {
+				return end, err
+			}
+			end.converged, end.spliced = true, found
+			return end, nil
+		}
+		if mine != nil {
+			end.pending[end.npending] = pendingTrajectory{tr: mine, mark: cmp.Mark()}
+			end.npending++
 		}
 	}
-	crashed, panicVal = runGuarded(inst, cfg.HorizonMs)
-	return crashed, panicVal, false
+	end.crashed, end.panicVal = runGuarded(inst, e.cfg.HorizonMs)
+	return end, nil
 }
 
 // finishOutcome derives the epilogue of a completed (neither crashed

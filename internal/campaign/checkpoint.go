@@ -1,8 +1,9 @@
 package campaign
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"propane/internal/sim"
@@ -15,106 +16,98 @@ import (
 // identical pre-injection prefix from t=0, and that prefix is by
 // construction bit-identical to the uninjected golden run — a trap
 // has no effect before its arm time. When the target implements
-// target.Checkpointable, the campaign therefore records one snapshot
-// per (test case, injection instant) from a single extra uninjected
+// target.Checkpointable, Golden therefore holds one snapshot per
+// (test case, checkpoint tick), taken by a single extra uninjected
 // pass per case, and every injection run restores the snapshot for
 // its instant and simulates only [At, horizon). The stream comparator
 // is seeked to the checkpoint tick, so results — diffs, outcomes,
 // latencies, hang trip points — are bit-identical to a full replay.
+//
+// The checkpoint ticks are the injection instants and the probe ticks
+// a few milliseconds after each (probeOffsets), where an executing
+// run is compared against the golden state (see executeToHorizon).
 
-// defaultCheckpointCases bounds the checkpoint cache: snapshot sets
-// for at most this many test cases are held at once, recycled
-// least-recently-used. Snapshots are small (one uint16 per signal
-// plus per-module hidden state), so the bound exists to keep memory
-// independent of workload-grid size, not because entries are big.
-const defaultCheckpointCases = 32
+// probeOffsets are the ticks after its injection instant at which a
+// fired transient run is probed before the later instants: runs that
+// reconverge, with the golden run or with a sibling run, almost always
+// do so within a few ticks of firing.
+var probeOffsets = [...]sim.Millis{8, 16, 32}
 
-// caseCheckpoints is one test case's lazily built snapshot set.
+// earlyProbe reports whether a tick d after a run's injection instant
+// is one of its probeOffsets.
+func earlyProbe(d sim.Millis) bool {
+	return slices.Contains(probeOffsets[:], d)
+}
+
+// checkpointTick is one tick Golden holds snapshots at.
+type checkpointTick struct {
+	at      sim.Millis
+	instant bool // an injection instant, not only a probe tick
+}
+
+// checkpointTicks returns the distinct injection instants and the
+// early probe ticks before the horizon, ascending.
+func checkpointTicks(times []sim.Millis, horizon sim.Millis) []checkpointTick {
+	var ticks []checkpointTick
+	add := func(at sim.Millis, instant bool) {
+		i, found := slices.BinarySearchFunc(ticks, at, byTick)
+		switch {
+		case found:
+			ticks[i].instant = ticks[i].instant || instant
+		case at < horizon:
+			ticks = slices.Insert(ticks, i, checkpointTick{at: at, instant: instant})
+		}
+	}
+	for _, at := range times {
+		add(at, true)
+		for _, d := range probeOffsets {
+			add(at+d, false)
+		}
+	}
+	return ticks
+}
+
+func byTick(t checkpointTick, at sim.Millis) int { return cmp.Compare(t.at, at) }
+
+// tickIndex returns the position of checkpoint tick at in g.ticks.
+func (g *Golden) tickIndex(at sim.Millis) (int, bool) {
+	return slices.BinarySearchFunc(g.ticks, at, byTick)
+}
+
+// caseCheckpoints is one test case's snapshot set, aligned with
+// Golden.ticks and built on first use.
 type caseCheckpoints struct {
 	once  sync.Once
-	snaps map[sim.Millis]*sim.Snapshot
+	snaps []*sim.Snapshot
 	err   error
 }
 
-// checkpointCache hands out per-(case, instant) snapshots, building
-// each case's set on first request with one uninjected pass that
-// pauses at every injection instant. Entries are shared read-only
-// across workers: restoring copies values out of a snapshot, never
-// into it.
-type checkpointCache struct {
-	cfg   Config
-	times []sim.Millis // distinct injection instants, ascending
-
-	mu      sync.Mutex
-	entries map[int]*caseCheckpoints
-	lru     []int // caseIdx order, most recently used last
-	bound   int
+// fastForward decides whether cfg's injection runs restore checkpoints:
+// whenever no Instrument hook is configured and the golden runs'
+// instances were checkpointable. Instrument attachments (runtime
+// monitors, recovery mechanisms) observe the run from tick 0, so
+// skipping the prefix could change what they see.
+func (g *Golden) fastForward(cfg Config) bool {
+	return g.checkpointable && cfg.Instrument == nil && !cfg.replayAll
 }
 
-func newCheckpointCache(cfg Config) *checkpointCache {
-	seen := make(map[sim.Millis]bool, len(cfg.Times))
-	times := make([]sim.Millis, 0, len(cfg.Times))
-	for _, t := range cfg.Times {
-		if !seen[t] {
-			seen[t] = true
-			times = append(times, t)
-		}
-	}
-	sort.Slice(times, func(i, j int) bool { return times[i] < times[j] })
-	return &checkpointCache{
-		cfg:     cfg,
-		times:   times,
-		entries: make(map[int]*caseCheckpoints),
-		bound:   defaultCheckpointCases,
-	}
+// checkpoints returns one test case's snapshots, aligned with g.ticks,
+// building them on first use: once per case per Golden, whichever Run
+// and worker asks first. They are shared read-only across runs and
+// workers: restoring copies values out of a snapshot, never into it.
+func (g *Golden) checkpoints(caseIdx int) ([]*sim.Snapshot, error) {
+	cc := &g.ckpts[caseIdx]
+	cc.once.Do(func() { cc.snaps, cc.err = g.buildCheckpoints(caseIdx) })
+	return cc.snaps, cc.err
 }
 
-// instants returns the distinct checkpointed injection instants in
-// ascending order (read-only — shared slice). The convergence probe
-// iterates it to find golden snapshots after a trap's firing point.
-func (cc *checkpointCache) instants() []sim.Millis { return cc.times }
-
-// get returns the snapshot for one (test case, injection instant),
-// building the case's snapshot set on first request. A nil snapshot
-// with nil error means the instant has no checkpoint (never the case
-// for instants drawn from Config.Times); the caller then replays from
-// t=0.
-func (cc *checkpointCache) get(caseIdx int, at sim.Millis) (*sim.Snapshot, error) {
-	cc.mu.Lock()
-	e := cc.entries[caseIdx]
-	if e == nil {
-		e = &caseCheckpoints{}
-		cc.entries[caseIdx] = e
-		cc.lru = append(cc.lru, caseIdx)
-		for len(cc.lru) > cc.bound {
-			delete(cc.entries, cc.lru[0])
-			cc.lru = cc.lru[1:]
-		}
-	} else {
-		for i, c := range cc.lru {
-			if c == caseIdx {
-				cc.lru = append(append(cc.lru[:i:i], cc.lru[i+1:]...), caseIdx)
-				break
-			}
-		}
-	}
-	cc.mu.Unlock()
-
-	// Workers asking for an evicted or sibling case build outside the
-	// lock; the per-entry once makes exactly one of them do the pass.
-	e.once.Do(func() { e.snaps, e.err = cc.build(caseIdx) })
-	if e.err != nil {
-		return nil, e.err
-	}
-	return e.snaps[at], nil
-}
-
-// build records one test case's snapshot set: a fresh uninjected
-// instance runs to each instant in ascending order, capturing at the
-// tick boundary — the state just before tick `at` executes, which is
-// exactly where a trap armed for `at` can first fire.
-func (cc *checkpointCache) build(caseIdx int) (map[sim.Millis]*sim.Snapshot, error) {
-	inst, err := cc.cfg.NewInstance(cc.cfg.TestCases[caseIdx], nil)
+// buildCheckpoints records one test case's snapshot set: a fresh
+// uninjected instance of the recording's target runs to each
+// checkpoint tick in ascending order, capturing at the tick boundary —
+// the state just before tick `at` executes, which is exactly where a
+// trap armed for `at` can first fire.
+func (g *Golden) buildCheckpoints(caseIdx int) ([]*sim.Snapshot, error) {
+	inst, err := g.target.NewInstance(g.cases[caseIdx], nil)
 	if err != nil {
 		return nil, fmt.Errorf("campaign: checkpoint pass case %d: %w", caseIdx, err)
 	}
@@ -122,41 +115,21 @@ func (cc *checkpointCache) build(caseIdx int) (map[sim.Millis]*sim.Snapshot, err
 	if !ok {
 		return nil, fmt.Errorf("campaign: checkpoint pass case %d: target is not checkpointable", caseIdx)
 	}
-	inst.Kernel().SetBudget(cc.cfg.Budget)
-	snaps := make(map[sim.Millis]*sim.Snapshot, len(cc.times))
-	for _, at := range cc.times {
+	inst.Kernel().SetBudget(g.target.Budget)
+	snaps := make([]*sim.Snapshot, len(g.ticks))
+	for i, t := range g.ticks {
 		// The pass is uninjected, so like a golden run it must neither
 		// crash nor exhaust its budget; either means a broken target.
-		if crashed, pv := runGuarded(inst, at); crashed {
-			return nil, fmt.Errorf("campaign: checkpoint pass case %d crashed before t=%d: %v", caseIdx, at, pv)
+		if crashed, pv := runGuarded(inst, t.at); crashed {
+			return nil, fmt.Errorf("campaign: checkpoint pass case %d crashed before t=%d: %v", caseIdx, t.at, pv)
 		}
 		if inst.Kernel().Exhausted() {
 			return nil, fmt.Errorf("campaign: checkpoint pass case %d exceeded the run budget (%d steps used) before t=%d",
-				caseIdx, inst.Kernel().BudgetUsed(), at)
+				caseIdx, inst.Kernel().BudgetUsed(), t.at)
 		}
-		snap, err := ck.Checkpoint()
-		if err != nil {
-			return nil, fmt.Errorf("campaign: checkpoint pass case %d at t=%d: %w", caseIdx, at, err)
+		if snaps[i], err = ck.Checkpoint(); err != nil {
+			return nil, fmt.Errorf("campaign: checkpoint pass case %d at t=%d: %w", caseIdx, t.at, err)
 		}
-		snaps[at] = snap
 	}
 	return snaps, nil
-}
-
-// checkpointsEnabled decides whether this campaign fast-forwards:
-// whenever no Instrument hook is configured and the target supports
-// it. Instrument attachments (runtime monitors, recovery mechanisms)
-// observe the run from tick 0, so skipping the prefix could change
-// what they see. Unsupported topologies are detected by probing one
-// instance, so the fallback to full replay is transparent to callers.
-func (c Config) checkpointsEnabled() bool {
-	if c.Instrument != nil || c.replayAll {
-		return false
-	}
-	inst, err := c.NewInstance(c.TestCases[0], nil)
-	if err != nil {
-		return false // the campaign proper will surface the error
-	}
-	_, ok := inst.(target.Checkpointable)
-	return ok
 }

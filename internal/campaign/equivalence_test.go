@@ -142,7 +142,11 @@ func TestCheckpointAutoFallsBackUnderInstrument(t *testing.T) {
 
 	auto := tinyConfig()
 	auto.Instrument = attach
-	if auto.checkpointsEnabled() {
+	g, err := RecordGolden(auto)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.fastForward(auto) {
 		t.Fatal("checkpoints enabled under an Instrument hook")
 	}
 	ck, ckRecs := runKeyed(t, auto)

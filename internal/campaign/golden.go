@@ -11,6 +11,7 @@ import (
 	"propane/internal/model"
 	"propane/internal/physics"
 	"propane/internal/sim"
+	"propane/internal/target"
 	"propane/internal/trace"
 )
 
@@ -20,10 +21,21 @@ import (
 // recording depends only on the target, the test cases, the injection
 // instants, the horizon and the fault duration, so one RecordGolden
 // serves every Run, Fold, Planner and Digests call of a campaign. A
-// Golden is read-only once recorded.
+// Golden is read-only once recorded, apart from the golden snapshots
+// it builds on first use for checkpoint fast-forward (checkpoint.go),
+// once per test case, and shares across every Run.
 type Golden struct {
 	traces []*trace.Trace
 	preds  []casePredictions // nil unless captured
+
+	// Checkpoint fast-forward (checkpoint.go): whether the golden runs'
+	// instances were checkpointable, the recording's target
+	// construction and budget, the checkpoint ticks, and the per-case
+	// snapshot sets built from them on first use.
+	checkpointable bool
+	target         Config
+	ticks          []checkpointTick
+	ckpts          []caseCheckpoints
 
 	// What the recording describes; check rejects any other config.
 	cases         []physics.TestCase
@@ -46,12 +58,16 @@ func RecordGolden(cfg Config) (*Golden, error) {
 	g := &Golden{
 		traces:        make([]*trace.Trace, len(cfg.TestCases)),
 		preds:         make([]casePredictions, len(cfg.TestCases)),
+		target:        Config{Arrestor: cfg.Arrestor, Dual: cfg.Dual, Custom: cfg.Custom, Budget: cfg.Budget},
+		ticks:         checkpointTicks(cfg.Times, cfg.HorizonMs),
+		ckpts:         make([]caseCheckpoints, len(cfg.TestCases)),
 		cases:         slices.Clone(cfg.TestCases),
 		times:         slices.Clone(cfg.Times),
 		horizon:       cfg.HorizonMs,
 		faultDuration: cfg.FaultDurationMs,
 	}
 	errs := make([]error, len(cfg.TestCases))
+	checkpointable := make([]bool, len(cfg.TestCases))
 	idx := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < cfg.ResolvedWorkers(); w++ {
@@ -59,7 +75,7 @@ func RecordGolden(cfg Config) (*Golden, error) {
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				g.traces[i], g.preds[i], errs[i] = goldenRun(cfg, i, capture)
+				g.traces[i], g.preds[i], checkpointable[i], errs[i] = goldenRun(cfg, i, capture)
 			}
 		}()
 	}
@@ -76,14 +92,16 @@ func RecordGolden(cfg Config) (*Golden, error) {
 	if !capture {
 		g.preds = nil
 	}
+	g.checkpointable = !slices.Contains(checkpointable, false)
 	return g, nil
 }
 
 // goldenRun records the Golden Run of one test case, optionally
-// streaming its instrumented reads into the pruning predictions. The
-// read hook only observes, so the recorded trace is bit-identical
-// with and without it.
-func goldenRun(cfg Config, i int, capture bool) (*trace.Trace, casePredictions, error) {
+// streaming its instrumented reads into the pruning predictions, and
+// reports whether its instance is checkpointable. The read hook only
+// observes, so the recorded trace is bit-identical with and without
+// it.
+func goldenRun(cfg Config, i int, capture bool) (*trace.Trace, casePredictions, bool, error) {
 	lg := newReadLog(cfg.Times, cfg.FaultDurationMs)
 	var hook sim.ReadHook
 	if capture {
@@ -91,23 +109,24 @@ func goldenRun(cfg Config, i int, capture bool) (*trace.Trace, casePredictions, 
 	}
 	inst, err := cfg.NewInstance(cfg.TestCases[i], hook)
 	if err != nil {
-		return nil, casePredictions{}, fmt.Errorf("campaign: golden run %d: %w", i, err)
+		return nil, casePredictions{}, false, fmt.Errorf("campaign: golden run %d: %w", i, err)
 	}
+	_, checkpointable := inst.(target.Checkpointable)
 	rec, err := trace.NewRecorderCap(inst.Bus(), int(cfg.HorizonMs))
 	if err != nil {
-		return nil, casePredictions{}, fmt.Errorf("campaign: golden run %d: %w", i, err)
+		return nil, casePredictions{}, false, fmt.Errorf("campaign: golden run %d: %w", i, err)
 	}
 	inst.Kernel().AddPostHook(rec.Hook())
 	inst.Kernel().SetBudget(cfg.Budget)
 	// A golden run is uninjected: a crash or hang here is a broken
 	// target or an undersized budget, not a result.
 	if crashed, pv := runGuarded(inst, cfg.HorizonMs); crashed {
-		return nil, casePredictions{}, fmt.Errorf("campaign: golden run %d crashed: %v", i, pv)
+		return nil, casePredictions{}, false, fmt.Errorf("campaign: golden run %d crashed: %v", i, pv)
 	}
 	if inst.Kernel().Exhausted() {
-		return nil, casePredictions{}, fmt.Errorf("campaign: golden run %d exceeded the run budget (%d steps used) — raise Config.Budget or fix the target", i, inst.Kernel().BudgetUsed())
+		return nil, casePredictions{}, false, fmt.Errorf("campaign: golden run %d exceeded the run budget (%d steps used) — raise Config.Budget or fix the target", i, inst.Kernel().BudgetUsed())
 	}
-	return rec.Trace(), lg.predictions(), nil
+	return rec.Trace(), lg.predictions(), checkpointable, nil
 }
 
 // Digests hashes each golden trace's canonical encoding

@@ -2,8 +2,10 @@ package campaign
 
 import (
 	"errors"
+	"sync/atomic"
 	"testing"
 
+	"propane/internal/physics"
 	"propane/internal/sim"
 )
 
@@ -51,6 +53,44 @@ func TestGoldenRejectsMismatchedConfig(t *testing.T) {
 		cfg.Adaptive = AdaptiveForce
 		if _, err := tc.golden.Planner(cfg); tc.plannerOK != (err == nil) || (err != nil && !errors.Is(err, ErrInvalidConfig)) {
 			t.Errorf("%s: Planner error = %v, want ok=%t or ErrInvalidConfig", tc.name, err, tc.plannerOK)
+		}
+	}
+}
+
+// TestGoldenCheckpointsSharedAcrossRuns: a Golden builds each test
+// case's golden snapshots once, on first use, and every Run of it
+// restores the same ones. The target counts the instances it builds:
+// one golden run and one checkpoint pass per case, plus one instance
+// per run that executed.
+func TestGoldenCheckpointsSharedAcrossRuns(t *testing.T) {
+	cfg := tinyConfig()
+	inner := cfg
+	var built atomic.Int64
+	cfg.Custom = &Target{
+		Name:     "counting",
+		Topology: inner.System,
+		New: func(tc physics.TestCase, hook sim.ReadHook) (RunnableInstance, error) {
+			built.Add(1)
+			return inner.NewInstance(tc, hook)
+		},
+	}
+	g, err := RecordGolden(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := int64(len(cfg.TestCases))
+	if got := built.Load(); got != want {
+		t.Fatalf("recording built %d instances, want %d golden runs", got, want)
+	}
+	want += int64(len(cfg.TestCases))
+	for i := 0; i < 2; i++ {
+		res, err := g.Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want += int64(res.Pruning.Executed + res.Pruning.Converged)
+		if got := built.Load(); got != want {
+			t.Errorf("after run %d: %d instances built, want %d (checkpoint passes once per case)", i+1, got, want)
 		}
 	}
 }

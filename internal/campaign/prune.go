@@ -32,12 +32,14 @@ import (
 //     same experiment; the second is served from a bounded result
 //     cache carrying the full outcome + deviation diffs, so the
 //     synthesized record is bit-identical to the executed one.
-//   - Converged: an executing transient run that, at a later
-//     checkpoint instant, has returned to exactly the golden state
-//     (signals, hidden state, and — under a step budget — the step
-//     accounting) must follow the golden run for the rest of the
-//     horizon: its diffs are final and it can neither crash nor hang
-//     later, so simulation stops there.
+//   - Converged: an executing transient run that, at a probe tick
+//     after firing, has reached exactly the golden state (signals,
+//     hidden state, and — under a step budget — the step accounting)
+//     must follow the golden run for the rest of the horizon: its
+//     diffs are final and it can neither crash nor hang later, so
+//     simulation stops there. One that has reached exactly the state
+//     a finished sibling run reached at that tick follows the
+//     sibling, whose suffix is spliced in (see trajectories below).
 //
 // All four classifications preserve bit-identity with a full
 // execution; the equivalence suite (prune_test.go) asserts it on
@@ -63,9 +65,11 @@ const (
 	// every pruned label it is excluded from record equality and the
 	// record-set digest, so mixed hot/cold journals interoperate.
 	PrunedMemoStore = "memo-store"
-	// PrunedConverged: the run executed, but stopped early at a
-	// checkpoint instant where its state had returned to the golden
-	// run's.
+	// PrunedConverged: the run executed, but stopped early at a probe
+	// tick where its state equalled the golden run's, or a finished
+	// sibling run's, whose remaining comparison and ending (a crash or
+	// hang included) were spliced in. Which runs splice depends on
+	// worker interleaving; the record does not.
 	PrunedConverged = "converged"
 )
 
@@ -131,10 +135,10 @@ func (ps PruneStats) Total() int {
 // pruningEnabled decides whether this campaign prunes: whenever no
 // Instrument hook is configured. A pruned run never builds a target
 // instance, so the hook would be skipped and its attachment missing
-// from the record. Unlike checkpointsEnabled it needs no target
-// capability probe: the golden-run firing predictions are sound for
-// any target, and the checkpoint-based convergence probe simply stays
-// off when no checkpoint cache exists.
+// from the record. Unlike Golden.fastForward it needs no checkpointable
+// target: the golden-run firing predictions are sound for any target,
+// and the checkpoint-based convergence probes simply stay off without
+// fast-forward.
 func (c Config) pruningEnabled() bool {
 	return c.Instrument == nil && !c.executeAll
 }
@@ -571,4 +575,122 @@ func snapshotsEqual(a, b *sim.Snapshot, compareUsed bool) bool {
 		}
 	}
 	return true
+}
+
+// Sibling trajectories. Determinism makes a run's future a function
+// of its state, so a fired transient run that reaches, at a probe
+// tick, the exact state an earlier run of the campaign reached there
+// follows that run for the rest of the horizon. Each Golden.Run keeps
+// a bounded table of the states executing runs reached at their early
+// probe ticks, each finished with what followed it once its run ends;
+// a later run matching a finished entry splices that suffix instead of
+// simulating it. A matching entry still pending is never waited for:
+// the run simply executes, so which runs splice depends on worker
+// interleaving, but the records never do.
+
+// defaultTrajectoryBound bounds the sibling table (entries, recycled
+// oldest first). Matches come from recently inserted states — runs of
+// the same (case, instant) execute back to back — so the bound keeps
+// memory flat at no measurable loss.
+const defaultTrajectoryBound = 1024
+
+// trajectoryKey narrows a state lookup to one test case, probe tick
+// and bus row; the full states are then compared exactly.
+type trajectoryKey struct {
+	caseIdx int
+	tick    sim.Millis
+	row     uint64 // FNV-1a hash of the bus value row
+}
+
+// trajectory is one run's state at a probe tick and, once that run
+// ends, everything that followed: the comparison from the probe tick
+// on, and how the run ended — "" when it completed, else a crash (with
+// its panic text) or a hang.
+type trajectory struct {
+	key   trajectoryKey
+	state *sim.Snapshot
+	next  *trajectory // the next entry under the same key
+
+	done    bool // guarded by trajectories.mu, like the fields below
+	suffix  trace.Suffix
+	outcome Outcome
+	detail  string
+}
+
+// trajectories is one Golden.Run's sibling table, shared by its
+// workers.
+type trajectories struct {
+	compareUsed bool // snapshotsEqual's step-accounting switch
+
+	mu    sync.Mutex
+	byKey map[trajectoryKey]*trajectory // chained through trajectory.next
+	ring  []*trajectory                 // insertion order, oldest at next once full
+	next  int
+	bound int
+}
+
+func newTrajectories(compareUsed bool, bound int) *trajectories {
+	return &trajectories{
+		compareUsed: compareUsed,
+		byKey:       make(map[trajectoryKey]*trajectory),
+		bound:       bound,
+	}
+}
+
+// rowHash is the FNV-1a hash of a bus value row.
+func rowHash(row []uint16) uint64 {
+	h := uint64(14695981039346656037)
+	for _, v := range row {
+		h = (h ^ uint64(v)) * 1099511628211
+	}
+	return h
+}
+
+// visit looks a run's state at a probe tick up. It returns the
+// finished entry the state equals, if any; otherwise, unless an equal
+// entry is still pending, it registers the state as a new pending
+// entry and returns that as mine, for the run to finish when it ends.
+func (ts *trajectories) visit(key trajectoryKey, state *sim.Snapshot) (found, mine *trajectory) {
+	ts.mu.Lock()
+	defer ts.mu.Unlock()
+	for tr := ts.byKey[key]; tr != nil; tr = tr.next {
+		if snapshotsEqual(tr.state, state, ts.compareUsed) {
+			if tr.done {
+				return tr, nil
+			}
+			return nil, nil
+		}
+	}
+	if len(ts.ring) < ts.bound {
+		ts.ring = append(ts.ring, nil)
+	} else {
+		ts.evict(ts.ring[ts.next])
+	}
+	mine = &trajectory{key: key, state: state, next: ts.byKey[key]}
+	ts.byKey[key] = mine
+	ts.ring[ts.next] = mine
+	ts.next = (ts.next + 1) % ts.bound
+	return nil, mine
+}
+
+// evict unlinks the oldest entry. Chains run newest first and
+// entries leave oldest first, so it ends its chain.
+func (ts *trajectories) evict(old *trajectory) {
+	link := ts.byKey[old.key]
+	if link == old {
+		delete(ts.byKey, old.key)
+		return
+	}
+	for link.next != old {
+		link = link.next
+	}
+	link.next = nil
+}
+
+// finish publishes what followed a pending entry's state. An evicted
+// entry is finished all the same; nothing reads it any more.
+func (ts *trajectories) finish(tr *trajectory, suffix trace.Suffix, outcome Outcome, detail string) {
+	ts.mu.Lock()
+	defer ts.mu.Unlock()
+	tr.suffix, tr.outcome, tr.detail, tr.done = suffix, outcome, detail, true
 }

@@ -344,7 +344,7 @@ func TestPruneStreamedPredictionsMatchReference(t *testing.T) {
 				cfg.Times = times
 				cfg.FaultDurationMs = dur
 				for ci := range cfg.TestCases {
-					_, got, err := goldenRun(cfg, ci, true)
+					_, got, _, err := goldenRun(cfg, ci, true)
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)
 					}
@@ -398,7 +398,7 @@ func TestPruneStreamedPredictionsMatchReference(t *testing.T) {
 func goldenPassAllocs(t *testing.T, cfg Config, horizon sim.Millis, capture bool) float64 {
 	cfg.HorizonMs = horizon
 	return testing.AllocsPerRun(3, func() {
-		if _, _, err := goldenRun(cfg, 0, capture); err != nil {
+		if _, _, _, err := goldenRun(cfg, 0, capture); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -430,7 +430,7 @@ func BenchmarkGoldenPass(b *testing.B) {
 	cfg := tinyConfig()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := goldenRun(cfg, 0, true); err != nil {
+		if _, _, _, err := goldenRun(cfg, 0, true); err != nil {
 			b.Fatal(err)
 		}
 	}

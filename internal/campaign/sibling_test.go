@@ -1,0 +1,244 @@
+package campaign
+
+import (
+	"fmt"
+	"testing"
+
+	"propane/internal/model"
+	"propane/internal/physics"
+	"propane/internal/sim"
+	"propane/internal/target"
+	"propane/internal/trace"
+)
+
+// The latch target: a three-stage pipeline whose middle stage latches
+// any deviation of its input and, a fixed time later, crashes or
+// hangs. Every flip of the producer's or the latch's input arms the
+// latch on the same tick, so runs injecting different bits reach one
+// state a few ticks after firing — the state a sibling's crash or
+// hang follows from.
+//
+//	lt_cmd ──▶ PROD ──▶ lt_src ──▶ LATCH ──▶ lt_flag ──▶ SINK ──▶ lt_out
+//	                                    └──▶ lt_late ──┘
+const (
+	latchCmd     = 100
+	latchLateMs  = 20 // lt_late starts deviating this long after arming
+	latchTripMs  = 60 // the latch crashes or hangs this long after arming
+	latchHorizon = 400
+)
+
+type latchMode int
+
+const (
+	latchCrash latchMode = iota
+	latchHang
+)
+
+type latchInstance struct {
+	kernel *sim.Kernel
+	bus    *sim.Bus
+	snap   *sim.Snapshotter
+	latch  *latchStage
+}
+
+func (in *latchInstance) Bus() *sim.Bus          { return in.bus }
+func (in *latchInstance) Kernel() *sim.Kernel    { return in.kernel }
+func (in *latchInstance) Run(horizon sim.Millis) { in.kernel.Run(horizon, nil) }
+
+func (in *latchInstance) Checkpoint() (*sim.Snapshot, error) {
+	snap := in.snap.Capture()
+	snap.Hidden = model.CaptureStates([]model.Stateful{in.latch})
+	return snap, nil
+}
+
+func (in *latchInstance) Restore(snap *sim.Snapshot) error {
+	if err := in.snap.Restore(snap); err != nil {
+		return err
+	}
+	return model.RestoreStates([]model.Stateful{in.latch}, snap.Hidden)
+}
+
+// latchModule is one instrumented pipeline stage.
+type latchModule struct {
+	name   string
+	onRead sim.ReadHook
+	step   func(m *latchModule, now sim.Millis)
+}
+
+func (m *latchModule) Name() string        { return m.name }
+func (m *latchModule) Step(now sim.Millis) { m.step(m, now) }
+
+func (m *latchModule) read(s *sim.Signal, now sim.Millis) uint16 {
+	if m.onRead != nil && m.onRead(m.name, s.Name(), s, now) {
+		m.onRead = nil
+	}
+	return s.Read()
+}
+
+type latchState struct {
+	armed   bool
+	armedAt sim.Millis
+}
+
+// latchStage holds the latch's hidden state.
+type latchStage struct{ latchState }
+
+func (l *latchStage) State() any { return l.latchState }
+
+func (l *latchStage) Restore(state any) error {
+	return model.RestoreAs(&l.latchState, state)
+}
+
+func latchTopology() *model.System {
+	sys, err := model.NewBuilder("latch").
+		AddModule("PROD", []string{"lt_cmd"}, []string{"lt_src"}).
+		AddModule("LATCH", []string{"lt_src"}, []string{"lt_flag", "lt_late"}).
+		AddModule("SINK", []string{"lt_flag", "lt_late"}, []string{"lt_out"}).
+		Build()
+	if err != nil {
+		panic(err)
+	}
+	return sys
+}
+
+func newLatchInstance(mode latchMode, hook sim.ReadHook) (*latchInstance, error) {
+	kernel, err := sim.NewKernel(1)
+	if err != nil {
+		return nil, err
+	}
+	bus := sim.NewBus()
+	cmd, src := bus.Register("lt_cmd"), bus.Register("lt_src")
+	flag, late, out := bus.Register("lt_flag"), bus.Register("lt_late"), bus.Register("lt_out")
+	kernel.AddPreHook(func(sim.Millis) { cmd.Write(latchCmd) })
+	ls := &latchStage{}
+	kernel.AddEveryTick(&latchModule{name: "PROD", onRead: hook, step: func(m *latchModule, now sim.Millis) {
+		src.Write(m.read(cmd, now))
+	}})
+	kernel.AddEveryTick(&latchModule{name: "LATCH", onRead: hook, step: func(m *latchModule, now sim.Millis) {
+		if v := m.read(src, now); v != latchCmd && !ls.armed {
+			ls.armed, ls.armedAt = true, now
+		}
+		flag.WriteBool(ls.armed)
+		late.Write(0)
+		if !ls.armed {
+			return
+		}
+		if since := now - ls.armedAt; since >= latchLateMs {
+			late.Write(uint16(since))
+		}
+		if now-ls.armedAt < latchTripMs {
+			return
+		}
+		if mode == latchCrash {
+			panic(fmt.Sprintf("latch: tripped at t=%dms", now))
+		}
+		for {
+			kernel.Charge(1)
+		}
+	}})
+	kernel.AddEveryTick(&latchModule{name: "SINK", onRead: hook, step: func(m *latchModule, now sim.Millis) {
+		out.Write(m.read(flag, now) + m.read(late, now))
+	}})
+	return &latchInstance{kernel: kernel, bus: bus, snap: sim.NewSnapshotter(kernel, bus), latch: ls}, nil
+}
+
+func latchConfig(mode latchMode) Config {
+	return Config{
+		Custom: &target.Target{
+			Name:     "latch",
+			Topology: latchTopology,
+			New: func(_ physics.TestCase, hook sim.ReadHook) (target.RunnableInstance, error) {
+				return newLatchInstance(mode, hook)
+			},
+		},
+		TestCases: []physics.TestCase{{MassKg: 10000, VelocityMS: 50}},
+		Times:     []sim.Millis{100, 200},
+		Bits:      []uint{0, 1, 2},
+		HorizonMs: latchHorizon,
+		Budget:    sim.Budget{Steps: latchHorizon*8 + 1024},
+		Workers:   1,
+	}
+}
+
+// TestPruneSiblingSpliceCrashHang: runs injecting different flips that
+// reach one latched state splice the crash or hang that followed it in
+// the sibling run that executed first, and their records equal those
+// of executing every run in full, field for field — the diffs of
+// signals deviating only before the probe tick, only after it, and on
+// both sides, the outcome and the panic text.
+func TestPruneSiblingSpliceCrashHang(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		mode    latchMode
+		outcome Outcome
+	}{
+		{"crash", latchCrash, OutcomeCrash},
+		{"hang", latchHang, OutcomeHang},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			off := latchConfig(tc.mode)
+			off.executeAll = true
+			base, baseRecs := runKeyed(t, off)
+			pr, prRecs := runKeyed(t, latchConfig(tc.mode))
+			assertEquivalent(t, base, pr, baseRecs, prRecs)
+
+			spliced, executed := 0, 0
+			for _, rec := range prRecs {
+				if rec.Outcome != tc.outcome {
+					continue
+				}
+				// The golden run never crashes or hangs, so a converged
+				// crash or hang was spliced from a sibling.
+				switch rec.Pruned {
+				case PrunedConverged:
+					spliced++
+				case "":
+					executed++
+				}
+			}
+			if spliced == 0 || executed == 0 {
+				t.Errorf("%d %s runs spliced from %d executed ones, want both > 0", spliced, tc.outcome, executed)
+			}
+		})
+	}
+}
+
+// TestPruneTrajectoryTableBound: the sibling table holds at most its
+// bound, recycling the oldest entries first, whether or not other
+// entries share their key; a state equal to a pending entry registers
+// nothing, and one equal to a finished entry finds it.
+func TestPruneTrajectoryTableBound(t *testing.T) {
+	const bound = 4
+	ts := newTrajectories(false, bound)
+	state := func(v uint16) *sim.Snapshot { return &sim.Snapshot{Now: 10, Signals: []uint16{v}} }
+	// States 0 and 1 each have a key of their own; the rest share one.
+	key := func(v uint16) trajectoryKey { return trajectoryKey{tick: 10, row: uint64(min(v, 2))} }
+	var entries []*trajectory
+	for v := uint16(0); v < 3*bound; v++ {
+		found, mine := ts.visit(key(v), state(v))
+		if found != nil || mine == nil {
+			t.Fatalf("state %d: visit = %v, %v, want a new pending entry", v, found, mine)
+		}
+		entries = append(entries, mine)
+		if found, mine := ts.visit(key(v), state(v)); found != nil || mine != nil {
+			t.Fatalf("state %d again while pending: visit = %v, %v, want nothing", v, found, mine)
+		}
+		n := 0
+		for _, head := range ts.byKey {
+			for tr := head; tr != nil; tr = tr.next {
+				n++
+			}
+		}
+		if want := min(int(v)+1, bound); n != want {
+			t.Fatalf("after %d inserts the table holds %d entries, want %d", v+1, n, want)
+		}
+	}
+	ts.finish(entries[len(entries)-1], trace.Suffix{}, OutcomeCrash, "boom")
+	last := uint16(3*bound - 1)
+	if found, _ := ts.visit(key(last), state(last)); found != entries[len(entries)-1] {
+		t.Errorf("finished entry not found: %v", found)
+	}
+	if _, mine := ts.visit(key(0), state(0)); mine == nil {
+		t.Error("an evicted state is still registered")
+	}
+}

@@ -49,7 +49,7 @@ func Markdown(res *campaign.Result, opts MarkdownOptions) (string, error) {
 		b.WriteString("```\n\n")
 	}
 	if total := res.Pruning.Total(); total > 0 {
-		fmt.Fprintf(&b, "### Pruning effectiveness\n\nEquivalence pruning resolved %d of %d runs without full simulation: %d no-op corruptions, %d provably unfired traps, %d memoized repeats (%d served by the persistent store), %d early reconvergences (%d executed in full). Pruned runs carry complete outcomes and stay in every n_inj denominator — the estimates below are unaffected.\n\n```\n",
+		fmt.Fprintf(&b, "### Pruning effectiveness\n\nEquivalence pruning resolved %d of %d runs without full simulation: %d no-op corruptions, %d provably unfired traps, %d memoized repeats (%d served by the persistent store), %d runs stopped early on reaching the golden or a sibling run's state (%d executed in full). Pruned runs carry complete outcomes and stay in every n_inj denominator — the estimates below are unaffected.\n\n```\n",
 			total, total+res.Pruning.Executed, res.Pruning.NoOp, res.Pruning.Unfired,
 			res.Pruning.Memoized+res.Pruning.Store, res.Pruning.Store, res.Pruning.Converged, res.Pruning.Executed)
 		pt := &textTable{header: []string{"signal", "noop", "unfired", "memoized", "store", "converged", "executed"}}

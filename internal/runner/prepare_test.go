@@ -57,3 +57,69 @@ func TestPrepareResolvesNegativeWorkers(t *testing.T) {
 		t.Errorf("worker utilization = %v, want > 0", rr.Metrics.WorkerUtilization)
 	}
 }
+
+// TestPrepareAssembleBuildsNoCheckpoint: a coordinator prepares its
+// campaign and assembles the records its workers settled; it executes
+// nothing, so it must not pay for the golden snapshots injection runs
+// restore. The target counts the instances it builds: only the golden
+// runs may build any.
+func TestPrepareAssembleBuildsNoCheckpoint(t *testing.T) {
+	plain := reducedQuickConfig(t)
+	src, err := Prepare(plain, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runDir := t.TempDir()
+	if _, err := src.Run(Options{Dir: runDir, SkipReport: true}); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := src.LoadJournals(runDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	cfg := plain
+	var built atomic.Int64
+	cfg.Custom = &campaign.Target{
+		Name:     "counting",
+		Topology: plain.System,
+		New: func(tc physics.TestCase, hook sim.ReadHook) (campaign.RunnableInstance, error) {
+			built.Add(1)
+			return plain.NewInstance(tc, hook)
+		},
+	}
+	p, err := Prepare(cfg, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Assemble(recs, nil, Options{Dir: t.TempDir(), SkipReport: true}); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := built.Load(), int64(len(cfg.TestCases)); got != want {
+		t.Errorf("Prepare and Assemble built %d instances, want %d (the golden runs alone)", got, want)
+	}
+}
+
+// TestPruneRecordsIndependentOfWorkers: which runs reconverge with a
+// sibling's trajectory depends on how workers interleave, but the
+// records never do — one worker and four settle identical record
+// sets.
+func TestPruneRecordsIndependentOfWorkers(t *testing.T) {
+	for _, name := range []string{"paper", "hostile"} {
+		var digests []string
+		for _, workers := range []int{1, 4} {
+			dir := t.TempDir()
+			if _, err := RunInstance(name, TierQuick, Options{Dir: dir, Workers: workers, SkipReport: true}); err != nil {
+				t.Fatalf("%s workers=%d: %v", name, workers, err)
+			}
+			_, recs, _, err := loadJournal(JournalPath(dir))
+			if err != nil {
+				t.Fatal(err)
+			}
+			digests = append(digests, RecordSetDigest(recs))
+		}
+		if digests[0] != digests[1] {
+			t.Errorf("%s: record set digest %s with 1 worker, %s with 4", name, digests[0], digests[1])
+		}
+	}
+}

@@ -48,8 +48,8 @@ type Metrics struct {
 	// Equivalence-pruning counters. PrunedRuns counts runs whose
 	// outcome was proven without simulating (unfired traps and no-op
 	// corruptions); MemoizedRuns were served from the result cache;
-	// ConvergedRuns executed but stopped early at a state that
-	// reconverged with the golden run. All of them still carry full
+	// ConvergedRuns executed but stopped early at a state equal to the
+	// golden run's or a finished sibling run's. All of them still carry full
 	// outcomes and enter every n_inj/n_err counter as usual.
 	PrunedRuns    int `json:"pruned_runs,omitempty"`
 	MemoizedRuns  int `json:"memoized_runs,omitempty"`

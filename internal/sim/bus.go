@@ -68,9 +68,9 @@ func (s *Signal) FlipBit(bit uint) error {
 	return nil
 }
 
-// slabSize is how many signal handles one slab allocation holds, and
-// the initial capacity of a bus's row; the built-in targets register
-// 6–20 signals.
+// slabSize is how many signal handles one slab holds, and the
+// capacity of a bus's inline row; the built-in targets register 6–20
+// signals.
 const slabSize = 16
 
 // Bus is a registry of named signals. One Bus underlies one simulation
@@ -80,13 +80,21 @@ const slabSize = 16
 // The bus keeps every value in one contiguous row, one column per
 // signal in sorted name order — the column order of a trace.Trace, so
 // a recorded or compared tick is one slice copy or compare. Handles
-// are carved from slabs so registration allocates once per slabSize
-// signals, not once per signal.
+// are carved from slabs of slabSize, the first one held inline: a bus
+// of up to slabSize signals is a single allocation, and a larger one
+// allocates once per slabSize signals, not once per signal.
 type Bus struct {
 	columns []string  // sorted signal names: the column order of values
 	values  []uint16  // the live row
 	byCol   []*Signal // handles in column order
 	slab    []Signal  // unused handle storage
+
+	// Inline backing storage for the first slabSize signals, so a
+	// target's bus is one allocation.
+	columnBuf [slabSize]string
+	valueBuf  [slabSize]uint16
+	byColBuf  [slabSize]*Signal
+	slabBuf   [slabSize]Signal
 }
 
 // NewBus returns an empty signal bus.
@@ -105,13 +113,12 @@ func (b *Bus) Register(name string) *Signal {
 	if ok {
 		return b.byCol[col]
 	}
-	if len(b.slab) == 0 {
+	switch {
+	case b.columns == nil:
+		b.columns, b.values, b.byCol = b.columnBuf[:0], b.valueBuf[:0], b.byColBuf[:0]
+		b.slab = b.slabBuf[:]
+	case len(b.slab) == 0:
 		b.slab = make([]Signal, slabSize)
-	}
-	if b.columns == nil {
-		b.columns = make([]string, 0, slabSize)
-		b.values = make([]uint16, 0, slabSize)
-		b.byCol = make([]*Signal, 0, slabSize)
 	}
 	s := &b.slab[0]
 	b.slab = b.slab[1:]

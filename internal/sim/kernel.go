@@ -74,6 +74,15 @@ type Kernel struct {
 	background []Task
 	post       []Hook
 
+	// Inline backing storage for the lists above: a target wires a
+	// handful of tasks and hooks, so building a kernel for one run
+	// allocates the kernel and nothing else. Lists that outgrow it
+	// move to the heap.
+	hookBuf        [4]Hook
+	taskBuf        [8]Task
+	slotBuf        [8][]Task
+	hooksN, tasksN int
+
 	now Millis
 
 	budget    Budget
@@ -88,10 +97,30 @@ func NewKernel(numSlots int) (*Kernel, error) {
 	if numSlots < 1 {
 		return nil, fmt.Errorf("sim: numSlots must be >= 1, got %d", numSlots)
 	}
-	return &Kernel{
-		numSlots: numSlots,
-		slotted:  make([][]Task, numSlots),
-	}, nil
+	k := &Kernel{numSlots: numSlots}
+	if numSlots <= len(k.slotBuf) {
+		k.slotted = k.slotBuf[:numSlots]
+	} else {
+		k.slotted = make([][]Task, numSlots)
+	}
+	return k, nil
+}
+
+// appendInline appends v to s. While they fit, s's backing arrays are
+// carved from buf, whose first *used elements are taken, doubling
+// like append does; beyond that append allocates as usual.
+func appendInline[T any](buf []T, used *int, s []T, v T) []T {
+	if len(s) < cap(s) {
+		return append(s, v)
+	}
+	n := max(2*len(s), 1)
+	if *used+n > len(buf) {
+		return append(s, v)
+	}
+	grown := buf[*used : *used+len(s) : *used+n]
+	*used += n
+	copy(grown, s)
+	return append(grown, v)
 }
 
 // UseSlotSignal makes the kernel read the current execution slot from
@@ -103,15 +132,17 @@ func (k *Kernel) UseSlotSignal(s *Signal) { k.slotSignal = s }
 
 // AddPreHook registers an environment hook run at the start of every
 // tick, before any software task (hardware register refresh, physics).
-func (k *Kernel) AddPreHook(h Hook) { k.pre = append(k.pre, h) }
+func (k *Kernel) AddPreHook(h Hook) { k.pre = appendInline(k.hookBuf[:], &k.hooksN, k.pre, h) }
 
 // AddPostHook registers a hook run at the end of every tick (trace
 // sampling, injection traps).
-func (k *Kernel) AddPostHook(h Hook) { k.post = append(k.post, h) }
+func (k *Kernel) AddPostHook(h Hook) { k.post = appendInline(k.hookBuf[:], &k.hooksN, k.post, h) }
 
 // AddEveryTick schedules a task to run on every tick, before slotted
 // tasks (the paper's CLOCK and DIST_S have period 1 ms).
-func (k *Kernel) AddEveryTick(t Task) { k.everyTick = append(k.everyTick, t) }
+func (k *Kernel) AddEveryTick(t Task) {
+	k.everyTick = appendInline(k.taskBuf[:], &k.tasksN, k.everyTick, t)
+}
 
 // AddSlotted schedules a task in the given slot (0-based); it then
 // runs once per full slot cycle (period 7 ms in the target system).
@@ -119,13 +150,15 @@ func (k *Kernel) AddSlotted(slot int, t Task) error {
 	if slot < 0 || slot >= k.numSlots {
 		return fmt.Errorf("sim: slot %d out of range [0,%d)", slot, k.numSlots)
 	}
-	k.slotted[slot] = append(k.slotted[slot], t)
+	k.slotted[slot] = appendInline(k.taskBuf[:], &k.tasksN, k.slotted[slot], t)
 	return nil
 }
 
 // AddBackground schedules a task to run at the end of every tick, when
 // the slotted modules are dormant (the paper's CALC).
-func (k *Kernel) AddBackground(t Task) { k.background = append(k.background, t) }
+func (k *Kernel) AddBackground(t Task) {
+	k.background = appendInline(k.taskBuf[:], &k.tasksN, k.background, t)
+}
 
 // Now returns the current simulated time.
 func (k *Kernel) Now() Millis { return k.now }

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -172,6 +173,53 @@ func TestKernelSchedulingOrder(t *testing.T) {
 	}
 	if k.Now() != 2 {
 		t.Errorf("Now() = %d, want 2", k.Now())
+	}
+}
+
+// TestKernelSchedulingOrderBeyondInlineStorage: lists outgrowing the
+// kernel's inline storage move to the heap with their order intact,
+// however their additions interleave, and a kernel with more slots
+// than the inline slot table schedules every slot.
+func TestKernelSchedulingOrderBeyondInlineStorage(t *testing.T) {
+	const slots = 11
+	k, err := NewKernel(slots)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var log []string
+	rec := func(name string) TaskFunc {
+		return TaskFunc{TaskName: name, Fn: func(Millis) { log = append(log, name) }}
+	}
+	hook := func(name string) Hook { return func(Millis) { log = append(log, name) } }
+	var want []string
+	for i := 0; i < 6; i++ {
+		k.AddPreHook(hook(fmt.Sprintf("pre%d", i)))
+		k.AddEveryTick(rec(fmt.Sprintf("every%d", i)))
+		if err := k.AddSlotted(0, rec(fmt.Sprintf("slot%d", i))); err != nil {
+			t.Fatal(err)
+		}
+		k.AddBackground(rec(fmt.Sprintf("bg%d", i)))
+		k.AddPostHook(hook(fmt.Sprintf("post%d", i)))
+	}
+	if err := k.AddSlotted(slots-1, rec("last")); err != nil {
+		t.Fatal(err)
+	}
+	for _, kind := range []string{"pre", "every", "slot", "bg", "post"} {
+		for i := 0; i < 6; i++ {
+			want = append(want, fmt.Sprintf("%s%d", kind, i))
+		}
+	}
+	k.Tick()
+	if !reflect.DeepEqual(log, want) {
+		t.Errorf("execution order = %v, want %v", log, want)
+	}
+	for k.Now() < slots-1 {
+		k.Tick()
+	}
+	log = nil
+	k.Tick()
+	if !slices.Contains(log, "last") {
+		t.Errorf("slot %d task did not run: %v", slots-1, log)
 	}
 }
 

@@ -228,6 +228,16 @@ type StreamComparator struct {
 	horizon int      // golden trace length
 	tick    int
 	err     error // set when the bus's columns changed after binding
+
+	// Marks (see Mark): the tick of each mark, ascending, and per mark
+	// and column (flat, mark-major) the column's Count at the mark and
+	// its first deviation at or after it. A column's first deviations
+	// are set for marks [0, unset[col]) and not yet for the rest, so a
+	// deviation fills in exactly the marks from unset[col] on.
+	marks     []int
+	markCount []int
+	markFirst []sim.Millis
+	unset     []int
 }
 
 // SetTolerances installs per-signal tolerance bands; call before the
@@ -265,6 +275,11 @@ func (c *StreamComparator) bind(golden *Trace, bus *sim.Bus) bool {
 	c.horizon = golden.Len()
 	c.tick = 0
 	c.err = nil
+	c.marks, c.markCount, c.markFirst = c.marks[:0], c.markCount[:0], c.markFirst[:0]
+	c.unset = c.unset[:0]
+	for range golden.signals {
+		c.unset = append(c.unset, 0)
+	}
 	return true
 }
 
@@ -310,14 +325,94 @@ func (c *StreamComparator) mismatch(golden, live []uint16) {
 	}
 	for i, g := range golden {
 		if v := live[i]; v != g && (len(c.bands) == 0 || !withinBand(c.bands[i], g, v)) {
-			d := &c.diffs[i]
-			if d.Count == 0 {
-				d.First = sim.Millis(c.tick)
-			}
-			d.Last = sim.Millis(c.tick)
-			d.Count++
+			t := sim.Millis(c.tick)
+			c.deviate(i, t, t, 1)
 		}
 	}
+}
+
+// deviate adds count deviating samples of column col spanning
+// [first, last], all at or after every existing mark.
+func (c *StreamComparator) deviate(col int, first, last sim.Millis, count int) {
+	d := &c.diffs[col]
+	if d.Count == 0 {
+		d.First = first
+	}
+	d.Last = last
+	d.Count += count
+	for m := c.unset[col]; m < len(c.marks); m++ {
+		c.markFirst[m*c.width+col] = first
+	}
+	c.unset[col] = len(c.marks)
+}
+
+// Mark notes the current tick, so that SuffixSince can later report
+// the comparison from here to the run's end on its own. It returns
+// the mark's handle. Marks cost nothing on a matching tick; a
+// deviating sample updates each mark at most once per column.
+func (c *StreamComparator) Mark() int {
+	c.marks = append(c.marks, c.tick)
+	for _, d := range c.diffs {
+		c.markCount = append(c.markCount, d.Count)
+		c.markFirst = append(c.markFirst, -1)
+	}
+	return len(c.marks) - 1
+}
+
+// Suffix is the Golden Run Comparison of a run from one tick to its
+// end, on its own: the diffs of the columns that deviated in that
+// stretch. A comparator that reached the same tick in the same state
+// can Splice it instead of comparing the rest of its run.
+type Suffix struct {
+	from int
+	cols []suffixCol
+}
+
+type suffixCol struct {
+	col  int
+	diff Diff
+}
+
+// SuffixSince returns the comparison from mark m to the current tick:
+// per column, the first deviation at or after the mark, the last one,
+// and their count.
+func (c *StreamComparator) SuffixSince(m int) Suffix {
+	counts, firsts := c.markCount[m*c.width:(m+1)*c.width], c.markFirst[m*c.width:(m+1)*c.width]
+	n := 0
+	for i, d := range c.diffs {
+		if d.Count > counts[i] {
+			n++
+		}
+	}
+	s := Suffix{from: c.marks[m], cols: make([]suffixCol, 0, n)}
+	for i, d := range c.diffs {
+		if d.Count > counts[i] {
+			s.cols = append(s.cols, suffixCol{col: i, diff: Diff{Signal: d.Signal, First: firsts[i], Last: d.Last, Count: d.Count - counts[i]}})
+		}
+	}
+	return s
+}
+
+// Splice completes the comparison with a suffix taken from another
+// run of the same golden trace at the current tick: per column, First
+// stays the prefix's if it deviated and is the suffix's otherwise,
+// Last is the suffix's if it deviated and stays the prefix's
+// otherwise, and the counts add. The comparator is then at the end
+// of the golden trace; its marks see the suffix as their own.
+func (c *StreamComparator) Splice(s Suffix) error {
+	if s.from != c.tick {
+		return fmt.Errorf("trace: splicing a suffix from tick %d at tick %d", s.from, c.tick)
+	}
+	for _, sc := range s.cols {
+		if sc.col >= len(c.diffs) || sc.diff.Signal != c.diffs[sc.col].Signal {
+			return fmt.Errorf("trace: suffix signal %q is not column %d of this comparison", sc.diff.Signal, sc.col)
+		}
+	}
+	for _, sc := range s.cols {
+		c.deviate(sc.col, sc.diff.First, sc.diff.Last, sc.diff.Count)
+	}
+	c.tick = c.horizon
+	return nil
 }
 
 // Diffs returns the per-signal comparison results, keyed by signal.
