@@ -12,8 +12,9 @@
 //	campaignrunner -fuzz-topologies 200
 //
 // Every run writes an artifact set under -dir: config.json (the
-// digestable config snapshot), journal.jsonl (one line per completed
-// injection run), metrics.json, failures.md and report.md. A run
+// digestable config snapshot), journal.bin (a header line, then one
+// checksummed binary frame per journal append of completed injection
+// runs), metrics.json, failures.md and report.md. A run
 // killed mid-campaign is resumed with -resume; completed jobs replay
 // from the journal and only the remainder executes, converging to the
 // bit-identical permeability matrix. To spread one campaign over

@@ -31,7 +31,7 @@ func TestRunReducedQuick(t *testing.T) {
 	if err := run([]string{"-instance", "reduced", "-dir", dir, "-progress", "0"}, &out); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"config.json", "journal.jsonl", "metrics.json", "failures.md", "report.md"} {
+	for _, name := range []string{"config.json", "journal.bin", "metrics.json", "failures.md", "report.md"} {
 		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
 			t.Errorf("missing artifact %s: %v", name, err)
 		}
@@ -158,7 +158,7 @@ func TestRunSynthInstance(t *testing.T) {
 	if !strings.Contains(out.String(), "supervised failure modes:") {
 		t.Errorf("compiled mines/tarpits produced no supervised modes:\n%s", out.String())
 	}
-	for _, name := range []string{"config.json", "journal.jsonl", "metrics.json", "report.md"} {
+	for _, name := range []string{"config.json", "journal.bin", "metrics.json", "report.md"} {
 		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
 			t.Errorf("missing artifact %s: %v", name, err)
 		}

@@ -84,7 +84,7 @@ func TestRunWithArtifacts(t *testing.T) {
 	if err := run([]string{"-scale", "tiny", "-table", "1", "-artifacts", dir}); err != nil {
 		t.Fatalf("run with -artifacts: %v", err)
 	}
-	for _, name := range []string{"config.json", "journal.jsonl", "metrics.json", "failures.md", "report.md"} {
+	for _, name := range []string{"config.json", "journal.bin", "metrics.json", "failures.md", "report.md"} {
 		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
 			t.Errorf("missing artifact %s: %v", name, err)
 		}

@@ -641,14 +641,11 @@ func (g *Golden) Run(cfg Config) (*Result, error) {
 	// sampling.
 	pred := g.predict(sys)
 	adaptive := cfg.adaptiveEnabled()
-	// Materialise the job list up front (applying Skip) so that, when
-	// checkpointing is active, jobs can be grouped by (test case,
-	// injection instant): every group restores one golden snapshot, and
-	// its runs execute back to back, so sibling runs find each other's
-	// trajectories (prune.go). Aggregation is order-independent and
-	// journal records identify jobs by content, so the ordering is free
-	// to choose. Adaptive campaigns skip the list: the scheduler owns
-	// dispatch.
+	// Materialise the job list up front (applying Skip), in plan order.
+	// Golden builds every checkpoint of a case once, so no grouping buys
+	// restore locality; aggregation is order-independent and journal
+	// records identify jobs by content. Adaptive campaigns skip the
+	// list: the scheduler owns dispatch.
 	var jobList []job
 	if !adaptive {
 		for pi, inj := range plan {
@@ -661,14 +658,6 @@ func (g *Golden) Run(cfg Config) (*Result, error) {
 		}
 	}
 	e := &engine{cfg: cfg, sys: sys, g: g}
-	if g.fastForward(cfg) {
-		sort.SliceStable(jobList, func(i, j int) bool {
-			if jobList[i].caseIdx != jobList[j].caseIdx {
-				return jobList[i].caseIdx < jobList[j].caseIdx
-			}
-			return jobList[i].inj.At < jobList[j].inj.At
-		})
-	}
 	if (adaptive || len(jobList) > 0) && preds != nil && cfg.pruningEnabled() {
 		e.pr = newPruner(cfg, preds)
 		if g.fastForward(cfg) && cfg.FaultDurationMs <= 0 {

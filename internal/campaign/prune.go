@@ -589,9 +589,10 @@ func snapshotsEqual(a, b *sim.Snapshot, compareUsed bool) bool {
 // interleaving, but the records never do.
 
 // defaultTrajectoryBound bounds the sibling table (entries, recycled
-// oldest first). Matches come from recently inserted states — runs of
-// the same (case, instant) execute back to back — so the bound keeps
-// memory flat at no measurable loss.
+// oldest first). Matches come from recently inserted states — in plan
+// order the runs of one (signal, instant) lie within bits × cases jobs
+// of each other, 400 for the paper — so the bound keeps memory flat at
+// little loss.
 const defaultTrajectoryBound = 1024
 
 // trajectoryKey narrows a state lookup to one test case, probe tick

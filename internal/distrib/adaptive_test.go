@@ -48,7 +48,7 @@ func adaptiveBaseline(t *testing.T) (string, int, int, string) {
 			return
 		}
 		adaptiveMatrix, adaptiveRuns, adaptiveUnfired = fingerprint(rr)
-		_, recs, err := runner.ReadJournal(filepath.Join(dir, "journal.jsonl"))
+		_, recs, err := runner.ReadJournal(runner.JournalPath(dir))
 		if err != nil {
 			adaptiveErr = err
 			return
@@ -82,8 +82,8 @@ func assertMatchesAdaptiveBaseline(t *testing.T, rr *runner.RunResult, dir strin
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hdr.Version != 4 { // the runner's journalVersion, stamped by every campaign
-		t.Errorf("coordinator journal stamped version %d, want 4", hdr.Version)
+	if hdr.Version != 5 { // the runner's journalVersion, stamped by every campaign
+		t.Errorf("coordinator journal stamped version %d, want 5", hdr.Version)
 	}
 	if got := runner.RecordSetDigest(recs); got != wantDigest {
 		t.Error("coordinator journal's record set diverged from the single-node adaptive run — the fleet made different scheduling decisions")

@@ -188,7 +188,7 @@ func TestAssembleReadsNoJournal(t *testing.T) {
 	runFleet(t, coord, t.TempDir())
 
 	aside := t.TempDir()
-	journals, err := filepath.Glob(filepath.Join(dir, "journal*.jsonl"))
+	journals, err := filepath.Glob(filepath.Join(dir, "journal*.bin"))
 	if err != nil || len(journals) == 0 {
 		t.Fatalf("no journals to move aside (%v)", err)
 	}

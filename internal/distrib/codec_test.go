@@ -13,16 +13,16 @@ import (
 	"propane/internal/runner"
 )
 
-// codecBatch is a record batch exercising every field the frame
+// codecBatch is a record batch exercising every field the wire
 // carries: empty and repeated strings, negative integers, flag
-// combinations, and multi-entry diff maps.
+// combinations, multi-entry diff maps and adaptive round labels.
 func codecBatch() RecordBatch {
 	return RecordBatch{
 		LeaseID: "L0042-u7",
 		Records: []runner.Record{
-			{Type: "golden", Job: 0, Module: "engine", Signal: "rpm", Model: "", Outcome: "ok"},
+			{Type: "run", Job: 0, Module: "engine", Signal: "rpm", Model: "", Outcome: "ok"},
 			{Type: "run", Job: 1, Module: "engine", Signal: "rpm", AtMs: 1500, Model: "bitflip",
-				Case: 3, Fired: true, FiredAtMs: 1502, Outcome: "deviation", Attempts: 2,
+				Case: 3, Fired: true, FiredAtMs: 1502, Outcome: "deviation", Attempts: 2, Round: 4,
 				Diffs: map[string]runner.DiffRecord{
 					"out.torque": {FirstMs: 1502, LastMs: 1900, Count: 17},
 					"out.rpm":    {FirstMs: 1510, LastMs: 1890, Count: 3},
@@ -36,8 +36,8 @@ func codecBatch() RecordBatch {
 	}
 }
 
-// TestRecordBatchRoundTrip proves the binary frame carries every
-// record field losslessly.
+// TestRecordBatchRoundTrip proves a /v1/records body carries the
+// lease ID and every record field losslessly.
 func TestRecordBatchRoundTrip(t *testing.T) {
 	want := codecBatch()
 	var buf bytes.Buffer
@@ -62,8 +62,8 @@ func TestRecordBatchRoundTrip(t *testing.T) {
 	releaseRecords(got.Records)
 }
 
-// TestFrameDeterministic pins frame determinism: identical batches
-// encode to identical bytes (diff-map keys are sorted), so frames are
+// TestFrameDeterministic pins body determinism: identical batches
+// encode to identical bytes (diff-map keys are sorted), so bodies are
 // directly comparable and idempotency keys derived from the body are
 // stable across retries.
 func TestFrameDeterministic(t *testing.T) {
@@ -79,9 +79,27 @@ func TestFrameDeterministic(t *testing.T) {
 	}
 }
 
-// TestDecodeHostileFrames proves the decoder rejects malformed input
-// of every shape with an error — never a panic, never a partial
-// batch.
+// gzipFrame wraps a raw decompressed body behind magic, bypassing the
+// encoder.
+func gzipFrame(t testing.TB, magic string, raw []byte) []byte {
+	t.Helper()
+	var frame bytes.Buffer
+	frame.WriteString(magic)
+	zw := acquireGzipWriter(&frame)
+	defer releaseGzipWriter(zw)
+	if _, err := zw.Write(raw); err != nil {
+		t.Fatal(err)
+	}
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return frame.Bytes()
+}
+
+// TestDecodeHostileFrames proves the wire wrapper rejects malformed
+// bodies of every shape with an error — never a panic, never a
+// partial batch. Hostile record payloads behind a valid wrapper are
+// the record decoder's (runner.TestDecodeHostileRecords).
 func TestDecodeHostileFrames(t *testing.T) {
 	var good bytes.Buffer
 	if err := encodeRecordBatch(&good, codecBatch()); err != nil {
@@ -90,34 +108,21 @@ func TestDecodeHostileFrames(t *testing.T) {
 	cases := map[string][]byte{
 		"empty":            {},
 		"bad magic":        append([]byte("XXXX"), good.Bytes()[4:]...),
-		"magic only":       []byte("PRB1"),
-		"garbage gzip":     append([]byte("PRB1"), []byte("not a gzip stream")...),
+		"previous magic":   append([]byte("PRB1"), good.Bytes()[4:]...),
+		"magic only":       bytes.Clone(frameMagic),
+		"garbage gzip":     append(bytes.Clone(frameMagic), []byte("not a gzip stream")...),
 		"truncated":        good.Bytes()[:good.Len()/2],
 		"trailing garbage": append(bytes.Clone(good.Bytes()), 0xde, 0xad),
+		"no lease id":      gzipFrame(t, string(frameMagic), nil),
+		"long lease id":    gzipFrame(t, string(frameMagic), []byte{0x7f, 'L'}),
+		// A valid lease ID in front of a record payload demanding a
+		// giant string table.
+		"hostile payload": gzipFrame(t, string(frameMagic), []byte{0x01, 'L', 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f}),
 	}
 	for name, data := range cases {
-		if _, err := decodeRecordBatch(data); err == nil {
-			t.Errorf("%s: decoded without error", name)
+		if _, err := decodeRecordBatch(data); !errors.Is(err, errFrame) {
+			t.Errorf("%s: decoded with %v, want errFrame", name, err)
 		}
-	}
-	// A payload-level attack: valid gzip around a hostile payload
-	// demanding a giant string table.
-	hostile := acquireBuffer()
-	hostile.Write([]byte{0x00})                               // lease id: empty
-	hostile.Write([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0x7f}) // string count: huge
-	var frame bytes.Buffer                                    //
-	frame.Write(frameMagic)                                   //
-	zw := acquireGzipWriter(&frame)                           //
-	if _, err := zw.Write(hostile.Bytes()); err != nil {
-		t.Fatal(err)
-	}
-	if err := zw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	releaseGzipWriter(zw)
-	releaseBuffer(hostile)
-	if _, err := decodeRecordBatch(frame.Bytes()); err == nil {
-		t.Error("giant string-table count decoded without error")
 	}
 }
 

@@ -68,7 +68,8 @@ func FuzzProtocol(f *testing.F) {
 
 	// Binary-frame seeds: a well-formed frame, the same frame with a
 	// record that is out of range, a truncated frame (mid-gzip), a
-	// frame with damaged magic, and raw garbage behind a valid magic.
+	// frame with damaged magic, raw garbage behind a valid magic, and
+	// a valid body behind the previous version's magic.
 	good := recordFrame(f, "L0001-u0", []runner.Record{
 		{Type: "run", Job: 0, Module: "m1", Signal: "s1", Model: "bitflip:0", Outcome: "ok"},
 		{Type: "run", Job: 1, Module: "m1", Signal: "s2", Model: "bitflip:1", Outcome: "deviation",
@@ -82,7 +83,9 @@ func FuzzProtocol(f *testing.F) {
 	bad := bytes.Clone(good)
 	bad[0] ^= 0xff
 	f.Add(1, true, bad)
-	f.Add(1, true, append([]byte("PRB1"), []byte("definitely not gzip")...))
+	f.Add(1, true, append([]byte("PRB2"), []byte("definitely not gzip")...))
+	// The previous protocol version's magic in front of a current body.
+	f.Add(1, true, append([]byte("PRB1"), good[4:]...))
 	// JSON posted with the binary content type must fail cleanly, not
 	// confuse the decoder; a frame posted as JSON is refused unread.
 	f.Add(1, true, []byte(`{"lease_id":"L0001-u0","records":[{"job":0}]}`))

@@ -1,6 +1,6 @@
 package distrib
 
-// Pooled encode/decode machinery for the binary batch codec,
+// Pooled encode/decode machinery for the /v1/records wire format,
 // extending the internal/trace/pool.go idiom to the fabric: the hot
 // path of a scaled-out campaign is one encode on the worker and one
 // decode on the coordinator per batch, and none of the buffers, gzip
@@ -84,15 +84,8 @@ const pooledRecordsCap = 1 << 16
 
 var recordsPool = sync.Pool{New: func() any { return []runner.Record(nil) }}
 
-// acquireRecords returns an empty record slice with capacity for n
-// records (append-ready).
-func acquireRecords(n int) []runner.Record {
-	s := recordsPool.Get().([]runner.Record)
-	if cap(s) < n {
-		return make([]runner.Record, 0, n)
-	}
-	return s[:0]
-}
+// acquireRecords returns an empty record slice to decode into.
+func acquireRecords() []runner.Record { return recordsPool.Get().([]runner.Record) }
 
 // releaseRecords recycles a batch's record slice once every retained
 // record has been copied out.
@@ -102,3 +95,11 @@ func releaseRecords(s []runner.Record) {
 	}
 	recordsPool.Put(s[:0])
 }
+
+// Record encoders keep their string table and scratch buffers between
+// uses, so a warm one encodes a chunk without allocating.
+var encoderPool = sync.Pool{New: func() any { return new(runner.RecordEncoder) }}
+
+func acquireEncoder() *runner.RecordEncoder { return encoderPool.Get().(*runner.RecordEncoder) }
+
+func releaseEncoder(e *runner.RecordEncoder) { encoderPool.Put(e) }

@@ -24,10 +24,10 @@
 //	GET  /status        → Status
 //	GET  /metrics       → Metrics
 //
-// /v1/records takes only the length-prefixed, gzip-compressed binary
-// frame (ContentTypeBinary, see codec.go); any other Content-Type
-// answers 415 and journals nothing. The coordinator's journal keeps
-// the records as JSON lines, the readable view of what was uploaded.
+// /v1/records takes only the gzip-compressed binary frame
+// (ContentTypeBinary, see codec.go); any other Content-Type answers
+// 415 and journals nothing. The frame carries the runner's record
+// payload, the encoding the coordinator's journal stores too.
 //
 // A request against an unknown or expired lease fails with HTTP 409;
 // the worker abandons the unit (another worker owns it now) and asks

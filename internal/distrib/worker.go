@@ -461,17 +461,6 @@ func unitOutcome(recs []runner.Record) (outcomes map[string]int, pruned, memoize
 	return outcomes, pruned, memoized, storeMemo, converged
 }
 
-// encodeChunk builds one /v1/records binary frame. The returned
-// release func recycles the pooled buffer backing it.
-func encodeChunk(leaseID string, recs []runner.Record) (body []byte, release func(), err error) {
-	buf := acquireBuffer()
-	if err := encodeRecordBatch(buf, RecordBatch{LeaseID: leaseID, Records: recs}); err != nil {
-		releaseBuffer(buf)
-		return nil, nil, err
-	}
-	return buf.Bytes(), func() { releaseBuffer(buf) }, nil
-}
-
 // runUnit executes one leased work unit through the local supervised
 // runner — journaled, checkpointed and resumable in the unit's
 // scratch directory — heartbeating progress while it simulates, and
@@ -676,8 +665,9 @@ func (w *worker) uploadRecords(lr LeaseResponse, recs []runner.Record, lost *ato
 		if end > len(recs) {
 			end = len(recs)
 		}
-		body, release, err := encodeChunk(lr.LeaseID, recs[off:end])
-		if err != nil {
+		body := acquireBuffer()
+		if err := encodeRecordBatch(body, RecordBatch{LeaseID: lr.LeaseID, Records: recs[off:end]}); err != nil {
+			releaseBuffer(body)
 			return false, err
 		}
 		attempts := liveAttempts
@@ -685,8 +675,8 @@ func (w *worker) uploadRecords(lr LeaseResponse, recs []runner.Record, lost *ato
 			attempts = w.opts.MaxErrors
 		}
 		var br BatchResponse
-		sendErr := w.sendRetry(PathRecords, ContentTypeBinary, body, &br, attempts)
-		release()
+		sendErr := w.sendRetry(PathRecords, ContentTypeBinary, body.Bytes(), &br, attempts)
+		releaseBuffer(body)
 		if sendErr == nil {
 			if degraded {
 				degraded = false

@@ -28,7 +28,7 @@ func TestAdaptiveRunKillAndResume(t *testing.T) {
 	}
 	wantMatrix, wantRuns, _ := fingerprintResult(t, base)
 
-	hdr, baseRecs, _, err := loadJournal(filepath.Join(baseDir, "journal.jsonl"))
+	hdr, baseRecs, _, err := loadJournal(filepath.Join(baseDir, "journal.bin"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestAdaptiveRunKillAndResume(t *testing.T) {
 	}
 	wantDigest := RecordSetDigest(baseRecs)
 
-	pristine, err := os.ReadFile(filepath.Join(baseDir, "journal.jsonl"))
+	pristine, err := os.ReadFile(filepath.Join(baseDir, "journal.bin"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestAdaptiveRunKillAndResume(t *testing.T) {
 	}
 	for _, off := range offsets {
 		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, "journal.jsonl"), pristine[:off], 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, "journal.bin"), pristine[:off], 0o644); err != nil {
 			t.Fatal(err)
 		}
 		o := opts(dir)
@@ -72,7 +72,7 @@ func TestAdaptiveRunKillAndResume(t *testing.T) {
 		if runs != wantRuns || matrix != wantMatrix {
 			t.Errorf("truncation at %d: resumed result differs from uninterrupted adaptive run", off)
 		}
-		_, recs, _, err := loadJournal(filepath.Join(dir, "journal.jsonl"))
+		_, recs, _, err := loadJournal(filepath.Join(dir, "journal.bin"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,7 +157,7 @@ func TestAdaptiveAssemble(t *testing.T) {
 
 	// A journal that stops short of closing the schedule must fail
 	// assembly with the dedicated sentinel.
-	journal := filepath.Join(dir, "journal.jsonl")
+	journal := filepath.Join(dir, "journal.bin")
 	data, err := os.ReadFile(journal)
 	if err != nil {
 		t.Fatal(err)

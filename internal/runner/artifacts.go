@@ -16,7 +16,8 @@ import (
 //
 //	<dir>/
 //	    config.json     frozen configuration snapshot + digest
-//	    journal.jsonl   per-run outcomes
+//	    journal.bin     per-run outcomes: a JSON header line, then
+//	                    checksummed binary record frames
 //	    metrics.json    final throughput/coverage metrics
 //	    failures.md     deduplicated propagation-failure catalog
 //	    report.md       full analysis report
@@ -29,7 +30,7 @@ func (l layout) metricsPath() string  { return filepath.Join(l.dir, "metrics.jso
 func (l layout) failuresPath() string { return filepath.Join(l.dir, "failures.md") }
 func (l layout) reportPath() string   { return filepath.Join(l.dir, "report.md") }
 
-func (l layout) journalPath() string { return filepath.Join(l.dir, "journal.jsonl") }
+func (l layout) journalPath() string { return filepath.Join(l.dir, "journal.bin") }
 
 // snapshot is the frozen, digestable form of a campaign
 // configuration. It pins everything the injection plan and the run

@@ -1,7 +1,6 @@
 package runner
 
 import (
-	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -86,14 +85,14 @@ func TestAssembleDigestMismatch(t *testing.T) {
 func TestAssembleIdempotentOverlap(t *testing.T) {
 	dir, direct := assembleFixture(t)
 	cfg := reducedQuickConfig(t)
-	src := filepath.Join(dir, "journal.jsonl")
+	src := filepath.Join(dir, "journal.bin")
 	data, err := os.ReadFile(src)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Exact copy: every record arrives twice with identical content.
-	dup := filepath.Join(dir, "journal-dup.jsonl")
+	dup := filepath.Join(dir, "journal-dup.bin")
 	if err := os.WriteFile(dup, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -107,27 +106,22 @@ func TestAssembleIdempotentOverlap(t *testing.T) {
 
 	// Conflicting copy: flip one record's fired flag. The journals now
 	// disagree about a simulation outcome, and merging must refuse.
-	lines := bytes.Split(data, []byte("\n"))
-	mutated := false
-	for i, line := range lines {
-		if !bytes.Contains(line, []byte(`"type":"run"`)) {
-			continue
-		}
-		switch {
-		case bytes.Contains(line, []byte(`"fired":true`)):
-			lines[i] = bytes.Replace(line, []byte(`"fired":true`), []byte(`"fired":false`), 1)
-		case bytes.Contains(line, []byte(`"fired":false`)):
-			lines[i] = bytes.Replace(line, []byte(`"fired":false`), []byte(`"fired":true`), 1)
-		default:
-			continue
-		}
-		mutated = true
-		break
+	hdr, recs, _, err := loadJournal(src)
+	if err != nil || len(recs) == 0 {
+		t.Fatalf("loading %s: %d records, %v", src, len(recs), err)
 	}
-	if !mutated {
-		t.Fatal("no run record found to mutate")
+	recs[0].Fired = !recs[0].Fired
+	if err := os.Remove(dup); err != nil {
+		t.Fatal(err)
 	}
-	if err := os.WriteFile(dup, bytes.Join(lines, []byte("\n")), 0o644); err != nil {
+	w, err := openJournal(dup, hdr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.AppendBatch(recs); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
 	_, err = assemble(cfg, Options{Name: "reduced", Tier: TierQuick, Dir: dir})

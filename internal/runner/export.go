@@ -74,14 +74,6 @@ func RecordSetDigest(recs []Record) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// JournalHeader is the exported view of a journal file's header line.
-type JournalHeader struct {
-	Version      int
-	Instance     string
-	Tier         string
-	ConfigDigest string
-}
-
 // JournalPath returns the journal path Run uses for a campaign under
 // dir.
 func JournalPath(dir string) string { return layout{dir: dir}.journalPath() }
@@ -93,53 +85,20 @@ func JournalPath(dir string) string { return layout{dir: dir}.journalPath() }
 func ShardJournalPath(dir string, shard, shards int) string { return JournalPath(dir) }
 
 // ReadJournal loads a journal, tolerating the torn trailing
-// line a killed process leaves behind. A missing file yields a zero
+// frame a killed process leaves behind. A missing file yields a zero
 // header and no records.
 func ReadJournal(path string) (JournalHeader, []Record, error) {
 	hdr, recs, _, err := loadJournal(path)
-	if err != nil {
-		return JournalHeader{}, nil, err
-	}
-	return JournalHeader{
-		Version:      hdr.Version,
-		Instance:     hdr.Instance,
-		Tier:         hdr.Tier,
-		ConfigDigest: hdr.ConfigDigest,
-	}, recs, nil
+	return hdr, recs, err
 }
 
-// Journal is an append-only campaign journal opened by an
-// external orchestrator (the distributed coordinator persisting
-// records its workers stream back) instead of by Run itself. It shares
-// Run's journal format, torn-tail healing and digest binding, so the
-// resulting file assembles exactly like a locally written one.
-type Journal struct {
-	w *journalWriter
-}
-
-// OpenJournal opens (or reopens) the campaign journal under dir,
-// writing the header when the file is empty and verifying the
-// config digest when it is not (ErrDigestMismatch otherwise). The
-// header always stamps the current journal version; hdr.Version is
-// ignored.
+// OpenJournal opens (or reopens) the campaign journal under dir for an
+// external orchestrator — the distributed coordinator persisting
+// records its workers upload — instead of Run itself. It writes the
+// header when the file is empty and verifies the config digest when
+// it is not (ErrDigestMismatch otherwise), so the resulting file
+// assembles exactly like a locally written one. hdr's Type and
+// Version are ignored: the header stamps the current journal version.
 func OpenJournal(dir string, hdr JournalHeader) (*Journal, error) {
-	path := JournalPath(dir)
-	w, err := openJournal(path, header{
-		Type:         "header",
-		Version:      journalVersion,
-		Instance:     hdr.Instance,
-		Tier:         hdr.Tier,
-		ConfigDigest: hdr.ConfigDigest,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &Journal{w: w}, nil
+	return openJournal(JournalPath(dir), hdr)
 }
-
-// AppendBatch journals a whole batch of records with one write —
-// the coordinator's bulk-ingest path for worker-uploaded units.
-func (j *Journal) AppendBatch(recs []Record) error { return j.w.AppendBatch(recs) }
-
-// Close syncs and closes the journal.
-func (j *Journal) Close() error { return j.w.Close() }

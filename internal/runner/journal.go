@@ -2,9 +2,12 @@ package runner
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
+	"maps"
 	"os"
 
 	"propane/internal/campaign"
@@ -13,24 +16,22 @@ import (
 	"propane/internal/trace"
 )
 
-// The journal is the campaign's write-ahead record: one JSON object
-// per line, appended as each injection run completes on the serial
-// observer path. The first line is a header binding the journal to a
-// config digest, so a resumed process refuses to mix records from a
-// different campaign. A process killed mid-write leaves at most one
-// torn trailing line, which loading tolerates; everything before it
-// replays losslessly into the campaign aggregates (campaign.Replay),
-// so an interrupted campaign converges to the uninterrupted result.
+// The journal is the campaign's write-ahead record: a JSON header
+// line binding the journal to a config digest, so a resumed process
+// refuses to mix records from a different campaign, followed by
+// binary record frames appended as injection runs complete on the
+// serial observer path. A frame is a length, its complement, a
+// CRC-32C and one record payload (codec.go). A process killed
+// mid-write leaves at most one torn trailing frame, which loading
+// tolerates; everything before it replays losslessly into the
+// campaign aggregates (campaign.Replay), so an interrupted campaign
+// converges to the uninterrupted result.
 
-// journalVersion guards the record schema. Every campaign stamps it;
-// loading also accepts version 3, which shares the schema (fixed-matrix
-// campaigns stamped it before the adaptive round label made every
-// journal version 4). Versions 1 and 2 predate the required outcome
-// field and are refused.
-const journalVersion = 4
-
-// minJournalVersion is the oldest journal version loading accepts.
-const minJournalVersion = 3
+// journalVersion guards the journal format; loading accepts only this
+// version. Versions 3 and 4 stored JSON-lines records and are refused
+// with an error saying the record encoding changed; 1 and 2 predate
+// the required outcome field.
+const journalVersion = 5
 
 // Sentinel errors for journal and assembly integrity failures, so
 // orchestration layers (and operators' scripts) can distinguish "the
@@ -74,19 +75,12 @@ func RecordsEqual(a, b Record) bool {
 		a.Outcome != b.Outcome || a.Detail != b.Detail || a.Attempts != b.Attempts {
 		return false
 	}
-	if len(a.Diffs) != len(b.Diffs) {
-		return false
-	}
-	for sig, d := range a.Diffs {
-		if bd, ok := b.Diffs[sig]; !ok || bd != d {
-			return false
-		}
-	}
-	return true
+	return maps.Equal(a.Diffs, b.Diffs)
 }
 
-// header is the journal's first line.
-type header struct {
+// JournalHeader is a journal's first line, binding it to one
+// campaign's config digest. openJournal stamps Type and Version.
+type JournalHeader struct {
 	Type         string `json:"type"` // "header"
 	Version      int    `json:"version"`
 	Instance     string `json:"instance"`
@@ -230,38 +224,56 @@ func (r Record) RunRecord() (campaign.RunRecord, error) {
 }
 
 // syncEvery bounds the data a crash can lose to this many records
-// (the torn tail beyond the last sync is recovered line-by-line
+// (the torn tail beyond the last sync is recovered frame-by-frame
 // anyway on most filesystems; the sync is for power loss).
 const syncEvery = 256
 
-// journalWriter appends records to a journal file. buf and enc stage
-// one write's worth of lines and are reused across writes; callers
-// serialise (the runner's observer path, the coordinator's lock).
-type journalWriter struct {
-	f       *os.File
-	pending int
-	buf     bytes.Buffer
-	enc     *json.Encoder
+// frameHeaderLen is a frame's fixed prefix: the payload length, its
+// bitwise complement and the payload's CRC-32C, each a little-endian
+// uint32 (the largest batch, one /v1/records upload, is capped far
+// below 4 GiB). The complement lets a damaged length in a middle frame
+// read as corruption rather than as a torn tail, which truncation
+// would cut away together with every later frame.
+const frameHeaderLen = 12
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// appendFrame appends one journal frame holding recs to dst.
+func appendFrame(dst []byte, enc *RecordEncoder, recs []Record) []byte {
+	start := len(dst)
+	dst = append(dst, make([]byte, frameHeaderLen)...)
+	dst = enc.AppendPayload(dst, recs)
+	payload := dst[start+frameHeaderLen:]
+	n := uint32(len(payload))
+	binary.LittleEndian.PutUint32(dst[start:], n)
+	binary.LittleEndian.PutUint32(dst[start+4:], ^n)
+	binary.LittleEndian.PutUint32(dst[start+8:], crc32.Checksum(payload, castagnoli))
+	return dst
 }
 
-func newJournalWriter(f *os.File) *journalWriter {
-	w := &journalWriter{f: f}
-	w.enc = json.NewEncoder(&w.buf)
-	return w
+// Journal appends record frames to a journal file. buf and enc stage
+// one frame and are reused across writes; callers serialise (the
+// runner's observer path, the coordinator's lock).
+type Journal struct {
+	f       *os.File
+	pending int
+	buf     []byte
+	enc     RecordEncoder
 }
 
 // openJournal opens (or creates) the journal for appending and writes
 // the header when the file holds no valid content. A torn tail left
 // by a killed process is truncated away before appending, so the
-// journal never grows a merged corrupt line. An existing header must
-// match the expected one — most importantly its config digest — so a
-// resume against a drifted configuration fails loudly instead of
-// corrupting the artifact set.
-func openJournal(path string, hdr header) (*journalWriter, error) {
+// journal never grows a frame behind a partial one. An existing
+// header must match the expected one — most importantly its config
+// digest — so a resume against a drifted configuration fails loudly
+// instead of corrupting the artifact set.
+func openJournal(path string, hdr JournalHeader) (*Journal, error) {
 	existing, _, validLen, err := loadJournal(path)
 	if err != nil {
 		return nil, err
 	}
+	hdr.Type, hdr.Version = "header", journalVersion
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("runner: opening journal: %w", err)
@@ -273,7 +285,7 @@ func openJournal(path string, hdr header) (*journalWriter, error) {
 	}
 	if st.Size() > validLen {
 		// Cut the torn tail (or, when no valid header survived, the
-		// whole file) so appends start on a clean line boundary.
+		// whole file) so appends start on a frame boundary.
 		if err := f.Truncate(validLen); err != nil {
 			f.Close()
 			return nil, fmt.Errorf("runner: truncating torn journal tail: %w", err)
@@ -293,31 +305,26 @@ func openJournal(path string, hdr header) (*journalWriter, error) {
 			f.Close()
 			return nil, fmt.Errorf("runner: syncing journal header: %w", err)
 		}
-		return newJournalWriter(f), nil
+		return &Journal{f: f}, nil
 	}
 	if existing.ConfigDigest != hdr.ConfigDigest {
 		f.Close()
 		return nil, fmt.Errorf("runner: journal %s belongs to config %s, not %s — refusing to mix campaigns: %w",
 			path, existing.ConfigDigest, hdr.ConfigDigest, ErrDigestMismatch)
 	}
-	return newJournalWriter(f), nil
+	return &Journal{f: f}, nil
 }
 
-// AppendBatch journals records with a single Write call — one record
-// per injection run on the runner's observer path, a whole uploaded
-// unit on the coordinator's ingest path. The one-Write contract means
-// a crash tears at most the final line of the batch.
-func (w *journalWriter) AppendBatch(recs []Record) error {
+// AppendBatch journals records as one frame with a single Write call —
+// one record per injection run on the runner's observer path, a whole
+// uploaded unit on the coordinator's ingest path. The one-Write
+// contract means a crash tears at most the batch's frame.
+func (w *Journal) AppendBatch(recs []Record) error {
 	if len(recs) == 0 {
 		return nil
 	}
-	w.buf.Reset()
-	for i := range recs {
-		if err := w.enc.Encode(&recs[i]); err != nil {
-			return fmt.Errorf("runner: encoding journal record: %w", err)
-		}
-	}
-	if _, err := w.f.Write(w.buf.Bytes()); err != nil {
+	w.buf = appendFrame(w.buf[:0], &w.enc, recs)
+	if _, err := w.f.Write(w.buf); err != nil {
 		return fmt.Errorf("runner: appending journal records: %w", err)
 	}
 	w.pending += len(recs)
@@ -331,7 +338,7 @@ func (w *journalWriter) AppendBatch(recs []Record) error {
 }
 
 // Close syncs and closes the journal.
-func (w *journalWriter) Close() error {
+func (w *Journal) Close() error {
 	if err := w.f.Sync(); err != nil {
 		w.f.Close()
 		return fmt.Errorf("runner: syncing journal: %w", err)
@@ -339,63 +346,68 @@ func (w *journalWriter) Close() error {
 	return w.f.Close()
 }
 
-// loadJournal reads a journal back. A torn final line — the
-// signature of a killed process — is discarded; corruption anywhere
-// else is an error. A missing file yields a zero header and no
-// records. validLen is the byte length of the parseable prefix, so a
-// resuming writer can truncate the torn tail before appending.
-func loadJournal(path string) (hdr header, recs []Record, validLen int64, err error) {
+// loadJournal reads a journal back (parseJournal). A missing file
+// yields a zero header and no records.
+func loadJournal(path string) (hdr JournalHeader, recs []Record, validLen int64, err error) {
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
-		return header{}, nil, 0, nil
+		return JournalHeader{}, nil, 0, nil
 	}
 	if err != nil {
-		return header{}, nil, 0, fmt.Errorf("runner: reading journal: %w", err)
+		return JournalHeader{}, nil, 0, fmt.Errorf("runner: reading journal: %w", err)
 	}
-	pos, lineNo := 0, 0
+	return parseJournal(path, data)
+}
+
+// parseJournal decodes a journal's bytes. A torn final frame — the
+// signature of a killed process: fewer bytes than a frame header, a
+// payload running past the end, or a zero-filled tail — is discarded;
+// a complete frame failing its length check, checksum or strict
+// decode is corruption and an error. validLen is the byte length of
+// the whole-frame prefix, so a resuming writer can truncate the torn
+// tail before appending.
+func parseJournal(path string, data []byte) (hdr JournalHeader, recs []Record, validLen int64, err error) {
+	nl := bytes.IndexByte(data, '\n')
+	if nl < 0 {
+		// Killed mid-header-write, or an empty file: an empty journal.
+		return JournalHeader{}, nil, 0, nil
+	}
+	if json.Unmarshal(data[:nl], &hdr) != nil || hdr.Type != "header" {
+		return JournalHeader{}, nil, 0, fmt.Errorf("runner: journal %s has no valid header", path)
+	}
+	switch {
+	case hdr.Version == 3 || hdr.Version == 4:
+		return JournalHeader{}, nil, 0, fmt.Errorf("runner: journal %s is version %d, which stored JSON-lines records; "+
+			"the record encoding changed to binary frames in version %d — rerun the campaign in a fresh directory",
+			path, hdr.Version, journalVersion)
+	case hdr.Version != journalVersion:
+		return JournalHeader{}, nil, 0, fmt.Errorf("runner: journal %s is version %d, want %d", path, hdr.Version, journalVersion)
+	}
+	var dec RecordDecoder
+	pos := nl + 1
 	for pos < len(data) {
-		var line []byte
-		lineEnd := bytes.IndexByte(data[pos:], '\n')
-		complete := lineEnd >= 0
-		if complete {
-			line = data[pos : pos+lineEnd]
-			lineEnd = pos + lineEnd + 1
-		} else {
-			// No trailing newline: a record append was cut short.
-			line = data[pos:]
-			lineEnd = len(data)
+		frame := data[pos:]
+		if len(frame) < frameHeaderLen {
+			break // torn inside the frame header
 		}
-		lineNo++
-		if len(bytes.TrimSpace(line)) == 0 {
-			pos = lineEnd
-			validLen = int64(lineEnd)
-			continue
-		}
-		if lineNo == 1 {
-			if jerr := json.Unmarshal(line, &hdr); jerr != nil || hdr.Type != "header" {
-				if !complete {
-					// Killed mid-header-write: an empty journal.
-					return header{}, nil, 0, nil
-				}
-				return header{}, nil, 0, fmt.Errorf("runner: journal %s has no valid header", path)
+		n := binary.LittleEndian.Uint32(frame)
+		if binary.LittleEndian.Uint32(frame[4:]) != ^n {
+			if len(bytes.TrimLeft(frame, "\x00")) == 0 {
+				break // zero-filled: the file grew but its data never landed
 			}
-			if hdr.Version < minJournalVersion || hdr.Version > journalVersion {
-				return header{}, nil, 0, fmt.Errorf("runner: journal %s is version %d, want %d..%d", path, hdr.Version, minJournalVersion, journalVersion)
-			}
-			pos = lineEnd
-			validLen = int64(lineEnd)
-			continue
+			return JournalHeader{}, nil, 0, fmt.Errorf("runner: journal %s corrupt at byte %d: damaged frame length", path, pos)
 		}
-		var rec Record
-		if jerr := json.Unmarshal(line, &rec); jerr != nil || rec.Type != "run" {
-			if !complete {
-				break // torn tail from a kill — resume re-runs it
-			}
-			return header{}, nil, 0, fmt.Errorf("runner: journal %s corrupt at line %d", path, lineNo)
+		if uint64(n) > uint64(len(frame)-frameHeaderLen) {
+			break // torn inside the payload — resume re-runs it
 		}
-		recs = append(recs, rec)
-		pos = lineEnd
-		validLen = int64(lineEnd)
+		payload := frame[frameHeaderLen : frameHeaderLen+int(n)]
+		if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(frame[8:]) {
+			return JournalHeader{}, nil, 0, fmt.Errorf("runner: journal %s corrupt at byte %d: frame checksum mismatch", path, pos)
+		}
+		if recs, err = dec.Decode(recs, payload); err != nil {
+			return JournalHeader{}, nil, 0, fmt.Errorf("runner: journal %s corrupt at byte %d: %w", path, pos, err)
+		}
+		pos += frameHeaderLen + int(n)
 	}
-	return hdr, recs, validLen, nil
+	return hdr, recs, int64(pos), nil
 }

@@ -1,9 +1,13 @@
 package runner
 
 import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"propane/internal/campaign"
@@ -61,8 +65,8 @@ func TestRecordRoundTrip(t *testing.T) {
 }
 
 func TestJournalAppendLoad(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "journal.jsonl")
-	hdr := header{Type: "header", Version: journalVersion, Instance: "x", Tier: "quick", ConfigDigest: "abc"}
+	path := filepath.Join(t.TempDir(), "journal.bin")
+	hdr := JournalHeader{Instance: "x", Tier: "quick", ConfigDigest: "abc"}
 	w, err := openJournal(path, hdr)
 	if err != nil {
 		t.Fatal(err)
@@ -102,55 +106,261 @@ func TestJournalAppendLoad(t *testing.T) {
 	}
 }
 
-func TestJournalToleratesTornTail(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "journal.jsonl")
-	hdr := header{Type: "header", Version: journalVersion, ConfigDigest: "abc"}
+// tornFixture journals three frames — one record, two records, one
+// record — and returns the file's bytes, the byte offset where each
+// frame ends (the first entry is the header's end), and the records.
+func tornFixture(t testing.TB, path string, hdr JournalHeader) (data []byte, bounds []int, recs []Record) {
+	t.Helper()
 	w, err := openJournal(path, hdr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 3; i++ {
-		jr, _ := newRecord(i, sampleRunRecord())
-		if err := w.AppendBatch([]Record{jr}); err != nil {
+	for i := 0; i < 4; i++ {
+		jr, err := newRecord(i, sampleRunRecord())
+		if err != nil {
+			t.Fatal(err)
+		}
+		jr.Round = i
+		recs = append(recs, jr)
+	}
+	for _, batch := range [][]Record{recs[:1], recs[1:3], recs[3:]} {
+		if err := w.AppendBatch(batch); err != nil {
 			t.Fatal(err)
 		}
 	}
-	w.Close()
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if data, err = os.ReadFile(path); err != nil {
+		t.Fatal(err)
+	}
+	pos := bytes.IndexByte(data, '\n') + 1
+	bounds = append(bounds, pos)
+	for pos < len(data) {
+		pos += frameHeaderLen + int(binary.LittleEndian.Uint32(data[pos:]))
+		bounds = append(bounds, pos)
+	}
+	if len(bounds) != 4 || pos != len(data) {
+		t.Fatalf("journal of %d bytes splits into frames ending at %v, want 3 frames", len(data), bounds)
+	}
+	return data, bounds, recs
+}
 
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Chop into the last record: the torn line must be discarded, the
-	// complete prefix kept.
-	torn := data[:len(data)-9]
-	if err := os.WriteFile(path, torn, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, recs, validLen, err := loadJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 2 {
-		t.Errorf("loaded %d records from torn journal, want 2", len(recs))
-	}
-	if validLen <= 0 || validLen >= int64(len(torn)) || torn[validLen-1] != '\n' {
-		t.Errorf("validLen %d does not mark the end of the complete prefix (%d bytes total)", validLen, len(torn))
-	}
-
-	// Corruption mid-file is an error, not silently skipped.
-	lines := strings.Split(string(data), "\n")
-	lines[1] = lines[1][:len(lines[1])/2]
-	if err := os.WriteFile(path, []byte(strings.Join(lines, "\n")), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, _, err := loadJournal(path); err == nil {
-		t.Error("loadJournal accepted mid-file corruption")
+// TestJournalToleratesTornTail cuts the journal at every byte offset
+// inside its last frame, its length and checksum included: loading
+// keeps exactly the earlier frames, validLen lands on the frame
+// boundary, and a reopened journal truncates the torn frame and
+// appends behind it, reloading everything.
+func TestJournalToleratesTornTail(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal.bin")
+	hdr := JournalHeader{ConfigDigest: "abc"}
+	data, bounds, all := tornFixture(t, path, hdr)
+	lastStart := bounds[2]
+	for off := lastStart; off < len(data); off++ {
+		if err := os.WriteFile(path, data[:off], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, recs, validLen, err := loadJournal(path)
+		if err != nil {
+			t.Fatalf("cut at %d: %v", off, err)
+		}
+		if !reflect.DeepEqual(recs, all[:3]) {
+			t.Errorf("cut at %d: loaded %d records, want the earlier frames' 3", off, len(recs))
+		}
+		if validLen != int64(lastStart) {
+			t.Errorf("cut at %d: validLen %d, want the frame boundary %d", off, validLen, lastStart)
+		}
+		w, err := openJournal(path, hdr)
+		if err != nil {
+			t.Fatalf("cut at %d: reopening: %v", off, err)
+		}
+		if err := w.AppendBatch(all[3:]); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		_, recs, validLen, err = loadJournal(path)
+		if err != nil || !reflect.DeepEqual(recs, all) || validLen != int64(len(data)) {
+			t.Errorf("cut at %d: healed journal reloads %d records, validLen %d (err %v), want %d, %d",
+				off, len(recs), validLen, err, len(all), len(data))
+		}
 	}
 }
 
+// TestJournalRejectsCorruption pins the other half of the torn-tail
+// rule: a damaged byte anywhere in a complete middle frame — length,
+// checksum or payload — is an error, and a zero-filled tail (a file
+// that grew before its data landed) is torn or an error but never
+// decodes as records.
+func TestJournalRejectsCorruption(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal.bin")
+	data, bounds, all := tornFixture(t, path, JournalHeader{ConfigDigest: "abc"})
+	for i := bounds[1]; i < bounds[2]; i++ {
+		bad := bytes.Clone(data)
+		bad[i] ^= 0xff
+		if _, recs, _, err := parseJournal(path, bad); err == nil {
+			t.Errorf("byte %d of the middle frame damaged: loaded %d records without error", i, len(recs))
+		}
+	}
+	zeroTails := map[string][]byte{}
+	for _, n := range []int{1, frameHeaderLen - 1, frameHeaderLen, frameHeaderLen + 1, 4096} {
+		zeroTails[fmt.Sprintf("%d zeros appended", n)] = append(bytes.Clone(data), make([]byte, n)...)
+	}
+	zeroTails["last frame zeroed"] = append(bytes.Clone(data[:bounds[2]]), make([]byte, len(data)-bounds[2])...)
+	for name, bad := range zeroTails {
+		_, recs, validLen, err := parseJournal(path, bad)
+		if err != nil {
+			continue
+		}
+		if n := len(recs); n > len(all) || !reflect.DeepEqual(recs, all[:n]) || validLen > int64(len(data)) {
+			t.Errorf("%s: loaded %d records, validLen %d — phantom records from zeros", name, n, validLen)
+		}
+	}
+}
+
+// TestRecordCodecRoundTrip proves the record payload carries every
+// field losslessly — Round included, Type restored as "run" — and
+// appends to what the destination already holds.
+func TestRecordCodecRoundTrip(t *testing.T) {
+	recs := []Record{
+		{Type: "run", Job: 0, Module: "CALC", Signal: "pulscnt", Model: "", Outcome: "ok"},
+		{Type: "run", Job: 17, Module: "CALC", Signal: "pulscnt", AtMs: 2500, Model: "bitflip:7",
+			Case: 3, Fired: true, FiredAtMs: 2501, SystemFailure: true, FailureAtMs: 2710,
+			Outcome: "deviation", Attempts: 2, Round: 6,
+			Diffs: map[string]DiffRecord{
+				"SetValue": {FirstMs: 2502, LastMs: 2900, Count: 41},
+				"OutValue": {FirstMs: 2600, LastMs: 2601, Count: 1},
+			}},
+		{Type: "run", Job: -2, Module: "V_REG", Signal: "SetValue", AtMs: -1, Model: "stuck:1",
+			Case: -4, Outcome: "crash", Detail: "mine tripped", Attempts: 1, Pruned: "converged"},
+	}
+	var enc RecordEncoder
+	var dec RecordDecoder
+	payload := enc.AppendPayload(nil, recs)
+	got, err := dec.Decode([]Record{recs[0]}, payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := append([]Record{recs[0]}, recs...); !reflect.DeepEqual(got, want) {
+		t.Errorf("round trip\n%+v\nwant\n%+v", got, want)
+	}
+	if again := enc.AppendPayload(nil, recs); !bytes.Equal(again, payload) {
+		t.Error("a reused encoder encoded identical records differently")
+	}
+}
+
+// TestAppendFrameAllocs pins the journal's append path: a warm
+// encoder and frame buffer encode a record without allocating.
+func TestAppendFrameAllocs(t *testing.T) {
+	rec, err := newRecord(3, sampleRunRecord())
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := []Record{rec}
+	var enc RecordEncoder
+	buf := appendFrame(nil, &enc, recs)
+	if n := testing.AllocsPerRun(100, func() { buf = appendFrame(buf[:0], &enc, recs) }); n != 0 {
+		t.Errorf("appending a journal frame allocated %.1f times, want 0", n)
+	}
+}
+
+// TestDecodeHostileRecords proves the record decoder rejects
+// malformed payloads of every shape with an error and leaves the
+// destination untouched — never a panic, never a partial result.
+func TestDecodeHostileRecords(t *testing.T) {
+	var enc RecordEncoder
+	good := enc.AppendPayload(nil, []Record{{Type: "run", Job: 1, Module: "m", Signal: "s", Model: "bitflip:0",
+		Outcome: "deviation", Diffs: map[string]DiffRecord{"s": {FirstMs: 1, LastMs: 2, Count: 2}}}})
+	// minimal is one record over a one-string table, every field zero
+	// or index 0; the cases below damage one field of it.
+	minimal := func(field int, v ...byte) []byte {
+		p := []byte{1, 1, 'm', 1}
+		for i := 0; i < minRecordBytes; i++ {
+			if i == field {
+				p = append(p, v...)
+			} else {
+				p = append(p, 0)
+			}
+		}
+		return p
+	}
+	if _, err := new(RecordDecoder).Decode(nil, minimal(-1)); err != nil {
+		t.Fatalf("the undamaged minimal payload fails: %v", err)
+	}
+	cases := map[string][]byte{
+		"empty":                {},
+		"trailing garbage":     append(bytes.Clone(good), 0xde, 0xad),
+		"giant string table":   {0xff, 0xff, 0xff, 0xff, 0xff, 0x7f},
+		"string past the end":  {1, 9, 'm'},
+		"giant record count":   {0, 0xff, 0xff, 0xff, 0xff, 0x0f},
+		"overlong varint":      {0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01},
+		"index outside table":  minimal(1, 5),
+		"unknown flags":        minimal(6, 4),
+		"giant diff count":     minimal(14, 0xff, 0xff, 0x03),
+		"truncated diff entry": minimal(14, 1, 0),
+	}
+	for i := range good {
+		cases[fmt.Sprintf("cut at %d", i)] = good[:i]
+	}
+	keep := []Record{{Type: "run", Job: 99}}
+	for name, data := range cases {
+		got, err := new(RecordDecoder).Decode(keep, data)
+		if err == nil {
+			t.Errorf("%s: decoded without error", name)
+		}
+		if !reflect.DeepEqual(got, keep) {
+			t.Errorf("%s: the destination changed to %+v", name, got)
+		}
+	}
+}
+
+// FuzzJournal throws arbitrary bytes behind a valid header at the
+// journal loader and asserts its contract: it never panics, never
+// allocates beyond a bound linear in the input, and returns either an
+// error or a prefix of whole frames — the prefix reloads on its own to
+// the same records and length. Run it natively:
+//
+//	go test ./internal/runner/ -run '^$' -fuzz FuzzJournal -fuzztime 30s
+func FuzzJournal(f *testing.F) {
+	path := filepath.Join(f.TempDir(), "journal.bin")
+	data, bounds, _ := tornFixture(f, path, JournalHeader{ConfigDigest: "x"})
+	hdrLine, frames := data[:bounds[0]], data[bounds[0]:]
+	f.Add([]byte{})
+	f.Add(bytes.Clone(frames))
+	f.Add(bytes.Clone(frames[:len(frames)-3]))
+	f.Add(bytes.Clone(frames[:bounds[2]-bounds[0]+5]))
+	flipped := bytes.Clone(frames)
+	flipped[bounds[1]-bounds[0]+frameHeaderLen+2] ^= 0xff
+	f.Add(flipped)
+	f.Add(append(bytes.Clone(frames), make([]byte, 64)...))
+	f.Add([]byte{0xff, 0xff, 0xff, 0x7f, 0, 0, 0, 0x80, 0, 0, 0, 0})
+
+	f.Fuzz(func(t *testing.T, tail []byte) {
+		in := append(bytes.Clone(hdrLine), tail...)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, recs, validLen, err := parseJournal(path, in)
+		runtime.ReadMemStats(&after)
+		if alloc, bound := after.TotalAlloc-before.TotalAlloc, uint64(128*len(in)+1<<20); alloc > bound {
+			t.Fatalf("loading %d bytes allocated %d, above the bound %d", len(in), alloc, bound)
+		}
+		if err != nil {
+			return
+		}
+		if validLen < int64(len(hdrLine)) || validLen > int64(len(in)) {
+			t.Fatalf("validLen %d outside [%d, %d]", validLen, len(hdrLine), len(in))
+		}
+		_, again, againLen, err := parseJournal(path, in[:validLen])
+		if err != nil || againLen != validLen || !reflect.DeepEqual(again, recs) {
+			t.Fatalf("the accepted prefix of %d bytes reloads as %d records, validLen %d, err %v; first load had %d records",
+				validLen, len(again), againLen, err, len(recs))
+		}
+	})
+}
+
 func TestJournalTornHeaderStartsOver(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	path := filepath.Join(t.TempDir(), "journal.bin")
 	if err := os.WriteFile(path, []byte(`{"type":"head`), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +371,7 @@ func TestJournalTornHeaderStartsOver(t *testing.T) {
 	if hdr.Type != "" || len(recs) != 0 {
 		t.Fatalf("torn header not treated as empty: %+v, %d records", hdr, len(recs))
 	}
-	w, err := openJournal(path, header{Type: "header", Version: journalVersion, ConfigDigest: "abc"})
+	w, err := openJournal(path, JournalHeader{ConfigDigest: "abc"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +386,7 @@ func TestJournalTornHeaderStartsOver(t *testing.T) {
 }
 
 func TestJournalMissingFile(t *testing.T) {
-	hdr, recs, _, err := loadJournal(filepath.Join(t.TempDir(), "absent.jsonl"))
+	hdr, recs, _, err := loadJournal(filepath.Join(t.TempDir(), "absent.bin"))
 	if err != nil || hdr.Type != "" || recs != nil {
 		t.Errorf("missing journal: hdr=%+v recs=%v err=%v", hdr, recs, err)
 	}

@@ -69,7 +69,7 @@ func TestPrunedKillAndResume(t *testing.T) {
 
 	// Every journaled pruned label must be reflected in the metrics,
 	// whether its record was replayed or executed this process.
-	_, recs, _, err := loadJournal(filepath.Join(dir, "journal.jsonl"))
+	_, recs, _, err := loadJournal(filepath.Join(dir, "journal.bin"))
 	if err != nil {
 		t.Fatal(err)
 	}

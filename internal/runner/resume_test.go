@@ -30,7 +30,7 @@ func TestKillAndResume(t *testing.T) {
 	}
 	wantMatrix, wantRuns, wantUnfired := fingerprintResult(t, base)
 
-	pristine, err := os.ReadFile(filepath.Join(baseDir, "journal.jsonl"))
+	pristine, err := os.ReadFile(filepath.Join(baseDir, "journal.bin"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestKillAndResume(t *testing.T) {
 	}
 	for _, off := range offsets {
 		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, "journal.jsonl"), pristine[:off], 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, "journal.bin"), pristine[:off], 0o644); err != nil {
 			t.Fatal(err)
 		}
 		rr, err := RunInstance("reduced", TierQuick, Options{Dir: dir, Resume: true})
@@ -69,13 +69,13 @@ func TestKillAndResume(t *testing.T) {
 			t.Errorf("truncation at %d: nothing replayed — journal ignored", off)
 		}
 		// The resumed artifact directory must be complete.
-		for _, name := range []string{"config.json", "journal.jsonl", "metrics.json", "failures.md", "report.md"} {
+		for _, name := range []string{"config.json", "journal.bin", "metrics.json", "failures.md", "report.md"} {
 			if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
 				t.Errorf("truncation at %d: missing artifact %s", off, name)
 			}
 		}
 		// And the healed journal must now replay in full.
-		_, recs, _, err := loadJournal(filepath.Join(dir, "journal.jsonl"))
+		_, recs, _, err := loadJournal(filepath.Join(dir, "journal.bin"))
 		if err != nil {
 			t.Fatal(err)
 		}

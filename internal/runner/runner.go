@@ -29,6 +29,7 @@
 package runner
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"os"
@@ -460,8 +461,7 @@ func (p *Prepared) Run(opts Options) (*RunResult, error) {
 		return nil, fmt.Errorf("runner: %s already exists — pass Resume to continue it or use a fresh artifact directory", journalPath)
 	}
 
-	jw, err := openJournal(journalPath, header{
-		Type: "header", Version: journalVersion,
+	jw, err := openJournal(journalPath, JournalHeader{
 		Instance: p.info.Name, Tier: string(p.info.Tier),
 		ConfigDigest: snap.Digest,
 	})
@@ -630,15 +630,23 @@ func (p *Prepared) Assemble(recs map[int]Record, planner *campaign.AdaptivePlann
 	return p.finalise(res, l, trk, ddp, opts)
 }
 
-// LoadJournals merges every journal under dir (journal*.jsonl) into
-// one record set keyed by job index, empty when there is none. Headers
+// LoadJournals merges every journal under dir (journal*.bin) into one
+// record set keyed by job index, empty when there is none. Headers
 // must carry the campaign's digest (ErrDigestMismatch). A record's job
 // is derived from its content and its Job field rewritten to match.
 // Duplicates — a resumed run or a reassigned lease appends a record
 // twice — must be identical: conflicting content means two processes
-// disagreed about the simulation (ErrConflictingRecords).
+// disagreed about the simulation (ErrConflictingRecords). A
+// JSON-lines journal (journal*.jsonl) from before version 5 is
+// refused, not ignored: resuming past it would silently re-run its
+// records.
 func (p *Prepared) LoadJournals(dir string) (map[int]Record, error) {
-	paths, err := filepath.Glob(filepath.Join(dir, "journal*.jsonl"))
+	if old, _ := filepath.Glob(filepath.Join(dir, "journal*.jsonl")); len(old) > 0 {
+		_, _, _, err := loadJournal(old[0]) // names a version 3 or 4 journal's version
+		return nil, cmp.Or(err, fmt.Errorf("runner: %s is not a version %d journal: the record encoding changed to binary frames in journal.bin — rerun the campaign in a fresh directory",
+			old[0], journalVersion))
+	}
+	paths, err := filepath.Glob(filepath.Join(dir, "journal*.bin"))
 	if err != nil {
 		return nil, fmt.Errorf("runner: listing journals: %w", err)
 	}

@@ -65,7 +65,7 @@ func TestRunWritesArtifactSet(t *testing.T) {
 	if rr.Result == nil || rr.Result.Runs == 0 {
 		t.Fatal("no runs executed")
 	}
-	for _, name := range []string{"config.json", "journal.jsonl", "metrics.json", "failures.md", "report.md"} {
+	for _, name := range []string{"config.json", "journal.bin", "metrics.json", "failures.md", "report.md"} {
 		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
 			t.Errorf("missing artifact %s: %v", name, err)
 		}

@@ -80,15 +80,18 @@ func TestRetryIOGivesUpAndCaps(t *testing.T) {
 }
 
 // TestJournalRejectsFutureVersion pins the versions loading accepts:
-// 3 and 4 share one schema; 1 and 2 predate the required outcome
-// field, and anything above 4 is from a newer build. A refusal names
-// the version.
+// only 5, the binary-frame journal. 3 and 4 stored JSON-lines records
+// and are refused saying the record encoding changed; 1 and 2 predate
+// the required outcome field, and anything above 5 is from a newer
+// build. A refusal names the version. A resume directory holding only
+// an old journal.jsonl is refused with the same error, not started
+// over beside it.
 func TestJournalRejectsFutureVersion(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	path := filepath.Join(t.TempDir(), "journal.bin")
 	for _, tc := range []struct {
 		version int
 		ok      bool
-	}{{1, false}, {2, false}, {3, true}, {4, true}, {5, false}, {99, false}} {
+	}{{1, false}, {2, false}, {3, false}, {4, false}, {5, true}, {6, false}, {99, false}} {
 		hdr := fmt.Sprintf(`{"type":"header","version":%d,"config_digest":"x"}`, tc.version) + "\n"
 		if err := os.WriteFile(path, []byte(hdr), 0o644); err != nil {
 			t.Fatal(err)
@@ -101,7 +104,23 @@ func TestJournalRejectsFutureVersion(t *testing.T) {
 			t.Errorf("loadJournal accepted journal version %d", tc.version)
 		case !tc.ok && !strings.Contains(err.Error(), fmt.Sprintf("version %d", tc.version)):
 			t.Errorf("version %d refusal does not name the version: %v", tc.version, err)
+		case (tc.version == 3 || tc.version == 4) && !strings.Contains(err.Error(), "record encoding changed"):
+			t.Errorf("version %d refusal does not say the record encoding changed: %v", tc.version, err)
 		}
+	}
+
+	dir := t.TempDir()
+	old := `{"type":"header","version":4,"instance":"reduced","tier":"quick","config_digest":"x"}` + "\n" +
+		`{"type":"run","job":0,"module":"CALC","signal":"pulscnt","at_ms":500,"model":"bitflip:0","case":0,"fired":true,"outcome":"ok"}` + "\n"
+	if err := os.WriteFile(filepath.Join(dir, "journal.jsonl"), []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := RunInstance("reduced", TierQuick, Options{Dir: dir, Resume: true})
+	if err == nil || !strings.Contains(err.Error(), "version 4") || !strings.Contains(err.Error(), "record encoding changed") {
+		t.Errorf("resume over a leftover version 4 journal.jsonl answered %v, want the record-encoding refusal", err)
+	}
+	if _, statErr := os.Stat(filepath.Join(dir, "journal.bin")); statErr == nil {
+		t.Error("resume refused the old journal yet started a new one beside it")
 	}
 }
 
@@ -142,7 +161,7 @@ func TestHostileInstanceKillAndResume(t *testing.T) {
 	}
 
 	// The journal must carry the outcome taxonomy.
-	_, recs, _, err := loadJournal(filepath.Join(baseDir, "journal.jsonl"))
+	_, recs, _, err := loadJournal(filepath.Join(baseDir, "journal.bin"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,13 +178,13 @@ func TestHostileInstanceKillAndResume(t *testing.T) {
 	}
 
 	wantMatrix, wantRuns, _ := fingerprintResult(t, base)
-	pristine, err := os.ReadFile(filepath.Join(baseDir, "journal.jsonl"))
+	pristine, err := os.ReadFile(filepath.Join(baseDir, "journal.bin"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, off := range []int{len(pristine) / 3, len(pristine) - 5} {
 		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, "journal.jsonl"), pristine[:off], 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, "journal.bin"), pristine[:off], 0o644); err != nil {
 			t.Fatal(err)
 		}
 		rr, err := RunInstance("hostile", TierQuick, Options{Dir: dir, Resume: true})
