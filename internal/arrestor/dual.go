@@ -110,14 +110,14 @@ func parity15(v uint16) uint16 {
 // the link frame, carrying the 15 high bits of the value with an even
 // parity bit in bit 0. Period 7 ms (one frame per slot cycle).
 type comTX struct {
-	moduleBase
+	sim.Reader
 	in  *sim.Signal
 	out *sim.Signal
 }
 
 // Step implements sim.Task.
 func (c *comTX) Step(now sim.Millis) {
-	v := c.read(c.in, now) & 0xFFFE
+	v := c.Read(c.in, now) & 0xFFFE
 	c.out.Write(v | parity15(v))
 }
 
@@ -128,7 +128,7 @@ func (c *comTX) Step(now sim.Millis) {
 // is detected, so the frame->SetValue_B permeability is exactly zero —
 // the "wrapper" style containment of the paper's Section 4.1 ([17]).
 type comRX struct {
-	moduleBase
+	sim.Reader
 	in  *sim.Signal
 	out *sim.Signal
 
@@ -137,7 +137,7 @@ type comRX struct {
 
 // Step implements sim.Task.
 func (c *comRX) Step(now sim.Millis) {
-	f := c.read(c.in, now)
+	f := c.Read(c.in, now)
 	if parity15(f&0xFFFE) == f&1 {
 		c.lastGood = f & 0xFFFE
 	}
@@ -241,28 +241,28 @@ func NewDualInstance(cfg DualConfig, tc physics.TestCase, onRead sim.ReadHook) (
 	})
 
 	tx := &comTX{
-		moduleBase: moduleBase{name: ModComTX, onRead: onRead},
-		in:         setValue,
-		out:        txFrame,
+		Reader: sim.NewReader(ModComTX, onRead),
+		in:     setValue,
+		out:    txFrame,
 	}
 	rx := &comRX{
-		moduleBase: moduleBase{name: ModComRX, onRead: onRead},
-		in:         txFrame,
-		out:        setValueB,
+		Reader: sim.NewReader(ModComRX, onRead),
+		in:     txFrame,
+		out:    setValueB,
 	}
 	psB := &presS{
-		moduleBase: moduleBase{name: ModPresSB, onRead: onRead},
+		Reader:     sim.NewReader(ModPresSB, onRead),
 		adcIn:      adcB,
 		inValueOut: inValueB,
 	}
 	vrB := &vReg{
-		moduleBase:  moduleBase{name: ModVRegB, onRead: onRead},
+		Reader:      sim.NewReader(ModVRegB, onRead),
 		setValueIn:  setValueB,
 		inValueIn:   inValueB,
 		outValueOut: outValueB,
 	}
 	paB := &presA{
-		moduleBase: moduleBase{name: ModPresAB, onRead: onRead},
+		Reader:     sim.NewReader(ModPresAB, onRead),
 		outValueIn: outValueB,
 		toc2Out:    toc2B,
 		maxSlew:    cfg.MaxSlew,

@@ -68,8 +68,8 @@ func TestComLinkEndToEnd(t *testing.T) {
 	setValue := bus.Register(SigSetValue)
 	frame := bus.Register(SigTxFrame)
 	setValueB := bus.Register(SigSetValueB)
-	tx := &comTX{moduleBase: moduleBase{name: ModComTX}, in: setValue, out: frame}
-	rx := &comRX{moduleBase: moduleBase{name: ModComRX}, in: frame, out: setValueB}
+	tx := &comTX{Reader: sim.NewReader(ModComTX, nil), in: setValue, out: frame}
+	rx := &comRX{Reader: sim.NewReader(ModComRX, nil), in: frame, out: setValueB}
 
 	setValue.Write(12346)
 	tx.Step(0)

@@ -19,13 +19,23 @@ type glue struct {
 	ticksPerMs uint16
 	tcntVal    uint16
 	pacntVal   uint16
+
+	// toc2Key and toc2Frac cache float64(toc2Key)/65535: PRES_A
+	// rewrites TOC2 once per slot cycle, so most ticks reuse the
+	// quotient. They are derived, never state (State and Restore skip
+	// them): the zero value, 0/65535 = 0, is already a correct entry.
+	toc2Key  uint16
+	toc2Frac float64
 }
 
 // preTick advances the world one millisecond and refreshes the
 // hardware registers.
 func (g *glue) preTick(now sim.Millis) {
 	// Valve command: TOC2 as written by PRES_A on its last invocation.
-	g.world.SetCommand(float64(g.toc2.Read()) / 65535)
+	if v := g.toc2.Read(); v != g.toc2Key {
+		g.toc2Key, g.toc2Frac = v, float64(v)/65535
+	}
+	g.world.SetCommand(g.toc2Frac)
 
 	pulses := g.world.Step(0.001)
 

@@ -69,14 +69,14 @@ func NewInstance(cfg Config, tc physics.TestCase, onRead sim.ReadHook) (*Instanc
 	kernel.UseSlotSignal(sigs(SigMsSlotNbr))
 
 	ck := &clock{
-		moduleBase: moduleBase{name: ModClock, onRead: onRead},
+		Reader:     sim.NewReader(ModClock, onRead),
 		slotIn:     sigs(SigMsSlotNbr),
 		mscntOut:   sigs(SigMscnt),
 		slotOut:    sigs(SigMsSlotNbr),
 		slotPeriod: NumSlots,
 	}
 	ds := &distS{
-		moduleBase:    moduleBase{name: ModDistS, onRead: onRead},
+		Reader:        sim.NewReader(ModDistS, onRead),
 		pacntIn:       sigs(SigPACNT),
 		tic1In:        sigs(SigTIC1),
 		tcntIn:        sigs(SigTCNT),
@@ -87,12 +87,12 @@ func NewInstance(cfg Config, tc physics.TestCase, onRead sim.ReadHook) (*Instanc
 		stopPersistMs: cfg.StopPersistMs,
 	}
 	ps := &presS{
-		moduleBase: moduleBase{name: ModPresS, onRead: onRead},
+		Reader:     sim.NewReader(ModPresS, onRead),
 		adcIn:      sigs(SigADC),
 		inValueOut: sigs(SigInValue),
 	}
 	cl := &calc{
-		moduleBase:  moduleBase{name: ModCalc, onRead: onRead},
+		Reader:      sim.NewReader(ModCalc, onRead),
 		pulscntIn:   sigs(SigPulscnt),
 		mscntIn:     sigs(SigMscnt),
 		slowIn:      sigs(SigSlowSpeed),
@@ -107,13 +107,13 @@ func NewInstance(cfg Config, tc physics.TestCase, onRead sim.ReadHook) (*Instanc
 		slowTarget:  cfg.SlowTarget,
 	}
 	vr := &vReg{
-		moduleBase:  moduleBase{name: ModVReg, onRead: onRead},
+		Reader:      sim.NewReader(ModVReg, onRead),
 		setValueIn:  sigs(SigSetValue),
 		inValueIn:   sigs(SigInValue),
 		outValueOut: sigs(SigOutValue),
 	}
 	pa := &presA{
-		moduleBase: moduleBase{name: ModPresA, onRead: onRead},
+		Reader:     sim.NewReader(ModPresA, onRead),
 		outValueIn: sigs(SigOutValue),
 		toc2Out:    sigs(SigTOC2),
 		maxSlew:    cfg.MaxSlew,

@@ -259,3 +259,52 @@ func TestNewInstanceAllocs(t *testing.T) {
 		t.Errorf("NewInstance allocates %v times, want %v", got, want)
 	}
 }
+
+// TestRestoredCachesRecompute: the glue's TOC2 quotient and CALC's
+// set-point quotient are caches outside every snapshot, so an
+// instance restored to a state its caches never saw must recompute
+// both on the next tick rather than reuse what the abandoned run left.
+func TestRestoredCachesRecompute(t *testing.T) {
+	cfg := DefaultConfig()
+	tc := physics.TestCase{MassKg: 14000, VelocityMS: 60}
+	donor, err := NewInstance(cfg, tc, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	donor.Run(500)
+	snap, err := donor.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst, err := NewInstance(cfg, tc, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst.Run(3000)
+	g, c := inst.stateful[1].(*glue), inst.stateful[5].(*calc)
+	staleTOC2, staleNum := g.toc2Key, c.quot.num
+	if err := inst.Restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	bus := inst.Bus()
+	toc2 := bus.Register(SigTOC2).Read()
+	if toc2 == staleTOC2 {
+		t.Fatalf("TOC2 %d at the snapshot equals the cached key; the test needs them apart", toc2)
+	}
+	inst.Kernel().Tick()
+
+	if got, want := inst.World().CommandFrac(), float64(toc2)/65535; got != want {
+		t.Errorf("command after restore = %v, want %v (TOC2 %d)", got, want, toc2)
+	}
+	if bus.Register(SigSlowSpeed).ReadBool() || bus.Register(SigStopped).ReadBool() {
+		t.Fatal("the snapshot tick overrides the set point; pick a moving instant")
+	}
+	num := uint32(c.profile[bus.Register(SigI).Read()]) * uint32(c.windowPulses)
+	if num == staleNum {
+		t.Fatalf("set-point numerator %d equals the cached key; the test needs them apart", num)
+	}
+	want := min(num/uint32(cfg.VRefPulses), 65535)
+	if got := bus.Register(SigSetValue).Read(); uint32(got) != want {
+		t.Errorf("SetValue after restore = %d, want %d", got, want)
+	}
+}

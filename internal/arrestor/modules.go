@@ -4,34 +4,12 @@ import (
 	"propane/internal/sim"
 )
 
-// moduleBase provides instrumented input reads: every read of an input
-// signal passes through the injection/logging hook, mirroring the
-// high-level software traps PROPANE inserts at module boundaries.
-type moduleBase struct {
-	name   string
-	onRead sim.ReadHook
-}
-
-func (m *moduleBase) read(s *sim.Signal, now sim.Millis) uint16 {
-	if m.onRead != nil && m.onRead(m.name, s.Name(), s, now) {
-		m.onRead = nil
-	}
-	return s.Read()
-}
-
-func (m *moduleBase) readBool(s *sim.Signal, now sim.Millis) bool {
-	return m.read(s, now) != 0
-}
-
-// Name implements sim.Task.
-func (m *moduleBase) Name() string { return m.name }
-
 // clock is the CLOCK module: provides the millisecond clock mscnt
 // (from an internal counter) and the execution slot number
 // ms_slot_nbr, which it derives from its own previous output — the
 // module-local feedback loop of the permeability graph. Period 1 ms.
 type clock struct {
-	moduleBase
+	sim.Reader
 	slotIn     *sim.Signal // ms_slot_nbr, input 1 (feedback)
 	mscntOut   *sim.Signal // output 1
 	slotOut    *sim.Signal // output 2 (same signal as slotIn)
@@ -41,8 +19,12 @@ type clock struct {
 
 // Step implements sim.Task.
 func (c *clock) Step(now sim.Millis) {
-	slot := c.read(c.slotIn, now)
-	slot = (slot + 1) % c.slotPeriod
+	// uint16 arithmetic: 65535 wraps to 0 before the range check, as
+	// (slot+1)%slotPeriod does. The divide is paid only out of range.
+	slot := c.Read(c.slotIn, now) + 1
+	if slot >= c.slotPeriod {
+		slot %= c.slotPeriod
+	}
 	c.mscnt++
 	c.mscntOut.Write(c.mscnt)
 	c.slotOut.Write(slot)
@@ -61,7 +43,7 @@ func (c *clock) Step(now sim.Millis) {
 // errors can alter the perceived velocity, it is hard to make it
 // zero").
 type distS struct {
-	moduleBase
+	sim.Reader
 	pacntIn, tic1In, tcntIn         *sim.Signal
 	pulscntOut, slowOut, stoppedOut *sim.Signal
 
@@ -77,9 +59,9 @@ type distS struct {
 
 // Step implements sim.Task.
 func (d *distS) Step(now sim.Millis) {
-	pacnt := d.read(d.pacntIn, now)
-	tic1 := d.read(d.tic1In, now)
-	tcnt := d.read(d.tcntIn, now)
+	pacnt := d.Read(d.pacntIn, now)
+	tic1 := d.Read(d.tic1In, now)
+	tcnt := d.Read(d.tcntIn, now)
 
 	if !d.initialized {
 		d.lastPACNT = pacnt
@@ -118,7 +100,7 @@ func (d *distS) Step(now sim.Millis) {
 // which is what drives the near-zero ADC→InValue permeability the
 // paper measures for this module (Table 2: PRES_S row 0.000).
 type presS struct {
-	moduleBase
+	sim.Reader
 	adcIn      *sim.Signal
 	inValueOut *sim.Signal
 
@@ -128,7 +110,7 @@ type presS struct {
 
 // Step implements sim.Task.
 func (p *presS) Step(now sim.Millis) {
-	raw := p.read(p.adcIn, now) >> 8 // 8-bit left-justified result
+	raw := p.Read(p.adcIn, now) >> 8 // 8-bit left-justified result
 	if p.n < len(p.hist) {
 		p.hist[p.n] = raw
 		p.n++
@@ -169,7 +151,7 @@ func (p *presS) median() uint16 {
 // second module-local feedback loop. Background task: runs every tick
 // when the slotted modules are dormant.
 type calc struct {
-	moduleBase
+	sim.Reader
 	pulscntIn, mscntIn, slowIn, stoppedIn, iIn *sim.Signal
 	iOut, setValueOut                          *sim.Signal
 
@@ -181,15 +163,23 @@ type calc struct {
 
 	lastMs, lastPc uint16
 	windowPulses   uint16
+
+	// quot caches the set-point division. It is derived, never state
+	// (State and Restore skip it): the zero value, 0/vRefPulses = 0, is
+	// already a correct entry, and every entry is checked by its key.
+	quot calcQuotient
 }
+
+// calcQuotient is num/vRefPulses for the numerator num.
+type calcQuotient struct{ num, q uint32 }
 
 // Step implements sim.Task.
 func (c *calc) Step(now sim.Millis) {
-	pc := c.read(c.pulscntIn, now)          // input 1
-	ms := c.read(c.mscntIn, now)            // input 2
-	slow := c.readBool(c.slowIn, now)       // input 3
-	stopped := c.readBool(c.stoppedIn, now) // input 4
-	i := c.read(c.iIn, now)                 // input 5 (feedback)
+	pc := c.Read(c.pulscntIn, now)          // input 1
+	ms := c.Read(c.mscntIn, now)            // input 2
+	slow := c.ReadBool(c.slowIn, now)       // input 3
+	stopped := c.ReadBool(c.stoppedIn, now) // input 4
+	i := c.Read(c.iIn, now)                 // input 5 (feedback)
 
 	if i > NumCheckpoints {
 		i = NumCheckpoints // defensive clamp of the checkpoint index
@@ -205,7 +195,12 @@ func (c *calc) Step(now sim.Millis) {
 		c.lastPc = pc
 	}
 
-	target := uint32(c.profile[i]) * uint32(c.windowPulses) / uint32(c.vRefPulses)
+	// The numerator changes only when the checkpoint or the window
+	// does, so the quotient is recomputed only then.
+	if num := uint32(c.profile[i]) * uint32(c.windowPulses); num != c.quot.num {
+		c.quot = calcQuotient{num: num, q: num / uint32(c.vRefPulses)}
+	}
+	target := c.quot.q
 	if target > 65535 {
 		target = 65535
 	}
@@ -225,7 +220,7 @@ func (c *calc) Step(now sim.Millis) {
 // command OutValue using feedforward plus an integral trim. Period
 // 7 ms.
 type vReg struct {
-	moduleBase
+	sim.Reader
 	setValueIn, inValueIn *sim.Signal
 	outValueOut           *sim.Signal
 
@@ -240,8 +235,8 @@ const (
 
 // Step implements sim.Task.
 func (v *vReg) Step(now sim.Millis) {
-	sv := int32(v.read(v.setValueIn, now))
-	iv := int32(v.read(v.inValueIn, now)) << 8 // InValue is 8-bit units
+	sv := int32(v.Read(v.setValueIn, now))
+	iv := int32(v.Read(v.inValueIn, now)) << 8 // InValue is 8-bit units
 
 	err := sv - iv
 	v.integ += err >> vregIntegShift
@@ -266,7 +261,7 @@ func (v *vReg) Step(now sim.Millis) {
 // the output-compare register TOC2 toward OutValue with a bounded slew
 // rate (valve protection). Period 7 ms.
 type presA struct {
-	moduleBase
+	sim.Reader
 	outValueIn *sim.Signal
 	toc2Out    *sim.Signal
 
@@ -276,7 +271,7 @@ type presA struct {
 
 // Step implements sim.Task.
 func (p *presA) Step(now sim.Millis) {
-	target := p.read(p.outValueIn, now)
+	target := p.Read(p.outValueIn, now)
 	switch {
 	case target > p.current:
 		step := target - p.current

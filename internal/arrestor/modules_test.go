@@ -9,7 +9,7 @@ import (
 func TestClockSlotWrapsAndMscntCounts(t *testing.T) {
 	bus := sim.NewBus()
 	c := &clock{
-		moduleBase: moduleBase{name: ModClock},
+		Reader:     sim.NewReader(ModClock, nil),
 		slotIn:     bus.Register(SigMsSlotNbr),
 		mscntOut:   bus.Register(SigMscnt),
 		slotOut:    bus.Register(SigMsSlotNbr),
@@ -31,7 +31,7 @@ func TestClockSlotFeedbackPermanentShift(t *testing.T) {
 	bus := sim.NewBus()
 	slot := bus.Register(SigMsSlotNbr)
 	c := &clock{
-		moduleBase: moduleBase{name: ModClock},
+		Reader:     sim.NewReader(ModClock, nil),
 		slotIn:     slot,
 		mscntOut:   bus.Register(SigMscnt),
 		slotOut:    slot,
@@ -53,6 +53,15 @@ func TestClockSlotFeedbackPermanentShift(t *testing.T) {
 	if got := c.mscntOut.Read(); got != 3 {
 		t.Errorf("mscnt = %d, want 3", got)
 	}
+	// The last slot and the uint16 maximum both wrap to slot 0: 6+1 is
+	// the period, and 65535+1 overflows to 0 before the range check.
+	for _, corrupted := range []uint16{6, 65535} {
+		slot.Write(corrupted)
+		c.Step(3)
+		if got := slot.Read(); got != 0 {
+			t.Errorf("slot after corrupted feedback %d = %d, want 0", corrupted, got)
+		}
+	}
 }
 
 // newDistS wires a DIST_S over a fresh bus for direct unit testing.
@@ -60,7 +69,7 @@ func newDistS() (*distS, *sim.Bus) {
 	bus := sim.NewBus()
 	cfg := DefaultConfig()
 	return &distS{
-		moduleBase:    moduleBase{name: ModDistS},
+		Reader:        sim.NewReader(ModDistS, nil),
 		pacntIn:       bus.Register(SigPACNT),
 		tic1In:        bus.Register(SigTIC1),
 		tcntIn:        bus.Register(SigTCNT),
@@ -166,7 +175,7 @@ func TestDistSStoppedImmuneToTransients(t *testing.T) {
 func newPresS() *presS {
 	bus := sim.NewBus()
 	return &presS{
-		moduleBase: moduleBase{name: ModPresS},
+		Reader:     sim.NewReader(ModPresS, nil),
 		adcIn:      bus.Register(SigADC),
 		inValueOut: bus.Register(SigInValue),
 	}
@@ -229,7 +238,7 @@ func newCalc() *calc {
 	cfg := DefaultConfig()
 	iSig := bus.Register(SigI)
 	return &calc{
-		moduleBase:  moduleBase{name: ModCalc},
+		Reader:      sim.NewReader(ModCalc, nil),
 		pulscntIn:   bus.Register(SigPulscnt),
 		mscntIn:     bus.Register(SigMscnt),
 		slowIn:      bus.Register(SigSlowSpeed),
@@ -324,7 +333,7 @@ func TestCalcOverrides(t *testing.T) {
 func newVReg() *vReg {
 	bus := sim.NewBus()
 	return &vReg{
-		moduleBase:  moduleBase{name: ModVReg},
+		Reader:      sim.NewReader(ModVReg, nil),
 		setValueIn:  bus.Register(SigSetValue),
 		inValueIn:   bus.Register(SigInValue),
 		outValueOut: bus.Register(SigOutValue),
@@ -380,7 +389,7 @@ func TestVRegClampsAndAntiWindup(t *testing.T) {
 func newPresA() *presA {
 	bus := sim.NewBus()
 	return &presA{
-		moduleBase: moduleBase{name: ModPresA},
+		Reader:     sim.NewReader(ModPresA, nil),
 		outValueIn: bus.Register(SigOutValue),
 		toc2Out:    bus.Register(SigTOC2),
 		maxSlew:    DefaultConfig().MaxSlew,
@@ -430,7 +439,7 @@ func TestReadHookInvocation(t *testing.T) {
 		return false
 	}
 	d := &distS{
-		moduleBase:    moduleBase{name: ModDistS, onRead: hook},
+		Reader:        sim.NewReader(ModDistS, hook),
 		pacntIn:       bus.Register(SigPACNT),
 		tic1In:        bus.Register(SigTIC1),
 		tcntIn:        bus.Register(SigTCNT),

@@ -64,20 +64,20 @@ func NewInstance(cfg Config, tc physics.TestCase, onRead sim.ReadHook) (*Instanc
 	})
 
 	ws := &wspeed{
-		moduleBase:     moduleBase{name: ModWSpeed, onRead: onRead},
+		Reader:         sim.NewReader(ModWSpeed, onRead),
 		wspIn:          sigs[SigWSP],
 		tcntIn:         sigs[SigTCNT2],
 		speedOut:       sigs[SigWheelSpeed],
 		ticksPerWindow: uint32(cfg.TCNTTicksPerMs) * speedWindowMs,
 	}
 	vs := &vspeed{
-		moduleBase: moduleBase{name: ModVSpeed, onRead: onRead},
-		vspIn:      sigs[SigVSP],
-		speedOut:   sigs[SigVehSpeed],
-		windowMs:   speedWindowMs,
+		Reader:   sim.NewReader(ModVSpeed, onRead),
+		vspIn:    sigs[SigVSP],
+		speedOut: sigs[SigVehSpeed],
+		windowMs: speedWindowMs,
 	}
 	sc := &slipCalc{
-		moduleBase:    moduleBase{name: ModSlip, onRead: onRead},
+		Reader:        sim.NewReader(ModSlip, onRead),
 		wheelIn:       sigs[SigWheelSpeed],
 		vehIn:         sigs[SigVehSpeed],
 		slipOut:       sigs[SigSlip],
@@ -85,7 +85,7 @@ func NewInstance(cfg Config, tc physics.TestCase, onRead sim.ReadHook) (*Instanc
 		lockPersistMs: cfg.LockPersistMs,
 	}
 	ct := &ctrl{
-		moduleBase:  moduleBase{name: ModCtrl, onRead: onRead},
+		Reader:      sim.NewReader(ModCtrl, onRead),
 		slipIn:      sigs[SigSlip],
 		lockIn:      sigs[SigLocked],
 		modeIn:      sigs[SigMode],
@@ -97,10 +97,10 @@ func NewInstance(cfg Config, tc physics.TestCase, onRead sim.ReadHook) (*Instanc
 		releaseStep: cfg.ReleaseStep,
 	}
 	pm := &pmod{
-		moduleBase: moduleBase{name: ModPMod, onRead: onRead},
-		cmdIn:      sigs[SigBrakeCmd],
-		pwmOut:     sigs[SigPWM],
-		maxSlew:    cfg.MaxSlew,
+		Reader:  sim.NewReader(ModPMod, onRead),
+		cmdIn:   sigs[SigBrakeCmd],
+		pwmOut:  sigs[SigPWM],
+		maxSlew: cfg.MaxSlew,
 	}
 
 	kernel.AddEveryTick(ws)

@@ -4,22 +4,6 @@ import (
 	"propane/internal/sim"
 )
 
-// moduleBase mirrors the arrestor package's instrumented-read helper.
-type moduleBase struct {
-	name   string
-	onRead sim.ReadHook
-}
-
-func (m *moduleBase) read(s *sim.Signal, now sim.Millis) uint16 {
-	if m.onRead != nil && m.onRead(m.name, s.Name(), s, now) {
-		m.onRead = nil
-	}
-	return s.Read()
-}
-
-// Name implements sim.Task.
-func (m *moduleBase) Name() string { return m.name }
-
 // speedScale converts pulses-per-window into the 16-bit speed unit
 // used on the bus (pulses per 32 ms window × 64, leaving headroom).
 const speedWindowMs = 32
@@ -27,7 +11,7 @@ const speedWindowMs = 32
 // wspeed estimates the wheel speed from pulse-count deltas over a
 // TCNT2-measured window.
 type wspeed struct {
-	moduleBase
+	sim.Reader
 	wspIn, tcntIn *sim.Signal
 	speedOut      *sim.Signal
 
@@ -42,8 +26,8 @@ type wspeed struct {
 
 // Step implements sim.Task.
 func (w *wspeed) Step(now sim.Millis) {
-	wsp := w.read(w.wspIn, now)
-	tcnt := w.read(w.tcntIn, now)
+	wsp := w.Read(w.wspIn, now)
+	tcnt := w.Read(w.tcntIn, now)
 	if !w.initialized {
 		w.initialized = true
 		w.lastWSP = wsp
@@ -66,7 +50,7 @@ func (w *wspeed) Step(now sim.Millis) {
 // vspeed estimates the vehicle reference speed from the reference
 // pulse counter on a fixed millisecond window.
 type vspeed struct {
-	moduleBase
+	sim.Reader
 	vspIn    *sim.Signal
 	speedOut *sim.Signal
 
@@ -80,7 +64,7 @@ type vspeed struct {
 
 // Step implements sim.Task.
 func (v *vspeed) Step(now sim.Millis) {
-	vsp := v.read(v.vspIn, now)
+	vsp := v.Read(v.vspIn, now)
 	if !v.initialized {
 		v.initialized = true
 		v.lastVSP = vsp
@@ -102,7 +86,7 @@ func (v *vspeed) Step(now sim.Millis) {
 // moves — the same persistence design that makes the arrestment
 // system's `stopped` output non-permeable to transients (OB2).
 type slipCalc struct {
-	moduleBase
+	sim.Reader
 	wheelIn, vehIn    *sim.Signal
 	slipOut, lockOut  *sim.Signal
 	lockPersistMs     uint16
@@ -112,8 +96,8 @@ type slipCalc struct {
 
 // Step implements sim.Task.
 func (s *slipCalc) Step(now sim.Millis) {
-	wheel := s.read(s.wheelIn, now)
-	veh := s.read(s.vehIn, now)
+	wheel := s.Read(s.wheelIn, now)
+	veh := s.Read(s.vehIn, now)
 
 	var slip uint16
 	if veh > 0 && wheel < veh {
@@ -145,7 +129,7 @@ const (
 // mode is written to the bus and read back on the next invocation —
 // the module-local feedback loop of this system.
 type ctrl struct {
-	moduleBase
+	sim.Reader
 	slipIn, lockIn, modeIn *sim.Signal
 	modeOut, cmdOut        *sim.Signal
 
@@ -156,9 +140,9 @@ type ctrl struct {
 
 // Step implements sim.Task.
 func (c *ctrl) Step(now sim.Millis) {
-	slip := c.read(c.slipIn, now)
-	locked := c.read(c.lockIn, now) != 0
-	mode := c.read(c.modeIn, now)
+	slip := c.Read(c.slipIn, now)
+	locked := c.Read(c.lockIn, now) != 0
+	mode := c.Read(c.modeIn, now)
 	if mode > modeRelease {
 		mode = modeRelease // defensive clamp of the feedback state
 	}
@@ -190,7 +174,7 @@ func (c *ctrl) Step(now sim.Millis) {
 
 // pmod drives the valve PWM register with a slew limit.
 type pmod struct {
-	moduleBase
+	sim.Reader
 	cmdIn  *sim.Signal
 	pwmOut *sim.Signal
 
@@ -200,7 +184,7 @@ type pmod struct {
 
 // Step implements sim.Task.
 func (p *pmod) Step(now sim.Millis) {
-	target := p.read(p.cmdIn, now)
+	target := p.Read(p.cmdIn, now)
 	switch {
 	case target > p.current:
 		d := target - p.current

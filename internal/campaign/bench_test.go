@@ -38,6 +38,46 @@ func BenchmarkInjectionRun(b *testing.B) {
 	}
 }
 
+// BenchmarkDivergedRun measures one paper injection on the middle
+// test case whose error propagates to the horizon: restore the
+// checkpoint at the injection instant, then simulate and compare every
+// remaining tick. The setup proves, with the campaign's pruner and
+// reconvergence probes in place, that the run is neither pruned nor
+// converged, so it is one of the runs no equality can retire; the
+// timed loop then executes it without the golden pass, the pruner or
+// the probes, which leaves the per-tick cost of a diverged run.
+func BenchmarkDivergedRun(b *testing.B) {
+	cfg := PaperConfig()
+	mid := len(cfg.TestCases) / 2
+	cfg.TestCases = cfg.TestCases[mid : mid+1]
+	g, err := RecordGolden(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if !g.fastForward(cfg) {
+		b.Fatal("paper campaign does not fast-forward from checkpoints")
+	}
+	inj := inject.Injection{Module: arrestor.ModVReg, Signal: arrestor.SigSetValue, At: 1000, Model: inject.BitFlip{Bit: 14}}
+	probed := &engine{cfg: cfg, sys: cfg.System(), g: g, pr: newPruner(cfg, g.preds),
+		siblings: newTrajectories(false, defaultTrajectoryBound)}
+	out, err := probed.injectionRun(0, inj)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if !out.fired || out.pruned != "" {
+		b.Fatalf("%v: fired %v, pruned %q; want a fired run executed to the horizon", inj, out.fired, out.pruned)
+	}
+	e := &engine{cfg: cfg, sys: cfg.System(), g: g}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := e.injectionRun(0, inj); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(cfg.HorizonMs-inj.At), "ns/tick")
+}
+
 // benchCampaign is the small campaign behind the campaign-level
 // benchmarks: 1 test case, 2 instants, 2 bits over all 13 inputs = 52
 // simulation runs per iteration.

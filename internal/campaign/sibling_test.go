@@ -60,20 +60,11 @@ func (in *latchInstance) Restore(snap *sim.Snapshot) error {
 
 // latchModule is one instrumented pipeline stage.
 type latchModule struct {
-	name   string
-	onRead sim.ReadHook
-	step   func(m *latchModule, now sim.Millis)
+	sim.Reader
+	step func(m *latchModule, now sim.Millis)
 }
 
-func (m *latchModule) Name() string        { return m.name }
 func (m *latchModule) Step(now sim.Millis) { m.step(m, now) }
-
-func (m *latchModule) read(s *sim.Signal, now sim.Millis) uint16 {
-	if m.onRead != nil && m.onRead(m.name, s.Name(), s, now) {
-		m.onRead = nil
-	}
-	return s.Read()
-}
 
 type latchState struct {
 	armed   bool
@@ -111,11 +102,11 @@ func newLatchInstance(mode latchMode, hook sim.ReadHook) (*latchInstance, error)
 	flag, late, out := bus.Register("lt_flag"), bus.Register("lt_late"), bus.Register("lt_out")
 	kernel.AddPreHook(func(sim.Millis) { cmd.Write(latchCmd) })
 	ls := &latchStage{}
-	kernel.AddEveryTick(&latchModule{name: "PROD", onRead: hook, step: func(m *latchModule, now sim.Millis) {
-		src.Write(m.read(cmd, now))
+	kernel.AddEveryTick(&latchModule{Reader: sim.NewReader("PROD", hook), step: func(m *latchModule, now sim.Millis) {
+		src.Write(m.Read(cmd, now))
 	}})
-	kernel.AddEveryTick(&latchModule{name: "LATCH", onRead: hook, step: func(m *latchModule, now sim.Millis) {
-		if v := m.read(src, now); v != latchCmd && !ls.armed {
+	kernel.AddEveryTick(&latchModule{Reader: sim.NewReader("LATCH", hook), step: func(m *latchModule, now sim.Millis) {
+		if v := m.Read(src, now); v != latchCmd && !ls.armed {
 			ls.armed, ls.armedAt = true, now
 		}
 		flag.WriteBool(ls.armed)
@@ -136,8 +127,8 @@ func newLatchInstance(mode latchMode, hook sim.ReadHook) (*latchInstance, error)
 			kernel.Charge(1)
 		}
 	}})
-	kernel.AddEveryTick(&latchModule{name: "SINK", onRead: hook, step: func(m *latchModule, now sim.Millis) {
-		out.Write(m.read(flag, now) + m.read(late, now))
+	kernel.AddEveryTick(&latchModule{Reader: sim.NewReader("SINK", hook), step: func(m *latchModule, now sim.Millis) {
+		out.Write(m.Read(flag, now) + m.Read(late, now))
 	}})
 	return &latchInstance{kernel: kernel, bus: bus, snap: sim.NewSnapshotter(kernel, bus), latch: ls}, nil
 }

@@ -92,30 +92,14 @@ func (in *Instance) Checkpoint() (*sim.Snapshot, error) { return in.snap.Capture
 // Restore implements target.Checkpointable.
 func (in *Instance) Restore(snap *sim.Snapshot) error { return in.snap.Restore(snap) }
 
-// mod is the shared instrumented-read helper (the arrestor/autobrake
-// idiom).
-type mod struct {
-	name   string
-	onRead sim.ReadHook
-}
-
-func (m *mod) Name() string { return m.name }
-
-func (m *mod) read(s *sim.Signal, now sim.Millis) uint16 {
-	if m.onRead != nil && m.onRead(m.name, s.Name(), s, now) {
-		m.onRead = nil
-	}
-	return s.Read()
-}
-
 // feed derives the pipeline's working values from the command input.
 type feed struct {
-	mod
+	sim.Reader
 	cmd, val, tick *sim.Signal
 }
 
 func (f *feed) Step(now sim.Millis) {
-	c := f.read(f.cmd, now)
+	c := f.Read(f.cmd, now)
 	// Keep golden values strictly below the poison bit.
 	f.val.Write((c + uint16(now)) & 0x7FFF)
 	f.tick.Write((c ^ uint16(now*3)) & 0x7FFF)
@@ -125,12 +109,12 @@ func (f *feed) Step(now sim.Millis) {
 // bit, in which case it panics like target code dereferencing a
 // corrupted pointer.
 type mine struct {
-	mod
+	sim.Reader
 	in, out *sim.Signal
 }
 
 func (m *mine) Step(now sim.Millis) {
-	v := m.read(m.in, now)
+	v := m.Read(m.in, now)
 	if v&poisonBit != 0 {
 		panic(fmt.Sprintf("hostile: mine tripped by %#04x at t=%dms", v, now))
 	}
@@ -141,13 +125,13 @@ func (m *mine) Step(now sim.Millis) {
 // poison bit, in which case it spins forever, charging the kernel's
 // step budget each iteration so only the watchdog can end the run.
 type tarpit struct {
-	mod
+	sim.Reader
 	kernel  *sim.Kernel
 	in, out *sim.Signal
 }
 
 func (t *tarpit) Step(now sim.Millis) {
-	v := t.read(t.in, now)
+	v := t.Read(t.in, now)
 	for v&poisonBit != 0 {
 		t.kernel.Charge(1)
 	}
@@ -156,12 +140,12 @@ func (t *tarpit) Step(now sim.Millis) {
 
 // sink folds the two branches into the system output.
 type sink struct {
-	mod
+	sim.Reader
 	a, b, out *sim.Signal
 }
 
 func (s *sink) Step(now sim.Millis) {
-	s.out.Write(s.read(s.a, now) + s.read(s.b, now))
+	s.out.Write(s.Read(s.a, now) + s.Read(s.b, now))
 }
 
 // NewInstance builds a fresh hostile instance for one workload point.
@@ -186,10 +170,10 @@ func NewInstance(tc physics.TestCase, hook sim.ReadHook) (*Instance, error) {
 		cmd.Write((base + uint16(now/16)) & 0x3FFF)
 	})
 
-	kernel.AddEveryTick(&feed{mod: mod{name: ModFeed, onRead: hook}, cmd: cmd, val: val, tick: tick})
-	kernel.AddEveryTick(&mine{mod: mod{name: ModMine, onRead: hook}, in: val, out: mineOut})
-	kernel.AddEveryTick(&tarpit{mod: mod{name: ModTarpit, onRead: hook}, kernel: kernel, in: tick, out: pit})
-	kernel.AddEveryTick(&sink{mod: mod{name: ModSink, onRead: hook}, a: mineOut, b: pit, out: out})
+	kernel.AddEveryTick(&feed{Reader: sim.NewReader(ModFeed, hook), cmd: cmd, val: val, tick: tick})
+	kernel.AddEveryTick(&mine{Reader: sim.NewReader(ModMine, hook), in: val, out: mineOut})
+	kernel.AddEveryTick(&tarpit{Reader: sim.NewReader(ModTarpit, hook), kernel: kernel, in: tick, out: pit})
+	kernel.AddEveryTick(&sink{Reader: sim.NewReader(ModSink, hook), a: mineOut, b: pit, out: out})
 	return &Instance{kernel: kernel, bus: bus, snap: sim.NewSnapshotter(kernel, bus)}, nil
 }
 

@@ -179,8 +179,18 @@ func (w *World) NumBrakes() int { return len(w.command) }
 
 // SetCommand sets the commanded pressure of brake 0 as a fraction of
 // full scale (the glue layer derives it from the TOC2 register).
-// Values outside [0, 1] are clamped.
-func (w *World) SetCommand(frac float64) { _ = w.SetBrakeCommand(0, frac) }
+// Values outside [0, 1] are clamped. The glue calls it every tick, so
+// it clamps in place rather than through SetBrakeCommand, whose error
+// path keeps it from inlining.
+func (w *World) SetCommand(frac float64) {
+	if frac < 0 {
+		frac = 0
+	}
+	if frac > 1 {
+		frac = 1
+	}
+	w.command[0] = frac
+}
 
 // SetBrakeCommand sets the commanded pressure of brake i.
 func (w *World) SetBrakeCommand(i int, frac float64) error {
@@ -213,7 +223,11 @@ func (w *World) Step(dt float64) int {
 		}
 		meanPressure += w.pressure[i]
 	}
-	meanPressure /= float64(len(w.pressure))
+	// x/1 == x exactly, so one brake skips the divide; no other
+	// expression here may be reassociated, since records pin rounding.
+	if len(w.pressure) > 1 {
+		meanPressure /= float64(len(w.pressure))
+	}
 
 	if w.Stopped() {
 		w.velocityMS = 0

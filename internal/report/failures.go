@@ -31,8 +31,9 @@ type FailureCase struct {
 	LatencyBucketMs int64
 	// Count is how many runs fell into the class.
 	Count int
-	// Example describes the first run observed in the class (its
-	// injection and workload case).
+	// Example describes the class's run with the lowest job index
+	// (its injection and workload case), whatever order runs finished
+	// in.
 	Example string
 }
 

@@ -1,6 +1,9 @@
 package runner
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -103,10 +106,12 @@ func TestPrepareAssembleBuildsNoCheckpoint(t *testing.T) {
 // TestPruneRecordsIndependentOfWorkers: which runs reconverge with a
 // sibling's trajectory depends on how workers interleave, but the
 // records never do — one worker and four settle identical record
-// sets.
+// sets — and neither does failures.md, whose exemplars are picked by
+// job index, not by completion order.
 func TestPruneRecordsIndependentOfWorkers(t *testing.T) {
 	for _, name := range []string{"paper", "hostile"} {
 		var digests []string
+		var failures [][]byte
 		for _, workers := range []int{1, 4} {
 			dir := t.TempDir()
 			if _, err := RunInstance(name, TierQuick, Options{Dir: dir, Workers: workers, SkipReport: true}); err != nil {
@@ -117,9 +122,17 @@ func TestPruneRecordsIndependentOfWorkers(t *testing.T) {
 				t.Fatal(err)
 			}
 			digests = append(digests, RecordSetDigest(recs))
+			md, err := os.ReadFile(filepath.Join(dir, "failures.md"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			failures = append(failures, md)
 		}
 		if digests[0] != digests[1] {
 			t.Errorf("%s: record set digest %s with 1 worker, %s with 4", name, digests[0], digests[1])
+		}
+		if !bytes.Equal(failures[0], failures[1]) {
+			t.Errorf("%s: failures.md differs between 1 worker and 4:\n%s\n---\n%s", name, failures[0], failures[1])
 		}
 	}
 }

@@ -435,6 +435,7 @@ func (p *Prepared) Run(opts Options) (*RunResult, error) {
 	// Restore completed jobs from the journal.
 	done := make([]bool, snap.TotalRuns)
 	var replay []campaign.RunRecord
+	ddp := newDeduper(p.sys)
 	if opts.Resume {
 		recs, err := p.LoadJournals(opts.Dir)
 		if err != nil {
@@ -451,6 +452,7 @@ func (p *Prepared) Run(opts Options) (*RunResult, error) {
 			}
 			done[job] = true
 			replay = append(replay, rec)
+			ddp.add(job, rec)
 			if opts.OnRecord != nil {
 				if err := opts.OnRecord(r, true); err != nil {
 					return nil, err
@@ -485,10 +487,8 @@ func (p *Prepared) Run(opts Options) (*RunResult, error) {
 		TotalRuns:   snap.TotalRuns,
 		PlannedRuns: planned,
 	}, opts.LogInterval, opts.Logf)
-	ddp := newDeduper(p.sys)
 	for _, rec := range replay {
 		trk.absorb(rec, true)
-		ddp.add(rec)
 	}
 	if len(replay) > 0 {
 		opts.Logf("%s/%s: resumed %d/%d runs from %s",
@@ -506,8 +506,8 @@ func (p *Prepared) Run(opts Options) (*RunResult, error) {
 	var observeErr error
 	userObserver := cfg.Observer
 	cfg.Observer = func(rec campaign.RunRecord) {
+		job, ok := p.ji.Job(rec.Injection, rec.CaseIndex)
 		if observeErr == nil {
-			job, ok := p.ji.Job(rec.Injection, rec.CaseIndex)
 			if !ok {
 				observeErr = fmt.Errorf("runner: observed unplanned job %v case %d", rec.Injection, rec.CaseIndex)
 			} else if jrec, err := newRecord(job, rec); err != nil {
@@ -523,7 +523,7 @@ func (p *Prepared) Run(opts Options) (*RunResult, error) {
 			}
 		}
 		trk.absorb(rec, false)
-		ddp.add(rec)
+		ddp.add(job, rec)
 		trk.maybeLog(ddp.unique())
 		if userObserver != nil {
 			userObserver(rec)
@@ -620,7 +620,7 @@ func (p *Prepared) Assemble(recs map[int]Record, planner *campaign.AdaptivePlann
 			return nil, err
 		}
 		trk.absorb(rec, true)
-		ddp.add(rec)
+		ddp.add(job, rec)
 		settled = append(settled, rec)
 	}
 	res, err := p.golden.Fold(p.cfg, settled, planner)

@@ -207,9 +207,14 @@ func (k *Kernel) Tick() {
 		k.used++
 		t.Step(now)
 	}
-	slot := int(now) % k.numSlots
+	// A slot signal is almost always in range already (its producer
+	// wraps it), so the divide is paid only when it is not.
+	slot := int(now)
 	if k.slotSignal != nil {
-		slot = int(k.slotSignal.Read()) % k.numSlots
+		slot = int(k.slotSignal.Read())
+	}
+	if slot >= k.numSlots {
+		slot %= k.numSlots
 	}
 	for _, t := range k.slotted[slot] {
 		k.used++

@@ -239,13 +239,16 @@ func TestKernelSlotSignal(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Force slot 3 regardless of tick count; values wrap modulo 7.
-	slotSig.Write(3)
-	k.Tick()
-	slotSig.Write(10) // 10 % 7 = 3
-	k.Tick()
-	if !reflect.DeepEqual(ran, []int{3, 3}) {
-		t.Errorf("slots run = %v, want [3 3]", ran)
+	// Force the slot regardless of tick count; values wrap modulo 7,
+	// whether they are in range, on its edge or far beyond it.
+	var want []int
+	for _, v := range []uint16{3, 10, 6, 7, 13, 65535} {
+		slotSig.Write(v)
+		k.Tick()
+		want = append(want, int(v%7))
+	}
+	if !reflect.DeepEqual(ran, want) {
+		t.Errorf("slots run = %v, want %v", ran, want)
 	}
 }
 
@@ -428,5 +431,43 @@ func TestBusHandlesSurviveSlabGrowth(t *testing.T) {
 	}
 	if sigs[0].Read() != 1000 {
 		t.Errorf("restore left handle 0 at %d", sigs[0].Read())
+	}
+}
+
+// TestReaderDetachesAfterHookReturnsTrue: a Reader passes every read
+// to its hook — corruption included — until the hook reports detach,
+// and never calls it again after that.
+func TestReaderDetachesAfterHookReturnsTrue(t *testing.T) {
+	bus := NewBus()
+	sig := bus.Register("x")
+	sig.Write(0x10)
+	var calls []string
+	r := NewReader("MOD", func(module, signal string, s *Signal, now Millis) bool {
+		calls = append(calls, fmt.Sprintf("%s/%s@%d", module, signal, now))
+		if now == 1 {
+			s.Write(s.Read() ^ 1) // fire: corrupt this very read
+			return true
+		}
+		return false
+	})
+	if r.Name() != "MOD" {
+		t.Errorf("Name() = %q, want MOD", r.Name())
+	}
+	var got []uint16
+	for now := Millis(0); now < 4; now++ {
+		got = append(got, r.Read(sig, now))
+	}
+	if !r.ReadBool(sig, 4) {
+		t.Error("ReadBool of a non-zero signal = false")
+	}
+	if want := []uint16{0x10, 0x11, 0x11, 0x11}; !reflect.DeepEqual(got, want) {
+		t.Errorf("reads = %#x, want %#x", got, want)
+	}
+	if want := []string{"MOD/x@0", "MOD/x@1"}; !reflect.DeepEqual(calls, want) {
+		t.Errorf("hook calls = %v, want %v", calls, want)
+	}
+	var nop Reader
+	if nop.Read(sig, 0) != 0x11 {
+		t.Error("a Reader without a hook does not read the signal")
 	}
 }

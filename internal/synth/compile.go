@@ -72,8 +72,7 @@ func buildSystem(s *Spec) (*model.System, error) {
 // port order — the same read discipline every hand-written module
 // follows, so traps fire at identical points in the execution.
 type moduleTask struct {
-	name   string
-	onRead sim.ReadHook
+	sim.Reader
 
 	in, out       []*sim.Signal
 	inBuf, outBuf []uint16
@@ -81,18 +80,12 @@ type moduleTask struct {
 	block         blockInstance
 }
 
-// Name implements sim.Task.
-func (m *moduleTask) Name() string { return m.name }
-
 // Step implements sim.Task: latch all inputs (through the trap, in
 // port order), run the transfer function, write all outputs (in port
 // order, masked to each signal's declared width).
 func (m *moduleTask) Step(now sim.Millis) {
 	for i, s := range m.in {
-		if m.onRead != nil && m.onRead(m.name, s.Name(), s, now) {
-			m.onRead = nil
-		}
-		m.inBuf[i] = s.Read()
+		m.inBuf[i] = m.Read(s, now)
 	}
 	m.block.Step(now, m.inBuf, m.outBuf)
 	for i, s := range m.out {
@@ -180,8 +173,7 @@ func newInstance(s *Spec, tc physics.TestCase, hook sim.ReadHook) (target.Runnab
 			return nil, fmt.Errorf("synth: building module %q: %w", m.Name, err)
 		}
 		task := &moduleTask{
-			name:    m.Name,
-			onRead:  hook,
+			Reader:  sim.NewReader(m.Name, hook),
 			inBuf:   make([]uint16, len(m.Inputs)),
 			outBuf:  make([]uint16, len(m.Outputs)),
 			outMask: make([]uint16, len(m.Outputs)),
