@@ -973,8 +973,9 @@ func benchService(b *testing.B, campaigns int, warm bool) {
 // BenchmarkServiceMultiCampaign measures campaign-as-a-service
 // throughput: N concurrent quick-tier campaigns from distinct tenants
 // over one shared 3-worker fleet, cold (empty memo store) and warm
-// (store pre-populated by an identical campaign, so the fleet serves
-// runs from the persistent memo instead of re-executing).
+// (an identical campaign finished first, so each campaign is a repeat
+// the service assembles from that campaign's journal without the
+// fleet).
 func BenchmarkServiceMultiCampaign(b *testing.B) {
 	for _, n := range []int{1, 2} {
 		b.Run(fmt.Sprintf("campaigns=%d/store=cold", n), func(b *testing.B) { benchService(b, n, false) })

@@ -344,7 +344,22 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	if err != nil {
 		return nil, err
 	}
+	return NewPreparedCoordinator(cfg, prep)
+}
+
+// NewPreparedCoordinator is NewCoordinator over a campaign its caller
+// already prepared, so the golden pass is not run twice. prep must be
+// runner.PrepareInstance of cfg.Instance and cfg.Tier under cfg's
+// RunBudgetSteps, Adaptive and CIEpsilon.
+func NewPreparedCoordinator(cfg Config, prep *runner.Prepared) (*Coordinator, error) {
+	if err := cfg.normalise(); err != nil {
+		return nil, err
+	}
 	info := prep.Info()
+	if info.Name != cfg.Instance || info.Tier != cfg.Tier {
+		return nil, fmt.Errorf("distrib: prepared campaign %s/%s is not the configured %s/%s",
+			info.Name, info.Tier, cfg.Instance, cfg.Tier)
+	}
 	if cfg.Units <= 0 {
 		// Auto-size the initial carve from the plan: one unit per
 		// 2*minCarveJobs jobs, capped at the classic default. A quick
@@ -464,7 +479,10 @@ func (c *Coordinator) assignmentLogPath() string {
 func (c *Coordinator) openAssignmentLog() error {
 	path := c.assignmentLogPath()
 	if data, err := os.ReadFile(path); err == nil {
-		for _, line := range splitLines(data) {
+		for _, line := range bytes.Split(data, []byte{'\n'}) {
+			if len(line) == 0 {
+				continue
+			}
 			var ev assignEvent
 			if json.Unmarshal(line, &ev) != nil {
 				continue // torn tail from a killed coordinator
@@ -482,26 +500,6 @@ func (c *Coordinator) openAssignmentLog() error {
 	}
 	c.assign = f
 	return nil
-}
-
-// splitLines splits a byte slice into its newline-terminated lines
-// (final unterminated fragment included).
-func splitLines(data []byte) [][]byte {
-	var lines [][]byte
-	for len(data) > 0 {
-		i := 0
-		for i < len(data) && data[i] != '\n' {
-			i++
-		}
-		if i > 0 {
-			lines = append(lines, data[:i])
-		}
-		if i == len(data) {
-			break
-		}
-		data = data[i+1:]
-	}
-	return lines
 }
 
 // logAssignLocked appends one event to the assignment journal. The

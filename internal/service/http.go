@@ -313,7 +313,7 @@ func (s *Service) handleReport(w http.ResponseWriter, id string) {
 			}
 		}
 	}
-	data, err := os.ReadFile(filepath.Join(s.opts.Dir, "campaigns", id, "coord", "report.md"))
+	data, err := os.ReadFile(filepath.Join(s.coordDir(id), "report.md"))
 	if err != nil {
 		httpError(w, http.StatusNotFound, "", "report unavailable: %v", err)
 		return

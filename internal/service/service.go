@@ -11,12 +11,16 @@
 // the indirection. Every accepted submission, activation and terminal
 // transition appends to service.jsonl; a killed service restarted
 // with -resume recovers all in-flight campaigns bit-identically from
-// that journal plus each coordinator's own journals. An optional
-// content-addressed store (internal/store) persists memo entries and
-// assembled reports across campaigns, tenants and process lifetimes.
+// that journal plus each coordinator's own journals. A resubmission
+// whose config digest matches a finished campaign's never reaches the
+// fleet: it is assembled from that campaign's record journal. An
+// optional content-addressed store (internal/store) persists memo
+// entries and assembled reports across campaigns, tenants and process
+// lifetimes.
 package service
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -200,6 +204,10 @@ type CampaignInfo struct {
 	StartedMs      int64   `json:"started_ms,omitempty"`
 	DoneMs         int64   `json:"done_ms,omitempty"`
 	Error          string  `json:"error,omitempty"`
+	// Source names the finished campaign a repeat was served from:
+	// same config digest, so its records were assembled from Source's
+	// journal instead of executing. Empty for a campaign that executed.
+	Source string `json:"source,omitempty"`
 }
 
 // AdmissionError is a 429 with backoff guidance — the write
@@ -226,8 +234,13 @@ type journalEvent struct {
 	CIEpsilon float64 `json:"ci_epsilon,omitempty"`
 	// Doc is the saved topology document's path relative to Dir —
 	// the journal stays relocatable.
-	Doc    string `json:"doc,omitempty"`
-	Jobs   int    `json:"jobs,omitempty"`
+	Doc  string `json:"doc,omitempty"`
+	Jobs int    `json:"jobs,omitempty"`
+	// Digest (done) is the campaign's config digest, from which replay
+	// rebuilds the index of finished campaigns; Source (done) is the
+	// campaign a repeat was served from.
+	Digest string `json:"digest,omitempty"`
+	Source string `json:"source,omitempty"`
 	Error  string `json:"error,omitempty"`
 	TimeMs int64  `json:"time_ms,omitempty"`
 }
@@ -240,6 +253,7 @@ type campaignState struct {
 	// resumeCoord marks a campaign that was active when the service
 	// died: its coordinator is recreated with Resume.
 	resumeCoord bool
+	digest      string // config digest, known once activation has prepared the campaign
 	coord       *distrib.Coordinator
 	handler     http.Handler
 	result      *runner.RunResult
@@ -261,6 +275,10 @@ type Service struct {
 	// fleet per tenant, divided by the tenant's weight to pick the
 	// next campaign to lease from.
 	tenantGranted map[string]int64
+	// finished maps a config digest to the latest campaign that
+	// executed it to completion: a later campaign with that digest is
+	// served from its journal.
+	finished map[string]string
 	// leaseWake is closed (and replaced) whenever lease-relevant state
 	// changes — a campaign activates, completes, or a coordinator
 	// returns a unit to its pool — releasing parked fleet long-polls.
@@ -287,6 +305,7 @@ func Open(opts Options) (*Service, error) {
 		logf:          opts.Logf,
 		campaigns:     make(map[string]*campaignState),
 		tenantGranted: make(map[string]int64),
+		finished:      make(map[string]string),
 		leaseWake:     make(chan struct{}),
 		pumpCh:        make(chan struct{}, 1),
 		done:          make(chan struct{}),
@@ -326,7 +345,10 @@ func (s *Service) replayJournal() error {
 		return fmt.Errorf("service: %s already holds campaign state — pass Resume to recover it", s.journalPath())
 	}
 	var wasActive []string // activation order
-	for _, line := range splitLines(data) {
+	for _, line := range bytes.Split(data, []byte{'\n'}) {
+		if len(line) == 0 {
+			continue
+		}
 		var ev journalEvent
 		if json.Unmarshal(line, &ev) != nil {
 			continue // torn tail
@@ -364,6 +386,11 @@ func (s *Service) replayJournal() error {
 			if cs := s.campaigns[ev.ID]; cs != nil {
 				if ev.Op == "done" {
 					cs.State = StateDone
+					cs.Source = ev.Source
+					// Journals older than the digest field are not indexed.
+					if ev.Digest != "" && ev.Source == "" {
+						s.finished[ev.Digest] = ev.ID
+					}
 				} else {
 					cs.State = StateFailed
 					cs.Error = ev.Error
@@ -392,26 +419,6 @@ func (s *Service) replayJournal() error {
 			len(s.campaigns), len(s.queue), s.journalPath())
 	}
 	return nil
-}
-
-// splitLines splits newline-terminated lines, final unterminated
-// fragment included (the torn tail a decoder then rejects).
-func splitLines(data []byte) [][]byte {
-	var lines [][]byte
-	for len(data) > 0 {
-		i := 0
-		for i < len(data) && data[i] != '\n' {
-			i++
-		}
-		if i > 0 {
-			lines = append(lines, data[:i])
-		}
-		if i == len(data) {
-			break
-		}
-		data = data[i+1:]
-	}
-	return lines
 }
 
 // appendJournalLocked journals one event. The journal is the resume
@@ -649,7 +656,9 @@ func (s *Service) admitLocked(tenant string, jobs int) *AdmissionError {
 
 // pump is the activation loop: whenever nudged, it activates queued
 // campaigns while fleet-wide and per-tenant concurrency allow,
-// skipping (not blocking behind) tenants at their active quota.
+// skipping (not blocking behind) tenants at their active quota. Each
+// activation runs on its own goroutine, so one campaign's golden pass
+// or assembly never holds up another's.
 func (s *Service) pump() {
 	defer s.wg.Done()
 	for {
@@ -663,7 +672,11 @@ func (s *Service) pump() {
 			if cs == nil {
 				break
 			}
-			s.activate(cs)
+			s.wg.Add(1)
+			go func() {
+				defer s.wg.Done()
+				s.activate(cs)
+			}()
 		}
 	}
 }
@@ -703,8 +716,11 @@ func (s *Service) nextActivatable() *campaignState {
 	return nil
 }
 
-// activate builds the campaign's coordinator (planning golden runs —
-// deliberately outside the service lock) and opens it for leasing.
+// activate prepares the campaign — its golden pass, deliberately
+// outside the service lock, yields the config digest — and serves it
+// from the finished campaign with that digest if there is one.
+// Otherwise, or if serving fails, it builds the campaign's coordinator
+// over the same preparation and opens it for leasing.
 func (s *Service) activate(cs *campaignState) {
 	fail := func(err error) {
 		s.logf("service: activating %s failed: %v", cs.ID, err)
@@ -742,10 +758,46 @@ func (s *Service) activate(cs *campaignState) {
 		fail(err)
 		return
 	}
-	coord, err := distrib.NewCoordinator(distrib.Config{
+	prep, err := runner.PrepareInstance(cs.Instance, runner.Tier(cs.Tier), runner.Options{
+		RunBudgetSteps: cs.RunBudgetSteps,
+		Adaptive:       mode,
+		CIEpsilon:      cs.CIEpsilon,
+	})
+	if err != nil {
+		fail(err)
+		return
+	}
+	logf := func(format string, args ...any) {
+		s.logf("["+cs.ID+"] "+format, args...)
+	}
+	dir := s.coordDir(cs.ID)
+	digest := prep.Info().Digest
+	s.mu.Lock()
+	cs.digest = digest
+	src, hit := s.finished[digest]
+	// A campaign resumed mid-flight continues its own journal.
+	hit = hit && !cs.resumeCoord
+	if hit {
+		cs.StartedMs = time.Now().UnixMilli()
+	}
+	s.mu.Unlock()
+	if hit {
+		rr, err := serveRepeat(prep, s.coordDir(src), dir, logf)
+		if err == nil {
+			s.logf("service: %s served from %s (digest %s)", cs.ID, src, digest)
+			s.finish(cs, src, rr, nil)
+			return
+		}
+		s.logf("service: %s not served from %s, executing instead: %v", cs.ID, src, err)
+		if err := os.RemoveAll(dir); err != nil {
+			fail(fmt.Errorf("removing the copied journal: %w", err))
+			return
+		}
+	}
+	coord, err := distrib.NewPreparedCoordinator(distrib.Config{
 		Instance:       cs.Instance,
 		Tier:           runner.Tier(cs.Tier),
-		Dir:            filepath.Join(s.opts.Dir, "campaigns", cs.ID, "coord"),
+		Dir:            dir,
 		Units:          s.opts.Units,
 		LeaseTTL:       s.opts.LeaseTTL,
 		Resume:         cs.resumeCoord,
@@ -757,15 +809,20 @@ func (s *Service) activate(cs *campaignState) {
 		Campaign:       cs.ID,
 		Document:       cs.document,
 		OnWake:         s.kickLeaseAsync,
-		Logf: func(format string, args ...any) {
-			s.logf("["+cs.ID+"] "+format, args...)
-		},
-	})
+		Logf:           logf,
+	}, prep)
 	if err != nil {
 		fail(err)
 		return
 	}
 	s.mu.Lock()
+	if s.closed {
+		// Close closes only published coordinators, so this one is
+		// closed here; its journals stay resumable.
+		s.mu.Unlock()
+		_ = coord.Close()
+		return
+	}
 	cs.coord = coord
 	cs.handler = coord.Handler()
 	cs.State = StateActive
@@ -779,14 +836,47 @@ func (s *Service) activate(cs *campaignState) {
 	s.kickLease()
 }
 
+func (s *Service) coordDir(id string) string {
+	return filepath.Join(s.opts.Dir, "campaigns", id, "coord")
+}
+
+// serveRepeat assembles a campaign into dir from the record journal
+// of the finished campaign under srcDir, which has the same config
+// digest: the journal is copied, loaded under the header's digest
+// check, replayed into the adaptive planner and assembled. Nothing
+// executes. A missing, torn or foreign journal is an error.
+func serveRepeat(prep *runner.Prepared, srcDir, dir string, logf func(string, ...any)) (*runner.RunResult, error) {
+	data, err := os.ReadFile(runner.JournalPath(srcDir))
+	if err != nil {
+		return nil, err
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, err
+	}
+	if err := os.WriteFile(runner.JournalPath(dir), data, 0o644); err != nil {
+		return nil, err
+	}
+	recs, err := prep.LoadJournals(dir)
+	if err != nil {
+		return nil, err
+	}
+	var planner *campaign.AdaptivePlanner
+	if prep.Info().Adaptive {
+		if planner, err = prep.Planner(recs); err != nil {
+			return nil, err
+		}
+	}
+	return prep.Assemble(recs, planner, runner.Options{Dir: dir, Logf: logf})
+}
+
 // kickLeaseAsync is the coordinator OnWake hook. It runs with the
 // coordinator's lock held, so the service-lock work hops to a
 // goroutine — the lock order stays coordinator→service nowhere and
 // service→coordinator nowhere.
 func (s *Service) kickLeaseAsync() { go s.kickLease() }
 
-// monitor waits out one active campaign, assembles its result,
-// persists the report and journals the terminal transition.
+// monitor waits out one active campaign and finishes it with its
+// assembled result.
 func (s *Service) monitor(cs *campaignState) {
 	defer s.wg.Done()
 	select {
@@ -795,6 +885,14 @@ func (s *Service) monitor(cs *campaignState) {
 		return
 	}
 	rr, err := cs.coord.Assemble()
+	s.finish(cs, "", rr, err)
+}
+
+// finish journals a campaign's terminal transition — a done one with
+// its config digest, so a resumed service still serves its repeats,
+// and the campaign it was served from, if any — and persists its
+// report.
+func (s *Service) finish(cs *campaignState, source string, rr *runner.RunResult, err error) {
 	s.mu.Lock()
 	cs.DoneMs = time.Now().UnixMilli()
 	if err != nil {
@@ -804,7 +902,11 @@ func (s *Service) monitor(cs *campaignState) {
 	} else {
 		cs.State = StateDone
 		cs.result = rr
-		s.appendJournalLocked(journalEvent{Op: "done", ID: cs.ID})
+		cs.Source = source
+		if source == "" {
+			s.finished[cs.digest] = cs.ID
+		}
+		s.appendJournalLocked(journalEvent{Op: "done", ID: cs.ID, Digest: cs.digest, Source: cs.Source})
 	}
 	s.mu.Unlock()
 	if err != nil {
@@ -826,7 +928,7 @@ func (s *Service) persistReport(cs *campaignState) {
 	if s.opts.Store == nil {
 		return
 	}
-	data, err := os.ReadFile(filepath.Join(s.opts.Dir, "campaigns", cs.ID, "coord", "report.md"))
+	data, err := os.ReadFile(filepath.Join(s.coordDir(cs.ID), "report.md"))
 	if err != nil {
 		s.logf("service: %s: reading report for the store: %v", cs.ID, err)
 		return

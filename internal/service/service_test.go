@@ -10,6 +10,7 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -34,6 +35,7 @@ var (
 	baselineMatrix  string
 	baselineRuns    int
 	baselineUnfired int
+	baselineJournal string // RecordSetDigest of the run's journal
 	baselineErr     error
 )
 
@@ -54,11 +56,25 @@ func baseline(t *testing.T) (string, int, int) {
 			return
 		}
 		baselineMatrix, baselineRuns, baselineUnfired = fingerprint(rr)
+		baselineJournal, baselineErr = journalDigest(dir)
 	})
 	if baselineErr != nil {
 		t.Fatal(baselineErr)
 	}
 	return baselineMatrix, baselineRuns, baselineUnfired
+}
+
+// journalDigest is the RecordSetDigest of the record journal a
+// campaign left in dir.
+func journalDigest(dir string) (string, error) {
+	_, recs, err := runner.ReadJournal(runner.JournalPath(dir))
+	if err != nil {
+		return "", err
+	}
+	if len(recs) == 0 {
+		return "", fmt.Errorf("no records journaled under %s", dir)
+	}
+	return runner.RecordSetDigest(recs), nil
 }
 
 func assertMatchesBaseline(t *testing.T, label string, rr *runner.RunResult) {
@@ -434,10 +450,13 @@ func TestAdmissionControl(t *testing.T) {
 	}
 }
 
-// TestStoreMemoReuseAcrossCampaigns: a second submission of an
-// identical campaign is served largely from the persistent memo
-// store the first one populated — visible as store_memo_runs in the
-// /events stream — and still assembles bit-identically.
+// TestStoreMemoReuseAcrossCampaigns: an identical campaign submitted
+// to a second service, whose fleet shares the worker store the first
+// service's fleet populated, is served largely from that persistent
+// memo store — visible as store_memo_runs in the /events stream — and
+// still assembles bit-identically. (A second submission to the same
+// service would be served from the first campaign's journal without
+// reaching the store at all.)
 func TestStoreMemoReuseAcrossCampaigns(t *testing.T) {
 	workerStore, err := store.Open(t.TempDir(), store.Options{Logf: t.Logf})
 	if err != nil {
@@ -445,43 +464,46 @@ func TestStoreMemoReuseAcrossCampaigns(t *testing.T) {
 	}
 	defer workerStore.Close()
 
-	svc, url, stop := startService(t, Options{Dir: t.TempDir(), Units: 2, LeaseTTL: 5 * time.Second})
-	defer stop()
-	fleet1 := startFleet(t, url, 2, distrib.WorkerOptions{
+	svc1, url1, stop1 := startService(t, Options{Dir: t.TempDir(), Units: 2, LeaseTTL: 5 * time.Second})
+	defer stop1()
+	fleet1 := startFleet(t, url1, 2, distrib.WorkerOptions{
 		Name: "memo1", Dir: t.TempDir(), Memo: workerStore,
 		PollInterval: 50 * time.Millisecond, Logf: t.Logf,
 	})
 
-	resp, first := submitHTTP(t, url, "tenant-a", SubmitRequest{Instance: "reduced", Tier: "quick"})
+	resp, first := submitHTTP(t, url1, "tenant-a", SubmitRequest{Instance: "reduced", Tier: "quick"})
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("first: %d", resp.StatusCode)
 	}
-	waitState(t, svc, first.ID, StateDone, 120*time.Second)
+	waitState(t, svc1, first.ID, StateDone, 120*time.Second)
 	fleet1()
 
-	// A BRAND NEW fleet (fresh scratch, so nothing replays from local
-	// unit journals) serves the second, identical campaign: every
-	// reused run must come from the shared persistent store.
-	fleet2 := startFleet(t, url, 2, distrib.WorkerOptions{
+	// A second service over a fresh directory, and a BRAND NEW fleet
+	// (fresh scratch, so nothing replays from local unit journals),
+	// serve the second, identical campaign: every reused run must come
+	// from the shared persistent store.
+	svc2, url2, stop2 := startService(t, Options{Dir: t.TempDir(), Units: 2, LeaseTTL: 5 * time.Second})
+	defer stop2()
+	fleet2 := startFleet(t, url2, 2, distrib.WorkerOptions{
 		Name: "memo2", Dir: t.TempDir(), Memo: workerStore,
 		PollInterval: 50 * time.Millisecond, Logf: t.Logf,
 	})
 	defer fleet2()
 
-	resp, second := submitHTTP(t, url, "tenant-b", SubmitRequest{Instance: "reduced", Tier: "quick"})
+	resp, second := submitHTTP(t, url2, "tenant-b", SubmitRequest{Instance: "reduced", Tier: "quick"})
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("second: %d", resp.StatusCode)
 	}
-	waitState(t, svc, second.ID, StateDone, 120*time.Second)
+	waitState(t, svc2, second.ID, StateDone, 120*time.Second)
 
-	rr1, _ := svc.Result(first.ID)
-	rr2, _ := svc.Result(second.ID)
+	rr1, _ := svc1.Result(first.ID)
+	rr2, _ := svc2.Result(second.ID)
 	assertMatchesBaseline(t, first.ID, rr1)
 	assertMatchesBaseline(t, second.ID, rr2)
 
 	// The second campaign's fleet metrics must show persistent-store
 	// memo hits, via the public events endpoint.
-	eresp, err := http.Get(url + PathCampaigns + "/" + second.ID + "/events?once=1")
+	eresp, err := http.Get(url2 + PathCampaigns + "/" + second.ID + "/events?once=1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -501,6 +523,143 @@ func TestStoreMemoReuseAcrossCampaigns(t *testing.T) {
 	if st := workerStore.Stats(); st.Hits == 0 {
 		t.Errorf("worker store recorded no hits: %+v", st)
 	}
+}
+
+// TestRepeatServedFromFinishedCampaign: a resubmission with the config
+// digest of a finished campaign is assembled from that campaign's
+// journal — no lease reaches the fleet — and reproduces its journal
+// and report exactly, also after a resume. A different ε is a
+// different digest and executes; a missing source journal degrades to
+// execution.
+func TestRepeatServedFromFinishedCampaign(t *testing.T) {
+	dir := t.TempDir()
+	st, err := store.Open(t.TempDir(), store.Options{Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	opts := Options{Dir: dir, Store: st, Units: 2, LeaseTTL: 5 * time.Second}
+	coordDir := func(id string) string { return filepath.Join(dir, "campaigns", id, "coord") }
+	submit := func(svc *Service, tenant string, req SubmitRequest) CampaignInfo {
+		t.Helper()
+		info, err := svc.Submit(tenant, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return waitState(t, svc, info.ID, StateDone, 120*time.Second)
+	}
+	wantJournal := func(id, want string) {
+		t.Helper()
+		got, err := journalDigest(coordDir(id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("%s journals record set %s, want %s", id, got, want)
+		}
+	}
+	wantSameReport := func(id, src string) {
+		t.Helper()
+		a, errA := os.ReadFile(filepath.Join(coordDir(src), "report.md"))
+		b, errB := os.ReadFile(filepath.Join(coordDir(id), "report.md"))
+		if err := errors.Join(errA, errB); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a, b) {
+			t.Errorf("served %s report.md differs from its source %s", id, src)
+		}
+	}
+	baseline(t)
+	fixed := SubmitRequest{Instance: "reduced", Tier: "quick"}
+
+	svc, url, stop := startService(t, opts)
+	fleet := startFleet(t, url, 2, distrib.WorkerOptions{
+		Name: "repeat", Dir: t.TempDir(), PollInterval: 50 * time.Millisecond, Logf: t.Logf,
+	})
+	first := submit(svc, "tenant-a", fixed)
+	if first.Source != "" {
+		t.Fatalf("first-seen campaign %s claims source %q", first.ID, first.Source)
+	}
+	second := submit(svc, "tenant-b", fixed)
+	if second.Source != first.ID {
+		t.Errorf("repeat %s has source %q, want %s", second.ID, second.Source, first.ID)
+	}
+	if g := svc.Status().Tenants["tenant-b"].GrantedJobs; g != 0 {
+		t.Errorf("repeat's tenant was granted %d jobs, want 0", g)
+	}
+	rr, _ := svc.Result(second.ID)
+	assertMatchesBaseline(t, second.ID, rr)
+	wantJournal(first.ID, baselineJournal)
+	wantJournal(second.ID, baselineJournal)
+	wantSameReport(second.ID, first.ID)
+
+	// Adaptive campaigns: ε is part of the digest. A first-seen ε
+	// executes, its repeat is served through the replayed planner, and
+	// another ε executes again.
+	adaptive := SubmitRequest{Instance: "reduced", Tier: "quick", Adaptive: "force", CIEpsilon: 0.05}
+	a1 := submit(svc, "tenant-c", adaptive)
+	a2 := submit(svc, "tenant-c", adaptive)
+	adaptive.CIEpsilon = 0.1
+	a3 := submit(svc, "tenant-c", adaptive)
+	if a1.Source != "" || a2.Source != a1.ID || a3.Source != "" {
+		t.Errorf("adaptive sources = %q, %q, %q; want \"\", %s, \"\"", a1.Source, a2.Source, a3.Source, a1.ID)
+	}
+	d1, err := journalDigest(coordDir(a1.ID))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantJournal(a2.ID, d1)
+	wantSameReport(a2.ID, a1.ID)
+	fleet()
+	stop()
+
+	// The index survives a resume: with no fleet at all, a third
+	// identical submission is served.
+	svc, url, stop = startService(t, Options{Dir: dir, Store: st, Units: 2, LeaseTTL: 5 * time.Second, Resume: true})
+	defer stop()
+	if info, _ := svc.Campaign(second.ID); info.Source != first.ID {
+		t.Errorf("resumed %s has source %q, want %s", second.ID, info.Source, first.ID)
+	}
+	third := submit(svc, "tenant-d", fixed)
+	if third.Source != first.ID {
+		t.Errorf("repeat after resume %s has source %q, want %s", third.ID, third.Source, first.ID)
+	}
+	wantJournal(third.ID, baselineJournal)
+
+	// Without the source journal the repeat executes, and then serves
+	// later repeats itself.
+	if err := os.Remove(runner.JournalPath(coordDir(first.ID))); err != nil {
+		t.Fatal(err)
+	}
+	fleet = startFleet(t, url, 2, distrib.WorkerOptions{
+		Name: "degrade", Dir: t.TempDir(), PollInterval: 50 * time.Millisecond, Logf: t.Logf,
+	})
+	defer fleet()
+	fourth := submit(svc, "tenant-a", fixed)
+	if fourth.Source != "" {
+		t.Errorf("%s claims source %q though that journal is gone", fourth.ID, fourth.Source)
+	}
+	rr, _ = svc.Result(fourth.ID)
+	assertMatchesBaseline(t, fourth.ID, rr)
+	wantJournal(fourth.ID, baselineJournal)
+	if fifth := submit(svc, "tenant-a", fixed); fifth.Source != fourth.ID {
+		t.Errorf("%s has source %q, want %s", fifth.ID, fifth.Source, fourth.ID)
+	}
+
+	// A torn source journal does not assemble: the repeat executes.
+	path := runner.JournalPath(coordDir(fourth.ID))
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(path, fi.Size()-5); err != nil {
+		t.Fatal(err)
+	}
+	sixth := submit(svc, "tenant-a", fixed)
+	if sixth.Source != "" {
+		t.Errorf("%s claims source %q though that journal is torn", sixth.ID, sixth.Source)
+	}
+	wantJournal(sixth.ID, baselineJournal)
 }
 
 // TestSynthDocumentSubmission submits an inline topology document:
