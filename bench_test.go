@@ -973,8 +973,10 @@ func benchService(b *testing.B, campaigns int, warm bool) {
 // BenchmarkServiceMultiCampaign measures campaign-as-a-service
 // throughput: N concurrent quick-tier campaigns from distinct tenants
 // over one shared 3-worker fleet, cold (empty memo store) and warm
-// (an identical campaign finished first, so each campaign is a repeat
-// the service assembles from that campaign's journal without the
+// (an identical campaign finished first in the same service, so each
+// campaign is an in-process repeat: it takes its config digest from
+// the service's memo, runs no golden pass, copies the finished
+// campaign's journal and artifacts and shares its result, without the
 // fleet).
 func BenchmarkServiceMultiCampaign(b *testing.B) {
 	for _, n := range []int{1, 2} {

@@ -359,31 +359,44 @@ func loadJournal(path string) (hdr JournalHeader, recs []Record, validLen int64,
 	return parseJournal(path, data)
 }
 
-// parseJournal decodes a journal's bytes. A torn final frame — the
-// signature of a killed process: fewer bytes than a frame header, a
-// payload running past the end, or a zero-filled tail — is discarded;
-// a complete frame failing its length check, checksum or strict
-// decode is corruption and an error. validLen is the byte length of
-// the whole-frame prefix, so a resuming writer can truncate the torn
-// tail before appending.
+// parseJournal decodes a journal's bytes (walkJournal) into its
+// header and records.
 func parseJournal(path string, data []byte) (hdr JournalHeader, recs []Record, validLen int64, err error) {
+	var dec RecordDecoder
+	hdr, validLen, err = walkJournal(path, data, func(payload []byte) (err error) {
+		recs, err = dec.Decode(recs, payload)
+		return err
+	})
+	if err != nil {
+		return JournalHeader{}, nil, 0, err
+	}
+	return hdr, recs, validLen, nil
+}
+
+// walkJournal checks a journal's header and hands each whole frame's
+// payload to visit. A torn final frame — the signature of a killed
+// process: fewer bytes than a frame header, a payload running past the
+// end, or a zero-filled tail — ends the walk; a complete frame failing
+// its length check, checksum or visit's check is corruption and an
+// error. validLen is the byte length of the whole-frame prefix, so a
+// resuming writer can truncate the torn tail before appending.
+func walkJournal(path string, data []byte, visit func(payload []byte) error) (hdr JournalHeader, validLen int64, err error) {
 	nl := bytes.IndexByte(data, '\n')
 	if nl < 0 {
 		// Killed mid-header-write, or an empty file: an empty journal.
-		return JournalHeader{}, nil, 0, nil
+		return JournalHeader{}, 0, nil
 	}
 	if json.Unmarshal(data[:nl], &hdr) != nil || hdr.Type != "header" {
-		return JournalHeader{}, nil, 0, fmt.Errorf("runner: journal %s has no valid header", path)
+		return JournalHeader{}, 0, fmt.Errorf("runner: journal %s has no valid header", path)
 	}
 	switch {
 	case hdr.Version == 3 || hdr.Version == 4:
-		return JournalHeader{}, nil, 0, fmt.Errorf("runner: journal %s is version %d, which stored JSON-lines records; "+
+		return JournalHeader{}, 0, fmt.Errorf("runner: journal %s is version %d, which stored JSON-lines records; "+
 			"the record encoding changed to binary frames in version %d — rerun the campaign in a fresh directory",
 			path, hdr.Version, journalVersion)
 	case hdr.Version != journalVersion:
-		return JournalHeader{}, nil, 0, fmt.Errorf("runner: journal %s is version %d, want %d", path, hdr.Version, journalVersion)
+		return JournalHeader{}, 0, fmt.Errorf("runner: journal %s is version %d, want %d", path, hdr.Version, journalVersion)
 	}
-	var dec RecordDecoder
 	pos := nl + 1
 	for pos < len(data) {
 		frame := data[pos:]
@@ -395,19 +408,47 @@ func parseJournal(path string, data []byte) (hdr JournalHeader, recs []Record, v
 			if len(bytes.TrimLeft(frame, "\x00")) == 0 {
 				break // zero-filled: the file grew but its data never landed
 			}
-			return JournalHeader{}, nil, 0, fmt.Errorf("runner: journal %s corrupt at byte %d: damaged frame length", path, pos)
+			return JournalHeader{}, 0, fmt.Errorf("runner: journal %s corrupt at byte %d: damaged frame length", path, pos)
 		}
 		if uint64(n) > uint64(len(frame)-frameHeaderLen) {
 			break // torn inside the payload — resume re-runs it
 		}
 		payload := frame[frameHeaderLen : frameHeaderLen+int(n)]
 		if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(frame[8:]) {
-			return JournalHeader{}, nil, 0, fmt.Errorf("runner: journal %s corrupt at byte %d: frame checksum mismatch", path, pos)
+			return JournalHeader{}, 0, fmt.Errorf("runner: journal %s corrupt at byte %d: frame checksum mismatch", path, pos)
 		}
-		if recs, err = dec.Decode(recs, payload); err != nil {
-			return JournalHeader{}, nil, 0, fmt.Errorf("runner: journal %s corrupt at byte %d: %w", path, pos, err)
+		if err := visit(payload); err != nil {
+			return JournalHeader{}, 0, fmt.Errorf("runner: journal %s corrupt at byte %d: %w", path, pos, err)
 		}
 		pos += frameHeaderLen + int(n)
 	}
-	return hdr, recs, int64(pos), nil
+	return hdr, int64(pos), nil
+}
+
+// CheckJournal vets data, the bytes of the journal at path, as a
+// complete copy of a finished campaign's record journal without
+// decoding a record: the header names digest (ErrDigestMismatch
+// otherwise), every frame passes its length and checksum checks, and
+// no torn tail follows the last frame. It returns the number of
+// records the frames hold; a journal truncated on a frame boundary
+// passes every other check, so the caller compares the count with the
+// runs it expects.
+func CheckJournal(path string, data []byte, digest string) (records int, err error) {
+	hdr, validLen, err := walkJournal(path, data, func(payload []byte) error {
+		r := payloadReader{data: payload}
+		for i, n := 0, r.count("string table", 1); i < n && r.err == nil; i++ {
+			r.next(r.count("string", 1))
+		}
+		records += r.count("record", minRecordBytes)
+		return r.err
+	})
+	switch {
+	case err != nil:
+		return 0, err
+	case hdr.ConfigDigest != digest:
+		return 0, fmt.Errorf("runner: journal %s belongs to config %q, not %s: %w", path, hdr.ConfigDigest, digest, ErrDigestMismatch)
+	case validLen != int64(len(data)):
+		return 0, fmt.Errorf("runner: journal %s has a torn tail of %d bytes", path, int64(len(data))-validLen)
+	}
+	return records, nil
 }

@@ -3,6 +3,7 @@ package runner
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -144,6 +145,35 @@ func tornFixture(t testing.TB, path string, hdr JournalHeader) (data []byte, bou
 		t.Fatalf("journal of %d bytes splits into frames ending at %v, want 3 frames", len(data), bounds)
 	}
 	return data, bounds, recs
+}
+
+// TestCheckJournal vets a three-frame journal without decoding it: the
+// intact copy counts every record, a cut on a frame boundary counts
+// fewer, and a torn tail, a flipped payload byte or a foreign digest
+// is an error.
+func TestCheckJournal(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal.bin")
+	data, bounds, recs := tornFixture(t, path, JournalHeader{ConfigDigest: "abc"})
+	if n, err := CheckJournal(path, data, "abc"); err != nil || n != len(recs) {
+		t.Fatalf("intact journal: %d records, %v; want %d", n, err, len(recs))
+	}
+	if n, err := CheckJournal(path, data[:bounds[2]], "abc"); err != nil || n != 3 {
+		t.Errorf("journal cut after two frames: %d records, %v; want 3", n, err)
+	}
+	if _, err := CheckJournal(path, data[:len(data)-1], "abc"); err == nil {
+		t.Error("accepted a torn tail")
+	}
+	flipped := bytes.Clone(data)
+	flipped[bounds[1]+frameHeaderLen+1] ^= 0x40
+	if _, err := CheckJournal(path, flipped, "abc"); err == nil {
+		t.Error("accepted a flipped byte in the middle frame")
+	}
+	if _, err := CheckJournal(path, data, "other"); !errors.Is(err, ErrDigestMismatch) {
+		t.Errorf("foreign digest: %v, want ErrDigestMismatch", err)
+	}
+	if _, err := CheckJournal(path, nil, "abc"); !errors.Is(err, ErrDigestMismatch) {
+		t.Errorf("empty journal: %v, want ErrDigestMismatch", err)
+	}
 }
 
 // TestJournalToleratesTornTail cuts the journal at every byte offset

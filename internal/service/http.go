@@ -55,6 +55,11 @@ type Status struct {
 	Crashed    bool                    `json:"crashed,omitempty"`
 	Campaigns  []CampaignInfo          `json:"campaigns"`
 	Tenants    map[string]TenantStatus `json:"tenants"`
+	// Prepares counts the golden passes (campaign preparations) this
+	// process ran; Served counts the repeats it served from a finished
+	// campaign. An in-process repeat adds to Served only.
+	Prepares int `json:"prepares"`
+	Served   int `json:"served"`
 }
 
 type errorResponse struct {
@@ -440,6 +445,8 @@ func (s *Service) Status() Status {
 	st := Status{
 		QueueDepth: len(s.queue),
 		Crashed:    s.crashed,
+		Prepares:   s.prepares,
+		Served:     s.served,
 		Tenants:    make(map[string]TenantStatus),
 	}
 	for _, id := range s.order {

@@ -13,7 +13,7 @@
 // with -resume recovers all in-flight campaigns bit-identically from
 // that journal plus each coordinator's own journals. A resubmission
 // whose config digest matches a finished campaign's never reaches the
-// fleet: it is assembled from that campaign's record journal. An
+// fleet: it is served from that campaign's journal and artifacts. An
 // optional content-addressed store (internal/store) persists memo
 // entries and assembled reports across campaigns, tenants and process
 // lifetimes.
@@ -205,7 +205,7 @@ type CampaignInfo struct {
 	DoneMs         int64   `json:"done_ms,omitempty"`
 	Error          string  `json:"error,omitempty"`
 	// Source names the finished campaign a repeat was served from:
-	// same config digest, so its records were assembled from Source's
+	// same config digest, so its records and result came from Source's
 	// journal instead of executing. Empty for a campaign that executed.
 	Source string `json:"source,omitempty"`
 }
@@ -253,11 +253,27 @@ type campaignState struct {
 	// resumeCoord marks a campaign that was active when the service
 	// died: its coordinator is recreated with Resume.
 	resumeCoord bool
-	digest      string // config digest, known once activation has prepared the campaign
+	digest      string // config digest, known once activation has looked it up or prepared the campaign
 	coord       *distrib.Coordinator
 	handler     http.Handler
 	result      *runner.RunResult
 	granted     int64 // jobs granted to the fleet (fair-share bookkeeping)
+	// assembling serialises assembling this campaign's result for its
+	// repeats when it finished in an earlier process (serve).
+	assembling sync.Mutex
+}
+
+// request is a campaign's canonical submit fields, as resolveSubmit
+// leaves them (document instances are named by content): within one
+// process, equal requests prepare to the same config digest.
+type request struct {
+	instance, tier, adaptive string
+	runBudget                int64
+	epsilon                  float64
+}
+
+func (cs *campaignState) request() request {
+	return request{cs.Instance, cs.Tier, cs.Adaptive, cs.RunBudgetSteps, cs.CIEpsilon}
 }
 
 // Service is the multi-tenant campaign host.
@@ -279,6 +295,15 @@ type Service struct {
 	// executed it to completion: a later campaign with that digest is
 	// served from its journal.
 	finished map[string]string
+	// digests memoises the config digest each request prepared to in
+	// this process, so a repeat runs no golden pass. It is never
+	// journaled: a resumed (perhaps upgraded) binary re-derives every
+	// digest through its own golden pass, so the digest keeps pinning
+	// the simulator.
+	digests map[request]string
+	// prepares and served count this process's golden passes and
+	// served repeats (Status).
+	prepares, served int
 	// leaseWake is closed (and replaced) whenever lease-relevant state
 	// changes — a campaign activates, completes, or a coordinator
 	// returns a unit to its pool — releasing parked fleet long-polls.
@@ -306,6 +331,7 @@ func Open(opts Options) (*Service, error) {
 		campaigns:     make(map[string]*campaignState),
 		tenantGranted: make(map[string]int64),
 		finished:      make(map[string]string),
+		digests:       make(map[request]string),
 		leaseWake:     make(chan struct{}),
 		pumpCh:        make(chan struct{}, 1),
 		done:          make(chan struct{}),
@@ -421,10 +447,11 @@ func (s *Service) replayJournal() error {
 	return nil
 }
 
-// appendJournalLocked journals one event. The journal is the resume
-// source of truth; an append failure degrades durability, not
-// service (it is logged, and the in-memory state keeps serving).
-func (s *Service) appendJournalLocked(ev journalEvent) {
+// appendJournalLocked journals one event and returns its time. The
+// journal is the resume source of truth; an append failure degrades
+// durability, not service (it is logged, and the in-memory state keeps
+// serving).
+func (s *Service) appendJournalLocked(ev journalEvent) int64 {
 	ev.TimeMs = time.Now().UnixMilli()
 	line, err := json.Marshal(ev)
 	if err == nil {
@@ -433,6 +460,7 @@ func (s *Service) appendJournalLocked(ev journalEvent) {
 	if err != nil {
 		s.logf("service: journal append failed: %v", err)
 	}
+	return ev.TimeMs
 }
 
 // crashHitLocked checks an armed service crash point; on fire the
@@ -716,19 +744,19 @@ func (s *Service) nextActivatable() *campaignState {
 	return nil
 }
 
-// activate prepares the campaign — its golden pass, deliberately
-// outside the service lock, yields the config digest — and serves it
-// from the finished campaign with that digest if there is one.
-// Otherwise, or if serving fails, it builds the campaign's coordinator
-// over the same preparation and opens it for leasing.
+// activate looks the campaign's config digest up in this process's
+// memo, or prepares the campaign — its golden pass, deliberately
+// outside the service lock, yields the digest — and serves it from the
+// finished campaign with that digest if there is one. Otherwise, or if
+// serving fails, it builds the campaign's coordinator over the
+// preparation and opens it for leasing.
 func (s *Service) activate(cs *campaignState) {
 	fail := func(err error) {
 		s.logf("service: activating %s failed: %v", cs.ID, err)
 		s.mu.Lock()
 		cs.State = StateFailed
 		cs.Error = err.Error()
-		cs.DoneMs = time.Now().UnixMilli()
-		s.appendJournalLocked(journalEvent{Op: "fail", ID: cs.ID, Error: cs.Error})
+		cs.DoneMs = s.appendJournalLocked(journalEvent{Op: "fail", ID: cs.ID, Error: cs.Error})
 		s.mu.Unlock()
 		s.kickPump()
 		s.kickLease()
@@ -758,41 +786,74 @@ func (s *Service) activate(cs *campaignState) {
 		fail(err)
 		return
 	}
-	prep, err := runner.PrepareInstance(cs.Instance, runner.Tier(cs.Tier), runner.Options{
-		RunBudgetSteps: cs.RunBudgetSteps,
-		Adaptive:       mode,
-		CIEpsilon:      cs.CIEpsilon,
-	})
-	if err != nil {
-		fail(err)
-		return
+	req := cs.request()
+	var prep *runner.Prepared
+	// prepare runs the campaign's golden pass unless it already ran,
+	// memoising the digest; false means the campaign failed.
+	prepare := func() bool {
+		if prep != nil {
+			return true
+		}
+		p, err := runner.PrepareInstance(cs.Instance, runner.Tier(cs.Tier), runner.Options{
+			RunBudgetSteps: cs.RunBudgetSteps,
+			Adaptive:       mode,
+			CIEpsilon:      cs.CIEpsilon,
+		})
+		if err != nil {
+			fail(err)
+			return false
+		}
+		prep = p
+		s.mu.Lock()
+		s.prepares++
+		s.digests[req] = p.Info().Digest
+		s.mu.Unlock()
+		return true
 	}
 	logf := func(format string, args ...any) {
 		s.logf("["+cs.ID+"] "+format, args...)
 	}
 	dir := s.coordDir(cs.ID)
-	digest := prep.Info().Digest
+	s.mu.Lock()
+	digest, known := s.digests[req]
+	s.mu.Unlock()
+	if !known {
+		if !prepare() {
+			return
+		}
+		digest = prep.Info().Digest
+	}
 	s.mu.Lock()
 	cs.digest = digest
-	src, hit := s.finished[digest]
+	src := s.campaigns[s.finished[digest]]
 	// A campaign resumed mid-flight continues its own journal.
-	hit = hit && !cs.resumeCoord
-	if hit {
-		cs.StartedMs = time.Now().UnixMilli()
+	if src != nil && !cs.resumeCoord {
+		cs.StartedMs = s.appendJournalLocked(journalEvent{Op: "activate", ID: cs.ID})
+	} else {
+		src = nil
 	}
+	// A source that finished in an earlier process has no result in
+	// memory; serving assembles it with the preparation.
+	assemble := src != nil && src.result == nil
 	s.mu.Unlock()
-	if hit {
-		rr, err := serveRepeat(prep, s.coordDir(src), dir, logf)
+	if src != nil {
+		if assemble && !prepare() {
+			return
+		}
+		rr, err := s.serve(src, digest, prep, dir, logf)
 		if err == nil {
-			s.logf("service: %s served from %s (digest %s)", cs.ID, src, digest)
-			s.finish(cs, src, rr, nil)
+			s.logf("service: %s served from %s (digest %s)", cs.ID, src.ID, digest)
+			s.finish(cs, src.ID, rr, nil)
 			return
 		}
-		s.logf("service: %s not served from %s, executing instead: %v", cs.ID, src, err)
+		s.logf("service: %s not served from %s, executing instead: %v", cs.ID, src.ID, err)
 		if err := os.RemoveAll(dir); err != nil {
-			fail(fmt.Errorf("removing the copied journal: %w", err))
+			fail(fmt.Errorf("removing the copied artifacts: %w", err))
 			return
 		}
+	}
+	if !prepare() {
+		return
 	}
 	coord, err := distrib.NewPreparedCoordinator(distrib.Config{
 		Instance:       cs.Instance,
@@ -826,8 +887,7 @@ func (s *Service) activate(cs *campaignState) {
 	cs.coord = coord
 	cs.handler = coord.Handler()
 	cs.State = StateActive
-	cs.StartedMs = time.Now().UnixMilli()
-	s.appendJournalLocked(journalEvent{Op: "activate", ID: cs.ID})
+	cs.StartedMs = s.appendJournalLocked(journalEvent{Op: "activate", ID: cs.ID})
 	s.mu.Unlock()
 	s.logf("service: %s active (%s/%s, %d jobs, tenant %s)",
 		cs.ID, cs.Instance, cs.Tier, cs.Jobs, cs.Tenant)
@@ -840,12 +900,77 @@ func (s *Service) coordDir(id string) string {
 	return filepath.Join(s.opts.Dir, "campaigns", id, "coord")
 }
 
-// serveRepeat assembles a campaign into dir from the record journal
+// servedArtifacts are the files a served repeat copies from its
+// source, besides the journal. They are copied, not linked, so later
+// damage to the source never reaches the repeat.
+var servedArtifacts = []string{"config.json", "metrics.json", "failures.md", "report.md"}
+
+// serve finishes a repeat into dir from src, the finished campaign
+// with the same config digest, and runs nothing. When src's result is
+// in memory, src's journal is vetted — header digest, frame checksums,
+// one record per settled run — and copied with src's artifacts, and
+// the repeat shares that result. Otherwise src finished in an earlier
+// process: its journal is copied, loaded, replayed into the adaptive
+// planner and assembled with prep, once, and the result is kept on src
+// for later repeats. A missing, torn, corrupt or foreign journal is an
+// error.
+func (s *Service) serve(src *campaignState, digest string, prep *runner.Prepared, dir string, logf func(string, ...any)) (*runner.RunResult, error) {
+	srcDir := s.coordDir(src.ID)
+	src.assembling.Lock()
+	s.mu.Lock()
+	res := src.result
+	s.mu.Unlock()
+	if res == nil {
+		rr, err := assembleRepeat(prep, srcDir, dir, logf)
+		if err == nil {
+			kept := *rr
+			kept.Dir = srcDir
+			s.mu.Lock()
+			src.result = &kept
+			s.mu.Unlock()
+		}
+		src.assembling.Unlock()
+		return rr, err
+	}
+	src.assembling.Unlock()
+
+	path := runner.JournalPath(srcDir)
+	journal, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	n, err := runner.CheckJournal(path, journal, digest)
+	if err != nil {
+		return nil, err
+	}
+	if settled := res.Metrics.ReplayedRuns + res.Metrics.ExecutedRuns; n != settled {
+		return nil, fmt.Errorf("journal %s holds %d records, not the %d runs %s settled", path, n, settled, src.ID)
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, err
+	}
+	if err := os.WriteFile(runner.JournalPath(dir), journal, 0o644); err != nil {
+		return nil, err
+	}
+	for _, name := range servedArtifacts {
+		data, err := os.ReadFile(filepath.Join(srcDir, name))
+		if err != nil {
+			return nil, err
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			return nil, err
+		}
+	}
+	rr := *res
+	rr.Dir = dir
+	return &rr, nil
+}
+
+// assembleRepeat assembles a campaign into dir from the record journal
 // of the finished campaign under srcDir, which has the same config
 // digest: the journal is copied, loaded under the header's digest
-// check, replayed into the adaptive planner and assembled. Nothing
-// executes. A missing, torn or foreign journal is an error.
-func serveRepeat(prep *runner.Prepared, srcDir, dir string, logf func(string, ...any)) (*runner.RunResult, error) {
+// check, replayed into the adaptive planner and assembled.
+func assembleRepeat(prep *runner.Prepared, srcDir, dir string, logf func(string, ...any)) (*runner.RunResult, error) {
 	data, err := os.ReadFile(runner.JournalPath(srcDir))
 	if err != nil {
 		return nil, err
@@ -894,19 +1019,20 @@ func (s *Service) monitor(cs *campaignState) {
 // report.
 func (s *Service) finish(cs *campaignState, source string, rr *runner.RunResult, err error) {
 	s.mu.Lock()
-	cs.DoneMs = time.Now().UnixMilli()
 	if err != nil {
 		cs.State = StateFailed
 		cs.Error = err.Error()
-		s.appendJournalLocked(journalEvent{Op: "fail", ID: cs.ID, Error: cs.Error})
+		cs.DoneMs = s.appendJournalLocked(journalEvent{Op: "fail", ID: cs.ID, Error: cs.Error})
 	} else {
 		cs.State = StateDone
 		cs.result = rr
 		cs.Source = source
 		if source == "" {
 			s.finished[cs.digest] = cs.ID
+		} else {
+			s.served++
 		}
-		s.appendJournalLocked(journalEvent{Op: "done", ID: cs.ID, Digest: cs.digest, Source: cs.Source})
+		cs.DoneMs = s.appendJournalLocked(journalEvent{Op: "done", ID: cs.ID, Digest: cs.digest, Source: cs.Source})
 	}
 	s.mu.Unlock()
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -13,6 +14,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -526,11 +528,11 @@ func TestStoreMemoReuseAcrossCampaigns(t *testing.T) {
 }
 
 // TestRepeatServedFromFinishedCampaign: a resubmission with the config
-// digest of a finished campaign is assembled from that campaign's
+// digest of a finished campaign is served from that campaign's
 // journal — no lease reaches the fleet — and reproduces its journal
 // and report exactly, also after a resume. A different ε is a
-// different digest and executes; a missing source journal degrades to
-// execution.
+// different digest and executes; a missing, torn, corrupt or foreign
+// source journal degrades to execution.
 func TestRepeatServedFromFinishedCampaign(t *testing.T) {
 	dir := t.TempDir()
 	st, err := store.Open(t.TempDir(), store.Options{Logf: t.Logf})
@@ -614,11 +616,20 @@ func TestRepeatServedFromFinishedCampaign(t *testing.T) {
 	stop()
 
 	// The index survives a resume: with no fleet at all, a third
-	// identical submission is served.
-	svc, url, stop = startService(t, Options{Dir: dir, Store: st, Units: 2, LeaseTTL: 5 * time.Second, Resume: true})
+	// identical submission is served. Campaigns executed from here on
+	// journal one frame per unit, four of them, so a corrupt middle
+	// frame can be staged below.
+	svc, url, stop = startService(t, Options{Dir: dir, Store: st, Units: 4, LeaseTTL: 5 * time.Second, Resume: true})
 	defer stop()
 	if info, _ := svc.Campaign(second.ID); info.Source != first.ID {
 		t.Errorf("resumed %s has source %q, want %s", second.ID, info.Source, first.ID)
+	}
+	// A served repeat journals its start: resumed, it still reads a
+	// start no later than its end.
+	for _, info := range svc.Campaigns() {
+		if info.Source != "" && !(0 < info.StartedMs && info.StartedMs <= info.DoneMs) {
+			t.Errorf("resumed served repeat %s started at %d ms, done at %d ms", info.ID, info.StartedMs, info.DoneMs)
+		}
 	}
 	third := submit(svc, "tenant-d", fixed)
 	if third.Source != first.ID {
@@ -660,6 +671,299 @@ func TestRepeatServedFromFinishedCampaign(t *testing.T) {
 		t.Errorf("%s claims source %q though that journal is torn", sixth.ID, sixth.Source)
 	}
 	wantJournal(sixth.ID, baselineJournal)
+
+	// A corrupt or foreign source journal is not served either. Each
+	// damaged journal belongs to the campaign the previous step
+	// executed, which is the latest source.
+	damage := []struct {
+		what  string
+		spoil func(journal []byte) []byte
+	}{
+		{"a flipped byte in a middle frame", func(journal []byte) []byte {
+			frames := frameOffsets(t, journal)
+			if len(frames) < 3 {
+				t.Fatalf("source journal holds %d frames, too few for a middle one", len(frames))
+			}
+			journal[frames[len(frames)/2]+frameHeaderLen] ^= 0x40
+			return journal
+		}},
+		{"a header naming another config digest", func(journal []byte) []byte {
+			hdr, _, err := runner.ReadJournal(runner.JournalPath(coordDir(a1.ID)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			line, err := json.Marshal(hdr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return append(append(line, '\n'), journal[bytes.IndexByte(journal, '\n')+1:]...)
+		}},
+	}
+	src := sixth
+	for _, d := range damage {
+		path := runner.JournalPath(coordDir(src.ID))
+		journal, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, d.spoil(journal), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		next := submit(svc, "tenant-a", fixed)
+		if next.Source != "" {
+			t.Errorf("%s claims source %q though that journal has %s", next.ID, next.Source, d.what)
+		}
+		rr, _ := svc.Result(next.ID)
+		assertMatchesBaseline(t, next.ID, rr)
+		wantJournal(next.ID, baselineJournal)
+		src = next
+	}
+}
+
+// frameHeaderLen is a journal frame's fixed prefix: length, its
+// complement, CRC-32C.
+const frameHeaderLen = 12
+
+// frameOffsets returns the byte offset of every frame in a journal.
+func frameOffsets(t *testing.T, journal []byte) []int {
+	t.Helper()
+	var offs []int
+	for pos := bytes.IndexByte(journal, '\n') + 1; pos+frameHeaderLen <= len(journal); {
+		offs = append(offs, pos)
+		pos += frameHeaderLen + int(binary.LittleEndian.Uint32(journal[pos:]))
+	}
+	if len(offs) == 0 {
+		t.Fatal("journal holds no frame")
+	}
+	return offs
+}
+
+// countedInstance registers a copy of the "reduced" instance under
+// name whose Config calls are counted: Submit calls it once to size
+// the campaign, and every golden pass once more.
+func countedInstance(t *testing.T, name string) *atomic.Int64 {
+	t.Helper()
+	reduced, err := runner.Lookup("reduced")
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls := new(atomic.Int64)
+	if err := runner.Register(runner.Definition{Name: name, Config: func(tier runner.Tier) (campaign.Config, error) {
+		calls.Add(1)
+		return reduced.Config(tier)
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { runner.Unregister(name) })
+	return calls
+}
+
+// TestServedRepeatRunsNoGoldenPass: an in-process repeat takes its
+// config digest from the service's memo, so it runs no golden pass,
+// and shares its source's result instead of reassembling one. The memo
+// never crosses a process: after a resume the first repeat prepares
+// again, and the next one shares that repeat's result.
+func TestServedRepeatRunsNoGoldenPass(t *testing.T) {
+	calls := countedInstance(t, "reduced-counted")
+	dir := t.TempDir()
+	opts := Options{Dir: dir, Units: 2, LeaseTTL: 5 * time.Second}
+	req := SubmitRequest{Instance: "reduced-counted", Tier: "quick"}
+	// submit runs one campaign to completion and returns its info and
+	// the Config calls it made.
+	submit := func(svc *Service) (CampaignInfo, int64) {
+		t.Helper()
+		before := calls.Load()
+		info, err := svc.Submit("tenant-a", req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		info = waitState(t, svc, info.ID, StateDone, 120*time.Second)
+		return info, calls.Load() - before
+	}
+	result := func(svc *Service, id string) *runner.RunResult {
+		t.Helper()
+		rr, ok := svc.Result(id)
+		if !ok {
+			t.Fatalf("%s has no result", id)
+		}
+		assertMatchesBaseline(t, id, rr)
+		return rr
+	}
+	wantCounts := func(svc *Service, prepares, served int) {
+		t.Helper()
+		if st := svc.Status(); st.Prepares != prepares || st.Served != served {
+			t.Errorf("status counts %d prepares and %d served repeats, want %d and %d", st.Prepares, st.Served, prepares, served)
+		}
+	}
+
+	svc, url, stop := startService(t, opts)
+	fleet := startFleet(t, url, 2, distrib.WorkerOptions{
+		Name: "counted", Dir: t.TempDir(), PollInterval: 50 * time.Millisecond, Logf: t.Logf,
+	})
+	first, _ := submit(svc)
+	wantCounts(svc, 1, 0)
+	repeat, n := submit(svc)
+	if repeat.Source != first.ID {
+		t.Fatalf("repeat %s has source %q, want %s", repeat.ID, repeat.Source, first.ID)
+	}
+	if n != 1 {
+		t.Errorf("in-process repeat called Config %d times, want 1 (submission only, no golden pass)", n)
+	}
+	wantCounts(svc, 1, 1)
+	if a, b := result(svc, first.ID), result(svc, repeat.ID); a.Result != b.Result {
+		t.Error("in-process repeat reassembled its result instead of sharing its source's")
+	} else if b.Dir == a.Dir {
+		t.Errorf("repeat's result names its source's directory %s", a.Dir)
+	}
+	fleet()
+	stop()
+
+	svc, _, stop = startService(t, Options{Dir: dir, Units: 2, LeaseTTL: 5 * time.Second, Resume: true})
+	defer stop()
+	resumed, n := submit(svc)
+	if n != 2 {
+		t.Errorf("first repeat after resume called Config %d times, want 2 (submission and golden pass)", n)
+	}
+	wantCounts(svc, 1, 1)
+	again, n := submit(svc)
+	if n != 1 {
+		t.Errorf("second repeat after resume called Config %d times, want 1", n)
+	}
+	wantCounts(svc, 1, 2)
+	for _, info := range []CampaignInfo{resumed, again} {
+		if info.Source != first.ID {
+			t.Errorf("repeat %s has source %q, want %s", info.ID, info.Source, first.ID)
+		}
+	}
+	if result(svc, resumed.ID).Result != result(svc, again.ID).Result {
+		t.Error("second repeat after resume reassembled instead of sharing the first repeat's result")
+	}
+}
+
+// TestServedRepeatKilledMidServe: a served repeat journals activate
+// before it copies anything, so a service killed between that line and
+// done resumes the repeat like any in-flight campaign — its coordinator
+// resumes from whatever the copy left — and it completes.
+func TestServedRepeatKilledMidServe(t *testing.T) {
+	dir := t.TempDir()
+	svc, url, stop := startService(t, Options{Dir: dir, Units: 2, LeaseTTL: 5 * time.Second})
+	fleet := startFleet(t, url, 2, distrib.WorkerOptions{
+		Name: "midserve", Dir: t.TempDir(), PollInterval: 50 * time.Millisecond, Logf: t.Logf,
+	})
+	req := SubmitRequest{Instance: "reduced", Tier: "quick"}
+	var ids []string
+	for range 2 {
+		info, err := svc.Submit("tenant-a", req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitState(t, svc, info.ID, StateDone, 120*time.Second)
+		ids = append(ids, info.ID)
+	}
+	fleet()
+	stop()
+
+	// Drop the repeat's done line: the process died mid-serve.
+	path := filepath.Join(dir, journalName)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var kept [][]byte
+	for _, line := range bytes.Split(data, []byte{'\n'}) {
+		var ev journalEvent
+		if json.Unmarshal(line, &ev) == nil && !(ev.Op == "done" && ev.ID == ids[1]) {
+			kept = append(kept, line)
+		}
+	}
+	if err := os.WriteFile(path, append(bytes.Join(kept, []byte{'\n'}), '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	svc, _, stop = startService(t, Options{Dir: dir, Units: 2, LeaseTTL: 5 * time.Second, Resume: true})
+	defer stop()
+	waitState(t, svc, ids[1], StateDone, 120*time.Second)
+	rr, _ := svc.Result(ids[1])
+	assertMatchesBaseline(t, ids[1], rr)
+	if got, err := journalDigest(filepath.Join(dir, "campaigns", ids[1], "coord")); err != nil || got != baselineJournal {
+		t.Errorf("resumed repeat journals record set %s (%v), want %s", got, err, baselineJournal)
+	}
+}
+
+// TestConcurrentRepeats serves six simultaneous repeats of one
+// finished campaign, in process and again after a resume, when the
+// first of them assembles the source's result once for all six.
+func TestConcurrentRepeats(t *testing.T) {
+	const n = 6
+	dir := t.TempDir()
+	coordDir := func(id string) string { return filepath.Join(dir, "campaigns", id, "coord") }
+	opts := Options{Dir: dir, Units: 2, LeaseTTL: 5 * time.Second, MaxActiveTotal: n}
+	req := SubmitRequest{Instance: "reduced", Tier: "quick"}
+
+	svc, url, stop := startService(t, opts)
+	fleet := startFleet(t, url, 2, distrib.WorkerOptions{
+		Name: "concurrent", Dir: t.TempDir(), PollInterval: 50 * time.Millisecond, Logf: t.Logf,
+	})
+	src, err := svc.Submit("tenant-src", req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, svc, src.ID, StateDone, 120*time.Second)
+	fleet()
+	report, err := os.ReadFile(filepath.Join(coordDir(src.ID), "report.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// repeats submits n copies at once, one tenant each so all n
+	// activate together, and checks each was served from src.
+	repeats := func(svc *Service) []*runner.RunResult {
+		t.Helper()
+		infos := make([]CampaignInfo, n)
+		errs := make([]error, n)
+		var wg sync.WaitGroup
+		for i := range n {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				infos[i], errs[i] = svc.Submit(fmt.Sprintf("tenant-%d", i), req)
+			}()
+		}
+		wg.Wait()
+		if err := errors.Join(errs...); err != nil {
+			t.Fatal(err)
+		}
+		results := make([]*runner.RunResult, n)
+		for i, info := range infos {
+			info = waitState(t, svc, info.ID, StateDone, 120*time.Second)
+			if info.Source != src.ID {
+				t.Errorf("repeat %s has source %q, want %s", info.ID, info.Source, src.ID)
+			}
+			got, err := os.ReadFile(filepath.Join(coordDir(info.ID), "report.md"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, report) {
+				t.Errorf("repeat %s report.md differs from its source %s", info.ID, src.ID)
+			}
+			results[i], _ = svc.Result(info.ID)
+			assertMatchesBaseline(t, info.ID, results[i])
+		}
+		return results
+	}
+	repeats(svc)
+	if st := svc.Status(); st.Prepares != 1 || st.Served != n {
+		t.Errorf("status counts %d prepares and %d served repeats, want 1 and %d", st.Prepares, st.Served, n)
+	}
+	stop()
+
+	svc, _, stop = startService(t, Options{Dir: dir, Units: 2, LeaseTTL: 5 * time.Second, MaxActiveTotal: n, Resume: true})
+	defer stop()
+	results := repeats(svc)
+	for _, rr := range results[1:] {
+		if rr.Result != results[0].Result {
+			t.Fatal("concurrent repeats after resume assembled their source's result more than once")
+		}
+	}
 }
 
 // TestSynthDocumentSubmission submits an inline topology document:
