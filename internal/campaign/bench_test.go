@@ -59,7 +59,7 @@ func BenchmarkDivergedRun(b *testing.B) {
 	}
 	inj := inject.Injection{Module: arrestor.ModVReg, Signal: arrestor.SigSetValue, At: 1000, Model: inject.BitFlip{Bit: 14}}
 	probed := &engine{cfg: cfg, sys: cfg.System(), g: g, pr: newPruner(cfg, g.preds),
-		siblings: newTrajectories(false, defaultTrajectoryBound)}
+		siblings: newTrajectories(Config{}, defaultTrajectoryBound)}
 	out, err := probed.injectionRun(0, inj)
 	if err != nil {
 		b.Fatal(err)
@@ -177,10 +177,9 @@ func BenchmarkCampaignCheckpointed(b *testing.B) {
 // BenchmarkCampaignPruned is the campaign as configured: equivalence
 // pruning stacked on the checkpointed execution model. Unfired traps
 // resolve from the golden firing predictions without simulating,
-// no-op corruptions short-circuit at classification time, repeated
-// injection states serve from the memo cache, and executing runs exit
-// early once their state joins the golden trajectory or a sibling
-// run's.
+// no-op corruptions short-circuit at classification time, and
+// executing runs exit early once their state joins the golden
+// trajectory or a sibling run's.
 // Compare against the two benchmarks above for the isolated
 // contribution of each layer.
 func BenchmarkCampaignPruned(b *testing.B) {

@@ -65,12 +65,11 @@ type Config struct {
 	// Workers bounds the number of concurrent injection runs;
 	// Workers <= 0 selects GOMAXPROCS.
 	Workers int
-	// Memo, when non-nil, plugs a second-level memo store behind the
-	// in-process result cache: memoizable experiments missing the local
-	// cache are looked up there before executing, and executed results
-	// are offered back. A persistent backend lets identical experiments
-	// be reused across campaigns and processes — the caller must scope
-	// the backend to one campaign config digest (see
+	// Memo, when non-nil, plugs in a memo store: memoizable
+	// experiments are looked up there before executing, and executed
+	// results are offered back. A persistent backend lets identical
+	// experiments be reused across campaigns and processes — the
+	// caller must scope the backend to one campaign config digest (see
 	// runner.Options.Memo). Only consulted when the campaign prunes
 	// (no Instrument hook, see pruningEnabled); hits are labeled
 	// PrunedMemoStore.
@@ -177,9 +176,6 @@ type Config struct {
 	// constructor (e.g. ReducedConfig); Validate surfaces it joined to
 	// ErrInvalidConfig instead of the constructor panicking.
 	defect error
-	// memoBound overrides the result cache's entry bound (tests only;
-	// 0 selects defaultMemoBound).
-	memoBound int
 	// replayAll turns checkpoint fast-forward off, so every injection
 	// run replays from t=0 (tests only: the full-replay oracle of the
 	// checkpoint equivalence suite).
@@ -661,7 +657,7 @@ func (g *Golden) Run(cfg Config) (*Result, error) {
 	if (adaptive || len(jobList) > 0) && preds != nil && cfg.pruningEnabled() {
 		e.pr = newPruner(cfg, preds)
 		if g.fastForward(cfg) && cfg.FaultDurationMs <= 0 {
-			e.siblings = newTrajectories(cfg.Budget.Steps > 0, defaultTrajectoryBound)
+			e.siblings = g.siblingTable(cfg)
 		}
 	}
 	var sched *adaptiveScheduler
@@ -884,8 +880,8 @@ type engine struct {
 	// pr settles runs without executing them; nil when the campaign
 	// does not prune.
 	pr *pruner
-	// siblings holds the trajectories executing runs reached at their
-	// early probe ticks; nil unless fired transient runs are probed.
+	// siblings is the sibling table this Run shares (see
+	// Golden.siblingTable); nil unless fired transient runs are probed.
 	siblings *trajectories
 }
 
@@ -1153,7 +1149,7 @@ func (e *engine) executeToHorizon(inst RunnableInstance, cmp *trace.StreamCompar
 			if state, err = ck.Checkpoint(); err != nil {
 				continue
 			}
-			if snapshotsEqual(state, snaps[i], e.siblings.compareUsed) {
+			if snapshotsEqual(state, snaps[i], e.siblings.compareUsed()) {
 				end.converged = true
 				return end, nil
 			}
@@ -1167,7 +1163,7 @@ func (e *engine) executeToHorizon(inst RunnableInstance, cmp *trace.StreamCompar
 			}
 		}
 		key := trajectoryKey{caseIdx: caseIdx, tick: probe.at, row: rowHash(inst.Bus().Values())}
-		found, mine := e.siblings.visit(key, state)
+		found, mine := e.siblings.visit(key, state, snaps[i])
 		if found != nil {
 			if err := cmp.Splice(found.suffix); err != nil {
 				return end, err

@@ -21,6 +21,16 @@ import (
 // aggregate statistics are built from.
 func runKeyed(t *testing.T, cfg Config) (*Result, map[string]RunRecord) {
 	t.Helper()
+	g, err := RecordGolden(cfg)
+	if err != nil {
+		t.Fatalf("RecordGolden: %v", err)
+	}
+	return runKeyedOn(t, g, cfg)
+}
+
+// runKeyedOn is runKeyed against an existing recording.
+func runKeyedOn(t *testing.T, g *Golden, cfg Config) (*Result, map[string]RunRecord) {
+	t.Helper()
 	var mu sync.Mutex
 	records := make(map[string]RunRecord)
 	cfg.Observer = func(rec RunRecord) {
@@ -32,7 +42,7 @@ func runKeyed(t *testing.T, cfg Config) (*Result, map[string]RunRecord) {
 		}
 		records[key] = rec
 	}
-	res, err := Run(cfg)
+	res, err := g.Run(cfg)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"reflect"
 	"slices"
 	"sync"
 
@@ -21,9 +22,10 @@ import (
 // recording depends only on the target, the test cases, the injection
 // instants, the horizon and the fault duration, so one RecordGolden
 // serves every Run, Fold, Planner and Digests call of a campaign. A
-// Golden is read-only once recorded, apart from the golden snapshots
-// it builds on first use for checkpoint fast-forward (checkpoint.go),
-// once per test case, and shares across every Run.
+// Golden is read-only once recorded, apart from what it builds on
+// first use and shares across Runs: the golden snapshots for
+// checkpoint fast-forward (checkpoint.go), once per test case, and the
+// sibling table (prune.go).
 type Golden struct {
 	traces []*trace.Trace
 	preds  []casePredictions // nil unless captured
@@ -36,6 +38,11 @@ type Golden struct {
 	target         Config
 	ticks          []checkpointTick
 	ckpts          []caseCheckpoints
+
+	// siblings is the sibling table of the first Run that probed; later
+	// Runs in its scope share it.
+	siblingsMu sync.Mutex
+	siblings   *trajectories
 
 	// What the recording describes; check rejects any other config.
 	cases         []physics.TestCase
@@ -172,4 +179,22 @@ func (g *Golden) check(cfg Config) error {
 		return invalidf("campaign: golden runs were recorded without the firing predictions this campaign needs")
 	}
 	return nil
+}
+
+// siblingTable returns the sibling table a probing Run of cfg shares:
+// the recording's, built by the first Run that asks, when cfg is in
+// its scope; otherwise a private one, so a suffix recorded under other
+// tolerance bands, another step budget or another target is never
+// spliced.
+func (g *Golden) siblingTable(cfg Config) *trajectories {
+	scope := siblingScope(cfg)
+	g.siblingsMu.Lock()
+	defer g.siblingsMu.Unlock()
+	if g.siblings == nil {
+		g.siblings = newTrajectories(scope, defaultTrajectoryBound)
+	}
+	if reflect.DeepEqual(g.siblings.scope, scope) {
+		return g.siblings
+	}
+	return newTrajectories(scope, defaultTrajectoryBound)
 }

@@ -1,7 +1,6 @@
 package campaign
 
 import (
-	"container/list"
 	"fmt"
 	"reflect"
 	"slices"
@@ -29,9 +28,9 @@ import (
 //     without simulating.
 //   - Memoized: two transient jobs whose restored snapshot state
 //     (digested), firing read and corrupted value coincide are the
-//     same experiment; the second is served from a bounded result
-//     cache carrying the full outcome + deviation diffs, so the
-//     synthesized record is bit-identical to the executed one.
+//     same experiment; with a memo backend (Config.Memo) the second is
+//     served from it, carrying the full outcome + deviation diffs, so
+//     the synthesized record is bit-identical to the executed one.
 //   - Converged: an executing transient run that, at a probe tick
 //     after firing, has reached exactly the golden state (signals,
 //     hidden state, and — under a step budget — the step accounting)
@@ -55,14 +54,15 @@ const (
 	// PrunedNoOp: the corrupted value equals the golden value at the
 	// firing read, so the injection changes nothing.
 	PrunedNoOp = "noop"
-	// PrunedMemoized: the outcome was served from the result cache of
-	// an identical earlier experiment.
+	// PrunedMemoized: the outcome was served from the in-process result
+	// cache of an identical earlier experiment. Campaigns no longer
+	// have that cache; the label survives in older journals, which
+	// load and count it unchanged.
 	PrunedMemoized = "memo"
-	// PrunedMemoStore: the outcome was served from a persistent memo
-	// backend (Config.Memo) — an identical experiment executed by an
-	// earlier campaign, possibly in another process. Distinct from
-	// PrunedMemoized so fleets can count cross-campaign reuse; like
-	// every pruned label it is excluded from record equality and the
+	// PrunedMemoStore: the outcome was served from a memo backend
+	// (Config.Memo) — an identical experiment executed earlier in this
+	// campaign or by another, possibly in another process. Like every
+	// pruned label it is excluded from record equality and the
 	// record-set digest, so mixed hot/cold journals interoperate.
 	PrunedMemoStore = "memo-store"
 	// PrunedConverged: the run executed, but stopped early at a probe
@@ -73,8 +73,8 @@ const (
 	PrunedConverged = "converged"
 )
 
-// MemoKey identifies one transient experiment up to determinism — the
-// exported form of the memo cache key, for persistent backends. The
+// MemoKey identifies one transient experiment up to determinism, the
+// key of a memo backend (Config.Memo). The
 // digest alone does not pin the target's construction parameters or
 // dynamics, so a backend must additionally scope keys by the campaign
 // config digest (see runner.Options.Memo); within one scope the key
@@ -98,12 +98,13 @@ type MemoEntry struct {
 	Diffs   map[string]trace.Diff `json:"diffs,omitempty"`
 }
 
-// MemoBackend is a second-level, typically persistent memo store
-// consulted when the in-process result cache misses. Implementations
-// must be safe for concurrent use and must not retain or mutate the
-// Diffs map after PutMemo returns (clone or serialize it). A backend
-// that errors internally should report a miss — the run then simply
-// executes, so a wiped or corrupt store degrades to full execution.
+// MemoBackend is a memo store, typically persistent, consulted before
+// a memoizable experiment executes. Implementations must be safe for
+// concurrent use, must hand GetMemo's caller a Diffs map of its own,
+// and must not retain or mutate the Diffs map after PutMemo returns
+// (clone or serialize it). A backend that errors internally should
+// report a miss — the run then simply executes, so a wiped or corrupt
+// store degrades to full execution.
 type MemoBackend interface {
 	GetMemo(MemoKey) (MemoEntry, bool)
 	PutMemo(MemoKey, MemoEntry)
@@ -111,7 +112,8 @@ type MemoBackend interface {
 
 // PruneSignalCounts breaks the pruning counters down for one injection
 // location ("signal@module"). Store counts memo hits served from the
-// persistent backend (Config.Memo) rather than the in-process cache.
+// backend (Config.Memo); Memoized counts the hits of the in-process
+// cache older journals carry.
 type PruneSignalCounts struct {
 	NoOp, Unfired, Memoized, Store, Converged, Executed int
 }
@@ -312,78 +314,6 @@ type casePredictions struct {
 // it is always the first matching read of tick FireTick, whatever the
 // arm time was.
 
-// defaultMemoBound bounds the result cache (entries, LRU-recycled).
-const defaultMemoBound = 4096
-
-// memoCache is a bounded, concurrency-safe LRU of run results. Diffs
-// are cloned on both store and serve so a cached map is never aliased
-// by records in flight.
-type memoCache struct {
-	mu    sync.Mutex
-	bound int
-	items map[MemoKey]*list.Element
-	order *list.List // front = most recently used
-}
-
-type memoItem struct {
-	key   MemoKey
-	entry MemoEntry
-}
-
-func newMemoCache(bound int) *memoCache {
-	if bound <= 0 {
-		bound = defaultMemoBound
-	}
-	return &memoCache{bound: bound, items: make(map[MemoKey]*list.Element), order: list.New()}
-}
-
-func (mc *memoCache) get(k MemoKey) (MemoEntry, bool) {
-	mc.mu.Lock()
-	defer mc.mu.Unlock()
-	el, ok := mc.items[k]
-	if !ok {
-		return MemoEntry{}, false
-	}
-	mc.order.MoveToFront(el)
-	e := el.Value.(*memoItem).entry
-	e.Diffs = cloneDiffs(e.Diffs)
-	return e, true
-}
-
-func (mc *memoCache) put(k MemoKey, e MemoEntry) {
-	e.Diffs = cloneDiffs(e.Diffs)
-	mc.mu.Lock()
-	defer mc.mu.Unlock()
-	if el, ok := mc.items[k]; ok {
-		mc.order.MoveToFront(el)
-		el.Value.(*memoItem).entry = e
-		return
-	}
-	mc.items[k] = mc.order.PushFront(&memoItem{key: k, entry: e})
-	for mc.order.Len() > mc.bound {
-		back := mc.order.Back()
-		mc.order.Remove(back)
-		delete(mc.items, back.Value.(*memoItem).key)
-	}
-}
-
-func (mc *memoCache) len() int {
-	mc.mu.Lock()
-	defer mc.mu.Unlock()
-	return mc.order.Len()
-}
-
-func cloneDiffs(m map[string]trace.Diff) map[string]trace.Diff {
-	if m == nil {
-		return nil
-	}
-	out := make(map[string]trace.Diff, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
-}
-
 // digestKey scopes a state digest to one (test case, instant).
 type digestKey struct {
 	caseIdx int
@@ -393,23 +323,15 @@ type digestKey struct {
 // pruner classifies injection jobs before execution and serves /
 // collects memoized results. Shared across the campaign's workers.
 type pruner struct {
-	cfg     Config
-	preds   []casePredictions // per test case
-	memo    *memoCache
-	backend MemoBackend // optional L2, consulted on L1 misses
+	cfg   Config
+	preds []casePredictions // per test case
 
 	mu      sync.Mutex
 	digests map[digestKey]string
 }
 
 func newPruner(cfg Config, preds []casePredictions) *pruner {
-	return &pruner{
-		cfg:     cfg,
-		preds:   preds,
-		memo:    newMemoCache(cfg.memoBound),
-		backend: cfg.Memo,
-		digests: make(map[digestKey]string),
-	}
+	return &pruner{cfg: cfg, preds: preds, digests: make(map[digestKey]string)}
 }
 
 // digestFor returns the cached pre-injection state digest for one
@@ -438,8 +360,8 @@ func (p *pruner) digestFor(caseIdx int, at sim.Millis, snap *sim.Snapshot) strin
 
 // classify decides one job before execution. It returns the
 // synthesized outcome when the job is pruned; otherwise, for
-// memoizable jobs, it returns the key under which the executed result
-// should be stored (see store).
+// memoizable jobs of a campaign with a memo backend, it returns the
+// key under which the executed result should be stored (see store).
 func (p *pruner) classify(sys *model.System, caseIdx int, inj inject.Injection, snap *sim.Snapshot) (runOutcome, bool, *MemoKey, error) {
 	base := runOutcome{injection: inj, caseIdx: caseIdx, failureAt: -1}
 	pk := portKey{module: inj.Module, signal: inj.Signal}
@@ -484,6 +406,9 @@ func (p *pruner) classify(sys *model.System, caseIdx int, inj inject.Injection, 
 		base.pruned = PrunedNoOp
 		return base, true, nil, nil
 	}
+	if p.cfg.Memo == nil {
+		return runOutcome{}, false, nil, nil
+	}
 	mk := &MemoKey{
 		Case:     caseIdx,
 		Digest:   p.digestFor(caseIdx, inj.At, snap),
@@ -493,23 +418,14 @@ func (p *pruner) classify(sys *model.System, caseIdx int, inj inject.Injection, 
 		Value:    corrupted,
 		Budget:   p.cfg.Budget.Steps,
 	}
-	if e, ok := p.memo.get(*mk); ok {
-		return p.serveMemo(sys, base, e, PrunedMemoized)
-	}
-	if p.backend != nil {
-		if e, ok := p.backend.GetMemo(*mk); ok {
-			// Promote to the in-process cache so repeats within this
-			// campaign are served locally (and counted as "memo").
-			p.memo.put(*mk, e)
-			e.Diffs = cloneDiffs(e.Diffs)
-			return p.serveMemo(sys, base, e, PrunedMemoStore)
-		}
+	if e, ok := p.cfg.Memo.GetMemo(*mk); ok {
+		return p.serveMemo(sys, base, e, PrunedMemoStore)
 	}
 	return runOutcome{}, false, mk, nil
 }
 
-// serveMemo synthesizes the outcome of a memoized experiment. e.Diffs
-// must already be a private clone — the returned outcome aliases it.
+// serveMemo synthesizes the outcome of a memoized experiment. The
+// returned outcome aliases e.Diffs, which the backend handed over.
 func (p *pruner) serveMemo(sys *model.System, base runOutcome, e MemoEntry, label string) (runOutcome, bool, *MemoKey, error) {
 	out := base
 	out.fired = true
@@ -530,25 +446,21 @@ func (p *pruner) serveMemo(sys *model.System, base runOutcome, e MemoEntry, labe
 	return out, true, nil, nil
 }
 
-// store caches one executed result under the key classify handed out.
-// The fired sanity check guards the prediction: if the trap did not
-// fire exactly as predicted the result is not cached (and the
-// prediction machinery has a bug the equivalence suite will catch).
+// store offers one executed result to the memo backend under the key
+// classify handed out. The fired sanity check guards the prediction:
+// if the trap did not fire exactly as predicted the result is not
+// stored (and the prediction machinery has a bug the equivalence
+// suite will catch).
 func (p *pruner) store(mk *MemoKey, out runOutcome) {
 	if mk == nil || !out.fired || out.firedAt != mk.FireTick || out.outcome == OutcomeQuarantined {
 		return
 	}
-	e := MemoEntry{
+	p.cfg.Memo.PutMemo(*mk, MemoEntry{
 		Outcome: out.outcome,
 		Detail:  out.detail,
 		FiredAt: out.firedAt,
 		Diffs:   out.diffs,
-	}
-	p.memo.put(*mk, e) // clones diffs
-	if p.backend != nil {
-		e.Diffs = cloneDiffs(e.Diffs)
-		p.backend.PutMemo(*mk, e)
-	}
+	})
 }
 
 // snapshotsEqual reports whether two snapshots capture identical
@@ -579,21 +491,34 @@ func snapshotsEqual(a, b *sim.Snapshot, compareUsed bool) bool {
 
 // Sibling trajectories. Determinism makes a run's future a function
 // of its state, so a fired transient run that reaches, at a probe
-// tick, the exact state an earlier run of the campaign reached there
-// follows that run for the rest of the horizon. Each Golden.Run keeps
-// a bounded table of the states executing runs reached at their early
-// probe ticks, each finished with what followed it once its run ends;
-// a later run matching a finished entry splices that suffix instead of
-// simulating it. A matching entry still pending is never waited for:
-// the run simply executes, so which runs splice depends on worker
-// interleaving, but the records never do.
+// tick, the exact state an earlier run reached there follows that run
+// for the rest of the horizon. Golden keeps a bounded table of the
+// states executing runs reached at their early probe ticks, each
+// finished with what followed it once its run ends; a later run
+// matching a finished entry splices that suffix instead of simulating
+// it. Every Run of the recording in the table's scope shares it: each
+// fleet unit a worker runs, a resumed Run, each adaptive round. A
+// matching entry still pending is never waited for: the run simply
+// executes, so which runs splice depends on worker interleaving and
+// on the Runs before, but the records never do.
 
 // defaultTrajectoryBound bounds the sibling table (entries, recycled
-// oldest first). Matches come from recently inserted states — in plan
-// order the runs of one (signal, instant) lie within bits × cases jobs
-// of each other, 400 for the paper — so the bound keeps memory flat at
-// little loss.
-const defaultTrajectoryBound = 1024
+// oldest first). A sibling may have run anywhere in the campaign: the
+// adaptive order scatters the runs of one (signal, instant), and
+// fleet units split them across Runs. 8,192 entries, about 5 MB on
+// the paper target, let a fleet execute about the runs a single node
+// does.
+const defaultTrajectoryBound = 8192
+
+// siblingScope is the config a suffix depends on beyond the
+// recording: the tolerance bands, the step budget (hang outcomes, and
+// the step accounting snapshotsEqual compares under one) and the
+// target construction fields Golden.check does not compare. Runs
+// share a table only within one scope.
+func siblingScope(cfg Config) Config {
+	return Config{Arrestor: cfg.Arrestor, Dual: cfg.Dual, Custom: cfg.Custom,
+		Tolerances: cfg.Tolerances, Budget: sim.Budget{Steps: cfg.Budget.Steps}}
+}
 
 // trajectoryKey narrows a state lookup to one test case, probe tick
 // and bus row; the full states are then compared exactly.
@@ -618,10 +543,10 @@ type trajectory struct {
 	detail  string
 }
 
-// trajectories is one Golden.Run's sibling table, shared by its
-// workers.
+// trajectories is a sibling table, shared by the workers of every Run
+// in its scope.
 type trajectories struct {
-	compareUsed bool // snapshotsEqual's step-accounting switch
+	scope Config // see siblingScope
 
 	mu    sync.Mutex
 	byKey map[trajectoryKey]*trajectory // chained through trajectory.next
@@ -630,13 +555,12 @@ type trajectories struct {
 	bound int
 }
 
-func newTrajectories(compareUsed bool, bound int) *trajectories {
-	return &trajectories{
-		compareUsed: compareUsed,
-		byKey:       make(map[trajectoryKey]*trajectory),
-		bound:       bound,
-	}
+func newTrajectories(scope Config, bound int) *trajectories {
+	return &trajectories{scope: scope, byKey: make(map[trajectoryKey]*trajectory), bound: bound}
 }
+
+// compareUsed is snapshotsEqual's step-accounting switch.
+func (ts *trajectories) compareUsed() bool { return ts.scope.Budget.Steps > 0 }
 
 // rowHash is the FNV-1a hash of a bus value row.
 func rowHash(row []uint16) uint64 {
@@ -651,11 +575,14 @@ func rowHash(row []uint16) uint64 {
 // finished entry the state equals, if any; otherwise, unless an equal
 // entry is still pending, it registers the state as a new pending
 // entry and returns that as mine, for the run to finish when it ends.
-func (ts *trajectories) visit(key trajectoryKey, state *sim.Snapshot) (found, mine *trajectory) {
+// A registered state's hidden components that still equal golden's
+// there share golden's values: a few ticks after firing most have
+// not diverged, and the table holds thousands of states.
+func (ts *trajectories) visit(key trajectoryKey, state, golden *sim.Snapshot) (found, mine *trajectory) {
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
 	for tr := ts.byKey[key]; tr != nil; tr = tr.next {
-		if snapshotsEqual(tr.state, state, ts.compareUsed) {
+		if snapshotsEqual(tr.state, state, ts.compareUsed()) {
 			if tr.done {
 				return tr, nil
 			}
@@ -666,6 +593,11 @@ func (ts *trajectories) visit(key trajectoryKey, state *sim.Snapshot) (found, mi
 		ts.ring = append(ts.ring, nil)
 	} else {
 		ts.evict(ts.ring[ts.next])
+	}
+	for i, h := range state.Hidden {
+		if i < len(golden.Hidden) && reflect.DeepEqual(h, golden.Hidden[i]) {
+			state.Hidden[i] = golden.Hidden[i]
+		}
 	}
 	mine = &trajectory{key: key, state: state, next: ts.byKey[key]}
 	ts.byKey[key] = mine

@@ -4,26 +4,29 @@ package campaign
 // target topology a campaign run with pruning forced on must produce
 // a Result bit-identical to the same campaign with pruning off (every
 // run fully executed). Runs under -race in CI alongside the
-// checkpoint suite, stressing the shared memo cache.
+// checkpoint suite, stressing the shared sibling table and memo
+// backend.
 
 import (
 	"fmt"
+	"maps"
 	"reflect"
 	"sort"
+	"sync"
 	"testing"
 
 	"propane/internal/inject"
 	"propane/internal/physics"
 	"propane/internal/sim"
 	"propane/internal/target"
-	"propane/internal/trace"
 )
 
 // modelsConfig guarantees work for every transient classification: at
 // any fired (port, instant) one of the two StuckAt models is the
 // identity on bit 3 (no-op prune) and the other corrupts the value to
-// exactly what BitFlip{3} produces (a memo hit on the second of the
-// pair in serial order — Workers is pinned to 1 for that guarantee).
+// exactly what BitFlip{3} produces (a hit in its in-memory memo
+// backend on the second of the pair in serial order — Workers is
+// pinned to 1 for that guarantee).
 func modelsConfig() Config {
 	cfg := tinyConfig()
 	cfg.Bits = nil
@@ -33,7 +36,30 @@ func modelsConfig() Config {
 		inject.StuckAt{Bit: 3, One: true},
 	}
 	cfg.Workers = 1
+	cfg.Memo = &mapMemo{m: make(map[MemoKey]MemoEntry)}
 	return cfg
+}
+
+// mapMemo is an in-memory MemoBackend. Like a persistent one it keeps
+// and hands out copies of the diff maps.
+type mapMemo struct {
+	mu sync.Mutex
+	m  map[MemoKey]MemoEntry
+}
+
+func (mm *mapMemo) GetMemo(k MemoKey) (MemoEntry, bool) {
+	mm.mu.Lock()
+	defer mm.mu.Unlock()
+	e, ok := mm.m[k]
+	e.Diffs = maps.Clone(e.Diffs)
+	return e, ok
+}
+
+func (mm *mapMemo) PutMemo(k MemoKey, e MemoEntry) {
+	mm.mu.Lock()
+	defer mm.mu.Unlock()
+	e.Diffs = maps.Clone(e.Diffs)
+	mm.m[k] = e
 }
 
 // TestPruneEquivalence proves the tentpole contract on every target:
@@ -48,10 +74,11 @@ func TestPruneEquivalence(t *testing.T) {
 			return cfg
 		},
 		"autobrake": autobrakeConfig,
-		// hostile covers crash and hang outcomes: a memoized crash must
+		// hostile covers crash and hang outcomes: a spliced crash must
 		// synthesize the exact crash record of the executed one.
 		"hostile": hostileConfig,
-		// models guarantees no-op prunes and memo hits (see modelsConfig).
+		// models guarantees no-op prunes and memo-store hits (see
+		// modelsConfig); the oracle executes with the backend unused.
 		"models": func(t *testing.T) Config { return modelsConfig() },
 		// persistent exercises the window-value no-op rule.
 		"persistent": func(t *testing.T) Config {
@@ -89,8 +116,8 @@ func TestPruneEquivalence(t *testing.T) {
 				if pr.Pruning.NoOp == 0 {
 					t.Errorf("models config produced no no-op prunes: %+v", pr.Pruning)
 				}
-				if pr.Pruning.Memoized == 0 {
-					t.Errorf("models config produced no memo hits: %+v", pr.Pruning)
+				if pr.Pruning.Store == 0 {
+					t.Errorf("models config produced no memo-store hits: %+v", pr.Pruning)
 				}
 			}
 			// The per-record labels must agree with the aggregate counters.
@@ -101,8 +128,8 @@ func TestPruneEquivalence(t *testing.T) {
 					counts.NoOp++
 				case PrunedUnfired:
 					counts.Unfired++
-				case PrunedMemoized:
-					counts.Memoized++
+				case PrunedMemoStore:
+					counts.Store++
 				case PrunedConverged:
 					counts.Converged++
 				case "":
@@ -113,7 +140,7 @@ func TestPruneEquivalence(t *testing.T) {
 			}
 			got := PruneSignalCounts{
 				NoOp: pr.Pruning.NoOp, Unfired: pr.Pruning.Unfired,
-				Memoized: pr.Pruning.Memoized, Converged: pr.Pruning.Converged,
+				Store: pr.Pruning.Store, Converged: pr.Pruning.Converged,
 				Executed: pr.Pruning.Executed,
 			}
 			if counts != got {
@@ -197,57 +224,6 @@ func TestPruneAutoFallsBackUnderInstrument(t *testing.T) {
 		if rec.Attachment != rec.CaseIndex {
 			t.Errorf("%s: attachment %v, want case index %d", key, rec.Attachment, rec.CaseIndex)
 		}
-	}
-}
-
-// TestMemoCacheEviction pins the cache's LRU contract: the bound
-// holds, eviction removes the least recently used key (gets refresh
-// recency), and served diff maps are never aliased to stored ones.
-func TestMemoCacheEviction(t *testing.T) {
-	mc := newMemoCache(2)
-	key := func(i int) MemoKey { return MemoKey{Case: i, Module: "m", Signal: "s"} }
-	entry := func(i int) MemoEntry {
-		return MemoEntry{
-			Outcome: OutcomeDeviation,
-			FiredAt: 10,
-			Diffs:   map[string]trace.Diff{"sig": {Signal: "sig", First: sim.Millis(i), Last: 5}},
-		}
-	}
-
-	mc.put(key(1), entry(1))
-	mc.put(key(2), entry(2))
-	if _, ok := mc.get(key(1)); !ok { // refresh 1 → 2 becomes LRU
-		t.Fatal("key 1 missing before eviction")
-	}
-	mc.put(key(3), entry(3))
-	if mc.len() != 2 {
-		t.Fatalf("cache holds %d entries, bound is 2", mc.len())
-	}
-	if _, ok := mc.get(key(2)); ok {
-		t.Error("key 2 survived eviction despite being least recently used")
-	}
-	if _, ok := mc.get(key(1)); !ok {
-		t.Error("key 1 evicted despite a refreshing get")
-	}
-	if _, ok := mc.get(key(3)); !ok {
-		t.Error("key 3 missing right after put")
-	}
-
-	// Clone-on-serve: corrupting a served map must not reach the cache.
-	served, _ := mc.get(key(3))
-	served.Diffs["sig"] = trace.Diff{Signal: "sig", First: -99}
-	again, _ := mc.get(key(3))
-	if again.Diffs["sig"].First != 3 {
-		t.Errorf("cache entry corrupted through a served map: %+v", again.Diffs["sig"])
-	}
-
-	// Storing an existing key updates in place without growing.
-	mc.put(key(3), entry(4))
-	if mc.len() != 2 {
-		t.Fatalf("update grew the cache to %d entries", mc.len())
-	}
-	if e, _ := mc.get(key(3)); e.Diffs["sig"].First != 4 {
-		t.Errorf("update did not replace the entry: %+v", e.Diffs["sig"])
 	}
 }
 

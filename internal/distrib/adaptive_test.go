@@ -224,3 +224,47 @@ func TestNewCoordinatorRejectsBadCIEpsilon(t *testing.T) {
 		}
 	}
 }
+
+// TestFleetExecutesWhatSingleNodeExecutes: with one worker on each
+// side, the paper's quick adaptive campaign executes as many runs to
+// the horizon through a one-agent loopback fleet as on a single node,
+// and journals the same record set. Work units run on one Golden
+// whose sibling table outlives each unit, so a unit splices from
+// every earlier one as the single node's one Run does; a counter
+// judges this, not wall time.
+func TestFleetExecutesWhatSingleNodeExecutes(t *testing.T) {
+	dir := t.TempDir()
+	single, err := runner.RunInstance("paper", runner.TierQuick, runner.Options{
+		Dir: dir, Workers: 1, Adaptive: campaign.AdaptiveForce,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, recs, err := runner.ReadJournal(runner.JournalPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fleetDir := t.TempDir()
+	fleet, err := Loopback(Config{
+		Instance: "paper",
+		Tier:     runner.TierQuick,
+		Dir:      fleetDir,
+		Adaptive: campaign.AdaptiveForce,
+		Logf:     t.Logf,
+	}, 1, WorkerOptions{Workers: 1, PollInterval: 50 * time.Millisecond, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, fleetRecs, err := runner.ReadJournal(runner.ShardJournalPath(fleetDir, 0, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := runner.RecordSetDigest(fleetRecs), runner.RecordSetDigest(recs); got != want {
+		t.Error("the fleet's record set differs from the single node's")
+	}
+	got, want := fleet.Result.Pruning.Executed, single.Result.Pruning.Executed
+	t.Logf("runs executed to the horizon: fleet %d, single node %d", got, want)
+	if got != want {
+		t.Errorf("the fleet executed %d runs to the horizon, the single node %d", got, want)
+	}
+}

@@ -1278,8 +1278,8 @@ type Metrics struct {
 	// first unit completes).
 	MsPerRun float64 `json:"ms_per_run,omitempty"`
 	// Fleet-wide equivalence-pruning counters (from the records'
-	// pruned labels): proven without simulating, served from a
-	// worker's memo cache, and stopped early on golden reconvergence.
+	// pruned labels): proven without simulating, served from a memo,
+	// and stopped early on golden or sibling reconvergence.
 	PrunedRuns   int `json:"pruned_runs,omitempty"`
 	MemoizedRuns int `json:"memoized_runs,omitempty"`
 	// StoreMemoRuns is the subset of MemoizedRuns served from a

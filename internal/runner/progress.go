@@ -47,7 +47,8 @@ type Metrics struct {
 	Quarantined int `json:"quarantined,omitempty"`
 	// Equivalence-pruning counters. PrunedRuns counts runs whose
 	// outcome was proven without simulating (unfired traps and no-op
-	// corruptions); MemoizedRuns were served from the result cache;
+	// corruptions); MemoizedRuns were served from a memo (a memo store,
+	// or in older journals the in-process cache);
 	// ConvergedRuns executed but stopped early at a state equal to the
 	// golden run's or a finished sibling run's. All of them still carry full
 	// outcomes and enter every n_inj/n_err counter as usual.

@@ -138,9 +138,9 @@ type Options struct {
 	// and rendering a full analysis report per unit would charge every
 	// unit the cost of the final assembly.
 	SkipReport bool
-	// Memo, when non-nil, plugs a persistent memo store behind the
-	// campaign's in-process result cache, so identical experiments are
-	// reused across campaigns and process restarts. The runner scopes
+	// Memo, when non-nil, plugs in a persistent memo store, so
+	// identical experiments are reused within a campaign and across
+	// campaigns and process restarts. The runner scopes
 	// every key by the campaign's config digest before it reaches the
 	// store — the digest pins plan, golden behaviour and budget, so
 	// within one scope the memo keys are sound across processes. It is

@@ -276,6 +276,14 @@ func (cs *campaignState) request() request {
 	return request{cs.Instance, cs.Tier, cs.Adaptive, cs.RunBudgetSteps, cs.CIEpsilon}
 }
 
+// preparation is one request's runner.PrepareInstance; done closes
+// once prep or err is set.
+type preparation struct {
+	done chan struct{}
+	prep *runner.Prepared
+	err  error
+}
+
 // Service is the multi-tenant campaign host.
 type Service struct {
 	opts Options
@@ -301,6 +309,9 @@ type Service struct {
 	// digest through its own golden pass, so the digest keeps pinning
 	// the simulator.
 	digests map[request]string
+	// preparing holds each request's preparation while the activation
+	// that runs it is active; concurrent activations share it.
+	preparing map[request]*preparation
 	// prepares and served count this process's golden passes and
 	// served repeats (Status).
 	prepares, served int
@@ -332,6 +343,7 @@ func Open(opts Options) (*Service, error) {
 		tenantGranted: make(map[string]int64),
 		finished:      make(map[string]string),
 		digests:       make(map[request]string),
+		preparing:     make(map[request]*preparation),
 		leaseWake:     make(chan struct{}),
 		pumpCh:        make(chan struct{}, 1),
 		done:          make(chan struct{}),
@@ -746,7 +758,8 @@ func (s *Service) nextActivatable() *campaignState {
 
 // activate looks the campaign's config digest up in this process's
 // memo, or prepares the campaign — its golden pass, deliberately
-// outside the service lock, yields the digest — and serves it from the
+// outside the service lock and shared with concurrent activations of
+// the same request, yields the digest — and serves it from the
 // finished campaign with that digest if there is one. Otherwise, or if
 // serving fails, it builds the campaign's coordinator over the
 // preparation and opens it for leasing.
@@ -788,26 +801,50 @@ func (s *Service) activate(cs *campaignState) {
 	}
 	req := cs.request()
 	var prep *runner.Prepared
+	led := false
+	defer func() {
+		if led {
+			s.mu.Lock()
+			delete(s.preparing, req)
+			s.mu.Unlock()
+		}
+	}()
 	// prepare runs the campaign's golden pass unless it already ran,
-	// memoising the digest; false means the campaign failed.
+	// memoising the digest, or joins the same request's preparation
+	// another activation runs; false means the campaign failed.
 	prepare := func() bool {
 		if prep != nil {
 			return true
 		}
-		p, err := runner.PrepareInstance(cs.Instance, runner.Tier(cs.Tier), runner.Options{
-			RunBudgetSteps: cs.RunBudgetSteps,
-			Adaptive:       mode,
-			CIEpsilon:      cs.CIEpsilon,
-		})
-		if err != nil {
-			fail(err)
+		s.mu.Lock()
+		p, joined := s.preparing[req]
+		if !joined {
+			p = &preparation{done: make(chan struct{})}
+			s.preparing[req] = p
+		}
+		s.mu.Unlock()
+		if joined {
+			<-p.done
+		} else {
+			p.prep, p.err = runner.PrepareInstance(cs.Instance, runner.Tier(cs.Tier), runner.Options{
+				RunBudgetSteps: cs.RunBudgetSteps,
+				Adaptive:       mode,
+				CIEpsilon:      cs.CIEpsilon,
+			})
+			s.mu.Lock()
+			if p.err == nil {
+				s.prepares++
+				s.digests[req] = p.prep.Info().Digest
+			}
+			s.mu.Unlock()
+			close(p.done)
+			led = true
+		}
+		if p.err != nil {
+			fail(p.err)
 			return false
 		}
-		prep = p
-		s.mu.Lock()
-		s.prepares++
-		s.digests[req] = p.Info().Digest
-		s.mu.Unlock()
+		prep = p.prep
 		return true
 	}
 	logf := func(format string, args ...any) {

@@ -959,6 +959,11 @@ func TestConcurrentRepeats(t *testing.T) {
 	svc, _, stop = startService(t, Options{Dir: dir, Units: 2, LeaseTTL: 5 * time.Second, MaxActiveTotal: n, Resume: true})
 	defer stop()
 	results := repeats(svc)
+	// The resumed process knows no digest: the n first activations
+	// share one golden pass.
+	if st := svc.Status(); st.Prepares != 1 || st.Served != n {
+		t.Errorf("after resume, status counts %d prepares and %d served repeats, want 1 and %d", st.Prepares, st.Served, n)
+	}
 	for _, rr := range results[1:] {
 		if rr.Result != results[0].Result {
 			t.Fatal("concurrent repeats after resume assembled their source's result more than once")

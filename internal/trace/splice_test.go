@@ -128,8 +128,8 @@ func TestTraceSpliceEqualsFullCompare(t *testing.T) {
 }
 
 // TestTraceSpliceRejectsMisplacedSuffix: a suffix continues a
-// comparison only at the tick it was taken from, and only over the
-// same columns.
+// comparison only at the tick it was taken from, and only one over as
+// many columns.
 func TestTraceSpliceRejectsMisplacedSuffix(t *testing.T) {
 	sr := newSpliceRun(rand.New(rand.NewSource(2)), 60)
 	full, ids := sr.compareTicks(t, sr.golden.Len())
@@ -137,9 +137,9 @@ func TestTraceSpliceRejectsMisplacedSuffix(t *testing.T) {
 	if err := part.Splice(full.SuffixSince(ids[0])); err == nil {
 		t.Error("spliced a suffix one tick after its mark")
 	}
-	other := Suffix{from: sr.marks[0], cols: []suffixCol{{col: 9, diff: Diff{Signal: "z", Count: 1}}}}
+	other := Suffix{from: sr.marks[0], width: 9, cols: []suffixCol{{col: 8, count: 1}}}
 	part, _ = sr.compareTicks(t, sr.marks[0])
 	if err := part.Splice(other); err == nil {
-		t.Error("spliced a suffix over another signal set")
+		t.Error("spliced a suffix over another column count")
 	}
 }

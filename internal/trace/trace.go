@@ -8,6 +8,7 @@ package trace
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 
 	"propane/internal/sim"
@@ -250,8 +251,12 @@ func (c *StreamComparator) SetTolerances(tol Tolerances) {
 }
 
 // NewStreamComparator creates a comparator of the given bus against a
-// golden trace recorded over the same signal set.
+// golden trace recorded over the same signal set, of at most
+// math.MaxInt32 ticks (suffixes store ticks and counts as int32).
 func NewStreamComparator(golden *Trace, bus *sim.Bus) (*StreamComparator, error) {
+	if golden.Len() > math.MaxInt32 {
+		return nil, fmt.Errorf("trace: golden trace of %d ticks exceeds the %d-tick comparison limit", golden.Len(), math.MaxInt32)
+	}
 	c := &StreamComparator{diffs: make([]Diff, len(golden.signals))}
 	if !c.bind(golden, bus) {
 		return nil, errors.New("trace: bus and golden trace cover different signal sets")
@@ -261,10 +266,10 @@ func NewStreamComparator(golden *Trace, bus *sim.Bus) (*StreamComparator, error)
 
 // bind points the comparator at a bus and golden trace, resetting all
 // comparison state. It reports false when the bus's columns are not
-// the golden trace's signals or the comparator was sized for another
-// signal count.
+// the golden trace's signals, the comparator was sized for another
+// signal count, or the trace is too long for NewStreamComparator.
 func (c *StreamComparator) bind(golden *Trace, bus *sim.Bus) bool {
-	if len(c.diffs) != len(golden.signals) || !slices.Equal(bus.Columns(), golden.signals) {
+	if len(c.diffs) != len(golden.signals) || !slices.Equal(bus.Columns(), golden.signals) || golden.Len() > math.MaxInt32 {
 		return false
 	}
 	for i, n := range golden.signals {
@@ -362,15 +367,17 @@ func (c *StreamComparator) Mark() int {
 // Suffix is the Golden Run Comparison of a run from one tick to its
 // end, on its own: the diffs of the columns that deviated in that
 // stretch. A comparator that reached the same tick in the same state
-// can Splice it instead of comparing the rest of its run.
+// can Splice it instead of comparing the rest of its run. Campaigns
+// keep thousands of suffixes, so a column is stored in 16 bytes: by
+// its index, without its signal name, with int32 ticks and count.
 type Suffix struct {
-	from int
-	cols []suffixCol
+	from, width int
+	cols        []suffixCol
 }
 
 type suffixCol struct {
-	col  int
-	diff Diff
+	col, count  int32
+	first, last int32
 }
 
 // SuffixSince returns the comparison from mark m to the current tick:
@@ -384,10 +391,10 @@ func (c *StreamComparator) SuffixSince(m int) Suffix {
 			n++
 		}
 	}
-	s := Suffix{from: c.marks[m], cols: make([]suffixCol, 0, n)}
+	s := Suffix{from: c.marks[m], width: c.width, cols: make([]suffixCol, 0, n)}
 	for i, d := range c.diffs {
 		if d.Count > counts[i] {
-			s.cols = append(s.cols, suffixCol{col: i, diff: Diff{Signal: d.Signal, First: firsts[i], Last: d.Last, Count: d.Count - counts[i]}})
+			s.cols = append(s.cols, suffixCol{col: int32(i), count: int32(d.Count - counts[i]), first: int32(firsts[i]), last: int32(d.Last)})
 		}
 	}
 	return s
@@ -403,13 +410,11 @@ func (c *StreamComparator) Splice(s Suffix) error {
 	if s.from != c.tick {
 		return fmt.Errorf("trace: splicing a suffix from tick %d at tick %d", s.from, c.tick)
 	}
-	for _, sc := range s.cols {
-		if sc.col >= len(c.diffs) || sc.diff.Signal != c.diffs[sc.col].Signal {
-			return fmt.Errorf("trace: suffix signal %q is not column %d of this comparison", sc.diff.Signal, sc.col)
-		}
+	if s.width != c.width {
+		return fmt.Errorf("trace: splicing a suffix over %d columns into a comparison of %d", s.width, c.width)
 	}
 	for _, sc := range s.cols {
-		c.deviate(sc.col, sc.diff.First, sc.diff.Last, sc.diff.Count)
+		c.deviate(int(sc.col), sim.Millis(sc.first), sim.Millis(sc.last), int(sc.count))
 	}
 	c.tick = c.horizon
 	return nil
