@@ -17,7 +17,7 @@ func TestLoopbackCampaign(t *testing.T) {
 	if err := run(args, &out); err != nil {
 		t.Fatalf("%v\noutput:\n%s", err, out.String())
 	}
-	for _, name := range []string{"config.json", "journal.bin", "metrics.json", "failures.md", "report.md", "assignments.jsonl"} {
+	for _, name := range []string{"config.json", "journal.bin", "metrics.json", "failures.md", "report.md", "assignments.bin"} {
 		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
 			t.Errorf("missing artifact %s: %v", name, err)
 		}

@@ -20,6 +20,7 @@ import (
 	"propane/internal/campaign"
 	"propane/internal/chaos"
 	"propane/internal/runner"
+	"propane/internal/wal"
 )
 
 // Config parameterises one coordinated campaign.
@@ -262,7 +263,7 @@ type Coordinator struct {
 	// without modeling it.
 	msPerJob float64
 	start    time.Time
-	assign   *os.File
+	assign   *wal.Log
 	complete bool
 	// wake is closed (and replaced) whenever a unit returns to the
 	// pending pool or the campaign completes, releasing lease requests
@@ -457,11 +458,11 @@ func (c *Coordinator) restoreJournals() error {
 	return nil
 }
 
-// assignEvent is one line of the assignment journal — the
-// coordinator's own log of the lease state machine. On resume only the
-// assign events replay, restoring the lease sequence so lease IDs stay
-// unique across restarts; the record journal alone decides which jobs
-// are done.
+// assignEvent is one frame of the assignment log — the coordinator's
+// own log of the lease state machine. On resume only the assign
+// events replay, restoring the lease sequence so lease IDs stay
+// unique across restarts; the record journal alone decides which
+// jobs are done.
 type assignEvent struct {
 	Type   string `json:"type"` // assign | expire | complete | campaign_complete
 	TimeMs int64  `json:"time_ms"`
@@ -470,49 +471,50 @@ type assignEvent struct {
 	Lease  string `json:"lease,omitempty"`
 }
 
-func (c *Coordinator) assignmentLogPath() string {
-	return filepath.Join(c.cfg.Dir, "assignments.jsonl")
-}
+// assignFormat is the assignment log's header.
+var assignFormat = wal.Header{Type: "header", Kind: "assignments", Version: 1}
 
-// openAssignmentLog opens the assignment journal for appending,
-// replaying any existing assign events to restore the lease sequence.
+// openAssignmentLog opens the assignment log for appending, replaying
+// any existing assign events to restore the lease sequence. The log is
+// not synced per append; the record journal is what must survive.
 func (c *Coordinator) openAssignmentLog() error {
-	path := c.assignmentLogPath()
-	if data, err := os.ReadFile(path); err == nil {
-		for _, line := range bytes.Split(data, []byte{'\n'}) {
-			if len(line) == 0 {
-				continue
-			}
-			var ev assignEvent
-			if json.Unmarshal(line, &ev) != nil {
-				continue // torn tail from a killed coordinator
-			}
-			if ev.Type == "assign" {
-				c.leaseSeq++
-			}
+	legacy := filepath.Join(c.cfg.Dir, "assignments.jsonl")
+	if _, err := os.Stat(legacy); err == nil {
+		return fmt.Errorf("distrib: %s is a JSON-lines assignment log from an older build, which this one does not read "+
+			"(the assignment log is now assignments.bin) — use a fresh directory", legacy)
+	}
+	path := filepath.Join(c.cfg.Dir, "assignments.bin")
+	validLen, err := wal.Load(path, assignFormat, nil, func(payload []byte) error {
+		var ev assignEvent
+		if err := json.Unmarshal(payload, &ev); err != nil {
+			return err
 		}
-	} else if !os.IsNotExist(err) {
-		return fmt.Errorf("distrib: reading assignment journal: %w", err)
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+		if ev.Type == "assign" {
+			c.leaseSeq++
+		}
+		return nil
+	})
 	if err != nil {
-		return fmt.Errorf("distrib: opening assignment journal: %w", err)
+		return fmt.Errorf("distrib: %w", err)
 	}
-	c.assign = f
+	c.assign, err = wal.Open(path, assignFormat, validLen, 0)
+	if err != nil {
+		return fmt.Errorf("distrib: opening assignment log: %w", err)
+	}
 	return nil
 }
 
-// logAssignLocked appends one event to the assignment journal. The
-// record journal is authoritative, so an append failure here is
-// logged, not fatal.
+// logAssignLocked appends one event to the assignment log. The record
+// journal is authoritative, so an append failure here is logged, not
+// fatal.
 func (c *Coordinator) logAssignLocked(ev assignEvent) {
 	ev.TimeMs = time.Now().UnixMilli()
-	line, err := json.Marshal(ev)
+	payload, err := json.Marshal(ev)
 	if err == nil {
-		_, err = c.assign.Write(append(line, '\n'))
+		err = c.assign.Append(payload)
 	}
 	if err != nil {
-		c.cfg.Logf("distrib: assignment journal append failed: %v", err)
+		c.cfg.Logf("distrib: assignment log append failed: %v", err)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -16,6 +17,7 @@ import (
 
 	"propane/internal/report"
 	"propane/internal/runner"
+	"propane/internal/wal"
 )
 
 // fingerprint reduces a result to what the bit-identity criterion
@@ -483,5 +485,71 @@ func TestFreshDirRefusesExistingJournal(t *testing.T) {
 	}
 	if _, err := NewCoordinator(cc); err == nil {
 		t.Fatal("coordinator reused a directory with journal records without Resume")
+	}
+}
+
+// TestAssignmentLogTornTail resumes a coordinator over an assignment
+// log whose last frame a kill tore, grants more leases, and resumes
+// again: the torn frame is cut before the next append, so the lease
+// sequence replays every grant and no lease ID is issued twice.
+func TestAssignmentLogTornTail(t *testing.T) {
+	dir := t.TempDir()
+	cc := Config{Instance: "reduced", Tier: runner.TierQuick, Dir: dir, Units: 3, LeaseTTL: time.Minute, Logf: t.Logf}
+	issued := map[string]int{}
+	grant := func(incarnation, leases int) {
+		coord, err := NewCoordinator(cc)
+		if err != nil {
+			t.Fatalf("incarnation %d: %v", incarnation, err)
+		}
+		for i := 1; i <= leases; i++ {
+			w := fmt.Sprintf("w%d", i)
+			lr, ok := coord.TryLease(w)
+			if !ok {
+				t.Fatalf("incarnation %d: no unit leased to %s", incarnation, w)
+			}
+			if prev, dup := issued[lr.LeaseID]; dup {
+				t.Errorf("incarnation %d reissued lease %s of incarnation %d", incarnation, lr.LeaseID, prev)
+			}
+			issued[lr.LeaseID] = incarnation
+		}
+		if err := coord.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	grant(1, 2)
+	payload, err := json.Marshal(assignEvent{Type: "assign", Unit: 2, Worker: "w3", Lease: "L0003-u2"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	torn := wal.AppendFrame(nil, payload)
+	f, err := os.OpenFile(filepath.Join(dir, "assignments.bin"), os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(torn[:len(torn)/2]); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	cc.Resume = true
+	grant(2, 1)
+	grant(3, 2)
+	if len(issued) != 5 {
+		t.Errorf("issued %d distinct leases over three incarnations, want 5", len(issued))
+	}
+}
+
+// TestLegacyAssignmentLogRefused pins the refusal of an older build's
+// JSON-lines assignment log: the error names the file.
+func TestLegacyAssignmentLogRefused(t *testing.T) {
+	dir := t.TempDir()
+	legacy := filepath.Join(dir, "assignments.jsonl")
+	if err := os.WriteFile(legacy, []byte(`{"type":"assign","time_ms":1,"lease":"L0001-u0"}`+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := NewCoordinator(Config{Instance: "reduced", Tier: runner.TierQuick, Dir: dir, Resume: true, Logf: t.Logf})
+	if err == nil || !strings.Contains(err.Error(), legacy) {
+		t.Fatalf("resume over a legacy assignment log answered %v, want a refusal naming %s", err, legacy)
 	}
 }

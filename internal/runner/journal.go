@@ -1,12 +1,8 @@
 package runner
 
 import (
-	"bytes"
-	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"maps"
 	"os"
 
@@ -14,14 +10,15 @@ import (
 	"propane/internal/inject"
 	"propane/internal/sim"
 	"propane/internal/trace"
+	"propane/internal/wal"
 )
 
 // The journal is the campaign's write-ahead record: a JSON header
 // line binding the journal to a config digest, so a resumed process
 // refuses to mix records from a different campaign, followed by
 // binary record frames appended as injection runs complete on the
-// serial observer path. A frame is a length, its complement, a
-// CRC-32C and one record payload (codec.go). A process killed
+// serial observer path — a log in the wal format, each frame holding
+// a batch of records (codec.go). A process killed
 // mid-write leaves at most one torn trailing frame, which loading
 // tolerates; everything before it replays losslessly into the
 // campaign aggregates (campaign.Replay), so an interrupted campaign
@@ -228,91 +225,52 @@ func (r Record) RunRecord() (campaign.RunRecord, error) {
 // anyway on most filesystems; the sync is for power loss).
 const syncEvery = 256
 
-// frameHeaderLen is a frame's fixed prefix: the payload length, its
-// bitwise complement and the payload's CRC-32C, each a little-endian
-// uint32 (the largest batch, one /v1/records upload, is capped far
-// below 4 GiB). The complement lets a damaged length in a middle frame
-// read as corruption rather than as a torn tail, which truncation
-// would cut away together with every later frame.
-const frameHeaderLen = 12
+// frameHeaderLen is a frame's fixed prefix (wal.FrameHeaderLen). The
+// largest frame, one /v1/records upload, is capped far below 4 GiB.
+const frameHeaderLen = wal.FrameHeaderLen
 
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// appendFrame appends one journal frame holding recs to dst.
+// appendFrame appends one journal frame holding recs to dst, encoding
+// the payload in place.
 func appendFrame(dst []byte, enc *RecordEncoder, recs []Record) []byte {
 	start := len(dst)
-	dst = append(dst, make([]byte, frameHeaderLen)...)
-	dst = enc.AppendPayload(dst, recs)
-	payload := dst[start+frameHeaderLen:]
-	n := uint32(len(payload))
-	binary.LittleEndian.PutUint32(dst[start:], n)
-	binary.LittleEndian.PutUint32(dst[start+4:], ^n)
-	binary.LittleEndian.PutUint32(dst[start+8:], crc32.Checksum(payload, castagnoli))
-	return dst
+	dst = enc.AppendPayload(append(dst, make([]byte, frameHeaderLen)...), recs)
+	return wal.SealFrame(dst, start)
 }
 
 // Journal appends record frames to a journal file. buf and enc stage
 // one frame and are reused across writes; callers serialise (the
 // runner's observer path, the coordinator's lock).
 type Journal struct {
-	f       *os.File
-	pending int
-	buf     []byte
-	enc     RecordEncoder
+	log *wal.Log
+	buf []byte
+	enc RecordEncoder
 }
 
-// openJournal opens (or creates) the journal for appending and writes
-// the header when the file holds no valid content. A torn tail left
-// by a killed process is truncated away before appending, so the
-// journal never grows a frame behind a partial one. An existing
-// header must match the expected one — most importantly its config
-// digest — so a resume against a drifted configuration fails loudly
-// instead of corrupting the artifact set.
+// openJournal opens (or creates) the journal for appending: a torn
+// tail is cut, a file without a header gets hdr's (wal.Open). An
+// existing header must carry hdr's config digest, so a resume against
+// a drifted configuration fails loudly instead of corrupting results.
 func openJournal(path string, hdr JournalHeader) (*Journal, error) {
 	existing, _, validLen, err := loadJournal(path)
 	if err != nil {
 		return nil, err
 	}
-	hdr.Type, hdr.Version = "header", journalVersion
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("runner: opening journal: %w", err)
-	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("runner: opening journal: %w", err)
-	}
-	if st.Size() > validLen {
-		// Cut the torn tail (or, when no valid header survived, the
-		// whole file) so appends start on a frame boundary.
-		if err := f.Truncate(validLen); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("runner: truncating torn journal tail: %w", err)
-		}
-	}
-	if validLen == 0 {
-		line, err := json.Marshal(hdr)
-		if err != nil {
-			f.Close()
-			return nil, fmt.Errorf("runner: encoding journal header: %w", err)
-		}
-		if _, err := f.Write(append(line, '\n')); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("runner: writing journal header: %w", err)
-		}
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("runner: syncing journal header: %w", err)
-		}
-		return &Journal{f: f}, nil
-	}
-	if existing.ConfigDigest != hdr.ConfigDigest {
-		f.Close()
+	if validLen > 0 && existing.ConfigDigest != hdr.ConfigDigest {
 		return nil, fmt.Errorf("runner: journal %s belongs to config %s, not %s — refusing to mix campaigns: %w",
 			path, existing.ConfigDigest, hdr.ConfigDigest, ErrDigestMismatch)
 	}
-	return &Journal{f: f}, nil
+	hdr.Type, hdr.Version = "header", journalVersion
+	log, err := wal.Open(path, hdr, validLen, syncEvery)
+	if err == nil && validLen == 0 {
+		// The header binds every later frame to its digest.
+		if err = log.Sync(); err != nil {
+			log.Close()
+		}
+	}
+	if err != nil {
+		return nil, fmt.Errorf("runner: opening journal: %w", err)
+	}
+	return &Journal{log: log}, nil
 }
 
 // AppendBatch journals records as one frame with a single Write call —
@@ -324,27 +282,14 @@ func (w *Journal) AppendBatch(recs []Record) error {
 		return nil
 	}
 	w.buf = appendFrame(w.buf[:0], &w.enc, recs)
-	if _, err := w.f.Write(w.buf); err != nil {
+	if err := w.log.Write(w.buf, len(recs)); err != nil {
 		return fmt.Errorf("runner: appending journal records: %w", err)
-	}
-	w.pending += len(recs)
-	if w.pending >= syncEvery {
-		w.pending = 0
-		if err := w.f.Sync(); err != nil {
-			return fmt.Errorf("runner: syncing journal: %w", err)
-		}
 	}
 	return nil
 }
 
 // Close syncs and closes the journal.
-func (w *Journal) Close() error {
-	if err := w.f.Sync(); err != nil {
-		w.f.Close()
-		return fmt.Errorf("runner: syncing journal: %w", err)
-	}
-	return w.f.Close()
-}
+func (w *Journal) Close() error { return w.log.Close() }
 
 // loadJournal reads a journal back (parseJournal). A missing file
 // yields a zero header and no records.
@@ -374,55 +319,19 @@ func parseJournal(path string, data []byte) (hdr JournalHeader, recs []Record, v
 }
 
 // walkJournal checks a journal's header and hands each whole frame's
-// payload to visit. A torn final frame — the signature of a killed
-// process: fewer bytes than a frame header, a payload running past the
-// end, or a zero-filled tail — ends the walk; a complete frame failing
-// its length check, checksum or visit's check is corruption and an
-// error. validLen is the byte length of the whole-frame prefix, so a
-// resuming writer can truncate the torn tail before appending.
+// payload to visit, by the log format's torn-tail rule (wal.Walk).
+// Versions 3 and 4 are refused saying why.
 func walkJournal(path string, data []byte, visit func(payload []byte) error) (hdr JournalHeader, validLen int64, err error) {
-	nl := bytes.IndexByte(data, '\n')
-	if nl < 0 {
-		// Killed mid-header-write, or an empty file: an empty journal.
-		return JournalHeader{}, 0, nil
-	}
-	if json.Unmarshal(data[:nl], &hdr) != nil || hdr.Type != "header" {
-		return JournalHeader{}, 0, fmt.Errorf("runner: journal %s has no valid header", path)
-	}
+	validLen, err = wal.Walk(path, data, wal.Header{Version: journalVersion}, &hdr, visit) // kind "": the journal predates kinds
 	switch {
-	case hdr.Version == 3 || hdr.Version == 4:
+	case errors.Is(err, wal.ErrVersion) && (hdr.Version == 3 || hdr.Version == 4):
 		return JournalHeader{}, 0, fmt.Errorf("runner: journal %s is version %d, which stored JSON-lines records; "+
 			"the record encoding changed to binary frames in version %d — rerun the campaign in a fresh directory",
 			path, hdr.Version, journalVersion)
-	case hdr.Version != journalVersion:
-		return JournalHeader{}, 0, fmt.Errorf("runner: journal %s is version %d, want %d", path, hdr.Version, journalVersion)
+	case err != nil:
+		return JournalHeader{}, 0, fmt.Errorf("runner: %w", err)
 	}
-	pos := nl + 1
-	for pos < len(data) {
-		frame := data[pos:]
-		if len(frame) < frameHeaderLen {
-			break // torn inside the frame header
-		}
-		n := binary.LittleEndian.Uint32(frame)
-		if binary.LittleEndian.Uint32(frame[4:]) != ^n {
-			if len(bytes.TrimLeft(frame, "\x00")) == 0 {
-				break // zero-filled: the file grew but its data never landed
-			}
-			return JournalHeader{}, 0, fmt.Errorf("runner: journal %s corrupt at byte %d: damaged frame length", path, pos)
-		}
-		if uint64(n) > uint64(len(frame)-frameHeaderLen) {
-			break // torn inside the payload — resume re-runs it
-		}
-		payload := frame[frameHeaderLen : frameHeaderLen+int(n)]
-		if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(frame[8:]) {
-			return JournalHeader{}, 0, fmt.Errorf("runner: journal %s corrupt at byte %d: frame checksum mismatch", path, pos)
-		}
-		if err := visit(payload); err != nil {
-			return JournalHeader{}, 0, fmt.Errorf("runner: journal %s corrupt at byte %d: %w", path, pos, err)
-		}
-		pos += frameHeaderLen + int(n)
-	}
-	return hdr, int64(pos), nil
+	return hdr, validLen, nil
 }
 
 // CheckJournal vets data, the bytes of the journal at path, as a

@@ -9,7 +9,7 @@
 // route to the owning campaign's coordinator by the X-Propane-Campaign
 // header — bodies untouched, so digests and idempotency keys survive
 // the indirection. Every accepted submission, activation and terminal
-// transition appends to service.jsonl; a killed service restarted
+// transition appends to service.bin; a killed service restarted
 // with -resume recovers all in-flight campaigns bit-identically from
 // that journal plus each coordinator's own journals. A resubmission
 // whose config digest matches a finished campaign's never reaches the
@@ -20,7 +20,6 @@
 package service
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -38,6 +37,7 @@ import (
 	"propane/internal/distrib"
 	"propane/internal/runner"
 	"propane/internal/store"
+	"propane/internal/wal"
 )
 
 // CrashPreEnqueueAck is the service's chaos crash point: it fires
@@ -47,7 +47,8 @@ import (
 const CrashPreEnqueueAck = "pre-enqueue-ack"
 
 const (
-	journalName = "service.jsonl"
+	journalName       = "service.bin"
+	legacyJournalName = "service.jsonl"
 	// leaseWaitMax bounds the service's fleet-wide lease long-poll,
 	// mirroring the coordinator's own (it must stay under the worker
 	// client's 30 s timeout and the server's handler deadline).
@@ -94,7 +95,7 @@ func (q *Quotas) normalise() {
 
 // Options parameterises the service.
 type Options struct {
-	// Dir is the service root: service.jsonl plus one
+	// Dir is the service root: service.bin plus one
 	// campaigns/<id>/ subtree per campaign (saved topology document,
 	// coordinator journals, assembled artifacts). Required.
 	Dir string
@@ -125,7 +126,7 @@ type Options struct {
 	Units    int
 	LeaseTTL time.Duration
 	Pull     bool
-	// Resume restores service state from service.jsonl and each
+	// Resume restores service state from service.bin and each
 	// in-flight campaign's journals instead of refusing a non-empty
 	// directory.
 	Resume bool
@@ -222,7 +223,10 @@ func (e *AdmissionError) Error() string {
 	return fmt.Sprintf("%s (retry after %s)", e.Reason, e.RetryAfter)
 }
 
-// journalEvent is one line of service.jsonl.
+// journalFormat is the service log's header.
+var journalFormat = wal.Header{Type: "header", Kind: "service", Version: 1}
+
+// journalEvent is one frame of the service log.
 type journalEvent struct {
 	Op        string  `json:"op"` // submit | activate | done | fail
 	ID        string  `json:"id"`
@@ -294,7 +298,7 @@ type Service struct {
 	order     []string // every campaign, submit order
 	queue     []string // queued campaigns, activation order
 	seq       int
-	journal   *os.File
+	journal   *wal.Log
 	// tenantGranted is the fair-share ledger: jobs granted to the
 	// fleet per tenant, divided by the tenant's weight to pick the
 	// next campaign to lease from.
@@ -351,11 +355,6 @@ func Open(opts Options) (*Service, error) {
 	if err := s.replayJournal(); err != nil {
 		return nil, err
 	}
-	f, err := os.OpenFile(s.journalPath(), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("service: opening journal: %w", err)
-	}
-	s.journal = f
 	s.wg.Add(1)
 	go s.pump()
 	if opts.Store != nil && opts.GCInterval > 0 {
@@ -366,31 +365,23 @@ func Open(opts Options) (*Service, error) {
 	return s, nil
 }
 
-func (s *Service) journalPath() string { return filepath.Join(s.opts.Dir, journalName) }
-
-// replayJournal rebuilds campaigns, queue and sequence from
-// service.jsonl. Undecodable lines (the torn tail of a killed append)
-// are skipped; everything before them replays.
+// replayJournal rebuilds campaigns, queue and sequence from the
+// service log, cuts a torn tail and opens the log for appending.
 func (s *Service) replayJournal() error {
-	data, err := os.ReadFile(s.journalPath())
-	if os.IsNotExist(err) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("service: reading journal: %w", err)
-	}
-	if len(data) > 0 && !s.opts.Resume {
-		return fmt.Errorf("service: %s already holds campaign state — pass Resume to recover it", s.journalPath())
+	path := filepath.Join(s.opts.Dir, journalName)
+	legacy := filepath.Join(s.opts.Dir, legacyJournalName)
+	if _, err := os.Stat(legacy); err == nil {
+		return fmt.Errorf("service: %s is a JSON-lines service log from an older build, which this one does not read "+
+			"(the service log is now %s) — use a fresh directory", legacy, journalName)
 	}
 	var wasActive []string // activation order
-	for _, line := range bytes.Split(data, []byte{'\n'}) {
-		if len(line) == 0 {
-			continue
-		}
+	events := 0
+	validLen, err := wal.Load(path, journalFormat, nil, func(payload []byte) error {
 		var ev journalEvent
-		if json.Unmarshal(line, &ev) != nil {
-			continue // torn tail
+		if err := json.Unmarshal(payload, &ev); err != nil {
+			return err
 		}
+		events++
 		switch ev.Op {
 		case "submit":
 			cs := &campaignState{CampaignInfo: CampaignInfo{
@@ -425,8 +416,7 @@ func (s *Service) replayJournal() error {
 				if ev.Op == "done" {
 					cs.State = StateDone
 					cs.Source = ev.Source
-					// Journals older than the digest field are not indexed.
-					if ev.Digest != "" && ev.Source == "" {
+					if ev.Source == "" {
 						s.finished[ev.Digest] = ev.ID
 					}
 				} else {
@@ -436,6 +426,13 @@ func (s *Service) replayJournal() error {
 				cs.DoneMs = ev.TimeMs
 			}
 		}
+		return nil
+	})
+	if err != nil {
+		return fmt.Errorf("service: %w", err)
+	}
+	if events > 0 && !s.opts.Resume {
+		return fmt.Errorf("service: %s already holds campaign state — pass Resume to recover it", path)
 	}
 	// In-flight campaigns re-queue: the ones that were executing
 	// first (their coordinators resume their journals), then the
@@ -454,7 +451,12 @@ func (s *Service) replayJournal() error {
 	}
 	if len(s.campaigns) > 0 {
 		s.logf("service: resumed %d campaigns (%d re-queued) from %s",
-			len(s.campaigns), len(s.queue), s.journalPath())
+			len(s.campaigns), len(s.queue), path)
+	}
+	// The log is not synced per append: a submission is durable
+	// against a killed process once written, not against power loss.
+	if s.journal, err = wal.Open(path, journalFormat, validLen, 0); err != nil {
+		return fmt.Errorf("service: opening journal: %w", err)
 	}
 	return nil
 }
@@ -465,9 +467,9 @@ func (s *Service) replayJournal() error {
 // serving).
 func (s *Service) appendJournalLocked(ev journalEvent) int64 {
 	ev.TimeMs = time.Now().UnixMilli()
-	line, err := json.Marshal(ev)
+	payload, err := json.Marshal(ev)
 	if err == nil {
-		_, err = s.journal.Write(append(line, '\n'))
+		err = s.journal.Append(payload)
 	}
 	if err != nil {
 		s.logf("service: journal append failed: %v", err)
@@ -1210,9 +1212,5 @@ func (s *Service) Close() error {
 			errs = append(errs, cs.coord.Close())
 		}
 	}
-	if s.journal != nil {
-		errs = append(errs, s.journal.Close())
-		s.journal = nil
-	}
-	return errors.Join(errs...)
+	return errors.Join(append(errs, s.journal.Close())...)
 }

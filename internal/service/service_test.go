@@ -24,6 +24,7 @@ import (
 	"propane/internal/report"
 	"propane/internal/runner"
 	"propane/internal/store"
+	"propane/internal/wal"
 )
 
 // fingerprint reduces a result to the bit-identity criterion: the
@@ -863,20 +864,31 @@ func TestServedRepeatKilledMidServe(t *testing.T) {
 	fleet()
 	stop()
 
-	// Drop the repeat's done line: the process died mid-serve.
+	// Drop the repeat's done event: the process died mid-serve.
 	path := filepath.Join(dir, journalName)
-	data, err := os.ReadFile(path)
+	var kept [][]byte
+	if _, err := wal.Load(path, journalFormat, nil, func(payload []byte) error {
+		var ev journalEvent
+		if err := json.Unmarshal(payload, &ev); err != nil {
+			return err
+		}
+		if !(ev.Op == "done" && ev.ID == ids[1]) {
+			kept = append(kept, bytes.Clone(payload))
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	log, err := wal.Open(path, journalFormat, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var kept [][]byte
-	for _, line := range bytes.Split(data, []byte{'\n'}) {
-		var ev journalEvent
-		if json.Unmarshal(line, &ev) == nil && !(ev.Op == "done" && ev.ID == ids[1]) {
-			kept = append(kept, line)
+	for _, payload := range kept {
+		if err := log.Append(payload); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if err := os.WriteFile(path, append(bytes.Join(kept, []byte{'\n'}), '\n'), 0o644); err != nil {
+	if err := log.Close(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -1195,5 +1207,80 @@ func TestAdaptiveSubmission(t *testing.T) {
 	}
 	if gotM != wantM {
 		t.Error("service adaptive matrix differs from the single-node adaptive run")
+	}
+}
+
+// TestServiceLogTornTail resumes a service over a log whose last frame
+// a kill tore, submits again, and resumes once more: the torn frame is
+// cut before the next append, so both campaigns survive and no
+// campaign ID is issued twice.
+func TestServiceLogTornTail(t *testing.T) {
+	dir := t.TempDir()
+	open := func(resume bool) *Service {
+		t.Helper()
+		svc, err := Open(Options{Dir: dir, Units: 2, Resume: resume, Logf: t.Logf})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return svc
+	}
+	req := SubmitRequest{Instance: "reduced", Tier: "quick"}
+	svc := open(false)
+	c1, err := svc.Submit("tenant-a", req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	payload, err := json.Marshal(journalEvent{Op: "submit", ID: "c0009", Tenant: "tenant-a", Instance: "reduced", Tier: "quick"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := wal.AppendFrame(nil, payload)
+	f, err := os.OpenFile(filepath.Join(dir, journalName), os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(frame[:len(frame)-3]); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	svc = open(true)
+	c2, err := svc.Submit("tenant-b", req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if c2.ID == c1.ID {
+		t.Fatalf("campaign ID %s issued twice", c1.ID)
+	}
+	svc = open(true)
+	defer svc.Close()
+	var ids []string
+	for _, ci := range svc.Campaigns() {
+		ids = append(ids, ci.ID)
+	}
+	if len(ids) != 2 || ids[0] != c1.ID || ids[1] != c2.ID {
+		t.Fatalf("resumed campaigns %v, want [%s %s]", ids, c1.ID, c2.ID)
+	}
+}
+
+// TestLegacyServiceLogRefused pins the refusal of an older build's
+// JSON-lines service log: the error names the file.
+func TestLegacyServiceLogRefused(t *testing.T) {
+	dir := t.TempDir()
+	legacy := filepath.Join(dir, "service.jsonl")
+	if err := os.WriteFile(legacy, []byte(`{"op":"submit","id":"c0001","tenant":"a","instance":"reduced","tier":"quick"}`+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := Open(Options{Dir: dir, Resume: true, Logf: t.Logf})
+	if err == nil || !strings.Contains(err.Error(), legacy) {
+		t.Fatalf("resume over a legacy service log answered %v, want a refusal naming %s", err, legacy)
 	}
 }

@@ -15,13 +15,14 @@
 //     pointing at them. Identical artifacts from identical campaigns
 //     deduplicate to one blob.
 //
-// Durability follows the repository's journal idiom: an append-only
-// memo.jsonl records index deltas; Snapshot compacts the whole index
-// into memo.snapshot.json (temp + fsync + rename, atomic) and
-// truncates the journal. Open loads the snapshot and replays the
-// journal, healing a torn tail, so a store killed mid-write recovers
-// to a consistent prefix. GC evicts least-recently-used memo entries
-// beyond the bound and sweeps cas/ blobs no ref points at.
+// Durability is one append-only log, memo.bin, in the wal format every
+// durable log shares: one frame per put or ref. Open replays it: a
+// torn tail (a store killed mid-write) is cut; a damaged frame is
+// logged and the entries before it are kept, compacted into a fresh
+// log. GC evicts least-recently-used memo entries beyond the bound,
+// sweeps cas/ blobs no ref points at, and compacts the log: the live
+// entries in LRU order, then the refs, written to a temp log, fsynced
+// and renamed over it.
 //
 // The store degrades, never blocks: any internal error turns a get
 // into a miss and a put into a logged no-op, so a wiped or corrupt
@@ -29,7 +30,6 @@
 package store
 
 import (
-	"bufio"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -45,20 +45,20 @@ import (
 
 	"propane/internal/campaign"
 	"propane/internal/chaos"
+	"propane/internal/wal"
 )
 
 // CrashMidStorePut is the chaos crash-point label fired inside a put,
-// after the blob or journal line is durably staged but before the
+// after the blob or log frame is durably staged but before the
 // in-memory index absorbs it — the window where a killed process
 // leaves an orphan for recovery and GC to deal with.
 const CrashMidStorePut = "mid-store-put"
 
 const (
-	snapshotName = "memo.snapshot.json"
-	journalName  = "memo.jsonl"
-	casDirName   = "cas"
+	journalName = "memo.bin"
+	casDirName  = "cas"
 
-	// syncEvery bounds the journal lines between fsyncs, mirroring the
+	// syncEvery bounds the log frames between fsyncs, mirroring the
 	// runner journal's batching.
 	syncEvery = 256
 
@@ -113,8 +113,7 @@ type Store struct {
 	mu       sync.Mutex
 	index    map[string]*memoRec
 	refs     map[string]string // name → blob digest
-	journal  *os.File
-	unsynced int
+	journal  *wal.Log
 	clock    uint64
 	bound    int
 	grace    time.Duration
@@ -124,8 +123,15 @@ type Store struct {
 	closed   bool
 }
 
-// journalLine is one memo.jsonl delta. Op "put" carries a memo entry,
-// "ref" a named blob reference, "del" an eviction.
+// journalFormat is the memo log's header.
+var journalFormat = wal.Header{Type: "header", Kind: "memo", Version: 1}
+
+// legacyNames are the JSON-lines log and JSON snapshot of older
+// builds, which are not read.
+var legacyNames = []string{"memo.jsonl", "memo.snapshot.json"}
+
+// journalLine is one memo log frame. Op "put" carries a memo entry,
+// "ref" a named blob reference.
 type journalLine struct {
 	Op    string          `json:"op"`
 	Key   string          `json:"key,omitempty"`
@@ -134,15 +140,8 @@ type journalLine struct {
 	Dig   string          `json:"digest,omitempty"`
 }
 
-// snapshotFile is the compacted on-disk index.
-type snapshotFile struct {
-	Version int                        `json:"version"`
-	Entries map[string]json.RawMessage `json:"entries"`
-	Refs    map[string]string          `json:"refs,omitempty"`
-}
-
-// Open loads (or initialises) the store under dir: snapshot first,
-// then the journal replayed over it, torn tail healed by truncation.
+// Open loads (or initialises) the store under dir by replaying its
+// log.
 func Open(dir string, opts Options) (*Store, error) {
 	logf := opts.Logf
 	if logf == nil {
@@ -168,89 +167,39 @@ func Open(dir string, opts Options) (*Store, error) {
 		bound: bound,
 		grace: grace,
 	}
-	if err := s.loadSnapshot(); err != nil {
-		return nil, err
+	for _, name := range legacyNames {
+		if path := filepath.Join(dir, name); os.Remove(path) == nil {
+			logf("store: removed %s, a log of an older build this one does not read — its entries are re-executed", path)
+		}
 	}
-	if err := s.replayJournal(); err != nil {
-		return nil, err
+	path := filepath.Join(dir, journalName)
+	validLen, err := wal.Load(path, journalFormat, nil, s.replay)
+	if err == nil {
+		s.journal, err = wal.Open(path, journalFormat, validLen, syncEvery)
+	} else {
+		// External damage. The store is a cache, not the source of
+		// truth: keep what replayed before the damage and go on.
+		logf("store: %v — keeping the %d entries and %d refs before it", err, len(s.index), len(s.refs))
+		err = s.compactLocked(0)
 	}
-	jf, err := os.OpenFile(filepath.Join(dir, journalName), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
-		return nil, fmt.Errorf("store: opening journal: %w", err)
+		return nil, fmt.Errorf("store: %w", err)
 	}
-	s.journal = jf
-	s.stats.Entries = len(s.index)
-	s.stats.Refs = len(s.refs)
 	return s, nil
 }
 
-func (s *Store) loadSnapshot() error {
-	data, err := os.ReadFile(filepath.Join(s.dir, snapshotName))
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil
+// replay applies one log frame to the index.
+func (s *Store) replay(payload []byte) error {
+	var jl journalLine
+	if err := json.Unmarshal(payload, &jl); err != nil {
+		return err
 	}
-	if err != nil {
-		return fmt.Errorf("store: reading snapshot: %w", err)
-	}
-	var snap snapshotFile
-	if err := json.Unmarshal(data, &snap); err != nil {
-		// A torn snapshot cannot happen through the atomic rename; a
-		// corrupt one means external damage. Degrade to empty rather
-		// than refusing service — the store's contract is cache, not
-		// source of truth.
-		s.logf("store: snapshot corrupt (%v) — starting from the journal alone", err)
-		return nil
-	}
-	for k, raw := range snap.Entries {
+	switch jl.Op {
+	case "put":
 		s.clock++
-		s.index[k] = &memoRec{data: raw, last: s.clock}
-	}
-	for name, dig := range snap.Refs {
-		s.refs[name] = dig
-	}
-	return nil
-}
-
-// replayJournal applies memo.jsonl over the snapshot. A torn final
-// line (killed mid-append) is healed by truncating the file there.
-func (s *Store) replayJournal() error {
-	path := filepath.Join(s.dir, journalName)
-	f, err := os.Open(path)
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("store: opening journal: %w", err)
-	}
-	defer f.Close()
-	var valid int64
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	for sc.Scan() {
-		line := sc.Bytes()
-		var jl journalLine
-		if err := json.Unmarshal(line, &jl); err != nil {
-			s.logf("store: journal torn at offset %d — truncating the tail", valid)
-			break
-		}
-		valid += int64(len(line)) + 1
-		switch jl.Op {
-		case "put":
-			s.clock++
-			s.index[jl.Key] = &memoRec{data: jl.Entry, last: s.clock}
-		case "del":
-			delete(s.index, jl.Key)
-		case "ref":
-			s.refs[jl.Name] = jl.Dig
-		}
-	}
-	if err := sc.Err(); err != nil && !errors.Is(err, bufio.ErrTooLong) {
-		return fmt.Errorf("store: scanning journal: %w", err)
-	}
-	if fi, err := os.Stat(path); err == nil && fi.Size() > valid {
-		if err := os.Truncate(path, valid); err != nil {
-			return fmt.Errorf("store: healing journal tail: %w", err)
-		}
+		s.index[jl.Key] = &memoRec{data: jl.Entry, last: s.clock}
+	case "ref":
+		s.refs[jl.Name] = jl.Dig
 	}
 	return nil
 }
@@ -323,7 +272,6 @@ func (s *Store) PutMemo(scope string, k campaign.MemoKey, e campaign.MemoEntry) 
 	s.clock++
 	s.index[key] = &memoRec{data: data, last: s.clock}
 	s.stats.Puts++
-	s.stats.Entries = len(s.index)
 }
 
 // PutBlob stores an immutable artifact under its SHA-256 digest and
@@ -388,7 +336,6 @@ func (s *Store) SetRef(name, digest string) error {
 	}
 	s.appendLocked(journalLine{Op: "ref", Name: name, Dig: digest})
 	s.refs[name] = digest
-	s.stats.Refs = len(s.refs)
 	return nil
 }
 
@@ -403,27 +350,12 @@ func (s *Store) Ref(name string) (string, bool) {
 // appendLocked journals one delta, degrading on I/O failure: the
 // in-memory index keeps serving, persistence stops until reopened.
 func (s *Store) appendLocked(jl journalLine) {
-	if s.degraded || s.journal == nil {
+	if s.degraded {
 		return
 	}
-	data, err := json.Marshal(jl)
-	if err != nil {
-		s.logf("store: encoding journal line: %v", err)
-		return
-	}
-	if _, err := s.journal.Write(append(data, '\n')); err != nil {
+	if err := s.journal.Append(encodeLine(jl)); err != nil {
 		s.degraded = true
-		s.logf("store: journal append failed (%v) — degraded to in-memory only", err)
-		return
-	}
-	s.unsynced++
-	if s.unsynced >= syncEvery {
-		if err := s.journal.Sync(); err != nil {
-			s.degraded = true
-			s.logf("store: journal sync failed (%v) — degraded to in-memory only", err)
-			return
-		}
-		s.unsynced = 0
+		s.logf("store: %v — degraded to in-memory only", err)
 	}
 }
 
@@ -434,75 +366,67 @@ func (s *Store) hitCrashLocked() {
 		// it happens. The in-memory state is poisoned — Open on the
 		// same directory is the only way forward, exactly like a
 		// killed process.
-		if s.journal != nil {
-			s.journal.Sync()
-		}
+		s.journal.Sync()
 		s.logf("store: chaos crash point %q fired — store dead until reopened", CrashMidStorePut)
 	}
 }
 
-// Snapshot compacts the index into memo.snapshot.json (atomically)
-// and truncates the journal — the checkpoint half of the lifecycle.
-func (s *Store) Snapshot() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.snapshotLocked()
+// compactLocked evicts the evict least recently used entries, then
+// rewrites the log as the live state — entries in LRU order, so a
+// replay restores recency, then refs — through a temp log that is
+// fsynced and renamed over it, atomically. Appends go to the new log
+// from then on.
+func (s *Store) compactLocked(evict int) error {
+	keys := make([]string, 0, len(s.index))
+	for k := range s.index {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool { return s.index[keys[i]].last < s.index[keys[j]].last })
+	for _, k := range keys[:evict] {
+		delete(s.index, k)
+	}
+	s.stats.Evicted += int64(evict)
+	if s.degraded {
+		return errors.New("degraded — refusing to compact partial state")
+	}
+	var frames []byte
+	for _, k := range keys[evict:] {
+		frames = wal.AppendFrame(frames, encodeLine(journalLine{Op: "put", Key: k, Entry: s.index[k].data}))
+	}
+	names := make([]string, 0, len(s.refs))
+	for name := range s.refs {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		frames = wal.AppendFrame(frames, encodeLine(journalLine{Op: "ref", Name: name, Dig: s.refs[name]}))
+	}
+	path := filepath.Join(s.dir, journalName)
+	tmp, err := wal.Open(path+".tmp", journalFormat, 0, syncEvery)
+	if err != nil {
+		return err
+	}
+	if err = tmp.Write(frames, 0); err == nil {
+		err = tmp.Sync()
+	}
+	if err == nil {
+		err = os.Rename(path+".tmp", path)
+	}
+	if err != nil {
+		tmp.Close()
+		return fmt.Errorf("compacting the log: %w", err)
+	}
+	if s.journal != nil {
+		s.journal.Close()
+	}
+	s.journal = tmp
+	return nil
 }
 
-func (s *Store) snapshotLocked() error {
-	if s.crashed || s.closed {
-		return errors.New("store: not serving (crashed or closed)")
-	}
-	if s.degraded {
-		return errors.New("store: degraded — refusing to snapshot partial state")
-	}
-	snap := snapshotFile{
-		Version: 1,
-		Entries: make(map[string]json.RawMessage, len(s.index)),
-		Refs:    make(map[string]string, len(s.refs)),
-	}
-	for k, rec := range s.index {
-		snap.Entries[k] = rec.data
-	}
-	for name, dig := range s.refs {
-		snap.Refs[name] = dig
-	}
-	data, err := json.Marshal(&snap)
-	if err != nil {
-		return fmt.Errorf("store: encoding snapshot: %w", err)
-	}
-	path := filepath.Join(s.dir, snapshotName)
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("store: writing snapshot: %w", err)
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return fmt.Errorf("store: writing snapshot: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("store: syncing snapshot: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("store: closing snapshot: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("store: installing snapshot: %w", err)
-	}
-	// The snapshot holds everything; the journal restarts empty. A
-	// kill between rename and truncate replays journal lines already
-	// absorbed into the snapshot — puts and refs are idempotent, so
-	// the replay is harmless.
-	if err := s.journal.Truncate(0); err != nil {
-		return fmt.Errorf("store: truncating journal: %w", err)
-	}
-	if _, err := s.journal.Seek(0, 0); err != nil {
-		return fmt.Errorf("store: rewinding journal: %w", err)
-	}
-	s.unsynced = 0
-	return nil
+// encodeLine encodes one log frame's payload.
+func encodeLine(jl journalLine) []byte {
+	data, _ := json.Marshal(jl) // strings, and an entry that is valid JSON: cannot fail
+	return data
 }
 
 // GCStats summarises one collection.
@@ -514,7 +438,7 @@ type GCStats struct {
 
 // GC evicts least-recently-used memo entries beyond the bound, sweeps
 // cas/ blobs no ref points at (older than the grace period), and
-// snapshots the compacted index.
+// compacts the log.
 func (s *Store) GC() (GCStats, error) {
 	s.mu.Lock()
 	var gs GCStats
@@ -522,23 +446,9 @@ func (s *Store) GC() (GCStats, error) {
 		s.mu.Unlock()
 		return gs, errors.New("store: not serving (crashed or closed)")
 	}
-	if over := len(s.index) - s.bound; over > 0 {
-		type cand struct {
-			key  string
-			last uint64
-		}
-		cands := make([]cand, 0, len(s.index))
-		for k, rec := range s.index {
-			cands = append(cands, cand{key: k, last: rec.last})
-		}
-		sort.Slice(cands, func(i, j int) bool { return cands[i].last < cands[j].last })
-		for _, c := range cands[:over] {
-			delete(s.index, c.key)
-			s.appendLocked(journalLine{Op: "del", Key: c.key})
-			gs.EvictedEntries++
-		}
-		s.stats.Evicted += int64(gs.EvictedEntries)
-		s.stats.Entries = len(s.index)
+	gs.EvictedEntries = max(len(s.index)-s.bound, 0)
+	if err := s.compactLocked(gs.EvictedEntries); err != nil {
+		s.logf("store: gc: %v", err)
 	}
 	referenced := make(map[string]bool, len(s.refs))
 	for _, dig := range s.refs {
@@ -546,9 +456,6 @@ func (s *Store) GC() (GCStats, error) {
 	}
 	grace := s.grace
 	dir := s.dir
-	if err := s.snapshotLocked(); err != nil {
-		s.logf("store: gc snapshot: %v", err)
-	}
 	gs.Entries = len(s.index)
 	s.mu.Unlock()
 
@@ -592,7 +499,7 @@ func (s *Store) Stats() Stats {
 	return st
 }
 
-// Close syncs and closes the journal. The store stops serving.
+// Close syncs and closes the log. The store stops serving.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -600,17 +507,7 @@ func (s *Store) Close() error {
 		return nil
 	}
 	s.closed = true
-	if s.journal == nil {
-		return nil
-	}
-	var err error
-	if !s.degraded {
-		err = s.journal.Sync()
-	}
-	if cerr := s.journal.Close(); err == nil {
-		err = cerr
-	}
-	return err
+	return s.journal.Close()
 }
 
 func (s *Store) blobPath(digest string) string {

@@ -1,9 +1,12 @@
 package store
 
 import (
+	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -12,6 +15,7 @@ import (
 	"propane/internal/chaos"
 	"propane/internal/sim"
 	"propane/internal/trace"
+	"propane/internal/wal"
 )
 
 func testKey(i int) campaign.MemoKey {
@@ -87,7 +91,7 @@ func TestReopenReplaysJournal(t *testing.T) {
 	if err := s.SetRef("campaign/c1/report.md", dig); err != nil {
 		t.Fatal(err)
 	}
-	// No Snapshot, no Close sync path: reopen must replay the journal.
+	// No compaction: reopen must replay the log.
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -114,24 +118,30 @@ func TestReopenReplaysJournal(t *testing.T) {
 	}
 }
 
+// TestSnapshotCompactsJournal overwrites every entry once, so the log
+// holds two frames per entry, and compacts it (GC): the log then holds one
+// frame per live entry, and a reopened store serves all of them.
 func TestSnapshotCompactsJournal(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 50; i++ {
-		s.PutMemo("scope", testKey(i), testEntry(i))
+	for round := 0; round < 2; round++ {
+		for i := 0; i < 50; i++ {
+			e := testEntry(i)
+			e.Detail = fmt.Sprint("round ", round)
+			s.PutMemo("scope", testKey(i), e)
+		}
 	}
-	if err := s.Snapshot(); err != nil {
+	if n := countFrames(t, dir); n != 100 {
+		t.Fatalf("log holds %d frames before compaction, want 100", n)
+	}
+	if _, err := s.GC(); err != nil {
 		t.Fatal(err)
 	}
-	fi, err := os.Stat(filepath.Join(dir, journalName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fi.Size() != 0 {
-		t.Fatalf("journal holds %d bytes after snapshot, want 0", fi.Size())
+	if n := countFrames(t, dir); n != 50 {
+		t.Fatalf("log holds %d frames after compaction, want one per live entry, 50", n)
 	}
 	s.Close()
 
@@ -141,8 +151,107 @@ func TestSnapshotCompactsJournal(t *testing.T) {
 	}
 	defer s2.Close()
 	for i := 0; i < 50; i++ {
+		if e, ok := s2.GetMemo("scope", testKey(i)); !ok || e.Detail != "round 1" {
+			t.Fatalf("entry %d across compaction and reopen: %+v, %v; want the second round's", i, e, ok)
+		}
+	}
+}
+
+// countFrames counts the frames of the memo log under dir.
+func countFrames(t *testing.T, dir string) int {
+	t.Helper()
+	n := 0
+	if _, err := wal.Load(filepath.Join(dir, journalName), journalFormat, nil, func([]byte) error {
+		n++
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+// TestCorruptFrameNeverServed changes one digit inside the third of
+// five entries' frames — an edit that still parses as JSON. The frame
+// fails its checksum: the altered entry is never served, the entries
+// before it are, and the store keeps accepting writes.
+func TestCorruptFrameNeverServed(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ends []int // log length after each put
+	path := filepath.Join(dir, journalName)
+	for i := 0; i < 5; i++ {
+		s.PutMemo("scope", testKey(i), testEntry(i))
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ends = append(ends, int(fi.Size()))
+	}
+	s.Close()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	third := data[ends[1]:ends[2]]
+	at := bytes.Index(third, []byte(`"Count":3`))
+	if at < 0 {
+		t.Fatalf("third frame holds no count: %q", third)
+	}
+	third[at+len(`"Count":`)] = '4'
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var logged []string
+	s2, err := Open(dir, Options{Logf: func(f string, a ...any) { logged = append(logged, fmt.Sprintf(f, a...)) }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if e, ok := s2.GetMemo("scope", testKey(2)); ok {
+		t.Fatalf("altered entry served: %+v", e)
+	}
+	for i := 0; i < 2; i++ {
 		if _, ok := s2.GetMemo("scope", testKey(i)); !ok {
-			t.Fatalf("entry %d lost across snapshot+reopen", i)
+			t.Errorf("intact entry %d before the damage lost", i)
+		}
+	}
+	if len(logged) == 0 || !strings.Contains(logged[0], "checksum") {
+		t.Errorf("damage not logged as corruption: %q", logged)
+	}
+	s2.PutMemo("scope", testKey(2), testEntry(2))
+	if e, ok := s2.GetMemo("scope", testKey(2)); !ok || !reflect.DeepEqual(e, testEntry(2)) {
+		t.Fatalf("store over a damaged log rejects writes: %+v, %v", e, ok)
+	}
+}
+
+// TestLegacyFilesStartEmpty opens a store over the JSON-lines log and
+// JSON snapshot of an older build: it says so, removes them and starts
+// empty.
+func TestLegacyFilesStartEmpty(t *testing.T) {
+	for _, name := range legacyNames {
+		dir := t.TempDir()
+		legacy := filepath.Join(dir, name)
+		if err := os.WriteFile(legacy, []byte(`{"op":"put","key":"k","entry":{}}`+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var logged []string
+		s, err := Open(dir, Options{Logf: func(f string, a ...any) { logged = append(logged, fmt.Sprintf(f, a...)) }})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := s.Stats(); st.Entries != 0 || st.Refs != 0 {
+			t.Errorf("%s: store starts with %+v, want empty", name, st)
+		}
+		s.Close()
+		if len(logged) != 1 || !strings.Contains(logged[0], legacy) {
+			t.Errorf("%s: logged %q, want one line naming the file", name, logged)
+		}
+		if _, err := os.Stat(legacy); err == nil {
+			t.Errorf("%s: legacy file left in place", name)
 		}
 	}
 }
