@@ -281,6 +281,6 @@ func NewDualInstance(cfg DualConfig, tc physics.TestCase, onRead sim.ReadHook) (
 	}
 	// Slave-side hidden state; tx and the slave glue pre-hook are
 	// stateless (pure functions of their inputs).
-	inst.stateful = append(inst.stateful, rx, psB, vrB, paB)
+	inst.Stateful = append(inst.Stateful, rx, psB, vrB, paB)
 	return inst, nil
 }

@@ -3,24 +3,26 @@ package arrestor
 import (
 	"fmt"
 
-	"propane/internal/model"
 	"propane/internal/physics"
 	"propane/internal/sim"
+	"propane/internal/target"
 )
 
 // Instance is one fully wired simulation of the target system: the
 // signal bus, the slot-based kernel with all six modules scheduled,
-// the hardware glue and the physical world. Each golden run and each
-// injection run uses a fresh Instance, so runs are fully independent
-// and deterministic.
+// the hardware glue and the physical world. Each golden run uses a
+// fresh Instance. An injection run that fast-forwards restores a
+// checkpoint into an Instance its campaign worker keeps per test case;
+// Restore resets every piece of dynamic state, read hooks included, so
+// runs stay fully independent and deterministic.
 type Instance struct {
 	cfg    Config
 	kernel *sim.Kernel
 	bus    *sim.Bus
 	world  *physics.World
 
-	snap     *sim.Snapshotter
-	stateful []model.Stateful
+	// Checkpointer makes the instance target.Checkpointable.
+	target.Checkpointer
 }
 
 // NewInstance builds an instance for one test case. onRead, if
@@ -135,10 +137,9 @@ func NewInstance(cfg Config, tc physics.TestCase, onRead sim.ReadHook) (*Instanc
 	kernel.AddBackground(cl)
 
 	in := &Instance{cfg: cfg, kernel: kernel, bus: bus, world: world}
-	in.snap = sim.NewSnapshotter(kernel, bus)
 	// Every component carrying hidden state, in a fixed order the
 	// restore side relies on. NewDualInstance appends the slave's.
-	in.stateful = []model.Stateful{world, g, ck, ds, ps, cl, vr, pa}
+	in.Checkpointer = target.NewCheckpointer(kernel, bus, world, g, ck, ds, ps, cl, vr, pa)
 	return in, nil
 }
 
@@ -155,22 +156,4 @@ func (in *Instance) World() *physics.World { return in.world }
 // Run advances the simulation to the given horizon in milliseconds.
 func (in *Instance) Run(horizon sim.Millis) {
 	in.kernel.Run(horizon, nil)
-}
-
-// Checkpoint captures the instance's full dynamic state at a tick
-// boundary (target.Checkpointable).
-func (in *Instance) Checkpoint() (*sim.Snapshot, error) {
-	snap := in.snap.Capture()
-	snap.Hidden = model.CaptureStates(in.stateful)
-	return snap, nil
-}
-
-// Restore overwrites the instance's full dynamic state from a
-// snapshot captured on an identically constructed instance
-// (target.Checkpointable).
-func (in *Instance) Restore(snap *sim.Snapshot) error {
-	if err := in.snap.Restore(snap); err != nil {
-		return err
-	}
-	return model.RestoreStates(in.stateful, snap.Hidden)
 }

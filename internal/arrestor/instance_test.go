@@ -281,7 +281,7 @@ func TestRestoredCachesRecompute(t *testing.T) {
 		t.Fatal(err)
 	}
 	inst.Run(3000)
-	g, c := inst.stateful[1].(*glue), inst.stateful[5].(*calc)
+	g, c := inst.Stateful[1].(*glue), inst.Stateful[5].(*calc)
 	staleTOC2, staleNum := g.toc2Key, c.quot.num
 	if err := inst.Restore(snap); err != nil {
 		t.Fatal(err)

@@ -3,7 +3,7 @@ package arrestor
 import "propane/internal/model"
 
 // This file gives every stateful component of the arrestment software
-// a State/Restore pair (model.Stateful), which is what lets an
+// a State/Restore/Equal triple (model.Stateful), which is what lets an
 // Instance be checkpointed and cloned for the campaign engine's
 // fast-forward path. Components whose behaviour is a pure function of
 // their inputs and the current tick (comTX, the slave glue pre-hook)
@@ -14,8 +14,13 @@ type glueState struct {
 	pacntVal uint16
 }
 
+func (g *glue) state() glueState { return glueState{g.tcntVal, g.pacntVal} }
+
 // State implements model.Stateful.
-func (g *glue) State() any { return glueState{g.tcntVal, g.pacntVal} }
+func (g *glue) State() any { return g.state() }
+
+// Equal implements model.Stateful.
+func (g *glue) Equal(state any) bool { return model.EqualAs(g.state(), state) }
 
 // Restore implements model.Stateful.
 func (g *glue) Restore(state any) error {
@@ -31,6 +36,9 @@ type clockState struct{ mscnt uint16 }
 
 // State implements model.Stateful.
 func (c *clock) State() any { return clockState{c.mscnt} }
+
+// Equal implements model.Stateful.
+func (c *clock) Equal(state any) bool { return model.EqualAs(clockState{c.mscnt}, state) }
 
 // Restore implements model.Stateful.
 func (c *clock) Restore(state any) error {
@@ -50,10 +58,15 @@ type distSState struct {
 	stopped     bool
 }
 
-// State implements model.Stateful.
-func (d *distS) State() any {
+func (d *distS) state() distSState {
 	return distSState{d.initialized, d.lastPACNT, d.pulscnt, d.noPulseMs, d.stopped}
 }
+
+// State implements model.Stateful.
+func (d *distS) State() any { return d.state() }
+
+// Equal implements model.Stateful.
+func (d *distS) Equal(state any) bool { return model.EqualAs(d.state(), state) }
 
 // Restore implements model.Stateful.
 func (d *distS) Restore(state any) error {
@@ -74,6 +87,9 @@ type presSState struct {
 // State implements model.Stateful.
 func (p *presS) State() any { return presSState{p.hist, p.n} }
 
+// Equal implements model.Stateful.
+func (p *presS) Equal(state any) bool { return model.EqualAs(presSState{p.hist, p.n}, state) }
+
 // Restore implements model.Stateful.
 func (p *presS) Restore(state any) error {
 	s := presSState{}
@@ -90,8 +106,13 @@ type calcState struct {
 	windowPulses uint16
 }
 
+func (c *calc) state() calcState { return calcState{c.lastMs, c.lastPc, c.windowPulses} }
+
 // State implements model.Stateful.
-func (c *calc) State() any { return calcState{c.lastMs, c.lastPc, c.windowPulses} }
+func (c *calc) State() any { return c.state() }
+
+// Equal implements model.Stateful.
+func (c *calc) Equal(state any) bool { return model.EqualAs(c.state(), state) }
 
 // Restore implements model.Stateful.
 func (c *calc) Restore(state any) error {
@@ -108,6 +129,9 @@ type vRegState struct{ integ int32 }
 // State implements model.Stateful.
 func (v *vReg) State() any { return vRegState{v.integ} }
 
+// Equal implements model.Stateful.
+func (v *vReg) Equal(state any) bool { return model.EqualAs(vRegState{v.integ}, state) }
+
 // Restore implements model.Stateful.
 func (v *vReg) Restore(state any) error {
 	s := vRegState{}
@@ -123,6 +147,9 @@ type presAState struct{ current uint16 }
 // State implements model.Stateful.
 func (p *presA) State() any { return presAState{p.current} }
 
+// Equal implements model.Stateful.
+func (p *presA) Equal(state any) bool { return model.EqualAs(presAState{p.current}, state) }
+
 // Restore implements model.Stateful.
 func (p *presA) Restore(state any) error {
 	s := presAState{}
@@ -137,6 +164,9 @@ type comRXState struct{ lastGood uint16 }
 
 // State implements model.Stateful.
 func (c *comRX) State() any { return comRXState{c.lastGood} }
+
+// Equal implements model.Stateful.
+func (c *comRX) Equal(state any) bool { return model.EqualAs(comRXState{c.lastGood}, state) }
 
 // Restore implements model.Stateful.
 func (c *comRX) Restore(state any) error {

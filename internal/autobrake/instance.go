@@ -1,7 +1,6 @@
 package autobrake
 
 import (
-	"propane/internal/model"
 	"propane/internal/physics"
 	"propane/internal/sim"
 	"propane/internal/target"
@@ -17,8 +16,8 @@ type Instance struct {
 	wspVal  uint16
 	vspVal  uint16
 
-	snap     *sim.Snapshotter
-	stateful []model.Stateful
+	// Checkpointer makes the instance target.Checkpointable.
+	target.Checkpointer
 }
 
 // NewInstance builds an instance for one panic-stop scenario. onRead
@@ -110,10 +109,9 @@ func NewInstance(cfg Config, tc physics.TestCase, onRead sim.ReadHook) (*Instanc
 	if err := kernel.AddSlotted(cfg.SlotPMod, pm); err != nil {
 		return nil, err
 	}
-	inst.snap = sim.NewSnapshotter(kernel, bus)
 	// Every component carrying hidden state, in a fixed order the
 	// restore side relies on.
-	inst.stateful = []model.Stateful{instanceCounters{inst}, plant, ws, vs, sc, ct, pm}
+	inst.Checkpointer = target.NewCheckpointer(kernel, bus, instanceCounters{inst}, plant, ws, vs, sc, ct, pm)
 	return inst, nil
 }
 

@@ -1,13 +1,10 @@
 package autobrake
 
-import (
-	"propane/internal/model"
-	"propane/internal/sim"
-)
+import "propane/internal/model"
 
 // This file gives the brake controller's stateful components a
-// State/Restore pair (model.Stateful) and the Instance the
-// target.Checkpointable capture/restore methods.
+// State/Restore/Equal triple (model.Stateful), which the Instance's
+// target.Checkpointer captures, compares and restores.
 
 // counterState covers the Instance-held hardware counters the glue
 // pre-hook advances (free timer, wheel and vehicle pulse
@@ -22,10 +19,15 @@ type counterState struct {
 
 type instanceCounters struct{ in *Instance }
 
-// State implements model.Stateful.
-func (c instanceCounters) State() any {
+func (c instanceCounters) state() counterState {
 	return counterState{c.in.tcntVal, c.in.wspVal, c.in.vspVal}
 }
+
+// State implements model.Stateful.
+func (c instanceCounters) State() any { return c.state() }
+
+// Equal implements model.Stateful.
+func (c instanceCounters) Equal(state any) bool { return model.EqualAs(c.state(), state) }
 
 // Restore implements model.Stateful.
 func (c instanceCounters) Restore(state any) error {
@@ -49,7 +51,12 @@ type vehicleState struct {
 }
 
 // State implements model.Stateful.
-func (v *vehicle) State() any {
+func (v *vehicle) State() any { return v.state() }
+
+// Equal implements model.Stateful.
+func (v *vehicle) Equal(state any) bool { return model.EqualAs(v.state(), state) }
+
+func (v *vehicle) state() vehicleState {
 	return vehicleState{
 		speedMS:            v.speedMS,
 		omega:              v.omega,
@@ -84,10 +91,15 @@ type wspeedState struct {
 	speed        uint16
 }
 
-// State implements model.Stateful.
-func (w *wspeed) State() any {
+func (w *wspeed) state() wspeedState {
 	return wspeedState{w.initialized, w.lastWSP, w.lastTick, w.windowPulses, w.windowTicks, w.speed}
 }
+
+// State implements model.Stateful.
+func (w *wspeed) State() any { return w.state() }
+
+// Equal implements model.Stateful.
+func (w *wspeed) Equal(state any) bool { return model.EqualAs(w.state(), state) }
 
 // Restore implements model.Stateful.
 func (w *wspeed) Restore(state any) error {
@@ -108,10 +120,15 @@ type vspeedState struct {
 	speed        uint16
 }
 
-// State implements model.Stateful.
-func (v *vspeed) State() any {
+func (v *vspeed) state() vspeedState {
 	return vspeedState{v.initialized, v.lastVSP, v.windowPulses, v.elapsed, v.speed}
 }
+
+// State implements model.Stateful.
+func (v *vspeed) State() any { return v.state() }
+
+// Equal implements model.Stateful.
+func (v *vspeed) Equal(state any) bool { return model.EqualAs(v.state(), state) }
 
 // Restore implements model.Stateful.
 func (v *vspeed) Restore(state any) error {
@@ -132,6 +149,11 @@ type slipCalcState struct {
 // State implements model.Stateful.
 func (s *slipCalc) State() any { return slipCalcState{s.zeroWheelStreakMs, s.locked} }
 
+// Equal implements model.Stateful.
+func (s *slipCalc) Equal(state any) bool {
+	return model.EqualAs(slipCalcState{s.zeroWheelStreakMs, s.locked}, state)
+}
+
 // Restore implements model.Stateful.
 func (s *slipCalc) Restore(state any) error {
 	st := slipCalcState{}
@@ -146,6 +168,9 @@ type ctrlState struct{ cmd uint16 }
 
 // State implements model.Stateful.
 func (c *ctrl) State() any { return ctrlState{c.cmd} }
+
+// Equal implements model.Stateful.
+func (c *ctrl) Equal(state any) bool { return model.EqualAs(ctrlState{c.cmd}, state) }
 
 // Restore implements model.Stateful.
 func (c *ctrl) Restore(state any) error {
@@ -162,6 +187,9 @@ type pmodState struct{ current uint16 }
 // State implements model.Stateful.
 func (p *pmod) State() any { return pmodState{p.current} }
 
+// Equal implements model.Stateful.
+func (p *pmod) Equal(state any) bool { return model.EqualAs(pmodState{p.current}, state) }
+
 // Restore implements model.Stateful.
 func (p *pmod) Restore(state any) error {
 	s := pmodState{}
@@ -170,22 +198,4 @@ func (p *pmod) Restore(state any) error {
 	}
 	p.current = s.current
 	return nil
-}
-
-// Checkpoint captures the instance's full dynamic state at a tick
-// boundary (target.Checkpointable).
-func (in *Instance) Checkpoint() (*sim.Snapshot, error) {
-	snap := in.snap.Capture()
-	snap.Hidden = model.CaptureStates(in.stateful)
-	return snap, nil
-}
-
-// Restore overwrites the instance's full dynamic state from a
-// snapshot captured on an identically constructed instance
-// (target.Checkpointable).
-func (in *Instance) Restore(snap *sim.Snapshot) error {
-	if err := in.snap.Restore(snap); err != nil {
-		return err
-	}
-	return model.RestoreStates(in.stateful, snap.Hidden)
 }

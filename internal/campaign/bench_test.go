@@ -20,15 +20,15 @@ func BenchmarkInjectionRun(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	e := &engine{cfg: cfg, sys: cfg.System(), g: g}
+	w := (&engine{cfg: cfg, sys: cfg.System(), g: g}).newWorker()
 	inj := inject.Injection{Module: arrestor.ModCalc, Signal: arrestor.SigPulscnt, At: 1500, Model: inject.BitFlip{Bit: 14}}
-	if _, err := e.injectionRun(0, inj); err != nil {
+	if _, err := w.injectionRun(0, inj); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out, err := e.injectionRun(0, inj)
+		out, err := w.injectionRun(0, inj)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -45,7 +45,9 @@ func BenchmarkInjectionRun(b *testing.B) {
 // reconvergence probes in place, that the run is neither pruned nor
 // converged, so it is one of the runs no equality can retire; the
 // timed loop then executes it without the golden pass, the pruner or
-// the probes, which leaves the per-tick cost of a diverged run.
+// the probes, restoring into the one instance its worker keeps for the
+// case, which leaves the per-tick cost of a diverged run in the steady
+// state.
 func BenchmarkDivergedRun(b *testing.B) {
 	cfg := PaperConfig()
 	mid := len(cfg.TestCases) / 2
@@ -60,18 +62,21 @@ func BenchmarkDivergedRun(b *testing.B) {
 	inj := inject.Injection{Module: arrestor.ModVReg, Signal: arrestor.SigSetValue, At: 1000, Model: inject.BitFlip{Bit: 14}}
 	probed := &engine{cfg: cfg, sys: cfg.System(), g: g, pr: newPruner(cfg, g.preds),
 		siblings: newTrajectories(Config{}, defaultTrajectoryBound)}
-	out, err := probed.injectionRun(0, inj)
+	out, err := probed.newWorker().injectionRun(0, inj)
 	if err != nil {
 		b.Fatal(err)
 	}
 	if !out.fired || out.pruned != "" {
 		b.Fatalf("%v: fired %v, pruned %q; want a fired run executed to the horizon", inj, out.fired, out.pruned)
 	}
-	e := &engine{cfg: cfg, sys: cfg.System(), g: g}
+	w := (&engine{cfg: cfg, sys: cfg.System(), g: g}).newWorker()
+	if _, err := w.injectionRun(0, inj); err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.injectionRun(0, inj); err != nil {
+		if _, err := w.injectionRun(0, inj); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -215,5 +220,35 @@ func BenchmarkPaperCampaignOneCase(b *testing.B) {
 		if res.Runs != 2080 {
 			b.Fatalf("campaign settled %d runs, want 2080", res.Runs)
 		}
+	}
+}
+
+// TestInjectionRunAllocs pins the allocations of one executed paper
+// injection run in the steady state, restoring into the instance its
+// worker keeps for the case: the run builds no instance, trap or
+// comparator and captures no state; what it allocates is its record's
+// maps of the deviating signals' diffs and the outputs' first
+// deviations.
+func TestInjectionRunAllocs(t *testing.T) {
+	cfg := tinyConfig()
+	g, err := RecordGolden(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := (&engine{cfg: cfg, sys: cfg.System(), g: g}).newWorker()
+	inj := inject.Injection{Module: arrestor.ModVReg, Signal: arrestor.SigSetValue, At: 1500, Model: inject.BitFlip{Bit: 14}}
+	var out runOutcome
+	got := testing.AllocsPerRun(10, func() {
+		if out, err = w.injectionRun(0, inj); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if !out.fired || out.outcome != OutcomeDeviation {
+		t.Fatalf("%v: fired %v, outcome %q; want a fired run that deviates", inj, out.fired, out.outcome)
+	}
+	// The record's maps: the nine deviating signals' diffs take four
+	// allocations, the output's first deviation two.
+	if want := 6.0; got != want {
+		t.Errorf("an executed injection run allocates %v times, want %v", got, want)
 	}
 }

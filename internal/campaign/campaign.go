@@ -298,7 +298,7 @@ type RunRecord struct {
 	// how the run was scheduled and is never part of record identity.
 	Round int
 	// Elapsed is the wall time a worker spent executing this run, from
-	// instance construction to the final comparison. It is zero for
+	// building or restoring its instance to the final comparison. It is zero for
 	// runs settled without executing (unfired, no-op, memoized),
 	// quarantined jobs and replayed records; it is not journaled and
 	// never part of record identity.
@@ -699,8 +699,9 @@ func (g *Golden) Run(cfg Config) (*Result, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			w := e.newWorker()
 			for j := range jobs {
-				out, err := e.superviseJob(j.caseIdx, j.inj)
+				out, err := w.superviseJob(j.caseIdx, j.inj)
 				if err != nil {
 					fail(err)
 					continue // keep draining jobs so the feeder never blocks
@@ -885,21 +886,89 @@ type engine struct {
 	siblings *trajectories
 }
 
+// worker is what one worker goroutine of a Run keeps from run to run:
+// per test case, the instance its fast-forwarded runs restore into.
+type worker struct {
+	*engine
+	// slots holds one runSlot per test case, built on first use; a
+	// run takes its case's slot and gives it back only when it ends
+	// neither crashed nor hung, so every run that fails drops it.
+	slots []*runSlot
+}
+
+func (e *engine) newWorker() *worker {
+	return &worker{engine: e, slots: make([]*runSlot, len(e.cfg.TestCases))}
+}
+
+// armedTrap unifies the transient (paper) and persistent traps.
+type armedTrap interface {
+	Read(module, signal string, sig *sim.Signal, now sim.Millis) (detach bool)
+	Fired() (sim.Millis, bool)
+}
+
+// runSlot is one instance of a test case wired for injection runs:
+// its read hook forwards to the slot's trap, which each run re-arms,
+// and a comparator against the case's golden run is its post-hook.
+// A slot a worker keeps serves run after run, each restoring a
+// checkpoint into it (sim.Snapshotter.Restore re-attaches the readers
+// the last run's trap detached), so a run allocates no instance, hook
+// or comparator of its own.
+type runSlot struct {
+	inst RunnableInstance
+	cmp  *trace.StreamComparator
+	trap armedTrap // &transient or &persistent
+
+	transient  inject.Trap
+	persistent inject.PersistentTrap
+}
+
+// newRunSlot builds a slot for test case caseIdx.
+func (e *engine) newRunSlot(caseIdx int) (*runSlot, error) {
+	s := &runSlot{}
+	s.trap = &s.transient
+	if e.cfg.FaultDurationMs > 0 {
+		s.trap = &s.persistent
+	}
+	inst, err := e.cfg.NewInstance(e.cfg.TestCases[caseIdx], func(module, signal string, sig *sim.Signal, now sim.Millis) bool {
+		return s.trap.Read(module, signal, sig, now)
+	})
+	if err != nil {
+		return nil, err
+	}
+	if s.cmp, err = trace.AcquireStreamComparator(e.g.traces[caseIdx], inst.Bus()); err != nil {
+		return nil, err
+	}
+	s.cmp.SetTolerances(e.cfg.Tolerances)
+	inst.Kernel().AddPostHook(s.cmp.Hook())
+	s.inst = inst
+	return s, nil
+}
+
+// arm prepares the slot for one run injecting inj.
+func (s *runSlot) arm(inj inject.Injection, faultDuration sim.Millis) {
+	if faultDuration > 0 {
+		s.persistent.Arm(inj, faultDuration)
+	} else {
+		s.transient.Arm(inj)
+	}
+	s.cmp.Reset()
+}
+
 // superviseJob drives one injection job to a settled outcome under
 // the fault-isolation policy: worker panics become errors, errors
 // consult Config.OnJobError, and a quarantined job yields an
 // OutcomeQuarantined record instead of failing the campaign.
-func (e *engine) superviseJob(caseIdx int, inj inject.Injection) (runOutcome, error) {
+func (w *worker) superviseJob(caseIdx int, inj inject.Injection) (runOutcome, error) {
 	attempt := 0
 	for {
-		out, err := e.supervisedRun(caseIdx, inj)
+		out, err := w.supervisedRun(caseIdx, inj)
 		if err == nil {
 			return out, nil
 		}
 		attempt++
 		action := AbortOnError
-		if e.cfg.OnJobError != nil {
-			action = e.cfg.OnJobError(inj, caseIdx, attempt, err)
+		if w.cfg.OnJobError != nil {
+			action = w.cfg.OnJobError(inj, caseIdx, attempt, err)
 		}
 		switch action {
 		case RetryJob:
@@ -923,13 +992,13 @@ func (e *engine) superviseJob(caseIdx int, inj inject.Injection) (runOutcome, er
 // isolation: a panic outside the guarded target execution (instance
 // construction, instrumentation, comparison setup) is converted into
 // an error so the retry/quarantine policy can handle it.
-func (e *engine) supervisedRun(caseIdx int, inj inject.Injection) (out runOutcome, err error) {
+func (w *worker) supervisedRun(caseIdx int, inj inject.Injection) (out runOutcome, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("campaign: worker panic on %v case %d: %v", inj, caseIdx, r)
 		}
 	}()
-	return e.injectionRun(caseIdx, inj)
+	return w.injectionRun(caseIdx, inj)
 }
 
 // runGuarded drives the instance to the horizon, converting a panic
@@ -948,40 +1017,31 @@ func runGuarded(inst RunnableInstance, horizon sim.Millis) (crashed bool, panicV
 
 // injectionRun executes one injection run against one test case and
 // returns its outcome. When fast-forwarding it restores the golden
-// snapshot at the injection instant and simulates only [At, horizon);
-// otherwise it replays from t=0. The two paths are bit-identical: a
-// trap has no effect before its arm time, so the skipped prefix is
-// exactly the uninjected prefix the snapshot captured. With a pruner
-// available the job may be settled without simulating at all (see
-// prune.go), and an executing transient run is probed for
-// reconvergence (see executeToHorizon).
-func (e *engine) injectionRun(caseIdx int, inj inject.Injection) (runOutcome, error) {
-	cfg, sys := e.cfg, e.sys
-	// armedTrap unifies the transient (paper) and persistent traps.
-	type armedTrap interface {
-		Hook() sim.ReadHook
-		Fired() (sim.Millis, bool)
-	}
-	var trap armedTrap
-	if cfg.FaultDurationMs > 0 {
-		trap = inject.NewPersistentTrap(inj, cfg.FaultDurationMs)
-	} else {
-		trap = inject.NewTrap(inj)
-	}
+// snapshot at the injection instant into the worker's instance of the
+// case and simulates only [At, horizon); otherwise it builds an
+// instance and replays from t=0. The paths are bit-identical: a trap
+// has no effect before its arm time, so the skipped prefix is exactly
+// the uninjected prefix the snapshot captured, and a restored instance
+// continues as a fresh one would. With a pruner available the job may
+// be settled without simulating at all (see prune.go), and an
+// executing transient run is probed for reconvergence (see
+// executeToHorizon).
+func (w *worker) injectionRun(caseIdx int, inj inject.Injection) (runOutcome, error) {
+	cfg, sys := w.cfg, w.sys
 	var snap *sim.Snapshot
-	if e.g.fastForward(cfg) {
-		snaps, err := e.g.checkpoints(caseIdx)
+	if w.g.fastForward(cfg) {
+		snaps, err := w.g.checkpoints(caseIdx)
 		if err != nil {
 			// Checkpoint failures flow through the same retry/quarantine
 			// policy as any other job infrastructure error.
 			return runOutcome{}, err
 		}
-		i, _ := e.g.tickIndex(inj.At)
+		i, _ := w.g.tickIndex(inj.At)
 		snap = snaps[i]
 	}
 	var mk *MemoKey
-	if e.pr != nil {
-		out, pruned, key, err := e.pr.classify(sys, caseIdx, inj, snap)
+	if w.pr != nil {
+		out, pruned, key, err := w.pr.classify(sys, caseIdx, inj, snap)
 		if err != nil {
 			return runOutcome{}, err
 		}
@@ -991,24 +1051,32 @@ func (e *engine) injectionRun(caseIdx int, inj inject.Injection) (runOutcome, er
 		mk = key
 	}
 	start := time.Now()
-	inst, err := cfg.NewInstance(cfg.TestCases[caseIdx], trap.Hook())
-	if err != nil {
-		return runOutcome{}, fmt.Errorf("campaign: injection %v case %d: %w", inj, caseIdx, err)
+	// A fast-forwarded run takes its worker's slot of the case; any
+	// other run — and the unpruned oracle, kept independent of reuse —
+	// builds its own and recycles its comparator when it ends.
+	reuse := snap != nil && !cfg.executeAll
+	var s *runSlot
+	if reuse {
+		s, w.slots[caseIdx] = w.slots[caseIdx], nil
 	}
-	cmp, err := trace.AcquireStreamComparator(e.g.traces[caseIdx], inst.Bus())
-	if err != nil {
-		return runOutcome{}, fmt.Errorf("campaign: injection %v case %d: %w", inj, caseIdx, err)
+	if s == nil {
+		var err error
+		if s, err = w.newRunSlot(caseIdx); err != nil {
+			return runOutcome{}, fmt.Errorf("campaign: injection %v case %d: %w", inj, caseIdx, err)
+		}
+		if !reuse {
+			// DeviatingDiffs and SuffixSince copy the results out and the
+			// instance (with the comparator's stale post-hook) is
+			// discarded with this run, so the comparator can be recycled.
+			defer trace.ReleaseStreamComparator(s.cmp)
+		}
 	}
-	// DeviatingDiffs and SuffixSince copy the results out and the
-	// instance (with the comparator's stale post-hook) is discarded
-	// with this run, so the comparator can be recycled.
-	defer trace.ReleaseStreamComparator(cmp)
-	cmp.SetTolerances(cfg.Tolerances)
-	inst.Kernel().AddPostHook(cmp.Hook())
+	s.arm(inj, cfg.FaultDurationMs)
+	inst, cmp := s.inst, s.cmp
 	var attachment any
 	if cfg.Instrument != nil {
-		attachment, err = cfg.Instrument(inst, caseIdx)
-		if err != nil {
+		var err error
+		if attachment, err = cfg.Instrument(inst, caseIdx); err != nil {
 			return runOutcome{}, fmt.Errorf("campaign: instrumenting %v case %d: %w", inj, caseIdx, err)
 		}
 	}
@@ -1030,7 +1098,7 @@ func (e *engine) injectionRun(caseIdx int, inj inject.Injection) (runOutcome, er
 			return runOutcome{}, fmt.Errorf("campaign: seeking comparator for %v case %d: %w", inj, caseIdx, err)
 		}
 	}
-	end, err := e.executeToHorizon(inst, cmp, trap.Fired, caseIdx, inj.At)
+	end, err := w.executeToHorizon(s, caseIdx, inj.At)
 	if err != nil {
 		return runOutcome{}, fmt.Errorf("campaign: splicing %v case %d: %w", inj, caseIdx, err)
 	}
@@ -1038,7 +1106,7 @@ func (e *engine) injectionRun(caseIdx int, inj inject.Injection) (runOutcome, er
 		return runOutcome{}, fmt.Errorf("campaign: comparing %v case %d: %w", inj, caseIdx, err)
 	}
 
-	firedAt, fired := trap.Fired()
+	firedAt, fired := s.trap.Fired()
 	out := runOutcome{
 		injection:  inj,
 		caseIdx:    caseIdx,
@@ -1073,10 +1141,13 @@ func (e *engine) injectionRun(caseIdx int, inj inject.Injection) (runOutcome, er
 		ending, detail = out.outcome, out.detail
 	}
 	for _, p := range end.pending[:end.npending] {
-		e.siblings.finish(p.tr, cmp.SuffixSince(p.mark), ending, detail)
+		w.siblings.finish(p.tr, cmp.SuffixSince(p.mark), ending, detail)
 	}
-	if e.pr != nil {
-		e.pr.store(mk, out)
+	if w.pr != nil {
+		w.pr.store(mk, out)
+	}
+	if reuse && ending == "" {
+		w.slots[caseIdx] = s
 	}
 	return out, nil
 }
@@ -1104,32 +1175,33 @@ type pendingTrajectory struct {
 // campaign probes (a pruning, fast-forwarding, transient campaign), a
 // run is instead driven in segments to its probe ticks: its injection
 // instant plus each probeOffset, then every later instant. At each
-// probe after the trap has fired:
+// probe after the trap has fired, the live state is compared in place
+// — nothing is captured unless it is registered:
 //
-//   - if the run's full state equals the golden snapshot there, the
-//     remaining suffix is by determinism the golden run's — its diffs
-//     are final and it can neither crash (the suffix is golden) nor
-//     hang (the golden run finished within budget, and the step
-//     accounting matched when a step budget is armed) — so the run
-//     stops, converged;
+//   - if it equals the golden snapshot there, the remaining suffix is
+//     by determinism the golden run's — its diffs are final and it can
+//     neither crash (the suffix is golden) nor hang (the golden run
+//     finished within budget, and the step accounting matched when a
+//     step budget is armed) — so the run stops, converged;
 //   - else, at an early probe tick, if it equals the state a finished
 //     sibling run reached there, the sibling's suffix — its diffs and
 //     any crash or hang — is spliced into the comparison and the run
-//     stops, converged; otherwise the state is registered for later
-//     siblings, unless an equal one is already pending.
-func (e *engine) executeToHorizon(inst RunnableInstance, cmp *trace.StreamComparator, fired func() (sim.Millis, bool), caseIdx int, at sim.Millis) (end runEnd, err error) {
+//     stops, converged; otherwise the state is captured and registered
+//     for later siblings, unless an equal one is already pending.
+func (w *worker) executeToHorizon(s *runSlot, caseIdx int, at sim.Millis) (end runEnd, err error) {
+	inst, cmp := s.inst, s.cmp
 	ck, checkpointable := inst.(target.Checkpointable)
-	if e.siblings == nil || !checkpointable {
-		end.crashed, end.panicVal = runGuarded(inst, e.cfg.HorizonMs)
+	if w.siblings == nil || !checkpointable {
+		end.crashed, end.panicVal = runGuarded(inst, w.cfg.HorizonMs)
 		return end, nil
 	}
-	snaps, err := e.g.checkpoints(caseIdx)
+	snaps, err := w.g.checkpoints(caseIdx)
 	if err != nil {
 		return end, err
 	}
-	from, _ := e.g.tickIndex(at)
-	for i := from + 1; i < len(e.g.ticks); i++ {
-		probe := e.g.ticks[i]
+	from, _ := w.g.tickIndex(at)
+	for i := from + 1; i < len(w.g.ticks); i++ {
+		probe := w.g.ticks[i]
 		early := earlyProbe(probe.at - at)
 		if !early && !probe.instant {
 			continue
@@ -1137,33 +1209,19 @@ func (e *engine) executeToHorizon(inst RunnableInstance, cmp *trace.StreamCompar
 		if end.crashed, end.panicVal = runGuarded(inst, probe.at); end.crashed || inst.Kernel().Exhausted() {
 			return end, nil
 		}
-		if _, hasFired := fired(); !hasFired {
+		if _, hasFired := s.trap.Fired(); !hasFired {
 			continue
 		}
-		// Equal signals are necessary for equal states, and checking
-		// them reads the live bus; only a match, or an early probe,
-		// pays for capturing every hidden state. Probing is
-		// opportunistic: a failed capture just keeps the run simulating.
-		var state *sim.Snapshot
-		if inst.Bus().MatchesSnapshot(snaps[i]) {
-			if state, err = ck.Checkpoint(); err != nil {
-				continue
-			}
-			if snapshotsEqual(state, snaps[i], e.siblings.compareUsed()) {
-				end.converged = true
-				return end, nil
-			}
+		used := inst.Kernel().BudgetUsed()
+		if w.siblings.matches(ck, used, snaps[i]) {
+			end.converged = true
+			return end, nil
 		}
 		if !early {
 			continue
 		}
-		if state == nil {
-			if state, err = ck.Checkpoint(); err != nil {
-				continue
-			}
-		}
 		key := trajectoryKey{caseIdx: caseIdx, tick: probe.at, row: rowHash(inst.Bus().Values())}
-		found, mine := e.siblings.visit(key, state, snaps[i])
+		found, mine := w.siblings.visit(key, ck, used, snaps[i])
 		if found != nil {
 			if err := cmp.Splice(found.suffix); err != nil {
 				return end, err
@@ -1176,7 +1234,7 @@ func (e *engine) executeToHorizon(inst RunnableInstance, cmp *trace.StreamCompar
 			end.npending++
 		}
 	}
-	end.crashed, end.panicVal = runGuarded(inst, e.cfg.HorizonMs)
+	end.crashed, end.panicVal = runGuarded(inst, w.cfg.HorizonMs)
 	return end, nil
 }
 
@@ -1205,8 +1263,8 @@ func finishOutcome(sys *model.System, out *runOutcome) error {
 	if len(diffs) > 0 {
 		out.outcome = OutcomeDeviation
 	}
-	for _, so := range sys.SystemOutputs() {
-		if d, ok := diffs[so]; ok {
+	for sig, d := range diffs {
+		if sys.IsSystemOutput(sig) {
 			out.systemDiff = true
 			if out.failureAt < 0 || d.First < out.failureAt {
 				out.failureAt = d.First
@@ -1221,6 +1279,7 @@ type aggregator struct {
 	*Result
 	pairIdx      map[core.Pair]int
 	locIdx       map[[2]string]int
+	locPrune     []PruneSignalCounts // pruning counters, aligned with Locations
 	directWindow sim.Millis
 	horizonLen   int
 }
@@ -1240,6 +1299,7 @@ func newResult(sys *model.System, directWindow sim.Millis, horizonLen int) *aggr
 			agg.Locations = append(agg.Locations, LocationPropagation{
 				Module: mod.Name, Signal: in.Signal,
 			})
+			agg.locPrune = append(agg.locPrune, PruneSignalCounts{})
 			for _, o := range mod.Outputs {
 				p := core.Pair{Module: mod.Name, In: in.Index, Out: o.Index}
 				agg.pairIdx[p] = len(agg.Pairs)
@@ -1392,42 +1452,55 @@ func (agg *aggregator) absorb(sys *model.System, out runOutcome) {
 }
 
 // countPrune folds one settled run into the pruning-effectiveness
-// counters. Quarantined jobs are excluded: they were neither executed
-// nor pruned, and they are already surfaced separately.
+// counters of its location, by index; finalise names them and sums
+// the totals. Quarantined jobs are excluded: they were neither
+// executed nor pruned, and they are already surfaced separately.
 func (agg *aggregator) countPrune(out runOutcome) {
 	if out.outcome == OutcomeQuarantined {
 		return
 	}
+	if li, ok := agg.locIdx[[2]string{out.injection.Module, out.injection.Signal}]; ok {
+		agg.locPrune[li].add(out.pruned)
+		return
+	}
+	// A replayed record may name a location outside the topology; it
+	// is counted under its name.
 	st := &agg.Pruning
-	loc := out.injection.Signal + "@" + out.injection.Module
 	if st.PerSignal == nil {
 		st.PerSignal = make(map[string]PruneSignalCounts)
 	}
+	loc := out.injection.Signal + "@" + out.injection.Module
 	sc := st.PerSignal[loc]
-	switch out.pruned {
-	case PrunedNoOp:
-		st.NoOp++
-		sc.NoOp++
-	case PrunedUnfired:
-		st.Unfired++
-		sc.Unfired++
-	case PrunedMemoized:
-		st.Memoized++
-		sc.Memoized++
-	case PrunedMemoStore:
-		st.Store++
-		sc.Store++
-	case PrunedConverged:
-		st.Converged++
-		sc.Converged++
-	default:
-		st.Executed++
-		sc.Executed++
-	}
+	sc.add(out.pruned)
 	st.PerSignal[loc] = sc
 }
 
+// finalisePruning keys the per-location pruning counters by
+// "signal@module" and sums them into the totals.
+func (agg *aggregator) finalisePruning() {
+	st := &agg.Pruning
+	for li, sc := range agg.locPrune {
+		if sc == (PruneSignalCounts{}) {
+			continue
+		}
+		if st.PerSignal == nil {
+			st.PerSignal = make(map[string]PruneSignalCounts)
+		}
+		loc := agg.Locations[li]
+		st.PerSignal[loc.Signal+"@"+loc.Module] = sc
+	}
+	for _, sc := range st.PerSignal {
+		st.NoOp += sc.NoOp
+		st.Unfired += sc.Unfired
+		st.Memoized += sc.Memoized
+		st.Store += sc.Store
+		st.Converged += sc.Converged
+		st.Executed += sc.Executed
+	}
+}
+
 func (agg *aggregator) finalise(sys *model.System) error {
+	agg.finalisePruning()
 	for i := range agg.Pairs {
 		ps := &agg.Pairs[i]
 		if ps.Injections > 0 {

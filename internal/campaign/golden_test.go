@@ -59,11 +59,14 @@ func TestGoldenRejectsMismatchedConfig(t *testing.T) {
 
 // TestGoldenCheckpointsSharedAcrossRuns: a Golden builds each test
 // case's golden snapshots once, on first use, and every Run of it
-// restores the same ones. The target counts the instances it builds:
-// one golden run and one checkpoint pass per case, plus one instance
-// per run that executed.
+// restores the same ones, into instances its workers keep per test
+// case. The target counts the instances it builds: one golden run and
+// one checkpoint pass per case, then per Run at most one per worker
+// and case, plus one per run that crashed or hung (its worker drops
+// the instance) — far fewer than the runs that executed.
 func TestGoldenCheckpointsSharedAcrossRuns(t *testing.T) {
 	cfg := tinyConfig()
+	cfg.Workers = 2
 	inner := cfg
 	var built atomic.Int64
 	cfg.Custom = &Target{
@@ -78,19 +81,24 @@ func TestGoldenCheckpointsSharedAcrossRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := int64(len(cfg.TestCases))
-	if got := built.Load(); got != want {
-		t.Fatalf("recording built %d instances, want %d golden runs", got, want)
+	bound := int64(len(cfg.TestCases))
+	if got := built.Load(); got != bound {
+		t.Fatalf("recording built %d instances, want %d golden runs", got, bound)
 	}
-	want += int64(len(cfg.TestCases))
+	bound += int64(len(cfg.TestCases))
 	for i := 0; i < 2; i++ {
 		res, err := g.Run(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want += int64(res.Pruning.Executed + res.Pruning.Converged)
-		if got := built.Load(); got != want {
-			t.Errorf("after run %d: %d instances built, want %d (checkpoint passes once per case)", i+1, got, want)
+		executed := int64(res.Pruning.Executed + res.Pruning.Converged)
+		perRun := int64(cfg.Workers*len(cfg.TestCases) + res.Crashes + res.Hangs)
+		if executed <= perRun {
+			t.Fatalf("run %d executed %d runs, too few to show reuse against %d instances", i+1, executed, perRun)
+		}
+		bound += perRun
+		if got := built.Load(); got > bound {
+			t.Errorf("after run %d: %d instances built, want at most %d (checkpoint passes once per case, one instance per worker and case)", i+1, got, bound)
 		}
 	}
 }

@@ -2,7 +2,6 @@ package campaign
 
 import (
 	"fmt"
-	"reflect"
 	"slices"
 	"sync"
 
@@ -116,6 +115,25 @@ type MemoBackend interface {
 // cache older journals carry.
 type PruneSignalCounts struct {
 	NoOp, Unfired, Memoized, Store, Converged, Executed int
+}
+
+// add counts one run settled as pruned (a Pruned* label, "" for an
+// executed run).
+func (c *PruneSignalCounts) add(pruned string) {
+	switch pruned {
+	case PrunedNoOp:
+		c.NoOp++
+	case PrunedUnfired:
+		c.Unfired++
+	case PrunedMemoized:
+		c.Memoized++
+	case PrunedMemoStore:
+		c.Store++
+	case PrunedConverged:
+		c.Converged++
+	default:
+		c.Executed++
+	}
 }
 
 // PruneStats counts, over all settled non-quarantined injection jobs,
@@ -463,32 +481,6 @@ func (p *pruner) store(mk *MemoKey, out runOutcome) {
 	})
 }
 
-// snapshotsEqual reports whether two snapshots capture identical
-// dynamic state. The step accounting is compared only under a step
-// budget: without one it cannot influence any outcome, and hostile
-// targets charge data-dependent step counts that would otherwise
-// forgo valid convergence prunes. Wall budgets are a non-deterministic
-// backstop, excluded from outcomes by design (see sim.Snapshot).
-func snapshotsEqual(a, b *sim.Snapshot, compareUsed bool) bool {
-	if a.Now != b.Now || len(a.Signals) != len(b.Signals) || len(a.Hidden) != len(b.Hidden) {
-		return false
-	}
-	if compareUsed && a.Used != b.Used {
-		return false
-	}
-	for i := range a.Signals {
-		if a.Signals[i] != b.Signals[i] {
-			return false
-		}
-	}
-	for i := range a.Hidden {
-		if !reflect.DeepEqual(a.Hidden[i], b.Hidden[i]) {
-			return false
-		}
-	}
-	return true
-}
-
 // Sibling trajectories. Determinism makes a run's future a function
 // of its state, so a fired transient run that reaches, at a probe
 // tick, the exact state an earlier run reached there follows that run
@@ -512,7 +504,7 @@ const defaultTrajectoryBound = 8192
 
 // siblingScope is the config a suffix depends on beyond the
 // recording: the tolerance bands, the step budget (hang outcomes, and
-// the step accounting snapshotsEqual compares under one) and the
+// whether equal states must have spent equal steps) and the
 // target construction fields Golden.check does not compare. Runs
 // share a table only within one scope.
 func siblingScope(cfg Config) Config {
@@ -559,8 +551,27 @@ func newTrajectories(scope Config, bound int) *trajectories {
 	return &trajectories{scope: scope, byKey: make(map[trajectoryKey]*trajectory), bound: bound}
 }
 
-// compareUsed is snapshotsEqual's step-accounting switch.
+// compareUsed reports whether equal states must also have spent
+// equal steps. The step accounting matters only under a step budget:
+// without one it cannot influence any outcome, and hostile targets
+// charge data-dependent step counts that would otherwise forgo valid
+// convergence prunes. Wall budgets are a non-deterministic backstop,
+// excluded from outcomes by design (see sim.Snapshot).
 func (ts *trajectories) compareUsed() bool { return ts.scope.Budget.Steps > 0 }
+
+// liveState is a running instance as the sibling table sees it: its
+// state is compared in place and captured only to be registered (see
+// target.Checkpointable).
+type liveState interface {
+	Matches(snap *sim.Snapshot) bool
+	CheckpointOver(base *sim.Snapshot) (*sim.Snapshot, error)
+}
+
+// matches reports whether a live state that has spent used steps
+// equals snap under the table's step-accounting rule.
+func (ts *trajectories) matches(live liveState, used int64, snap *sim.Snapshot) bool {
+	return live.Matches(snap) && (!ts.compareUsed() || used == snap.Used)
+}
 
 // rowHash is the FNV-1a hash of a bus value row.
 func rowHash(row []uint16) uint64 {
@@ -571,33 +582,33 @@ func rowHash(row []uint16) uint64 {
 	return h
 }
 
-// visit looks a run's state at a probe tick up. It returns the
-// finished entry the state equals, if any; otherwise, unless an equal
-// entry is still pending, it registers the state as a new pending
-// entry and returns that as mine, for the run to finish when it ends.
-// A registered state's hidden components that still equal golden's
-// there share golden's values: a few ticks after firing most have
-// not diverged, and the table holds thousands of states.
-func (ts *trajectories) visit(key trajectoryKey, state, golden *sim.Snapshot) (found, mine *trajectory) {
+// visit looks a run's live state at a probe tick up, comparing it in
+// place. It returns the finished entry the state equals, if any;
+// otherwise, unless an equal entry is still pending, it captures the
+// state and registers it as a new pending entry, returned as mine for
+// the run to finish when it ends. The capture shares golden's hidden
+// states where the live ones still equal them: a few ticks after
+// firing most have not diverged, and the table holds thousands of
+// states. A failed capture registers nothing.
+func (ts *trajectories) visit(key trajectoryKey, live liveState, used int64, golden *sim.Snapshot) (found, mine *trajectory) {
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
 	for tr := ts.byKey[key]; tr != nil; tr = tr.next {
-		if snapshotsEqual(tr.state, state, ts.compareUsed()) {
+		if ts.matches(live, used, tr.state) {
 			if tr.done {
 				return tr, nil
 			}
 			return nil, nil
 		}
 	}
+	state, err := live.CheckpointOver(golden)
+	if err != nil {
+		return nil, nil
+	}
 	if len(ts.ring) < ts.bound {
 		ts.ring = append(ts.ring, nil)
 	} else {
 		ts.evict(ts.ring[ts.next])
-	}
-	for i, h := range state.Hidden {
-		if i < len(golden.Hidden) && reflect.DeepEqual(h, golden.Hidden[i]) {
-			state.Hidden[i] = golden.Hidden[i]
-		}
 	}
 	mine = &trajectory{key: key, state: state, next: ts.byKey[key]}
 	ts.byKey[key] = mine

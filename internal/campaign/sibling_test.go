@@ -3,6 +3,7 @@ package campaign
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"propane/internal/hostile"
@@ -45,26 +46,12 @@ const (
 type latchInstance struct {
 	kernel *sim.Kernel
 	bus    *sim.Bus
-	snap   *sim.Snapshotter
-	latch  *latchStage
+	target.Checkpointer
 }
 
 func (in *latchInstance) Bus() *sim.Bus          { return in.bus }
 func (in *latchInstance) Kernel() *sim.Kernel    { return in.kernel }
 func (in *latchInstance) Run(horizon sim.Millis) { in.kernel.Run(horizon, nil) }
-
-func (in *latchInstance) Checkpoint() (*sim.Snapshot, error) {
-	snap := in.snap.Capture()
-	snap.Hidden = model.CaptureStates([]model.Stateful{in.latch})
-	return snap, nil
-}
-
-func (in *latchInstance) Restore(snap *sim.Snapshot) error {
-	if err := in.snap.Restore(snap); err != nil {
-		return err
-	}
-	return model.RestoreStates([]model.Stateful{in.latch}, snap.Hidden)
-}
 
 // latchModule is one instrumented pipeline stage.
 type latchModule struct {
@@ -83,6 +70,8 @@ type latchState struct {
 type latchStage struct{ latchState }
 
 func (l *latchStage) State() any { return l.latchState }
+
+func (l *latchStage) Equal(state any) bool { return model.EqualAs(l.latchState, state) }
 
 func (l *latchStage) Restore(state any) error {
 	return model.RestoreAs(&l.latchState, state)
@@ -144,7 +133,7 @@ func newLatchInstance(mode latchMode, hook sim.ReadHook) (*latchInstance, error)
 	kernel.AddEveryTick(&latchModule{Reader: sim.NewReader("SINK", hook), step: func(m *latchModule, now sim.Millis) {
 		out.Write(m.Read(flag, now) + m.Read(late, now))
 	}})
-	return &latchInstance{kernel: kernel, bus: bus, snap: sim.NewSnapshotter(kernel, bus), latch: ls}, nil
+	return &latchInstance{kernel: kernel, bus: bus, Checkpointer: target.NewCheckpointer(kernel, bus, ls)}, nil
 }
 
 func latchConfig(mode latchMode) Config {
@@ -208,6 +197,15 @@ func TestPruneSiblingSpliceCrashHang(t *testing.T) {
 	}
 }
 
+// capturedState stands a captured snapshot in for a live instance.
+type capturedState struct{ *sim.Snapshot }
+
+func (c capturedState) Matches(snap *sim.Snapshot) bool {
+	return c.Now == snap.Now && slices.Equal(c.Signals, snap.Signals)
+}
+
+func (c capturedState) CheckpointOver(*sim.Snapshot) (*sim.Snapshot, error) { return c.Snapshot, nil }
+
 // TestPruneTrajectoryTableBound: the sibling table holds at most its
 // bound, recycling the oldest entries first, whether or not other
 // entries share their key; a state equal to a pending entry registers
@@ -220,12 +218,12 @@ func TestPruneTrajectoryTableBound(t *testing.T) {
 	key := func(v uint16) trajectoryKey { return trajectoryKey{tick: 10, row: uint64(min(v, 2))} }
 	var entries []*trajectory
 	for v := uint16(0); v < 3*bound; v++ {
-		found, mine := ts.visit(key(v), state(v), state(v))
+		found, mine := ts.visit(key(v), capturedState{state(v)}, 0, state(v))
 		if found != nil || mine == nil {
 			t.Fatalf("state %d: visit = %v, %v, want a new pending entry", v, found, mine)
 		}
 		entries = append(entries, mine)
-		if found, mine := ts.visit(key(v), state(v), state(v)); found != nil || mine != nil {
+		if found, mine := ts.visit(key(v), capturedState{state(v)}, 0, state(v)); found != nil || mine != nil {
 			t.Fatalf("state %d again while pending: visit = %v, %v, want nothing", v, found, mine)
 		}
 		n := 0
@@ -240,10 +238,10 @@ func TestPruneTrajectoryTableBound(t *testing.T) {
 	}
 	ts.finish(entries[len(entries)-1], trace.Suffix{}, OutcomeCrash, "boom")
 	last := uint16(3*bound - 1)
-	if found, _ := ts.visit(key(last), state(last), state(last)); found != entries[len(entries)-1] {
+	if found, _ := ts.visit(key(last), capturedState{state(last)}, 0, state(last)); found != entries[len(entries)-1] {
 		t.Errorf("finished entry not found: %v", found)
 	}
-	if _, mine := ts.visit(key(0), state(0), state(0)); mine == nil {
+	if _, mine := ts.visit(key(0), capturedState{state(0)}, 0, state(0)); mine == nil {
 		t.Error("an evicted state is still registered")
 	}
 }

@@ -69,7 +69,15 @@ func Topology() *model.System {
 type Instance struct {
 	kernel *sim.Kernel
 	bus    *sim.Bus
-	snap   *sim.Snapshotter
+
+	// Checkpointer makes the instance target.Checkpointable, with no
+	// hidden state: every hostile module is a pure function of its
+	// inputs and the current tick, so the sim-layer capture (kernel
+	// time, budget accounting, bus signals) is the complete state —
+	// which also means a checkpoint taken before a poison bit arms MINE
+	// or TARPIT restores to an instance that crashes or hangs exactly as
+	// a full replay would.
+	target.Checkpointer
 }
 
 // Bus implements target.Instance.
@@ -80,17 +88,6 @@ func (in *Instance) Kernel() *sim.Kernel { return in.kernel }
 
 // Run implements target.RunnableInstance.
 func (in *Instance) Run(horizon sim.Millis) { in.kernel.Run(horizon, nil) }
-
-// Checkpoint implements target.Checkpointable. Every hostile module
-// is a pure function of its inputs and the current tick, so the
-// sim-layer capture (kernel time, budget accounting, bus signals) is
-// the complete state — which also means a checkpoint taken before a
-// poison bit arms MINE or TARPIT restores to an instance that crashes
-// or hangs exactly as a full replay would.
-func (in *Instance) Checkpoint() (*sim.Snapshot, error) { return in.snap.Capture(), nil }
-
-// Restore implements target.Checkpointable.
-func (in *Instance) Restore(snap *sim.Snapshot) error { return in.snap.Restore(snap) }
 
 // feed derives the pipeline's working values from the command input.
 type feed struct {
@@ -174,7 +171,7 @@ func NewInstance(tc physics.TestCase, hook sim.ReadHook) (*Instance, error) {
 	kernel.AddEveryTick(&mine{Reader: sim.NewReader(ModMine, hook), in: val, out: mineOut})
 	kernel.AddEveryTick(&tarpit{Reader: sim.NewReader(ModTarpit, hook), kernel: kernel, in: tick, out: pit})
 	kernel.AddEveryTick(&sink{Reader: sim.NewReader(ModSink, hook), a: mineOut, b: pit, out: out})
-	return &Instance{kernel: kernel, bus: bus, snap: sim.NewSnapshotter(kernel, bus)}, nil
+	return &Instance{kernel: kernel, bus: bus, Checkpointer: target.NewCheckpointer(kernel, bus)}, nil
 }
 
 // Target adapts the hostile pipeline to the campaign engine.

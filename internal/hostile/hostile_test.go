@@ -46,7 +46,7 @@ func TestMineCrashesOnPoisonBit(t *testing.T) {
 	trap := inject.NewTrap(inject.Injection{
 		Module: ModMine, Signal: SigVal, At: 100, Model: inject.BitFlip{Bit: 15},
 	})
-	inst, err := NewInstance(testCase, trap.Hook())
+	inst, err := NewInstance(testCase, trap.Read)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestTarpitHangsOnPoisonBit(t *testing.T) {
 	trap := inject.NewTrap(inject.Injection{
 		Module: ModTarpit, Signal: SigTick, At: 100, Model: inject.BitFlip{Bit: 15},
 	})
-	inst, err := NewInstance(testCase, trap.Hook())
+	inst, err := NewInstance(testCase, trap.Read)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestLowBitInjectionMerelyDeviates(t *testing.T) {
 	trap := inject.NewTrap(inject.Injection{
 		Module: ModMine, Signal: SigVal, At: 100, Model: inject.BitFlip{Bit: 3},
 	})
-	inst, err := NewInstance(testCase, trap.Hook())
+	inst, err := NewInstance(testCase, trap.Read)
 	if err != nil {
 		t.Fatal(err)
 	}

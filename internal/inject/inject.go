@@ -107,11 +107,11 @@ func (inj Injection) String() string {
 }
 
 // Trap is a one-shot armed trap implementing the injection. Wire its
-// Hook into the target's instrumented reads; the trap fires at the
-// first matching read at or after the injection time, corrupting the
-// signal variable in place so the module sees the corrupted value on
-// this very read (and other consumers see it until the producer
-// overwrites it — SWIFI memory-corruption semantics).
+// Read method into the target's instrumented reads as their ReadHook;
+// the trap fires at the first matching read at or after the injection
+// time, corrupting the signal variable in place so the module sees the
+// corrupted value on this very read (and other consumers see it until
+// the producer overwrites it — SWIFI memory-corruption semantics).
 type Trap struct {
 	inj     Injection
 	fired   bool
@@ -123,22 +123,24 @@ func NewTrap(inj Injection) *Trap {
 	return &Trap{inj: inj}
 }
 
-// Hook returns the sim.ReadHook to install on the target. It detaches
-// from a reader once the trap has fired, and at once from a module
-// other than the target: neither can ever be corrupted by it.
-func (t *Trap) Hook() sim.ReadHook {
-	return func(module, signal string, sig *sim.Signal, now sim.Millis) bool {
-		if t.fired || module != t.inj.Module {
-			return true
-		}
-		if now < t.inj.At || signal != t.inj.Signal {
-			return false
-		}
-		sig.Write(t.inj.Model.Mutate(sig.Read()))
-		t.fired = true
-		t.firedAt = now
+// Arm re-arms the trap for another injection, as NewTrap builds it,
+// so one trap can serve run after run.
+func (t *Trap) Arm(inj Injection) { *t = Trap{inj: inj} }
+
+// Read is the trap's sim.ReadHook. It detaches from a reader once the
+// trap has fired, and at once from a module other than the target:
+// neither can ever be corrupted by it.
+func (t *Trap) Read(module, signal string, sig *sim.Signal, now sim.Millis) (detach bool) {
+	if t.fired || module != t.inj.Module {
 		return true
 	}
+	if now < t.inj.At || signal != t.inj.Signal {
+		return false
+	}
+	sig.Write(t.inj.Model.Mutate(sig.Read()))
+	t.fired = true
+	t.firedAt = now
+	return true
 }
 
 // Fired reports whether the trap has fired and at what simulated time.
@@ -170,24 +172,27 @@ func NewPersistentTrap(inj Injection, duration sim.Millis) *PersistentTrap {
 	return &PersistentTrap{inj: inj, duration: duration}
 }
 
-// Hook returns the sim.ReadHook to install on the target. It detaches
-// from a reader once the window has closed, and at once from a module
-// other than the target.
-func (t *PersistentTrap) Hook() sim.ReadHook {
-	return func(module, signal string, sig *sim.Signal, now sim.Millis) bool {
-		if module != t.inj.Module || now > t.inj.At+t.duration {
-			return true
-		}
-		if now < t.inj.At || signal != t.inj.Signal {
-			return false
-		}
-		sig.Write(t.inj.Model.Mutate(sig.Read()))
-		if !t.fired {
-			t.fired = true
-			t.firedAt = now
-		}
+// Arm re-arms the trap for another injection and duration, as
+// NewPersistentTrap builds it.
+func (t *PersistentTrap) Arm(inj Injection, duration sim.Millis) {
+	*t = PersistentTrap{inj: inj, duration: duration}
+}
+
+// Read is the trap's sim.ReadHook. It detaches from a reader once the
+// window has closed, and at once from a module other than the target.
+func (t *PersistentTrap) Read(module, signal string, sig *sim.Signal, now sim.Millis) (detach bool) {
+	if module != t.inj.Module || now > t.inj.At+t.duration {
+		return true
+	}
+	if now < t.inj.At || signal != t.inj.Signal {
 		return false
 	}
+	sig.Write(t.inj.Model.Mutate(sig.Read()))
+	if !t.fired {
+		t.fired = true
+		t.firedAt = now
+	}
+	return false
 }
 
 // Fired reports whether the trap has fired at least once and when it

@@ -86,7 +86,7 @@ func TestTrapFiresOnceAtMatchingRead(t *testing.T) {
 	sig.Write(0x0100)
 
 	trap := NewTrap(Injection{Module: "CALC", Signal: "pulscnt", At: 100, Model: BitFlip{Bit: 0}})
-	hook := trap.Hook()
+	hook := trap.Read
 
 	// Wrong module, wrong signal, too early: no fire.
 	hook("V_REG", "pulscnt", sig, 150)
@@ -174,7 +174,7 @@ func TestPersistentTrapWindow(t *testing.T) {
 		Injection{Module: "PRES_S", Signal: "ADC", At: 100, Model: StuckAt{Bit: 15, One: true}},
 		50,
 	)
-	hook := trap.Hook()
+	hook := trap.Read
 
 	sig.Write(0)
 	hook("PRES_S", "ADC", sig, 99) // before the window
@@ -224,7 +224,7 @@ func TestTrapDetachesTransient(t *testing.T) {
 	bus := sim.NewBus()
 	sig := bus.Register("pulscnt")
 	trap := NewTrap(Injection{Module: "CALC", Signal: "pulscnt", At: 100, Model: BitFlip{Bit: 0}})
-	hook := trap.Hook()
+	hook := trap.Read
 
 	if !hook("V_REG", "pulscnt", sig, 150) {
 		t.Error("foreign module not detached")
@@ -256,7 +256,7 @@ func TestTrapDetachesPersistent(t *testing.T) {
 		Injection{Module: "PRES_S", Signal: "ADC", At: 100, Model: StuckAt{Bit: 15, One: true}},
 		50,
 	)
-	hook := trap.Hook()
+	hook := trap.Read
 
 	if !hook("OTHER", "ADC", sig, 120) {
 		t.Error("foreign module not detached")

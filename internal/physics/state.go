@@ -1,6 +1,9 @@
 package physics
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // worldState is the opaque checkpoint state of a World (see
 // model.Stateful, which World satisfies structurally — this package
@@ -25,6 +28,15 @@ func (w *World) State() any {
 		pulseResidual: w.pulseResidual,
 		pulseCount:    w.pulseCount,
 	}
+}
+
+// Equal reports whether the world's live state equals a State
+// capture, without capturing it.
+func (w *World) Equal(state any) bool {
+	s, ok := state.(worldState)
+	return ok && s.positionM == w.positionM && s.velocityMS == w.velocityMS &&
+		slices.Equal(s.pressure, w.pressure) && slices.Equal(s.command, w.command) &&
+		s.pulseResidual == w.pulseResidual && s.pulseCount == w.pulseCount
 }
 
 // Restore overwrites the world's dynamic state from a State capture

@@ -250,10 +250,22 @@ type Journal struct {
 // tail is cut, a file without a header gets hdr's (wal.Open). An
 // existing header must carry hdr's config digest, so a resume against
 // a drifted configuration fails loudly instead of corrupting results.
+//
+// The existing frames are walked, each checksummed, but no record is
+// decoded: opening costs the same few allocations whatever the
+// journal holds.
 func openJournal(path string, hdr JournalHeader) (*Journal, error) {
-	existing, _, validLen, err := loadJournal(path)
-	if err != nil {
-		return nil, err
+	var existing JournalHeader
+	var validLen int64
+	data, err := os.ReadFile(path)
+	switch {
+	case os.IsNotExist(err):
+	case err != nil:
+		return nil, fmt.Errorf("runner: reading journal: %w", err)
+	default:
+		if existing, validLen, err = walkJournal(path, data, func([]byte) error { return nil }); err != nil {
+			return nil, err
+		}
 	}
 	if validLen > 0 && existing.ConfigDigest != hdr.ConfigDigest {
 		return nil, fmt.Errorf("runner: journal %s belongs to config %s, not %s — refusing to mix campaigns: %w",

@@ -151,6 +151,48 @@ func tornFixture(t testing.TB, path string, hdr JournalHeader) (data []byte, bou
 // intact copy counts every record, a cut on a frame boundary counts
 // fewer, and a torn tail, a flipped payload byte or a foreign digest
 // is an error.
+// TestOpenJournalAllocs: reopening a journal for appending checks its
+// header and frames without decoding a record, so it allocates a
+// small constant whatever the journal holds.
+func TestOpenJournalAllocs(t *testing.T) {
+	hdr := JournalHeader{Instance: "x", Tier: "quick", ConfigDigest: "abc"}
+	jr, err := newRecord(0, sampleRunRecord())
+	if err != nil {
+		t.Fatal(err)
+	}
+	openAllocs := func(records int) float64 {
+		path := filepath.Join(t.TempDir(), "journal.bin")
+		w, err := openJournal(path, hdr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < records; i++ {
+			jr.Job = i
+			if err := w.AppendBatch([]Record{jr}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(5, func() {
+			w, err := openJournal(path, hdr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	const bound = 40
+	small, large := openAllocs(5), openAllocs(5000)
+	t.Logf("openJournal allocates %v times over 5 records, %v over 5,000", small, large)
+	if large > bound || large > small {
+		t.Errorf("opening a 5,000-record journal allocates %v times (5 records: %v), want at most %d and no more than the small one", large, small, bound)
+	}
+}
+
 func TestCheckJournal(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal.bin")
 	data, bounds, recs := tornFixture(t, path, JournalHeader{ConfigDigest: "abc"})

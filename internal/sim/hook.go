@@ -16,9 +16,13 @@ package sim
 //	pc := c.Read(c.pulscntIn, now) // c embeds sim.Reader
 //
 // Detaching applies to the calling reader only; other readers keep
-// their own reference. A reader passes the same module name on every
-// call, so a hook may decide from the module name alone. A hook that
-// must see every read (the golden run's read log) always returns false.
+// their own reference. Detaching is dynamic state of the run:
+// restoring a snapshot (Snapshotter.Restore) re-attaches every reader
+// the kernel schedules, so a restored instance reads through its hook
+// exactly as a freshly built one does. A reader passes the same module
+// name on every call, so a hook may decide from the module name alone.
+// A hook that must see every read (the golden run's read log) always
+// returns false.
 type ReadHook func(module, signal string, sig *Signal, now Millis) (detach bool)
 
 // Reader is one module's instrumented input reads: every Read passes
@@ -26,14 +30,20 @@ type ReadHook func(module, signal string, sig *Signal, now Millis) (detach bool)
 // module Task's Name method.
 type Reader struct {
 	name   string
-	onRead ReadHook
+	onRead ReadHook // nil once detached
+	hook   ReadHook // the hook reattach restores
 }
 
 // NewReader returns the reader of the named module. hook may be nil
 // (an uninstrumented run).
 func NewReader(module string, hook ReadHook) Reader {
-	return Reader{name: module, onRead: hook}
+	return Reader{name: module, onRead: hook, hook: hook}
 }
+
+// reattach re-attaches the hook the reader was built with. A task
+// embedding a Reader has it too, which is how the kernel finds its
+// readers (Kernel.reattachReaders).
+func (r *Reader) reattach() { r.onRead = r.hook }
 
 // Name returns the module name passed to the hook.
 func (r *Reader) Name() string { return r.name }

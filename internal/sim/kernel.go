@@ -160,6 +160,23 @@ func (k *Kernel) AddBackground(t Task) {
 	k.background = appendInline(k.taskBuf[:], &k.tasksN, k.background, t)
 }
 
+// reattachReaders re-attaches the read hook of every scheduled task
+// that embeds a Reader (Snapshotter.Restore).
+func (k *Kernel) reattachReaders() {
+	reattach := func(tasks []Task) {
+		for _, t := range tasks {
+			if r, ok := t.(interface{ reattach() }); ok {
+				r.reattach()
+			}
+		}
+	}
+	reattach(k.everyTick)
+	for _, tasks := range k.slotted {
+		reattach(tasks)
+	}
+	reattach(k.background)
+}
+
 // Now returns the current simulated time.
 func (k *Kernel) Now() Millis { return k.now }
 

@@ -471,3 +471,47 @@ func TestReaderDetachesAfterHookReturnsTrue(t *testing.T) {
 		t.Error("a Reader without a hook does not read the signal")
 	}
 }
+
+// readerTask is a scheduled task reading one signal through the Reader
+// it embeds.
+type readerTask struct {
+	Reader
+	in *Signal
+}
+
+func (t *readerTask) Step(now Millis) { t.Read(t.in, now) }
+
+// TestRestoreReattachesReaders: restoring a snapshot re-attaches the
+// hook of every scheduled task's Reader, in every schedule list, so a
+// reader its hook detached from reads through the hook again.
+func TestRestoreReattachesReaders(t *testing.T) {
+	k, err := NewKernel(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := NewBus()
+	in := b.Register("in")
+	calls := map[string]int{}
+	hook := func(module, _ string, _ *Signal, _ Millis) bool {
+		calls[module]++
+		return true // detach at the first read
+	}
+	k.AddEveryTick(&readerTask{Reader: NewReader("EVERY", hook), in: in})
+	if err := k.AddSlotted(1, &readerTask{Reader: NewReader("SLOT", hook), in: in}); err != nil {
+		t.Fatal(err)
+	}
+	k.AddBackground(&readerTask{Reader: NewReader("BG", hook), in: in})
+	snaps := NewSnapshotter(k, b)
+	snap := snaps.Capture()
+	for round := 1; round <= 2; round++ {
+		k.Run(10, nil)
+		for _, m := range []string{"EVERY", "SLOT", "BG"} {
+			if calls[m] != round {
+				t.Errorf("round %d: %s called its hook %d times, want %d", round, m, calls[m], round)
+			}
+		}
+		if err := snaps.Restore(snap); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

@@ -7,9 +7,9 @@ import "fmt"
 // accounting, every bus signal value, and the opaque hidden state of
 // the instance's stateful components (modules, hardware glue, the
 // physical world). A snapshot taken from one instance can be restored
-// into a *fresh*, identically constructed instance, which then
-// continues bit-identically to the original — the primitive behind
-// the campaign engine's checkpoint fast-forward.
+// into any identically constructed instance, fresh or run before,
+// which then continues bit-identically to the original — the
+// primitive behind the campaign engine's checkpoint fast-forward.
 //
 // The wall-clock budget deadline is deliberately NOT part of a
 // snapshot: wall time is non-deterministic by nature, and Kernel.Run
@@ -63,10 +63,12 @@ func (s *Snapshotter) Capture() *Snapshot {
 }
 
 // Restore overwrites the sim-layer state from a snapshot captured on
-// an identically constructed instance. The kernel's exhausted flag is
-// cleared and its wall deadline left to the next Run call; the armed
-// Budget itself is not touched, so arm it (SetBudget) before
-// restoring.
+// an identically constructed instance, and re-attaches every
+// scheduled task's read hook (see Reader), so the instance continues
+// exactly as a fresh one restored from snap would, whatever ran on it
+// before. The kernel's exhausted flag is cleared and its wall deadline
+// left to the next Run call; the armed Budget itself is not touched,
+// so arm it (SetBudget) before restoring.
 func (s *Snapshotter) Restore(snap *Snapshot) error {
 	if len(snap.Signals) != len(s.bus.values) {
 		return fmt.Errorf("sim: snapshot covers %d signals, bus has %d — not the same topology",
@@ -76,5 +78,13 @@ func (s *Snapshotter) Restore(snap *Snapshot) error {
 	s.kernel.used = snap.Used
 	s.kernel.exhausted = false
 	s.bus.scatter(snap.Signals)
+	s.kernel.reattachReaders()
 	return nil
+}
+
+// Matches reports whether the live sim-layer state equals snap's —
+// the simulated time and every bus signal — without capturing it.
+// The step accounting is not compared.
+func (s *Snapshotter) Matches(snap *Snapshot) bool {
+	return s.kernel.now == snap.Now && s.bus.MatchesSnapshot(snap)
 }

@@ -19,6 +19,7 @@ package synth
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"propane/internal/model"
@@ -178,7 +179,8 @@ func (p blockParams) list16(key string) []uint16 {
 // stateless is embedded by blocks with no hidden state.
 type stateless struct{}
 
-func (stateless) State() any { return nil }
+func (stateless) State() any           { return nil }
+func (stateless) Equal(state any) bool { return state == nil }
 func (stateless) Restore(state any) error {
 	if state != nil {
 		return fmt.Errorf("synth: state is %T, want nil (stateless block)", state)
@@ -205,6 +207,9 @@ func (b *clockBlock) Step(now sim.Millis, in, out []uint16) {
 type clockState struct{ Mscnt uint16 }
 
 func (b *clockBlock) State() any { return clockState{Mscnt: b.mscnt} }
+func (b *clockBlock) Equal(state any) bool {
+	return model.EqualAs(clockState{Mscnt: b.mscnt}, state)
+}
 func (b *clockBlock) Restore(state any) error {
 	var s clockState
 	if err := model.RestoreAs(&s, state); err != nil {
@@ -272,7 +277,11 @@ type pulseCounterState struct {
 	Stopped     bool
 }
 
-func (b *pulseCounterBlock) State() any {
+func (b *pulseCounterBlock) State() any { return b.state() }
+func (b *pulseCounterBlock) Equal(state any) bool {
+	return model.EqualAs(b.state(), state)
+}
+func (b *pulseCounterBlock) state() pulseCounterState {
 	return pulseCounterState{
 		Initialized: b.initialized, LastPACNT: b.lastPACNT,
 		Pulscnt: b.pulscnt, NoPulseMs: b.noPulseMs, Stopped: b.stopped,
@@ -337,6 +346,9 @@ type median3State struct {
 }
 
 func (b *median3Block) State() any { return median3State{Hist: b.hist, N: b.n} }
+func (b *median3Block) Equal(state any) bool {
+	return model.EqualAs(median3State{Hist: b.hist, N: b.n}, state)
+}
 func (b *median3Block) Restore(state any) error {
 	var s median3State
 	if err := model.RestoreAs(&s, state); err != nil {
@@ -399,7 +411,11 @@ type checkpointLawState struct {
 	WindowPulses   uint16
 }
 
-func (b *checkpointLawBlock) State() any {
+func (b *checkpointLawBlock) State() any { return b.state() }
+func (b *checkpointLawBlock) Equal(state any) bool {
+	return model.EqualAs(b.state(), state)
+}
+func (b *checkpointLawBlock) state() checkpointLawState {
 	return checkpointLawState{LastMs: b.lastMs, LastPc: b.lastPc, WindowPulses: b.windowPulses}
 }
 func (b *checkpointLawBlock) Restore(state any) error {
@@ -448,6 +464,9 @@ func (b *piRegulatorBlock) Step(now sim.Millis, in, out []uint16) {
 type piRegulatorState struct{ Integ int32 }
 
 func (b *piRegulatorBlock) State() any { return piRegulatorState{Integ: b.integ} }
+func (b *piRegulatorBlock) Equal(state any) bool {
+	return model.EqualAs(piRegulatorState{Integ: b.integ}, state)
+}
 func (b *piRegulatorBlock) Restore(state any) error {
 	var s piRegulatorState
 	if err := model.RestoreAs(&s, state); err != nil {
@@ -486,6 +505,9 @@ func (b *slewLimiterBlock) Step(now sim.Millis, in, out []uint16) {
 type slewLimiterState struct{ Current uint16 }
 
 func (b *slewLimiterBlock) State() any { return slewLimiterState{Current: b.current} }
+func (b *slewLimiterBlock) Equal(state any) bool {
+	return model.EqualAs(slewLimiterState{Current: b.current}, state)
+}
 func (b *slewLimiterBlock) Restore(state any) error {
 	var s slewLimiterState
 	if err := model.RestoreAs(&s, state); err != nil {
@@ -542,6 +564,9 @@ func (b *integrateBlock) Step(now sim.Millis, in, out []uint16) {
 type integrateState struct{ Acc uint16 }
 
 func (b *integrateBlock) State() any { return integrateState{Acc: b.acc} }
+func (b *integrateBlock) Equal(state any) bool {
+	return model.EqualAs(integrateState{Acc: b.acc}, state)
+}
 func (b *integrateBlock) Restore(state any) error {
 	var s integrateState
 	if err := model.RestoreAs(&s, state); err != nil {
@@ -566,6 +591,10 @@ type delayState struct{ Fifo []uint16 }
 
 func (b *delayBlock) State() any {
 	return delayState{Fifo: append([]uint16(nil), b.fifo...)}
+}
+func (b *delayBlock) Equal(state any) bool {
+	s, ok := state.(delayState)
+	return ok && slices.Equal(s.Fifo, b.fifo)
 }
 func (b *delayBlock) Restore(state any) error {
 	var s delayState

@@ -98,8 +98,8 @@ type instance struct {
 	kernel *sim.Kernel
 	bus    *sim.Bus
 
-	snap     *sim.Snapshotter
-	stateful []model.Stateful
+	// Checkpointer makes the instance target.Checkpointable.
+	target.Checkpointer
 }
 
 // Bus implements target.Instance.
@@ -110,21 +110,6 @@ func (in *instance) Kernel() *sim.Kernel { return in.kernel }
 
 // Run implements target.RunnableInstance.
 func (in *instance) Run(horizon sim.Millis) { in.kernel.Run(horizon, nil) }
-
-// Checkpoint implements target.Checkpointable.
-func (in *instance) Checkpoint() (*sim.Snapshot, error) {
-	snap := in.snap.Capture()
-	snap.Hidden = model.CaptureStates(in.stateful)
-	return snap, nil
-}
-
-// Restore implements target.Checkpointable.
-func (in *instance) Restore(snap *sim.Snapshot) error {
-	if err := in.snap.Restore(snap); err != nil {
-		return err
-	}
-	return model.RestoreStates(in.stateful, snap.Hidden)
-}
 
 // newInstance wires one fresh instance for a test case.
 func newInstance(s *Spec, tc physics.TestCase, hook sim.ReadHook) (target.RunnableInstance, error) {
@@ -160,8 +145,8 @@ func newInstance(s *Spec, tc physics.TestCase, hook sim.ReadHook) (target.Runnab
 	}
 
 	ctx := &buildCtx{kernel: kernel, slots: slots}
-	in := &instance{kernel: kernel, bus: bus}
-	in.stateful = append(in.stateful, env.stateful...)
+	in := &instance{kernel: kernel, bus: bus, Checkpointer: target.NewCheckpointer(kernel, bus)}
+	in.Stateful = append(in.Stateful, env.stateful...)
 
 	for _, m := range s.Modules {
 		def, ok := lookupBlock(m.Fn)
@@ -205,7 +190,7 @@ func newInstance(s *Spec, tc physics.TestCase, hook sim.ReadHook) (target.Runnab
 				return nil, fmt.Errorf("synth: scheduling module %q: %w", m.Name, err)
 			}
 		}
-		in.stateful = append(in.stateful, block)
+		in.Stateful = append(in.Stateful, block)
 	}
 	// Make sure every system output exists on the bus even if no
 	// module mentions it (the builder already guarantees it is driven,
@@ -214,7 +199,6 @@ func newInstance(s *Spec, tc physics.TestCase, hook sim.ReadHook) (target.Runnab
 		sig(name)
 	}
 
-	in.snap = sim.NewSnapshotter(kernel, bus)
 	return in, nil
 }
 

@@ -220,7 +220,11 @@ type arrestorEnvState struct {
 	PacntVal uint16
 }
 
-func (g *arrestorEnv) State() any {
+func (g *arrestorEnv) State() any { return g.state() }
+
+func (g *arrestorEnv) Equal(state any) bool { return model.EqualAs(g.state(), state) }
+
+func (g *arrestorEnv) state() arrestorEnvState {
 	return arrestorEnvState{TcntVal: g.tcntVal, PacntVal: g.pacntVal}
 }
 
@@ -274,6 +278,9 @@ func (w *waveformEnv) preTick(now sim.Millis) {
 type waveformEnvState struct{ State uint64 }
 
 func (w *waveformEnv) State() any { return waveformEnvState{State: w.state} }
+func (w *waveformEnv) Equal(state any) bool {
+	return model.EqualAs(waveformEnvState{State: w.state}, state)
+}
 func (w *waveformEnv) Restore(state any) error {
 	var s waveformEnvState
 	if err := model.RestoreAs(&s, state); err != nil {

@@ -218,8 +218,8 @@ func CompareTol(golden, run *Trace, tol Tolerances) (map[string]Diff, error) {
 // runs execute in constant memory per worker.
 //
 // The bus's value row and the golden trace's rows share one column
-// order, so a tick on which the run matches the golden run costs one
-// slice compare; only a mismatching tick walks its signals.
+// order, so a tick costs one pass over the row, which compares each
+// sample and records a deviating one on the spot.
 type StreamComparator struct {
 	bus     *sim.Bus
 	golden  []uint16 // the golden trace's rows
@@ -273,19 +273,32 @@ func (c *StreamComparator) bind(golden *Trace, bus *sim.Bus) bool {
 		return false
 	}
 	for i, n := range golden.signals {
-		c.diffs[i] = Diff{Signal: n, First: -1, Last: -1}
+		c.diffs[i].Signal = n
 	}
 	c.bus, c.golden, c.width = bus, golden.rows, len(golden.signals)
 	c.bands = c.bands[:0]
-	c.horizon = golden.Len()
+	c.Reset()
+	return true
+}
+
+// Reset starts the comparison over for another run on the same bus
+// against the same golden trace: the diffs, the marks, the position
+// and any error are cleared, the tolerance bands kept. A comparator
+// whose hook stays installed on an instance restored run after run is
+// reset before each run.
+func (c *StreamComparator) Reset() {
+	for i := range c.diffs {
+		c.diffs[i] = Diff{Signal: c.diffs[i].Signal, First: -1, Last: -1}
+	}
+	c.horizon = 0
+	if c.width > 0 {
+		c.horizon = len(c.golden) / c.width
+	}
 	c.tick = 0
 	c.err = nil
 	c.marks, c.markCount, c.markFirst = c.marks[:0], c.markCount[:0], c.markFirst[:0]
-	c.unset = c.unset[:0]
-	for range golden.signals {
-		c.unset = append(c.unset, 0)
-	}
-	return true
+	c.unset = slices.Grow(c.unset[:0], len(c.diffs))[:len(c.diffs)]
+	clear(c.unset)
 }
 
 // SeekTo positions the comparator at the given tick, as if the first
@@ -309,31 +322,60 @@ func (c *StreamComparator) Hook() sim.Hook {
 			return
 		}
 		at := c.tick * c.width
-		if g, v := c.golden[at:at+c.width], c.bus.Values(); !slices.Equal(g, v) {
-			c.mismatch(g, v)
+		golden, live := c.golden[at:at+c.width], c.bus.Values()
+		switch {
+		case len(live) != len(golden):
+			c.columnsChanged(len(live))
+		case len(c.bands) > 0:
+			c.compareBanded(golden, live)
+		default:
+			c.compare(golden, live)
 		}
 		c.tick++
 	}
 }
 
-// mismatch records the signals of a tick whose row differs from the
-// golden row by more than their tolerance band. A live row of another
-// width means a signal was registered after binding, which shifts the
-// bus's columns: the comparator stops and reports it through Err
-// rather than attribute diffs to the wrong signals.
-func (c *StreamComparator) mismatch(golden, live []uint16) {
-	if len(live) != len(golden) {
-		c.err = fmt.Errorf("trace: bus has %d signals at tick %d, the golden trace %d: signals were registered after the comparator was bound",
-			len(live), c.tick, len(golden))
-		c.horizon = c.tick
-		return
-	}
+// compare records the samples of a tick that differ from the golden
+// row: the compare, the Diff update and the mark fill are one pass
+// over the row.
+func (c *StreamComparator) compare(golden, live []uint16) {
+	live = live[:len(golden)]
+	t := sim.Millis(c.tick)
 	for i, g := range golden {
-		if v := live[i]; v != g && (len(c.bands) == 0 || !withinBand(c.bands[i], g, v)) {
+		if live[i] == g {
+			continue
+		}
+		d := &c.diffs[i]
+		if d.Count == 0 {
+			d.First = t
+		}
+		d.Last = t
+		d.Count++
+		if c.unset[i] < len(c.marks) {
+			c.fillMarks(i, t)
+		}
+	}
+}
+
+// compareBanded is compare for a comparator with tolerance bands: a
+// sample within its signal's band counts as equal.
+func (c *StreamComparator) compareBanded(golden, live []uint16) {
+	for i, g := range golden {
+		if v := live[i]; v != g && !withinBand(c.bands[i], g, v) {
 			t := sim.Millis(c.tick)
 			c.deviate(i, t, t, 1)
 		}
 	}
+}
+
+// columnsChanged stops a comparison whose bus row no longer has the
+// golden trace's width: a signal was registered after binding, which
+// shifts the bus's columns. The comparator reports it through Err
+// rather than attribute diffs to the wrong signals.
+func (c *StreamComparator) columnsChanged(width int) {
+	c.err = fmt.Errorf("trace: bus has %d signals at tick %d, the golden trace %d: signals were registered after the comparator was bound",
+		width, c.tick, c.width)
+	c.horizon = c.tick
 }
 
 // deviate adds count deviating samples of column col spanning
@@ -345,6 +387,12 @@ func (c *StreamComparator) deviate(col int, first, last sim.Millis, count int) {
 	}
 	d.Last = last
 	d.Count += count
+	c.fillMarks(col, first)
+}
+
+// fillMarks sets first as column col's first deviation at or after
+// each mark that has none yet.
+func (c *StreamComparator) fillMarks(col int, first sim.Millis) {
 	for m := c.unset[col]; m < len(c.marks); m++ {
 		c.markFirst[m*c.width+col] = first
 	}
@@ -437,12 +485,18 @@ func (c *StreamComparator) Diffs() map[string]Diff {
 // missing entry as "no deviation", never as a zero-valued Diff (whose
 // First of 0 would read as a deviation at tick 0).
 func (c *StreamComparator) DeviatingDiffs() map[string]Diff {
-	var out map[string]Diff
+	n := 0
 	for _, d := range c.diffs {
 		if d.Differs() {
-			if out == nil {
-				out = make(map[string]Diff, 4)
-			}
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make(map[string]Diff, n)
+	for _, d := range c.diffs {
+		if d.Differs() {
 			out[d.Signal] = d
 		}
 	}
