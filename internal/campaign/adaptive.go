@@ -374,8 +374,8 @@ func (s *adaptiveScheduler) observe(out runOutcome) (int, error) {
 			c.trial = true
 			c.sysErr = out.systemDiff
 			for o, sig := range loc.outputs {
-				first, ok := out.outputFirst[sig]
-				if !ok || first < 0 {
+				first, ok := out.outputFirst(sig)
+				if !ok {
 					continue
 				}
 				if s.window == 0 || first <= out.firedAt+s.window {

@@ -528,20 +528,19 @@ type QuarantinedJob struct {
 
 // runOutcome is one injection run's contribution to the aggregates.
 type runOutcome struct {
-	injection   inject.Injection
-	caseIdx     int
-	fired       bool
-	firedAt     sim.Millis
-	outputFirst map[string]sim.Millis // first diff per output signal, -1 if none
-	systemDiff  bool
-	failureAt   sim.Millis
-	diffs       map[string]trace.Diff // full detail for the observer
-	attachment  any                   // Instrument's per-run state
-	outcome     Outcome
-	detail      string // panic value (crash) or last error (quarantined)
-	attempts    int    // consecutive failures behind a quarantine
-	pruned      string // Pruned* label, "" for a fully executed run
-	elapsed     time.Duration
+	injection  inject.Injection
+	caseIdx    int
+	fired      bool
+	firedAt    sim.Millis
+	systemDiff bool
+	failureAt  sim.Millis
+	diffs      map[string]trace.Diff // full detail for the observer
+	attachment any                   // Instrument's per-run state
+	outcome    Outcome
+	detail     string // panic value (crash) or last error (quarantined)
+	attempts   int    // consecutive failures behind a quarantine
+	pruned     string // Pruned* label, "" for a fully executed run
+	elapsed    time.Duration
 }
 
 // Plan returns the campaign's deterministic injection plan — the
@@ -1239,25 +1238,18 @@ func (w *worker) executeToHorizon(s *runSlot, caseIdx int, at sim.Millis) (end r
 }
 
 // finishOutcome derives the epilogue of a completed (neither crashed
-// nor hung) run from its diffs: the per-output first deviations, the
-// ok/deviation outcome, and the system-failure classification.
-// out.failureAt must be initialised to -1. out.diffs is sparse — it
-// carries deviating signals only, so a missing entry means "matched
-// the golden run everywhere". Shared between executed and memoized
-// runs so synthesized records are derived by the exact same code.
+// nor hung) run from its diffs: the ok/deviation outcome and the
+// system-failure classification; an output's first deviation is read
+// from out.diffs where it is needed (outputFirst). out.failureAt must
+// be initialised to -1. out.diffs is sparse — it carries deviating
+// signals only, so a missing entry means "matched the golden run
+// everywhere". Shared between executed and memoized runs so
+// synthesized records are derived by the exact same code. A run
+// injected into a module outside the topology is an error.
 func finishOutcome(sys *model.System, out *runOutcome) error {
 	diffs := out.diffs
-	mod, err := sys.Module(out.injection.Module)
-	if err != nil {
+	if _, err := sys.Module(out.injection.Module); err != nil {
 		return err
-	}
-	for _, o := range mod.Outputs {
-		if d, ok := diffs[o.Signal]; ok {
-			if out.outputFirst == nil {
-				out.outputFirst = make(map[string]sim.Millis, len(mod.Outputs))
-			}
-			out.outputFirst[o.Signal] = d.First
-		}
 	}
 	out.outcome = OutcomeOK
 	if len(diffs) > 0 {
@@ -1315,8 +1307,7 @@ func newResult(sys *model.System, directWindow sim.Millis, horizonLen int) *aggr
 }
 
 // absorbRecord folds a previously recorded run (Config.Replay, e.g.
-// replayed from a journal) into the aggregates, reconstructing the
-// per-output first deviations from the record's diffs. A record's
+// replayed from a journal) into the aggregates. A record's
 // Diffs may carry only the deviating signals: a missing or
 // non-deviating entry counts as "no deviation", exactly as in a live
 // run.
@@ -1335,35 +1326,38 @@ func (agg *aggregator) absorbRecord(sys *model.System, rec RunRecord) error {
 // and live runs through identical logic.
 func recordOutcome(sys *model.System, rec RunRecord) (runOutcome, error) {
 	out := runOutcome{
-		injection:   rec.Injection,
-		caseIdx:     rec.CaseIndex,
-		fired:       rec.Fired,
-		firedAt:     rec.FiredAt,
-		outputFirst: make(map[string]sim.Millis),
-		systemDiff:  rec.SystemFailure,
-		failureAt:   rec.FailureAt,
-		diffs:       rec.Diffs,
-		attachment:  rec.Attachment,
-		outcome:     rec.Outcome,
-		detail:      rec.Detail,
-		attempts:    rec.Attempts,
-		pruned:      rec.Pruned,
+		injection:  rec.Injection,
+		caseIdx:    rec.CaseIndex,
+		fired:      rec.Fired,
+		firedAt:    rec.FiredAt,
+		systemDiff: rec.SystemFailure,
+		failureAt:  rec.FailureAt,
+		diffs:      rec.Diffs,
+		attachment: rec.Attachment,
+		outcome:    rec.Outcome,
+		detail:     rec.Detail,
+		attempts:   rec.Attempts,
+		pruned:     rec.Pruned,
 	}
 	if !out.outcome.Valid() {
 		return runOutcome{}, fmt.Errorf("campaign: replaying %v: unknown outcome %q", rec.Injection, rec.Outcome)
 	}
 	if rec.Fired && out.outcome != OutcomeQuarantined {
-		mod, err := sys.Module(rec.Injection.Module)
-		if err != nil {
+		if _, err := sys.Module(rec.Injection.Module); err != nil {
 			return runOutcome{}, fmt.Errorf("campaign: replaying %v: %w", rec.Injection, err)
-		}
-		for _, o := range mod.Outputs {
-			if d, ok := rec.Diffs[o.Signal]; ok && d.Differs() {
-				out.outputFirst[o.Signal] = d.First
-			}
 		}
 	}
 	return out, nil
+}
+
+// outputFirst returns the first deviation of output signal sig, read
+// from the run's diffs; ok is false when the output never deviated.
+func (out *runOutcome) outputFirst(sig string) (first sim.Millis, ok bool) {
+	d, ok := out.diffs[sig]
+	if !ok || !d.Differs() || d.First < 0 {
+		return 0, false
+	}
+	return d.First, true
 }
 
 func (agg *aggregator) absorb(sys *model.System, out runOutcome) {
@@ -1433,8 +1427,8 @@ func (agg *aggregator) absorb(sys *model.System, out runOutcome) {
 		p := core.Pair{Module: mod.Name, In: inIdx, Out: o.Index}
 		ps := &agg.Pairs[agg.pairIdx[p]]
 		ps.Injections++
-		first, ok := out.outputFirst[o.Signal]
-		if !ok || first < 0 {
+		first, ok := out.outputFirst(o.Signal)
+		if !ok {
 			continue
 		}
 		if agg.directWindow == 0 || first <= out.firedAt+agg.directWindow {

@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 	"propane/internal/inject"
 	"propane/internal/physics"
 	"propane/internal/sim"
+	"propane/internal/trace"
 )
 
 // tinyConfig is the smallest campaign that still exercises every
@@ -357,5 +359,83 @@ func TestPersistentFaultCampaign(t *testing.T) {
 	bad.FaultDurationMs = -1
 	if _, err := Run(bad); err == nil {
 		t.Error("negative fault duration accepted")
+	}
+}
+
+// TestReplayRejectsModuleOutsideTopology pins the replay errors that
+// stand without a per-output first-deviation copy: a fired,
+// non-quarantined record naming a module outside the topology fails to
+// replay and to fold, and completing a run injected there fails too;
+// quarantined and unfired records replay without the module.
+func TestReplayRejectsModuleOutsideTopology(t *testing.T) {
+	cfg := tinyConfig()
+	sys := cfg.System()
+	bad := inject.Injection{Module: "NOPE", Signal: arrestor.SigSetValue, At: 1500, Model: inject.BitFlip{Bit: 2}}
+	fired := RunRecord{Injection: bad, Fired: true, FiredAt: 1500, FailureAt: -1, Outcome: OutcomeDeviation}
+	if _, err := recordOutcome(sys, fired); err == nil || !strings.Contains(err.Error(), "NOPE") {
+		t.Errorf("replaying a fired record injected into NOPE: err %v, want one naming the module", err)
+	}
+	for _, rec := range []RunRecord{
+		{Injection: bad, Fired: true, Outcome: OutcomeQuarantined, Attempts: 3},
+		{Injection: bad, FailureAt: -1, Outcome: OutcomeOK},
+	} {
+		if _, err := recordOutcome(sys, rec); err != nil {
+			t.Errorf("replaying a %s record (fired %v) injected into NOPE: %v", rec.Outcome, rec.Fired, err)
+		}
+	}
+	out := runOutcome{injection: bad, fired: true, firedAt: 1500, failureAt: -1}
+	if err := finishOutcome(sys, &out); err == nil {
+		t.Error("finishing a run injected into NOPE succeeded")
+	}
+	g, err := RecordGolden(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := g.Fold(cfg, []RunRecord{fired}, nil); err == nil || !strings.Contains(err.Error(), "NOPE") {
+		t.Errorf("folding a fired record injected into NOPE: err %v, want one naming the module", err)
+	}
+}
+
+// TestReplayedFirstDeviation pins how a replayed record's output
+// errors are read from its diffs: an output entry that does not
+// deviate counts as no error, exactly like a missing one, and a
+// deviating one counts with its first deviation's latency.
+func TestReplayedFirstDeviation(t *testing.T) {
+	cfg := tinyConfig()
+	sys := cfg.System()
+	inj := inject.Injection{Module: arrestor.ModVReg, Signal: arrestor.SigSetValue, At: 1500, Model: inject.BitFlip{Bit: 2}}
+	for _, tc := range []struct {
+		diff      trace.Diff
+		errors    int
+		latencyMs float64
+	}{
+		{trace.Diff{Signal: arrestor.SigOutValue, First: -1, Last: -1}, 0, 0},
+		{trace.Diff{Signal: arrestor.SigOutValue, First: 1620, Last: 1700}, 0, 0},
+		{trace.Diff{Signal: arrestor.SigOutValue, First: 1620, Last: 1700, Count: 9}, 1, 120},
+	} {
+		agg := newResult(sys, cfg.DirectWindowMs, int(cfg.HorizonMs))
+		rec := RunRecord{
+			Injection: inj, Fired: true, FiredAt: 1500, FailureAt: -1, Outcome: OutcomeDeviation,
+			Diffs: map[string]trace.Diff{arrestor.SigOutValue: tc.diff},
+		}
+		if err := agg.absorbRecord(sys, rec); err != nil {
+			t.Fatal(err)
+		}
+		found := false
+		for _, ps := range agg.Pairs {
+			if ps.InputSignal != arrestor.SigSetValue || ps.OutputSignal != arrestor.SigOutValue {
+				continue
+			}
+			found = true
+			if ps.Injections != 1 || ps.Errors != tc.errors {
+				t.Errorf("diff %+v: pair counts %d injections, %d errors; want 1, %d", tc.diff, ps.Injections, ps.Errors, tc.errors)
+			}
+			if tc.errors > 0 && (len(ps.latencies) != 1 || ps.latencies[0] != tc.latencyMs) {
+				t.Errorf("diff %+v: latencies %v, want [%v]", tc.diff, ps.latencies, tc.latencyMs)
+			}
+		}
+		if !found {
+			t.Fatalf("no %s -> %s pair", arrestor.SigSetValue, arrestor.SigOutValue)
+		}
 	}
 }

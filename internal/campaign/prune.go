@@ -453,9 +453,9 @@ func (p *pruner) serveMemo(sys *model.System, base runOutcome, e MemoEntry, labe
 	out.detail = e.Detail
 	out.pruned = label
 	if e.Outcome == OutcomeCrash || e.Outcome == OutcomeHang {
-		// Executed crash/hang records skip the output epilogue
-		// (outputFirst nil, no system failure, failureAt -1); the
-		// synthesized record must match them field for field.
+		// Executed crash/hang records skip the output epilogue (no
+		// system failure, failureAt -1); the synthesized record must
+		// match them field for field.
 		return out, true, nil, nil
 	}
 	if err := finishOutcome(sys, &out); err != nil {

@@ -14,16 +14,16 @@ import (
 func Spec(m ErrorModel) (string, error) {
 	switch m := m.(type) {
 	case BitFlip:
-		return fmt.Sprintf("bitflip:%d", m.Bit), nil
+		return "bitflip:" + strconv.FormatUint(uint64(m.Bit), 10), nil
 	case StuckAt:
 		if m.One {
-			return fmt.Sprintf("stuckat1:%d", m.Bit), nil
+			return "stuckat1:" + strconv.FormatUint(uint64(m.Bit), 10), nil
 		}
-		return fmt.Sprintf("stuckat0:%d", m.Bit), nil
+		return "stuckat0:" + strconv.FormatUint(uint64(m.Bit), 10), nil
 	case Replace:
-		return fmt.Sprintf("replace:%d", m.Value), nil
+		return "replace:" + strconv.FormatUint(uint64(m.Value), 10), nil
 	case Offset:
-		return fmt.Sprintf("offset:%d", m.Delta), nil
+		return "offset:" + strconv.FormatInt(int64(m.Delta), 10), nil
 	default:
 		return "", fmt.Errorf("inject: model %s has no spec syntax", m)
 	}

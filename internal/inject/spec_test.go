@@ -3,27 +3,32 @@ package inject
 import "testing"
 
 func TestSpecRoundTrip(t *testing.T) {
-	models := []ErrorModel{
-		BitFlip{Bit: 0},
-		BitFlip{Bit: 15},
-		StuckAt{Bit: 3},
-		StuckAt{Bit: 7, One: true},
-		Replace{Value: 0},
-		Replace{Value: 65535},
-		Offset{Delta: -129},
-		Offset{Delta: 77},
-	}
-	for _, m := range models {
-		spec, err := Spec(m)
+	for _, tc := range []struct {
+		m    ErrorModel
+		spec string
+	}{
+		{BitFlip{Bit: 0}, "bitflip:0"},
+		{BitFlip{Bit: 15}, "bitflip:15"},
+		{StuckAt{Bit: 3}, "stuckat0:3"},
+		{StuckAt{Bit: 7, One: true}, "stuckat1:7"},
+		{Replace{Value: 0}, "replace:0"},
+		{Replace{Value: 65535}, "replace:65535"},
+		{Offset{Delta: -129}, "offset:-129"},
+		{Offset{Delta: 77}, "offset:77"},
+	} {
+		spec, err := Spec(tc.m)
 		if err != nil {
-			t.Fatalf("Spec(%v): %v", m, err)
+			t.Fatalf("Spec(%v): %v", tc.m, err)
+		}
+		if spec != tc.spec {
+			t.Errorf("Spec(%v) = %q, want %q", tc.m, spec, tc.spec)
 		}
 		back, err := ParseSpec(spec)
 		if err != nil {
 			t.Fatalf("ParseSpec(%q): %v", spec, err)
 		}
-		if back != m {
-			t.Errorf("round trip %v -> %q -> %v", m, spec, back)
+		if back != tc.m {
+			t.Errorf("round trip %v -> %q -> %v", tc.m, spec, back)
 		}
 	}
 }

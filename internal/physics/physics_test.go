@@ -1,6 +1,7 @@
 package physics
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -234,5 +235,54 @@ func TestTestCaseString(t *testing.T) {
 	s := TestCase{MassKg: 8000, VelocityMS: 40}.String()
 	if s != "m=8000kg v=40m/s" {
 		t.Errorf("String() = %q", s)
+	}
+}
+
+// TestWorldStateAllocs pins the cost of a checkpoint capture: the
+// per-brake pressure and command slices share one backing array, so a
+// capture is that array and the boxed state, for any brake count. It
+// also checks that the capture neither aliases the world nor lets one
+// slice grow into the other, and that it restores.
+func TestWorldStateAllocs(t *testing.T) {
+	for _, brakes := range []int{1, 2} {
+		cfg := DefaultConfig()
+		cfg.NumBrakes = brakes
+		w, err := NewWorld(cfg, TestCase{MassKg: 10000, VelocityMS: 60})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < brakes; i++ {
+			if err := w.SetBrakeCommand(i, 0.5+0.1*float64(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 100; i++ {
+			w.Step(0.001)
+		}
+		var st any
+		if got := testing.AllocsPerRun(10, func() { st = w.State() }); got != 2 {
+			t.Errorf("%d brakes: State allocates %v times, want 2", brakes, got)
+		}
+		s := st.(worldState)
+		if len(s.pressure) != brakes || len(s.command) != brakes || cap(s.pressure) != brakes {
+			t.Fatalf("%d brakes: capture has pressure len %d cap %d, command len %d",
+				brakes, len(s.pressure), cap(s.pressure), len(s.command))
+		}
+		before := fmt.Sprintf("%#v", st)
+		for i := 0; i < 100; i++ {
+			w.Step(0.001)
+		}
+		if w.Equal(st) {
+			t.Fatalf("%d brakes: world still equals a capture 100 steps old", brakes)
+		}
+		if after := fmt.Sprintf("%#v", st); after != before {
+			t.Fatalf("%d brakes: stepping the world changed its capture:\n%s\n%s", brakes, before, after)
+		}
+		if err := w.Restore(st); err != nil {
+			t.Fatal(err)
+		}
+		if !w.Equal(st) {
+			t.Errorf("%d brakes: world differs from the capture it restored", brakes)
+		}
 	}
 }

@@ -18,13 +18,19 @@ type worldState struct {
 }
 
 // State captures the world's dynamic state. The per-brake slices are
-// deep-copied so later Steps cannot mutate the capture.
+// copied, so later Steps cannot mutate the capture, into one backing
+// array: a capture costs two objects (that array and the boxed
+// worldState) for any brake count.
 func (w *World) State() any {
+	n := len(w.pressure)
+	buf := make([]float64, n+len(w.command))
+	copy(buf, w.pressure)
+	copy(buf[n:], w.command)
 	return worldState{
 		positionM:     w.positionM,
 		velocityMS:    w.velocityMS,
-		pressure:      append([]float64(nil), w.pressure...),
-		command:       append([]float64(nil), w.command...),
+		pressure:      buf[:n:n],
+		command:       buf[n:],
 		pulseResidual: w.pulseResidual,
 		pulseCount:    w.pulseCount,
 	}

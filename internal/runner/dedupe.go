@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"strings"
@@ -9,16 +10,23 @@ import (
 	"propane/internal/model"
 	"propane/internal/report"
 	"propane/internal/sim"
+	"propane/internal/trace"
 )
 
 // Failure dedupe: a large campaign produces thousands of deviating
 // runs, but most repeat the same propagation over and over. Runs are
-// fingerprinted by (injected module, input signal, set of deviating
-// module outputs, bucketed system-failure latency); the run with the
-// lowest job index in each class is kept as the exemplar and the rest
-// only increment a counter, so novel propagations stay visible in the
+// classed by (injected module, input signal, set of deviating module
+// outputs, bucketed system-failure latency); the run with the lowest
+// job index in each class is kept as the exemplar and the rest only
+// increment a counter, so novel propagations stay visible in the
 // artifact listing. Job order, unlike completion order, is the same
 // for every worker count and every resume, so failures.md is too.
+//
+// Classes are keyed by value: the class fields are encoded into a
+// reused byte buffer, with the deviating outputs as a bitmask over the
+// module's output list, so counting a run into an existing class
+// allocates nothing. The Fingerprint, Outputs and Example strings are
+// built only when a run becomes its class's exemplar.
 
 // latencyBucketMs quantises propagation latencies: two runs whose
 // system failures appear within the same 100 ms window after the trap
@@ -30,6 +38,7 @@ const latencyBucketMs = 100
 type deduper struct {
 	sys     *model.System
 	classes map[string]*failureClass
+	key     []byte // the class key of the run being added
 }
 
 // failureClass is one catalog entry: its exemplar's description and
@@ -44,24 +53,32 @@ func newDeduper(sys *model.System) *deduper {
 	return &deduper{sys: sys, classes: make(map[string]*failureClass)}
 }
 
+// appendKeyField appends s to a class key, length-prefixed so that
+// no two field sequences encode alike.
+func appendKeyField(key []byte, s string) []byte {
+	return append(binary.AppendUvarint(key, uint64(len(s))), s...)
+}
+
 // add folds job's run into the catalog. Non-deviating completed runs
 // are ignored; crashes, hangs and quarantined jobs are always
 // catalogued, classed by injection location so a panicking module
 // surfaces as one line, not thousands.
 func (d *deduper) add(job int, rec campaign.RunRecord) {
+	inj := rec.Injection
 	switch rec.Outcome {
 	case campaign.OutcomeCrash, campaign.OutcomeHang, campaign.OutcomeQuarantined:
-		fp := fmt.Sprintf("%s %s/%s", rec.Outcome, rec.Injection.Module, rec.Injection.Signal)
-		if c := d.exemplar(fp, job); c != nil {
-			example := fmt.Sprintf("%v case %d", rec.Injection, rec.CaseIndex)
+		d.key = appendKeyField(d.key[:0], string(rec.Outcome))
+		d.key = appendKeyField(appendKeyField(d.key, inj.Module), inj.Signal)
+		if c := d.exemplar(job); c != nil {
+			example := fmt.Sprintf("%v case %d", inj, rec.CaseIndex)
 			if rec.Detail != "" {
 				example += ": " + rec.Detail
 			}
 			c.desc = report.FailureCase{
-				Fingerprint:     fp,
+				Fingerprint:     fmt.Sprintf("%s %s/%s", rec.Outcome, inj.Module, inj.Signal),
 				Kind:            string(rec.Outcome),
-				Module:          rec.Injection.Module,
-				Signal:          rec.Injection.Signal,
+				Module:          inj.Module,
+				Signal:          inj.Signal,
 				LatencyBucketMs: -1,
 				Example:         example,
 			}
@@ -71,49 +88,71 @@ func (d *deduper) add(job int, rec campaign.RunRecord) {
 	if !rec.Fired {
 		return
 	}
-	mod, err := d.sys.Module(rec.Injection.Module)
+	mod, err := d.sys.Module(inj.Module)
 	if err != nil {
 		return
 	}
-	var outputs []string
-	for _, o := range mod.Outputs {
+	// An empty kind field sets deviation classes apart from the
+	// outcome-named ones above.
+	d.key = appendKeyField(d.key[:0], "")
+	d.key = appendKeyField(appendKeyField(d.key, inj.Module), inj.Signal)
+	mask := len(d.key)
+	for range (len(mod.Outputs) + 7) / 8 {
+		d.key = append(d.key, 0)
+	}
+	escaped := false
+	for i, o := range mod.Outputs {
 		if diff, ok := rec.Diffs[o.Signal]; ok && diff.Differs() {
-			outputs = append(outputs, o.Signal)
+			d.key[mask+i/8] |= 1 << (i % 8)
+			escaped = true
 		}
 	}
-	if len(outputs) == 0 && !rec.SystemFailure {
+	if !escaped && !rec.SystemFailure {
 		return // the error never escaped the module
 	}
-	sort.Strings(outputs)
 
 	bucket := sim.Millis(-1)
 	if rec.SystemFailure {
 		bucket = (rec.FailureAt - rec.FiredAt) / latencyBucketMs * latencyBucketMs
 	}
-	fp := fmt.Sprintf("%s/%s->{%s}@%d",
-		rec.Injection.Module, rec.Injection.Signal, strings.Join(outputs, ","), bucket)
-	if c := d.exemplar(fp, job); c != nil {
+	d.key = binary.AppendVarint(d.key, int64(bucket))
+	if c := d.exemplar(job); c != nil {
+		outputs := deviatingOutputs(mod, rec.Diffs)
 		c.desc = report.FailureCase{
-			Fingerprint:     fp,
+			Fingerprint: fmt.Sprintf("%s/%s->{%s}@%d",
+				inj.Module, inj.Signal, strings.Join(outputs, ","), bucket),
 			Kind:            "deviation",
-			Module:          rec.Injection.Module,
-			Signal:          rec.Injection.Signal,
+			Module:          inj.Module,
+			Signal:          inj.Signal,
 			Outputs:         outputs,
 			LatencyBucketMs: int64(bucket),
-			Example:         fmt.Sprintf("%v case %d", rec.Injection, rec.CaseIndex),
+			Example:         fmt.Sprintf("%v case %d", inj, rec.CaseIndex),
 		}
 	}
 }
 
-// exemplar counts job's run in class fp. It returns the class when the
-// run becomes its exemplar — the class is new, or the run precedes the
-// exemplar in job order — for the caller to describe, and nil
-// otherwise, so most runs format no description.
-func (d *deduper) exemplar(fp string, job int) *failureClass {
-	c, ok := d.classes[fp]
+// deviatingOutputs lists, sorted, the outputs of mod that deviate in
+// diffs; nil when none does.
+func deviatingOutputs(mod *model.Module, diffs map[string]trace.Diff) []string {
+	var outputs []string
+	for _, o := range mod.Outputs {
+		if diff, ok := diffs[o.Signal]; ok && diff.Differs() {
+			outputs = append(outputs, o.Signal)
+		}
+	}
+	sort.Strings(outputs)
+	return outputs
+}
+
+// exemplar counts job's run in the class keyed by d.key. It returns
+// the class when the run becomes its exemplar — the class is new, or
+// the run precedes the exemplar in job order — for the caller to
+// describe, and nil otherwise, so most runs format no description.
+func (d *deduper) exemplar(job int) *failureClass {
+	c, ok := d.classes[string(d.key)]
 	if !ok {
 		c = &failureClass{}
-		d.classes[fp] = c
+		d.classes[string(d.key)] = c
 	}
 	c.count++
 	if ok && job >= c.job {

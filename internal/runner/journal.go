@@ -135,12 +135,8 @@ type Record struct {
 }
 
 // newRecord converts a live campaign observation into its journaled
-// form.
-func newRecord(job int, rec campaign.RunRecord) (Record, error) {
-	spec, err := inject.Spec(rec.Injection.Model)
-	if err != nil {
-		return Record{}, fmt.Errorf("runner: journaling %v: %w", rec.Injection, err)
-	}
+// form; spec is the inject.Spec rendering of its model.
+func newRecord(job int, spec string, rec campaign.RunRecord) Record {
 	r := Record{
 		Type:          "run",
 		Job:           job,
@@ -168,7 +164,7 @@ func newRecord(job int, rec campaign.RunRecord) (Record, error) {
 		}
 		r.Diffs[sig] = DiffRecord{FirstMs: int64(d.First), LastMs: int64(d.Last), Count: d.Count}
 	}
-	return r, nil
+	return r
 }
 
 // Injection decodes the record's injection, validating what RunRecord

@@ -39,10 +39,7 @@ func sampleRunRecord() campaign.RunRecord {
 
 func TestRecordRoundTrip(t *testing.T) {
 	rec := sampleRunRecord()
-	jr, err := newRecord(17, rec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	jr := newRecord(17, "bitflip:7", rec)
 	if jr.Job != 17 || jr.Type != "run" {
 		t.Errorf("record header wrong: %+v", jr)
 	}
@@ -73,10 +70,7 @@ func TestJournalAppendLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		jr, err := newRecord(i, sampleRunRecord())
-		if err != nil {
-			t.Fatal(err)
-		}
+		jr := newRecord(i, "bitflip:7", sampleRunRecord())
 		if err := w.AppendBatch([]Record{jr}); err != nil {
 			t.Fatal(err)
 		}
@@ -117,10 +111,7 @@ func tornFixture(t testing.TB, path string, hdr JournalHeader) (data []byte, bou
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
-		jr, err := newRecord(i, sampleRunRecord())
-		if err != nil {
-			t.Fatal(err)
-		}
+		jr := newRecord(i, "bitflip:7", sampleRunRecord())
 		jr.Round = i
 		recs = append(recs, jr)
 	}
@@ -156,10 +147,7 @@ func tornFixture(t testing.TB, path string, hdr JournalHeader) (data []byte, bou
 // small constant whatever the journal holds.
 func TestOpenJournalAllocs(t *testing.T) {
 	hdr := JournalHeader{Instance: "x", Tier: "quick", ConfigDigest: "abc"}
-	jr, err := newRecord(0, sampleRunRecord())
-	if err != nil {
-		t.Fatal(err)
-	}
+	jr := newRecord(0, "bitflip:7", sampleRunRecord())
 	openAllocs := func(records int) float64 {
 		path := filepath.Join(t.TempDir(), "journal.bin")
 		w, err := openJournal(path, hdr)
@@ -325,10 +313,7 @@ func TestRecordCodecRoundTrip(t *testing.T) {
 // TestAppendFrameAllocs pins the journal's append path: a warm
 // encoder and frame buffer encode a record without allocating.
 func TestAppendFrameAllocs(t *testing.T) {
-	rec, err := newRecord(3, sampleRunRecord())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rec := newRecord(3, "bitflip:7", sampleRunRecord())
 	recs := []Record{rec}
 	var enc RecordEncoder
 	buf := appendFrame(nil, &enc, recs)

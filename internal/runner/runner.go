@@ -38,6 +38,7 @@ import (
 	"time"
 
 	"propane/internal/campaign"
+	"propane/internal/inject"
 	"propane/internal/model"
 	"propane/internal/report"
 )
@@ -263,6 +264,7 @@ type Prepared struct {
 	sys    *model.System
 	golden *campaign.Golden
 	ji     *campaign.JobIndex
+	specs  map[inject.ErrorModel]string // inject.Spec of each planned model
 }
 
 // Prepare does a campaign's fixed work (see Prepared), reading only
@@ -310,6 +312,17 @@ func Prepare(cfg campaign.Config, opts Options) (*Prepared, error) {
 	if err != nil {
 		return nil, err
 	}
+	specs := make(map[inject.ErrorModel]string)
+	for _, inj := range plan {
+		if _, ok := specs[inj.Model]; ok {
+			continue
+		}
+		spec, err := inject.Spec(inj.Model)
+		if err != nil {
+			return nil, err
+		}
+		specs[inj.Model] = spec
+	}
 	return &Prepared{
 		cfg: cfg,
 		info: PlanInfo{
@@ -326,6 +339,7 @@ func Prepare(cfg campaign.Config, opts Options) (*Prepared, error) {
 		sys:    cfg.System(),
 		golden: golden,
 		ji:     campaign.NewJobIndex(plan, len(cfg.TestCases)),
+		specs:  specs,
 	}, nil
 }
 
@@ -507,12 +521,12 @@ func (p *Prepared) Run(opts Options) (*RunResult, error) {
 	userObserver := cfg.Observer
 	cfg.Observer = func(rec campaign.RunRecord) {
 		job, ok := p.ji.Job(rec.Injection, rec.CaseIndex)
-		if observeErr == nil {
-			if !ok {
-				observeErr = fmt.Errorf("runner: observed unplanned job %v case %d", rec.Injection, rec.CaseIndex)
-			} else if jrec, err := newRecord(job, rec); err != nil {
-				observeErr = err
-			} else if err := retryIO(opts.maxRetries(), opts.Logf, "journal append", func() error {
+		if observeErr == nil && !ok {
+			observeErr = fmt.Errorf("runner: observed unplanned job %v case %d", rec.Injection, rec.CaseIndex)
+		} else if observeErr == nil {
+			// A planned job's model is in p.specs.
+			jrec := newRecord(job, p.specs[rec.Injection.Model], rec)
+			if err := retryIO(opts.maxRetries(), opts.Logf, "journal append", func() error {
 				return jw.AppendBatch([]Record{jrec})
 			}); err != nil {
 				observeErr = err
