@@ -1,82 +1,138 @@
-// Command propane runs the paper's fault-injection campaign against
-// the simulated aircraft-arrestment system, estimates the error
-// permeability matrix, and regenerates the paper's tables and figures.
+// Command propane runs a fault-injection campaign against a
+// registered target — by default the paper's simulated
+// aircraft-arrestment system — estimates the error permeability
+// matrix, and regenerates the paper's tables and figures.
 //
 // Usage:
 //
-//	propane [-scale tiny|reduced|paper] [-workers N] [-table all|1|2|3|4]
-//	        [-uniform] [-advice] [-dot DIR] [-artifacts DIR [-resume]]
+//	propane -list
+//	propane [-instance NAME] [-tier quick|full] [-dir DIR [-resume]]
+//	        [-config FILE] [-synth FILES] [-workers N]
 //	        [-run-budget N] [-max-retries N] [-quarantine-after N]
 //	        [-adaptive off|auto|force [-ci-epsilon E]]
-//	        [-cpuprofile F] [-memprofile F]
-//	        [-synth FILE [-synth-tier quick|full]]
+//	        [-table all|1|2|3|4] [-uniform] [-advice] [-latency]
+//	        [-sensitivity] [-criticality] [-validate] [-trees]
+//	        [-dot DIR] [-report FILE] [-cpuprofile F] [-memprofile F]
 //
-// -scale selects the campaign size (tiny runs in well under a second,
-// paper executes the full 52 000-run campaign). -dot writes Graphviz
-// renderings of Figs. 8–12 into DIR. -artifacts routes the campaign
-// through the journaled runner (internal/runner), so a long campaign
-// killed mid-flight resumes with -resume instead of starting over.
-// -synth compiles a declarative topology document (YAML/JSON, see
-// examples/synth/) and runs the full analysis pipeline — permeability
-// tables, placement advice, sensitivity — against the compiled
-// target; it overrides -scale, -config and -dual.
+// -instance and -tier select a campaign from the registry
+// (internal/runner; -list names them): reduced/full by default,
+// reduced/quick in well under a second, paper/full for the full
+// 52 000-run campaign, dual/full for the master/slave deployment.
+// -config runs an experiment description file (internal/expfile)
+// instead. -synth compiles declarative topology documents (YAML/JSON,
+// see examples/synth/) and registers each as an instance, which
+// -instance then selects.
+//
+// Every campaign runs journaled through internal/runner and leaves
+// its artifact set in -dir: config.json, journal.bin, metrics.json,
+// failures.md and report.md. A campaign killed mid-flight resumes
+// from the journal with -resume instead of starting over. Without
+// -dir the artifacts go to a temporary directory removed on exit.
+//
+// Runs execute supervised: -run-budget bounds each run's
+// deterministic work units (an exceeded budget classifies the run as
+// a hang), target panics are classified as crashes, transient
+// journal and artifact I/O failures retry with backoff
+// (-max-retries), and a job that repeatedly crashes its worker is
+// quarantined after -quarantine-after consecutive failures instead of
+// wedging the campaign. -dot writes Graphviz renderings of
+// Figs. 8–12 into DIR.
+//
+// To spread one campaign over several processes, run a coordinator
+// and its workers with command propaned.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"time"
 
+	"propane/cmd/internal/cli"
 	"propane/internal/arrestor"
 	"propane/internal/campaign"
 	"propane/internal/core"
 	"propane/internal/expfile"
-	"propane/internal/physics"
 	"propane/internal/profiling"
 	"propane/internal/report"
 	"propane/internal/runner"
-	"propane/internal/sim"
-	"propane/internal/synth"
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "propane:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) (retErr error) {
+func run(args []string, out io.Writer) (retErr error) {
 	fs := flag.NewFlagSet("propane", flag.ContinueOnError)
-	scale := fs.String("scale", "reduced", "campaign scale: tiny, reduced or paper")
-	workers := fs.Int("workers", 0, "concurrent injection runs (<= 0 means GOMAXPROCS)")
+	campaignFlags := cli.Flags(fs, "reduced", string(runner.TierFull))
+	list := fs.Bool("list", false, "list the registered campaign instances and exit")
+	configPath := fs.String("config", "", "experiment description file (JSON) to run instead of a registered instance")
+	synthFiles := fs.String("synth", "", "comma-separated declarative topology documents (YAML/JSON) to compile and register as instances")
+	maxRetries := fs.Int("max-retries", 0, "retries for transient journal/artifact I/O failures (0 = default 3, negative disables)")
+	quarantineAfter := fs.Int("quarantine-after", 0, "quarantine a job after this many consecutive worker crashes (0 = default 3, negative disables → abort)")
 	table := fs.String("table", "all", "which table to print: all, 1, 2, 3 or 4")
 	uniform := fs.Bool("uniform", false, "print the uniform-propagation check")
 	advice := fs.Bool("advice", false, "print the Section 5 EDM/ERM placement advice")
 	latency := fs.Bool("latency", false, "print per-pair propagation latency and error classification")
 	sensitivity := fs.Bool("sensitivity", false, "print the hardening-priority (sensitivity) table per system output")
 	criticality := fs.Bool("criticality", false, "print the input-criticality table per system output")
-	dual := fs.Bool("dual", false, "analyse the master/slave two-node configuration instead of the paper's single node")
 	validate := fs.Bool("validate", false, "print the compositional-prediction cross-validation table")
 	trees := fs.Bool("trees", false, "print ASCII backtrack and trace trees (Figs. 10-12)")
 	reportPath := fs.String("report", "", "write the complete Markdown report to this file")
-	configPath := fs.String("config", "", "experiment description file (JSON); overrides -scale and -dual")
-	synthPath := fs.String("synth", "", "declarative topology document (YAML/JSON) to compile and campaign; overrides -scale, -config and -dual")
-	synthTier := fs.String("synth-tier", "quick", "campaign tier of the -synth document to run")
 	dotDir := fs.String("dot", "", "write Graphviz figures (Figs. 8-12) into this directory")
-	artifacts := fs.String("artifacts", "", "journal the campaign into this artifact directory (resumable)")
-	resume := fs.Bool("resume", false, "resume a killed campaign from the -artifacts journal")
-	runBudget := fs.Int64("run-budget", 0, "per-run step budget: terminate and classify a run as hung after this many work units (0 = unlimited)")
-	maxRetries := fs.Int("max-retries", 0, "retries for transient journal/artifact I/O failures with -artifacts (0 = default 3, negative disables)")
-	quarantineAfter := fs.Int("quarantine-after", 0, "quarantine a job after this many consecutive worker crashes (0 = default 3, negative disables → abort)")
-	adaptiveFlag := fs.String("adaptive", "off", "sequential CI-driven sampling: off (full matrix), auto, or force")
-	ciEpsilon := fs.Float64("ci-epsilon", 0, "adaptive stopping half-width ε in (0, 0.5); 0 keeps the 0.05 default")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the campaign to this file")
 	memProfile := fs.String("memprofile", "", "write a heap profile to this file when the campaign finishes")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	c, err := campaignFlags()
+	if err != nil {
+		return err
+	}
+	mode, reads := "-instance", func(name string) bool { return name != "config" && name != "list" }
+	switch {
+	case *list:
+		mode, reads = "-list", func(name string) bool { return name == "list" || name == "synth" }
+	case *configPath != "":
+		mode, reads = "-config", func(name string) bool { return name != "instance" && name != "tier" && name != "synth" }
+	}
+	if err := cli.CheckMode(fs, mode, reads); err != nil {
+		return err
+	}
+	if c.Resume && c.Dir == "" {
+		return fmt.Errorf("-resume needs -dir (there is no journal to resume from)")
+	}
+
+	var registered []string
+	for _, path := range strings.Split(*synthFiles, ",") {
+		if path = strings.TrimSpace(path); path == "" {
+			continue
+		}
+		def, err := runner.RegisterSynthFile(path)
+		if err != nil {
+			return err
+		}
+		defer runner.Unregister(def.Name)
+		registered = append(registered, fmt.Sprintf("%q", def.Name))
+		fmt.Fprintf(out, "registered instance %q from %s\n", def.Name, path)
+	}
+	if *list {
+		fmt.Fprintln(out, "registered campaign instances (tiers: quick, full):")
+		for _, def := range runner.Instances() {
+			fmt.Fprintf(out, "  %-14s %s\n", def.Name, def.Description)
+		}
+		return nil
+	}
+	instanceSet := false
+	fs.Visit(func(f *flag.Flag) { instanceSet = instanceSet || f.Name == "instance" })
+	if len(registered) > 0 && !instanceSet {
+		return fmt.Errorf("-synth registered instance %s; select it with -instance", strings.Join(registered, ", "))
 	}
 
 	stopProfiles, err := profiling.Start(*cpuProfile, *memProfile)
@@ -89,156 +145,83 @@ func run(args []string) (retErr error) {
 		}
 	}()
 
-	var cfg campaign.Config
-	if *synthPath != "" {
-		data, err := os.ReadFile(*synthPath)
+	opts := runner.Options{
+		Dir:             c.Dir,
+		Resume:          c.Resume,
+		Workers:         c.Workers,
+		RunBudgetSteps:  c.RunBudget,
+		Adaptive:        c.Adaptive,
+		CIEpsilon:       c.CIEpsilon,
+		MaxRetries:      *maxRetries,
+		QuarantineAfter: *quarantineAfter,
+		LogInterval:     10 * time.Second,
+		Logf:            func(format string, a ...any) { fmt.Fprintf(out, format+"\n", a...) },
+	}
+	if opts.Dir == "" {
+		tmp, err := os.MkdirTemp("", "propane-")
 		if err != nil {
 			return err
 		}
-		spec, err := synth.Parse(data)
-		if err != nil {
-			return err
-		}
-		compiled, err := synth.Compile(spec)
-		if err != nil {
-			return err
-		}
-		cfg, err = compiled.Config(*synthTier)
-		if err != nil {
-			return err
-		}
-	} else if *configPath != "" {
+		defer os.RemoveAll(tmp)
+		opts.Dir = tmp
+	}
+	var rr *runner.RunResult
+	if *configPath != "" {
 		data, err := os.ReadFile(*configPath)
 		if err != nil {
 			return err
 		}
-		cfg, err = expfile.Parse(data)
+		cfg, err := expfile.Parse(data)
+		if err != nil {
+			return err
+		}
+		opts.Name = "propane-config"
+		rr, err = runner.Run(cfg, opts)
 		if err != nil {
 			return err
 		}
 	} else {
-		var err error
-		cfg, err = configForScale(*scale)
+		rr, err = runner.RunInstance(c.Instance, c.Tier, opts)
 		if err != nil {
 			return err
 		}
-		cfg.Dual = *dual
 	}
-	cfg.Workers = *workers
-	adaptive, err := campaign.ParseAdaptiveMode(*adaptiveFlag)
-	if err != nil {
-		return fmt.Errorf("-adaptive: %w", err)
-	}
-	if adaptive != campaign.AdaptiveOff {
-		cfg.Adaptive = adaptive
-	}
-	if *ciEpsilon != 0 {
-		cfg.CIEpsilon = *ciEpsilon // campaign.Config.Validate bounds it
-	}
+	cli.Summary(out, rr.Metrics, c.Dir)
+	fmt.Fprintln(out)
 
-	errsPerPoint := len(cfg.Bits) + len(cfg.Models)
-	fmt.Printf("running campaign: %d test cases × %d instants × %d errors per input signal...\n",
-		len(cfg.TestCases), len(cfg.Times), errsPerPoint)
-	lastDecile := -1
-	cfg.Progress = func(done, total int) {
-		if total < 10000 {
-			return // quiet for short campaigns
-		}
-		if decile := done * 10 / total; decile > lastDecile {
-			lastDecile = decile
-			fmt.Printf("  %d%% (%d/%d runs)\n", decile*10, done, total)
-		}
-	}
-	var res *campaign.Result
-	if *artifacts != "" {
-		name := "propane-" + *scale
-		if *configPath != "" {
-			name = "propane-config"
-		}
-		if *synthPath != "" {
-			name = "propane-synth"
-		}
-		rr, err := runner.Run(cfg, runner.Options{
-			Name: name, Dir: *artifacts, Resume: *resume,
-			LogInterval:     10 * time.Second,
-			Logf:            func(format string, a ...any) { fmt.Printf(format+"\n", a...) },
-			RunBudgetSteps:  *runBudget,
-			MaxRetries:      *maxRetries,
-			QuarantineAfter: *quarantineAfter,
-		})
-		if err != nil {
-			return err
-		}
-		res = rr.Result
-		fmt.Printf("artifacts journaled in %s\n", rr.Dir)
-	} else {
-		if *resume {
-			return fmt.Errorf("-resume needs -artifacts (there is no journal to resume from)")
-		}
-		// The direct path gets the same supervision as the journaled
-		// one: watchdog budget plus retry/quarantine of worker faults.
-		if *runBudget > 0 {
-			cfg.Budget.Steps = *runBudget
-		}
-		if cfg.OnJobError == nil && *quarantineAfter >= 0 {
-			after := *quarantineAfter
-			if after == 0 {
-				after = 3
-			}
-			cfg.OnJobError = campaign.QuarantinePolicy(after, func(format string, a ...any) {
-				fmt.Printf(format+"\n", a...)
-			})
-		}
-		var err error
-		res, err = campaign.Run(cfg)
-		if err != nil {
-			return err
-		}
-	}
-	fmt.Printf("%d injection runs completed (%d traps never fired)\n", res.Runs, res.Unfired)
-	if res.Crashes+res.Hangs+len(res.Quarantined) > 0 {
-		fmt.Printf("supervised failure modes: %d crashes, %d hangs, %d quarantined jobs (excluded from all estimates)\n",
-			res.Crashes, res.Hangs, len(res.Quarantined))
-	}
-	if total := res.Pruning.Total(); total > res.Pruning.Executed {
-		fmt.Printf("equivalence pruning: %d/%d runs resolved without full simulation (%d noop, %d unfired, %d memoized, %d converged)\n",
-			total-res.Pruning.Executed, total, res.Pruning.NoOp, res.Pruning.Unfired,
-			res.Pruning.Memoized, res.Pruning.Converged)
-	}
-	fmt.Println()
-
-	if err := printTables(res, *table); err != nil {
+	res := rr.Result
+	if err := printTables(out, res, *table); err != nil {
 		return err
 	}
 	if *uniform {
-		fmt.Println(report.UniformPropagationTable(res))
+		fmt.Fprintln(out, report.UniformPropagationTable(res))
 	}
 	if *advice {
-		out, err := report.AdviceReport(res.Matrix)
+		s, err := report.AdviceReport(res.Matrix)
 		if err != nil {
 			return err
 		}
-		fmt.Println(out)
+		fmt.Fprintln(out, s)
 	}
 	if *latency {
-		fmt.Println(report.LatencyTable(res))
+		fmt.Fprintln(out, report.LatencyTable(res))
 	}
 	if *sensitivity {
-		for _, out := range res.Topology.SystemOutputs() {
-			s, err := report.SensitivityTable(res.Matrix, out)
+		for _, sysOut := range res.Topology.SystemOutputs() {
+			s, err := report.SensitivityTable(res.Matrix, sysOut)
 			if err != nil {
 				return err
 			}
-			fmt.Println(s)
+			fmt.Fprintln(out, s)
 		}
 	}
 	if *criticality {
-		for _, out := range res.Topology.SystemOutputs() {
-			s, err := report.CriticalityTable(res.Matrix, out)
+		for _, sysOut := range res.Topology.SystemOutputs() {
+			s, err := report.CriticalityTable(res.Matrix, sysOut)
 			if err != nil {
 				return err
 			}
-			fmt.Println(s)
+			fmt.Fprintln(out, s)
 		}
 	}
 	if *validate {
@@ -246,29 +229,29 @@ func run(args []string) (retErr error) {
 		if err != nil {
 			return err
 		}
-		fmt.Println(s)
+		fmt.Fprintln(out, s)
 	}
 	if *trees {
-		for _, out := range res.Topology.SystemOutputs() {
-			tree, err := core.BacktrackTree(res.Matrix, out)
+		for _, sysOut := range res.Topology.SystemOutputs() {
+			tree, err := core.BacktrackTree(res.Matrix, sysOut)
 			if err != nil {
 				return err
 			}
-			fmt.Println(report.TreeText(tree))
+			fmt.Fprintln(out, report.TreeText(tree))
 		}
 		for _, in := range res.Topology.SystemInputs() {
 			tree, err := core.TraceTree(res.Matrix, in)
 			if err != nil {
 				return err
 			}
-			fmt.Println(report.TreeText(tree))
+			fmt.Fprintln(out, report.TreeText(tree))
 		}
 	}
 	if *dotDir != "" {
 		if err := writeFigures(res.Matrix, *dotDir); err != nil {
 			return err
 		}
-		fmt.Printf("figures written to %s\n", *dotDir)
+		fmt.Fprintf(out, "figures written to %s\n", *dotDir)
 	}
 	if *reportPath != "" {
 		md, err := report.Markdown(res, report.MarkdownOptions{
@@ -284,61 +267,37 @@ func run(args []string) (retErr error) {
 		if err := os.WriteFile(*reportPath, []byte(md), 0o644); err != nil {
 			return err
 		}
-		fmt.Printf("report written to %s\n", *reportPath)
+		fmt.Fprintf(out, "report written to %s\n", *reportPath)
 	}
 	return nil
 }
 
-func configForScale(scale string) (campaign.Config, error) {
-	switch scale {
-	case "paper":
-		return campaign.PaperConfig(), nil
-	case "reduced":
-		return campaign.ReducedConfig(), nil
-	case "tiny":
-		cases, err := physics.Grid(1, 2, 11000, 11000, 50, 70)
-		if err != nil {
-			return campaign.Config{}, err
-		}
-		return campaign.Config{
-			Arrestor:       arrestor.DefaultConfig(),
-			TestCases:      cases,
-			Times:          []sim.Millis{1500, 3500},
-			Bits:           []uint{2, 14},
-			HorizonMs:      6000,
-			DirectWindowMs: 500,
-		}, nil
-	default:
-		return campaign.Config{}, fmt.Errorf("unknown scale %q (want tiny, reduced or paper)", scale)
-	}
-}
-
-func printTables(res *campaign.Result, which string) error {
+func printTables(out io.Writer, res *campaign.Result, which string) error {
 	want := func(t string) bool { return which == "all" || which == t }
 	if want("1") {
-		fmt.Println(report.Table1(res))
+		fmt.Fprintln(out, report.Table1(res))
 	}
 	if want("2") {
-		out, err := report.Table2(res.Matrix)
+		s, err := report.Table2(res.Matrix)
 		if err != nil {
 			return err
 		}
-		fmt.Println(out)
+		fmt.Fprintln(out, s)
 	}
 	if want("3") {
-		out, err := report.Table3(res.Matrix)
+		s, err := report.Table3(res.Matrix)
 		if err != nil {
 			return err
 		}
-		fmt.Println(out)
+		fmt.Fprintln(out, s)
 	}
 	if want("4") {
 		for _, sysOut := range res.Topology.SystemOutputs() {
-			out, err := report.Table4(res.Matrix, sysOut, true)
+			s, err := report.Table4(res.Matrix, sysOut, true)
 			if err != nil {
 				return err
 			}
-			fmt.Println(out)
+			fmt.Fprintln(out, s)
 		}
 	}
 	switch which {

@@ -1,8 +1,9 @@
-// Command propaned is the distributed campaign coordinator: it
-// decomposes a registry instance into lease-bounded work units,
-// serves them over HTTP to campaignrunner -worker agents, journals
-// the records they stream back, and — once every unit is complete —
-// assembles the final report, bit-identical to a single-node run.
+// Command propaned is the distributed campaign coordinator and its
+// fleet agent: it decomposes a registry instance into lease-bounded
+// work units, serves them over HTTP to propaned -worker agents,
+// journals the records they stream back, and — once every unit is
+// complete — assembles the final report, bit-identical to a
+// single-node propane run.
 //
 // Usage:
 //
@@ -13,7 +14,8 @@
 //
 // Workers join with
 //
-//	campaignrunner -worker http://coordinator:8080 -dir scratch
+//	propaned -worker http://coordinator:8080 -dir scratch
+//	propaned -worker http://coordinator:8080 -dir scratch -chaos seed=7,rate=0.2
 //
 // and may come and go freely: a worker silent past the lease TTL is
 // presumed dead and its unit is reassigned, fast-forwarded past
@@ -24,6 +26,18 @@
 // restarting propaned itself with -resume restores its state from
 // the journals under -dir. The HTTP API also serves /status and
 // /metrics JSON for dashboards.
+//
+// # Worker mode
+//
+// With -worker, the process joins a coordinator's fleet instead: it
+// leases work units, executes them through the same supervised local
+// path as propane under -dir (the scratch root), and streams the
+// journal records back until the coordinator reports the campaign
+// complete. -worker-name keeps its fleet identity stable across
+// restarts, so a restarted worker resumes its unit from the local
+// journal. -chaos wraps the worker's HTTP client in the
+// internal/chaos fault injector, and -store-dir serves identical
+// injection runs across campaigns from a persistent memo store.
 //
 // -loopback N skips the network fleet entirely and runs N worker
 // agents in-process against an ephemeral listener — a self-contained
@@ -62,6 +76,9 @@
 // submitted in-process and its events tailed until done (add
 // -loopback N for a self-contained in-process fleet); without
 // -instance the service runs until interrupted.
+//
+// Each mode refuses a flag it would ignore, such as -workers without
+// an in-process fleet or -store-dir without -serve or -worker.
 package main
 
 import (
@@ -73,11 +90,12 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"slices"
 	"sync"
 	"syscall"
 	"time"
 
-	"propane/internal/campaign"
+	"propane/cmd/internal/cli"
 	"propane/internal/chaos"
 	"propane/internal/distrib"
 	"propane/internal/runner"
@@ -108,22 +126,17 @@ func (s *syncWriter) Write(p []byte) (int, error) {
 func run(args []string, out io.Writer) error {
 	out = &syncWriter{w: out}
 	fs := flag.NewFlagSet("propaned", flag.ContinueOnError)
-	instance := fs.String("instance", "", "campaign instance to coordinate (see campaignrunner -list)")
-	tier := fs.String("tier", "quick", "campaign intensity: quick or full")
-	dir := fs.String("dir", "", "coordinator artifact directory (record journal, assignment journal, final report; in -serve mode the service root)")
+	campaignFlags := cli.Flags(fs, "", string(runner.TierQuick))
 	units := fs.Int("units", 0, "initial carve granularity: the first work units are sized as if the campaign split this many ways (0 = one unit per 32 runs, at most 8); later units are cost-sized on demand")
 	listen := fs.String("listen", "127.0.0.1:8080", "address to serve the coordinator API on")
 	lease := fs.Duration("lease", 0, "lease TTL: a worker silent this long is presumed dead and its unit reassigned (0 = default 30s)")
-	resume := fs.Bool("resume", false, "restore state from the journals under -dir (the coordinator's, or in -serve mode the whole service's queue and in-flight campaigns)")
 	pull := fs.Bool("pull", false, "always pull full record sets from workers instead of accepting digest-only completion")
 	loopback := fs.Int("loopback", 0, "run this many in-process workers on an ephemeral listener instead of serving a network fleet")
-	workers := fs.Int("workers", 0, "local campaign parallelism per loopback worker (<= 0 means GOMAXPROCS)")
-	runBudget := fs.Int64("run-budget", 0, "per-run step budget, applied fleet-wide via the config digest (0 = instance default)")
-	adaptiveFlag := fs.String("adaptive", "off", "sequential CI-driven sampling, applied fleet-wide via the config digest: off (full matrix), auto, or force")
-	ciEpsilon := fs.Float64("ci-epsilon", 0, "adaptive stopping half-width ε in (0, 0.5); 0 keeps the 0.05 default")
-	chaosSpec := fs.String("chaos", "", "inject seeded faults into the loopback workers' RPCs, e.g. seed=7,rate=0.2 (see internal/chaos; -loopback mode only)")
+	chaosSpec := fs.String("chaos", "", "inject seeded faults into the workers' coordinator RPCs, e.g. seed=7,rate=0.2 (see internal/chaos; -loopback or -worker mode)")
+	workerURL := fs.String("worker", "", "join the fleet of the coordinator at this URL instead of coordinating; -dir becomes the local scratch root")
+	workerName := fs.String("worker-name", "", "fleet identity for -worker mode (default hostname-pid; keep it stable across restarts to resume local work)")
 	serve := fs.Bool("serve", false, "run as a long-lived multi-tenant campaign service (POST /v1/campaigns) instead of coordinating one campaign")
-	storeDir := fs.String("store-dir", "", "content-addressed result store directory for -serve mode (default <dir>/store)")
+	storeDir := fs.String("store-dir", "", "content-addressed result store directory: the service's with -serve (default <dir>/store), a cross-campaign memo store with -worker")
 	gcInterval := fs.Duration("gc-interval", 15*time.Minute, "store garbage-collection interval in -serve mode (0 disables)")
 	quotaQueued := fs.Int("quota-queued", 0, "per-tenant cap on queued campaigns in -serve mode (0 = default 8)")
 	quotaActive := fs.Int("quota-active", 0, "per-tenant cap on concurrently active campaigns in -serve mode (0 = default 2)")
@@ -131,14 +144,19 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *instance == "" && !*serve {
-		return fmt.Errorf("no -instance given (use campaignrunner -list to see the registry, or -serve for service mode)")
+	c, err := campaignFlags()
+	if err != nil {
+		return err
+	}
+	mode, reads := modeFlags(*workerURL != "", *serve, c.Instance != "", *loopback > 0)
+	if err := cli.CheckMode(fs, mode, func(name string) bool { return slices.Contains(reads, name) }); err != nil {
+		return err
+	}
+	if c.Instance == "" && !*serve && *workerURL == "" {
+		return fmt.Errorf("no -instance given (use propane -list to see the registry, -serve for service mode or -worker to join a fleet)")
 	}
 	var cs *chaos.Spec
 	if *chaosSpec != "" {
-		if *loopback <= 0 {
-			return fmt.Errorf("-chaos only applies to -loopback mode (network workers carry their own -chaos flag)")
-		}
 		spec, cerr := chaos.ParseSpec(*chaosSpec)
 		if cerr != nil {
 			return cerr
@@ -146,41 +164,41 @@ func run(args []string, out io.Writer) error {
 		cs = &spec
 	}
 
-	adaptive, err := campaign.ParseAdaptiveMode(*adaptiveFlag)
-	if err != nil {
-		return fmt.Errorf("-adaptive: %w", err)
-	}
-
 	logf := func(format string, a ...any) { fmt.Fprintf(out, format+"\n", a...) }
-	if *serve {
+	switch {
+	case *workerURL != "":
+		return runWorker(logf, *workerURL, distrib.WorkerOptions{
+			Name: *workerName, Dir: c.Dir, Workers: c.Workers, Chaos: cs,
+			LogInterval: 10 * time.Second, Logf: logf,
+		}, *storeDir)
+	case *serve:
 		return runServe(out, logf, serveConfig{
-			dir: *dir, storeDir: *storeDir, listen: *listen,
-			instance: *instance, tier: *tier, runBudget: *runBudget,
-			adaptive: adaptive.String(), ciEpsilon: *ciEpsilon,
-			units: *units, lease: *lease, resume: *resume, pull: *pull,
-			loopback: *loopback, workers: *workers, chaos: cs,
-			gcInterval:  *gcInterval,
-			quotaQueued: *quotaQueued, quotaActive: *quotaActive, quotaJobs: *quotaJobs,
+			Campaign: c, storeDir: *storeDir, listen: *listen, loopback: *loopback, chaos: cs,
+			opts: service.Options{
+				Dir: c.Dir, Resume: c.Resume, Units: *units, LeaseTTL: *lease, Pull: *pull,
+				GCInterval: *gcInterval, Logf: logf,
+				Quotas: service.Quotas{MaxQueued: *quotaQueued, MaxActive: *quotaActive, MaxJobs: *quotaJobs},
+			},
 		})
 	}
 	cc := distrib.Config{
-		Instance:       *instance,
-		Tier:           runner.Tier(*tier),
-		Dir:            *dir,
+		Instance:       c.Instance,
+		Tier:           c.Tier,
+		Dir:            c.Dir,
 		Units:          *units,
 		LeaseTTL:       *lease,
-		Resume:         *resume,
+		Resume:         c.Resume,
 		Pull:           *pull,
-		RunBudgetSteps: *runBudget,
-		Adaptive:       adaptive,
-		CIEpsilon:      *ciEpsilon,
+		RunBudgetSteps: c.RunBudget,
+		Adaptive:       c.Adaptive,
+		CIEpsilon:      c.CIEpsilon,
 		Logf:           logf,
 	}
 
 	var rr *runner.RunResult
 	if *loopback > 0 {
 		rr, err = distrib.Loopback(cc, *loopback, distrib.WorkerOptions{
-			Workers: *workers,
+			Workers: c.Workers,
 			Chaos:   cs,
 			Logf:    logf,
 		})
@@ -196,40 +214,78 @@ func run(args []string, out io.Writer) error {
 			return err
 		}
 		info := coord.Info()
-		logf("propaned: coordinating %s/%s — %d runs, carved into work units on demand — on http://%s (workers: campaignrunner -worker http://%s -dir scratch)",
+		logf("propaned: coordinating %s/%s — %d runs, carved into work units on demand — on http://%s (workers: propaned -worker http://%s -dir scratch)",
 			info.Name, info.Tier, info.TotalRuns, l.Addr(), l.Addr())
 		rr, err = coord.Serve(l)
 	}
 	if err != nil {
 		return err
 	}
-
-	m := rr.Metrics
-	fmt.Fprintf(out, "campaign %s/%s assembled: %d runs, %d traps unfired\n",
-		m.Instance, m.Tier, m.ReplayedRuns+m.ExecutedRuns, m.Unfired)
-	fmt.Fprintf(out, "%d system failures in %d equivalence classes\n", m.SystemFailures, m.UniqueFailures)
-	if m.Crashes+m.Hangs+m.Quarantined > 0 {
-		fmt.Fprintf(out, "supervised failure modes: %d crashes, %d hangs, %d quarantined jobs (excluded from all estimates)\n",
-			m.Crashes, m.Hangs, m.Quarantined)
-	}
-	fmt.Fprintf(out, "artifacts in %s\n", rr.Dir)
+	cli.Summary(out, rr.Metrics, rr.Dir)
 	return nil
 }
 
+// modeFlags names the mode the mode-selecting options choose and
+// lists the flags that mode reads.
+func modeFlags(worker, serve, instance, loopback bool) (string, []string) {
+	if worker {
+		return "-worker", []string{"worker", "worker-name", "dir", "workers", "chaos", "store-dir"}
+	}
+	reads := []string{"dir", "resume", "units", "lease", "pull", "loopback"}
+	fleet := []string{"workers", "chaos"}
+	spec := []string{"instance", "tier", "run-budget", "adaptive", "ci-epsilon"}
+	switch {
+	case serve:
+		mode := "-serve"
+		reads = append(reads, "serve", "listen", "store-dir", "gc-interval", "quota-queued", "quota-active", "quota-jobs", "instance")
+		if instance {
+			mode += " -instance"
+			reads = append(reads, spec...)
+		}
+		if loopback {
+			mode += " -loopback"
+			reads = append(reads, fleet...)
+		}
+		return mode, reads
+	case loopback:
+		return "-loopback", append(append(reads, spec...), fleet...)
+	}
+	return "a network coordinator (no -loopback, -serve or -worker)", append(append(reads, spec...), "listen")
+}
+
+// runWorker joins a coordinator's fleet until it reports the campaign
+// complete. A signal aborts backoff waits and poll sleeps immediately
+// instead of letting a mid-retry worker linger.
+func runWorker(logf func(string, ...any), url string, wo distrib.WorkerOptions, storeDir string) error {
+	if wo.Dir == "" {
+		return fmt.Errorf("-worker needs -dir as the local scratch root")
+	}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	if storeDir != "" {
+		st, err := store.Open(storeDir, store.Options{Logf: logf})
+		if err != nil {
+			return err
+		}
+		defer st.Close()
+		wo.Memo = st
+	}
+	err := distrib.RunWorkerContext(ctx, url, wo)
+	if err != nil && ctx.Err() != nil {
+		return fmt.Errorf("worker interrupted: %w", err)
+	}
+	return err
+}
+
+// serveConfig is what -serve reads: the campaign flags (for the
+// submit-and-tail client), the store and fleet options, and the
+// service's own options, whose Store runServe fills in.
 type serveConfig struct {
-	dir, storeDir, listen    string
-	instance, tier           string
-	runBudget                int64
-	adaptive                 string
-	ciEpsilon                float64
-	units                    int
-	lease                    time.Duration
-	resume, pull             bool
-	loopback, workers        int
-	chaos                    *chaos.Spec
-	gcInterval               time.Duration
-	quotaQueued, quotaActive int
-	quotaJobs                int
+	cli.Campaign
+	storeDir, listen string
+	loopback         int
+	chaos            *chaos.Spec
+	opts             service.Options
 }
 
 // runServe hosts the multi-tenant campaign service: store, admission
@@ -237,11 +293,11 @@ type serveConfig struct {
 // doubles as a submit-and-tail client for its own service; without
 // one it serves until interrupted.
 func runServe(out io.Writer, logf func(string, ...any), sc serveConfig) error {
-	if sc.dir == "" {
+	if sc.Dir == "" {
 		return fmt.Errorf("-serve needs -dir as the service root")
 	}
 	if sc.storeDir == "" {
-		sc.storeDir = filepath.Join(sc.dir, "store")
+		sc.storeDir = filepath.Join(sc.Dir, "store")
 	}
 	st, err := store.Open(sc.storeDir, store.Options{Logf: logf})
 	if err != nil {
@@ -249,17 +305,8 @@ func runServe(out io.Writer, logf func(string, ...any), sc serveConfig) error {
 	}
 	defer st.Close()
 
-	svc, err := service.Open(service.Options{
-		Dir:        sc.dir,
-		Store:      st,
-		Quotas:     service.Quotas{MaxQueued: sc.quotaQueued, MaxActive: sc.quotaActive, MaxJobs: sc.quotaJobs},
-		Units:      sc.units,
-		LeaseTTL:   sc.lease,
-		Pull:       sc.pull,
-		Resume:     sc.resume,
-		GCInterval: sc.gcInterval,
-		Logf:       logf,
-	})
+	sc.opts.Store = st
+	svc, err := service.Open(sc.opts)
 	if err != nil {
 		return err
 	}
@@ -288,8 +335,8 @@ func runServe(out io.Writer, logf func(string, ...any), sc serveConfig) error {
 			go func(name string) {
 				defer wg.Done()
 				wo := distrib.WorkerOptions{
-					Name: name, Dir: filepath.Join(sc.dir, "worker-scratch"),
-					Workers: sc.workers, Chaos: sc.chaos, Memo: st, Logf: logf,
+					Name: name, Dir: filepath.Join(sc.Dir, "worker-scratch"),
+					Workers: sc.Workers, Chaos: sc.chaos, Memo: st, Logf: logf,
 				}
 				if werr := distrib.RunWorkerContext(ctx, url, wo); werr != nil && ctx.Err() == nil {
 					logf("propaned: worker %s exited: %v", name, werr)
@@ -299,7 +346,7 @@ func runServe(out io.Writer, logf func(string, ...any), sc serveConfig) error {
 		defer func() { stop(); wg.Wait() }()
 	}
 
-	if sc.instance == "" {
+	if sc.Instance == "" {
 		<-ctx.Done()
 		logf("propaned: interrupted; draining")
 		return nil
@@ -308,8 +355,8 @@ func runServe(out io.Writer, logf func(string, ...any), sc serveConfig) error {
 	// Submit-and-tail: the legacy single-campaign UX on top of the
 	// service path.
 	info, err := svc.Submit("", service.SubmitRequest{
-		Instance: sc.instance, Tier: sc.tier, RunBudgetSteps: sc.runBudget,
-		Adaptive: sc.adaptive, CIEpsilon: sc.ciEpsilon,
+		Instance: sc.Instance, Tier: string(sc.Tier), RunBudgetSteps: sc.RunBudget,
+		Adaptive: sc.Adaptive.String(), CIEpsilon: sc.CIEpsilon,
 	})
 	if err != nil {
 		return err
@@ -341,10 +388,7 @@ func runServe(out io.Writer, logf func(string, ...any), sc serveConfig) error {
 	if !ok {
 		return fmt.Errorf("campaign %s finished without a result", info.ID)
 	}
-	m := rr.Metrics
-	fmt.Fprintf(out, "campaign %s/%s assembled: %d runs, %d traps unfired\n",
-		m.Instance, m.Tier, m.ReplayedRuns+m.ExecutedRuns, m.Unfired)
-	fmt.Fprintf(out, "%d system failures in %d equivalence classes\n", m.SystemFailures, m.UniqueFailures)
-	fmt.Fprintf(out, "artifacts in %s; report ref campaign/%s/report.md in %s\n", rr.Dir, info.ID, sc.storeDir)
+	cli.Summary(out, rr.Metrics, rr.Dir)
+	fmt.Fprintf(out, "report ref campaign/%s/report.md in %s\n", info.ID, sc.storeDir)
 	return nil
 }

@@ -1,10 +1,15 @@
 package main
 
 import (
+	"net"
+	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"propane/internal/distrib"
+	"propane/internal/runner"
 )
 
 // TestLoopbackCampaign drives the full distributed path through the
@@ -31,5 +36,90 @@ func TestNoInstance(t *testing.T) {
 	var out strings.Builder
 	if err := run(nil, &out); err == nil {
 		t.Fatal("propaned ran without -instance")
+	}
+}
+
+// TestRunWorkerMode joins a live coordinator as a fleet worker and
+// processes the whole campaign through the CLI entry point.
+func TestRunWorkerMode(t *testing.T) {
+	dir := t.TempDir()
+	coord, err := distrib.NewCoordinator(distrib.Config{
+		Instance: "reduced",
+		Tier:     runner.TierQuick,
+		Dir:      filepath.Join(dir, "coord"),
+		Units:    2,
+		Logf:     t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := &http.Server{Handler: coord.Handler()}
+	go srv.Serve(l)
+	defer srv.Close()
+
+	var out strings.Builder
+	args := []string{"-worker", "http://" + l.Addr().String(),
+		"-dir", filepath.Join(dir, "scratch"), "-worker-name", "cli-w1"}
+	if err := run(args, &out); err != nil {
+		t.Fatalf("%v\noutput:\n%s", err, out.String())
+	}
+	select {
+	case <-coord.Done():
+	default:
+		t.Fatal("worker exited but the campaign is not complete")
+	}
+	if _, err := coord.Assemble(); err != nil {
+		t.Fatal(err)
+	}
+
+	// -worker without a scratch root must refuse.
+	if err := run([]string{"-worker", "http://127.0.0.1:1"}, &out); err == nil {
+		t.Error("-worker without -dir accepted")
+	}
+}
+
+// TestRunRefusesIgnoredFlags: each mode refuses a flag it would
+// otherwise silently ignore, before it listens, connects or runs
+// anything.
+func TestRunRefusesIgnoredFlags(t *testing.T) {
+	const coord = "a network coordinator"
+	worker := []string{"-worker", "http://127.0.0.1:1", "-dir", t.TempDir()}
+	for _, tc := range []struct {
+		mode, flag string
+		args       []string
+	}{
+		{coord, "workers", []string{"-instance", "reduced", "-workers", "2"}},
+		{coord, "chaos", []string{"-instance", "reduced", "-chaos", "seed=7,rate=0.2"}},
+		{coord, "store-dir", []string{"-instance", "reduced", "-store-dir", t.TempDir()}},
+		{coord, "gc-interval", []string{"-instance", "reduced", "-gc-interval", "1m"}},
+		{coord, "quota-queued", []string{"-instance", "reduced", "-quota-queued", "1"}},
+		{coord, "quota-active", []string{"-instance", "reduced", "-quota-active", "1"}},
+		{coord, "quota-jobs", []string{"-instance", "reduced", "-quota-jobs", "1"}},
+		{coord, "worker-name", []string{"-instance", "reduced", "-worker-name", "w"}},
+		{"-loopback", "listen", []string{"-instance", "reduced", "-loopback", "2", "-listen", "127.0.0.1:0"}},
+		{"-loopback", "store-dir", []string{"-instance", "reduced", "-loopback", "2", "-store-dir", t.TempDir()}},
+		{"-serve", "workers", []string{"-serve", "-workers", "2"}},
+		{"-serve", "chaos", []string{"-serve", "-chaos", "seed=7,rate=0.2"}},
+		{"-serve", "tier", []string{"-serve", "-tier", "full"}},
+		{"-worker", "units", append(worker, "-units", "4")},
+		{"-worker", "lease", append(worker, "-lease", "1s")},
+		{"-worker", "pull", append(worker, "-pull")},
+		{"-worker", "listen", append(worker, "-listen", "127.0.0.1:0")},
+		{"-worker", "instance", append(worker, "-instance", "reduced")},
+		{"-worker", "resume", append(worker, "-resume")},
+		{"-worker", "loopback", append(worker, "-loopback", "2")},
+		{"-worker", "serve", append(worker, "-serve")},
+	} {
+		t.Run(strings.TrimPrefix(tc.mode, "-")+"/"+tc.flag, func(t *testing.T) {
+			var out strings.Builder
+			err := run(tc.args, &out)
+			if want := "-" + tc.flag + " does not apply to " + tc.mode; err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("run(%v) = %v, want %q", tc.args, err, want)
+			}
+		})
 	}
 }

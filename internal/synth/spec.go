@@ -43,7 +43,7 @@ const MaxSignalWidth = 16
 type Spec struct {
 	// Name becomes the target/registry instance name.
 	Name string `json:"name"`
-	// Description is shown by campaignrunner -list.
+	// Description is shown by propane -list.
 	Description string `json:"description,omitempty"`
 	// Slots is the kernel slot count (default 1).
 	Slots int `json:"slots,omitempty"`
