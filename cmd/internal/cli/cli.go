@@ -79,7 +79,7 @@ func Summary(out io.Writer, m runner.Metrics, dir string) {
 		fmt.Fprintf(out, "equivalence pruning: %d pruned, %d memoized, %d converged (outcomes retained in all estimates)\n",
 			m.PrunedRuns, m.MemoizedRuns, m.ConvergedRuns)
 	}
-	if m.ExecutedRuns > 0 {
+	if m.RunsPerSecond > 0 {
 		fmt.Fprintf(out, "%.0f runs/s over %d workers (%.0f%% utilisation)\n",
 			m.RunsPerSecond, m.Workers, 100*m.WorkerUtilization)
 	}

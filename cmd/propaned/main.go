@@ -1,7 +1,7 @@
 // Command propaned is the distributed campaign coordinator and its
 // fleet agent: it decomposes a registry instance into lease-bounded
 // work units, serves them over HTTP to propaned -worker agents,
-// journals the records they stream back, and — once every unit is
+// journals the records they upload, and — once every unit is
 // complete — assembles the final report, bit-identical to a
 // single-node propane run.
 //
@@ -20,22 +20,20 @@
 // and may come and go freely: a worker silent past the lease TTL is
 // presumed dead and its unit is reassigned, fast-forwarded past
 // every record already received. Workers journal their records
-// locally and normally complete a unit with a digest alone; the
-// coordinator pulls the full record set lazily — on digest mismatch,
-// when the final report needs it, or always under -pull. Killing and
-// restarting propaned itself with -resume restores its state from
-// the journals under -dir. The HTTP API also serves /status and
-// /metrics JSON for dashboards.
+// locally while a unit runs, then upload them in batches and complete
+// the unit once. Killing and restarting propaned itself with -resume
+// restores its state from the journals under -dir. The HTTP API also
+// serves /status and /metrics JSON for dashboards.
 //
 // # Worker mode
 //
 // With -worker, the process joins a coordinator's fleet instead: it
 // leases work units, executes them through the same supervised local
-// path as propane under -dir (the scratch root), and streams the
-// journal records back until the coordinator reports the campaign
-// complete. -worker-name keeps its fleet identity stable across
-// restarts, so a restarted worker resumes its unit from the local
-// journal. -chaos wraps the worker's HTTP client in the
+// path as propane under -dir (the scratch root), and uploads each
+// unit's records when the unit finishes, until the coordinator
+// reports the campaign complete. -worker-name keeps its fleet
+// identity stable across restarts, so a restarted worker resumes its
+// unit from the local journal. -chaos wraps the worker's HTTP client in the
 // internal/chaos fault injector, and -store-dir serves identical
 // injection runs across campaigns from a persistent memo store.
 //
@@ -130,7 +128,6 @@ func run(args []string, out io.Writer) error {
 	units := fs.Int("units", 0, "initial carve granularity: the first work units are sized as if the campaign split this many ways (0 = one unit per 32 runs, at most 8); later units are cost-sized on demand")
 	listen := fs.String("listen", "127.0.0.1:8080", "address to serve the coordinator API on")
 	lease := fs.Duration("lease", 0, "lease TTL: a worker silent this long is presumed dead and its unit reassigned (0 = default 30s)")
-	pull := fs.Bool("pull", false, "always pull full record sets from workers instead of accepting digest-only completion")
 	loopback := fs.Int("loopback", 0, "run this many in-process workers on an ephemeral listener instead of serving a network fleet")
 	chaosSpec := fs.String("chaos", "", "inject seeded faults into the workers' coordinator RPCs, e.g. seed=7,rate=0.2 (see internal/chaos; -loopback or -worker mode)")
 	workerURL := fs.String("worker", "", "join the fleet of the coordinator at this URL instead of coordinating; -dir becomes the local scratch root")
@@ -175,7 +172,7 @@ func run(args []string, out io.Writer) error {
 		return runServe(out, logf, serveConfig{
 			Campaign: c, storeDir: *storeDir, listen: *listen, loopback: *loopback, chaos: cs,
 			opts: service.Options{
-				Dir: c.Dir, Resume: c.Resume, Units: *units, LeaseTTL: *lease, Pull: *pull,
+				Dir: c.Dir, Resume: c.Resume, Units: *units, LeaseTTL: *lease,
 				GCInterval: *gcInterval, Logf: logf,
 				Quotas: service.Quotas{MaxQueued: *quotaQueued, MaxActive: *quotaActive, MaxJobs: *quotaJobs},
 			},
@@ -188,7 +185,6 @@ func run(args []string, out io.Writer) error {
 		Units:          *units,
 		LeaseTTL:       *lease,
 		Resume:         c.Resume,
-		Pull:           *pull,
 		RunBudgetSteps: c.RunBudget,
 		Adaptive:       c.Adaptive,
 		CIEpsilon:      c.CIEpsilon,
@@ -231,7 +227,7 @@ func modeFlags(worker, serve, instance, loopback bool) (string, []string) {
 	if worker {
 		return "-worker", []string{"worker", "worker-name", "dir", "workers", "chaos", "store-dir"}
 	}
-	reads := []string{"dir", "resume", "units", "lease", "pull", "loopback"}
+	reads := []string{"dir", "resume", "units", "lease", "loopback"}
 	fleet := []string{"workers", "chaos"}
 	spec := []string{"instance", "tier", "run-budget", "adaptive", "ci-epsilon"}
 	switch {

@@ -107,7 +107,6 @@ func TestRunRefusesIgnoredFlags(t *testing.T) {
 		{"-serve", "tier", []string{"-serve", "-tier", "full"}},
 		{"-worker", "units", append(worker, "-units", "4")},
 		{"-worker", "lease", append(worker, "-lease", "1s")},
-		{"-worker", "pull", append(worker, "-pull")},
 		{"-worker", "listen", append(worker, "-listen", "127.0.0.1:0")},
 		{"-worker", "instance", append(worker, "-instance", "reduced")},
 		{"-worker", "resume", append(worker, "-resume")},

@@ -67,7 +67,10 @@ func copyDir(t *testing.T, src string) string {
 	return dst
 }
 
-// countersOf reads metrics.json without its wall-clock fields.
+// countersOf reads metrics.json without its wall-clock fields and
+// without the executed/replayed split, which records where the runs
+// came from: workers for a live assembly, the journal for a resumed
+// one.
 func countersOf(t *testing.T, dir string) map[string]any {
 	t.Helper()
 	data, err := os.ReadFile(filepath.Join(dir, "metrics.json"))
@@ -78,7 +81,8 @@ func countersOf(t *testing.T, dir string) map[string]any {
 	if err := json.Unmarshal(data, &m); err != nil {
 		t.Fatal(err)
 	}
-	for _, k := range []string{"elapsed_seconds", "runs_per_second", "eta_seconds", "mean_run_ms", "worker_utilization"} {
+	for _, k := range []string{"elapsed_seconds", "runs_per_second", "eta_seconds", "mean_run_ms", "worker_utilization",
+		"executed_runs", "replayed_runs"} {
 		delete(m, k)
 	}
 	return m
@@ -143,6 +147,13 @@ func TestAssembleLiveMatchesResumed(t *testing.T) {
 			coldRR, err := resumed.Assemble()
 			if err != nil {
 				t.Fatal(err)
+			}
+			runs := coord.Metrics().DoneRuns
+			if m := live.Metrics; m.ExecutedRuns != runs || m.ReplayedRuns != 0 {
+				t.Errorf("live assembly counts %d executed, %d replayed runs, want %d/0", m.ExecutedRuns, m.ReplayedRuns, runs)
+			}
+			if m := coldRR.Metrics; m.ExecutedRuns != 0 || m.ReplayedRuns != runs {
+				t.Errorf("resumed assembly counts %d executed, %d replayed runs, want 0/%d", m.ExecutedRuns, m.ReplayedRuns, runs)
 			}
 
 			if !reflect.DeepEqual(live.Result, coldRR.Result) {

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"net/http"
+	"os"
 	"path/filepath"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -126,71 +128,13 @@ func TestDecodeHostileFrames(t *testing.T) {
 	}
 }
 
-// TestPullModeReuploads pins Config.Pull's distinct branch: with the
-// coordinator already holding a unit's full record set, a completion
-// is still answered NeedRecords — the records re-upload
-// and re-verify record by record — and only the post-upload
-// completion settles the unit.
-func TestPullModeReuploads(t *testing.T) {
-	dir := t.TempDir()
-	coord, err := NewCoordinator(Config{
-		Instance: "reduced",
-		Tier:     runner.TierQuick,
-		Dir:      dir,
-		Units:    2,
-		Pull:     true,
-		Logf:     t.Logf,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
-	url, srv := serveCoordinator(t, coord)
-	defer srv.Close()
-
-	lr, recs := leaseAndCollect(t, url, filepath.Join(dir, "scratch"))
-	w := &worker{base: url, opts: WorkerOptions{Name: "puller", Logf: t.Logf}, ctx: t.Context(),
-		client: &http.Client{Timeout: 10 * time.Second}}
-	var br BatchResponse
-	frame := recordFrame(t, lr.LeaseID, recs)
-	if err := w.send(PathRecords, ContentTypeBinary, frame, &br); err != nil {
-		t.Fatal(err)
-	}
-	if !br.UnitDone {
-		t.Fatalf("uploaded the full unit but UnitDone=false (accepted %d)", br.Accepted)
-	}
-	// The coordinator is fully covered, the digest matches — Pull must
-	// still demand the upload.
-	creq := CompleteRequest{LeaseID: lr.LeaseID, Runs: len(recs), Digest: runner.RecordSetDigest(recs)}
-	var cr CompleteResponse
-	if err := w.post(PathComplete, creq, &cr); err != nil {
-		t.Fatal(err)
-	}
-	if !cr.NeedRecords {
-		t.Fatal("Pull coordinator settled a covered unit without demanding the upload")
-	}
-	if err := w.send(PathRecords, ContentTypeBinary, frame, &br); err != nil {
-		t.Fatalf("re-upload under Pull rejected: %v", err)
-	}
-	creq.Uploaded = true
-	var cr2 CompleteResponse
-	if err := w.post(PathComplete, creq, &cr2); err != nil {
-		t.Fatal(err)
-	}
-	if cr2.NeedRecords {
-		t.Error("coordinator still demands records after the forced re-upload")
-	}
-	st := coord.Status()
-	if st.UnitsDetail[lr.Unit.Unit].State != "done" {
-		t.Errorf("unit state %q after pull-verified completion, want done", st.UnitsDetail[lr.Unit.Unit].State)
-	}
-}
-
-// TestDigestMismatchRejected pins the no-transfer settle's
-// cross-check: a completion whose record-set digest contradicts
-// the journaled set is refused with 409, because it means the two
-// sides simulated different outcomes.
-func TestDigestMismatchRejected(t *testing.T) {
+// TestConflictingUploadRejected pins the per-record cross-check: a
+// record the coordinator already holds, uploaded again under another
+// lease with one field changed, is refused with 409 and
+// ErrConflictingRecords, because it means two workers simulated
+// different outcomes for the same job. Nothing journals and no run is
+// counted.
+func TestConflictingUploadRejected(t *testing.T) {
 	dir := t.TempDir()
 	coord, err := NewCoordinator(Config{
 		Instance: "reduced",
@@ -213,19 +157,34 @@ func TestDigestMismatchRejected(t *testing.T) {
 	if err := w.send(PathRecords, ContentTypeBinary, recordFrame(t, lr.LeaseID, recs), &br); err != nil {
 		t.Fatal(err)
 	}
-	var cr CompleteResponse
-	err = w.post(PathComplete, CompleteRequest{
-		LeaseID: lr.LeaseID, Runs: len(recs),
-		Digest: "0000000000000000000000000000000000000000000000000000000000000000",
-	}, &cr)
-	if !leaseLost(err) {
-		t.Fatalf("contradicting digest answered %v, want a 409 conflict", err)
+	if !br.UnitDone {
+		t.Fatalf("uploaded the full unit but UnitDone=false (accepted %d)", br.Accepted)
 	}
-	// The truthful digest then settles the same covered unit.
-	if err := w.post(PathComplete, CompleteRequest{
-		LeaseID: lr.LeaseID, Runs: len(recs), Digest: runner.RecordSetDigest(recs),
-	}, &cr); err != nil {
-		t.Fatalf("truthful completion rejected after the mismatched one: %v", err)
+	journal, err := os.ReadFile(runner.JournalPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	received := coord.Metrics().ReceivedRuns
+
+	var second LeaseResponse
+	if err := w.post(PathLease, LeaseRequest{Worker: w.opts.Name}, &second); err != nil {
+		t.Fatal(err)
+	}
+	if second.Status != StatusUnit || second.LeaseID == lr.LeaseID {
+		t.Fatalf("second lease %+v, want a unit under a new lease", second)
+	}
+	changed := recs[0]
+	changed.FiredAtMs++
+	err = w.send(PathRecords, ContentTypeBinary, recordFrame(t, second.LeaseID, []runner.Record{changed}), &br)
+	var se *httpStatusError
+	if !errors.As(err, &se) || se.status != http.StatusConflict || !strings.Contains(se.msg, runner.ErrConflictingRecords.Error()) {
+		t.Fatalf("conflicting upload answered %v, want 409 naming %q", err, runner.ErrConflictingRecords)
+	}
+	if got, err := os.ReadFile(runner.JournalPath(dir)); err != nil || !bytes.Equal(got, journal) {
+		t.Errorf("journal changed after a rejected conflicting upload (err %v)", err)
+	}
+	if got := coord.Metrics().ReceivedRuns; got != received {
+		t.Errorf("coordinator received %d runs after the rejected upload, want %d", got, received)
 	}
 }
 

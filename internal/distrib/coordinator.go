@@ -54,12 +54,6 @@ type Config struct {
 	// the resumed coordinator claims fresh units from the jobs its
 	// record journal lacks.
 	Resume bool
-	// Pull forces a full record upload for every unit, even when the
-	// coordinator already holds the unit's records and the offered
-	// digest matches — cross-verification at transfer cost. The
-	// default pulls lazily: records upload once per unit, after the
-	// digest-only completion.
-	Pull bool
 	// RunBudgetSteps arms the per-run watchdog fleet-wide; it is part
 	// of the config digest, so workers apply the value carried in
 	// their work unit.
@@ -224,8 +218,8 @@ type workerState struct {
 }
 
 // Coordinator carves a campaign into lease-bounded work units,
-// collects the units' record sets (bulk-uploaded after digest-only
-// completions, or streamed), and reassembles the result. All HTTP
+// collects the units' record sets (uploaded in batches before each
+// unit's completion), and reassembles the result. All HTTP
 // handlers and accessors are safe for concurrent use.
 type Coordinator struct {
 	cfg Config
@@ -612,20 +606,28 @@ func (c *Coordinator) sweepLocked(now time.Time) {
 		}
 		c.cfg.Logf("distrib: lease %s (unit %d, worker %s) expired — reassigning with %d/%d runs already journaled",
 			u.leaseID, u.id, u.worker, u.done, len(u.jobs))
-		delete(c.byLease, u.leaseID)
-		c.logAssignLocked(assignEvent{Type: "expire", Unit: u.id, Worker: u.worker, Lease: u.leaseID})
-		if ws := c.workers[u.worker]; ws != nil && ws.unit == u.id {
-			ws.unit = -1
-		}
-		u.state = unitPending
-		u.leaseID = ""
-		u.worker = ""
-		u.reported = 0
+		c.releaseLocked(u)
 		expired = true
 	}
 	if expired {
 		c.wakeLocked()
 	}
+}
+
+// releaseLocked ends a unit's lease — expired, or revoked on a
+// completion that left gaps — and returns the unit to the pending pool
+// with all received records retained. The caller wakes parked lease
+// requests.
+func (c *Coordinator) releaseLocked(u *unit) {
+	delete(c.byLease, u.leaseID)
+	c.logAssignLocked(assignEvent{Type: "expire", Unit: u.id, Worker: u.worker, Lease: u.leaseID})
+	if ws := c.workers[u.worker]; ws != nil && ws.unit == u.id {
+		ws.unit = -1
+	}
+	u.state = unitPending
+	u.leaseID = ""
+	u.worker = ""
+	u.reported = 0
 }
 
 // nextExpiryLocked returns the earliest live-lease expiry, so an idle
@@ -929,8 +931,8 @@ func (c *Coordinator) leaseLocked(id string, now time.Time) (*unit, error) {
 	return u, nil
 }
 
-// handleRecords ingests one record batch — the bulk upload after a
-// digest-only completion — renewing the lease. Validation is
+// handleRecords ingests one record batch — the bulk upload before a
+// unit's completion — renewing the lease. Validation is
 // two-pass: the whole batch is checked before anything is journaled,
 // so a hostile or wire-damaged batch can never partially journal (the
 // all-or-nothing guarantee FuzzProtocol asserts). The fresh records
@@ -1110,15 +1112,12 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, HeartbeatResponse{TTLMs: c.cfg.LeaseTTL.Milliseconds()})
 }
 
-// handleComplete finishes a unit from the worker's side. Units settle
-// coordinator-side the moment their last record is journaled (ingest
-// or resume), so completion is about what the coordinator does NOT
-// yet hold: a completion against an unsettled unit is answered
-// NeedRecords — the lazy pull — and against a settled unit it
-// cross-checks the offered record-set digest (and, under Config.Pull,
-// demands the upload anyway for per-record cross-verification). A
-// post-upload completion that still finds gaps revokes the lease so
-// the gap re-executes elsewhere.
+// handleComplete finishes a unit from the worker's side, after its
+// records uploaded. Units settle coordinator-side the moment their last
+// record is journaled, so a completion against a settled unit is
+// acknowledged, and one against a unit that still has gaps revokes the
+// lease: the worker cannot help further, and the gap re-executes
+// elsewhere.
 func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	var req CompleteRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
@@ -1136,79 +1135,20 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusConflict, "%v", err)
 		return
 	}
-	c.touchWorkerLocked(u.worker, now)
-	if !req.Uploaded {
-		// The first (pre-upload) completion carries the unit's
-		// measured cost; the post-upload retry would double-count it.
-		c.observeCostLocked(req.WallMs, req.Runs)
-		if len(req.Outcomes) > 0 {
-			c.cfg.Logf("distrib: worker %s reports unit %d done: %d runs, outcomes %v, pruned %d, memoized %d, converged %d (%d ms)",
-				u.worker, u.id, req.Runs, req.Outcomes, req.Pruned, req.Memoized, req.Converged, req.WallMs)
-		}
-	}
-	switch {
-	case u.state == unitDone:
-		if !req.Uploaded {
-			// Under Config.Pull the records upload even though the
-			// unit is settled: every record arrives as a duplicate and
-			// is verified against the journaled copy — per-record
-			// cross-verification at transfer cost, for when digests
-			// are not trusted.
-			if c.cfg.Pull {
-				writeJSON(w, CompleteResponse{NeedRecords: true})
-				return
-			}
-			// Cross-check the offered digest: a mismatch means the
-			// worker simulated different outcomes than the set already
-			// journaled — nondeterminism or version skew that
-			// per-record content keys never got to compare, because
-			// this worker's records never transferred.
-			if req.Digest != "" {
-				if own := c.recordSetDigestLocked(u); own != req.Digest {
-					httpError(w, http.StatusConflict,
-						"unit %d record-set digest %s does not match the journaled set's %s: %v",
-						u.id, req.Digest, own, runner.ErrConflictingRecords)
-					return
-				}
-			}
-		}
-	case !req.Uploaded:
-		// The lazy pull: the worker holds records the coordinator
-		// lacks — ask for the upload, keep the lease alive. (The
-		// upload's last batch settles the unit at ingest; the
-		// post-upload completion lands in the settled case above.)
-		u.expires = now.Add(c.cfg.LeaseTTL)
-		writeJSON(w, CompleteResponse{NeedRecords: true})
-		return
-	default:
-		// A post-upload completion that still left gaps (the worker's
-		// set was partial): the worker cannot help further — revoke so
-		// the gap re-executes elsewhere.
+	ws := c.touchWorkerLocked(u.worker, now)
+	c.observeCostLocked(req.WallMs, req.Runs)
+	if u.state != unitDone {
 		c.cfg.Logf("distrib: worker %s reported unit %d complete with %d/%d runs journaled — revoking lease",
 			u.worker, u.id, u.done, len(u.jobs))
-		delete(c.byLease, u.leaseID)
-		c.logAssignLocked(assignEvent{Type: "expire", Unit: u.id, Worker: u.worker, Lease: u.leaseID})
-		u.state = unitPending
-		u.leaseID = ""
-		u.worker = ""
-		u.reported = 0
+		c.releaseLocked(u)
 		c.wakeLocked()
 		httpError(w, http.StatusConflict, "unit %d has %d of %d runs journaled — lease revoked", u.id, u.done, len(u.jobs))
 		return
 	}
+	c.cfg.Logf("distrib: worker %s completed unit %d (%d runs, %d ms); its outcomes so far %v; fleet pruned %d, memoized %d, converged %d",
+		u.worker, u.id, req.Runs, req.WallMs, ws.outcomes, c.prunedRuns, c.memoizedRuns, c.convergedRuns)
 	c.hitCrashLocked(CrashPreCompleteAck)
 	writeJSON(w, CompleteResponse{CampaignDone: c.complete})
-}
-
-// recordSetDigestLocked computes the canonical digest of a unit's
-// journaled record set (only called with the unit fully covered; the
-// no-transfer settle path).
-func (c *Coordinator) recordSetDigestLocked(u *unit) string {
-	recs := make([]runner.Record, 0, len(u.jobs))
-	for _, job := range u.jobs {
-		recs = append(recs, c.seen[job])
-	}
-	return runner.RecordSetDigest(recs)
 }
 
 // UnitStatus is the /status view of one work unit.
@@ -1273,8 +1213,8 @@ type Metrics struct {
 	ResumedRuns    int     `json:"resumed_runs"`
 	ReceivedRuns   int     `json:"received_runs"`
 	// ReportedRuns sums the live leases' worker-reported progress —
-	// work done but not yet uploaded (digest-only completion keeps
-	// records worker-side until the unit finishes).
+	// work done but not yet uploaded (records stay worker-side until
+	// the unit has finished executing).
 	ReportedRuns int `json:"reported_runs,omitempty"`
 	// MsPerRun is the cost model's current estimate (0 until the
 	// first unit completes).
@@ -1604,7 +1544,8 @@ func (c *Coordinator) Close() error {
 // planner that observed them, into the final campaign result —
 // bit-identical to a single-node run — and writes the closing
 // artifacts (config.json, metrics.json, failures.md, report.md). It
-// reads no journal. A successful assembly releases the prepared
+// reads no journal. Runs received from workers count as executed, runs
+// restored from the journals at resume as replayed. A successful assembly releases the prepared
 // campaign, so a finished coordinator that a service keeps routing to
 // holds no golden traces; assembling again is an error.
 func (c *Coordinator) Assemble() (*runner.RunResult, error) {
@@ -1625,12 +1566,12 @@ func (c *Coordinator) Assemble() (*runner.RunResult, error) {
 		if p == nil {
 			return nil, errors.New("distrib: campaign already assembled")
 		}
-		return p.Assemble(c.seen, c.planner, opts)
+		return p.Assemble(c.seen, c.planner, c.resumed, opts)
 	}
 	// Complete: every claimed job has settled, so no upload can add a
 	// record and the set and planner are frozen.
 	c.mu.Unlock()
-	rr, err := p.Assemble(c.seen, c.planner, opts)
+	rr, err := p.Assemble(c.seen, c.planner, c.resumed, opts)
 	if err == nil {
 		c.mu.Lock()
 		c.prepared = nil

@@ -34,6 +34,7 @@ var (
 	baselineMatrix  string
 	baselineRuns    int
 	baselineUnfired int
+	baselineDigest  string // RecordSetDigest of the run's journal
 	baselineErr     error
 )
 
@@ -52,6 +53,12 @@ func baseline(t *testing.T) (string, int, int) {
 			return
 		}
 		baselineMatrix, baselineRuns, baselineUnfired = fingerprint(rr)
+		_, recs, err := runner.ReadJournal(runner.JournalPath(dir))
+		if err != nil {
+			baselineErr = err
+			return
+		}
+		baselineDigest = runner.RecordSetDigest(recs)
 	})
 	if baselineErr != nil {
 		t.Fatal(baselineErr)
@@ -112,6 +119,69 @@ func TestLoopbackMatchesDirect(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertMatchesBaseline(t, rr)
+}
+
+// TestUnitCompletesOnce pins the one finish path: a worker uploads a
+// unit's records and then completes it with exactly one /v1/complete,
+// and the coordinator journals the single-node run's record set.
+func TestUnitCompletesOnce(t *testing.T) {
+	dir := t.TempDir()
+	coord, err := NewCoordinator(Config{
+		Instance: "reduced",
+		Tier:     runner.TierQuick,
+		Dir:      dir,
+		Units:    4,
+		Logf:     t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	var completes atomic.Int64
+	h := coord.Handler()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == PathComplete {
+			completes.Add(1)
+		}
+		h.ServeHTTP(w, r)
+	}))
+	go srv.Serve(l)
+	defer srv.Close()
+	url := "http://" + l.Addr().String()
+
+	errs := make(chan error, 2)
+	for _, name := range []string{"a1", "a2"} {
+		go func() {
+			errs <- RunWorker(url, WorkerOptions{
+				Name: name, Dir: filepath.Join(dir, "scratch", name),
+				BatchSize: 16, PollInterval: 50 * time.Millisecond, Logf: t.Logf,
+			})
+		}()
+	}
+	for range 2 {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	rr, err := coord.Assemble()
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertMatchesBaseline(t, rr)
+	if units, got := len(coord.Status().UnitsDetail), completes.Load(); got != int64(units) {
+		t.Errorf("%d /v1/complete calls for %d units, want one per unit", got, units)
+	}
+	_, recs, err := runner.ReadJournal(runner.JournalPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if runner.RecordSetDigest(recs) != baselineDigest {
+		t.Error("coordinator journal's record set differs from the single-node run's")
+	}
 }
 
 // runPartialWorker drives the real wire protocol by hand: lease a
@@ -425,6 +495,10 @@ func TestCoordinatorCrashRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertMatchesBaseline(t, rr)
+	if rr.Metrics.ReplayedRuns != streamed || rr.Metrics.ExecutedRuns != m.TotalRuns-streamed {
+		t.Errorf("assembly counts %d replayed, %d executed runs, want %d resumed and %d received",
+			rr.Metrics.ReplayedRuns, rr.Metrics.ExecutedRuns, streamed, m.TotalRuns-streamed)
+	}
 }
 
 // TestPaperCampaignLoopback is the acceptance run at production

@@ -5,15 +5,14 @@
 // measured per-run cost once the first units complete — and hands them
 // to worker agents under time-bounded leases. Workers execute their
 // unit through the existing supervised, checkpointed, journaled runner
-// path locally, heartbeat progress while simulating, and finish with a
-// digest-only completion: the unit's record-set digest plus
-// outcome/prune counters. The coordinator pulls the full records lazily — when it
-// does not already hold them (the steady state: one bulk upload per
-// unit, binary-framed and journaled with batched writes), on a digest
-// mismatch, or always under Config.Pull — so the coordinator is off
-// the hot path while units execute. When the record set covers the
-// whole job space, the journal reassembles — via (*runner.Prepared).Assemble —
-// into a result bit-identical to a single-node run.
+// path locally, heartbeat progress while simulating, and finish each
+// unit one way: upload its records (binary-framed, journaled by the
+// coordinator with batched writes), then post one completion. The
+// coordinator is off the hot path while units execute; it settles a
+// unit the moment its last record is journaled. When the record set
+// covers the whole job space, the journal reassembles — via
+// (*runner.Prepared).Assemble — into a result bit-identical to a
+// single-node run.
 //
 // Endpoints:
 //
@@ -156,7 +155,7 @@ type WorkUnit struct {
 	// folded into its digest; the worker must apply the same value.
 	RunBudgetSteps int64 `json:"run_budget_steps,omitempty"`
 	// DoneJobs lists the unit's job indices the coordinator already
-	// holds (uploaded or streamed by a previous lease holder). The
+	// holds (uploaded by a previous lease holder). The
 	// worker neither executes nor uploads them, so a reassigned unit
 	// fast-forwards.
 	DoneJobs []int `json:"done_jobs,omitempty"`
@@ -189,8 +188,7 @@ type LeaseResponse struct {
 }
 
 // RecordBatch uploads completed runs to the coordinator — the bulk
-// upload after a digest-only completion answered NeedRecords. Batches
-// may overlap previous deliveries (worker restart, reassigned lease):
+// upload that precedes a unit's completion. Batches may overlap previous deliveries (worker restart, reassigned lease):
 // records are content-keyed by job index, so duplicates are verified
 // idempotent and conflicting content is rejected.
 type RecordBatch struct {
@@ -214,7 +212,7 @@ type HeartbeatRequest struct {
 	// Done reports the worker's local progress (records journaled so
 	// far for this unit). Purely observational — /status, /metrics and
 	// ETA estimates — since the records themselves stay on the worker
-	// until the unit completes.
+	// until the unit has finished executing.
 	Done int `json:"done,omitempty"`
 }
 
@@ -223,38 +221,17 @@ type HeartbeatResponse struct {
 	TTLMs int64 `json:"ttl_ms"`
 }
 
-// CompleteRequest reports a unit finished from the worker's side with
-// the digest-only completion fields: the coordinator settles the unit
-// without any record transfer when it already holds the records
-// (reassignment races, resume), and answers NeedRecords to pull the
-// full set otherwise. A bare {LeaseID} gets the same treatment.
+// CompleteRequest reports a unit finished from the worker's side,
+// after its records uploaded. The coordinator acknowledges it when the
+// unit has settled and revokes the lease when the unit still has gaps.
 type CompleteRequest struct {
 	LeaseID string `json:"lease_id"`
 	// Runs is how many records the worker holds locally for the unit.
 	Runs int `json:"runs,omitempty"`
-	// Digest is runner.RecordSetDigest over those records. Empty when
-	// the worker's set is partial (the unit carried DoneJobs, so the
-	// full set is split between worker and coordinator) — the
-	// coordinator then relies on per-record content keying alone.
-	Digest string `json:"digest,omitempty"`
 	// WallMs is the unit's wall-clock execution time — the
 	// coordinator's cost model divides it by Runs to size future
 	// units.
 	WallMs int64 `json:"wall_ms,omitempty"`
-	// Outcome and prune counters, aggregated worker-side so the
-	// coordinator's dashboards stay live without the records.
-	Outcomes map[string]int `json:"outcomes,omitempty"`
-	Pruned   int            `json:"pruned,omitempty"`
-	Memoized int            `json:"memoized,omitempty"`
-	// StoreMemo is the subset of Memoized served from a persistent
-	// memo store (cross-campaign reuse); also counted in Memoized.
-	StoreMemo int `json:"store_memo,omitempty"`
-	Converged int `json:"converged,omitempty"`
-	// Uploaded marks the retry after a NeedRecords round-trip. It also
-	// changes the request body, and with it the idempotency key — the
-	// pre-upload completion's stored NeedRecords reply must not replay
-	// for the post-upload completion.
-	Uploaded bool `json:"uploaded,omitempty"`
 }
 
 // CompleteResponse acknowledges completion.
@@ -262,12 +239,6 @@ type CompleteResponse struct {
 	// CampaignDone is true when the whole job space is journaled — the
 	// worker's next lease request would answer StatusDone.
 	CampaignDone bool `json:"campaign_done"`
-	// NeedRecords asks the worker to upload the unit's full record set
-	// (via /v1/records) and then complete again: the lazy pull. Set
-	// when the coordinator is missing records for the unit, when the
-	// offered digest does not match the coordinator's own, and always
-	// under Config.Pull.
-	NeedRecords bool `json:"need_records,omitempty"`
 }
 
 // errorResponse is the JSON body of every non-2xx reply. Code, when

@@ -441,35 +441,13 @@ func pendingJobs(jobs, done []int) []int {
 // not).
 const liveAttempts = 3
 
-// unitOutcome aggregates a record set for the digest-only completion.
-func unitOutcome(recs []runner.Record) (outcomes map[string]int, pruned, memoized, storeMemo, converged int) {
-	outcomes = make(map[string]int, 4)
-	for _, rec := range recs {
-		outcomes[rec.Outcome]++
-		switch rec.Pruned {
-		case campaign.PrunedNoOp, campaign.PrunedUnfired:
-			pruned++
-		case campaign.PrunedMemoized:
-			memoized++
-		case campaign.PrunedMemoStore:
-			memoized++
-			storeMemo++
-		case campaign.PrunedConverged:
-			converged++
-		}
-	}
-	return outcomes, pruned, memoized, storeMemo, converged
-}
-
 // runUnit executes one leased work unit through the local supervised
 // runner — journaled, checkpointed and resumable in the unit's
-// scratch directory — heartbeating progress while it simulates, and
-// finishes with a digest-only completion. Only when the coordinator
-// answers NeedRecords (the steady state: it holds nothing for a
-// freshly executed unit) does the record set upload, in one bulk pass
-// of BatchSize chunks. The coordinator is therefore entirely off the
-// hot path while runs execute: no mid-run streaming, no per-record
-// coordinator journaling, just cheap heartbeats.
+// scratch directory — heartbeating progress while it simulates, then
+// uploads the unit's records in BatchSize chunks and completes once.
+// The coordinator is therefore entirely off the hot path while runs
+// execute: no mid-run streaming, no per-record coordinator
+// journaling, just cheap heartbeats.
 func (w *worker) runUnit(lr LeaseResponse) error {
 	u := lr.Unit
 	if len(u.JobList) == 0 {
@@ -580,69 +558,36 @@ func (w *worker) runUnit(lr LeaseResponse) error {
 		return nil
 	}
 
-	// Digest-only completion. The digest only describes a complete
-	// set: with DoneJobs the unit's records are split between worker
-	// and coordinator, and per-record content keying covers the
-	// upload instead.
-	outcomes, pruned, memoized, storeMemo, converged := unitOutcome(recs)
-	creq := CompleteRequest{
-		LeaseID:   lr.LeaseID,
-		Runs:      len(recs),
-		WallMs:    wallMs,
-		Outcomes:  outcomes,
-		Pruned:    pruned,
-		Memoized:  memoized,
-		StoreMemo: storeMemo,
-		Converged: converged,
-	}
-	if len(u.DoneJobs) == 0 {
-		creq.Digest = runner.RecordSetDigest(recs)
-	}
-	cr, abandon, err := w.complete(lr, creq)
-	if err != nil || abandon {
+	if abandon, err := w.uploadRecords(lr, recs, &lost); err != nil || abandon {
 		return err
 	}
-	if cr.NeedRecords {
-		if abandon, err := w.uploadRecords(lr, recs, &lost); err != nil || abandon {
-			return err
-		}
-		creq.Uploaded = true
-		cr, abandon, err = w.complete(lr, creq)
-		if err != nil || abandon {
-			return err
-		}
-		if cr.NeedRecords {
-			// The coordinator still wants records after a full upload —
-			// nothing more this worker can add. Abandon; the lease
-			// expires and the gap reassigns.
-			w.opts.Logf("distrib: worker %s: coordinator still needs records for unit %d after upload — abandoning lease",
-				w.opts.Name, u.Unit)
-			return nil
-		}
+	if abandon, err := w.complete(CompleteRequest{LeaseID: lr.LeaseID, Runs: len(recs), WallMs: wallMs}); err != nil || abandon {
+		return err
 	}
 	w.opts.Logf("distrib: worker %s: unit %d complete (%d runs, %d ms)",
 		w.opts.Name, u.Unit, len(recs), wallMs)
 	return nil
 }
 
-// complete posts one completion request. abandon reports a
-// non-fatal dead end (lease lost, coordinator unreachable past the
+// complete posts the unit's completion. abandon reports a non-fatal
+// dead end (lease lost or revoked, coordinator unreachable past the
 // retry budget): the worker drops the unit and asks for new work,
 // with the local journal retaining everything it did.
-func (w *worker) complete(lr LeaseResponse, creq CompleteRequest) (cr CompleteResponse, abandon bool, err error) {
+func (w *worker) complete(creq CompleteRequest) (abandon bool, err error) {
+	var cr CompleteResponse
 	if err := w.postRetry(PathComplete, creq, &cr, 0); err != nil {
 		if leaseLost(err) {
-			w.opts.Logf("distrib: worker %s: complete for %s rejected — unit reassigned", w.opts.Name, lr.LeaseID)
-			return cr, true, nil
+			w.opts.Logf("distrib: worker %s: complete for %s rejected (%v) — abandoning unit", w.opts.Name, creq.LeaseID, err)
+			return true, nil
 		}
 		if fatalStatus(err) || w.ctx.Err() != nil {
-			return cr, false, err
+			return false, err
 		}
 		w.opts.Logf("distrib: worker %s: complete for %s undeliverable (%v) — abandoning lease; the local journal retains the work",
-			w.opts.Name, lr.LeaseID, err)
-		return cr, true, nil
+			w.opts.Name, creq.LeaseID, err)
+		return true, nil
 	}
-	return cr, false, nil
+	return false, nil
 }
 
 // uploadRecords bulk-uploads a completed unit's record set in

@@ -44,12 +44,11 @@ type PlanInfo struct {
 
 // RecordSetDigest computes a canonical SHA-256 over a set of records:
 // sorted by job index, serialized with the Pruned and Round labels
-// cleared — exactly the fields RecordsEqual compares. Two processes holding
-// record sets that would merge without conflict produce the same
-// digest, so a distributed worker can prove its locally journaled
-// unit matches what the coordinator would have received without
-// shipping a single record (digest-only completion). The input slice
-// is not modified.
+// cleared — exactly the fields RecordsEqual compares. Two record sets
+// that would merge without conflict produce the same digest. It is a
+// reference digest for tests and benchmarks, which compare a
+// campaign's journal against a single-node run's; no protocol carries
+// it. The input slice is not modified.
 func RecordSetDigest(recs []Record) string {
 	order := make([]int, len(recs))
 	for i := range order {

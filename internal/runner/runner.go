@@ -599,8 +599,11 @@ func (p *Prepared) finalise(res *campaign.Result, l layout, trk *tracker, ddp *d
 // campaign passes the planner that observed exactly recs, which must
 // report the schedule closed; a full-matrix one passes nil and must
 // hold every job. An unfinished record set fails before anything is
-// written. Only the execution fields of opts are read.
-func (p *Prepared) Assemble(recs map[int]Record, planner *campaign.AdaptivePlanner, opts Options) (*RunResult, error) {
+// written. replayed of the records count as restored from journals
+// (Metrics.ReplayedRuns), the rest as executed for this campaign
+// (Metrics.ExecutedRuns); records carry no run time, so either way no
+// busy time accrues. Only the execution fields of opts are read.
+func (p *Prepared) Assemble(recs map[int]Record, planner *campaign.AdaptivePlanner, replayed int, opts Options) (*RunResult, error) {
 	if err := opts.normalise(); err != nil {
 		return nil, err
 	}
@@ -628,12 +631,12 @@ func (p *Prepared) Assemble(recs map[int]Record, planner *campaign.AdaptivePlann
 	}, 0, nil)
 	ddp := newDeduper(p.sys)
 	settled := make([]campaign.RunRecord, 0, len(recs))
-	for _, job := range sortedJobs(recs) {
+	for i, job := range sortedJobs(recs) {
 		rec, err := recs[job].RunRecord()
 		if err != nil {
 			return nil, err
 		}
-		trk.absorb(rec, true)
+		trk.absorb(rec, i < replayed)
 		ddp.add(job, rec)
 		settled = append(settled, rec)
 	}

@@ -121,11 +121,10 @@ type Options struct {
 	// maximum Retry-After. <= 0 select 16 and 64.
 	DelayThreshold int
 	StopThreshold  int
-	// Units, LeaseTTL, Pull and RunBudget pass through to each
-	// campaign's coordinator (see distrib.Config).
+	// Units and LeaseTTL pass through to each campaign's coordinator
+	// (see distrib.Config).
 	Units    int
 	LeaseTTL time.Duration
-	Pull     bool
 	// Resume restores service state from service.bin and each
 	// in-flight campaign's journals instead of refusing a non-empty
 	// directory.
@@ -901,7 +900,6 @@ func (s *Service) activate(cs *campaignState) {
 		Units:          s.opts.Units,
 		LeaseTTL:       s.opts.LeaseTTL,
 		Resume:         cs.resumeCoord,
-		Pull:           s.opts.Pull,
 		RunBudgetSteps: cs.RunBudgetSteps,
 		Adaptive:       mode,
 		CIEpsilon:      cs.CIEpsilon,
@@ -1008,7 +1006,8 @@ func (s *Service) serve(src *campaignState, digest string, prep *runner.Prepared
 // assembleRepeat assembles a campaign into dir from the record journal
 // of the finished campaign under srcDir, which has the same config
 // digest: the journal is copied, loaded under the header's digest
-// check, replayed into the adaptive planner and assembled.
+// check, replayed into the adaptive planner and assembled. Every run
+// counts as replayed: the repeat executes none.
 func assembleRepeat(prep *runner.Prepared, srcDir, dir string, logf func(string, ...any)) (*runner.RunResult, error) {
 	data, err := os.ReadFile(runner.JournalPath(srcDir))
 	if err != nil {
@@ -1030,7 +1029,7 @@ func assembleRepeat(prep *runner.Prepared, srcDir, dir string, logf func(string,
 			return nil, err
 		}
 	}
-	return prep.Assemble(recs, planner, runner.Options{Dir: dir, Logf: logf})
+	return prep.Assemble(recs, planner, len(recs), runner.Options{Dir: dir, Logf: logf})
 }
 
 // kickLeaseAsync is the coordinator OnWake hook. It runs with the
