@@ -79,9 +79,12 @@ func Summary(out io.Writer, m runner.Metrics, dir string) {
 		fmt.Fprintf(out, "equivalence pruning: %d pruned, %d memoized, %d converged (outcomes retained in all estimates)\n",
 			m.PrunedRuns, m.MemoizedRuns, m.ConvergedRuns)
 	}
-	if m.RunsPerSecond > 0 {
+	switch {
+	case m.RunsPerSecond > 0 && m.Workers > 0:
 		fmt.Fprintf(out, "%.0f runs/s over %d workers (%.0f%% utilisation)\n",
 			m.RunsPerSecond, m.Workers, 100*m.WorkerUtilization)
+	case m.RunsPerSecond > 0: // an assembly: the runs executed on a fleet
+		fmt.Fprintf(out, "%.0f runs/s\n", m.RunsPerSecond)
 	}
 	if dir != "" {
 		fmt.Fprintf(out, "artifacts in %s\n", dir)

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"net"
 	"net/http"
 	"os"
@@ -29,6 +30,30 @@ func TestLoopbackCampaign(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "campaign reduced/quick assembled") {
 		t.Errorf("summary missing:\n%s", out.String())
+	}
+}
+
+// TestLoopbackMetricsCarryTiming proves an assembled campaign times
+// its runs as a single-node one does: elapsed time from the
+// coordinator's start, runs/s over it, and the wall time of the
+// acknowledged units behind the mean run time.
+func TestLoopbackMetricsCarryTiming(t *testing.T) {
+	dir := t.TempDir()
+	var out strings.Builder
+	if err := run([]string{"-instance", "reduced", "-tier", "quick", "-dir", dir, "-loopback", "2"}, &out); err != nil {
+		t.Fatalf("%v\noutput:\n%s", err, out.String())
+	}
+	data, err := os.ReadFile(filepath.Join(dir, "metrics.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m runner.Metrics
+	if err := json.Unmarshal(data, &m); err != nil {
+		t.Fatal(err)
+	}
+	if m.ExecutedRuns != m.TotalRuns || m.ElapsedSeconds <= 0 || m.RunsPerSecond <= 0 || m.MeanRunMs <= 0 {
+		t.Errorf("assembled metrics carry no timing: executed %d of %d, elapsed %gs, %g runs/s, mean run %g ms",
+			m.ExecutedRuns, m.TotalRuns, m.ElapsedSeconds, m.RunsPerSecond, m.MeanRunMs)
 	}
 }
 

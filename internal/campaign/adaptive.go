@@ -374,11 +374,11 @@ func (s *adaptiveScheduler) observe(out runOutcome) (int, error) {
 			c.trial = true
 			c.sysErr = out.systemDiff
 			for o, sig := range loc.outputs {
-				first, ok := out.outputFirst(sig)
+				d, ok := out.outputDiff(sig)
 				if !ok {
 					continue
 				}
-				if s.window == 0 || first <= out.firedAt+s.window {
+				if s.window == 0 || d.First <= out.firedAt+s.window {
 					c.errOut[o] = true
 				}
 			}

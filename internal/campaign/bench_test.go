@@ -227,8 +227,8 @@ func BenchmarkPaperCampaignOneCase(b *testing.B) {
 // injection run in the steady state, restoring into the instance its
 // worker keeps for the case: the run builds no instance, trap or
 // comparator and captures no state; what it allocates is its record's
-// map of the deviating signals' diffs. The outputs' first deviations
-// are read from that map, not copied.
+// slice of the deviating signals' diffs. The outputs' first
+// deviations are looked up in that slice, not copied.
 func TestInjectionRunAllocs(t *testing.T) {
 	cfg := tinyConfig()
 	g, err := RecordGolden(cfg)
@@ -246,9 +246,9 @@ func TestInjectionRunAllocs(t *testing.T) {
 	if !out.fired || out.outcome != OutcomeDeviation {
 		t.Fatalf("%v: fired %v, outcome %q; want a fired run that deviates", inj, out.fired, out.outcome)
 	}
-	// The record's map: the nine deviating signals' diffs take four
-	// allocations.
-	if want := 4.0; got != want {
+	// The record's slice of the nine deviating signals' diffs: one
+	// allocation.
+	if want := 1.0; got != want {
 		t.Errorf("an executed injection run allocates %v times, want %v", got, want)
 	}
 }

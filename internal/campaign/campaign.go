@@ -142,7 +142,8 @@ type Config struct {
 	// to Observer or Progress again; aggregation is order-independent,
 	// so a replayed-then-resumed campaign converges to the same Result
 	// as an uninterrupted one. A record's Diffs only needs to carry
-	// the deviating signals: a missing entry counts as "no deviation".
+	// the deviating signals, in ascending name order: a missing entry
+	// counts as "no deviation".
 	Replay []RunRecord
 	// Budget is the per-run watchdog applied to every simulation
 	// kernel (golden and injection runs alike): a run exceeding its
@@ -270,10 +271,12 @@ type RunRecord struct {
 	Fired     bool
 	FiredAt   sim.Millis
 	// Diffs holds the Golden Run Comparison result for the deviating
-	// signals; a signal without an entry matched the golden run
-	// everywhere. (Replay accepts either this sparse form or a full
-	// per-signal map.)
-	Diffs map[string]trace.Diff
+	// signals, in ascending name order; a signal without an entry
+	// matched the golden run everywhere. A live run's slice is the one
+	// its comparator allocated, shared with the aggregates and, in the
+	// runner, with the journaled record: read it, never modify it.
+	// (Replay also accepts a full result with non-deviating entries.)
+	Diffs trace.Diffs
 	// SystemFailure is true when any system output deviated; FailureAt
 	// is the earliest first-difference over the system outputs (-1
 	// when none deviated).
@@ -534,8 +537,8 @@ type runOutcome struct {
 	firedAt    sim.Millis
 	systemDiff bool
 	failureAt  sim.Millis
-	diffs      map[string]trace.Diff // full detail for the observer
-	attachment any                   // Instrument's per-run state
+	diffs      trace.Diffs // deviating signals, shared with the observer
+	attachment any         // Instrument's per-run state
 	outcome    Outcome
 	detail     string // panic value (crash) or last error (quarantined)
 	attempts   int    // consecutive failures behind a quarantine
@@ -1240,7 +1243,7 @@ func (w *worker) executeToHorizon(s *runSlot, caseIdx int, at sim.Millis) (end r
 // finishOutcome derives the epilogue of a completed (neither crashed
 // nor hung) run from its diffs: the ok/deviation outcome and the
 // system-failure classification; an output's first deviation is read
-// from out.diffs where it is needed (outputFirst). out.failureAt must
+// from out.diffs where it is needed (outputDiff). out.failureAt must
 // be initialised to -1. out.diffs is sparse — it carries deviating
 // signals only, so a missing entry means "matched the golden run
 // everywhere". Shared between executed and memoized runs so
@@ -1255,8 +1258,8 @@ func finishOutcome(sys *model.System, out *runOutcome) error {
 	if len(diffs) > 0 {
 		out.outcome = OutcomeDeviation
 	}
-	for sig, d := range diffs {
-		if sys.IsSystemOutput(sig) {
+	for _, d := range diffs {
+		if sys.IsSystemOutput(d.Signal) {
 			out.systemDiff = true
 			if out.failureAt < 0 || d.First < out.failureAt {
 				out.failureAt = d.First
@@ -1310,7 +1313,7 @@ func newResult(sys *model.System, directWindow sim.Millis, horizonLen int) *aggr
 // replayed from a journal) into the aggregates. A record's
 // Diffs may carry only the deviating signals: a missing or
 // non-deviating entry counts as "no deviation", exactly as in a live
-// run.
+// run. The entries must be in ascending signal order.
 func (agg *aggregator) absorbRecord(sys *model.System, rec RunRecord) error {
 	out, err := recordOutcome(sys, rec)
 	if err != nil {
@@ -1342,6 +1345,9 @@ func recordOutcome(sys *model.System, rec RunRecord) (runOutcome, error) {
 	if !out.outcome.Valid() {
 		return runOutcome{}, fmt.Errorf("campaign: replaying %v: unknown outcome %q", rec.Injection, rec.Outcome)
 	}
+	if !rec.Diffs.Ascending() {
+		return runOutcome{}, fmt.Errorf("campaign: replaying %v: diffs not in ascending signal order", rec.Injection)
+	}
 	if rec.Fired && out.outcome != OutcomeQuarantined {
 		if _, err := sys.Module(rec.Injection.Module); err != nil {
 			return runOutcome{}, fmt.Errorf("campaign: replaying %v: %w", rec.Injection, err)
@@ -1350,14 +1356,14 @@ func recordOutcome(sys *model.System, rec RunRecord) (runOutcome, error) {
 	return out, nil
 }
 
-// outputFirst returns the first deviation of output signal sig, read
-// from the run's diffs; ok is false when the output never deviated.
-func (out *runOutcome) outputFirst(sig string) (first sim.Millis, ok bool) {
-	d, ok := out.diffs[sig]
+// outputDiff returns the deviation of output signal sig, read from
+// the run's diffs; ok is false when the output never deviated.
+func (out *runOutcome) outputDiff(sig string) (d trace.Diff, ok bool) {
+	d, ok = out.diffs.Get(sig)
 	if !ok || !d.Differs() || d.First < 0 {
-		return 0, false
+		return trace.Diff{}, false
 	}
-	return d.First, true
+	return d, true
 }
 
 func (agg *aggregator) absorb(sys *model.System, out runOutcome) {
@@ -1427,15 +1433,15 @@ func (agg *aggregator) absorb(sys *model.System, out runOutcome) {
 		p := core.Pair{Module: mod.Name, In: inIdx, Out: o.Index}
 		ps := &agg.Pairs[agg.pairIdx[p]]
 		ps.Injections++
-		first, ok := out.outputFirst(o.Signal)
+		d, ok := out.outputDiff(o.Signal)
 		if !ok {
 			continue
 		}
-		if agg.directWindow == 0 || first <= out.firedAt+agg.directWindow {
+		if agg.directWindow == 0 || d.First <= out.firedAt+agg.directWindow {
 			ps.Errors++
-			ps.latencySum += int64(first - out.firedAt)
-			ps.latencies = append(ps.latencies, float64(first-out.firedAt))
-			switch out.diffs[o.Signal].Classify(agg.horizonLen) {
+			ps.latencySum += int64(d.First - out.firedAt)
+			ps.latencies = append(ps.latencies, float64(d.First-out.firedAt))
+			switch d.Classify(agg.horizonLen) {
 			case trace.ClassPermanent:
 				ps.Permanents++
 			default:

@@ -416,7 +416,7 @@ func TestReplayedFirstDeviation(t *testing.T) {
 		agg := newResult(sys, cfg.DirectWindowMs, int(cfg.HorizonMs))
 		rec := RunRecord{
 			Injection: inj, Fired: true, FiredAt: 1500, FailureAt: -1, Outcome: OutcomeDeviation,
-			Diffs: map[string]trace.Diff{arrestor.SigOutValue: tc.diff},
+			Diffs: trace.Diffs{tc.diff},
 		}
 		if err := agg.absorbRecord(sys, rec); err != nil {
 			t.Fatal(err)
@@ -436,6 +436,27 @@ func TestReplayedFirstDeviation(t *testing.T) {
 		}
 		if !found {
 			t.Fatalf("no %s -> %s pair", arrestor.SigSetValue, arrestor.SigOutValue)
+		}
+	}
+}
+
+// TestReplayRejectsUnorderedDiffs proves a replayed record whose diffs
+// are not in strictly ascending signal order is refused: the output
+// lookups search the slice, so such a record would lose deviations.
+func TestReplayRejectsUnorderedDiffs(t *testing.T) {
+	cfg := tinyConfig()
+	sys := cfg.System()
+	inj := inject.Injection{Module: arrestor.ModVReg, Signal: arrestor.SigSetValue, At: 1500, Model: inject.BitFlip{Bit: 2}}
+	out := trace.Diff{Signal: arrestor.SigOutValue, First: 1620, Last: 1700, Count: 9}
+	set := trace.Diff{Signal: arrestor.SigSetValue, First: 1501, Last: 1700, Count: 50}
+	for name, diffs := range map[string]trace.Diffs{
+		"descending": {set, out},
+		"duplicate":  {out, out},
+	} {
+		agg := newResult(sys, cfg.DirectWindowMs, int(cfg.HorizonMs))
+		rec := RunRecord{Injection: inj, Fired: true, FiredAt: 1500, FailureAt: -1, Outcome: OutcomeDeviation, Diffs: diffs}
+		if err := agg.absorbRecord(sys, rec); err == nil {
+			t.Errorf("%s diffs %v replayed without error", name, diffs)
 		}
 	}
 }

@@ -89,19 +89,24 @@ type MemoKey struct {
 }
 
 // MemoEntry carries everything needed to synthesize a record
-// bit-identical to the executed one.
+// bit-identical to the executed one. Diffs is the executed run's
+// slice of deviating signals in ascending order; its JSON form is the
+// object a map keyed by signal encodes to (trace.Diffs.MarshalJSON),
+// so persisted entries keep their bytes.
 type MemoEntry struct {
-	Outcome Outcome               `json:"outcome"`
-	Detail  string                `json:"detail,omitempty"`
-	FiredAt sim.Millis            `json:"fired_at"`
-	Diffs   map[string]trace.Diff `json:"diffs,omitempty"`
+	Outcome Outcome     `json:"outcome"`
+	Detail  string      `json:"detail,omitempty"`
+	FiredAt sim.Millis  `json:"fired_at"`
+	Diffs   trace.Diffs `json:"diffs,omitempty"`
 }
 
 // MemoBackend is a memo store, typically persistent, consulted before
 // a memoizable experiment executes. Implementations must be safe for
-// concurrent use, must hand GetMemo's caller a Diffs map of its own,
-// and must not retain or mutate the Diffs map after PutMemo returns
-// (clone or serialize it). A backend that errors internally should
+// concurrent use. An entry's Diffs slice is shared, never modified:
+// PutMemo's caller hands over the slice its run's record also keeps,
+// and GetMemo's caller shares what it is handed with the served run's
+// record, so a backend may keep or hand out one slice more than once
+// but must never write to it. A backend that errors internally should
 // report a miss — the run then simply executes, so a wiped or corrupt
 // store degrades to full execution.
 type MemoBackend interface {
@@ -443,7 +448,7 @@ func (p *pruner) classify(sys *model.System, caseIdx int, inj inject.Injection, 
 }
 
 // serveMemo synthesizes the outcome of a memoized experiment. The
-// returned outcome aliases e.Diffs, which the backend handed over.
+// returned outcome shares e.Diffs, which the backend handed over.
 func (p *pruner) serveMemo(sys *model.System, base runOutcome, e MemoEntry, label string) (runOutcome, bool, *MemoKey, error) {
 	out := base
 	out.fired = true

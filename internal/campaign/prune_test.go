@@ -9,7 +9,6 @@ package campaign
 
 import (
 	"fmt"
-	"maps"
 	"reflect"
 	"sort"
 	"sync"
@@ -40,8 +39,8 @@ func modelsConfig() Config {
 	return cfg
 }
 
-// mapMemo is an in-memory MemoBackend. Like a persistent one it keeps
-// and hands out copies of the diff maps.
+// mapMemo is an in-memory MemoBackend. It keeps and serves the
+// executed runs' diff slices themselves, which nothing modifies.
 type mapMemo struct {
 	mu sync.Mutex
 	m  map[MemoKey]MemoEntry
@@ -51,14 +50,12 @@ func (mm *mapMemo) GetMemo(k MemoKey) (MemoEntry, bool) {
 	mm.mu.Lock()
 	defer mm.mu.Unlock()
 	e, ok := mm.m[k]
-	e.Diffs = maps.Clone(e.Diffs)
 	return e, ok
 }
 
 func (mm *mapMemo) PutMemo(k MemoKey, e MemoEntry) {
 	mm.mu.Lock()
 	defer mm.mu.Unlock()
-	e.Diffs = maps.Clone(e.Diffs)
 	mm.m[k] = e
 }
 

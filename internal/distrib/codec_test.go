@@ -13,11 +13,12 @@ import (
 	"time"
 
 	"propane/internal/runner"
+	"propane/internal/trace"
 )
 
 // codecBatch is a record batch exercising every field the wire
 // carries: empty and repeated strings, negative integers, flag
-// combinations, multi-entry diff maps and adaptive round labels.
+// combinations, multi-signal diffs and adaptive round labels.
 func codecBatch() RecordBatch {
 	return RecordBatch{
 		LeaseID: "L0042-u7",
@@ -25,9 +26,9 @@ func codecBatch() RecordBatch {
 			{Type: "run", Job: 0, Module: "engine", Signal: "rpm", Model: "", Outcome: "ok"},
 			{Type: "run", Job: 1, Module: "engine", Signal: "rpm", AtMs: 1500, Model: "bitflip",
 				Case: 3, Fired: true, FiredAtMs: 1502, Outcome: "deviation", Attempts: 2, Round: 4,
-				Diffs: map[string]runner.DiffRecord{
-					"out.torque": {FirstMs: 1502, LastMs: 1900, Count: 17},
-					"out.rpm":    {FirstMs: 1510, LastMs: 1890, Count: 3},
+				Diffs: trace.Diffs{
+					{Signal: "out.rpm", First: 1510, Last: 1890, Count: 3},
+					{Signal: "out.torque", First: 1502, Last: 1900, Count: 17},
 				}},
 			{Type: "run", Job: 2, Module: "gearbox", Signal: "ratio", AtMs: -1, Model: "stuck",
 				Case: -4, SystemFailure: true, FailureAtMs: 2200, Outcome: "crash",

@@ -197,9 +197,10 @@ type unit struct {
 	leaseID  string
 	worker   string
 	expires  time.Time
-	attempts int // times leased
-	done     int // jobs of the unit present in the record set
-	reported int // worker-reported local progress (heartbeats)
+	attempts int  // times leased
+	done     int  // jobs of the unit present in the record set
+	reported int  // worker-reported local progress (heartbeats)
+	acked    bool // a completion was acknowledged; its wall time counted
 }
 
 // has reports whether job belongs to the unit.
@@ -257,6 +258,9 @@ type Coordinator struct {
 	// without modeling it.
 	msPerJob float64
 	start    time.Time
+	// busy sums the wall time of acknowledged units as their workers
+	// reported it: the assembled metrics' busy time.
+	busy     time.Duration
 	assign   *wal.Log
 	complete bool
 	// wake is closed (and replaced) whenever a unit returns to the
@@ -1145,6 +1149,10 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusConflict, "unit %d has %d of %d runs journaled — lease revoked", u.id, u.done, len(u.jobs))
 		return
 	}
+	if !u.acked {
+		u.acked = true
+		c.busy += time.Duration(req.WallMs) * time.Millisecond
+	}
 	c.cfg.Logf("distrib: worker %s completed unit %d (%d runs, %d ms); its outcomes so far %v; fleet pruned %d, memoized %d, converged %d",
 		u.worker, u.id, req.Runs, req.WallMs, ws.outcomes, c.prunedRuns, c.memoizedRuns, c.convergedRuns)
 	c.hitCrashLocked(CrashPreCompleteAck)
@@ -1545,9 +1553,12 @@ func (c *Coordinator) Close() error {
 // bit-identical to a single-node run — and writes the closing
 // artifacts (config.json, metrics.json, failures.md, report.md). It
 // reads no journal. Runs received from workers count as executed, runs
-// restored from the journals at resume as replayed. A successful assembly releases the prepared
-// campaign, so a finished coordinator that a service keeps routing to
-// holds no golden traces; assembling again is an error.
+// restored from the journals at resume as replayed; elapsed time runs
+// from the coordinator's start, and busy time sums the wall time of the
+// units whose completion was acknowledged. A successful assembly
+// releases the prepared campaign, so a finished coordinator that a
+// service keeps routing to holds no golden traces; assembling again is
+// an error.
 func (c *Coordinator) Assemble() (*runner.RunResult, error) {
 	opts := runner.Options{Dir: c.cfg.Dir, Logf: c.cfg.Logf}
 	c.mu.Lock()
@@ -1559,6 +1570,7 @@ func (c *Coordinator) Assemble() (*runner.RunResult, error) {
 		c.journal = nil
 	}
 	p := c.prepared
+	timing := runner.Timing{Start: c.start, Busy: c.busy}
 	if p == nil || !c.complete {
 		// Records may still arrive; the assembly refuses the unfinished
 		// set under the lock.
@@ -1566,12 +1578,12 @@ func (c *Coordinator) Assemble() (*runner.RunResult, error) {
 		if p == nil {
 			return nil, errors.New("distrib: campaign already assembled")
 		}
-		return p.Assemble(c.seen, c.planner, c.resumed, opts)
+		return p.Assemble(c.seen, c.planner, c.resumed, timing, opts)
 	}
 	// Complete: every claimed job has settled, so no upload can add a
 	// record and the set and planner are frozen.
 	c.mu.Unlock()
-	rr, err := p.Assemble(c.seen, c.planner, c.resumed, opts)
+	rr, err := p.Assemble(c.seen, c.planner, c.resumed, timing, opts)
 	if err == nil {
 		c.mu.Lock()
 		c.prepared = nil

@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"propane/internal/runner"
+	"propane/internal/trace"
 )
 
 var fuzzPaths = []string{PathLease, PathRecords, PathHeartbeat, PathComplete}
@@ -73,8 +74,8 @@ func FuzzProtocol(f *testing.F) {
 	good := recordFrame(f, "L0001-u0", []runner.Record{
 		{Type: "run", Job: 0, Module: "m1", Signal: "s1", Model: "bitflip:0", Outcome: "ok"},
 		{Type: "run", Job: 1, Module: "m1", Signal: "s2", Model: "bitflip:1", Outcome: "deviation",
-			Fired: true, FiredAtMs: 12, Diffs: map[string]runner.DiffRecord{
-				"sig": {FirstMs: 1, LastMs: 9, Count: 4},
+			Fired: true, FiredAtMs: 12, Diffs: trace.Diffs{
+				{Signal: "sig", First: 1, Last: 9, Count: 4},
 			}},
 	})
 	f.Add(1, true, good)

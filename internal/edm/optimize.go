@@ -73,7 +73,7 @@ func Optimize(cfg campaign.Config, candidates []Candidate, k int) ([]Selection, 
 		failures++
 		runKey := fmt.Sprintf("%s#%d", rec.Injection, rec.CaseIndex)
 		for i, c := range candidates {
-			d, ok := rec.Diffs[c.Signal]
+			d, ok := rec.Diffs.Get(c.Signal)
 			if !ok || !d.Differs() || d.First > rec.FailureAt {
 				continue
 			}

@@ -124,9 +124,9 @@ func Evaluate(cfg campaign.Config, placements []Placement) (*Report, error) {
 			// passes it no later than the system output fails; signals
 			// that deviate only as a downstream consequence of the
 			// failure (through the environment loop) do not count.
-			for sig, d := range rec.Diffs {
+			for _, d := range rec.Diffs {
 				if d.Differs() && d.First <= rec.FailureAt {
-					deviated[sig]++
+					deviated[d.Signal]++
 				}
 			}
 		}
@@ -140,7 +140,7 @@ func Evaluate(cfg campaign.Config, placements []Placement) (*Report, error) {
 				continue
 			}
 			c.SystemFailures++
-			d, ok := rec.Diffs[c.Placement.Signal]
+			d, ok := rec.Diffs.Get(c.Placement.Signal)
 			if !ok || !d.Differs() || d.First > rec.FailureAt {
 				continue
 			}

@@ -45,7 +45,7 @@ func assembleJournals(p *Prepared, opts Options) (*RunResult, error) {
 			return nil, err
 		}
 	}
-	return p.Assemble(recs, planner, len(recs), opts)
+	return p.Assemble(recs, planner, len(recs), Timing{}, opts)
 }
 
 func reducedQuickConfig(t *testing.T) campaign.Config {

@@ -13,11 +13,13 @@ package runner
 //	          uvarint(#diffs) { signal first_ms last_ms count }
 //
 // flags holds Fired (bit 0) and SystemFailure (bit 1). Type is not
-// carried: every record is a run. Diffs are written in sorted signal
-// order, so identical records encode identically. The decoder is
-// strict — every count and length is checked against the remaining
-// payload before anything is allocated, and malformed input returns
-// an error, never a panic or a partial result (FuzzJournal,
+// carried: every record is a run. Diffs are written as the record
+// holds them, in strictly ascending signal order, so identical
+// records encode identically; the decoder refuses any other order,
+// duplicates included, and builds one diff slice per record. The
+// decoder is strict — every count and length is checked against the
+// remaining payload before anything is allocated, and malformed input
+// returns an error, never a panic or a partial result (FuzzJournal,
 // distrib's FuzzProtocol).
 
 import (
@@ -25,6 +27,9 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+
+	"propane/internal/sim"
+	"propane/internal/trace"
 )
 
 var errPayload = errors.New("malformed record payload")
@@ -37,10 +42,9 @@ const minRecordBytes, minDiffBytes = 15, 4
 // and scratch buffers across calls, so a warm encoder allocates
 // nothing. The zero value is ready; it is not safe for concurrent use.
 type RecordEncoder struct {
-	index     map[string]uint64
-	list      []string
-	body      []byte
-	diffNames []string
+	index map[string]uint64
+	list  []string
+	body  []byte
 }
 
 func (e *RecordEncoder) intern(s string) uint64 {
@@ -53,7 +57,9 @@ func (e *RecordEncoder) intern(s string) uint64 {
 }
 
 // AppendPayload appends the payload encoding recs to dst and returns
-// the extended slice.
+// the extended slice. Each record's Diffs must be in strictly
+// ascending signal order (Record.Diffs), as newRecord and Decode
+// leave them.
 func (e *RecordEncoder) AppendPayload(dst []byte, recs []Record) []byte {
 	if e.index == nil {
 		e.index = make(map[string]uint64, 64)
@@ -86,17 +92,11 @@ func (e *RecordEncoder) AppendPayload(dst []byte, recs []Record) []byte {
 		b = binary.AppendVarint(b, int64(rec.Attempts))
 		b = binary.AppendUvarint(b, e.intern(rec.Pruned))
 		b = binary.AppendVarint(b, int64(rec.Round))
-		e.diffNames = e.diffNames[:0]
-		for sig := range rec.Diffs {
-			e.diffNames = append(e.diffNames, sig)
-		}
-		slices.Sort(e.diffNames)
-		b = binary.AppendUvarint(b, uint64(len(e.diffNames)))
-		for _, sig := range e.diffNames {
-			d := rec.Diffs[sig]
-			b = binary.AppendUvarint(b, e.intern(sig))
-			b = binary.AppendVarint(b, d.FirstMs)
-			b = binary.AppendVarint(b, d.LastMs)
+		b = binary.AppendUvarint(b, uint64(len(rec.Diffs)))
+		for _, d := range rec.Diffs {
+			b = binary.AppendUvarint(b, e.intern(d.Signal))
+			b = binary.AppendVarint(b, int64(d.First))
+			b = binary.AppendVarint(b, int64(d.Last))
 			b = binary.AppendVarint(b, int64(d.Count))
 		}
 	}
@@ -158,11 +158,15 @@ func (d *RecordDecoder) Decode(dst []Record, payload []byte) ([]Record, error) {
 		rec.FiredAtMs, rec.FailureAtMs = r.varint(), r.varint()
 		rec.Outcome, rec.Detail, rec.Attempts = str("outcome"), str("detail"), r.int("attempts")
 		rec.Pruned, rec.Round = str("pruned"), r.int("round")
-		for j, nDiffs := 0, r.count("diff", minDiffBytes); j < nDiffs && r.err == nil; j++ {
-			if rec.Diffs == nil {
-				rec.Diffs = make(map[string]DiffRecord, nDiffs)
+		if nDiffs := r.count("diff", minDiffBytes); nDiffs > 0 {
+			rec.Diffs = make(trace.Diffs, nDiffs)
+			for j := 0; j < nDiffs && r.err == nil; j++ {
+				sig := str("diff signal")
+				if j > 0 && sig <= rec.Diffs[j-1].Signal {
+					r.fail("diff signal %q after %q: not ascending", sig, rec.Diffs[j-1].Signal)
+				}
+				rec.Diffs[j] = trace.Diff{Signal: sig, First: sim.Millis(r.varint()), Last: sim.Millis(r.varint()), Count: r.int("diff count")}
 			}
-			rec.Diffs[str("diff signal")] = DiffRecord{FirstMs: r.varint(), LastMs: r.varint(), Count: r.int("diff count")}
 		}
 		out = append(out, rec)
 	}

@@ -102,7 +102,7 @@ func (d *deduper) add(job int, rec campaign.RunRecord) {
 	}
 	escaped := false
 	for i, o := range mod.Outputs {
-		if diff, ok := rec.Diffs[o.Signal]; ok && diff.Differs() {
+		if diff, ok := rec.Diffs.Get(o.Signal); ok && diff.Differs() {
 			d.key[mask+i/8] |= 1 << (i % 8)
 			escaped = true
 		}
@@ -133,10 +133,10 @@ func (d *deduper) add(job int, rec campaign.RunRecord) {
 
 // deviatingOutputs lists, sorted, the outputs of mod that deviate in
 // diffs; nil when none does.
-func deviatingOutputs(mod *model.Module, diffs map[string]trace.Diff) []string {
+func deviatingOutputs(mod *model.Module, diffs trace.Diffs) []string {
 	var outputs []string
 	for _, o := range mod.Outputs {
-		if diff, ok := diffs[o.Signal]; ok && diff.Differs() {
+		if diff, ok := diffs.Get(o.Signal); ok && diff.Differs() {
 			outputs = append(outputs, o.Signal)
 		}
 	}

@@ -43,12 +43,12 @@ type PlanInfo struct {
 }
 
 // RecordSetDigest computes a canonical SHA-256 over a set of records:
-// sorted by job index, serialized with the Pruned and Round labels
-// cleared — exactly the fields RecordsEqual compares. Two record sets
-// that would merge without conflict produce the same digest. It is a
-// reference digest for tests and benchmarks, which compare a
-// campaign's journal against a single-node run's; no protocol carries
-// it. The input slice is not modified.
+// sorted by job index, each serialized as one JSON line with the
+// Pruned and Round labels left out — exactly the fields RecordsEqual
+// compares. Two record sets that would merge without conflict produce
+// the same digest. It is a reference digest for tests and benchmarks,
+// which compare a campaign's journal against a single-node run's; no
+// protocol carries it. The input slice is not modified.
 func RecordSetDigest(recs []Record) string {
 	order := make([]int, len(recs))
 	for i := range order {
@@ -57,20 +57,59 @@ func RecordSetDigest(recs []Record) string {
 	sort.Slice(order, func(a, b int) bool { return recs[order[a]].Job < recs[order[b]].Job })
 	h := sha256.New()
 	for _, i := range order {
-		rec := recs[i]
-		rec.Pruned = "" // excluded from equality, so excluded here
-		rec.Round = 0   // likewise: a schedule label, not an outcome
-		line, err := json.Marshal(rec)
+		line, err := json.Marshal(newDigestRecord(&recs[i]))
 		if err != nil {
-			// A Record is plain data; Marshal cannot fail on one. Keep
-			// the signature error-free and make any future regression
-			// loud instead of silent.
+			// A digestRecord is plain data; Marshal cannot fail on one.
+			// Keep the signature error-free and make any future
+			// regression loud instead of silent.
 			panic(fmt.Sprintf("runner: encoding record for digest: %v", err))
 		}
 		h.Write(line)
 		h.Write([]byte{'\n'})
 	}
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// digestRecord is the JSON line RecordSetDigest hashes for a Record.
+// Its fields, names and order are fixed: the committed reference
+// digests (perfbench's among them) hash these bytes.
+type digestRecord struct {
+	Type          string                `json:"type"`
+	Job           int                   `json:"job"`
+	Module        string                `json:"module"`
+	Signal        string                `json:"signal"`
+	AtMs          int64                 `json:"at_ms"`
+	Model         string                `json:"model"`
+	Case          int                   `json:"case"`
+	Fired         bool                  `json:"fired"`
+	FiredAtMs     int64                 `json:"fired_at_ms,omitempty"`
+	SystemFailure bool                  `json:"system_failure,omitempty"`
+	FailureAtMs   int64                 `json:"failure_at_ms,omitempty"`
+	Diffs         map[string]digestDiff `json:"diffs,omitempty"`
+	Outcome       string                `json:"outcome,omitempty"`
+	Detail        string                `json:"detail,omitempty"`
+	Attempts      int                   `json:"attempts,omitempty"`
+}
+
+type digestDiff struct {
+	FirstMs int64 `json:"first_ms"`
+	LastMs  int64 `json:"last_ms"`
+	Count   int   `json:"count"`
+}
+
+func newDigestRecord(r *Record) digestRecord {
+	d := digestRecord{
+		Type: r.Type, Job: r.Job, Module: r.Module, Signal: r.Signal, AtMs: r.AtMs, Model: r.Model, Case: r.Case,
+		Fired: r.Fired, FiredAtMs: r.FiredAtMs, SystemFailure: r.SystemFailure, FailureAtMs: r.FailureAtMs,
+		Outcome: r.Outcome, Detail: r.Detail, Attempts: r.Attempts,
+	}
+	if len(r.Diffs) > 0 {
+		d.Diffs = make(map[string]digestDiff, len(r.Diffs))
+		for _, diff := range r.Diffs {
+			d.Diffs[diff.Signal] = digestDiff{FirstMs: int64(diff.First), LastMs: int64(diff.Last), Count: diff.Count}
+		}
+	}
+	return d
 }
 
 // JournalPath returns the journal path Run uses for a campaign under

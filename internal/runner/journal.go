@@ -3,8 +3,8 @@ package runner
 import (
 	"errors"
 	"fmt"
-	"maps"
 	"os"
+	"slices"
 
 	"propane/internal/campaign"
 	"propane/internal/inject"
@@ -72,7 +72,7 @@ func RecordsEqual(a, b Record) bool {
 		a.Outcome != b.Outcome || a.Detail != b.Detail || a.Attempts != b.Attempts {
 		return false
 	}
-	return maps.Equal(a.Diffs, b.Diffs)
+	return slices.Equal(a.Diffs, b.Diffs)
 }
 
 // JournalHeader is a journal's first line, binding it to one
@@ -85,59 +85,58 @@ type JournalHeader struct {
 	ConfigDigest string `json:"config_digest"`
 }
 
-// DiffRecord is the journaled form of one signal's Golden Run
-// Comparison result; only deviating signals are stored.
-type DiffRecord struct {
-	FirstMs int64 `json:"first_ms"`
-	LastMs  int64 `json:"last_ms"`
-	Count   int   `json:"count"`
-}
-
-// Record is the journaled outcome of one injection run.
+// Record is the journaled outcome of one injection run: what the
+// record codec frames in journal.bin and on /v1/records, and what
+// RecordSetDigest hashes.
 type Record struct {
-	Type string `json:"type"` // "run"
+	Type string // "run"
 	// Job is the run's position in the campaign's deterministic job
 	// enumeration (plan-index major, case-index minor).
-	Job int `json:"job"`
+	Job int
 	// Module, Signal, AtMs and Model identify the injection; Model is
 	// the inject.Spec rendering, so records round-trip.
-	Module string `json:"module"`
-	Signal string `json:"signal"`
-	AtMs   int64  `json:"at_ms"`
-	Model  string `json:"model"`
+	Module string
+	Signal string
+	AtMs   int64
+	Model  string
 	// Case is the workload point index.
-	Case int `json:"case"`
+	Case int
 	// Fired and FiredAtMs report whether and when the trap fired.
-	Fired     bool  `json:"fired"`
-	FiredAtMs int64 `json:"fired_at_ms,omitempty"`
+	Fired     bool
+	FiredAtMs int64
 	// SystemFailure and FailureAtMs report system-output deviation.
-	SystemFailure bool  `json:"system_failure,omitempty"`
-	FailureAtMs   int64 `json:"failure_at_ms,omitempty"`
-	// Diffs holds the deviating signals only.
-	Diffs map[string]DiffRecord `json:"diffs,omitempty"`
+	SystemFailure bool
+	FailureAtMs   int64
+	// Diffs holds the deviating signals only, in strictly ascending
+	// name order. A live run's record shares the slice its
+	// campaign.RunRecord carries (newRecord), and RunRecord hands it
+	// back; no one modifies it.
+	Diffs trace.Diffs
 	// Outcome classifies the run (ok/deviation/crash/hang/
 	// quarantined). Required: RunRecord rejects any other value.
-	Outcome string `json:"outcome,omitempty"`
+	Outcome string
 	// Detail carries the crash's panic value or the quarantined job's
 	// last worker error.
-	Detail string `json:"detail,omitempty"`
+	Detail string
 	// Attempts is the consecutive-failure count behind a quarantine.
-	Attempts int `json:"attempts,omitempty"`
+	Attempts int
 	// Pruned labels how a pruned run's outcome was obtained (see the
 	// campaign.Pruned* constants); empty for executed runs. Excluded
 	// from RecordsEqual — see there.
-	Pruned string `json:"pruned,omitempty"`
+	Pruned string
 	// Round is the 1-based adaptive sampling round that scheduled the
 	// run (campaign.RunRecord.Round); 0 for full-matrix campaigns and
 	// for externally assigned job lists. Excluded from RecordsEqual —
 	// see there.
-	Round int `json:"round,omitempty"`
+	Round int
 }
 
 // newRecord converts a live campaign observation into its journaled
-// form; spec is the inject.Spec rendering of its model.
+// form; spec is the inject.Spec rendering of its model. The record
+// shares rec.Diffs unless it holds a non-deviating entry (a full
+// result), which the journaled copy leaves out.
 func newRecord(job int, spec string, rec campaign.RunRecord) Record {
-	r := Record{
+	return Record{
 		Type:          "run",
 		Job:           job,
 		Module:        rec.Injection.Module,
@@ -149,22 +148,13 @@ func newRecord(job int, spec string, rec campaign.RunRecord) Record {
 		FiredAtMs:     int64(rec.FiredAt),
 		SystemFailure: rec.SystemFailure,
 		FailureAtMs:   int64(rec.FailureAt),
+		Diffs:         rec.Diffs.Deviating(),
 		Outcome:       string(rec.Outcome),
 		Detail:        rec.Detail,
 		Attempts:      rec.Attempts,
 		Pruned:        rec.Pruned,
 		Round:         rec.Round,
 	}
-	for sig, d := range rec.Diffs {
-		if !d.Differs() {
-			continue
-		}
-		if r.Diffs == nil {
-			r.Diffs = make(map[string]DiffRecord)
-		}
-		r.Diffs[sig] = DiffRecord{FirstMs: int64(d.First), LastMs: int64(d.Last), Count: d.Count}
-	}
-	return r
 }
 
 // Injection decodes the record's injection, validating what RunRecord
@@ -183,17 +173,19 @@ func (r Record) Injection() (inject.Injection, error) {
 }
 
 // RunRecord converts a journaled record back into the campaign form
-// consumed by Config.Replay, rejecting what Injection rejects.
+// consumed by Config.Replay, rejecting what Injection rejects. The
+// campaign record shares r.Diffs.
 func (r Record) RunRecord() (campaign.RunRecord, error) {
 	inj, err := r.Injection()
 	if err != nil {
 		return campaign.RunRecord{}, err
 	}
-	rec := campaign.RunRecord{
+	return campaign.RunRecord{
 		Injection:     inj,
 		CaseIndex:     r.Case,
 		Fired:         r.Fired,
 		FiredAt:       sim.Millis(r.FiredAtMs),
+		Diffs:         r.Diffs,
 		SystemFailure: r.SystemFailure,
 		FailureAt:     sim.Millis(r.FailureAtMs),
 		Outcome:       campaign.Outcome(r.Outcome),
@@ -201,19 +193,7 @@ func (r Record) RunRecord() (campaign.RunRecord, error) {
 		Attempts:      r.Attempts,
 		Pruned:        r.Pruned,
 		Round:         r.Round,
-	}
-	if len(r.Diffs) > 0 {
-		rec.Diffs = make(map[string]trace.Diff, len(r.Diffs))
-		for sig, d := range r.Diffs {
-			rec.Diffs[sig] = trace.Diff{
-				Signal: sig,
-				First:  sim.Millis(d.FirstMs),
-				Last:   sim.Millis(d.LastMs),
-				Count:  d.Count,
-			}
-		}
-	}
-	return rec, nil
+	}, nil
 }
 
 // syncEvery bounds the data a crash can lose to this many records

@@ -9,10 +9,12 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"propane/internal/campaign"
 	"propane/internal/inject"
+	"propane/internal/sim"
 	"propane/internal/trace"
 )
 
@@ -30,9 +32,9 @@ func sampleRunRecord() campaign.RunRecord {
 		SystemFailure: true,
 		FailureAt:     2710,
 		Outcome:       campaign.OutcomeDeviation,
-		Diffs: map[string]trace.Diff{
-			"SetValue": {Signal: "SetValue", First: 2502, Last: 2900, Count: 41},
-			"OutValue": {Signal: "OutValue", First: -1, Last: -1, Count: 0},
+		Diffs: trace.Diffs{
+			{Signal: "OutValue", First: -1, Last: -1, Count: 0},
+			{Signal: "SetValue", First: 2502, Last: 2900, Count: 41},
 		},
 	}
 }
@@ -43,7 +45,7 @@ func TestRecordRoundTrip(t *testing.T) {
 	if jr.Job != 17 || jr.Type != "run" {
 		t.Errorf("record header wrong: %+v", jr)
 	}
-	if _, ok := jr.Diffs["OutValue"]; ok {
+	if _, ok := jr.Diffs.Get("OutValue"); ok {
 		t.Error("non-deviating diff journaled")
 	}
 	back, err := jr.RunRecord()
@@ -57,8 +59,15 @@ func TestRecordRoundTrip(t *testing.T) {
 		back.SystemFailure != rec.SystemFailure || back.FailureAt != rec.FailureAt {
 		t.Errorf("outcome fields diverge: %+v vs %+v", back, rec)
 	}
-	if d := back.Diffs["SetValue"]; d != rec.Diffs["SetValue"] {
-		t.Errorf("diff %+v != %+v", d, rec.Diffs["SetValue"])
+	if want := rec.Diffs[1:]; !slices.Equal(back.Diffs, want) {
+		t.Errorf("diffs %+v, want %+v", back.Diffs, want)
+	}
+	// A live run's diffs hold deviating signals only; its record and
+	// the campaign record rebuilt from it share that slice.
+	rec.Diffs = rec.Diffs[1:]
+	jr = newRecord(17, "bitflip:7", rec)
+	if back, _ = jr.RunRecord(); &jr.Diffs[0] != &rec.Diffs[0] || &back.Diffs[0] != &rec.Diffs[0] {
+		t.Error("the deviating-only diffs were copied, not shared")
 	}
 }
 
@@ -288,9 +297,9 @@ func TestRecordCodecRoundTrip(t *testing.T) {
 		{Type: "run", Job: 17, Module: "CALC", Signal: "pulscnt", AtMs: 2500, Model: "bitflip:7",
 			Case: 3, Fired: true, FiredAtMs: 2501, SystemFailure: true, FailureAtMs: 2710,
 			Outcome: "deviation", Attempts: 2, Round: 6,
-			Diffs: map[string]DiffRecord{
-				"SetValue": {FirstMs: 2502, LastMs: 2900, Count: 41},
-				"OutValue": {FirstMs: 2600, LastMs: 2601, Count: 1},
+			Diffs: trace.Diffs{
+				{Signal: "OutValue", First: 2600, Last: 2601, Count: 1},
+				{Signal: "SetValue", First: 2502, Last: 2900, Count: 41},
 			}},
 		{Type: "run", Job: -2, Module: "V_REG", Signal: "SetValue", AtMs: -1, Model: "stuck:1",
 			Case: -4, Outcome: "crash", Detail: "mine tripped", Attempts: 1, Pruned: "converged"},
@@ -310,6 +319,35 @@ func TestRecordCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRecordSetDigestStable pins RecordSetDigest's bytes: a fixed
+// record set — out of job order, with a multi-signal diff, records
+// without diffs, a Detail that JSON escapes and the Pruned and Round
+// labels set — hashes to the digest it had when records held their
+// diffs in a map keyed by signal. The committed reference digests of
+// the benchmark campaigns depend on these bytes.
+func TestRecordSetDigestStable(t *testing.T) {
+	recs := []Record{
+		{Type: "run", Job: 17, Module: "CALC", Signal: "pulscnt", AtMs: 2500, Model: "bitflip:7",
+			Case: 3, Fired: true, FiredAtMs: 2501, SystemFailure: true, FailureAtMs: 2710,
+			Outcome: "deviation", Pruned: "converged", Round: 6,
+			Diffs: trace.Diffs{
+				{Signal: "OutValue", First: 2600, Last: 2601, Count: 1},
+				{Signal: "SetValue", First: 2502, Last: 2900, Count: 41},
+				{Signal: "i", First: 2503, Last: 2503, Count: 1},
+			}},
+		{Type: "run", Job: 2, Module: "V_REG", Signal: "SetValue", AtMs: 1500, Model: "stuck:1",
+			Case: 0, Fired: true, FiredAtMs: 1500, Outcome: "crash", Detail: `panic: <a> & "b"`, Pruned: "memo-store", Round: 2},
+		{Type: "run", Job: 9, Module: "PRES_S", Signal: "ADC", AtMs: 3000, Model: "bitflip:0",
+			Case: 1, Outcome: "quarantined", Detail: "worker lost", Attempts: 3},
+		{Type: "run", Job: 4, Module: "CLOCK", Signal: "ms_slot_nbr", AtMs: 40, Model: "bitflip:15",
+			Case: 2, Fired: true, FiredAtMs: 41, Outcome: "ok", Pruned: "noop"},
+	}
+	const want = "4820dff5955832091497058026a6fd765a9c9d3522b15f491f55292e6a88364c"
+	if got := RecordSetDigest(recs); got != want {
+		t.Errorf("RecordSetDigest = %s, want %s", got, want)
+	}
+}
+
 // TestAppendFrameAllocs pins the journal's append path: a warm
 // encoder and frame buffer encode a record without allocating.
 func TestAppendFrameAllocs(t *testing.T) {
@@ -322,13 +360,40 @@ func TestAppendFrameAllocs(t *testing.T) {
 	}
 }
 
+// TestDecodeRecordAllocs pins the decode path of one record: a warm
+// decoder, whose string table already holds every name, decoding a
+// record with nine diffs into a destination with room allocates only
+// the record's diff slice.
+func TestDecodeRecordAllocs(t *testing.T) {
+	rec := Record{Type: "run", Job: 4, Module: "V_REG", Signal: "SetValue", AtMs: 1500, Model: "bitflip:14",
+		Case: 1, Fired: true, FiredAtMs: 1500, SystemFailure: true, FailureAtMs: 1520, Outcome: "deviation"}
+	for i := range 9 {
+		rec.Diffs = append(rec.Diffs, trace.Diff{Signal: fmt.Sprintf("sig%d", i), First: sim.Millis(1500 + i), Last: 2000, Count: 40 + i})
+	}
+	var enc RecordEncoder
+	var dec RecordDecoder
+	payload := enc.AppendPayload(nil, []Record{rec})
+	dst := make([]Record, 0, 1)
+	got, err := dec.Decode(dst, payload)
+	if err != nil || len(got) != 1 || !RecordsEqual(got[0], rec) {
+		t.Fatalf("decoded %+v, %v; want %+v", got, err, rec)
+	}
+	if n := testing.AllocsPerRun(100, func() { got, err = dec.Decode(dst[:0], payload) }); n != 1 || err != nil {
+		t.Errorf("decoding a record with nine diffs allocated %v times (err %v), want 1", n, err)
+	}
+}
+
 // TestDecodeHostileRecords proves the record decoder rejects
 // malformed payloads of every shape with an error and leaves the
 // destination untouched — never a panic, never a partial result.
 func TestDecodeHostileRecords(t *testing.T) {
 	var enc RecordEncoder
-	good := enc.AppendPayload(nil, []Record{{Type: "run", Job: 1, Module: "m", Signal: "s", Model: "bitflip:0",
-		Outcome: "deviation", Diffs: map[string]DiffRecord{"s": {FirstMs: 1, LastMs: 2, Count: 2}}}})
+	withDiffs := func(diffs ...trace.Diff) []byte {
+		return enc.AppendPayload(nil, []Record{{Type: "run", Job: 1, Module: "m", Signal: "s", Model: "bitflip:0",
+			Outcome: "deviation", Diffs: diffs}})
+	}
+	s, t2 := trace.Diff{Signal: "s", First: 1, Last: 2, Count: 2}, trace.Diff{Signal: "t", First: 1, Last: 1, Count: 1}
+	good := withDiffs(s, t2)
 	// minimal is one record over a one-string table, every field zero
 	// or index 0; the cases below damage one field of it.
 	minimal := func(field int, v ...byte) []byte {
@@ -356,6 +421,10 @@ func TestDecodeHostileRecords(t *testing.T) {
 		"unknown flags":        minimal(6, 4),
 		"giant diff count":     minimal(14, 0xff, 0xff, 0x03),
 		"truncated diff entry": minimal(14, 1, 0),
+		// The encoder writes diffs in the order a record holds them;
+		// the decoder accepts strictly ascending signals only.
+		"descending diffs": withDiffs(t2, s),
+		"duplicate diff":   withDiffs(s, s),
 	}
 	for i := range good {
 		cases[fmt.Sprintf("cut at %d", i)] = good[:i]
@@ -392,6 +461,10 @@ func FuzzJournal(f *testing.F) {
 	f.Add(flipped)
 	f.Add(append(bytes.Clone(frames), make([]byte, 64)...))
 	f.Add([]byte{0xff, 0xff, 0xff, 0x7f, 0, 0, 0, 0x80, 0, 0, 0, 0})
+	// A sound frame whose record lists its diffs out of order.
+	descending := newRecord(3, "bitflip:7", sampleRunRecord())
+	descending.Diffs = trace.Diffs{{Signal: "t", First: 1, Last: 1, Count: 1}, descending.Diffs[0]}
+	f.Add(appendFrame(nil, new(RecordEncoder), []Record{descending}))
 
 	f.Fuzz(func(t *testing.T, tail []byte) {
 		in := append(bytes.Clone(hdrLine), tail...)

@@ -95,7 +95,7 @@ func TestPrepareAssembleBuildsNoCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Assemble(recs, nil, len(recs), Options{Dir: t.TempDir(), SkipReport: true}); err != nil {
+	if _, err := p.Assemble(recs, nil, len(recs), Timing{}, Options{Dir: t.TempDir(), SkipReport: true}); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := built.Load(), int64(len(cfg.TestCases)); got != want {

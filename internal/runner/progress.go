@@ -155,9 +155,7 @@ func (t *tracker) absorb(rec campaign.RunRecord, replayed bool) {
 func (t *tracker) snapshot(now time.Time) Metrics {
 	m := t.m
 	m.ElapsedSeconds = now.Sub(t.start).Seconds()
-	// An assembly has no worker pool: its runs executed elsewhere, so
-	// it reports no throughput.
-	if m.Workers > 0 && m.ElapsedSeconds > 0 {
+	if m.ElapsedSeconds > 0 {
 		m.RunsPerSecond = float64(m.ExecutedRuns) / m.ElapsedSeconds
 	}
 	if m.ExecutedRuns > 0 {

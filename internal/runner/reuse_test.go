@@ -1,8 +1,8 @@
 package runner
 
 import (
-	"maps"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -69,7 +69,7 @@ func TestRestoredInstanceMatchesFresh(t *testing.T) {
 				if got.Fired != want.Fired || got.FiredAt != want.FiredAt ||
 					got.SystemFailure != want.SystemFailure || got.FailureAt != want.FailureAt ||
 					got.Outcome != want.Outcome || got.Detail != want.Detail || got.Attempts != want.Attempts ||
-					!maps.Equal(got.Diffs, want.Diffs) {
+					!slices.Equal(got.Diffs, want.Diffs) {
 					t.Errorf("%v case %d: reused instance gave %+v, fresh instance %+v", j.inj, j.caseIdx, got, want)
 				}
 				if got.Pruned == "" {

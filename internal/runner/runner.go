@@ -153,7 +153,8 @@ type Options struct {
 
 // MemoStore is a digest-scoped persistent memo store (see
 // Options.Memo). internal/store implements it; implementations must
-// be safe for concurrent use, must not retain the entry's Diffs map,
+// be safe for concurrent use, must never modify an entry's Diffs
+// slice, which the campaign's records share (campaign.MemoBackend),
 // and should report misses on internal errors so a degraded store
 // falls back to execution.
 type MemoStore interface {
@@ -593,6 +594,17 @@ func (p *Prepared) finalise(res *campaign.Result, l layout, trk *tracker, ddp *d
 	return &RunResult{Result: res, Metrics: metrics, Failures: failures, Dir: opts.Dir}, nil
 }
 
+// Timing is what an assembly knows of how the campaign's executed runs
+// were timed where they ran; records carry no run time. The zero value
+// times the assembly alone.
+type Timing struct {
+	// Start is when execution began (a coordinator's start); zero
+	// means when the assembly starts.
+	Start time.Time
+	// Busy sums the wall time the workers reported executing the runs.
+	Busy time.Duration
+}
+
 // Assemble folds a finished campaign's settled records, keyed by job
 // index, into the complete result and writes the closing artifacts
 // under opts.Dir; nothing executes and no journal is read. An adaptive
@@ -601,9 +613,11 @@ func (p *Prepared) finalise(res *campaign.Result, l layout, trk *tracker, ddp *d
 // hold every job. An unfinished record set fails before anything is
 // written. replayed of the records count as restored from journals
 // (Metrics.ReplayedRuns), the rest as executed for this campaign
-// (Metrics.ExecutedRuns); records carry no run time, so either way no
-// busy time accrues. Only the execution fields of opts are read.
-func (p *Prepared) Assemble(recs map[int]Record, planner *campaign.AdaptivePlanner, replayed int, opts Options) (*RunResult, error) {
+// (Metrics.ExecutedRuns). The metrics' elapsed time and busy time come
+// from timing; an assembly has no worker pool of its own, so it
+// reports no workers and no utilisation. Only the execution fields of
+// opts are read.
+func (p *Prepared) Assemble(recs map[int]Record, planner *campaign.AdaptivePlanner, replayed int, timing Timing, opts Options) (*RunResult, error) {
 	if err := opts.normalise(); err != nil {
 		return nil, err
 	}
@@ -629,6 +643,10 @@ func (p *Prepared) Assemble(recs map[int]Record, planner *campaign.AdaptivePlann
 		Instance: p.info.Name, Tier: string(p.info.Tier),
 		TotalRuns: snap.TotalRuns, PlannedRuns: snap.TotalRuns,
 	}, 0, nil)
+	if !timing.Start.IsZero() {
+		trk.start = timing.Start
+	}
+	trk.busy = timing.Busy
 	ddp := newDeduper(p.sys)
 	settled := make([]campaign.RunRecord, 0, len(recs))
 	for i, job := range sortedJobs(recs) {

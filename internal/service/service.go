@@ -1029,7 +1029,7 @@ func assembleRepeat(prep *runner.Prepared, srcDir, dir string, logf func(string,
 			return nil, err
 		}
 	}
-	return prep.Assemble(recs, planner, len(recs), runner.Options{Dir: dir, Logf: logf})
+	return prep.Assemble(recs, planner, len(recs), runner.Timing{}, runner.Options{Dir: dir, Logf: logf})
 }
 
 // kickLeaseAsync is the coordinator OnWake hook. It runs with the

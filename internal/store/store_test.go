@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -35,8 +36,8 @@ func testEntry(i int) campaign.MemoEntry {
 		Outcome: campaign.OutcomeDeviation,
 		Detail:  "dev",
 		FiredAt: sim.Millis(40 + i),
-		Diffs: map[string]trace.Diff{
-			"out": {Signal: "out", First: sim.Millis(i), Last: sim.Millis(90 + i), Count: 3},
+		Diffs: trace.Diffs{
+			{Signal: "out", First: sim.Millis(i), Last: sim.Millis(90 + i), Count: 3},
 		},
 	}
 }
@@ -63,15 +64,50 @@ func TestMemoRoundTrip(t *testing.T) {
 	if _, ok := s.GetMemo("other", testKey(1)); ok {
 		t.Fatal("scope leak: entry served under a foreign scope")
 	}
-	// Served entries are private clones.
-	e.Diffs["out"] = trace.Diff{Signal: "out", First: -1}
+	// Served entries are decoded afresh from the stored bytes.
+	e.Diffs[0] = trace.Diff{Signal: "out", First: -1}
 	again, _ := s.GetMemo("scope", testKey(1))
-	if again.Diffs["out"].First != 1 {
-		t.Fatalf("served diff map aliases the store: %+v", again.Diffs["out"])
+	if again.Diffs[0].First != 1 {
+		t.Fatalf("served diff slice aliases the store: %+v", again.Diffs[0])
 	}
 	st := s.Stats()
 	if st.Hits != 2 || st.Misses != 2 || st.Puts != 1 || st.Entries != 1 {
 		t.Fatalf("stats: %+v", st)
+	}
+}
+
+// TestMemoEntryJSONStable serves an entry persisted when MemoEntry
+// held its diffs in a map keyed by signal: the stored bytes decode
+// into the ascending diff slice, re-encode to the same bytes, and so
+// putting the served entry back is an idempotent re-put. Keys that
+// JSON escapes take encoding/json's own path.
+func TestMemoEntryJSONStable(t *testing.T) {
+	const stored = `{"outcome":"deviation","detail":"\u003cdev \u0026 more\u003e","fired_at":41,"diffs":{` +
+		`"a\u003cb":{"Signal":"a\u003cb","First":43,"Last":43,"Count":1},` +
+		`"brake":{"Signal":"brake","First":44,"Last":95,"Count":52},` +
+		`"v_out":{"Signal":"v_out","First":42,"Last":90,"Count":7}}}`
+	want := campaign.MemoEntry{Outcome: campaign.OutcomeDeviation, Detail: "<dev & more>", FiredAt: 41,
+		Diffs: trace.Diffs{
+			{Signal: "a<b", First: 43, Last: 43, Count: 1},
+			{Signal: "brake", First: 44, Last: 95, Count: 52},
+			{Signal: "v_out", First: 42, Last: 90, Count: 7},
+		}}
+	s, err := Open(t.TempDir(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	s.index[memoIndexKey("scope", testKey(1))] = &memoRec{data: []byte(stored)}
+	e, ok := s.GetMemo("scope", testKey(1))
+	if !ok || !reflect.DeepEqual(e, want) {
+		t.Fatalf("served %+v, %v; want %+v", e, ok, want)
+	}
+	if data, err := json.Marshal(e); err != nil || string(data) != stored {
+		t.Fatalf("re-encoded as\n%s (%v), want\n%s", data, err, stored)
+	}
+	s.PutMemo("scope", testKey(1), e)
+	if st := s.Stats(); st.Puts != 0 {
+		t.Errorf("putting the served entry back wrote %d puts, want an idempotent re-put", st.Puts)
 	}
 }
 

@@ -477,14 +477,15 @@ func (c *StreamComparator) Diffs() map[string]Diff {
 	return out
 }
 
-// DeviatingDiffs returns only the signals that deviated, keyed by
-// signal — nil when the run matched the golden trace everywhere. On
-// the campaign hot path the overwhelming majority of runs deviate on
-// few or no signals, so the sparse form skips building (and garbage-
-// collecting) a full per-signal map per run. Callers must treat a
-// missing entry as "no deviation", never as a zero-valued Diff (whose
-// First of 0 would read as a deviation at tick 0).
-func (c *StreamComparator) DeviatingDiffs() map[string]Diff {
+// DeviatingDiffs returns only the signals that deviated, in
+// ascending name order — nil when the run matched the golden trace
+// everywhere. A trace's columns are its signals sorted (NewTrace,
+// ReadFrom), so column order is name order and the result is one
+// allocation: the slice the run's record, the aggregates, the memo
+// store and the journal then share. Callers must treat a missing
+// entry as "no deviation", never as a zero-valued Diff (whose First
+// of 0 would read as a deviation at tick 0).
+func (c *StreamComparator) DeviatingDiffs() Diffs {
 	n := 0
 	for _, d := range c.diffs {
 		if d.Differs() {
@@ -494,10 +495,10 @@ func (c *StreamComparator) DeviatingDiffs() map[string]Diff {
 	if n == 0 {
 		return nil
 	}
-	out := make(map[string]Diff, n)
+	out := make(Diffs, 0, n)
 	for _, d := range c.diffs {
 		if d.Differs() {
-			out[d.Signal] = d
+			out = append(out, d)
 		}
 	}
 	return out
