@@ -308,3 +308,46 @@ func TestRestoredCachesRecompute(t *testing.T) {
 		t.Errorf("SetValue after restore = %d, want %d", got, want)
 	}
 }
+
+// TestSnapshotOverReusesDst: CheckpointOver into a snapshot nothing
+// reads any more gives the capture Checkpoint would, in dst's own
+// arrays; with every live hidden state equal to base's it shares
+// them all and allocates nothing.
+func TestSnapshotOverReusesDst(t *testing.T) {
+	inst, err := NewInstance(DefaultConfig(), physics.TestCase{MassKg: 14000, VelocityMS: 60}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst.Run(500)
+	old, err := inst.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst.Run(1000)
+	base, err := inst.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	signals, hidden := &old.Signals[0], &old.Hidden[0]
+	got, err := inst.CheckpointOver(old, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != old || &got.Signals[0] != signals || &got.Hidden[0] != hidden {
+		t.Error("CheckpointOver(dst, base) did not capture into dst's arrays")
+	}
+	if !reflect.DeepEqual(got, base) {
+		t.Errorf("CheckpointOver(dst, base) = %+v, want the capture %+v", got, base)
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		if _, err := inst.CheckpointOver(old, base); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("CheckpointOver into a reused snapshot allocates %v times, want 0", allocs)
+	}
+	if fresh, err := inst.CheckpointOver(nil, base); err != nil || fresh == old || !reflect.DeepEqual(fresh, base) {
+		t.Errorf("CheckpointOver(nil, base) = %+v, %v; want a new capture equal to base", fresh, err)
+	}
+}

@@ -248,13 +248,11 @@ func newAdaptiveScheduler(cfg Config, plan []inject.Injection, preds []casePredi
 	for i := range s.byJob {
 		s.byJob[i].loc = -1
 	}
+	// The first pass marks each fireable job's location in byJob and
+	// counts each location's, so the second fills presized slices in
+	// job order.
 	locIdx := make(map[[2]string]int)
-	type orderedJob struct {
-		key uint64
-		job schedJob
-	}
-	perLoc := make(map[int][]orderedJob)
-	var digits []byte
+	var counts []int
 	for pi, inj := range plan {
 		lk := [2]string{inj.Module, inj.Signal}
 		li, ok := locIdx[lk]
@@ -274,31 +272,49 @@ func newAdaptiveScheduler(cfg Config, plan []inject.Injection, preds []casePredi
 			li = len(s.locs)
 			locIdx[lk] = li
 			s.locs = append(s.locs, loc)
+			counts = append(counts, 0)
 		}
 		pk := portKey{module: inj.Module, signal: inj.Signal}
-		var prefix []byte // "<injection>#"
 		for ci := range cfg.TestCases {
 			// Only the campaign's fault mode has predictions; the other
 			// map is nil and reads as "cannot fire".
-			if !preds[ci].transient[pk][inj.At].fires && !preds[ci].persistent[pk][inj.At].fires {
-				continue
+			if preds[ci].transient[pk][inj.At].fires || preds[ci].persistent[pk][inj.At].fires {
+				s.byJob[pi*cases+ci].loc = int32(li)
+				counts[li]++
 			}
-			// The permutation key is the FNV-1a hash of
-			// "<injection>#<case>", ties broken by that string. FNV
-			// streams bytes, so writing the prefix and then the digits
-			// hashes the string without formatting it per job.
-			if prefix == nil {
-				prefix = []byte(inj.String() + "#")
-			}
-			digits = strconv.AppendInt(digits[:0], int64(ci), 10)
-			h := fnv.New64a()
-			h.Write(prefix)
-			h.Write(digits)
-			perLoc[li] = append(perLoc[li], orderedJob{
-				key: h.Sum64(),
-				job: schedJob{planIdx: pi, caseIdx: ci},
-			})
 		}
+	}
+	type orderedJob struct {
+		key uint64
+		job schedJob
+	}
+	perLoc := make([][]orderedJob, len(s.locs))
+	for li, n := range counts {
+		perLoc[li] = make([]orderedJob, 0, n)
+		s.locs[li].jobs = make([]schedJob, n)
+	}
+	var prefix, digits []byte // "<injection>#" of plan[prefixOf], "<case>"
+	prefixOf := -1
+	for j, ref := range s.byJob {
+		if ref.loc < 0 {
+			continue
+		}
+		pi, ci := j/cases, j%cases
+		// The permutation key is the FNV-1a hash of
+		// "<injection>#<case>", ties broken by that string. FNV
+		// streams bytes, so writing the prefix and then the digits
+		// hashes the string without formatting it per job.
+		if pi != prefixOf {
+			prefix, prefixOf = append(append(prefix[:0], plan[pi].String()...), '#'), pi
+		}
+		digits = strconv.AppendInt(digits[:0], int64(ci), 10)
+		h := fnv.New64a()
+		h.Write(prefix)
+		h.Write(digits)
+		perLoc[ref.loc] = append(perLoc[ref.loc], orderedJob{
+			key: h.Sum64(),
+			job: schedJob{planIdx: pi, caseIdx: ci},
+		})
 	}
 	for li, loc := range s.locs {
 		jobs := perLoc[li]
@@ -315,7 +331,7 @@ func newAdaptiveScheduler(cfg Config, plan []inject.Injection, preds []casePredi
 		})
 		for pos, oj := range jobs {
 			s.byJob[oj.job.planIdx*cases+oj.job.caseIdx] = schedRef{loc: int32(li), pos: int32(pos)}
-			loc.jobs = append(loc.jobs, oj.job)
+			loc.jobs[pos] = oj.job
 		}
 		loc.contrib = make([]schedContrib, len(loc.jobs))
 		loc.checkpoint = adaptivePilot

@@ -135,6 +135,13 @@ type Config struct {
 	// slice of the job space and to resume a journaled campaign without
 	// re-executing completed runs. Skipped jobs contribute nothing to
 	// the aggregates — pair them with Replay to keep results whole.
+	//
+	// Skip is called in ascending job order, at most once per job, as
+	// jobs are dispatched: up to the first job it keeps from Run's
+	// goroutine, after that from a feeder goroutine, concurrently with
+	// Observer and Progress. An Abort or a failed job ends the calls.
+	// So Skip may read only state that nothing writes while the
+	// campaign runs, or must synchronise with what does.
 	Skip func(job int) bool
 	// Replay seeds the aggregates with previously recorded runs —
 	// typically journal entries from an interrupted campaign — before
@@ -639,24 +646,25 @@ func (g *Golden) Run(cfg Config) (*Result, error) {
 	// sampling.
 	pred := g.predict(sys)
 	adaptive := cfg.adaptiveEnabled()
-	// Materialise the job list up front (applying Skip), in plan order.
-	// Golden builds every checkpoint of a case once, so no grouping buys
-	// restore locality; aggregation is order-independent and journal
-	// records identify jobs by content. Adaptive campaigns skip the
-	// list: the scheduler owns dispatch.
-	var jobList []job
+	// A full-matrix campaign dispatches its jobs in index order, job i
+	// injecting plan[i/cases] into case i%cases, and asks Skip about
+	// each once, in that order: up to the first job it keeps here, the
+	// rest as the feeder reaches them. Golden builds every checkpoint of
+	// a case once, so no grouping buys restore locality; aggregation is
+	// order-independent and journal records identify jobs by content.
+	// Adaptive campaigns dispatch no index: the scheduler owns dispatch.
+	cases := len(cfg.TestCases)
+	total := len(plan) * cases
+	skip := func(i int) bool { return cfg.Skip != nil && cfg.Skip(i) }
+	first := total
 	if !adaptive {
-		for pi, inj := range plan {
-			for ci := range cfg.TestCases {
-				if cfg.Skip != nil && cfg.Skip(pi*len(cfg.TestCases)+ci) {
-					continue
-				}
-				jobList = append(jobList, job{inj: inj, caseIdx: ci})
-			}
+		first = 0
+		for first < total && skip(first) {
+			first++
 		}
 	}
 	e := &engine{cfg: cfg, sys: sys, g: g}
-	if (adaptive || len(jobList) > 0) && preds != nil && cfg.pruningEnabled() {
+	if (adaptive || first < total) && preds != nil && cfg.pruningEnabled() {
 		e.pr = newPruner(cfg, preds)
 		if g.fastForward(cfg) && cfg.FaultDurationMs <= 0 {
 			e.siblings = g.siblingTable(cfg)
@@ -730,12 +738,15 @@ func (g *Golden) Run(cfg Config) (*Result, error) {
 				}
 			}
 		}
-		for _, j := range jobList {
+		for i := first; i < total; i++ {
+			if i > first && skip(i) {
+				continue
+			}
 			if cfg.Abort != nil && cfg.Abort() {
 				return
 			}
 			select {
-			case jobs <- j:
+			case jobs <- job{inj: plan[i/cases], caseIdx: i % cases}:
 			case <-done:
 				return
 			}
@@ -746,7 +757,7 @@ func (g *Golden) Run(cfg Config) (*Result, error) {
 		close(outcomes)
 	}()
 
-	totalRuns := len(plan) * len(cfg.TestCases)
+	totalRuns := total
 	if sched != nil {
 		// The fireable population bounds an adaptive campaign from
 		// above; the stopping rule usually closes far earlier.
@@ -1067,7 +1078,7 @@ func (w *worker) injectionRun(caseIdx int, inj inject.Injection) (runOutcome, er
 			return runOutcome{}, fmt.Errorf("campaign: injection %v case %d: %w", inj, caseIdx, err)
 		}
 		if !reuse {
-			// DeviatingDiffs and SuffixSince copy the results out and the
+			// DeviatingDiffs and SuffixSinceInto copy the results out and the
 			// instance (with the comparator's stale post-hook) is
 			// discarded with this run, so the comparator can be recycled.
 			defer trace.ReleaseStreamComparator(s.cmp)
@@ -1123,7 +1134,7 @@ func (w *worker) injectionRun(caseIdx int, inj inject.Injection) (runOutcome, er
 		out.pruned = PrunedConverged
 	}
 	switch {
-	case end.spliced != nil && end.spliced.outcome != "":
+	case end.spliced.outcome != "":
 		out.outcome, out.detail = end.spliced.outcome, end.spliced.detail
 	case inst.Kernel().Exhausted():
 		out.outcome = OutcomeHang
@@ -1143,7 +1154,7 @@ func (w *worker) injectionRun(caseIdx int, inj inject.Injection) (runOutcome, er
 		ending, detail = out.outcome, out.detail
 	}
 	for _, p := range end.pending[:end.npending] {
-		w.siblings.finish(p.tr, cmp.SuffixSince(p.mark), ending, detail)
+		w.siblings.finish(p.tr, cmp.SuffixSinceInto(p.tr.suffix, p.mark), ending, detail)
 	}
 	if w.pr != nil {
 		w.pr.store(mk, out)
@@ -1161,7 +1172,7 @@ type runEnd struct {
 	// converged: the run stopped early, at a probe tick where its state
 	// was the golden run's or a finished sibling's (spliced).
 	converged bool
-	spliced   *trajectory
+	spliced   spliced
 	// pending are the sibling entries this run registered, each with
 	// its comparator mark, to finish once the run's outcome is known.
 	pending  [len(probeOffsets)]pendingTrajectory
@@ -1223,12 +1234,12 @@ func (w *worker) executeToHorizon(s *runSlot, caseIdx int, at sim.Millis) (end r
 			continue
 		}
 		key := trajectoryKey{caseIdx: caseIdx, tick: probe.at, row: rowHash(inst.Bus().Values())}
-		found, mine := w.siblings.visit(key, ck, used, snaps[i])
-		if found != nil {
-			if err := cmp.Splice(found.suffix); err != nil {
-				return end, err
-			}
-			end.converged, end.spliced = true, found
+		sp, mine, err := w.siblings.visit(key, ck, used, snaps[i], cmp)
+		if err != nil {
+			return end, err
+		}
+		if sp.ok {
+			end.converged, end.spliced = true, sp
 			return end, nil
 		}
 		if mine != nil {

@@ -499,12 +499,12 @@ func (p *pruner) store(mk *MemoKey, out runOutcome) {
 // executes, so which runs splice depends on worker interleaving and
 // on the Runs before, but the records never do.
 
-// defaultTrajectoryBound bounds the sibling table (entries, recycled
+// defaultTrajectoryBound bounds the sibling table (entries, evicted
 // oldest first). A sibling may have run anywhere in the campaign: the
 // adaptive order scatters the runs of one (signal, instant), and
-// fleet units split them across Runs. 8,192 entries, about 5 MB on
-// the paper target, let a fleet execute about the runs a single node
-// does.
+// fleet units split them across Runs. 8,192 entries, which hold
+// 5.9 MB of heap after a paper full campaign, let a fleet execute
+// about the runs a single node does.
 const defaultTrajectoryBound = 8192
 
 // siblingScope is the config a suffix depends on beyond the
@@ -534,8 +534,8 @@ type trajectory struct {
 	state *sim.Snapshot
 	next  *trajectory // the next entry under the same key
 
-	done    bool // guarded by trajectories.mu, like the fields below
-	suffix  trace.Suffix
+	done    bool         // guarded by trajectories.mu, like the fields below
+	suffix  trace.Suffix // also written by the entry's run until done
 	outcome Outcome
 	detail  string
 }
@@ -547,7 +547,7 @@ type trajectories struct {
 
 	mu    sync.Mutex
 	byKey map[trajectoryKey]*trajectory // chained through trajectory.next
-	ring  []*trajectory                 // insertion order, oldest at next once full
+	ring  []*trajectory                 // insertion order, oldest at next once full; nil: a free slot
 	next  int
 	bound int
 }
@@ -569,7 +569,13 @@ func (ts *trajectories) compareUsed() bool { return ts.scope.Budget.Steps > 0 }
 // target.Checkpointable).
 type liveState interface {
 	Matches(snap *sim.Snapshot) bool
-	CheckpointOver(base *sim.Snapshot) (*sim.Snapshot, error)
+	CheckpointOver(dst, base *sim.Snapshot) (*sim.Snapshot, error)
+}
+
+// splicer is the comparison a found sibling's suffix completes
+// (trace.StreamComparator).
+type splicer interface {
+	Splice(s trace.Suffix) error
 }
 
 // matches reports whether a live state that has spent used steps
@@ -587,39 +593,70 @@ func rowHash(row []uint16) uint64 {
 	return h
 }
 
+// spliced is what a run keeps of the finished sibling it converged
+// on: that it spliced, and how the sibling ended ("" when it
+// completed, else a crash with its panic text or a hang).
+type spliced struct {
+	ok      bool
+	outcome Outcome
+	detail  string
+}
+
 // visit looks a run's live state at a probe tick up, comparing it in
-// place. It returns the finished entry the state equals, if any;
-// otherwise, unless an equal entry is still pending, it captures the
-// state and registers it as a new pending entry, returned as mine for
-// the run to finish when it ends. The capture shares golden's hidden
-// states where the live ones still equal them: a few ticks after
-// firing most have not diverged, and the table holds thousands of
-// states. A failed capture registers nothing.
-func (ts *trajectories) visit(key trajectoryKey, live liveState, used int64, golden *sim.Snapshot) (found, mine *trajectory) {
+// place. If it equals a finished entry, that entry's suffix is spliced
+// into cmp and its ending returned. Otherwise, unless an equal entry
+// is still pending, the state is captured and registered as a new
+// pending entry, returned as mine for the run to finish when it ends.
+//
+// A full table evicts its oldest entry first. A finished one is
+// recycled: its trajectory, snapshot arrays and suffix buffer become
+// the new entry's, so a registration whose hidden states all equal
+// golden's allocates nothing. A pending one is dropped, as its run
+// still holds it. The capture shares golden's hidden states where the
+// live ones still equal them: a few ticks after firing most have not
+// diverged, and the table holds thousands of states. A failed capture
+// registers nothing, and its slot stays empty.
+//
+// Nothing of an entry but mine leaves the lock, so no other worker
+// can hold an entry that is recycled.
+func (ts *trajectories) visit(key trajectoryKey, live liveState, used int64, golden *sim.Snapshot, cmp splicer) (sp spliced, mine *trajectory, err error) {
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
 	for tr := ts.byKey[key]; tr != nil; tr = tr.next {
 		if ts.matches(live, used, tr.state) {
-			if tr.done {
-				return tr, nil
+			if !tr.done {
+				return spliced{}, nil, nil
 			}
-			return nil, nil
+			if err := cmp.Splice(tr.suffix); err != nil {
+				return spliced{}, nil, err
+			}
+			return spliced{ok: true, outcome: tr.outcome, detail: tr.detail}, nil, nil
 		}
 	}
-	state, err := live.CheckpointOver(golden)
-	if err != nil {
-		return nil, nil
-	}
-	if len(ts.ring) < ts.bound {
+	if ts.next == len(ts.ring) {
 		ts.ring = append(ts.ring, nil)
-	} else {
-		ts.evict(ts.ring[ts.next])
 	}
-	mine = &trajectory{key: key, state: state, next: ts.byKey[key]}
+	var dst *sim.Snapshot
+	if old := ts.ring[ts.next]; old != nil {
+		ts.evict(old)
+		ts.ring[ts.next] = nil
+		if old.done {
+			mine, dst = old, old.state
+		}
+	}
+	state, err := live.CheckpointOver(dst, golden)
+	if err != nil {
+		return spliced{}, nil, nil
+	}
+	if mine == nil {
+		mine = &trajectory{}
+	}
+	mine.key, mine.state, mine.next = key, state, ts.byKey[key]
+	mine.done, mine.outcome, mine.detail = false, "", ""
 	ts.byKey[key] = mine
 	ts.ring[ts.next] = mine
 	ts.next = (ts.next + 1) % ts.bound
-	return nil, mine
+	return spliced{}, mine, nil
 }
 
 // evict unlinks the oldest entry. Chains run newest first and
@@ -637,7 +674,10 @@ func (ts *trajectories) evict(old *trajectory) {
 }
 
 // finish publishes what followed a pending entry's state. An evicted
-// entry is finished all the same; nothing reads it any more.
+// entry is finished all the same; nothing reads it any more. Until
+// then only its run holds the entry's suffix, so the run may build
+// the suffix in the entry's own buffer (trace.StreamComparator's
+// SuffixSinceInto) before it finishes.
 func (ts *trajectories) finish(tr *trajectory, suffix trace.Suffix, outcome Outcome, detail string) {
 	ts.mu.Lock()
 	defer ts.mu.Unlock()

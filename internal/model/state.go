@@ -1,6 +1,9 @@
 package model
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Stateful is implemented by simulation components (modules, hardware
 // glue, plant models) that carry hidden state outside the signal bus.
@@ -36,14 +39,14 @@ func CaptureStates(components []Stateful) []any {
 	return states
 }
 
-// CaptureStatesOver is CaptureStates, except that a component whose
-// live state equals its entry in base (captured over the same
-// component list) shares base's value instead of capturing a copy: a
-// state recorded a few ticks after an injection mostly equals the
-// golden state there, and sharing neither allocates nor retains a
-// second copy.
-func CaptureStatesOver(components []Stateful, base []any) []any {
-	states := make([]any, len(components))
+// CaptureStatesOverInto is CaptureStates into dst's array (reused
+// when it is large enough), except that a component whose live state
+// equals its entry in base (captured over the same component list)
+// shares base's value instead of capturing a copy: a state recorded a
+// few ticks after an injection mostly equals the golden state there,
+// and sharing neither allocates nor retains a second copy.
+func CaptureStatesOverInto(dst []any, components []Stateful, base []any) []any {
+	states := slices.Grow(dst[:0], len(components))[:len(components)]
 	for i, c := range components {
 		if i < len(base) && c.Equal(base[i]) {
 			states[i] = base[i]

@@ -511,6 +511,9 @@ func (p *Prepared) Run(opts Options) (*RunResult, error) {
 	}
 
 	cfg.Replay = replay
+	// Skip runs on the campaign's feeder goroutine, concurrently with
+	// the observer below; it only reads done and member, which nothing
+	// writes once the campaign has started.
 	cfg.Skip = func(job int) bool {
 		return done[job] || (member != nil && !member[job])
 	}

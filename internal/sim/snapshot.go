@@ -1,6 +1,9 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Snapshot is a capture of one simulation instance's dynamic state at
 // a tick boundary: the kernel's simulated time and step-budget
@@ -52,14 +55,20 @@ func NewSnapshotter(k *Kernel, b *Bus) *Snapshotter {
 
 // Capture records the sim-layer state. It must be called at a tick
 // boundary (between Run calls), never from inside a hook or task.
-func (s *Snapshotter) Capture() *Snapshot {
-	snap := &Snapshot{
-		Now:     s.kernel.now,
-		Used:    s.kernel.used,
-		Signals: make([]uint16, len(s.bus.values)),
+func (s *Snapshotter) Capture() *Snapshot { return s.CaptureInto(nil) }
+
+// CaptureInto is Capture, except that a non-nil dst is overwritten and
+// returned: its Signals array is reused when it is large enough, and
+// its Hidden field is left to the caller. A snapshot a table no longer
+// holds can so be recycled without allocating.
+func (s *Snapshotter) CaptureInto(dst *Snapshot) *Snapshot {
+	if dst == nil {
+		dst = &Snapshot{}
 	}
-	s.bus.gather(snap.Signals)
-	return snap
+	dst.Now, dst.Used = s.kernel.now, s.kernel.used
+	dst.Signals = slices.Grow(dst.Signals[:0], len(s.bus.values))[:len(s.bus.values)]
+	s.bus.gather(dst.Signals)
+	return dst
 }
 
 // Restore overwrites the sim-layer state from a snapshot captured on

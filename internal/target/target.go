@@ -50,8 +50,11 @@ type Checkpointable interface {
 	Checkpoint() (*sim.Snapshot, error)
 	// CheckpointOver is Checkpoint, except that a hidden state equal
 	// to base's (a snapshot of an identically constructed instance)
-	// shares base's value instead of being copied.
-	CheckpointOver(base *sim.Snapshot) (*sim.Snapshot, error)
+	// shares base's value instead of being copied, and that a non-nil
+	// dst is overwritten and returned, reusing its Signals and Hidden
+	// arrays. dst must be a snapshot nothing else reads any more; on an
+	// error it may be left partly overwritten.
+	CheckpointOver(dst, base *sim.Snapshot) (*sim.Snapshot, error)
 	// Matches reports whether the live state equals snap's — the
 	// simulated time, every bus signal and every hidden state — without
 	// capturing anything. The step accounting is not compared; a
@@ -92,9 +95,9 @@ func (c *Checkpointer) Checkpoint() (*sim.Snapshot, error) {
 }
 
 // CheckpointOver implements Checkpointable.
-func (c *Checkpointer) CheckpointOver(base *sim.Snapshot) (*sim.Snapshot, error) {
-	snap := c.snap.Capture()
-	snap.Hidden = model.CaptureStatesOver(c.Stateful, base.Hidden)
+func (c *Checkpointer) CheckpointOver(dst, base *sim.Snapshot) (*sim.Snapshot, error) {
+	snap := c.snap.CaptureInto(dst)
+	snap.Hidden = model.CaptureStatesOverInto(snap.Hidden, c.Stateful, base.Hidden)
 	return snap, nil
 }
 

@@ -3,6 +3,7 @@ package trace
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"propane/internal/sim"
@@ -141,5 +142,28 @@ func TestTraceSpliceRejectsMisplacedSuffix(t *testing.T) {
 	part, _ = sr.compareTicks(t, sr.marks[0])
 	if err := part.Splice(other); err == nil {
 		t.Error("spliced a suffix over another column count")
+	}
+}
+
+// TestTraceSuffixSinceIntoReusesBuffer: SuffixSinceInto reports what
+// SuffixSince does, in dst's column buffer when it is large enough,
+// allocating nothing then.
+func TestTraceSuffixSinceIntoReusesBuffer(t *testing.T) {
+	sr := newSpliceRun(rand.New(rand.NewSource(3)), 120)
+	full, ids := sr.compareTicks(t, sr.golden.Len())
+	buf := Suffix{cols: make([]suffixCol, 0, len(sr.golden.Signals()))}
+	for k, id := range ids {
+		want := full.SuffixSince(id)
+		got := full.SuffixSinceInto(buf, id)
+		if got.from != want.from || got.width != want.width || !slices.Equal(got.cols, want.cols) {
+			t.Errorf("mark %d: SuffixSinceInto = %+v, want %+v", k, got, want)
+		}
+		if &got.cols[:1][0] != &buf.cols[:1][0] {
+			t.Errorf("mark %d: SuffixSinceInto did not fill dst's buffer", k)
+		}
+		buf = got
+	}
+	if allocs := testing.AllocsPerRun(10, func() { buf = full.SuffixSinceInto(buf, ids[0]) }); allocs != 0 {
+		t.Errorf("SuffixSinceInto into a large enough buffer allocates %v times, want 0", allocs)
 	}
 }

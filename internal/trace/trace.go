@@ -432,6 +432,13 @@ type suffixCol struct {
 // per column, the first deviation at or after the mark, the last one,
 // and their count.
 func (c *StreamComparator) SuffixSince(m int) Suffix {
+	return c.SuffixSinceInto(Suffix{}, m)
+}
+
+// SuffixSinceInto is SuffixSince, except that the result reuses dst's
+// column buffer when it is large enough, so a suffix nothing reads any
+// more can be recycled without allocating. dst is overwritten.
+func (c *StreamComparator) SuffixSinceInto(dst Suffix, m int) Suffix {
 	counts, firsts := c.markCount[m*c.width:(m+1)*c.width], c.markFirst[m*c.width:(m+1)*c.width]
 	n := 0
 	for i, d := range c.diffs {
@@ -439,7 +446,7 @@ func (c *StreamComparator) SuffixSince(m int) Suffix {
 			n++
 		}
 	}
-	s := Suffix{from: c.marks[m], width: c.width, cols: make([]suffixCol, 0, n)}
+	s := Suffix{from: c.marks[m], width: c.width, cols: slices.Grow(dst.cols[:0], n)}
 	for i, d := range c.diffs {
 		if d.Count > counts[i] {
 			s.cols = append(s.cols, suffixCol{col: int32(i), count: int32(d.Count - counts[i]), first: int32(firsts[i]), last: int32(d.Last)})
