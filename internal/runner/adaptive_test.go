@@ -247,3 +247,36 @@ func TestAdaptiveEquivalenceAcrossRegistry(t *testing.T) {
 		})
 	}
 }
+
+// TestAdaptiveRecordSetPinned pins the record set of the paper/full
+// adaptive campaign at ε = 0.05: which jobs the stopping rule asks for
+// and what each settles to. Dispatch order across locations shapes
+// wall-clock only; a change that moves a stopping decision, a
+// location's permutation or an outcome moves this digest (the same
+// reference the benchmark's fleet workload checks its assembly
+// against).
+func TestAdaptiveRecordSetPinned(t *testing.T) {
+	const (
+		wantDigest = "cc78f5f666abeca224e83d014d966ad88349bd255377e7001c93cb015b3e3aef"
+		wantRecs   = 9984
+	)
+	dir := t.TempDir()
+	opts := Options{Dir: dir, Workers: 2, SkipReport: true, Adaptive: campaign.AdaptiveForce}
+	rr, err := RunInstance("paper", TierFull, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, recs, err := ReadJournal(JournalPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != wantRecs {
+		t.Errorf("%d records, want %d", len(recs), wantRecs)
+	}
+	if got := rr.Result.Adaptive.Scheduled; got != wantRecs {
+		t.Errorf("%d runs scheduled, want %d", got, wantRecs)
+	}
+	if got := RecordSetDigest(recs); got != wantDigest {
+		t.Errorf("RecordSetDigest = %s, want %s", got, wantDigest)
+	}
+}
