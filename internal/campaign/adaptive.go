@@ -7,12 +7,10 @@ import (
 	"strconv"
 	"sync"
 
-	"propane/internal/estimate"
 	"propane/internal/inject"
 	"propane/internal/model"
 	"propane/internal/sim"
 	"propane/internal/stats"
-	"propane/internal/trace"
 )
 
 // Adaptive sequential estimation. The fixed campaign matrix injects
@@ -28,9 +26,9 @@ import (
 // location's system-propagation fraction — has a conservative
 // confidence interval (Wilson ∪ Clopper-Pearson at a
 // Bonferroni-corrected level, see internal/stats) with half-width
-// ≤ ε. Locations whose population is empty are degenerate: the
-// analytical read-log bound proves no sample can fire, so they stop
-// with zero samples, exactly matching the full matrix's estimate of 0.
+// ≤ ε. Locations whose population is empty are degenerate: the golden
+// read log proves no sample can fire, so they stop with zero samples,
+// exactly matching the full matrix's estimate of 0.
 //
 // Determinism of the stopping decision is the load-bearing property:
 // the job set must be a pure function of (config, ε), never of worker
@@ -41,10 +39,9 @@ import (
 // exactly the first C samples, and (c) each sample's outcome is
 // deterministic (the simulator is; the documented caveats are the
 // wall-clock budget backstop and worker-crash quarantines, which are
-// environmental by design). Importance ordering — predicted
-// permeability × remaining uncertainty — picks which live location
-// dispatches next and therefore shapes wall-clock, but never the job
-// set: per-location prefixes are independent.
+// environmental by design). Which live location dispatches next — the
+// one with the widest remaining interval — shapes wall-clock, but
+// never the job set: per-location prefixes are independent.
 
 // AdaptiveMode selects sequential (CI-driven) sampling instead of the
 // fixed bits × instants × cases enumeration.
@@ -190,7 +187,9 @@ type schedLocation struct {
 	trials, sysErrs          int
 	errs                     []int
 	stopped, exhausted       bool
-	score, unc               float64
+	// unc is the widest half-width at the last checkpoint (0.5 before
+	// the first); claimLocked dispatches the largest first.
+	unc float64
 }
 
 // roundOf returns the 1-based batch ordinal of a sample position under
@@ -229,9 +228,8 @@ type adaptiveScheduler struct {
 
 // newAdaptiveScheduler builds the deterministic sampling schedule: per
 // location, the fireable jobs (per the golden read log) in
-// hash-permuted order, seeded with importance priors from the
-// analytical prediction.
-func newAdaptiveScheduler(cfg Config, plan []inject.Injection, preds []casePredictions, pred *estimate.Prediction) (*adaptiveScheduler, error) {
+// hash-permuted order.
+func newAdaptiveScheduler(cfg Config, plan []inject.Injection, preds []casePredictions) (*adaptiveScheduler, error) {
 	if preds == nil {
 		return nil, invalidf("campaign: adaptive sampling needs golden-run predictions")
 	}
@@ -266,9 +264,6 @@ func newAdaptiveScheduler(cfg Config, plan []inject.Injection, preds []casePredi
 				loc.outputs = append(loc.outputs, o.Signal)
 			}
 			loc.errs = make([]int, len(loc.outputs))
-			if pred != nil {
-				loc.score = pred.LocationScore(inj.Module, inj.Signal)
-			}
 			li = len(s.locs)
 			locIdx[lk] = li
 			s.locs = append(s.locs, loc)
@@ -463,13 +458,12 @@ func (s *adaptiveScheduler) evaluateLocked(loc *schedLocation) {
 	}
 }
 
-// claimLocked hands out the next sample of the most important live
-// location — importance = analytical prior × remaining uncertainty.
-// finished distinguishes "the schedule is complete" from "all live
+// claimLocked hands out the next sample of the live location with the
+// widest remaining interval (loc.unc), ties to the lowest location
+// index. finished distinguishes "the schedule is complete" from "all live
 // batches are fully in flight, wait for settles".
 func (s *adaptiveScheduler) claimLocked() (j schedJob, ok, finished bool) {
 	best := -1
-	var bestPri float64
 	finished = true
 	for i, loc := range s.locs {
 		if loc.stopped {
@@ -483,9 +477,8 @@ func (s *adaptiveScheduler) claimLocked() (j schedJob, ok, finished bool) {
 		if loc.next >= loc.checkpoint {
 			continue
 		}
-		pri := loc.score * loc.unc
-		if best == -1 || pri > bestPri {
-			best, bestPri = i, pri
+		if best == -1 || loc.unc > s.locs[best].unc {
+			best = i
 		}
 	}
 	if best == -1 {
@@ -559,32 +552,6 @@ func (s *adaptiveScheduler) stats() AdaptiveStats {
 	return st
 }
 
-// goldenActivity measures, per signal, the mean fraction of golden-run
-// ticks on which the signal changed value — the activity weights the
-// analytical estimator (internal/estimate) sharpens its priors with.
-func goldenActivity(goldens []*trace.Trace) map[string]float64 {
-	if len(goldens) == 0 {
-		return nil
-	}
-	acc := make(map[string]float64)
-	for _, g := range goldens {
-		if g == nil {
-			continue
-		}
-		for _, sig := range g.Signals() {
-			changes, samples := g.Changes(sig)
-			if samples < 2 {
-				continue
-			}
-			acc[sig] += float64(changes) / float64(samples-1)
-		}
-	}
-	for k := range acc {
-		acc[k] /= float64(len(goldens))
-	}
-	return acc
-}
-
 // AdaptivePlanner exposes the sequential sampling schedule to external
 // execution drivers: the distributed coordinator carves work units
 // from its frontier, feeds it every accepted record and detects
@@ -601,9 +568,8 @@ type AdaptivePlanner struct {
 }
 
 // Planner builds the deterministic sampling schedule of the adaptive
-// configuration cfg from the recorded Golden Runs: their firing
-// predictions give the fireable populations, their signal activity
-// the analytical priors.
+// configuration cfg from the recorded Golden Runs, whose firing
+// predictions give the fireable populations.
 func (g *Golden) Planner(cfg Config) (*AdaptivePlanner, error) {
 	if err := g.check(cfg); err != nil {
 		return nil, err
@@ -616,7 +582,7 @@ func (g *Golden) Planner(cfg Config) (*AdaptivePlanner, error) {
 		return nil, err
 	}
 	sys := cfg.topology()
-	sched, err := newAdaptiveScheduler(cfg, plan, g.preds, g.predict(sys))
+	sched, err := newAdaptiveScheduler(cfg, plan, g.preds)
 	if err != nil {
 		return nil, err
 	}
@@ -636,8 +602,8 @@ func (p *AdaptivePlanner) Observe(rec RunRecord) error {
 }
 
 // Claim hands out up to max unclaimed samples as global job indices
-// (plan index × #cases + case index — the journal numbering), in
-// importance order. Claimed samples are never handed out again; a
+// (plan index × #cases + case index — the journal numbering), widest
+// remaining interval first. Claimed samples are never handed out again; a
 // crashed worker's unit keeps its job list and is re-leased, not
 // re-claimed.
 func (p *AdaptivePlanner) Claim(max int) []int {

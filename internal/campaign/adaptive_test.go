@@ -5,7 +5,6 @@ import (
 	"sync"
 	"testing"
 
-	"propane/internal/estimate"
 	"propane/internal/stats"
 )
 
@@ -34,9 +33,6 @@ func TestAdaptiveExhaustiveMatchesFullMatrix(t *testing.T) {
 	}
 	if adap.Adaptive == nil {
 		t.Fatal("adaptive result carries no AdaptiveStats")
-	}
-	if adap.Predictions == nil || full.Predictions == nil {
-		t.Fatal("results carry no analytical predictions")
 	}
 	if len(adap.Pairs) != len(full.Pairs) {
 		t.Fatalf("pair count mismatch: %d vs %d", len(adap.Pairs), len(full.Pairs))
@@ -361,54 +357,4 @@ func TestAdaptivePlanner(t *testing.T) {
 	if _, err := g.Planner(ReducedConfig()); err == nil {
 		t.Error("planner built for a non-adaptive config")
 	}
-}
-
-// TestAdaptivePredictionsOrdering: the analytical forecast must agree
-// with the measured module ordering well enough to be a usable prior
-// (the report prints the exact tau; here we only require positive
-// rank correlation on the reduced target).
-func TestAdaptivePredictionsOrdering(t *testing.T) {
-	res, err := Run(ReducedConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Predictions == nil {
-		t.Fatal("no predictions")
-	}
-	predicted, err := res.Predictions.ModuleScores()
-	if err != nil {
-		t.Fatal(err)
-	}
-	measured := make(map[string]float64)
-	for _, name := range res.Topology.ModuleNames() {
-		rel, err := res.Matrix.RelativePermeability(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		measured[name] = rel
-	}
-	tau, err := stats.KendallTau(predicted, measured)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tau <= 0 {
-		t.Errorf("predicted vs measured module ordering tau %.3f <= 0", tau)
-	}
-	// Predictions expose per-pair impact bounds in matrix order.
-	pairs := res.Predictions.Pairs()
-	if len(pairs) != len(res.Pairs) {
-		t.Fatalf("prediction pair count %d, measured %d", len(pairs), len(res.Pairs))
-	}
-	for i, pp := range pairs {
-		if pp.Pair != res.Pairs[i].Pair {
-			t.Fatalf("prediction pair order mismatch at %d", i)
-		}
-		if pp.Predicted < 0 || pp.Predicted > 1 || pp.ImpactBound < 0 || pp.ImpactBound > 1 {
-			t.Errorf("%v: prediction out of [0,1]: %+v", pp.Pair, pp)
-		}
-		if pp.ImpactBound > pp.Predicted+1e-12 {
-			t.Errorf("%v: impact bound %v exceeds predicted %v", pp.Pair, pp.ImpactBound, pp.Predicted)
-		}
-	}
-	_ = estimate.Options{}
 }

@@ -18,7 +18,6 @@ import (
 
 	"propane/internal/arrestor"
 	"propane/internal/core"
-	"propane/internal/estimate"
 	"propane/internal/inject"
 	"propane/internal/model"
 	"propane/internal/physics"
@@ -454,14 +453,14 @@ type PairStats struct {
 	Crashes, Hangs int
 
 	latencySum int64
-	latencies  []float64
+	latencies  []float64 // sorted ascending by finalise
 }
 
 // LatencyPercentile returns the p-quantile (0..1) of the propagation
 // latencies over the counted error runs; ok is false when no errors
 // were counted.
 func (ps *PairStats) LatencyPercentile(p float64) (float64, bool) {
-	v, err := stats.Percentile(ps.latencies, p)
+	v, err := stats.PercentileSorted(ps.latencies, p)
 	if err != nil {
 		return 0, false
 	}
@@ -514,11 +513,6 @@ type Result struct {
 	// (executed vs pruned/memoized). It never affects the estimates —
 	// pruned runs keep their synthesized outcomes in every denominator.
 	Pruning PruneStats
-	// Predictions is the analytical permeability forecast
-	// (internal/estimate) computed from the topology and the golden
-	// runs' signal activity — the prediction the report cross-validates
-	// against the measured estimates. Always populated by Run.
-	Predictions *estimate.Prediction
 	// Adaptive documents the sequential sampler's spending; nil for
 	// full-matrix campaigns.
 	Adaptive *AdaptiveStats
@@ -641,10 +635,6 @@ func (g *Golden) Run(cfg Config) (*Result, error) {
 		inj     inject.Injection
 		caseIdx int
 	}
-	// The analytical forecast is always attached to the result;
-	// adaptive campaigns additionally use it to importance-order their
-	// sampling.
-	pred := g.predict(sys)
 	adaptive := cfg.adaptiveEnabled()
 	// A full-matrix campaign dispatches its jobs in index order, job i
 	// injecting plan[i/cases] into case i%cases, and asks Skip about
@@ -672,7 +662,7 @@ func (g *Golden) Run(cfg Config) (*Result, error) {
 	}
 	var sched *adaptiveScheduler
 	if adaptive {
-		sched, err = newAdaptiveScheduler(cfg, plan, preds, pred)
+		sched, err = newAdaptiveScheduler(cfg, plan, preds)
 		if err != nil {
 			return nil, err
 		}
@@ -809,7 +799,6 @@ func (g *Golden) Run(cfg Config) (*Result, error) {
 	if err := res.finalise(sys); err != nil {
 		return nil, err
 	}
-	res.Predictions = pred
 	if sched != nil {
 		st := sched.stats()
 		res.Adaptive = &st
@@ -838,7 +827,6 @@ func (g *Golden) Fold(cfg Config, recs []RunRecord, planner *AdaptivePlanner) (*
 	if err := res.finalise(sys); err != nil {
 		return nil, err
 	}
-	res.Predictions = g.predict(sys)
 	if planner != nil {
 		st := planner.Stats()
 		res.Adaptive = &st
@@ -1523,6 +1511,7 @@ func (agg *aggregator) finalise(sys *model.System) error {
 		if ps.Errors > 0 {
 			ps.MeanLatencyMs = float64(ps.latencySum) / float64(ps.Errors)
 		}
+		sort.Float64s(ps.latencies)
 		// Setting a measured estimate can only fail on programming
 		// errors (pair enumerated from the topology itself); surface
 		// them as errors rather than panicking out of the library.

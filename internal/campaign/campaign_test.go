@@ -311,6 +311,28 @@ func TestLatencyPercentileAccessor(t *testing.T) {
 	}
 }
 
+// TestLatencyPercentileAllocs: finalise sorts each pair's latencies
+// once, so asking for a percentile reads them in place.
+func TestLatencyPercentileAllocs(t *testing.T) {
+	res := tinyRun(t)
+	var ps *PairStats
+	for i := range res.Pairs {
+		if res.Pairs[i].Errors > 1 {
+			ps = &res.Pairs[i]
+			break
+		}
+	}
+	if ps == nil {
+		t.Fatal("no pair counted two or more errors")
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		ps.LatencyPercentile(0.5)
+		ps.LatencyPercentile(0.95)
+	}); n != 0 {
+		t.Errorf("LatencyPercentile allocates %v times per p50+p95, want 0", n)
+	}
+}
+
 func TestProgressCallback(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.OnlyModule = "PRES_A"

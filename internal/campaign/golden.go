@@ -8,8 +8,6 @@ import (
 	"slices"
 	"sync"
 
-	"propane/internal/estimate"
-	"propane/internal/model"
 	"propane/internal/physics"
 	"propane/internal/sim"
 	"propane/internal/target"
@@ -151,12 +149,6 @@ func (g *Golden) Digests() ([]string, error) {
 		digests[i] = hex.EncodeToString(h.Sum(nil))
 	}
 	return digests, nil
-}
-
-// predict computes the analytical permeability forecast from the
-// topology and the golden runs' signal activity.
-func (g *Golden) predict(sys *model.System) *estimate.Prediction {
-	return estimate.Predict(sys, estimate.Options{Activity: goldenActivity(g.traces)})
 }
 
 // check validates cfg and rejects one this recording does not

@@ -60,7 +60,7 @@ type Config struct {
 	RunBudgetSteps int64
 	// Adaptive selects sequential (CI-driven) sampling for the fleet:
 	// the coordinator owns the campaign.AdaptivePlanner and claims work
-	// units from its importance-ordered frontier instead of from the
+	// units from its frontier, widest interval first, instead of from the
 	// job-index cursor. Like RunBudgetSteps it is part of the config
 	// digest, and every WorkUnit carries the resolved mode so workers
 	// digest identically.

@@ -2,157 +2,10 @@ package report
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"propane/internal/campaign"
-	"propane/internal/core"
 )
-
-// PredictionRow compares one pair's analytical permeability forecast
-// (internal/estimate, computed before any injection) against the
-// campaign's measured estimate and its confidence interval.
-type PredictionRow struct {
-	Pair         core.Pair
-	InputSignal  string
-	OutputSignal string
-	Predicted    float64
-	Estimate     float64
-	Injections   int
-	CILow        float64
-	CIHigh       float64
-	// OffCI marks pairs whose prediction falls outside the measured
-	// 95% interval — the places where the analytical model and the
-	// injection campaign genuinely disagree.
-	OffCI bool
-}
-
-// PredictionRows builds the per-pair prediction-vs-estimate
-// comparison. Pairs that never fired carry a degenerate [0,1]-wide
-// interval and are never flagged: an unmeasured pair cannot contradict
-// a forecast.
-func PredictionRows(res *campaign.Result) []PredictionRow {
-	if res.Predictions == nil {
-		return nil
-	}
-	rows := make([]PredictionRow, 0, len(res.Pairs))
-	for _, ps := range res.Pairs {
-		row := PredictionRow{
-			Pair:         ps.Pair,
-			InputSignal:  ps.InputSignal,
-			OutputSignal: ps.OutputSignal,
-			Estimate:     ps.Estimate,
-			Injections:   ps.Injections,
-			CILow:        ps.CI.Low,
-			CIHigh:       ps.CI.High,
-		}
-		if pp, ok := res.Predictions.Pair(ps.Pair); ok {
-			row.Predicted = pp.Predicted
-			row.OffCI = ps.Injections > 0 && (pp.Predicted < ps.CI.Low || pp.Predicted > ps.CI.High)
-		}
-		rows = append(rows, row)
-	}
-	return rows
-}
-
-// moduleOrder ranks modules by decreasing relative permeability P^M
-// (Eq. 2), ties broken by topology order — the ordering the paper's
-// Table 1 discussion draws its conclusions from.
-func moduleOrder(m *core.Matrix) ([]string, map[string]float64, error) {
-	measures, err := m.AllModuleMeasures()
-	if err != nil {
-		return nil, nil, err
-	}
-	vals := make(map[string]float64, len(measures))
-	names := make([]string, 0, len(measures))
-	for _, mm := range measures {
-		vals[mm.Module] = mm.Relative
-		names = append(names, mm.Module)
-	}
-	sort.SliceStable(names, func(i, j int) bool {
-		return vals[names[i]] > vals[names[j]]
-	})
-	return names, vals, nil
-}
-
-// PredictionTable renders the analytical-prediction cross-check: one
-// row per pair (forecast vs estimate ± CI, disagreements flagged),
-// then the module ranking by relative permeability under both the
-// predicted and the measured matrix with their pairwise concordance.
-// High concordance means the cheap analytical pass already ranks the
-// modules the way the full injection campaign does — the property the
-// adaptive sampler's importance ordering leans on.
-func PredictionTable(res *campaign.Result) (string, error) {
-	rows := PredictionRows(res)
-	if rows == nil {
-		return "", fmt.Errorf("report: result carries no analytical prediction")
-	}
-	var b strings.Builder
-	b.WriteString("Analytical prediction vs measured estimate per pair\n")
-	t := &textTable{header: []string{"Pair", "Input", "Output", "predicted", "estimate", "95% CI", "n_inj", "agree"}}
-	offCI := 0
-	for _, r := range rows {
-		flag := "yes"
-		if r.OffCI {
-			flag = "OFF-CI"
-			offCI++
-		} else if r.Injections == 0 {
-			flag = "-"
-		}
-		t.add(r.Pair.String(), r.InputSignal, r.OutputSignal,
-			fmt.Sprintf("%.3f", r.Predicted),
-			fmt.Sprintf("%.3f", r.Estimate),
-			fmt.Sprintf("[%.3f,%.3f]", r.CILow, r.CIHigh),
-			fmt.Sprintf("%d", r.Injections),
-			flag)
-	}
-	b.WriteString(t.String())
-	fmt.Fprintf(&b, "\n%d of %d measured pairs hold the analytical forecast inside their 95%% interval.\n",
-		len(rows)-offCI, len(rows))
-
-	pm, err := res.Predictions.Matrix()
-	if err != nil {
-		return "", err
-	}
-	predOrder, predVals, err := moduleOrder(pm)
-	if err != nil {
-		return "", err
-	}
-	measOrder, measVals, err := moduleOrder(res.Matrix)
-	if err != nil {
-		return "", err
-	}
-	b.WriteString("\nModule ranking by relative permeability P^M (predicted vs measured)\n")
-	ot := &textTable{header: []string{"rank", "predicted", "P^M", "measured", "P^M"}}
-	for i := range predOrder {
-		ot.add(fmt.Sprintf("%d", i+1),
-			predOrder[i], fmt.Sprintf("%.3f", predVals[predOrder[i]]),
-			measOrder[i], fmt.Sprintf("%.3f", measVals[measOrder[i]]))
-	}
-	b.WriteString(ot.String())
-
-	// Concordance over strictly-ordered module pairs: of the pairs the
-	// measured ranking separates, how many does the prediction order
-	// the same way.
-	concordant, comparable := 0, 0
-	for i := 0; i < len(measOrder); i++ {
-		for j := i + 1; j < len(measOrder); j++ {
-			a, c := measOrder[i], measOrder[j]
-			if measVals[a] == measVals[c] {
-				continue
-			}
-			comparable++
-			if (predVals[a]-predVals[c])*(measVals[a]-measVals[c]) > 0 {
-				concordant++
-			}
-		}
-	}
-	if comparable > 0 {
-		fmt.Fprintf(&b, "\nRanking concordance: %d of %d strictly-ordered module pairs agree (%.0f%%).\n",
-			concordant, comparable, 100*float64(concordant)/float64(comparable))
-	}
-	return b.String(), nil
-}
 
 // AdaptiveSection summarises the sequential sampler's spending for
 // adaptive campaigns; empty when the campaign ran the full matrix.

@@ -110,14 +110,6 @@ func Markdown(res *campaign.Result, opts MarkdownOptions) (string, error) {
 	}
 	section("FMECA complement", fmeca)
 
-	if res.Predictions != nil {
-		pt, err := PredictionTable(res)
-		if err != nil {
-			return "", err
-		}
-		section("Analytical prediction cross-check", pt)
-	}
-
 	if opts.Latency {
 		section("Propagation latency and classification", LatencyTable(res))
 	}

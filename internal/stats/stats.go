@@ -148,15 +148,21 @@ func KendallTau(a, b map[string]float64) (float64, error) {
 // nearest-rank method on a sorted copy. p=0 is the minimum, p=1 the
 // maximum.
 func Percentile(xs []float64, p float64) (float64, error) {
-	if len(xs) == 0 {
+	sorted := make([]float64, len(xs))
+	copy(sorted, xs)
+	sort.Float64s(sorted)
+	return PercentileSorted(sorted, p)
+}
+
+// PercentileSorted is Percentile over a sample already sorted
+// ascending, read in place without a copy.
+func PercentileSorted(sorted []float64, p float64) (float64, error) {
+	if len(sorted) == 0 {
 		return 0, ErrEmpty
 	}
 	if p < 0 || p > 1 {
 		return 0, errors.New("stats: percentile must be in [0,1]")
 	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
 	if p == 0 {
 		return sorted[0], nil
 	}

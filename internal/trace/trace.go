@@ -74,22 +74,6 @@ func (t *Trace) Samples(signal string) ([]uint16, error) {
 	return out, nil
 }
 
-// Changes counts, without copying the series, the ticks on which a
-// signal differs from the tick before, out of samples recorded.
-func (t *Trace) Changes(signal string) (changes, samples int) {
-	c, err := t.column(signal)
-	if err != nil {
-		return 0, 0
-	}
-	w := len(t.signals)
-	for at := c + w; at < len(t.rows); at += w {
-		if t.rows[at] != t.rows[at-w] {
-			changes++
-		}
-	}
-	return changes, t.Len()
-}
-
 // At returns the value of a signal at tick i.
 func (t *Trace) At(signal string, i int) (uint16, error) {
 	c, err := t.column(signal)
