@@ -20,10 +20,10 @@ type ValidationRow struct {
 }
 
 // CrossValidate computes one ValidationRow per (system input, system
-// output) combination. Predictions compose pair permeabilities along
-// the trace tree; measurements are the campaign's per-location
-// system-output propagation fractions. Agreement of the two validates
-// the framework's compositionality on this system.
+// output) combination. Each predicted value composes pair
+// permeabilities along the trace tree; measurements are the campaign's
+// per-location system-output propagation fractions. Agreement of the
+// two validates the framework's compositionality on this system.
 func CrossValidate(res *campaign.Result) ([]ValidationRow, error) {
 	measured := make(map[string]float64)
 	counted := make(map[string]bool)
