@@ -1,7 +1,9 @@
 // Command propane runs a fault-injection campaign against a
 // registered target — by default the paper's simulated
 // aircraft-arrestment system — estimates the error permeability
-// matrix, and regenerates the paper's tables and figures.
+// matrix, and regenerates the paper's tables and figures. Its other
+// modes analyse a given matrix, print a golden trajectory, and
+// compare recorded traces offline.
 //
 // Usage:
 //
@@ -11,8 +13,15 @@
 //	        [-run-budget N] [-max-retries N] [-quarantine-after N]
 //	        [-adaptive off|auto|force [-ci-epsilon E]]
 //	        [-table all|1|2|3|4] [-uniform] [-advice] [-latency]
-//	        [-sensitivity] [-criticality] [-validate] [-trees]
-//	        [-dot DIR] [-report FILE] [-cpuprofile F] [-memprofile F]
+//	        [-sensitivity] [-criticality] [-fmeca] [-prob SPEC]
+//	        [-validate] [-trees] [-dot DIR] [-report FILE]
+//	        [-cpuprofile F] [-memprofile F]
+//	propane -matrix CSV -topology JSON [-table all|2|3|4] [-advice]
+//	        [-sensitivity] [-criticality] [-fmeca] [-prob SPEC]
+//	        [-trees] [-dot DIR]
+//	propane -trajectory [-mass KG] [-velocity MS] [-horizon MS]
+//	        [-dual] [-record FILE]
+//	propane -trace FILE [-diff RUN]
 //
 // -instance and -tier select a campaign from the registry
 // (internal/runner; -list names them): reduced/full by default,
@@ -36,7 +45,21 @@
 // (-max-retries), and a job that repeatedly crashes its worker is
 // quarantined after -quarantine-after consecutive failures instead of
 // wedging the campaign. -dot writes Graphviz renderings of
-// Figs. 8–12 into DIR.
+// Figs. 8–12 into DIR, with the matrix (matrix.csv) and its topology
+// (topology.json) that -matrix and -topology read back.
+//
+// -matrix applies the analysis framework to a permeability matrix
+// without fault injection: a CSV of module,in,out[,...],value rows
+// over the topology JSON of internal/model. Every matrix section of a
+// campaign applies to it; Table 1 and the sections that need the
+// runs do not.
+//
+// -trajectory runs one test case without injections and prints the
+// arrestment trajectory every 250 ms: velocity, position, pulse
+// count, checkpoint index, set point, TOC2 and applied pressure.
+// -record also writes every signal's trace as a PTRC file. -trace
+// summarises such a file; with -diff it runs the offline Golden Run
+// Comparison of a run's trace against it.
 //
 // To spread one campaign over several processes, run a coordinator
 // and its workers with command propaned.
@@ -48,6 +71,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
@@ -56,6 +80,7 @@ import (
 	"propane/internal/campaign"
 	"propane/internal/core"
 	"propane/internal/expfile"
+	"propane/internal/physics"
 	"propane/internal/profiling"
 	"propane/internal/report"
 	"propane/internal/runner"
@@ -68,42 +93,97 @@ func main() {
 	}
 }
 
+// The flags each mode reads beyond its own; cli.CheckMode refuses the
+// rest. analysisFlags apply to every matrix, a campaign's or a loaded
+// one; campaignFlags only to a campaign.
+const (
+	analysisFlags = "table advice sensitivity criticality fmeca prob trees dot"
+	campaignFlags = "dir resume workers run-budget adaptive ci-epsilon max-retries quarantine-after " +
+		"uniform latency validate report cpuprofile memprofile " + analysisFlags
+)
+
 func run(args []string, out io.Writer) (retErr error) {
 	fs := flag.NewFlagSet("propane", flag.ContinueOnError)
-	campaignFlags := cli.Flags(fs, "reduced", string(runner.TierFull))
+	sharedFlags := cli.Flags(fs, "reduced", string(runner.TierFull))
 	list := fs.Bool("list", false, "list the registered campaign instances and exit")
 	configPath := fs.String("config", "", "experiment description file (JSON) to run instead of a registered instance")
 	synthFiles := fs.String("synth", "", "comma-separated declarative topology documents (YAML/JSON) to compile and register as instances")
 	maxRetries := fs.Int("max-retries", 0, "retries for transient journal/artifact I/O failures (0 = default 3, negative disables)")
 	quarantineAfter := fs.Int("quarantine-after", 0, "quarantine a job after this many consecutive worker crashes (0 = default 3, negative disables → abort)")
-	table := fs.String("table", "all", "which table to print: all, 1, 2, 3 or 4")
-	uniform := fs.Bool("uniform", false, "print the uniform-propagation check")
-	advice := fs.Bool("advice", false, "print the Section 5 EDM/ERM placement advice")
-	latency := fs.Bool("latency", false, "print per-pair propagation latency and error classification")
-	sensitivity := fs.Bool("sensitivity", false, "print the hardening-priority (sensitivity) table per system output")
-	criticality := fs.Bool("criticality", false, "print the input-criticality table per system output")
-	validate := fs.Bool("validate", false, "print the compositional-prediction cross-validation table")
-	trees := fs.Bool("trees", false, "print ASCII backtrack and trace trees (Figs. 10-12)")
+	var a analysis
+	fs.StringVar(&a.table, "table", "all", "which table to print: all, 1, 2, 3 or 4 (-matrix: all, 2, 3 or 4)")
+	fs.BoolVar(&a.uniform, "uniform", false, "print the uniform-propagation check")
+	fs.BoolVar(&a.advice, "advice", false, "print the Section 5 EDM/ERM placement advice")
+	fs.BoolVar(&a.latency, "latency", false, "print per-pair propagation latency and error classification")
+	fs.BoolVar(&a.sensitivity, "sensitivity", false, "print the hardening-priority (sensitivity) table per system output")
+	fs.BoolVar(&a.criticality, "criticality", false, "print the input-criticality table per system output")
+	fs.BoolVar(&a.fmeca, "fmeca", false, "print the FMECA-complement worksheet")
+	prob := fs.String("prob", "", "per-input error probabilities for the P' profile of each system output, e.g. \"ADC=0.1,PACNT=0.02\"")
+	fs.BoolVar(&a.validate, "validate", false, "print the compositional-prediction cross-validation table")
+	fs.BoolVar(&a.trees, "trees", false, "print ASCII backtrack and trace trees (Figs. 10-12)")
+	fs.StringVar(&a.dot, "dot", "", "write Graphviz figures (Figs. 8-12), matrix.csv and topology.json into this directory")
 	reportPath := fs.String("report", "", "write the complete Markdown report to this file")
-	dotDir := fs.String("dot", "", "write Graphviz figures (Figs. 8-12) into this directory")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the campaign to this file")
 	memProfile := fs.String("memprofile", "", "write a heap profile to this file when the campaign finishes")
+	matrixPath := fs.String("matrix", "", "analyse this permeability CSV (module,in,out[,...],value) instead of running a campaign")
+	topoPath := fs.String("topology", "", "-matrix: the system topology JSON")
+	trajectory := fs.Bool("trajectory", false, "print one golden arrestment trajectory instead of running a campaign")
+	var tc physics.TestCase
+	fs.Float64Var(&tc.MassKg, "mass", 14000, "-trajectory: aircraft mass in kg (paper range 8000-20000)")
+	fs.Float64Var(&tc.VelocityMS, "velocity", 60, "-trajectory: engagement velocity in m/s (paper range 40-80)")
+	horizon := fs.Int64("horizon", 6000, "-trajectory: simulation horizon in ms")
+	dual := fs.Bool("dual", false, "-trajectory: simulate the master/slave deployment")
+	recordPath := fs.String("record", "", "-trajectory: also write every signal's trace to this PTRC file")
+	tracePath := fs.String("trace", "", "summarise this PTRC trace file instead of running a campaign")
+	diffPath := fs.String("diff", "", "-trace: compare this run's trace file with the -trace golden run")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	c, err := campaignFlags()
+	c, err := sharedFlags()
 	if err != nil {
 		return err
 	}
-	mode, reads := "-instance", func(name string) bool { return name != "config" && name != "list" }
+	mode, reads := "-instance", "instance tier synth "+campaignFlags
 	switch {
 	case *list:
-		mode, reads = "-list", func(name string) bool { return name == "list" || name == "synth" }
+		mode, reads = "-list", "list synth"
 	case *configPath != "":
-		mode, reads = "-config", func(name string) bool { return name != "instance" && name != "tier" && name != "synth" }
+		mode, reads = "-config", "config "+campaignFlags
+	case *matrixPath != "":
+		mode, reads = "-matrix", "matrix topology "+analysisFlags
+	case *trajectory:
+		mode, reads = "-trajectory", "trajectory mass velocity horizon dual record"
+	case *tracePath != "":
+		mode, reads = "-trace", "trace diff"
 	}
-	if err := cli.CheckMode(fs, mode, reads); err != nil {
+	if err := cli.CheckMode(fs, mode, func(name string) bool { return slices.Contains(strings.Fields(reads), name) }); err != nil {
 		return err
+	}
+	switch {
+	case !slices.Contains([]string{"all", "1", "2", "3", "4"}, a.table):
+		return fmt.Errorf("unknown table %q (want all, 1, 2, 3 or 4)", a.table)
+	case mode == "-matrix" && a.table == "1":
+		return fmt.Errorf("-table 1 needs a campaign's runs; -matrix has only the matrix")
+	}
+	if *prob != "" {
+		if a.probs, err = parseProbs(*prob); err != nil {
+			return err
+		}
+	}
+	switch mode {
+	case "-matrix":
+		if *topoPath == "" {
+			return fmt.Errorf("-matrix needs -topology")
+		}
+		m, err := loadMatrix(*topoPath, *matrixPath)
+		if err != nil {
+			return err
+		}
+		return a.print(out, m, nil)
+	case "-trajectory":
+		return printTrajectory(out, tc, *horizon, *dual, *recordPath)
+	case "-trace":
+		return printTrace(out, *tracePath, *diffPath)
 	}
 	if c.Resume && c.Dir == "" {
 		return fmt.Errorf("-resume needs -dir (there is no journal to resume from)")
@@ -190,76 +270,16 @@ func run(args []string, out io.Writer) (retErr error) {
 	fmt.Fprintln(out)
 
 	res := rr.Result
-	if err := printTables(out, res, *table); err != nil {
+	if err := a.print(out, res.Matrix, res); err != nil {
 		return err
-	}
-	if *uniform {
-		fmt.Fprintln(out, report.UniformPropagationTable(res))
-	}
-	if *advice {
-		s, err := report.AdviceReport(res.Matrix)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(out, s)
-	}
-	if *latency {
-		fmt.Fprintln(out, report.LatencyTable(res))
-	}
-	if *sensitivity {
-		for _, sysOut := range res.Topology.SystemOutputs() {
-			s, err := report.SensitivityTable(res.Matrix, sysOut)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintln(out, s)
-		}
-	}
-	if *criticality {
-		for _, sysOut := range res.Topology.SystemOutputs() {
-			s, err := report.CriticalityTable(res.Matrix, sysOut)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintln(out, s)
-		}
-	}
-	if *validate {
-		s, err := report.ValidationTable(res)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(out, s)
-	}
-	if *trees {
-		for _, sysOut := range res.Topology.SystemOutputs() {
-			tree, err := core.BacktrackTree(res.Matrix, sysOut)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintln(out, report.TreeText(tree))
-		}
-		for _, in := range res.Topology.SystemInputs() {
-			tree, err := core.TraceTree(res.Matrix, in)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintln(out, report.TreeText(tree))
-		}
-	}
-	if *dotDir != "" {
-		if err := writeFigures(res.Matrix, *dotDir); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "figures written to %s\n", *dotDir)
 	}
 	if *reportPath != "" {
 		md, err := report.Markdown(res, report.MarkdownOptions{
-			Latency:     *latency,
-			Sensitivity: *sensitivity,
-			Criticality: *criticality,
-			Validation:  *validate,
-			Uniform:     *uniform,
+			Latency:     a.latency,
+			Sensitivity: a.sensitivity,
+			Criticality: a.criticality,
+			Validation:  a.validate,
+			Uniform:     a.uniform,
 		})
 		if err != nil {
 			return err
@@ -272,40 +292,68 @@ func run(args []string, out io.Writer) (retErr error) {
 	return nil
 }
 
-func printTables(out io.Writer, res *campaign.Result, which string) error {
-	want := func(t string) bool { return which == "all" || which == t }
-	if want("1") {
-		fmt.Fprintln(out, report.Table1(res))
-	}
-	if want("2") {
-		s, err := report.Table2(res.Matrix)
-		if err != nil {
-			return err
+// analysis selects the sections printed of a permeability matrix.
+// uniform, latency, validate and Table 1 need the campaign's runs.
+type analysis struct {
+	table, dot                            string
+	uniform, advice, latency, sensitivity bool
+	criticality, fmeca, validate, trees   bool
+	probs                                 map[string]float64
+}
+
+// print prints the selected sections of m in one fixed order and
+// writes the -dot figures. res is the campaign that estimated m, or
+// nil for a loaded matrix.
+func (a analysis) print(out io.Writer, m *core.Matrix, res *campaign.Result) error {
+	want := func(t string) bool { return a.table == "all" || a.table == t }
+	whole := []string{""} // a section of the whole matrix, printed once
+	outputs, inputs := m.System().SystemOutputs(), m.System().SystemInputs()
+	for _, s := range []struct {
+		on      bool
+		signals []string
+		render  func(signal string) (string, error)
+	}{
+		{want("1") && res != nil, whole, func(string) (string, error) { return report.Table1(res), nil }},
+		{want("2"), whole, func(string) (string, error) { return report.Table2(m) }},
+		{want("3"), whole, func(string) (string, error) { return report.Table3(m) }},
+		{want("4"), outputs, func(o string) (string, error) { return report.Table4(m, o, true) }},
+		{a.uniform, whole, func(string) (string, error) { return report.UniformPropagationTable(res), nil }},
+		{a.advice, whole, func(string) (string, error) { return report.AdviceReport(m) }},
+		{a.latency, whole, func(string) (string, error) { return report.LatencyTable(res), nil }},
+		{a.sensitivity, outputs, func(o string) (string, error) { return report.SensitivityTable(m, o) }},
+		{a.criticality, outputs, func(o string) (string, error) { return report.CriticalityTable(m, o) }},
+		{a.fmeca, whole, func(string) (string, error) { return report.FMECATable(m) }},
+		{a.probs != nil, outputs, func(o string) (string, error) { return report.ProfileTable(m, o, a.probs) }},
+		{a.validate, whole, func(string) (string, error) { return report.ValidationTable(res) }},
+		{a.trees, outputs, func(o string) (string, error) { return treeText(core.BacktrackTree(m, o)) }},
+		{a.trees, inputs, func(in string) (string, error) { return treeText(core.TraceTree(m, in)) }},
+	} {
+		if !s.on {
+			continue
 		}
-		fmt.Fprintln(out, s)
-	}
-	if want("3") {
-		s, err := report.Table3(res.Matrix)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(out, s)
-	}
-	if want("4") {
-		for _, sysOut := range res.Topology.SystemOutputs() {
-			s, err := report.Table4(res.Matrix, sysOut, true)
+		for _, signal := range s.signals {
+			text, err := s.render(signal)
 			if err != nil {
 				return err
 			}
-			fmt.Fprintln(out, s)
+			fmt.Fprintln(out, text)
 		}
 	}
-	switch which {
-	case "all", "1", "2", "3", "4":
+	if a.dot == "" {
 		return nil
-	default:
-		return fmt.Errorf("unknown table %q (want all, 1, 2, 3 or 4)", which)
 	}
+	if err := writeFigures(m, a.dot); err != nil {
+		return err
+	}
+	fmt.Fprintf(out, "figures written to %s\n", a.dot)
+	return nil
+}
+
+func treeText(t *core.Tree, err error) (string, error) {
+	if err != nil {
+		return "", err
+	}
+	return report.TreeText(t), nil
 }
 
 func writeFigures(m *core.Matrix, dir string) error {
@@ -316,9 +364,16 @@ func writeFigures(m *core.Matrix, dir string) error {
 	if err != nil {
 		return err
 	}
+	topology, err := m.System().MarshalJSON()
+	if err != nil {
+		return err
+	}
 	files := map[string]string{
 		"fig08_topology.dot":           report.TopologyDOT(m.System()),
 		"fig09_permeability_graph.dot": report.PermeabilityGraphDOT(g),
+		// The matrix and its topology, for -matrix and -topology.
+		"matrix.csv":    report.MatrixCSV(m),
+		"topology.json": string(topology) + "\n",
 	}
 	for _, output := range m.System().SystemOutputs() {
 		bt, err := core.BacktrackTree(m, output)
@@ -351,6 +406,5 @@ func writeFigures(m *core.Matrix, dir string) error {
 			return err
 		}
 	}
-	// Also export the raw matrix for permtool-style post-processing.
-	return os.WriteFile(filepath.Join(dir, "matrix.csv"), []byte(report.MatrixCSV(m)), 0o644)
+	return nil
 }

@@ -63,7 +63,7 @@ func (m *Matrix) Len() int { return len(m.vals) }
 // named module. The value must lie in [0, 1] (Eq. 1) and the pair must
 // exist in the system.
 func (m *Matrix) Set(module string, in, out int, p float64) error {
-	if p < 0 || p > 1 {
+	if !(p >= 0 && p <= 1) {
 		return fmt.Errorf("core: permeability %v for %v out of range [0,1]", p, Pair{module, in, out})
 	}
 	key := Pair{Module: module, In: in, Out: out}

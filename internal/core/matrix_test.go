@@ -65,6 +65,7 @@ func TestMatrixSetValidation(t *testing.T) {
 		{"boundary one", "B", 2, 2, 1, false},
 		{"negative", "B", 1, 1, -0.1, true},
 		{"above one", "B", 1, 1, 1.1, true},
+		{"NaN", "B", 1, 1, math.NaN(), true},
 		{"unknown module", "Z", 1, 1, 0.5, true},
 		{"unknown input", "A", 2, 1, 0.5, true},
 		{"unknown output", "A", 1, 2, 0.5, true},

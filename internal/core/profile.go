@@ -31,7 +31,7 @@ type WeightedPath struct {
 // probability — path events are not disjoint.
 func OutputErrorProfile(m *Matrix, output string, prob map[string]float64) (float64, []WeightedPath, error) {
 	for sig, p := range prob {
-		if p < 0 || p > 1 {
+		if !(p >= 0 && p <= 1) {
 			return 0, nil, fmt.Errorf("core: probability %v for input %q out of [0,1]", p, sig)
 		}
 		if !m.System().IsSystemInput(sig) {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"propane/internal/model"
@@ -153,6 +154,9 @@ func TestOutputErrorProfileValidation(t *testing.T) {
 	m := exampleMatrix(t)
 	if _, _, err := OutputErrorProfile(m, "sysout", map[string]float64{"extA": 1.5}); err == nil {
 		t.Error("profile with probability > 1 succeeded")
+	}
+	if _, _, err := OutputErrorProfile(m, "sysout", map[string]float64{"extA": math.NaN()}); err == nil {
+		t.Error("profile with probability NaN succeeded")
 	}
 	if _, _, err := OutputErrorProfile(m, "sysout", map[string]float64{"a1": 0.5}); err == nil {
 		t.Error("profile with non-input signal succeeded")

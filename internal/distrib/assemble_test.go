@@ -180,7 +180,7 @@ func TestAssembleLiveMatchesResumed(t *testing.T) {
 }
 
 // TestAssembleReadsNoJournal: once the campaign is done, the
-// coordinator assembles from what it holds. With every journal moved
+// coordinator assembles from what it holds. With the journal moved
 // out of the directory the assembly still reproduces the single-node
 // adaptive run.
 func TestAssembleReadsNoJournal(t *testing.T) {
@@ -198,25 +198,17 @@ func TestAssembleReadsNoJournal(t *testing.T) {
 	defer coord.Close()
 	runFleet(t, coord, t.TempDir())
 
-	aside := t.TempDir()
-	journals, err := filepath.Glob(filepath.Join(dir, "journal*.bin"))
-	if err != nil || len(journals) == 0 {
-		t.Fatalf("no journals to move aside (%v)", err)
-	}
-	for _, path := range journals {
-		if err := os.Rename(path, filepath.Join(aside, filepath.Base(path))); err != nil {
-			t.Fatal(err)
-		}
+	journal, aside := runner.JournalPath(dir), filepath.Join(t.TempDir(), "journal.bin")
+	if err := os.Rename(journal, aside); err != nil {
+		t.Fatal(err)
 	}
 	rr, err := coord.Assemble()
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The baseline check reads the journal's record set; put it back.
-	for _, path := range journals {
-		if err := os.Rename(filepath.Join(aside, filepath.Base(path)), path); err != nil {
-			t.Fatal(err)
-		}
+	if err := os.Rename(aside, journal); err != nil {
+		t.Fatal(err)
 	}
 	assertMatchesAdaptiveBaseline(t, rr, dir)
 }

@@ -2,6 +2,7 @@ package report
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"propane/internal/core"
@@ -97,13 +98,15 @@ func TreeDOT(t *core.Tree, name string) string {
 }
 
 // MatrixCSV renders every pair permeability as CSV
-// (module,in,out,input_signal,output_signal,value).
+// (module,in,out,input_signal,output_signal,value). Each value is the
+// shortest decimal that parses back to the same float64, so the CSV
+// round-trips exactly.
 func MatrixCSV(m *core.Matrix) string {
 	var b strings.Builder
 	b.WriteString("module,in,out,input_signal,output_signal,value\n")
 	for _, pv := range m.Pairs() {
-		fmt.Fprintf(&b, "%s,%d,%d,%s,%s,%.6f\n",
-			pv.Pair.Module, pv.Pair.In, pv.Pair.Out, pv.InputSignal, pv.OutputSignal, pv.Value)
+		fmt.Fprintf(&b, "%s,%d,%d,%s,%s,%s\n", pv.Pair.Module, pv.Pair.In, pv.Pair.Out,
+			pv.InputSignal, pv.OutputSignal, strconv.FormatFloat(pv.Value, 'g', -1, 64))
 	}
 	return b.String()
 }

@@ -3,7 +3,6 @@ package runner
 import (
 	"errors"
 	"os"
-	"path/filepath"
 	"testing"
 
 	"propane/internal/campaign"
@@ -78,55 +77,51 @@ func TestAssembleDigestMismatch(t *testing.T) {
 }
 
 // TestAssembleIdempotentOverlap pins the distributed-overlap
-// contract: a duplicate journal whose records are content-identical
-// assembles cleanly (a reassigned lease may deliver the same work
-// twice), while a duplicate that disagrees about a record's content
-// fails with ErrConflictingRecords.
+// contract: a journal that holds every record twice with identical
+// content assembles cleanly (a reassigned lease may deliver the same
+// work twice), while a duplicate that disagrees about a record's
+// content fails with ErrConflictingRecords.
 func TestAssembleIdempotentOverlap(t *testing.T) {
 	dir, direct := assembleFixture(t)
 	cfg := reducedQuickConfig(t)
-	src := filepath.Join(dir, "journal.bin")
-	data, err := os.ReadFile(src)
-	if err != nil {
-		t.Fatal(err)
+	path := JournalPath(dir)
+	hdr, recs, _, err := loadJournal(path)
+	if err != nil || len(recs) == 0 {
+		t.Fatalf("loading %s: %d records, %v", path, len(recs), err)
+	}
+	appendFrame := func(recs []Record) {
+		t.Helper()
+		w, err := openJournal(path, hdr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.AppendBatch(recs); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	// Exact copy: every record arrives twice with identical content.
-	dup := filepath.Join(dir, "journal-dup.bin")
-	if err := os.WriteFile(dup, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	appendFrame(recs)
 	rr, err := assemble(cfg, Options{Name: "reduced", Tier: TierQuick, Dir: dir})
 	if err != nil {
-		t.Fatalf("Assemble rejected an idempotent duplicate journal: %v", err)
+		t.Fatalf("Assemble rejected an idempotent duplicate frame: %v", err)
 	}
 	if m1, m2 := report.MatrixCSV(direct.Result.Matrix), report.MatrixCSV(rr.Result.Matrix); m1 != m2 {
-		t.Error("matrix changed after assembling with a duplicate journal")
+		t.Error("matrix changed after assembling with a duplicate frame")
 	}
 
-	// Conflicting copy: flip one record's fired flag. The journals now
-	// disagree about a simulation outcome, and merging must refuse.
-	hdr, recs, _, err := loadJournal(src)
-	if err != nil || len(recs) == 0 {
-		t.Fatalf("loading %s: %d records, %v", src, len(recs), err)
-	}
-	recs[0].Fired = !recs[0].Fired
-	if err := os.Remove(dup); err != nil {
-		t.Fatal(err)
-	}
-	w, err := openJournal(dup, hdr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.AppendBatch(recs); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
+	// Conflicting copy: flip one record's fired flag. The journal now
+	// disagrees with itself about a simulation outcome, and assembly
+	// must refuse.
+	conflict := recs[0]
+	conflict.Fired = !conflict.Fired
+	appendFrame([]Record{conflict})
 	_, err = assemble(cfg, Options{Name: "reduced", Tier: TierQuick, Dir: dir})
 	if err == nil {
-		t.Fatal("Assemble merged journals that disagree about a record's content")
+		t.Fatal("Assemble merged records that disagree about a run's content")
 	}
 	if !errors.Is(err, ErrConflictingRecords) {
 		t.Fatalf("err = %v, want errors.Is(err, ErrConflictingRecords)", err)

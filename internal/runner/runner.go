@@ -9,8 +9,9 @@
 //     error-model and tolerance ablations) selectable by name and
 //     tier (quick/full);
 //   - journaled execution: every injection run's outcome is appended
-//     to a JSONL journal under a per-run artifact directory (config
-//     snapshot, golden-run digests, journal, metrics, final report),
+//     to a binary journal (journal.bin) under a per-run artifact
+//     directory (config snapshot, golden-run digests, journal,
+//     metrics, final report),
 //     so a killed campaign resumes from its checkpoint and converges
 //     to the bit-identical permeability matrix;
 //   - one preparation per campaign: Prepare validates and plans the
@@ -668,55 +669,50 @@ func (p *Prepared) Assemble(recs map[int]Record, planner *campaign.AdaptivePlann
 	return p.finalise(res, l, trk, ddp, opts)
 }
 
-// LoadJournals merges every journal under dir (journal*.bin) into one
-// record set keyed by job index, empty when there is none. Headers
-// must carry the campaign's digest (ErrDigestMismatch). A record's job
-// is derived from its content and its Job field rewritten to match.
-// Duplicates — a resumed run or a reassigned lease appends a record
-// twice — must be identical: conflicting content means two processes
-// disagreed about the simulation (ErrConflictingRecords). A
-// JSON-lines journal (journal*.jsonl) from before version 5 is
-// refused, not ignored: resuming past it would silently re-run its
-// records.
+// LoadJournals reads the campaign's journal under dir (JournalPath)
+// into one record set keyed by job index, empty when there is none.
+// Its header must carry the campaign's digest (ErrDigestMismatch). A
+// record's job is derived from its content and its Job field
+// rewritten to match. Duplicates — a resumed run or a reassigned lease
+// appends a record twice — must be identical: conflicting content
+// means two processes disagreed about the simulation
+// (ErrConflictingRecords). A JSON-lines journal (journal*.jsonl) from
+// before version 5 is refused, not ignored: resuming past it would
+// silently re-run its records.
 func (p *Prepared) LoadJournals(dir string) (map[int]Record, error) {
 	if old, _ := filepath.Glob(filepath.Join(dir, "journal*.jsonl")); len(old) > 0 {
 		_, _, _, err := loadJournal(old[0]) // names a version 3 or 4 journal's version
 		return nil, cmp.Or(err, fmt.Errorf("runner: %s is not a version %d journal: the record encoding changed to binary frames in journal.bin — rerun the campaign in a fresh directory",
 			old[0], journalVersion))
 	}
-	paths, err := filepath.Glob(filepath.Join(dir, "journal*.bin"))
+	path := JournalPath(dir)
+	hdr, journaled, _, err := loadJournal(path)
 	if err != nil {
-		return nil, fmt.Errorf("runner: listing journals: %w", err)
+		return nil, err
 	}
-	recs := make(map[int]Record)
-	for _, path := range paths {
-		hdr, journaled, _, err := loadJournal(path)
+	if hdr.Type != "" && hdr.ConfigDigest != p.snap.Digest {
+		return nil, fmt.Errorf("runner: journal %s belongs to config %s, not %s — refusing to mix campaigns: %w",
+			path, hdr.ConfigDigest, p.snap.Digest, ErrDigestMismatch)
+	}
+	recs := make(map[int]Record, len(journaled))
+	for _, r := range journaled {
+		inj, err := r.Injection()
 		if err != nil {
 			return nil, err
 		}
-		if hdr.Type != "" && hdr.ConfigDigest != p.snap.Digest {
-			return nil, fmt.Errorf("runner: journal %s belongs to config %s, not %s — refusing to mix campaigns: %w",
-				path, hdr.ConfigDigest, p.snap.Digest, ErrDigestMismatch)
+		job, ok := p.ji.Job(inj, r.Case)
+		if !ok {
+			return nil, fmt.Errorf("runner: journal %s contains foreign job %v case %d", path, inj, r.Case)
 		}
-		for _, r := range journaled {
-			inj, err := r.Injection()
-			if err != nil {
-				return nil, err
+		r.Job = job
+		if prev, dup := recs[job]; dup {
+			if !RecordsEqual(prev, r) {
+				return nil, fmt.Errorf("runner: journal %s: job %d (%v case %d) recorded twice with different content: %w",
+					path, job, inj, r.Case, ErrConflictingRecords)
 			}
-			job, ok := p.ji.Job(inj, r.Case)
-			if !ok {
-				return nil, fmt.Errorf("runner: journal %s contains foreign job %v case %d", path, inj, r.Case)
-			}
-			r.Job = job
-			if prev, dup := recs[job]; dup {
-				if !RecordsEqual(prev, r) {
-					return nil, fmt.Errorf("runner: journal %s: job %d (%v case %d) recorded with different content elsewhere: %w",
-						path, job, inj, r.Case, ErrConflictingRecords)
-				}
-				continue
-			}
-			recs[job] = r
+			continue
 		}
+		recs[job] = r
 	}
 	return recs, nil
 }

@@ -62,7 +62,9 @@ func (t *Trace) WriteTo(w io.Writer) (int64, error) {
 	return n, err
 }
 
-// ReadTrace deserialises a trace written by WriteTo.
+// ReadTrace deserialises a trace written by WriteTo. A trace that
+// names signals but holds no samples is refused: no recording is that
+// short, and a reader would index its first sample.
 func ReadTrace(r io.Reader) (*Trace, error) {
 	br := bufio.NewReader(r)
 	var magic [4]byte
@@ -89,6 +91,9 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 	}
 	if nSignals > maxTraceDim || uint64(nSignals)*uint64(nSamples) > maxTraceDim {
 		return nil, fmt.Errorf("trace: implausible dimensions %d×%d", nSignals, nSamples)
+	}
+	if nSignals > 0 && nSamples == 0 {
+		return nil, fmt.Errorf("trace: %d signals but no samples", nSignals)
 	}
 
 	// The columns are read into one buffer that grows as samples

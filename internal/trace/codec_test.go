@@ -83,6 +83,9 @@ func TestCodecRejectsGarbage(t *testing.T) {
 		{"truncated header", []byte("PTRC\x01")},
 		{"bad version", append([]byte("PTRC"), 0x63, 0x00, 0, 0, 0, 0, 0, 0, 0, 0)},
 		{"huge dimensions", append([]byte("PTRC"), 0x01, 0x00, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF)},
+		// One signal "x" and no samples: a reader indexing the first
+		// sample would panic.
+		{"signal without samples", append([]byte("PTRC"), 0x01, 0x00, 0x01, 0, 0, 0, 0, 0, 0, 0, 0x01, 0x00, 'x')},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -125,6 +128,9 @@ func TestCodecRoundTripProperty(t *testing.T) {
 			return false
 		}
 		got, err := ReadTrace(&buf)
+		if len(a) == 0 { // signals without samples are refused
+			return err != nil
+		}
 		if err != nil {
 			return false
 		}
