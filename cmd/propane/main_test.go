@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -444,7 +445,9 @@ func exampleFiles(t *testing.T) (topoPath, csvPath string) {
 	return topoPath, csvPath
 }
 
-func TestRunMatrixFromFiles(t *testing.T) {
+// TestRunMatrixExample loads the ten sample values of examples/quickstart
+// and prints every analysis section that needs no campaign.
+func TestRunMatrixExample(t *testing.T) {
 	topoPath, csvPath := exampleFiles(t)
 	dotDir := t.TempDir()
 	got := runOut(t, "-matrix", csvPath, "-topology", topoPath, "-advice", "-sensitivity",
@@ -468,6 +471,31 @@ func TestRunMatrixFromFiles(t *testing.T) {
 		"-advice", "-sensitivity", "-criticality", "-trees")
 	if want := got[:strings.Index(got, "figures written")]; again != want {
 		t.Errorf("-dot files read back differ:\n%s\nwant:\n%s", again, want)
+	}
+}
+
+// TestRunMatrixFromFiles: header-less module,in,out,value rows load,
+// and pairs the file does not name stay at zero.
+func TestRunMatrixFromFiles(t *testing.T) {
+	topoPath, _ := exampleFiles(t)
+	minPath := filepath.Join(t.TempDir(), "min.csv")
+	if err := os.WriteFile(minPath, []byte("A,1,1,0.5\nB,1,2,0.25\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got := runOut(t, "-matrix", minPath, "-topology", topoPath, "-table", "2")
+	if !strings.HasPrefix(got, "Table 2:") {
+		t.Errorf("-matrix -table 2 output:\n%s", got)
+	}
+	m, err := loadMatrix(topoPath, minPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]float64{"A,1,1": 0.5, "B,1,2": 0.25}
+	for _, pv := range m.Pairs() {
+		key := fmt.Sprintf("%s,%d,%d", pv.Pair.Module, pv.Pair.In, pv.Pair.Out)
+		if pv.Value != want[key] {
+			t.Errorf("pair %s loaded as %v, want %v", key, pv.Value, want[key])
+		}
 	}
 }
 
